@@ -465,6 +465,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OverflowError:
+        # exit 1 means a budget ran out; an input too large for floats is
+        # a rejected input
+        print("error: a value overflows the float range while evaluating "
+              "the problem", file=sys.stderr)
+        return 2
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -526,6 +526,8 @@ class _Parser:
     def _atom(self) -> Expr:
         kind, val, start = self._next()
         if kind == "num":
+            if not np.isfinite(float(val)):
+                self._error(f"number {val} overflows to infinity", start)
             return Const(float(val))
         if kind == "op" and val == "(":
             e = self._expr()

@@ -5,6 +5,18 @@ points in R^n.  A Polytope stores the minimal vertex list, deduplicated
 and lexicographically sorted, so that equal sets produced along different
 routes compare equal.  All operations are pure and return new objects.
 
+Canonicalisation in dim >= 3 visits the deduplicated points in lex order
+and drops each one that lies within FEAS_TOL of the hull of the points
+still kept, found by a Wolfe nearest-point solve.  A cheap pre-pass first
+certifies points as vertices: a point that is the unique maximiser of
+<., h> for some direction h, by a gap that puts it more than
+CERT_GAP * max(1, max|p|) >> FEAS_TOL from the hull of the other points.
+Wolfe's answer is a convex combination of those other points, so the
+loop would keep a certified point anyway; it skips the solve for it and
+solves for every other point against the same kept set as before.  The
+canonical vertex array is therefore the one the plain loop gives, byte
+for byte, whatever the directions.
+
 Tolerances: DEDUP_TOL collapses coincident vertices, FEAS_TOL is the
 membership/feasibility tolerance used everywhere else.  Both can be
 overridden per call where it matters.
@@ -21,6 +33,9 @@ from scipy.optimize import linprog
 
 DEDUP_TOL = 1e-12
 FEAS_TOL = 1e-9
+CERT_GAP = 1e-7
+CERT_DIRS_PER_POINT = 16
+CERT_BLOCK = 256
 
 
 class GeometryError(ValueError):
@@ -164,13 +179,78 @@ def _hull_2d(pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
-    order = np.lexsort(pts.T[::-1])
-    p = pts[order]
-    kept: list[np.ndarray] = []
-    for row in p:
-        if all(np.max(np.abs(row - k)) > tol for k in kept):
-            kept.append(row)
-    return np.array(kept)
+    """Rows in lexicographic order, each dropped when it lies within tol
+    (max-norm) of an earlier kept row.
+
+    Rows are sorted by their first coordinate, so a row can only match
+    earlier rows whose first coordinate lies within tol of its own; the
+    window is taken 2 tol wide so that rounding in its bound never cuts a
+    match off.  Comparing adjacent rows only would not do: in the lex
+    order (0, 1), (1e-13, 0), (2e-13, 1) the first and last rows match.
+    """
+    p = pts[np.lexsort(pts.T[::-1])]
+    m = p.shape[0]
+    if m < 2:
+        return p
+    lo = np.searchsorted(p[:, 0], p[:, 0] - 2.0 * tol, side="left")
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(lo < np.arange(m)):
+        window = slice(lo[i], i)
+        near = np.max(np.abs(p[window] - p[i]), axis=1) <= tol
+        if np.any(near & keep[window]):
+            keep[i] = False
+    return p[keep]
+
+
+def _certified_extreme(pts: np.ndarray) -> np.ndarray:
+    """Mask of points certified to be vertices of conv(pts).
+
+    Point j is certified when some direction h has j as its unique
+    maximiser with a gap over the runner-up above
+    CERT_GAP * max(1, max|p|) * |h|; then j lies that far from the hull
+    of every subset of the other points.  The directions are a fixed
+    pseudo-random set of CERT_DIRS_PER_POINT * m, scored in blocks of at
+    most CERT_BLOCK so that the score matrix stays small.
+    """
+    m, dim = pts.shape
+    rng = np.random.default_rng(0)
+    gap_tol = CERT_GAP * max(1.0, float(np.abs(pts).max()))
+    cert = np.zeros(m, dtype=bool)
+    n_dirs = CERT_DIRS_PER_POINT * m
+    buf = np.empty((min(CERT_BLOCK, n_dirs), m))
+    for start in range(0, n_dirs, CERT_BLOCK):
+        h = rng.standard_normal((min(CERT_BLOCK, n_dirs - start), dim))
+        scores = np.matmul(h, pts.T, out=buf[:h.shape[0]])  # row per direction
+        rows = np.arange(h.shape[0])
+        best = np.argmax(scores, axis=1)
+        top = scores[rows, best]
+        scores[rows, best] = -np.inf
+        gap = top - scores.max(axis=1)
+        cert[best[gap > gap_tol * np.linalg.norm(h, axis=1)]] = True
+        if cert.all():
+            break
+    return cert
+
+
+def _drop_redundant(pts: np.ndarray) -> np.ndarray:
+    """Drop, in row order, each point within FEAS_TOL of the hull of the
+    points still kept; certified vertices are kept without a Wolfe solve."""
+    m = pts.shape[0]
+    cert = _certified_extreme(pts)
+    alive = np.ones(m, dtype=bool)
+    n_alive = m
+    for i in range(m):
+        if n_alive <= 1:
+            break
+        if cert[i]:
+            continue
+        alive[i] = False
+        x = _min_norm_point(pts[alive] - pts[i])
+        if float(np.linalg.norm(x)) <= FEAS_TOL:
+            n_alive -= 1
+        else:
+            alive[i] = True
+    return pts[alive]
 
 
 def _canonical(points: np.ndarray) -> np.ndarray:
@@ -187,21 +267,12 @@ def _canonical(points: np.ndarray) -> np.ndarray:
             pts = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
         elif dim == 2:
             pts = _hull_2d(pts, FEAS_TOL)
+            pts = pts[np.lexsort(pts.T[::-1])]
         else:
-            kept = list(pts)
-            i = 0
-            while i < len(kept) and len(kept) > 1:
-                others = np.array(kept[:i] + kept[i + 1:])
-                x = _min_norm_point(others - kept[i])
-                if float(np.linalg.norm(x)) <= FEAS_TOL:
-                    kept.pop(i)
-                else:
-                    i += 1
-            pts = np.array(kept)
-    order = np.lexsort(pts.T[::-1])
-    out = np.ascontiguousarray(pts[order])
-    out.setflags(write=False)
-    return out
+            pts = _drop_redundant(pts)
+    # every branch leaves a fresh, C-contiguous, lex-sorted array
+    pts.setflags(write=False)
+    return pts
 
 
 class Polytope:

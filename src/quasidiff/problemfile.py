@@ -96,12 +96,21 @@ class ProblemFile:
             raise ProblemFileError(str(e)) from e
 
 
+def _finite(vals, value: str, lineno: int, key: str):
+    """vals parsed from value, or a ProblemFileError when any is inf or nan
+    (1e400 parses as inf)."""
+    if not np.all(np.isfinite(vals)):
+        raise ProblemFileError(f"{key} must be finite, got {value!r}", lineno)
+    return vals
+
+
 def _floats(value: str, lineno: int, key: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in value.split())
+        vals = tuple(float(tok) for tok in value.split())
     except ValueError:
         raise ProblemFileError(f"{key} expects numbers separated by spaces, "
                                f"got {value!r}", lineno) from None
+    return _finite(vals, value, lineno, key)
 
 
 def _entries(text: str) -> dict[str, list[tuple[int, str, str]]]:
@@ -175,6 +184,7 @@ def loads(text: str) -> ProblemFile:
         except ValueError:
             raise ProblemFileError(f"parameter {key} must be a number, "
                                    f"got {value!r}", lineno) from None
+        _finite(params[key], value, lineno, f"parameter {key}")
 
     point = None
     for lineno, key, value in entries["point"]:
@@ -200,6 +210,7 @@ def loads(text: str) -> ProblemFile:
                 raise ProblemFileError(
                     f"{key} must be {'an integer' if caster is int else 'a number'}, "
                     f"got {value!r}", lineno) from None
+            _finite(fields[key], value, lineno, key)
         elif key in _CHECK_LIST:
             fields[key] = _floats(value, lineno, key)
         elif key == "norm":

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,10 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
+from quasidiff.cli import main
 from quasidiff.problemfile import ProblemFileError, load, loads
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
+# the CLI subprocesses import the package from this checkout
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 FULL_TEXT = """\
 # exercise every section and key
@@ -44,7 +49,7 @@ z = 0
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "quasidiff.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
 
 
 def run_twice(tmp_path, tag, *args):
@@ -133,6 +138,16 @@ class TestProblemFileParsing:
     def test_expression_error_carries_line_and_key(self):
         with pytest.raises(ProblemFileError, match="line 3: equality:"):
             loads("[problem]\nn = 1\nequality = x2\n")
+
+    def test_non_finite_numbers_rejected(self):
+        base = "[problem]\nn = 1\nequality = x1\n"
+        for section, key, value in (("point", "x", "nan"),
+                                    ("params", "p", "1e400"),
+                                    ("check", "K", "inf"),
+                                    ("check", "y", "0 -inf")):
+            with pytest.raises(ProblemFileError,
+                               match=f"line 5: .*{key.lower()} must be finite"):
+                loads(f"{base}[{section}]\n{key} = {value}\n")
 
     def test_duplicate_objective(self):
         with pytest.raises(ProblemFileError, match="duplicate objective"):
@@ -418,3 +433,43 @@ class TestExitCodes:
         r = run_cli("optcheck", str(PROBLEMS / "sin_system.prob"))
         assert_equal(r.returncode, 2)
         assert "needs an objective = line" in r.stderr
+
+
+class TestNonFiniteInputs:
+    """Inputs beyond the float range end in exit 2 and one diagnostic line,
+    never in a traceback or exit 1 (which means a budget ran out)."""
+
+    def run_main(self, tmp_path, capsys, text, *flags):
+        f = tmp_path / "nf.prob"
+        f.write_text(text)
+        code = main(["qd", str(f), *flags])
+        out, err = capsys.readouterr()
+        assert_equal(out, "")
+        assert_equal(len(err.splitlines()), 1)
+        return code, err
+
+    def test_nan_point_is_two_with_line_number(self, tmp_path, capsys):
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  "equality = abs(x1)\n[point]\nx = nan\n")
+        assert_equal(code, 2)
+        assert "error: line 5: x must be finite, got 'nan'" in err
+
+    def test_point_beyond_float_range_is_two(self, tmp_path, capsys):
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  "equality = abs(x1)\n[point]\nx = 1e400\n")
+        assert_equal(code, 2)
+        assert "error: line 5: x must be finite, got '1e400'" in err
+
+    def test_overflowing_literal_is_two(self, tmp_path, capsys):
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  "equality = 1e400*x1\n[point]\nx = 0\n")
+        assert_equal(code, 2)
+        assert "error: line 3: equality:" in err
+        assert "overflows to infinity" in err
+
+    def test_overflow_during_evaluation_is_two(self, tmp_path, capsys):
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  "equality = pow(x1, 400)\n[point]\n"
+                                  "x = 10\n", "--dir", "1")
+        assert_equal(code, 2)
+        assert "overflows the float range" in err

@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
-from quasidiff.geometry import (FEAS_TOL, GeometryError, LpStatus, Polytope,
-                                complement_basis, contains, convex_hull_union,
-                                minkowski_sum, nearest_point, scale, singleton,
-                                solve_lp, span_basis, support, zero_polytope)
+from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
+                                LpStatus, Polytope, _certified_extreme,
+                                _dedup, _min_norm_point, complement_basis,
+                                contains, convex_hull_union, minkowski_sum,
+                                nearest_point, scale, singleton, solve_lp,
+                                span_basis, support, zero_polytope)
 
 
 def gift_wrap_2d(points):
@@ -56,6 +58,38 @@ def rand_poly(rng, dim, k):
     return Polytope(rng.uniform(-1.0, 1.0, (k, dim)))
 
 
+def reference_dedup(pts, tol):
+    """The O(m^2) greedy dedup the windowed one must reproduce."""
+    order = np.lexsort(pts.T[::-1])
+    p = pts[order]
+    kept = []
+    for row in p:
+        if all(np.max(np.abs(row - k)) > tol for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def reference_canonical(points):
+    """Canonical vertices in dim >= 3 without the certified pre-pass:
+    greedy dedup, then one Wolfe solve per point against the rest kept."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float)) + 0.0
+    assert pts.shape[1] >= 3
+    pts = reference_dedup(pts, DEDUP_TOL)
+    if pts.shape[0] > 2:
+        kept = list(pts)
+        i = 0
+        while i < len(kept) and len(kept) > 1:
+            others = np.array(kept[:i] + kept[i + 1:])
+            x = _min_norm_point(others - kept[i])
+            if float(np.linalg.norm(x)) <= FEAS_TOL:
+                kept.pop(i)
+            else:
+                i += 1
+        pts = np.array(kept)
+    order = np.lexsort(pts.T[::-1])
+    return np.ascontiguousarray(pts[order])
+
+
 class TestCanonicalForm(TestCase):
 
     def test_hull_matches_gift_wrapping(self):
@@ -90,6 +124,93 @@ class TestCanonicalForm(TestCase):
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
             Polytope(np.zeros((0, 2)))
+
+
+class TestCanonicalMatchesReference(TestCase):
+    """The windowed dedup and the certified pre-pass change no byte."""
+
+    def setUp(self):
+        self.certified = 0
+
+    def check(self, points, got=None):
+        """got (default: Polytope(points).vertices) equals the reference
+        on points byte for byte; every certified point is an output row
+        and lies more than the certificate's gap from the other points'
+        hull."""
+        points = np.asarray(points, dtype=float)
+        if got is None:
+            got = Polytope(points).vertices
+        want = reference_canonical(points)
+        assert_equal(got.shape, want.shape)
+        assert got.tobytes() == want.tobytes()
+        pts = _dedup(points + 0.0, DEDUP_TOL)
+        if pts.shape[0] > 2:
+            cert = _certified_extreme(pts)
+            rows = {r.tobytes() for r in got}
+            assert all(r.tobytes() in rows for r in pts[cert])
+            gap = CERT_GAP * max(1.0, float(np.abs(pts).max()))
+            for j in np.flatnonzero(cert):
+                x = _min_norm_point(np.delete(pts, j, axis=0) - pts[j])
+                assert np.linalg.norm(x) > gap
+            self.certified += int(cert.sum())
+        return got
+
+    def segment_sums(self, rng, dim, basis=None):
+        """Minkowski sums of 4-10 random segments, checked at every step;
+        with a basis, the segments lie in its row span."""
+        segs = []
+        for _ in range(rng.integers(4, 11)):
+            ends = np.round(rng.uniform(-2.0, 2.0, (2, dim if basis is None
+                                                    else basis.shape[0])), 2)
+            segs.append(ends if basis is None else ends @ basis)
+        acc = segs[0]
+        for seg in segs[1:]:
+            acc = self.check((acc[:, None, :] + seg[None, :, :])
+                             .reshape(-1, dim))
+        return acc
+
+    def test_segment_sums_r3_r4(self):
+        rng = np.random.default_rng(40)
+        for dim in (3, 4):
+            for _ in range(3):
+                self.segment_sums(rng, dim)
+        assert self.certified > 0
+
+    def test_flat_inputs_rank_2_in_r4(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            basis = rng.standard_normal((2, 4))
+            offset = rng.uniform(-1.0, 1.0, 4)
+            self.check(rng.uniform(-1.0, 1.0, (30, 2)) @ basis + offset)
+            self.segment_sums(rng, 4, basis)
+
+    def test_hull_union_of_shifted_sums(self):
+        rng = np.random.default_rng(42)
+        for dim in (3, 4):
+            acc = self.segment_sums(rng, dim)
+            parts = [Polytope(self.check(acc + t))
+                     for t in rng.uniform(-1.0, 1.0, (2, dim))]
+            self.check(np.vstack([p.vertices for p in parts]),
+                       convex_hull_union(parts).vertices)
+
+    def test_ties_and_near_duplicates(self):
+        # a lattice with exact support ties, plus copies 1e-13 off
+        grid = np.array(np.meshgrid(*[[0.0, 0.5, 1.0]] * 3)).reshape(3, -1).T
+        rng = np.random.default_rng(43)
+        noisy = grid + rng.choice([-1e-13, 0.0, 1e-13], grid.shape)
+        got = self.check(np.vstack([grid, noisy]))
+        assert_equal(got.shape, (8, 3))
+
+    def test_dedup_keeps_greedy_clusters(self):
+        # (2e-13, 1, 0) is within DEDUP_TOL of (0, 1, 0) but not adjacent
+        # to it in lex order, so a row-difference dedup would keep it
+        pts = np.array([[0.0, 1.0, 0.0], [1e-13, 0.0, 0.0],
+                        [2e-13, 1.0, 0.0], [5.0, 5.0, 5.0]])
+        want = np.array([[0.0, 1.0, 0.0], [1e-13, 0.0, 0.0],
+                         [5.0, 5.0, 5.0]])
+        got = _dedup(pts, DEDUP_TOL)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == reference_dedup(pts, DEDUP_TOL).tobytes()
 
 
 class TestMinkowskiSum(TestCase):
