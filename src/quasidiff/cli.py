@@ -458,14 +458,16 @@ _COMMANDS = {"qd": cmd_qd, "slope": cmd_slope, "mfcq": cmd_mfcq,
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        lines, payload, code = _COMMANDS[args.command](args)
+        # numpy overflow would otherwise give inf with a warning only
+        with np.errstate(over="raise"):
+            lines, payload, code = _COMMANDS[args.command](args)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         # exit 1 means a budget ran out; an input too large for floats is
         # a rejected input
         print("error: a value overflows the float range while evaluating "

@@ -86,7 +86,13 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
 
 
 def _min_norm_point(points: np.ndarray, max_iter: int | None = None) -> np.ndarray:
-    """Minimum-norm point of the convex hull of the given points.
+    """Minimum-norm point of the convex hull of the given points."""
+    return _min_norm_combination(points, max_iter)[0]
+
+
+def _min_norm_combination(points: np.ndarray, max_iter: int | None = None):
+    """Minimum-norm point x of the convex hull of the given points, with
+    the weights that give it: (x, corral, lam), x = lam @ points[corral].
 
     Wolfe's algorithm.  Terminates finitely on exact data; the stopping
     test tolerates double-precision roundoff.
@@ -94,7 +100,7 @@ def _min_norm_point(points: np.ndarray, max_iter: int | None = None) -> np.ndarr
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 1:
-        return pts[0].copy()
+        return pts[0].copy(), [0], np.ones(1)
     if max_iter is None:
         max_iter = 16 * m + 64
     norms2 = np.einsum("ij,ij->i", pts, pts)
@@ -149,7 +155,7 @@ def _min_norm_point(points: np.ndarray, max_iter: int | None = None) -> np.ndarr
             corral = [c for c, k_ in zip(corral, keep) if k_]
             lam = lam[keep]
             lam = lam / lam.sum()
-    return x
+    return x, corral, lam
 
 
 def _hull_2d(pts: np.ndarray, tol: float) -> np.ndarray:

@@ -8,7 +8,12 @@ two things of the quasidifferential sums A_j = sub_j + sup_j:
   2. some direction hbar annihilates every equality-sum vector and is
      strictly negative on every active inequality sum.
 
-The square case l = n reduces to a determinant range over vertex tuples
+Condition 1 is decided exactly.  Writing the multipliers as s mu with
+signs s and mu in the simplex, the l sets are dependent exactly when 0 is
+in conv(s_1 A_1 u ... u s_l A_l) for some s with s_1 = +1 (Gordan's
+alternative for sets; Demyanov & Rubinov, Quasidifferential Calculus,
+1986): 2^(l-1) nearest-point solves.  The square case l = n reads the
+determinant range over vertex tuples instead, which the reports print
 (the determinant is multilinear in the rows, so the extremes sit at
 vertices and the image over the connected product is an interval).
 """
@@ -23,8 +28,8 @@ import numpy as np
 
 from .calculus import qd_plus_set
 from .expressions import Binding, qd_at
-from .geometry import (FEAS_TOL, LpStatus, Polytope, complement_basis,
-                       contains, solve_lp, span_basis, support)
+from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
+                       complement_basis, solve_lp, span_basis, support)
 from .regularity import SystemSpec
 
 DET_BUDGET = 10 ** 6
@@ -50,6 +55,22 @@ def active_inequalities(s: SystemSpec, b: Binding,
     for i, g in enumerate(s.inequalities):
         if abs(float(g.evaluate(b.point, b.params))) <= tol:
             out.append(i)
+    return out
+
+
+def feasibility_violations(s: SystemSpec, b: Binding,
+                           tol: float = FEAS_TOL) -> dict:
+    """Constraint residuals exceeding tol, keyed like 'f2' / 'g1'; s is a
+    system or a program."""
+    out = {}
+    for j, f in enumerate(s.equalities):
+        r = float(f.evaluate(b.point, b.params))
+        if abs(r) > tol:
+            out[f"f{j + 1}"] = r
+    for i, g in enumerate(s.inequalities):
+        r = float(g.evaluate(b.point, b.params))
+        if r > tol:
+            out[f"g{i + 1}"] = r
     return out
 
 
@@ -104,39 +125,25 @@ def full_rank_det_range(rows: Sequence[Polytope],
     return DetRangeResult(best_min, best_max, argmin, argmax, total)
 
 
-def _sphere_grid(l: int, grid_2d: int, grid_3d: int,
-                 seed: int = 0) -> np.ndarray:
-    if l == 2:
-        ang = np.linspace(0.0, 2 * np.pi, grid_2d, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if l == 3:
-        k = np.arange(grid_3d)
-        golden = (1 + 5 ** 0.5) / 2
-        zc = 1 - 2 * (k + 0.5) / grid_3d
-        th = 2 * np.pi * k / golden
-        rc = np.sqrt(np.maximum(1 - zc ** 2, 0.0))
-        return np.stack([rc * np.cos(th), rc * np.sin(th), zc], axis=1)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((grid_3d, l))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
-def _zero_in_weighted_sum(rows: Sequence[Polytope], lam: np.ndarray) -> bool:
-    """LP feasibility of 0 in sum_j lam_j A_j."""
-    n = rows[0].dim
-    nv = [r.nvertices for r in rows]
-    nvar = sum(nv)
-    a_eq = np.zeros((n + len(rows), nvar))
-    b_eq = np.zeros(n + len(rows))
-    col = 0
-    for j, r in enumerate(rows):
-        a_eq[:n, col:col + nv[j]] = lam[j] * r.vertices.T
-        a_eq[n + j, col:col + nv[j]] = 1.0
-        b_eq[n + j] = 1.0
-        col += nv[j]
-    out = solve_lp(np.zeros(nvar), a_eq=a_eq, b_eq=b_eq,
-                   bounds=[(0, None)] * nvar)
-    return out.status == LpStatus.FEASIBLE
+def _sign_pattern_dependence(rows: Sequence[Polytope],
+                             tol: float = FEAS_TOL):
+    """(lam, dist) for the first sign pattern whose hull lies within tol
+    of 0, lam = s mu at unit l2 norm with mu_j the Wolfe weight on A_j's
+    rows; (None, least distance) when every hull is farther."""
+    owner = np.repeat(np.arange(len(rows)), [r.nvertices for r in rows])
+    least = np.inf
+    for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
+        signs = np.array((1.0,) + tail)
+        x, corral, weights = _min_norm_combination(
+            np.vstack([s * r.vertices for s, r in zip(signs, rows)]))
+        dist = float(np.linalg.norm(x))
+        if dist <= tol:
+            lam = signs * np.bincount(owner[corral], weights=weights,
+                                      minlength=len(rows))
+            # + 0.0: a set with zero weight must not print as -0
+            return lam / np.linalg.norm(lam) + 0.0, dist
+        least = min(least, dist)
+    return None, least
 
 
 @dataclass(frozen=True)
@@ -149,13 +156,14 @@ class FullRankResult:
 
 
 def full_rank_general(rows: Sequence[Polytope], n: int, *,
-                      budget: int = DET_BUDGET, grid_2d: int = 720,
-                      grid_3d: int = 10 ** 4,
+                      budget: int = DET_BUDGET,
                       tol: float = FEAS_TOL) -> FullRankResult:
-    """Linear independence of the sets, dispatched by shape.
+    """Linear independence of the sets, decided exactly for every shape.
 
-    l = n is exact (determinant range); l = 1 is exact (membership of 0);
-    1 < l < n is certified only up to the lambda sphere grid.
+    l > n is dependent by counting; l = n reads the determinant range;
+    1 <= l < n runs the 2^(l-1) sign-pattern hull tests, which must fit
+    in budget.  A dependent verdict from the hull test carries the unit
+    failing lambda of its certificate.
     """
     l = len(rows)
     if l == 0:
@@ -169,19 +177,18 @@ def full_rank_general(rows: Sequence[Polytope], n: int, *,
                 if dr.full_rank else
                 f"det range [{dr.min_det:.12g}, {dr.max_det:.12g}] contains 0")
         return FullRankResult(dr.full_rank, "determinant range", cert, dr)
-    if l == 1:
-        inside = contains(rows[0], np.zeros(n), tol)
-        return FullRankResult(not inside, "single-set membership",
-                              "0 is in the sum set" if inside
-                              else "0 is outside the sum set")
-    grid = _sphere_grid(l, grid_2d, grid_3d)
-    for lam in grid:
-        if _zero_in_weighted_sum(rows, lam):
-            return FullRankResult(False, "lambda sphere grid",
-                                  "dependent combination found",
-                                  failing_lambda=tuple(float(v) for v in lam))
-    return FullRankResult(True, "lambda sphere grid",
-                          f"certified up to a {len(grid)}-direction grid")
+    patterns = 2 ** (l - 1)
+    if patterns > budget:
+        raise BudgetExceededError(
+            f"sign-pattern count {patterns} exceeds the budget {budget}")
+    lam, dist = _sign_pattern_dependence(rows, tol)
+    if lam is None:
+        return FullRankResult(True, "sign-pattern hull test",
+                              f"0 is outside every signed hull ({patterns} "
+                              f"of them), least distance {dist:.6g}")
+    return FullRankResult(False, "sign-pattern hull test",
+                          f"0 is in a signed hull, distance {dist:.3g}",
+                          failing_lambda=tuple(float(v) for v in lam))
 
 
 @dataclass(frozen=True)
@@ -287,15 +294,7 @@ def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
     rejected with their residuals.
     """
     b = s.binding(x)
-    residuals = {}
-    for j, f in enumerate(s.equalities):
-        v = float(f.evaluate(b.point, b.params))
-        if abs(v) > tol:
-            residuals[f"|f{j + 1}|"] = abs(v)
-    for i, g in enumerate(s.inequalities):
-        v = float(g.evaluate(b.point, b.params))
-        if v > tol:
-            residuals[f"g{i + 1}"] = v
+    residuals = feasibility_violations(s, b, tol)
     if residuals:
         raise InfeasiblePointError(residuals)
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from .expressions import Abs, Add, Binding, Const, Expr, Max, Mul, qd_at
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
-from .mfcq import BudgetExceededError, qd_mfcq
+from .mfcq import (BudgetExceededError, active_inequalities,
+                   feasibility_violations, qd_mfcq)
 from .regularity import SystemSpec, solution_distance
 
 SELECTION_BUDGET = 10 ** 5
@@ -89,21 +90,6 @@ def build_penalty(p: ProgramSpec, c: float) -> Expr:
     if c == 0 or not parts:
         return p.objective
     return Add(p.objective, Mul(Const(c), reduce(Add, parts)))
-
-
-def feasibility_violations(p: ProgramSpec, b: Binding,
-                           tol: float = FEAS_TOL) -> dict:
-    """Constraint residuals exceeding tol, keyed like 'f2' / 'g1'."""
-    out = {}
-    for j, f in enumerate(p.equalities):
-        r = float(f.evaluate(b.point, b.params))
-        if abs(r) > tol:
-            out[f"f{j + 1}"] = r
-    for i, g in enumerate(p.inequalities):
-        r = float(g.evaluate(b.point, b.params))
-        if r > tol:
-            out[f"g{i + 1}"] = r
-    return out
 
 
 class StationarityResult(NamedTuple):
@@ -167,8 +153,7 @@ def _problem_data(p: ProgramSpec, b: Binding,
     qu = qd_at(p.objective, b)
     qf = [qd_at(f, b) for f in p.equalities]
     qg = [qd_at(g, b) for g in p.inequalities]
-    active = tuple(i for i, g in enumerate(p.inequalities)
-                   if abs(float(g.evaluate(b.point, b.params))) <= tol)
+    active = tuple(active_inequalities(p, b, tol))
     return _ProblemData(p.n, qu.sub, qu.sup,
                         tuple(q.sub for q in qf), tuple(q.sup for q in qf),
                         tuple(q.sub for q in qg), tuple(q.sup for q in qg),

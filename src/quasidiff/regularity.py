@@ -193,17 +193,16 @@ def sampled_strong_slope(fn: Callable[[np.ndarray], float], x,
     elif n == 2:
         ang = np.linspace(0.0, 2 * np.pi, n_directions, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
+    elif n == 3:
         k = np.arange(n_directions)
         golden = (1 + 5 ** 0.5) / 2
         zc = 1 - 2 * (k + 0.5) / n_directions
         th = 2 * np.pi * k / golden
         rc = np.sqrt(np.maximum(1 - zc ** 2, 0.0))
-        pts = np.stack([rc * np.cos(th), rc * np.sin(th), zc], axis=1)
-        dirs = pts if n == 3 else None
-        if dirs is None:
-            raw = rng.standard_normal((n_directions, n))
-            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        dirs = np.stack([rc * np.cos(th), rc * np.sin(th), zc], axis=1)
+    else:
+        raw = rng.standard_normal((n_directions, n))
+        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     extra = rng.standard_normal((32, n))
     extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
     dirs = np.vstack([dirs, extra])

@@ -439,10 +439,10 @@ class TestNonFiniteInputs:
     """Inputs beyond the float range end in exit 2 and one diagnostic line,
     never in a traceback or exit 1 (which means a budget ran out)."""
 
-    def run_main(self, tmp_path, capsys, text, *flags):
+    def run_main(self, tmp_path, capsys, text, *flags, command="qd"):
         f = tmp_path / "nf.prob"
         f.write_text(text)
-        code = main(["qd", str(f), *flags])
+        code = main([command, str(f), *flags])
         out, err = capsys.readouterr()
         assert_equal(out, "")
         assert_equal(len(err.splitlines()), 1)
@@ -473,3 +473,14 @@ class TestNonFiniteInputs:
                                   "x = 10\n", "--dir", "1")
         assert_equal(code, 2)
         assert "overflows the float range" in err
+
+    def test_numpy_overflow_is_two_without_warnings(self, tmp_path, capsys,
+                                                    recwarn):
+        # exp overflows to inf inside numpy, which by itself only warns
+        for command in ("qd", "slope"):
+            code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                      "equality = exp(x1)\n[point]\n"
+                                      "x = 1000\n", command=command)
+            assert_equal(code, 2)
+            assert "overflows the float range" in err
+        assert_equal([str(w.message) for w in recwarn], [])

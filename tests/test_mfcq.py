@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
+from scipy.optimize import lsq_linear
 
 from quasidiff.expressions import parse_expression
 from quasidiff.geometry import (Polytope, minkowski_sum, scale, singleton,
                                 solve_lp, LpStatus)
 from quasidiff.mfcq import (BudgetExceededError, InfeasiblePointError,
-                            active_inequalities, find_hbar,
-                            full_rank_det_range, full_rank_general, qd_mfcq)
+                            _sign_pattern_dependence, active_inequalities,
+                            find_hbar, full_rank_det_range, full_rank_general,
+                            qd_mfcq)
 from quasidiff.regularity import SystemSpec
 
 UNIT_BOX = Polytope([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
@@ -123,7 +125,7 @@ class TestFullRankDispatch(TestCase):
         # the unit box contains the origin: dependence
         res = full_rank_general([UNIT_BOX], 2)
         assert not res.full_rank
-        assert res.method == "single-set membership"
+        assert res.method == "sign-pattern hull test"
         off = full_rank_general([Polytope([[1.0, 0.0], [2.0, 0.0]])], 2)
         assert off.full_rank
 
@@ -139,7 +141,7 @@ class TestFullRankDispatch(TestCase):
         res = full_rank_general([singleton([1.0, 0.0, 0.0]),
                                  singleton([-1.0, 0.0, 0.0])], 3)
         assert not res.full_rank
-        assert res.method == "lambda sphere grid"
+        assert res.method == "sign-pattern hull test"
         lam = np.array(res.failing_lambda)
         assert_allclose(np.linalg.norm(lam), 1.0, atol=1e-9)
         assert_allclose(lam[0] * np.array([1.0, 0, 0])
@@ -149,7 +151,55 @@ class TestFullRankDispatch(TestCase):
         res = full_rank_general([singleton([1.0, 0.0, 0.0]),
                                  singleton([0.0, 1.0, 0.0])], 3)
         assert res.full_rank
-        assert "grid" in res.certificate
+        assert "outside every signed hull" in res.certificate
+
+
+class TestSignPatternHullTest(TestCase):
+
+    def test_dependent_segments_missed_by_a_direction_grid(self):
+        # both sums are segments and lam_1 a_1 + lam_2 a_2 = 0 is solvable
+        # only for lam along (1, -3), which sampled lambda directions miss
+        s = SystemSpec(3, (
+            parse_expression("-10.11*x1 - 1.74*x2 + 1.35*x3"
+                             " - 0.9*abs(1.7*x1 + 1.7*x2 + 0.3*x3)", 3),
+            parse_expression("-1.5*x1 + 0.1*x2 + 1.9*x3"
+                             " - 1.7*abs(1.6*x1 + 0.2*x2 + 1.6*x3)", 3)))
+        rep = qd_mfcq(s, np.zeros(3))
+        assert not rep.full_rank
+        assert not rep.verdict
+        lam = np.array(rep.failing_lambda)
+        assert_allclose(np.linalg.norm(lam), 1.0, atol=1e-12)
+        assert_allclose(lam, np.array([1.0, -3.0]) / np.sqrt(10.0), atol=1e-9)
+        # a_j = v_j0 + t_j (v_j1 - v_j0) with t in [0, 1], solved
+        # independently by bounded least squares
+        ends = [p.vertices for p in rep.eq_plus]
+        assert_equal([len(v) for v in ends], [2, 2])
+        a = np.stack([lj * (v[1] - v[0]) for lj, v in zip(lam, ends)], axis=1)
+        c = sum(lj * v[0] for lj, v in zip(lam, ends))
+        fit = lsq_linear(a, -c, bounds=(0.0, 1.0), method="bvls")
+        assert np.linalg.norm(a @ fit.x + c) <= 1e-9
+
+    def test_agrees_with_det_range_on_square_cases(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 4))
+            rows = [Polytope(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 5)), n))
+                             + rng.uniform(0.0, 3.0) * np.eye(n)[j])
+                    for j in range(n)]
+            dr = full_rank_det_range(rows)
+            if min(abs(dr.min_det), abs(dr.max_det)) < 1e-6:
+                continue
+            lam, _ = _sign_pattern_dependence(rows)
+            assert (lam is None) == dr.full_rank
+            seen.add(dr.full_rank)
+        assert_equal(seen, {True, False})
+
+    def test_budget_caps_the_pattern_count(self):
+        rows = [singleton([1.0, 0.0, 0.0]), singleton([0.0, 1.0, 0.0])]
+        with pytest.raises(BudgetExceededError):
+            full_rank_general(rows, 3, budget=1)
+        assert full_rank_general(rows, 3, budget=2).full_rank
 
 
 class TestFindHbar(TestCase):
