@@ -3,59 +3,7 @@
 Polytope-pair derivatives, the calculus that composes them, and three
 consumers: metric-regularity checks, a Mangasarian-Fromovitz-type
 constraint qualification, and l1-penalty optimality certificates.
+Import names from their modules, for example quasidiff.expressions.
 """
 
-from .calculus import (ACTIVE_TOL, MatrixQuasidifferential,
-                       Quasidifferential, absorb_singleton_sub,
-                       absorb_singleton_sup, dd, matrix_qd_plus, qd_abs,
-                       qd_add, qd_max, qd_min, qd_mul, qd_plus_set, qd_scale,
-                       qd_smooth, qd_zero, steepest_rate)
-from .expressions import (Binding, Expr, ExpressionError, ExprSyntaxError,
-                          UnboundParameterError, UnknownIdentifierError,
-                          eval_expr, kink_distance, parse_expression, qd_at,
-                          qd_matrix_at, qd_value_at)
-from .geometry import (FEAS_TOL, GeometryError, Polytope, contains,
-                       convex_hull_union, minkowski_sum, nearest_point,
-                       scale, singleton, support, zero_polytope)
-from .mfcq import (BudgetExceededError, InfeasiblePointError, MfcqReport,
-                   active_inequalities, find_hbar, full_rank_det_range,
-                   full_rank_general, qd_mfcq)
-from .optimality import (C_LADDER, MultiplierCertificate, OptimalityError,
-                         ProgramSpec, Selection, SelectionSweep,
-                         StationarityResult, build_penalty,
-                         check_all_selections, check_multipliers,
-                         check_stationarity, estimate_c_star,
-                         qualification_pathway)
-from .problemfile import ProblemFile, ProblemFileError, load, loads
-from .regularity import (Condition4Result, NormKinkError, PsiFunction,
-                         RegularityError, SystemSpec, check_condition4,
-                         margin_infima, psi_expr, sampled_strong_slope,
-                         solution_distance, verify_regularity_grid)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTIVE_TOL", "FEAS_TOL", "C_LADDER",
-    "Quasidifferential", "MatrixQuasidifferential", "Polytope",
-    "Binding", "Expr", "SystemSpec", "ProgramSpec", "ProblemFile",
-    "PsiFunction", "MfcqReport", "MultiplierCertificate", "Selection",
-    "SelectionSweep", "StationarityResult", "Condition4Result",
-    "GeometryError", "ExpressionError", "ExprSyntaxError",
-    "UnknownIdentifierError", "UnboundParameterError", "RegularityError",
-    "NormKinkError", "BudgetExceededError", "InfeasiblePointError",
-    "OptimalityError", "ProblemFileError",
-    "dd", "qd_zero", "qd_smooth", "qd_add", "qd_scale", "qd_mul",
-    "qd_max", "qd_min", "qd_abs", "qd_plus_set", "matrix_qd_plus",
-    "steepest_rate", "absorb_singleton_sup", "absorb_singleton_sub",
-    "parse_expression", "eval_expr", "qd_at", "qd_value_at",
-    "qd_matrix_at", "kink_distance",
-    "minkowski_sum", "scale", "convex_hull_union", "support",
-    "nearest_point", "contains", "singleton", "zero_polytope",
-    "psi_expr", "check_condition4", "sampled_strong_slope",
-    "solution_distance", "verify_regularity_grid", "margin_infima",
-    "active_inequalities", "full_rank_det_range", "full_rank_general",
-    "find_hbar", "qd_mfcq",
-    "build_penalty", "check_stationarity", "check_multipliers",
-    "check_all_selections", "estimate_c_star", "qualification_pathway",
-    "load", "loads",
-]

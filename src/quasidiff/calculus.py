@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (FEAS_TOL, Polytope, convex_hull_union, minkowski_sum,
+from .geometry import (Polytope, convex_hull_union, minkowski_sum,
                        nearest_point, scale, support, zero_polytope)
 
 ACTIVE_TOL = 1e-9
@@ -98,8 +98,7 @@ def qd_mul(a: Quasidifferential, b: Quasidifferential,
     return qd_add(qd_scale(b, fa), qd_scale(a, fb))
 
 
-def qd_max(items: Sequence[tuple[float, Quasidifferential]],
-           active_tol: float = ACTIVE_TOL) -> Quasidifferential:
+def qd_max(items: Sequence[tuple[float, Quasidifferential]]) -> Quasidifferential:
     """Pointwise maximum of finitely many quasidifferentiable functions.
 
     items are (value at x, quasidifferential at x) pairs.  With R the
@@ -112,7 +111,7 @@ def qd_max(items: Sequence[tuple[float, Quasidifferential]],
         raise ValueError("qd_max of an empty collection")
     vals = [v for v, _ in items]
     top = max(vals)
-    active = [i for i, v in enumerate(vals) if v >= top - active_tol]
+    active = [i for i, v in enumerate(vals) if v >= top - ACTIVE_TOL]
     qs = [q for _, q in items]
     dim = qs[0].dim
     sup = None
@@ -129,17 +128,15 @@ def qd_max(items: Sequence[tuple[float, Quasidifferential]],
     return Quasidifferential(sub, sup if sup is not None else zero_polytope(dim))
 
 
-def qd_min(items: Sequence[tuple[float, Quasidifferential]],
-           active_tol: float = ACTIVE_TOL) -> Quasidifferential:
+def qd_min(items: Sequence[tuple[float, Quasidifferential]]) -> Quasidifferential:
     """Pointwise minimum, realized as -max(-f_i)."""
     flipped = [(-v, qd_scale(q, -1.0)) for v, q in items]
-    return qd_scale(qd_max(flipped, active_tol), -1.0)
+    return qd_scale(qd_max(flipped), -1.0)
 
 
-def qd_abs(q: Quasidifferential, value: float,
-           active_tol: float = ACTIVE_TOL) -> Quasidifferential:
+def qd_abs(q: Quasidifferential, value: float) -> Quasidifferential:
     """|f| at a point where f has value `value` and quasidifferential q."""
-    return qd_max([(value, q), (-value, qd_scale(q, -1.0))], active_tol)
+    return qd_max([(value, q), (-value, qd_scale(q, -1.0))])
 
 
 def qd_plus_set(q: Quasidifferential) -> Polytope:

@@ -25,12 +25,13 @@ from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          check_all_selections, check_stationarity,
                          estimate_c_star, feasibility_violations,
                          qualification_pathway)
-from .problemfile import ProblemFile, ProblemFileError, load
+from .problemfile import ProblemFile, ProblemFileError, _finite, load
 from .regularity import (RegularityError, decay_flag, margin_infima,
                          psi_expr, sampled_strong_slope,
                          verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
+_NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "tol")
 
 
 def _g(x) -> str:
@@ -62,6 +63,28 @@ def _params_line(params: dict, lines: list) -> None:
     if params:
         body = ", ".join(f"{k} = {_g(v)}" for k, v in sorted(params.items()))
         lines.append(f"params: {body}")
+
+
+def _given(value, default):
+    """value unless it is None: unlike `or`, keeps 0 and empty values."""
+    return default if value is None else value
+
+
+def _check_flags(args) -> None:
+    """Reject numeric flags that a problem file would reject."""
+    flags = [(f"--{name}", getattr(args, name, None))
+             for name in _NUMERIC_FLAGS]
+    flags += [("--dir", h) for h in getattr(args, "dir", None) or []]
+    for flag, value in flags:
+        if value is not None:
+            vals = np.atleast_1d(value)
+            _finite(vals, " ".join(_g(v) for v in vals), None, flag)
+    if args.tol <= 0:
+        raise ProblemFileError(f"--tol must be positive, got {_g(args.tol)}")
+    if args.seed < 0:
+        raise ProblemFileError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "grid", None) is not None and args.grid < 1:
+        raise ProblemFileError(f"--grid must be >= 1, got {args.grid}")
 
 
 def _point_at(pf: ProblemFile, args) -> np.ndarray:
@@ -166,7 +189,7 @@ def cmd_mfcq(args) -> tuple[list, dict, int]:
     pf = load(args.file)
     s = pf.system()
     x = _point_at(pf, args)
-    budget = pf.check.budget or DET_BUDGET
+    budget = _given(pf.check.budget, DET_BUDGET)
     rep = qd_mfcq(s, x, tol=args.tol, budget=budget)
 
     lines: list = []
@@ -215,15 +238,15 @@ def cmd_regcheck(args) -> tuple[list, dict, int]:
     pf = load(args.file)
     s = pf.system()
     center = _point_at(pf, args)
-    K = args.K if args.K is not None else pf.check.k
-    r = args.r if args.r is not None else pf.check.r
+    K = _given(args.K, pf.check.k)
+    r = _given(args.r, pf.check.r)
     if K is None or r is None:
         raise ProblemFileError("regcheck needs K and r "
                                "(flags --K/--r or [check] K/r)")
-    x_grid = args.grid if args.grid is not None else (pf.check.grid or 21)
-    target_grid = pf.check.target_grid or 11
-    scan_radius = pf.check.scan_radius or 1.0
-    budget = pf.check.budget or 10 ** 6
+    x_grid = _given(args.grid, _given(pf.check.grid, 21))
+    target_grid = _given(pf.check.target_grid, 11)
+    scan_radius = _given(pf.check.scan_radius, 1.0)
+    budget = _given(pf.check.budget, 10 ** 6)
 
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
@@ -296,10 +319,10 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     bad = feasibility_violations(p, b, args.tol)
     if bad:
         raise InfeasiblePointError(bad)
-    ladder = tuple(args.c) if args.c else (pf.check.c or C_LADDER)
+    ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     if not ladder:
         raise ProblemFileError("the c ladder is empty")
-    budget = pf.check.budget or SELECTION_BUDGET
+    budget = _given(pf.check.budget, SELECTION_BUDGET)
     pathway = qualification_pathway(p, b, tol=args.tol, seed=args.seed)
 
     lines: list = []
@@ -460,6 +483,7 @@ def main(argv=None) -> int:
     try:
         # numpy overflow would otherwise give inf with a warning only
         with np.errstate(over="raise"):
+            _check_flags(args)
             lines, payload, code = _COMMANDS[args.command](args)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

@@ -18,8 +18,7 @@ canonical vertex array is therefore the one the plain loop gives, byte
 for byte, whatever the directions.
 
 Tolerances: DEDUP_TOL collapses coincident vertices, FEAS_TOL is the
-membership/feasibility tolerance used everywhere else.  Both can be
-overridden per call where it matters.
+membership/feasibility tolerance used everywhere else.
 """
 
 from __future__ import annotations
@@ -85,12 +84,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     raise GeometryError(f"linear program solver failed: {res.message}")
 
 
-def _min_norm_point(points: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def _min_norm_point(points: np.ndarray) -> np.ndarray:
     """Minimum-norm point of the convex hull of the given points."""
-    return _min_norm_combination(points, max_iter)[0]
+    return _min_norm_combination(points)[0]
 
 
-def _min_norm_combination(points: np.ndarray, max_iter: int | None = None):
+def _min_norm_combination(points: np.ndarray):
     """Minimum-norm point x of the convex hull of the given points, with
     the weights that give it: (x, corral, lam), x = lam @ points[corral].
 
@@ -101,15 +100,13 @@ def _min_norm_combination(points: np.ndarray, max_iter: int | None = None):
     m = pts.shape[0]
     if m == 1:
         return pts[0].copy(), [0], np.ones(1)
-    if max_iter is None:
-        max_iter = 16 * m + 64
     norms2 = np.einsum("ij,ij->i", pts, pts)
     start = int(np.argmin(norms2))
     corral = [start]
     lam = np.array([1.0])
     x = pts[start].copy()
     scale2 = max(1.0, float(norms2.max()))
-    for _ in range(max_iter):
+    for _ in range(16 * m + 64):
         dots = pts @ x
         xx = float(x @ x)
         j = int(np.argmin(dots))
@@ -377,7 +374,7 @@ def contains(a: Polytope, q, tol: float = FEAS_TOL) -> bool:
     return nearest_point(a, q)[1] <= tol
 
 
-def span_basis(points, tol: float = FEAS_TOL) -> np.ndarray:
+def span_basis(points) -> np.ndarray:
     """Orthonormal basis (rows) of span{points}; empty for all-zero input.
 
     Modified Gram-Schmidt with one reorthogonalization pass.
@@ -389,14 +386,14 @@ def span_basis(points, tol: float = FEAS_TOL) -> np.ndarray:
         for _ in range(2):
             for b in basis:
                 r = r - (r @ b) * b
-        if np.linalg.norm(r) > tol * max(1.0, float(np.linalg.norm(p))):
+        if np.linalg.norm(r) > FEAS_TOL * max(1.0, float(np.linalg.norm(p))):
             basis.append(r / np.linalg.norm(r))
     if not basis:
         return np.zeros((0, pts.shape[1]))
     return np.array(basis)
 
 
-def complement_basis(points, dim: int, tol: float = FEAS_TOL) -> np.ndarray:
+def complement_basis(points, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of
     span{points} in R^dim."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -404,5 +401,4 @@ def complement_basis(points, dim: int, tol: float = FEAS_TOL) -> np.ndarray:
         return np.eye(dim)
     from scipy.linalg import null_space
 
-    ns = null_space(pts, rcond=tol)
-    return ns
+    return null_space(pts, rcond=FEAS_TOL)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .expressions import Abs, Add, Binding, Const, Expr, Max, Mul, qd_at
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
 from .mfcq import (BudgetExceededError, active_inequalities,
                    feasibility_violations, qd_mfcq)
-from .regularity import SystemSpec, solution_distance
+from .regularity import SystemSpec, psi_expr, solution_distance
 
 SELECTION_BUDGET = 10 ** 5
 RESIDUAL_TOL = 1e-8
@@ -148,12 +148,11 @@ class _ProblemData:
     active: tuple[int, ...]
 
 
-def _problem_data(p: ProgramSpec, b: Binding,
-                  tol: float = FEAS_TOL) -> _ProblemData:
+def _problem_data(p: ProgramSpec, b: Binding) -> _ProblemData:
     qu = qd_at(p.objective, b)
     qf = [qd_at(f, b) for f in p.equalities]
     qg = [qd_at(g, b) for g in p.inequalities]
-    active = tuple(active_inequalities(p, b, tol))
+    active = tuple(active_inequalities(p, b, FEAS_TOL))
     return _ProblemData(p.n, qu.sub, qu.sup,
                         tuple(q.sub for q in qf), tuple(q.sup for q in qf),
                         tuple(q.sub for q in qg), tuple(q.sup for q in qg),
@@ -308,8 +307,8 @@ class CStarEstimate(NamedTuple):
     c_max: float
 
 
-def estimate_c_star(p: ProgramSpec, b: Binding, c_max: float = 100.0,
-                    tol: float = 1e-3) -> CStarEstimate:
+def estimate_c_star(p: ProgramSpec, b: Binding,
+                    c_max: float = 100.0) -> CStarEstimate:
     """Bisect for the smallest c at which stationarity holds.
 
     Stationarity is monotone in c at a feasible point (the penalty term
@@ -322,7 +321,7 @@ def estimate_c_star(p: ProgramSpec, b: Binding, c_max: float = 100.0,
     if check_stationarity(p, b, lo).holds:
         return CStarEstimate(True, 0.0, c_max)
     hi = c_max
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if check_stationarity(p, b, mid).holds:
             hi = mid
@@ -349,10 +348,7 @@ class PathwayReport:
 
 def qualification_pathway(p: ProgramSpec, b: Binding, *,
                           tol: float = FEAS_TOL,
-                          radii: Sequence[float] = (0.05, 0.02),
-                          n_directions: int = 12,
-                          seed: int = 0,
-                          distance_budget: int = 10 ** 5) -> PathwayReport:
+                          seed: int = 0) -> PathwayReport:
     """Try q.d.-MFCQ first, then an empirical local error bound."""
     s = p.constraint_system()
     if s is None:
@@ -361,13 +357,12 @@ def qualification_pathway(p: ProgramSpec, b: Binding, *,
     if report.verdict:
         return PathwayReport("qd-mfcq", mfcq_verdict=True)
 
-    phi = build_penalty(ProgramSpec(p.n, Const(0.0), p.equalities,
-                                    p.inequalities, dict(p.params)), 1.0)
+    phi = psi_expr(s).expr
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, p.n))
+    dirs = rng.standard_normal((12, p.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     ratios = []
-    for r in radii:
+    for r in (0.05, 0.02):
         for d in dirs:
             x = b.point + r * d
             val = float(phi.evaluate(x, b.params))
@@ -375,7 +370,7 @@ def qualification_pathway(p: ProgramSpec, b: Binding, *,
                 continue
             dist = solution_distance(s, x, center=b.point,
                                      scan_radius=4.0 * r,
-                                     budget=distance_budget)
+                                     budget=10 ** 5)
             if np.isfinite(dist) and dist > tol:
                 ratios.append(val / dist)
     if ratios and min(ratios) > tol:

@@ -211,6 +211,12 @@ def loads(text: str) -> ProblemFile:
                     f"{key} must be {'an integer' if caster is int else 'a number'}, "
                     f"got {value!r}", lineno) from None
             _finite(fields[key], value, lineno, key)
+            if key == "scan_radius" and fields[key] <= 0:
+                raise ProblemFileError(f"scan_radius must be positive, "
+                                       f"got {value!r}", lineno)
+            if caster is int and fields[key] < 1:
+                raise ProblemFileError(f"{key} must be >= 1, got {value!r}",
+                                       lineno)
         elif key in _CHECK_LIST:
             fields[key] = _floats(value, lineno, key)
         elif key == "norm":

@@ -28,6 +28,7 @@ from .calculus import Quasidifferential, absorb_singleton_sup, qd_add, \
 from .expressions import Abs, Add, Binding, Const, Expr, Max, Sub, qd_at
 
 KINK_TOL = 1e-9
+SLOPE_DIRECTIONS = 256
 
 
 class RegularityError(ValueError):
@@ -174,41 +175,38 @@ def check_condition4(q: Quasidifferential, K: float) -> Condition4Result:
 
 
 def sampled_strong_slope(fn: Callable[[np.ndarray], float], x,
-                         radii: Sequence[float] | None = None,
-                         n_directions: int = 256, seed: int = 0) -> float:
+                         seed: int = 0) -> float:
     """Monte-Carlo estimate of the strong slope of fn at x.
 
-    Ring sampling over shrinking radii; each ring takes the maximum
-    positive difference quotient over a deterministic direction set plus
-    a few seeded random directions; the estimate is the median of the
-    last three rings.
+    Ring sampling over ten radii halving from 1e-2; each ring takes the
+    maximum positive difference quotient over a deterministic set of
+    SLOPE_DIRECTIONS directions (two in R^1) plus 32 seeded random ones;
+    the estimate is the median of the last three rings.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if radii is None:
-        radii = [1e-2 * 0.5 ** k for k in range(10)]
     rng = np.random.default_rng(seed)
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif n == 2:
-        ang = np.linspace(0.0, 2 * np.pi, n_directions, endpoint=False)
+        ang = np.linspace(0.0, 2 * np.pi, SLOPE_DIRECTIONS, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     elif n == 3:
-        k = np.arange(n_directions)
+        k = np.arange(SLOPE_DIRECTIONS)
         golden = (1 + 5 ** 0.5) / 2
-        zc = 1 - 2 * (k + 0.5) / n_directions
+        zc = 1 - 2 * (k + 0.5) / SLOPE_DIRECTIONS
         th = 2 * np.pi * k / golden
         rc = np.sqrt(np.maximum(1 - zc ** 2, 0.0))
         dirs = np.stack([rc * np.cos(th), rc * np.sin(th), zc], axis=1)
     else:
-        raw = rng.standard_normal((n_directions, n))
+        raw = rng.standard_normal((SLOPE_DIRECTIONS, n))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     extra = rng.standard_normal((32, n))
     extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
     dirs = np.vstack([dirs, extra])
     fx = float(fn(x))
     estimates = []
-    for r in radii:
+    for r in [1e-2 * 0.5 ** k for k in range(10)]:
         best = 0.0
         for d in dirs:
             fu = float(fn(x + r * d))
@@ -240,13 +238,12 @@ def _scan_grid(center: np.ndarray, radius: float, n: int, budget: int):
 
 
 def _pattern_search(objective: Callable[[np.ndarray], float], start: np.ndarray,
-                    step0: float, step_min: float, dirs: np.ndarray,
-                    max_rounds: int = 400) -> np.ndarray:
+                    step0: float, step_min: float, dirs: np.ndarray) -> np.ndarray:
     c = start.copy()
     fc = objective(c)
     step = step0
     rounds = 0
-    while step > step_min and rounds < max_rounds:
+    while step > step_min and rounds < 400:
         rounds += 1
         best_dir = None
         best_val = fc
@@ -301,8 +298,7 @@ def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
 
 
 def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
-                      scan_radius: float = 1.0, budget: int = 10 ** 6,
-                      eta_factor: float = 8.0, refine: bool = True) -> float:
+                      scan_radius: float = 1.0, budget: int = 10 ** 6) -> float:
     """Empirical d(x, S(p, y, z)) by dense scan plus local refinement.
 
     S is the solution set {u : F(u,p) = y, g(u,p) <= z}.  Returns +inf
@@ -316,7 +312,7 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
     y, z = s.targets(y, z)
     c0 = x if center is None else np.asarray(center, dtype=float)
     pts, step = _scan_grid(c0, scan_radius, s.n, budget)
-    eta = eta_factor * step
+    eta = 8.0 * step
     mask = np.ones(pts.shape[0], dtype=bool)
     for f, yj in zip(s.equalities, y):
         mask &= np.abs(f.evaluate(pts, s.params) - yj) <= eta
@@ -327,8 +323,6 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
         return np.inf
     dist2 = np.einsum("ij,ij->i", accepted - x, accepted - x)
     order = np.argsort(dist2)
-    if not refine:
-        return float(np.sqrt(dist2[order[0]]))
     # refine from a few well-separated nearest candidates
     starts: list[np.ndarray] = []
     for idx in order:
@@ -378,8 +372,8 @@ class RegularityGridReport:
 
 def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
                            x_grid: int = 21, target_grid: int = 11, *,
-                           scan_radius: float = 1.0, budget: int = 10 ** 6,
-                           refine: bool = True) -> RegularityGridReport:
+                           scan_radius: float = 1.0,
+                           budget: int = 10 ** 6) -> RegularityGridReport:
     """Check d(x, S(p,y,z)) <= K * psi_{y,z}(x) over a grid.
 
     Grids are odd-sized and symmetric so the center is sampled exactly.
@@ -394,10 +388,7 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
         raise RegularityError("grid sizes must be odd so the center is sampled")
     if K <= 0 or r <= 0:
         raise RegularityError("K and r must be positive")
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError:  # pragma: no cover
-        cKDTree = None
+    from scipy.spatial import cKDTree
 
     center = np.asarray(center, dtype=float)
     l, m = len(s.equalities), len(s.inequalities)
@@ -440,11 +431,8 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
         if accepted.shape[0] == 0:
             d = np.full(xpts.shape[0], np.inf)
             report.n_empty_solution_sets += 1
-        elif cKDTree is not None:
+        else:
             d, _ = cKDTree(accepted).query(xpts)
-        else:  # pragma: no cover
-            d = np.sqrt(((xpts[:, None, :] - accepted[None, :, :]) ** 2)
-                        .sum(-1)).min(1)
 
         for i in range(xpts.shape[0]):
             if psi[i] < psi_cutoff:
@@ -457,7 +445,7 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
                 report.worst_point = (tuple(xpts[i]), tuple(y), tuple(z))
             if d[i] > K * psi[i] + slack:
                 dist = d[i]
-                if refine and accepted.shape[0] > 0 and np.isfinite(d[i]):
+                if np.isfinite(d[i]):
                     j = int(np.argmin(np.einsum("ij,ij->i",
                                                 accepted - xpts[i],
                                                 accepted - xpts[i])))
@@ -474,27 +462,24 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     return report
 
 
-def margin_infima(s: SystemSpec, center, y=None, z=None, *,
-                  radii: Sequence[float] | None = None,
-                  samples_per_shell: int = 48, seed: int = 0,
+def margin_infima(s: SystemSpec, center, y=None, z=None, *, seed: int = 0,
                   norm: str = "l1") -> list[tuple[float, float, int]]:
     """Infimum of condition-4 margins over shrinking sampling shells.
 
     Supports the 'consistent with non-regularity' label: margins that
     collapse as the shell shrinks are the necessary-direction signature.
-    Entries are (radius, infimum, n_valid_samples).
+    Each shell takes up to 48 valid samples from 960 draws.  Entries are
+    (radius, infimum, n_valid_samples).
     """
     center = np.asarray(center, dtype=float)
     y0, z0 = s.targets(y, z)
-    if radii is None:
-        radii = [0.3, 0.1, 0.03, 0.01]
     rng = np.random.default_rng(seed)
     out = []
-    for rho in radii:
+    for rho in (0.3, 0.1, 0.03, 0.01):
         inf_margin = np.inf
         valid = 0
         attempts = 0
-        while valid < samples_per_shell and attempts < 20 * samples_per_shell:
+        while valid < 48 and attempts < 960:
             attempts += 1
             xs = center + rho * rng.uniform(-1.0, 1.0, size=s.n)
             ys = y0 + rho * rng.uniform(-1.0, 1.0, size=y0.shape)

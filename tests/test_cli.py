@@ -435,9 +435,45 @@ class TestExitCodes:
         assert "needs an objective = line" in r.stderr
 
 
+# every subcommand accepts it; [check] lines appended to it are line 10
+FLAG_TEXT = ("[problem]\nn = 1\nobjective = x1\nequality = x1\n"
+             "[point]\nx = 0\n[check]\nK = 2\nr = 0.1\n")
+BAD_FLAGS = [
+    ("qd", ("--at", "nan"), "--at must be finite, got 'nan'"),
+    ("mfcq", ("--at", "nan"), "--at must be finite, got 'nan'"),
+    ("regcheck", ("--at", "nan"), "--at must be finite, got 'nan'"),
+    ("optcheck", ("--at", "nan"), "--at must be finite, got 'nan'"),
+    ("slope", ("--at", "nan"), "--at must be finite, got 'nan'"),
+    ("qd", ("--dir", "1", "--dir", "nan"), "--dir must be finite, got 'nan'"),
+    ("slope", ("--target", "nan"), "--target must be finite, got 'nan'"),
+    ("optcheck", ("--c", "1", "nan"), "--c must be finite, got '1 nan'"),
+    ("regcheck", ("--K", "nan"), "--K must be finite, got 'nan'"),
+    ("regcheck", ("--r", "1e400"), "--r must be finite, got 'inf'"),
+    ("mfcq", ("--tol", "nan"), "--tol must be finite, got 'nan'"),
+    ("mfcq", ("--tol", "-1"), "--tol must be positive, got -1"),
+    ("optcheck", ("--tol", "0"), "--tol must be positive, got 0"),
+    ("slope", ("--seed", "-1"), "--seed must be >= 0, got -1"),
+    ("regcheck", ("--grid", "-3"), "--grid must be >= 1, got -3"),
+]
+BAD_CHECK_LINES = [
+    ("mfcq", "budget = 0", "line 10: budget must be >= 1, got '0'"),
+    ("optcheck", "budget = -5", "line 10: budget must be >= 1, got '-5'"),
+    ("regcheck", "scan_radius = 0",
+     "line 10: scan_radius must be positive, got '0'"),
+    ("regcheck", "scan_radius = -1",
+     "line 10: scan_radius must be positive, got '-1'"),
+    ("regcheck", "grid = -3", "line 10: grid must be >= 1, got '-3'"),
+    ("regcheck", "target_grid = -1",
+     "line 10: target_grid must be >= 1, got '-1'"),
+    # an empty ladder is not the default ladder
+    ("optcheck", "c =", "the c ladder is empty"),
+]
+
+
 class TestNonFiniteInputs:
-    """Inputs beyond the float range end in exit 2 and one diagnostic line,
-    never in a traceback or exit 1 (which means a budget ran out)."""
+    """Inputs beyond the float range, from the file or from a flag, end in
+    exit 2 and one diagnostic line, never in a traceback, in exit 1 (which
+    means a budget ran out) or in a report."""
 
     def run_main(self, tmp_path, capsys, text, *flags, command="qd"):
         f = tmp_path / "nf.prob"
@@ -447,6 +483,26 @@ class TestNonFiniteInputs:
         assert_equal(out, "")
         assert_equal(len(err.splitlines()), 1)
         return code, err
+
+    @pytest.mark.parametrize(
+        "command, flags, message", BAD_FLAGS,
+        ids=[c + "".join(f) for c, f, _ in BAD_FLAGS])
+    def test_bad_flag_is_two_naming_the_flag(self, tmp_path, capsys, command,
+                                             flags, message):
+        code, err = self.run_main(tmp_path, capsys, FLAG_TEXT, *flags,
+                                  command=command)
+        assert_equal(code, 2)
+        assert_equal(err, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, line, message", BAD_CHECK_LINES,
+        ids=[c + "-" + ln.replace(" ", "") for c, ln, _ in BAD_CHECK_LINES])
+    def test_bad_check_value_is_two(self, tmp_path, capsys, command, line,
+                                    message):
+        code, err = self.run_main(tmp_path, capsys, f"{FLAG_TEXT}{line}\n",
+                                  command=command)
+        assert_equal(code, 2)
+        assert_equal(err, f"error: {message}\n")
 
     def test_nan_point_is_two_with_line_number(self, tmp_path, capsys):
         code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
