@@ -83,8 +83,16 @@ def _check_flags(args) -> None:
         raise ProblemFileError(f"--tol must be positive, got {_g(args.tol)}")
     if args.seed < 0:
         raise ProblemFileError(f"--seed must be >= 0, got {args.seed}")
-    if getattr(args, "grid", None) is not None and args.grid < 1:
-        raise ProblemFileError(f"--grid must be >= 1, got {args.grid}")
+    for name in ("K", "r"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
+            raise ProblemFileError(f"--{name} must be positive, "
+                                   f"got {_g(value)}")
+    grid = getattr(args, "grid", None)
+    if grid is not None and grid < 1:
+        raise ProblemFileError(f"--grid must be >= 1, got {grid}")
+    if grid is not None and grid % 2 == 0:
+        raise ProblemFileError(f"--grid must be odd, got {grid}")
 
 
 def _point_at(pf: ProblemFile, args) -> np.ndarray:
@@ -320,8 +328,6 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     if bad:
         raise InfeasiblePointError(bad)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
-    if not ladder:
-        raise ProblemFileError("the c ladder is empty")
     budget = _given(pf.check.budget, SELECTION_BUDGET)
     pathway = qualification_pathway(p, b, tol=args.tol, seed=args.seed)
 

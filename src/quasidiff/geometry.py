@@ -28,7 +28,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 DEDUP_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -67,6 +66,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     differs from scipy's nonnegative default on purpose.  Infeasible and
     unbounded are ordinary statuses, not errors.
     """
+    # imported here so that commands that solve no LP never load scipy
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float)
     obj = -c if maximize else c
     if bounds is None:
@@ -395,10 +397,15 @@ def span_basis(points) -> np.ndarray:
 
 def complement_basis(points, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of
-    span{points} in R^dim."""
+    span{points} in R^dim.
+
+    Singular values up to FEAS_TOL * max(s) count as zero; this is the
+    same SVD and cut as scipy.linalg.null_space(pts, rcond=FEAS_TOL), and
+    gives its bytes.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return np.eye(dim)
-    from scipy.linalg import null_space
-
-    return null_space(pts, rcond=FEAS_TOL)
+    _, s, vh = np.linalg.svd(pts, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * FEAS_TOL))
+    return vh[rank:].T

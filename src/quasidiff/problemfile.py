@@ -211,14 +211,20 @@ def loads(text: str) -> ProblemFile:
                     f"{key} must be {'an integer' if caster is int else 'a number'}, "
                     f"got {value!r}", lineno) from None
             _finite(fields[key], value, lineno, key)
-            if key == "scan_radius" and fields[key] <= 0:
-                raise ProblemFileError(f"scan_radius must be positive, "
+            if caster is float and fields[key] <= 0:
+                raise ProblemFileError(f"{key} must be positive, "
                                        f"got {value!r}", lineno)
             if caster is int and fields[key] < 1:
                 raise ProblemFileError(f"{key} must be >= 1, got {value!r}",
                                        lineno)
+            if key in ("grid", "target_grid") and fields[key] % 2 == 0:
+                raise ProblemFileError(f"{key} must be odd, got {value!r}",
+                                       lineno)
         elif key in _CHECK_LIST:
             fields[key] = _floats(value, lineno, key)
+            # y and z are empty when there are no equalities or inequalities
+            if key == "c" and not fields[key]:
+                raise ProblemFileError("c needs at least one number", lineno)
         elif key == "norm":
             if value not in ("l1", "l2"):
                 raise ProblemFileError(f"norm must be l1 or l2, got {value!r}",

@@ -370,6 +370,12 @@ class RegularityGridReport:
         return len(self.violators) == 0
 
 
+def _axis(c: float, r: float, k: int) -> np.ndarray:
+    """k points evenly spaced on [c - r, c + r]; one point is c itself
+    (np.linspace would give c - r)."""
+    return np.array([c]) if k == 1 else np.linspace(c - r, c + r, k)
+
+
 def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
                            x_grid: int = 21, target_grid: int = 11, *,
                            scan_radius: float = 1.0,
@@ -392,10 +398,10 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
 
     center = np.asarray(center, dtype=float)
     l, m = len(s.equalities), len(s.inequalities)
-    axes = [np.linspace(c - r, c + r, x_grid) for c in center]
+    axes = [_axis(c, r, x_grid) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     xpts = np.stack(mesh, axis=-1).reshape(-1, s.n)
-    taxis = np.linspace(-r, r, target_grid)
+    taxis = _axis(0.0, r, target_grid)
 
     scan_pts, step = _scan_grid(center, scan_radius, s.n, budget)
     eta = 8.0 * step

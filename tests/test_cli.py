@@ -435,9 +435,10 @@ class TestExitCodes:
         assert "needs an objective = line" in r.stderr
 
 
-# every subcommand accepts it; [check] lines appended to it are line 10
+# every subcommand but regcheck, which needs K and r, accepts it; [check]
+# lines appended to it are line 8
 FLAG_TEXT = ("[problem]\nn = 1\nobjective = x1\nequality = x1\n"
-             "[point]\nx = 0\n[check]\nK = 2\nr = 0.1\n")
+             "[point]\nx = 0\n[check]\n")
 BAD_FLAGS = [
     ("qd", ("--at", "nan"), "--at must be finite, got 'nan'"),
     ("mfcq", ("--at", "nan"), "--at must be finite, got 'nan'"),
@@ -454,19 +455,27 @@ BAD_FLAGS = [
     ("optcheck", ("--tol", "0"), "--tol must be positive, got 0"),
     ("slope", ("--seed", "-1"), "--seed must be >= 0, got -1"),
     ("regcheck", ("--grid", "-3"), "--grid must be >= 1, got -3"),
+    ("regcheck", ("--grid", "4"), "--grid must be odd, got 4"),
+    ("regcheck", ("--K", "0"), "--K must be positive, got 0"),
+    ("regcheck", ("--r", "-0.5"), "--r must be positive, got -0.5"),
 ]
 BAD_CHECK_LINES = [
-    ("mfcq", "budget = 0", "line 10: budget must be >= 1, got '0'"),
-    ("optcheck", "budget = -5", "line 10: budget must be >= 1, got '-5'"),
+    ("mfcq", "budget = 0", "line 8: budget must be >= 1, got '0'"),
+    ("optcheck", "budget = -5", "line 8: budget must be >= 1, got '-5'"),
     ("regcheck", "scan_radius = 0",
-     "line 10: scan_radius must be positive, got '0'"),
+     "line 8: scan_radius must be positive, got '0'"),
     ("regcheck", "scan_radius = -1",
-     "line 10: scan_radius must be positive, got '-1'"),
-    ("regcheck", "grid = -3", "line 10: grid must be >= 1, got '-3'"),
+     "line 8: scan_radius must be positive, got '-1'"),
+    ("regcheck", "grid = -3", "line 8: grid must be >= 1, got '-3'"),
     ("regcheck", "target_grid = -1",
-     "line 10: target_grid must be >= 1, got '-1'"),
+     "line 8: target_grid must be >= 1, got '-1'"),
+    ("regcheck", "grid = 4", "line 8: grid must be odd, got '4'"),
+    ("regcheck", "target_grid = 2",
+     "line 8: target_grid must be odd, got '2'"),
+    ("regcheck", "K = 0", "line 8: k must be positive, got '0'"),
+    ("regcheck", "r = -1", "line 8: r must be positive, got '-1'"),
     # an empty ladder is not the default ladder
-    ("optcheck", "c =", "the c ladder is empty"),
+    ("optcheck", "c =", "line 8: c needs at least one number"),
 ]
 
 

@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
+from quasidiff.calculus import qd_plus_set
+from quasidiff.expressions import Binding, qd_at
 from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
                                 LpStatus, Polytope, _certified_extreme,
                                 _dedup, _min_norm_point, complement_basis,
                                 contains, convex_hull_union, minkowski_sum,
                                 nearest_point, scale, singleton, solve_lp,
                                 span_basis, support, zero_polytope)
+from quasidiff.problemfile import load
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def gift_wrap_2d(points):
@@ -396,6 +403,32 @@ class TestSpanBasis(TestCase):
         comp = complement_basis([[1.0, 0.0, 0.0]], 3)
         assert_equal(comp.shape, (3, 2))
         assert_allclose(comp.T @ np.array([1.0, 0.0, 0.0]), 0.0, atol=1e-12)
+
+    def test_complement_is_scipy_null_space_bitwise(self):
+        # the package takes the null space from numpy so that it need not
+        # import scipy; it must stay scipy's, byte for byte
+        from scipy.linalg import null_space
+
+        rng = np.random.default_rng(5)
+        stacks = []
+        for n in range(1, 5):
+            for rows in (1, n, 3 * n + 1):
+                stacks.append(rng.standard_normal((rows, n)))
+                stacks.append(np.round(4 * rng.standard_normal((rows, n))) / 4)
+                stacks.append(np.zeros((rows, n)))
+                for rank in range(1, n):
+                    stacks.append(rng.standard_normal((rows, rank))
+                                  @ rng.standard_normal((rank, n)))
+        for name in ("cubic.prob", "penalty_demo.prob", "sin_system.prob"):
+            pf = load(PROBLEMS / name)
+            b = Binding(pf.point, dict(pf.params))
+            stacks.append(np.vstack([qd_plus_set(qd_at(f, b)).vertices
+                                     for f in pf.equalities]))
+        for pts in stacks:
+            got = complement_basis(pts, pts.shape[1])
+            want = null_space(pts, rcond=FEAS_TOL)
+            assert_equal(got.shape, want.shape)
+            assert got.tobytes() == want.tobytes(), pts
 
 
 class TestSolveLp(TestCase):

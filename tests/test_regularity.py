@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
@@ -5,12 +7,14 @@ from numpy.testing import TestCase, assert_allclose, assert_equal
 from quasidiff.calculus import Quasidifferential, steepest_rate
 from quasidiff.expressions import Binding, parse_expression
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
+from quasidiff.problemfile import load
 from quasidiff.regularity import (NormKinkError, RegularityError, SystemSpec,
                                   check_condition4, decay_flag, margin_infima,
                                   psi_expr, sampled_strong_slope,
                                   solution_distance, verify_regularity_grid)
 
 SQ2 = np.sqrt(2.0)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 ABS_DIFF = SystemSpec(2, (parse_expression("abs(x1) - abs(x2)", 2),))
 MIXED = SystemSpec(2, (parse_expression("abs(x1) - x2", 2),),
@@ -237,6 +241,29 @@ class TestRegularityGrid(TestCase):
     def test_even_grid_rejected(self):
         with pytest.raises(RegularityError):
             verify_regularity_grid(IDENTITY, [0.0], K=1.0, r=0.5, x_grid=8)
+
+    def one_point_grid(self, x_grid, target_grid):
+        # K so small that every checked point is a violator, whose x, y
+        # the report keeps
+        pf = load(PROBLEMS / "cubic.prob")
+        rep = verify_regularity_grid(pf.system(), pf.point, K=1e-6,
+                                     r=pf.check.r, x_grid=x_grid,
+                                     target_grid=target_grid,
+                                     scan_radius=pf.check.scan_radius)
+        assert_equal(rep.n_checked + rep.n_skipped_near_graph,
+                     x_grid * target_grid)
+        assert_equal(len(rep.violators), rep.n_checked)
+        return rep
+
+    def test_one_point_x_grid_is_the_center(self):
+        rep = self.one_point_grid(1, 11)
+        assert_equal(rep.n_checked, 10)
+        assert_equal({v.x for v in rep.violators}, {(0.0,)})
+
+    def test_one_point_target_grid_is_zero(self):
+        rep = self.one_point_grid(21, 1)
+        assert rep.n_checked > 0
+        assert_equal({(v.y, v.z) for v in rep.violators}, {((0.0,), ())})
 
 
 class TestMarginInfima(TestCase):

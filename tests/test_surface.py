@@ -24,11 +24,51 @@ def test_traced_names_resolve():
     assert_equal(missing, [])
 
 
-def test_package_import_loads_no_submodule():
+def run_python(code, *args):
+    """stdout of a fresh interpreter that imports quasidiff from this
+    checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, quasidiff; print(sorted("
-         "m for m in sys.modules if m.startswith('quasidiff.')))"],
-        capture_output=True, text=True, env=env, check=True)
-    assert_equal(out.stdout, "[]\n")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          check=True).stdout
+
+
+def test_package_import_loads_no_submodule():
+    out = run_python("import sys, quasidiff; print(sorted("
+                     "m for m in sys.modules if m.startswith('quasidiff.')))")
+    assert_equal(out, "[]\n")
+
+
+# the scipy packages loaded so far, such as scipy.optimize
+SCIPY_LOADED = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'})")
+# runs `python -m quasidiff.cli COMMAND FILE` for each pair of arguments
+# and prints the command, the file name, the exit code and SCIPY_LOADED
+RUN_CLI = f"""
+import contextlib, io, os, runpy, sys
+args = sys.argv[1:]
+for command, path in zip(args[::2], args[1::2]):
+    sys.argv = ["quasidiff", command, path]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("quasidiff.cli", run_name="__main__")
+        except SystemExit as e:
+            code = e.code
+    print(command, os.path.basename(path), code, {SCIPY_LOADED})
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.optimize would be most of every command's start-up
+    assert_equal(run_python(f"import sys, quasidiff.cli; "
+                            f"print({SCIPY_LOADED})"), "[]\n")
+
+
+def test_commands_without_lp_load_no_scipy():
+    runs = [(command, name) for command in ("qd", "slope", "mfcq")
+            for name in ("cubic.prob", "penalty_demo.prob", "sin_system.prob")]
+    args = [a for command, name in runs
+            for a in (command, str(ROOT / "problems" / name))]
+    assert_equal(run_python(RUN_CLI, *args).splitlines(),
+                 [f"{command} {name} 0 []" for command, name in runs])
