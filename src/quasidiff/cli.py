@@ -403,7 +403,7 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
         est = estimate_c_star(p, b, c_max=max(ladder))
         if est.found:
             lines.append(f"c* estimate: {_g(est.c_star)} "
-                         "(empirical, bisection on stationarity)")
+                         "(exact, one LP per vertex pair)")
             payload["c_star"] = float(est.c_star)
         else:
             lines.append(f"c* estimate: none up to {_g(est.c_max)}")

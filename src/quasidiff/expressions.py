@@ -446,6 +446,14 @@ _FUNCTIONS = {"sin": (1, 1), "cos": (1, 1), "exp": (1, 1), "abs": (1, 1),
 
 _VAR_RE = re.compile(r"x[0-9]+$")
 
+# Deepest expression the parser accepts.  Evaluation, the
+# quasidifferential walk and printing recurse once or twice per tree
+# level, and the parser a few frames per level of parentheses, call
+# arguments or unary minus, so both are capped here, far inside Python's
+# default recursion limit of 1000 frames.  A deeper text is a syntax
+# error, not a RecursionError.
+MAX_DEPTH = 100
+
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
@@ -457,6 +465,7 @@ class _Parser:
         self.n = n
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def _tokenize(self, text):
         tokens = []
@@ -488,49 +497,72 @@ class _Parser:
     def _error(self, message, start):
         raise ExprSyntaxError(message, _byte_offset(self.text, start))
 
+    def _deeper(self, depth: int, start: int) -> int:
+        """depth, or a syntax error when it passes MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            self._error(f"expression nests deeper than {MAX_DEPTH} levels",
+                        start)
+        return depth
+
+    def _nested(self, parse, start: int):
+        """parse() one level further in: inside parentheses, a call or a
+        unary minus.  Checked on the way down, before the recursion."""
+        self.nesting = self._deeper(self.nesting + 1, start)
+        out = parse()
+        self.nesting -= 1
+        return out
+
+    # Each method returns (node, depth), depth being the number of
+    # operator levels from node down to its deepest leaf; it bounds the
+    # recursion of evaluate, _vqd and to_text.
+
     def parse(self) -> Expr:
-        e = self._expr()
+        e, _ = self._expr()
         kind, val, start = self._peek()
         if kind != "end":
             self._error(f"unexpected {val!r}", start)
         return e
 
-    def _expr(self) -> Expr:
-        node = self._term()
+    def _expr(self) -> tuple[Expr, int]:
+        node, depth = self._term()
         while True:
-            kind, val, _ = self._peek()
+            kind, val, start = self._peek()
             if kind == "op" and val in "+-":
                 self._next()
-                rhs = self._term()
+                rhs, d = self._term()
                 node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                depth = self._deeper(max(depth, d) + 1, start)
             else:
-                return node
+                return node, depth
 
-    def _term(self) -> Expr:
-        node = self._factor()
+    def _term(self) -> tuple[Expr, int]:
+        node, depth = self._factor()
         while True:
-            kind, val, _ = self._peek()
+            kind, val, start = self._peek()
             if kind == "op" and val == "*":
                 self._next()
-                node = Mul(node, self._factor())
+                rhs, d = self._factor()
+                node = Mul(node, rhs)
+                depth = self._deeper(max(depth, d) + 1, start)
             else:
-                return node
+                return node, depth
 
-    def _factor(self) -> Expr:
+    def _factor(self) -> tuple[Expr, int]:
         kind, val, start = self._peek()
         if kind == "op" and val == "-":
             self._next()
-            return Neg(self._factor())
+            child, d = self._nested(self._factor, start)
+            return Neg(child), self._deeper(d + 1, start)
         return self._atom()
 
-    def _atom(self) -> Expr:
+    def _atom(self) -> tuple[Expr, int]:
         kind, val, start = self._next()
         if kind == "num":
             if not np.isfinite(float(val)):
                 self._error(f"number {val} overflows to infinity", start)
-            return Const(float(val))
+            return Const(float(val)), 0
         if kind == "op" and val == "(":
-            e = self._expr()
+            e = self._nested(self._expr, start)
             k2, v2, s2 = self._next()
             if v2 != ")":
                 self._error("expected ')'", s2)
@@ -544,24 +576,26 @@ class _Parser:
                     raise UnknownIdentifierError(
                         f"variable {val} outside declared dimension n={self.n}",
                         _byte_offset(self.text, start))
-                return Var(idx)
-            return Param(val)
+                return Var(idx), 0
+            return Param(val), 0
         self._error(f"unexpected {val!r}" if val else "unexpected end of input",
                     start)
 
-    def _call(self, name: str, start: int) -> Expr:
+    def _call(self, name: str, start: int) -> tuple[Expr, int]:
         kind, val, s = self._next()
         if val != "(":
             self._error(f"expected '(' after {name}", s)
-        args = [self._expr()]
+        args = [self._nested(self._expr, start)]
         while True:
             kind, val, s = self._next()
             if val == ",":
-                args.append(self._expr())
+                args.append(self._nested(self._expr, start))
             elif val == ")":
                 break
             else:
                 self._error("expected ',' or ')'", s)
+        depth = self._deeper(max(d for _, d in args) + 1, start)
+        args = [e for e, _ in args]
         lo, hi = _FUNCTIONS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             want = f"{lo}" if hi == lo else f">= {lo}"
@@ -573,21 +607,22 @@ class _Parser:
                     or int(exponent.value) < 1:
                 raise ArityError("pow exponent must be an integer literal >= 1",
                                  _byte_offset(self.text, start))
-            return SmoothUnary("pow", args[0], int(exponent.value))
+            return SmoothUnary("pow", args[0], int(exponent.value)), depth
         if name in ("sin", "cos", "exp"):
-            return SmoothUnary(name, args[0])
+            return SmoothUnary(name, args[0]), depth
         if name == "abs":
-            return Abs(args[0])
+            return Abs(args[0]), depth
         if name == "max":
-            return Max(tuple(args))
-        return Min(tuple(args))
+            return Max(tuple(args)), depth
+        return Min(tuple(args)), depth
 
 
 def parse_expression(text: str, n: int) -> Expr:
     """Parse source text into an Expr over x1..xn.
 
     Raises ExprSyntaxError (with byte offset), UnknownIdentifierError or
-    ArityError on malformed input.
+    ArityError on malformed input; text nested deeper than MAX_DEPTH is
+    an ExprSyntaxError.
     """
     if n < 1:
         raise ExpressionError("dimension n must be >= 1")

@@ -25,6 +25,13 @@ term is parameterized by nonnegative weights on the polytope vertices;
 the scalar is recovered as the weight sum.  Both verdicts agree at
 feasible points for the same c, independent of which quasidifferentials
 represent the data, and that equivalence is cross-asserted in tests.
+
+The exact penalty threshold c*, the least c at which stationarity
+holds, is found by the same weight parameterization: one LP per pair of
+superdifferential vertices of u and of the constraint penalty, with c*
+the largest per-pair minimum (estimate_c_star has the proof).  The
+optcheck report prints it as "c* estimate: ... (exact, one LP per
+vertex pair)".
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .expressions import Abs, Add, Binding, Const, Expr, Max, Mul, qd_at
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
 from .mfcq import (BudgetExceededError, active_inequalities,
                    feasibility_violations, qd_mfcq)
-from .regularity import SystemSpec, psi_expr, solution_distance
+from .regularity import SystemSpec, solution_distance
 
 SELECTION_BUDGET = 10 ** 5
 RESIDUAL_TOL = 1e-8
@@ -81,15 +88,21 @@ class ProgramSpec:
                           dict(self.params))
 
 
+def constraint_penalty(p: ProgramSpec) -> Optional[Expr]:
+    """phi = sum_j |f_j| + sum_i max{g_i, 0}; None when unconstrained."""
+    parts = [Abs(f) for f in p.equalities]
+    parts += [Max((g, Const(0.0))) for g in p.inequalities]
+    return reduce(Add, parts) if parts else None
+
+
 def build_penalty(p: ProgramSpec, c: float) -> Expr:
     """Expression for Psi_c; c = 0 or an unconstrained program gives u."""
     if c < 0:
         raise OptimalityError("penalty parameter c must be >= 0")
-    parts = [Abs(f) for f in p.equalities]
-    parts += [Max((g, Const(0.0))) for g in p.inequalities]
-    if c == 0 or not parts:
+    phi = constraint_penalty(p)
+    if c == 0 or phi is None:
         return p.objective
-    return Add(p.objective, Mul(Const(c), reduce(Add, parts)))
+    return Add(p.objective, Mul(Const(c), phi))
 
 
 class StationarityResult(NamedTuple):
@@ -309,25 +322,61 @@ class CStarEstimate(NamedTuple):
 
 def estimate_c_star(p: ProgramSpec, b: Binding,
                     c_max: float = 100.0) -> CStarEstimate:
-    """Bisect for the smallest c at which stationarity holds.
+    """The exact penalty threshold: the least c >= 0 with stationarity.
 
-    Stationarity is monotone in c at a feasible point (the penalty term
-    only adds nonnegative directional derivative), so a single bracket
-    suffices.  Purely empirical: reported as an estimate, not a bound.
+    With phi the constraint penalty, Psi_c = u + c phi, so for c > 0
+    sub(Psi_c) = sub(u) + c sub(phi) and sup(Psi_c) = sup(u) + c sup(phi).
+    The vertices of sup(Psi_c) are among the sums w0 + c w1 of vertices
+    w0 of sup(u) and w1 of sup(phi), so stationarity at c holds exactly
+    when every such pair admits theta in the simplex on the vertices a_k
+    of sub(u) and rho >= 0 with sum rho = c on the vertices b_l of
+    sub(phi) such that
+
+        sum_k theta_k a_k + sum_l rho_l b_l = -w0 - c w1.
+
+    This is linear in (theta, rho, c), so minimising c is one LP per pair.
+
+    The largest of the per-pair minima is the threshold.  A feasible
+    point minimises phi, so -sup(phi) lies in sub(phi).  Writing
+    -w1 = sum_l sigma_l b_l with sigma in the simplex, a solution at c
+    plus d sigma solves the same pair at c + d for every d >= 0: each
+    pair's set of feasible c is closed upward, and so is their
+    intersection, the set where stationarity holds.  This is also the
+    proof that stationarity is monotone in c.
+
+    Stationarity is checked first at c_max, so that a program with no
+    threshold up to c_max solves no LP, and then at 0, so that an
+    already stationary objective gives exactly 0.
     """
     if not check_stationarity(p, b, c_max).holds:
         return CStarEstimate(False, None, c_max)
-    lo = 0.0
-    if check_stationarity(p, b, lo).holds:
+    if check_stationarity(p, b, 0.0).holds:
         return CStarEstimate(True, 0.0, c_max)
-    hi = c_max
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if check_stationarity(p, b, mid).holds:
-            hi = mid
-        else:
-            lo = mid
-    return CStarEstimate(True, hi, c_max)
+    qu = qd_at(p.objective, b)
+    qphi = qd_at(constraint_penalty(p), b)
+    na, nb = qu.sub.nvertices, qphi.sub.nvertices
+    # columns: theta over sub(u), rho over sub(phi), then c
+    a_eq = np.zeros((p.n + 2, na + nb + 1))
+    a_eq[:p.n, :na] = qu.sub.vertices.T
+    a_eq[:p.n, na:na + nb] = qphi.sub.vertices.T
+    a_eq[p.n, :na] = 1.0
+    a_eq[p.n + 1, na:na + nb] = 1.0
+    a_eq[p.n + 1, -1] = -1.0
+    cost = np.zeros(na + nb + 1)
+    cost[-1] = 1.0
+    c_star = 0.0
+    for w0 in qu.sup.vertices:
+        for w1 in qphi.sup.vertices:
+            a_eq[:p.n, -1] = w1
+            out = solve_lp(cost, a_eq=a_eq,
+                           b_eq=np.concatenate([-w0, [1.0, 0.0]]),
+                           bounds=[(0.0, None)] * (na + nb + 1))
+            if out.status is not LpStatus.FEASIBLE:
+                return CStarEstimate(False, None, c_max)
+            c_star = max(c_star, out.objective)
+    if c_star > c_max:
+        return CStarEstimate(False, None, c_max)
+    return CStarEstimate(True, c_star, c_max)
 
 
 @dataclass(frozen=True)
@@ -357,7 +406,7 @@ def qualification_pathway(p: ProgramSpec, b: Binding, *,
     if report.verdict:
         return PathwayReport("qd-mfcq", mfcq_verdict=True)
 
-    phi = psi_expr(s).expr
+    phi = constraint_penalty(p)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((12, p.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

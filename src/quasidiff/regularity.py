@@ -110,21 +110,6 @@ class PsiFunction:
             return float(np.sum(np.abs(res)) + pen)
         return float(np.linalg.norm(res) + pen)
 
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        s = self.system
-        total = np.zeros(pts.shape[:-1])
-        if self.norm == "l1":
-            for f, yj in zip(s.equalities, self.y):
-                total = total + np.abs(f.evaluate(pts, s.params) - yj)
-        elif s.equalities:
-            sq = np.zeros(pts.shape[:-1])
-            for f, yj in zip(s.equalities, self.y):
-                sq = sq + (f.evaluate(pts, s.params) - yj) ** 2
-            total = total + np.sqrt(sq)
-        for g, zi in zip(s.inequalities, self.z):
-            total = total + np.maximum(g.evaluate(pts, s.params) - zi, 0.0)
-        return total
-
     def qd(self, x) -> Quasidifferential:
         b = self.system.binding(x)
         if self.expr is not None:

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_equal
 
 from quasidiff.cli import main
+from quasidiff.expressions import MAX_DEPTH
 from quasidiff.problemfile import ProblemFileError, load, loads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -479,10 +480,20 @@ BAD_CHECK_LINES = [
 ]
 
 
+# an expression nested k levels deep, one text per way of nesting
+DEEP_TEXTS = {
+    "parentheses": lambda k: "(" * k + "x1" + ")" * k,
+    "abs": lambda k: "abs(" * k + "x1" + ")" * k,
+    "minus": lambda k: "-" * k + "x1",
+    "sum": lambda k: " + ".join(["x1"] * (k + 1)),
+}
+
+
 class TestNonFiniteInputs:
-    """Inputs beyond the float range, from the file or from a flag, end in
-    exit 2 and one diagnostic line, never in a traceback, in exit 1 (which
-    means a budget ran out) or in a report."""
+    """Inputs beyond the float range, from the file or from a flag, and
+    expressions nested beyond MAX_DEPTH end in exit 2 and one diagnostic
+    line, never in a traceback, in exit 1 (which means a budget ran out)
+    or in a report."""
 
     def run_main(self, tmp_path, capsys, text, *flags, command="qd"):
         f = tmp_path / "nf.prob"
@@ -512,6 +523,27 @@ class TestNonFiniteInputs:
                                   command=command)
         assert_equal(code, 2)
         assert_equal(err, f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind", sorted(DEEP_TEXTS))
+    def test_expression_at_depth_limit_runs(self, tmp_path, capsys, kind):
+        f = tmp_path / "deep.prob"
+        f.write_text(f"[problem]\nn = 1\nequality = "
+                     f"{DEEP_TEXTS[kind](MAX_DEPTH)}\n[point]\nx = 0\n")
+        assert_equal(main(["qd", str(f)]), 0)
+        assert_equal(capsys.readouterr().err, "")
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+    @pytest.mark.parametrize("kind", sorted(DEEP_TEXTS))
+    def test_expression_past_depth_limit_is_two(self, tmp_path, capsys, kind,
+                                                depth):
+        # a RecursionError would be a traceback with exit 1
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  f"equality = {DEEP_TEXTS[kind](depth)}\n"
+                                  "[point]\nx = 0\n")
+        assert_equal(code, 2)
+        assert err.startswith("error: line 3: equality: syntax error at byte ")
+        assert err.endswith(
+            f": expression nests deeper than {MAX_DEPTH} levels\n")
 
     def test_nan_point_is_two_with_line_number(self, tmp_path, capsys):
         code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
@@ -8,10 +12,12 @@ from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
                                   Selection, build_penalty,
                                   check_all_selections, check_multipliers,
-                                  check_stationarity, estimate_c_star,
-                                  feasibility_violations,
+                                  check_stationarity, constraint_penalty,
+                                  estimate_c_star, feasibility_violations,
                                   qualification_pathway)
+from quasidiff.problemfile import loads
 
+ROOT = Path(__file__).resolve().parent.parent
 ORIGIN = [0.0, 0.0]
 
 
@@ -346,6 +352,75 @@ class TestCStarEstimate(TestCase):
         assert not est.found
         assert est.c_star is None
         assert_equal(est.c_max, 100.0)
+
+    def test_threshold_is_exact_at_one(self):
+        p = ProgramSpec(2, pe("0 - x1"), (pe("x1"),))
+        b = p.binding(ORIGIN)
+        est = estimate_c_star(p, b)
+        assert_allclose(est.c_star, 1.0, rtol=0.0, atol=1e-12)
+        assert check_stationarity(p, b, est.c_star).holds
+        assert not check_stationarity(p, b, est.c_star * (1 - 1e-6)).holds
+
+    def test_multi_pair_threshold_matches_rays(self):
+        # u, phi and so Psi_c are positively homogeneous and linear between
+        # the rays on which some argument of abs or max changes sign, so
+        # Psi_c >= 0 everywhere iff it is on those rays: c* is the largest
+        # -u(r) / phi(r) over the rays where u(r) < 0
+        p = ProgramSpec(2, pe("0 - abs(x1) - abs(x2) - 2*x2"),
+                        (pe("2*x1 + abs(x2)"),), (pe("x2 - abs(x1)"),))
+        b = p.binding(ORIGIN)
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 2), (-1, 0),
+                (-1, -2), (0, -1)]
+        ratios = []
+        for r1, r2 in rays:
+            u = -abs(r1) - abs(r2) - 2 * r2
+            phi = abs(2 * r1 + abs(r2)) + max(r2 - abs(r1), 0)
+            if u < 0:
+                assert phi > 0
+                ratios.append(-u / phi)
+        assert_equal(max(ratios), 7.0)
+        # several vertices on each side, so several LPs decide c*
+        assert qd_at(p.objective, b).sup.nvertices > 1
+        assert qd_at(constraint_penalty(p), b).sup.nvertices > 1
+        est = estimate_c_star(p, b)
+        assert_allclose(est.c_star, 7.0, rtol=0.0, atol=1e-12)
+        assert check_stationarity(p, b, est.c_star).holds
+        assert not check_stationarity(p, b, est.c_star * (1 - 1e-6)).holds
+
+
+def load_perfbench(monkeypatch, name):
+    """A module of perfbench/, loaded from its file without editing it and
+    registered under its bare name for the test's duration: gen.py imports
+    oracle.py by that name, and dataclasses look their module up in
+    sys.modules."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_c_star_matches_the_benchmark_oracle(monkeypatch):
+    load_perfbench(monkeypatch, "oracle")
+    gen = load_perfbench(monkeypatch, "gen")
+    checked = 0
+    for seed in (41, 42, 43):
+        w = gen.verdicts(seed)
+        for op in w.ops + w.warmup:
+            if op.command != "optcheck":
+                continue
+            pf = loads(op.text)
+            p = pf.program()
+            est = estimate_c_star(p, p.binding(pf.point),
+                                  c_max=op.answer["c_max"])
+            if op.answer["c_star"] <= op.answer["c_max"]:
+                assert est.found, op.key
+                assert abs(est.c_star - op.answer["c_star"]) <= 1e-9, op.key
+                checked += 1
+            else:
+                assert not est.found, op.key
+    assert checked > 0
 
 
 class TestQualificationPathway(TestCase):
