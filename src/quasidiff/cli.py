@@ -4,7 +4,8 @@ Subcommands share one problem-file format and three conventions: the
 text report is byte-identical across runs for identical inputs, every
 number in it reappears in the optional --json sidecar, and exit codes
 mean 0 = check ran, 1 = a configured budget or limit cut the run short,
-2 = the input was rejected.
+2 = the input was rejected, 3 = an internal error (a defect of the
+program, reported as one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
         raise InfeasiblePointError(bad)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
-    pathway = qualification_pathway(p, b, tol=args.tol, seed=args.seed)
+    pathway = qualification_pathway(p, b, tol=args.tol)
 
     lines: list = []
     payload: dict = {}
@@ -342,8 +343,7 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     if pathway.kind == "qd-mfcq":
         pw = "q.d.-MFCQ verified"
     elif pathway.kind == "error-bound":
-        pw = (f"empirical error bound, tau estimate "
-              f"{_g(pathway.tau_estimate)} from {pathway.n_samples} samples")
+        pw = "local error bound (piecewise-affine constraints)"
     elif pathway.kind == "unconstrained":
         pw = "unconstrained problem, no qualification needed"
     else:
@@ -354,20 +354,14 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
                    n_equalities=len(p.equalities),
                    n_inequalities=len(p.inequalities),
                    pathway={"kind": pathway.kind,
-                            "mfcq_verdict": pathway.mfcq_verdict,
-                            "tau_estimate": pathway.tau_estimate,
-                            "n_samples": pathway.n_samples},
+                            "mfcq_verdict": pathway.mfcq_verdict},
                    ladder=[float(c) for c in ladder], checks=[])
 
     exit_code = 0
-    any_holds = False
-    all_fail = True
     for c in ladder:
         st = check_stationarity(p, b, c)
         sw = check_all_selections(p, b, c_bound=c, budget=budget)
         if st.holds:
-            any_holds = True
-            all_fail = False
             st_text = "stationarity holds"
         else:
             st_text = f"stationarity fails, violating w = {_vec(st.violating_w)}"
@@ -399,30 +393,39 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
                 "z": list(sw.first_infeasible.selection.z)},
             "agreement": agree})
 
-    if any_holds:
-        est = estimate_c_star(p, b, c_max=max(ladder))
-        if est.found:
-            lines.append(f"c* estimate: {_g(est.c_star)} "
-                         "(exact, one LP per vertex pair)")
-            payload["c_star"] = float(est.c_star)
-        else:
-            lines.append(f"c* estimate: none up to {_g(est.c_max)}")
-            payload["c_star"] = None
+    c_star = estimate_c_star(p, b)
+    if np.isfinite(c_star):
+        lines.append(f"c* estimate: {_g(c_star)} "
+                     "(exact, one LP per vertex pair)")
+        payload["c_star"] = float(c_star)
     else:
+        lines.append("c* estimate: none (stationarity fails for every c >= 0)")
         payload["c_star"] = None
 
-    if all_fail and pathway.kind in ("qd-mfcq", "error-bound",
-                                     "unconstrained"):
+    # c* = inf is non-optimality only under a qualification (see optimality)
+    if np.isinf(c_star) and pathway.kind != "none":
         verdict = "necessary conditions fail: the point is not optimal"
-    elif all_fail:
+    elif np.isinf(c_star):
         verdict = ("conditions fail at every tested c; no qualification "
                    "verified, so non-optimality is not certified")
-    elif any_holds:
+    elif c_star <= max(ladder):
         verdict = ("necessary conditions hold at some tested c "
                    "(no sufficiency claim)")
+    else:
+        verdict = (f"necessary conditions hold only for c >= {_g(c_star)}, "
+                   "above every tested c (no sufficiency claim)")
     lines.append(f"verdict: {verdict}")
     payload["verdict"] = verdict
     return lines, payload, exit_code
+
+
+def _write_json(path: str, payload: dict) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise ProblemFileError(f"cannot write {path}: {e.strerror}") from e
 
 
 _INPUT_ERRORS = (ProblemFileError, ExpressionError, InfeasiblePointError,
@@ -491,6 +494,10 @@ def main(argv=None) -> int:
         with np.errstate(over="raise"):
             _check_flags(args)
             lines, payload, code = _COMMANDS[args.command](args)
+        # the sidecar goes first, so that a path it cannot use leaves
+        # nothing on stdout
+        if args.json:
+            _write_json(args.json, payload)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -503,11 +510,10 @@ def main(argv=None) -> int:
         print("error: a value overflows the float range while evaluating "
               "the problem", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     sys.stdout.write("\n".join(lines) + "\n")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return code
 
 

@@ -654,6 +654,36 @@ def qd_matrix_at(es: Sequence[Expr], b: Binding):
     return MatrixQuasidifferential(tuple(qd_at(e, b) for e in es))
 
 
+def _affine_degree(e: Expr) -> int:
+    """0 when e is free of x, 1 when it is piecewise affine in x, else 2."""
+    if isinstance(e, Var):
+        return 1
+    if isinstance(e, (Const, Param)):
+        return 0
+    if isinstance(e, (Neg, Abs)):
+        return _affine_degree(e.child)
+    if isinstance(e, (Add, Sub)):
+        return max(_affine_degree(e.a), _affine_degree(e.b))
+    if isinstance(e, Mul):
+        da, db = _affine_degree(e.a), _affine_degree(e.b)
+        return max(da, db) if min(da, db) == 0 else 2
+    if isinstance(e, (Max, Min)):
+        return max(_affine_degree(c) for c in e.children)
+    d = _affine_degree(e.child)  # SmoothUnary
+    return d if d == 0 or (e.kind == "pow" and e.k == 1) else 2
+
+
+def is_piecewise_affine(e: Expr) -> bool:
+    """Whether e is built from x by affine maps, abs, max and min only.
+
+    Affine here means coordinates, subtrees free of x (constants,
+    parameters and smooth functions of them), +, -, negation, products
+    with a factor free of x and pow(., 1).  Such a function has finitely
+    many affine pieces, each on a polyhedron.
+    """
+    return _affine_degree(e) <= 1
+
+
 def kink_distance(e: Expr, b: Binding) -> float:
     """Distance to the nearest nonsmooth switching surface, in value space.
 

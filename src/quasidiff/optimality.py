@@ -29,9 +29,21 @@ represent the data, and that equivalence is cross-asserted in tests.
 The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
 superdifferential vertices of u and of the constraint penalty, with c*
-the largest per-pair minimum (estimate_c_star has the proof).  The
-optcheck report prints it as "c* estimate: ... (exact, one LP per
-vertex pair)".
+the largest per-pair minimum (estimate_c_star has the proof), and
+c* = inf when some pair admits no c at all.
+
+Why c* = inf proves non-optimality under a qualification: a local error
+bound d(x, S) <= L phi(x) near the point, with phi the constraint
+penalty, makes a local minimiser of the Lipschitz objective u on S a
+local minimiser of Psi_c for every c >= Lip(u) L (exact penalization),
+and a local minimiser of Psi_c is stationary.  The q.d.-MFCQ gives such
+a bound (metric regularity).  So does a system whose functions are all
+piecewise affine: the map (y, z) -> {x : f(x) = y, g(x) <= z} then has
+a graph that is a finite union of polyhedra, and such a polyhedral
+multifunction is upper Lipschitz at every point (Robinson, "Some
+continuity properties of polyhedral multifunctions", Math. Prog. Study
+14, 1981).  With either certificate, c* = inf means the point is not a
+local minimiser; without one it proves nothing.
 """
 
 from __future__ import annotations
@@ -43,11 +55,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expressions import Abs, Add, Binding, Const, Expr, Max, Mul, qd_at
+from .expressions import (Abs, Add, Binding, Const, Expr, Max, Mul,
+                          is_piecewise_affine, qd_at)
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
 from .mfcq import (BudgetExceededError, active_inequalities,
                    feasibility_violations, qd_mfcq)
-from .regularity import SystemSpec, solution_distance
+from .regularity import SystemSpec
 
 SELECTION_BUDGET = 10 ** 5
 RESIDUAL_TOL = 1e-8
@@ -314,14 +327,7 @@ def check_all_selections(p: ProgramSpec, b: Binding,
     return SelectionSweep(True, True, n_total, n_checked)
 
 
-class CStarEstimate(NamedTuple):
-    found: bool
-    c_star: Optional[float]
-    c_max: float
-
-
-def estimate_c_star(p: ProgramSpec, b: Binding,
-                    c_max: float = 100.0) -> CStarEstimate:
+def estimate_c_star(p: ProgramSpec, b: Binding) -> float:
     """The exact penalty threshold: the least c >= 0 with stationarity.
 
     With phi the constraint penalty, Psi_c = u + c phi, so for c > 0
@@ -344,16 +350,18 @@ def estimate_c_star(p: ProgramSpec, b: Binding,
     intersection, the set where stationarity holds.  This is also the
     proof that stationarity is monotone in c.
 
-    Stationarity is checked first at c_max, so that a program with no
-    threshold up to c_max solves no LP, and then at 0, so that an
-    already stationary objective gives exactly 0.
+    When some pair's LP is infeasible, no c >= 0 works and the result is
+    inf.  Stationarity is checked at 0 first, so that an already
+    stationary objective gives exactly 0; an unconstrained program that
+    is not stationary there gives inf without building phi.
     """
-    if not check_stationarity(p, b, c_max).holds:
-        return CStarEstimate(False, None, c_max)
     if check_stationarity(p, b, 0.0).holds:
-        return CStarEstimate(True, 0.0, c_max)
+        return 0.0
+    phi = constraint_penalty(p)
+    if phi is None:
+        return np.inf
     qu = qd_at(p.objective, b)
-    qphi = qd_at(constraint_penalty(p), b)
+    qphi = qd_at(phi, b)
     na, nb = qu.sub.nvertices, qphi.sub.nvertices
     # columns: theta over sub(u), rho over sub(phi), then c
     a_eq = np.zeros((p.n + 2, na + nb + 1))
@@ -372,11 +380,9 @@ def estimate_c_star(p: ProgramSpec, b: Binding,
                            b_eq=np.concatenate([-w0, [1.0, 0.0]]),
                            bounds=[(0.0, None)] * (na + nb + 1))
             if out.status is not LpStatus.FEASIBLE:
-                return CStarEstimate(False, None, c_max)
+                return np.inf
             c_star = max(c_star, out.objective)
-    if c_star > c_max:
-        return CStarEstimate(False, None, c_max)
-    return CStarEstimate(True, c_star, c_max)
+    return c_star
 
 
 @dataclass(frozen=True)
@@ -384,47 +390,24 @@ class PathwayReport:
     """Which qualification licenses the necessary condition.
 
     kind is one of "unconstrained", "qd-mfcq", "error-bound" or "none".
-    The error-bound route samples points near the candidate and
-    estimates the ratio penalty(x) / d(x, feasible set) from below;
-    a strictly positive estimate is evidence, not proof.
+    "error-bound" is certified, not sampled: every constraint is
+    piecewise affine, so a local error bound holds (see the module
+    docstring).  "none" means neither certificate applies, not that the
+    qualification fails.
     """
 
     kind: str
     mfcq_verdict: Optional[bool] = None
-    tau_estimate: Optional[float] = None
-    n_samples: int = 0
 
 
 def qualification_pathway(p: ProgramSpec, b: Binding, *,
-                          tol: float = FEAS_TOL,
-                          seed: int = 0) -> PathwayReport:
-    """Try q.d.-MFCQ first, then an empirical local error bound."""
+                          tol: float = FEAS_TOL) -> PathwayReport:
+    """Try q.d.-MFCQ first, then the piecewise-affine error bound."""
     s = p.constraint_system()
     if s is None:
         return PathwayReport("unconstrained")
-    report = qd_mfcq(s, b.point, tol=tol)
-    if report.verdict:
+    if qd_mfcq(s, b.point, tol=tol).verdict:
         return PathwayReport("qd-mfcq", mfcq_verdict=True)
-
-    phi = constraint_penalty(p)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((12, p.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ratios = []
-    for r in (0.05, 0.02):
-        for d in dirs:
-            x = b.point + r * d
-            val = float(phi.evaluate(x, b.params))
-            if val <= tol:
-                continue
-            dist = solution_distance(s, x, center=b.point,
-                                     scan_radius=4.0 * r,
-                                     budget=10 ** 5)
-            if np.isfinite(dist) and dist > tol:
-                ratios.append(val / dist)
-    if ratios and min(ratios) > tol:
-        return PathwayReport("error-bound", mfcq_verdict=False,
-                             tau_estimate=float(min(ratios)),
-                             n_samples=len(ratios))
-    return PathwayReport("none", mfcq_verdict=False,
-                         n_samples=len(ratios))
+    if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
+        return PathwayReport("error-bound", mfcq_verdict=False)
+    return PathwayReport("none", mfcq_verdict=False)

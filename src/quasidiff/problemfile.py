@@ -20,6 +20,7 @@ line; blank lines and lines starting with # are skipped.
     c = 0.5 1 2        norm = l1        y = 0         z = 0
     scan_radius = 1.0  budget = 1000000
 
+At most MAX_CONSTRAINTS equality and inequality lines are accepted.
 Every diagnostic carries the 1-based line number of the offending
 line so fixtures stay diff-friendly and errors stay greppable.
 """
@@ -40,6 +41,10 @@ _PROBLEM_KEYS = ("n", "objective", "equality", "inequality")
 _CHECK_SCALAR = {"k": float, "r": float, "scan_radius": float,
                  "grid": int, "target_grid": int, "budget": int}
 _CHECK_LIST = ("c", "y", "z")
+# The penalty and psi fold one Add level per constraint, so the cap keeps
+# their trees, with each term at most MAX_DEPTH deep, within recursion
+# limits.
+MAX_CONSTRAINTS = 200
 
 
 class ProblemFileError(ValueError):
@@ -170,6 +175,9 @@ def loads(text: str) -> ProblemFile:
             if objective is not None:
                 raise ProblemFileError("duplicate objective", lineno)
             objective = e
+        elif len(equalities) + len(inequalities) == MAX_CONSTRAINTS:
+            raise ProblemFileError(f"more than {MAX_CONSTRAINTS} "
+                                   "constraints", lineno)
         elif key == "equality":
             equalities.append(e)
         else:

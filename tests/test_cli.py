@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
+from quasidiff import cli
 from quasidiff.cli import main
 from quasidiff.expressions import MAX_DEPTH
-from quasidiff.problemfile import ProblemFileError, load, loads
+from quasidiff.problemfile import (MAX_CONSTRAINTS, ProblemFileError, load,
+                                   loads)
+from quasidiff.regularity import psi_expr
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -344,24 +347,71 @@ class TestOptcheckReport:
     def test_penalty_demo(self, reports):
         text, payload = reports["optcheck"]
         lines = text.splitlines()
-        assert ("qualification pathway: empirical error bound, tau estimate "
-                "1.41421356525 from 24 samples") in lines
+        assert ("qualification pathway: local error bound "
+                "(piecewise-affine constraints)") in lines
         cs = [l for l in lines if l.startswith("c = ")]
         assert_equal(len(cs), 5)
         for l in cs:
             assert "stationarity fails" in l
             assert "infeasible selection" in l
             assert l.endswith("agreement: yes")
+        assert ("c* estimate: none "
+                "(stationarity fails for every c >= 0)") in lines
         assert ("verdict: necessary conditions fail: "
                 "the point is not optimal") in lines
         assert_equal(payload["ladder"], [0.5, 1.0, 2.0, 10.0, 100.0])
         assert payload["c_star"] is None
-        assert_equal(payload["pathway"]["kind"], "error-bound")
-        assert_allclose(payload["pathway"]["tau_estimate"],
-                        np.sqrt(2.0), atol=1e-6)
+        assert_equal(payload["pathway"],
+                     {"kind": "error-bound", "mfcq_verdict": False})
         for chk in payload["checks"]:
             assert chk["stationarity"] is False
             assert chk["selections"] is False
+
+    @staticmethod
+    def optcheck_lines(tmp_path, capsys, text):
+        f = tmp_path / "oc.prob"
+        f.write_text(text)
+        code = main(["optcheck", str(f)])
+        out, err = capsys.readouterr()
+        assert_equal((code, err), (0, ""))
+        return out.splitlines()
+
+    def test_flat_equality_optimum_is_not_called_non_optimal(self, tmp_path,
+                                                            capsys):
+        # x1 = 0 is the whole feasible set, so the point is optimal, but
+        # pow(x1, 2) has no error bound there and no c makes it stationary
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
+                                    "objective = x1\nequality = pow(x1, 2)\n"
+                                    "[point]\nx = 0\n")
+        assert ("qualification pathway: none verified (necessity of the "
+                "conditions not established)") in lines
+        assert "c* estimate: none (stationarity fails for every c >= 0)" \
+            in lines
+        assert_equal(lines[-1], "verdict: conditions fail at every tested "
+                     "c; no qualification verified, so non-optimality is "
+                     "not certified")
+
+    def test_threshold_above_the_ladder_is_reported(self, tmp_path, capsys):
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
+                                    "objective = -x1\n"
+                                    "equality = 0.001*x1\n[point]\nx = 0\n")
+        assert "qualification pathway: q.d.-MFCQ verified" in lines
+        assert "c* estimate: 1000 (exact, one LP per vertex pair)" in lines
+        assert_equal(lines[-1], "verdict: necessary conditions hold only "
+                     "for c >= 1000, above every tested c "
+                     "(no sufficiency claim)")
+
+    def test_benchmark_threshold_above_the_ladder(self, tmp_path, capsys,
+                                                  load_perfbench):
+        load_perfbench("oracle")
+        ops = load_perfbench("gen").verdicts(41).ops
+        op, = [op for op in ops if op.key == "optcheck-mfcq-nonmin"]
+        lines = self.optcheck_lines(tmp_path, capsys, op.text)
+        assert ("c* estimate: 225.141025641 (exact, one LP per vertex pair)"
+                in lines)
+        assert_equal(lines[-1], "verdict: necessary conditions hold only "
+                     "for c >= 225.141025641, above every tested c "
+                     "(no sufficiency claim)")
 
     def test_explicit_ladder_flag(self):
         r = run_cli("optcheck", str(PROBLEMS / "penalty_demo.prob"),
@@ -489,11 +539,30 @@ DEEP_TEXTS = {
 }
 
 
+def cap_text(count):
+    """A program with count inequalities, each nested MAX_DEPTH levels.
+
+    The penalty and psi fold the constraints into a left-deep sum, so the
+    first one sits at the bottom of the fold: it nests operators, which
+    makes the deepest path the fold plus a full-depth tree.  The others
+    nest parentheses, which keeps the run cheap.  Every constraint is
+    below -0.7 near 0, so psi is 0 at every point regcheck samples.
+    """
+    deep = "-" * (MAX_DEPTH - 1) + "x1 - 1"
+    nested = "(" * MAX_DEPTH + "x1 - 1" + ")" * MAX_DEPTH
+    lines = [deep] + [nested] * (count - 1)
+    return ("[problem]\nn = 1\nobjective = x1\n"
+            + "".join(f"inequality = {g}\n" for g in lines)
+            + "[point]\nx = 0\n[check]\nK = 1\nr = 0.1\ngrid = 1\n"
+            "target_grid = 1\nbudget = 100\n")
+
+
 class TestNonFiniteInputs:
-    """Inputs beyond the float range, from the file or from a flag, and
-    expressions nested beyond MAX_DEPTH end in exit 2 and one diagnostic
+    """Inputs beyond the float range, from the file or from a flag,
+    expressions nested beyond MAX_DEPTH, more than MAX_CONSTRAINTS
+    constraints and an unwritable sidecar end in exit 2 and one diagnostic
     line, never in a traceback, in exit 1 (which means a budget ran out)
-    or in a report."""
+    or in a report.  Any other exception is exit 3, also in one line."""
 
     def run_main(self, tmp_path, capsys, text, *flags, command="qd"):
         f = tmp_path / "nf.prob"
@@ -544,6 +613,44 @@ class TestNonFiniteInputs:
         assert err.startswith("error: line 3: equality: syntax error at byte ")
         assert err.endswith(
             f": expression nests deeper than {MAX_DEPTH} levels\n")
+
+    def test_every_command_runs_at_the_constraint_cap(self, tmp_path,
+                                                      capsys):
+        f = tmp_path / "cap.prob"
+        f.write_text(cap_text(MAX_CONSTRAINTS))
+        for command in ("qd", "slope", "mfcq", "regcheck", "optcheck"):
+            # exit 3 would be a RecursionError caught by main
+            assert main([command, str(f)]) in (0, 1), command
+            out, err = capsys.readouterr()
+            assert out.startswith(f"quasidiff {command} report\n"), command
+            assert_equal(err, "")
+        # regcheck takes psi's quasidifferential only where psi > 0, which
+        # no sample above is, so it is taken here
+        s = load(str(f)).system()
+        assert_equal(psi_expr(s).qd(np.zeros(1)).sub.nvertices, 1)
+
+    def test_constraint_past_the_cap_is_two(self, tmp_path, capsys):
+        code, err = self.run_main(tmp_path, capsys,
+                                  cap_text(MAX_CONSTRAINTS + 1))
+        assert_equal(code, 2)
+        assert_equal(err, f"error: line {MAX_CONSTRAINTS + 4}: more than "
+                     f"{MAX_CONSTRAINTS} constraints\n")
+
+    def test_unwritable_sidecar_is_two(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.json"
+        code, err = self.run_main(tmp_path, capsys, FLAG_TEXT, "--json",
+                                  str(path))
+        assert_equal(code, 2)
+        assert_equal(err, f"error: cannot write {path}: "
+                     "No such file or directory\n")
+
+    def test_internal_error_is_three(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._COMMANDS, "qd", broken)
+        code, err = self.run_main(tmp_path, capsys, FLAG_TEXT)
+        assert_equal(code, 3)
+        assert_equal(err, "error: internal: RuntimeError: boom\n")
 
     def test_nan_point_is_two_with_line_number(self, tmp_path, capsys):
         code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"

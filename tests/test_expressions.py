@@ -6,8 +6,9 @@ from quasidiff.calculus import dd
 from quasidiff.expressions import (ArityError, Binding, ExprSyntaxError,
                                    UnboundParameterError,
                                    UnknownIdentifierError, eval_expr,
-                                   kink_distance, parse_expression, qd_at,
-                                   qd_matrix_at, qd_value_at)
+                                   is_piecewise_affine, kink_distance,
+                                   parse_expression, qd_at, qd_matrix_at,
+                                   qd_value_at)
 from quasidiff.geometry import Polytope, singleton, zero_polytope
 
 F1_TEXT = "max(2*x1, x1) - abs(sin(p*x2))"
@@ -55,6 +56,23 @@ class TestParsing(TestCase):
         e = parse_expression("p * x1", 1)
         with pytest.raises(UnboundParameterError):
             eval_expr(e, binding([1.0]))
+
+
+PIECEWISE_AFFINE = [
+    ("2*abs(x1) - max(x1, p*x2)", True),
+    ("pow(x1 - 1, 1)", True),
+    ("sin(p)*x1", True),
+    ("-min(x1, 3) + x2*cos(p)", True),
+    ("pow(x1, 2)", False),
+    ("x1*x2", False),
+    ("sin(x1)", False),
+    ("abs(x1)*x2", False),
+]
+
+
+@pytest.mark.parametrize("text, affine", PIECEWISE_AFFINE)
+def test_is_piecewise_affine(text, affine):
+    assert_equal(is_piecewise_affine(parse_expression(text, 2)), affine)
 
 
 class TestEvaluation(TestCase):
