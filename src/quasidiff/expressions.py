@@ -15,6 +15,42 @@ how the pairs are written down in worked derivations: abs of a smooth
 argument lands on the co{+-grad} form, a tied min of smooth branches on
 the concave-led [{0}, co{gradients}] form, and |f - y| keeps the raw
 max-rule pair when f itself has kinks.
+
+Forward mode.  A differentiable f has the quasidifferential
+[{grad f}, {0}], so a kink-free subtree is carried as one (value,
+gradient) pair by _vgrad and wrapped once, by qd_smooth, where it meets
+an abs, max or min node or the root.  Each node knows at construction
+whether its subtree has a kink (_piecewise), so the dispatch costs O(1).
+Only the kink nodes and the nodes above them build polytopes.
+
+The output is, byte for byte, the one the pair algebra gives when it is
+applied at every node (tests/test_forward_mode.py keeps that walk as its
+oracle).  That walk also keeps a smooth subtree as [{g}, {0}], but
+builds it at every node from canonical vertex rows, and
+canonicalisation adds 0.0 to every entry.  Per node it does these IEEE
+operations on the row g:
+  Var, Const, Param  the unit vector, or zeros;
+  Neg                scale by -1 swaps the sets, and the absorb step
+                     adds them: 0 + (-1.0 g), and -1.0 g is -g;
+  Add                ga + gb, and 0 + 0 for the superdifferential;
+  Sub                ga + (0 + (-1.0 gb)); ga - gb is ga + (-gb) in IEEE
+                     arithmetic;
+  Mul                va gb and vb ga land in sub or in sup depending on
+                     the signs of va and vb (a zero factor gives the
+                     origin), and the absorb step adds sub and sup; in
+                     every case the result is va gb + vb ga up to added
+                     zeros, and a sum of two terms is exactly commutative;
+  SmoothUnary        d g for the derivative d, placed as for Neg or Mul.
+_vgrad does the same multiplications and additions, less the additions
+of zero.  Adding a zero to a nonzero number changes no bit, and a zero
+entry stays a zero whatever the sign of its operands, so the two walks
+differ at most in the signs of zero entries, which the final + 0.0
+erases.  The node-by-node walk rejects a non-finite row at the node that
+makes it ("polytope vertices must be finite"); here inf and nan stay in
+the gradient (inf * 0 and inf - inf give nan, never a finite number), so
+the same GeometryError is raised where the subtree is wrapped, unless
+an exception from the nodes evaluated in between (an overflow in pow,
+say) comes first.
 """
 
 from __future__ import annotations
@@ -27,7 +63,7 @@ import numpy as np
 
 from .calculus import (Quasidifferential, absorb_singleton_sub,
                        absorb_singleton_sup, qd_abs, qd_add, qd_max, qd_min,
-                       qd_mul, qd_scale, qd_smooth, qd_zero)
+                       qd_mul, qd_scale, qd_smooth)
 
 
 class ExpressionError(ValueError):
@@ -84,12 +120,33 @@ _ADD, _MUL, _PREFIX, _ATOM = 1, 2, 3, 4
 class Expr:
     """Base node.  Subclasses are frozen dataclasses; trees are values."""
 
+    # whether the subtree contains an abs, max or min node; composite
+    # nodes set it at construction from their children
+    _piecewise = False
+
     def evaluate(self, point, params=None):
         """Evaluate at point (shape (..., n)); broadcasts over batches."""
         raise NotImplementedError
 
     def _vqd(self, b: Binding):
+        """Value and quasidifferential at b: forward mode for a smooth
+        subtree, the pair algebra above a kink."""
+        if self._piecewise:
+            return self._vqd_pair(b)
+        v, g = self._vgrad(b)
+        return v, qd_smooth(g)
+
+    def _vgrad(self, b: Binding) -> tuple[float, np.ndarray]:
+        """Value and gradient of a smooth subtree."""
         raise NotImplementedError
+
+    def _vqd_pair(self, b: Binding):
+        """Value and quasidifferential of a subtree with a kink."""
+        raise NotImplementedError
+
+    def _inherit_piecewise(self, *children: "Expr") -> None:
+        object.__setattr__(self, "_piecewise",
+                           any(c._piecewise for c in children))
 
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
@@ -99,10 +156,6 @@ class Expr:
 
     def _kink(self, point, params) -> float:
         return np.inf
-
-    def _piecewise(self) -> bool:
-        """Whether the subtree contains an abs, max or min node."""
-        return False
 
 
 def _wrap(child: Expr, minlevel: int) -> str:
@@ -121,11 +174,10 @@ class Var(Expr):
                 f"variable x{self.index} outside point dimension {point.shape[-1]}")
         return point[..., self.index - 1]
 
-    def _vqd(self, b):
-        n = b.n
-        g = np.zeros(n)
+    def _vgrad(self, b):
+        g = np.zeros(b.n)
         g[self.index - 1] = 1.0
-        return float(b.point[self.index - 1]), qd_smooth(g)
+        return float(b.point[self.index - 1]), g
 
     def _fmt(self):
         return f"x{self.index}", _ATOM
@@ -143,10 +195,10 @@ class Param(Expr):
         return np.broadcast_to(float(params[self.name]), point.shape[:-1]).copy() \
             if point.ndim > 1 else float(params[self.name])
 
-    def _vqd(self, b):
+    def _vgrad(self, b):
         if self.name not in b.params:
             raise UnboundParameterError(self.name)
-        return float(b.params[self.name]), qd_zero(b.n)
+        return float(b.params[self.name]), np.zeros(b.n)
 
     def _fmt(self):
         return self.name, _ATOM
@@ -161,8 +213,8 @@ class Const(Expr):
         return np.broadcast_to(self.value, point.shape[:-1]).copy() \
             if point.ndim > 1 else self.value
 
-    def _vqd(self, b):
-        return float(self.value), qd_zero(b.n)
+    def _vgrad(self, b):
+        return float(self.value), np.zeros(b.n)
 
     def _fmt(self):
         return _format_number(self.value), _ATOM
@@ -175,21 +227,22 @@ class Neg(Expr):
     def evaluate(self, point, params=None):
         return -self.child.evaluate(point, params)
 
-    def _vqd(self, b):
+    def __post_init__(self):
+        self._inherit_piecewise(self.child)
+
+    def _vgrad(self, b):
+        v, g = self.child._vgrad(b)
+        return -v, -g
+
+    def _vqd_pair(self, b):
         v, q = self.child._vqd(b)
-        out = qd_scale(q, -1.0)
-        if not self.child._piecewise():
-            out = absorb_singleton_sup(out)
-        return -v, out
+        return -v, qd_scale(q, -1.0)
 
     def _fmt(self):
         return "-" + _wrap(self.child, _PREFIX), _PREFIX
 
     def _kink(self, point, params):
         return self.child._kink(point, params)
-
-    def _piecewise(self):
-        return self.child._piecewise()
 
 
 @dataclass(frozen=True)
@@ -200,7 +253,15 @@ class Add(Expr):
     def evaluate(self, point, params=None):
         return self.a.evaluate(point, params) + self.b.evaluate(point, params)
 
-    def _vqd(self, b):
+    def __post_init__(self):
+        self._inherit_piecewise(self.a, self.b)
+
+    def _vgrad(self, b):
+        va, ga = self.a._vgrad(b)
+        vb, gb = self.b._vgrad(b)
+        return va + vb, ga + gb
+
+    def _vqd_pair(self, b):
         va, qa = self.a._vqd(b)
         vb, qb = self.b._vqd(b)
         return va + vb, qd_add(qa, qb)
@@ -211,9 +272,6 @@ class Add(Expr):
     def _kink(self, point, params):
         return min(self.a._kink(point, params), self.b._kink(point, params))
 
-    def _piecewise(self):
-        return self.a._piecewise() or self.b._piecewise()
-
 
 @dataclass(frozen=True)
 class Sub(Expr):
@@ -223,12 +281,23 @@ class Sub(Expr):
     def evaluate(self, point, params=None):
         return self.a.evaluate(point, params) - self.b.evaluate(point, params)
 
-    def _vqd(self, b):
+    def __post_init__(self):
+        self._inherit_piecewise(self.a, self.b)
+
+    def _vgrad(self, b):
+        va, ga = self.a._vgrad(b)
+        vb, gb = self.b._vgrad(b)
+        return va - vb, ga - gb
+
+    def _vqd_pair(self, b):
         va, qa = self.a._vqd(b)
-        vb, qb = self.b._vqd(b)
-        nb = qd_scale(qb, -1.0)
-        if not self.b._piecewise():
-            nb = absorb_singleton_sup(nb)
+        if self.b._piecewise:
+            vb, qb = self.b._vqd(b)
+            nb = qd_scale(qb, -1.0)
+        else:
+            # a smooth subtrahend stays smooth-led: [{-grad}, {0}]
+            vb, gb = self.b._vgrad(b)
+            nb = qd_smooth(-gb)
         return va - vb, qd_add(qa, nb)
 
     def _fmt(self):
@@ -236,9 +305,6 @@ class Sub(Expr):
 
     def _kink(self, point, params):
         return min(self.a._kink(point, params), self.b._kink(point, params))
-
-    def _piecewise(self):
-        return self.a._piecewise() or self.b._piecewise()
 
 
 @dataclass(frozen=True)
@@ -249,22 +315,24 @@ class Mul(Expr):
     def evaluate(self, point, params=None):
         return self.a.evaluate(point, params) * self.b.evaluate(point, params)
 
-    def _vqd(self, b):
+    def __post_init__(self):
+        self._inherit_piecewise(self.a, self.b)
+
+    def _vgrad(self, b):
+        va, ga = self.a._vgrad(b)
+        vb, gb = self.b._vgrad(b)
+        return va * vb, va * gb + vb * ga
+
+    def _vqd_pair(self, b):
         va, qa = self.a._vqd(b)
         vb, qb = self.b._vqd(b)
-        out = qd_mul(qa, qb, va, vb)
-        if not (self.a._piecewise() or self.b._piecewise()):
-            out = absorb_singleton_sup(out)
-        return va * vb, out
+        return va * vb, qd_mul(qa, qb, va, vb)
 
     def _fmt(self):
         return f"{_wrap(self.a, _MUL)} * {_wrap(self.b, _MUL)}", _MUL
 
     def _kink(self, point, params):
         return min(self.a._kink(point, params), self.b._kink(point, params))
-
-    def _piecewise(self):
-        return self.a._piecewise() or self.b._piecewise()
 
 
 _SMOOTH_KINDS = ("sin", "cos", "exp", "pow")
@@ -284,6 +352,7 @@ class SmoothUnary(Expr):
                 raise ArityError("pow needs an integer exponent k >= 1")
         elif self.k is not None:
             raise ExpressionError(f"{self.kind} takes no exponent")
+        self._inherit_piecewise(self.child)
 
     def evaluate(self, point, params=None):
         v = self.child.evaluate(point, params)
@@ -304,20 +373,22 @@ class SmoothUnary(Expr):
             return float(np.exp(v))
         return float(self.k) * v ** (self.k - 1)
 
-    def _vqd(self, b):
-        v, q = self.child._vqd(b)
+    def _value(self, v: float) -> float:
         if self.kind == "sin":
-            val = float(np.sin(v))
-        elif self.kind == "cos":
-            val = float(np.cos(v))
-        elif self.kind == "exp":
-            val = float(np.exp(v))
-        else:
-            val = v ** self.k
-        out = qd_scale(q, self._derivative(v))
-        if not self.child._piecewise():
-            out = absorb_singleton_sup(out)
-        return val, out
+            return float(np.sin(v))
+        if self.kind == "cos":
+            return float(np.cos(v))
+        if self.kind == "exp":
+            return float(np.exp(v))
+        return v ** self.k
+
+    def _vgrad(self, b):
+        v, g = self.child._vgrad(b)
+        return self._value(v), self._derivative(v) * g
+
+    def _vqd_pair(self, b):
+        v, q = self.child._vqd(b)
+        return self._value(v), qd_scale(q, self._derivative(v))
 
     def _fmt(self):
         inner = self.child._fmt()[0]
@@ -328,22 +399,20 @@ class SmoothUnary(Expr):
     def _kink(self, point, params):
         return self.child._kink(point, params)
 
-    def _piecewise(self):
-        return self.child._piecewise()
-
 
 @dataclass(frozen=True)
 class Abs(Expr):
     child: Expr
+    _piecewise = True
 
     def evaluate(self, point, params=None):
         return np.abs(self.child.evaluate(point, params))
 
-    def _vqd(self, b):
+    def _vqd_pair(self, b):
         v, q = self.child._vqd(b)
         out = qd_abs(q, v)
         # smooth argument: fold back to the co{+-grad} form
-        if not self.child._piecewise():
+        if not self.child._piecewise:
             out = absorb_singleton_sup(out)
         return abs(v), out
 
@@ -354,9 +423,6 @@ class Abs(Expr):
         own = float(np.abs(self.child.evaluate(point, params)))
         return min(own, self.child._kink(point, params))
 
-    def _piecewise(self):
-        return True
-
 
 def _gap(values) -> float:
     vals = sorted(values)
@@ -366,6 +432,7 @@ def _gap(values) -> float:
 @dataclass(frozen=True)
 class Max(Expr):
     children: tuple[Expr, ...]
+    _piecewise = True
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
@@ -375,7 +442,7 @@ class Max(Expr):
     def evaluate(self, point, params=None):
         return np.maximum.reduce([c.evaluate(point, params) for c in self.children])
 
-    def _vqd(self, b):
+    def _vqd_pair(self, b):
         items = [c._vqd(b) for c in self.children]
         val = max(v for v, _ in items)
         return val, qd_max(items)
@@ -389,13 +456,11 @@ class Max(Expr):
         own = _gap(vals)
         return min([own] + [c._kink(point, params) for c in self.children])
 
-    def _piecewise(self):
-        return True
-
 
 @dataclass(frozen=True)
 class Min(Expr):
     children: tuple[Expr, ...]
+    _piecewise = True
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
@@ -405,13 +470,13 @@ class Min(Expr):
     def evaluate(self, point, params=None):
         return np.minimum.reduce([c.evaluate(point, params) for c in self.children])
 
-    def _vqd(self, b):
+    def _vqd_pair(self, b):
         items = [c._vqd(b) for c in self.children]
         val = min(v for v, _ in items)
         out = qd_min(items)
         # tie among smooth branches: display concave-led, [{0}, co{grads}]
         if out.sup.nvertices > 1 and \
-                not any(c._piecewise() for c in self.children):
+                not any(c._piecewise for c in self.children):
             out = absorb_singleton_sub(out)
         return val, out
 
@@ -423,9 +488,6 @@ class Min(Expr):
         vals = [-float(c.evaluate(point, params)) for c in self.children]
         own = _gap(vals)
         return min([own] + [c._kink(point, params) for c in self.children])
-
-    def _piecewise(self):
-        return True
 
 
 def _format_number(x: float) -> str:

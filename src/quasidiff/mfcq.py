@@ -30,13 +30,9 @@ from .calculus import qd_plus_set
 from .expressions import Binding, qd_at
 from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
                        complement_basis, solve_lp, span_basis, support)
-from .regularity import SystemSpec
+from .regularity import BudgetExceededError, SystemSpec
 
 DET_BUDGET = 10 ** 6
-
-
-class BudgetExceededError(RuntimeError):
-    """A combinatorial enumeration exceeded its configured cap."""
 
 
 class InfeasiblePointError(ValueError):

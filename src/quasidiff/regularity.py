@@ -35,6 +35,10 @@ class RegularityError(ValueError):
     pass
 
 
+class BudgetExceededError(RuntimeError):
+    """A combinatorial enumeration exceeded its configured cap."""
+
+
 class NormKinkError(RegularityError):
     """Euclidean norm requested at a point where F(x,p) = y."""
 
@@ -371,7 +375,9 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     A candidate violation must exceed a resolution slack before it is
     re-checked with the refined distance and reported.  Points whose psi
     is below the sampling band are skipped: the raw oracle cannot resolve
-    ratios there.
+    ratios there.  The grid has target_grid^(l+m) * x_grid^n (target,
+    point) pairs; more than budget raise BudgetExceededError before any
+    evaluation.
     """
     if s.n > 3:
         raise RegularityError("grid verification is desk scale: n <= 3")
@@ -379,10 +385,17 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
         raise RegularityError("grid sizes must be odd so the center is sampled")
     if K <= 0 or r <= 0:
         raise RegularityError("K and r must be positive")
+    l, m = len(s.equalities), len(s.inequalities)
+    count = target_grid ** (l + m) * x_grid ** s.n
+    if count > budget:
+        size = (str(count) if count < 10 ** 18
+                else f"at least 1e{len(str(count)) - 1}")
+        raise BudgetExceededError(
+            f"regcheck grid of {target_grid}^{l + m} targets x {x_grid}^{s.n} "
+            f"points = {size} exceeds the budget {budget}")
     from scipy.spatial import cKDTree
 
     center = np.asarray(center, dtype=float)
-    l, m = len(s.equalities), len(s.inequalities)
     axes = [_axis(c, r, x_grid) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     xpts = np.stack(mesh, axis=-1).reshape(-1, s.n)

@@ -444,6 +444,18 @@ class TestExitCodes:
         assert "budget cut the sweep after 1 of 4 selections" in r.stdout
         assert "agreement: undetermined" in r.stdout
 
+    def test_regcheck_grid_over_budget_is_one(self, tmp_path):
+        # 11^12 targets x 21 points, refused before any evaluation
+        f = tmp_path / "g.prob"
+        f.write_text("[problem]\nn = 1\n" + "equality = --x1\n" * 12 +
+                     "[point]\nx = 0\n[check]\nK = 2\nr = 0.1\n")
+        r = run_cli("regcheck", str(f))
+        assert_equal(r.returncode, 1)
+        assert_equal(r.stdout, "")
+        assert_equal(r.stderr, "error: regcheck grid of 11^12 targets x "
+                     "21^1 points = 65906995911141 exceeds the budget "
+                     "1000000\n")
+
     def test_unbound_parameter_is_two(self, tmp_path):
         f = tmp_path / "u.prob"
         f.write_text("[problem]\nn = 1\nequality = sin(q*x1)\n"

@@ -1,0 +1,286 @@
+"""Forward-mode differentiation of smooth subtrees changes no byte.
+
+reference_vqd applies the pair algebra at every node, smooth or not, and
+folds smooth-led pairs back with absorb_singleton_sup.  The tests compare
+its value and vertex arrays with qd_value_at's by their bytes.
+"""
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.testing import assert_equal
+
+from quasidiff import geometry
+from quasidiff.calculus import (absorb_singleton_sub, absorb_singleton_sup,
+                                qd_abs, qd_add, qd_max, qd_min, qd_mul,
+                                qd_scale, qd_smooth, qd_zero)
+from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Min, Mul,
+                                   Neg, Param, SmoothUnary, Sub,
+                                   UnboundParameterError, Var,
+                                   parse_expression, qd_at, qd_value_at)
+from quasidiff.geometry import GeometryError
+from quasidiff.optimality import build_penalty
+from quasidiff.problemfile import load, loads
+from quasidiff.regularity import psi_expr
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _reference_piecewise(e) -> bool:
+    if isinstance(e, (Abs, Max, Min)):
+        return True
+    if isinstance(e, (Neg, SmoothUnary)):
+        return _reference_piecewise(e.child)
+    if isinstance(e, (Add, Sub, Mul)):
+        return _reference_piecewise(e.a) or _reference_piecewise(e.b)
+    return False
+
+
+def reference_vqd(e, b):
+    """The pair walk of every node type, one polytope pair per node."""
+    if isinstance(e, Var):
+        n = b.n
+        g = np.zeros(n)
+        g[e.index - 1] = 1.0
+        return float(b.point[e.index - 1]), qd_smooth(g)
+    if isinstance(e, Param):
+        if e.name not in b.params:
+            raise UnboundParameterError(e.name)
+        return float(b.params[e.name]), qd_zero(b.n)
+    if isinstance(e, Const):
+        return float(e.value), qd_zero(b.n)
+    if isinstance(e, Neg):
+        v, q = reference_vqd(e.child, b)
+        out = qd_scale(q, -1.0)
+        if not _reference_piecewise(e.child):
+            out = absorb_singleton_sup(out)
+        return -v, out
+    if isinstance(e, Add):
+        va, qa = reference_vqd(e.a, b)
+        vb, qb = reference_vqd(e.b, b)
+        return va + vb, qd_add(qa, qb)
+    if isinstance(e, Sub):
+        va, qa = reference_vqd(e.a, b)
+        vb, qb = reference_vqd(e.b, b)
+        nb = qd_scale(qb, -1.0)
+        if not _reference_piecewise(e.b):
+            nb = absorb_singleton_sup(nb)
+        return va - vb, qd_add(qa, nb)
+    if isinstance(e, Mul):
+        va, qa = reference_vqd(e.a, b)
+        vb, qb = reference_vqd(e.b, b)
+        out = qd_mul(qa, qb, va, vb)
+        if not (_reference_piecewise(e.a) or _reference_piecewise(e.b)):
+            out = absorb_singleton_sup(out)
+        return va * vb, out
+    if isinstance(e, SmoothUnary):
+        v, q = reference_vqd(e.child, b)
+        if e.kind == "sin":
+            val = float(np.sin(v))
+        elif e.kind == "cos":
+            val = float(np.cos(v))
+        elif e.kind == "exp":
+            val = float(np.exp(v))
+        else:
+            val = v ** e.k
+        if e.kind == "sin":
+            d = float(np.cos(v))
+        elif e.kind == "cos":
+            d = float(-np.sin(v))
+        elif e.kind == "exp":
+            d = float(np.exp(v))
+        else:
+            d = float(e.k) * v ** (e.k - 1)
+        out = qd_scale(q, d)
+        if not _reference_piecewise(e.child):
+            out = absorb_singleton_sup(out)
+        return val, out
+    if isinstance(e, Abs):
+        v, q = reference_vqd(e.child, b)
+        out = qd_abs(q, v)
+        if not _reference_piecewise(e.child):
+            out = absorb_singleton_sup(out)
+        return abs(v), out
+    if isinstance(e, Max):
+        items = [reference_vqd(c, b) for c in e.children]
+        val = max(v for v, _ in items)
+        return val, qd_max(items)
+    items = [reference_vqd(c, b) for c in e.children]  # Min
+    val = min(v for v, _ in items)
+    out = qd_min(items)
+    if out.sup.nvertices > 1 and \
+            not any(_reference_piecewise(c) for c in e.children):
+        out = absorb_singleton_sub(out)
+    return val, out
+
+
+def assert_same_bytes(e, b):
+    want_v, want = reference_vqd(e, b)
+    got_v, got = qd_value_at(e, b)
+    assert np.float64(got_v).tobytes() == np.float64(want_v).tobytes()
+    for g, w in ((got.sub, want.sub), (got.sup, want.sup)):
+        assert_equal(g.vertices.shape, w.vertices.shape)
+        assert g.vertices.tobytes() == w.vertices.tobytes()
+
+
+def _file_cases(pf, extra_points=()):
+    """(expression, binding) pairs of a problem file: its functions, psi
+    at two targets and a penalty, at the file's point and extra_points."""
+    exprs = list(pf.equalities) + list(pf.inequalities)
+    if pf.objective is not None:
+        exprs.append(pf.objective)
+        if exprs[:-1]:
+            exprs.append(build_penalty(pf.program(), 2.0))
+    if pf.equalities or pf.inequalities:
+        s = pf.system()
+        l, m = len(s.equalities), len(s.inequalities)
+        for shift in (0.0, 0.25):
+            exprs.append(psi_expr(s, [shift] * l, [-shift] * m).expr)
+    x0 = pf.point if pf.point is not None else np.zeros(pf.n)
+    for x in [x0] + [x0 + np.asarray(h, dtype=float)[:pf.n]
+                     for h in extra_points]:
+        b = Binding(x, dict(pf.params))
+        for e in exprs:
+            yield e, b
+
+
+class TestSameBytesAsThePairWalk:
+
+    @pytest.mark.parametrize("name", ["cubic.prob", "penalty_demo.prob",
+                                      "sin_system.prob"])
+    def test_fixtures(self, name):
+        pf = load(str(PROBLEMS / name))
+        for e, b in _file_cases(pf, [(0.1, -0.2, 0.3), (-0.5, 0.5, 0.0)]):
+            assert_same_bytes(e, b)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_benchmark_generator_expressions(self, seed, load_perfbench):
+        load_perfbench("oracle")
+        gen = load_perfbench("gen")
+        count = 0
+        # the kink chains as their qd ops take them: at the file's point
+        for op in gen.qd_build(seed).ops:
+            pf = loads(op.text)
+            for e in pf.equalities:
+                assert_same_bytes(e, Binding(pf.point, {}))
+                count += 1
+        workload = gen.verdicts(seed)
+        for op in workload.ops + workload.warmup:
+            for e, b in _file_cases(loads(op.text), [(0.5, -0.5, 0.25, 0.0)]):
+                assert_same_bytes(e, b)
+                count += 1
+        assert count > 200
+
+    def test_random_trees_with_zeros_and_ties(self):
+        rng = random.Random(7)
+        stats = {"zero_factor": 0, "tie": 0, "smooth": 0}
+
+        def tree(n, depth):
+            if depth == 0 or rng.random() < 0.25:
+                r = rng.random()
+                if r < 0.6:
+                    return Var(rng.randint(1, n))
+                if r < 0.85:
+                    return Const(rng.choice([0.0, 1.0, -1.0, 0.5, 2.0]))
+                return Param("p")
+            kind = rng.choice(["sin", "cos", "exp", "pow", "neg", "sub",
+                               "mul", "mul", "add", "abs", "max", "min"])
+            if kind in ("sin", "cos", "exp"):
+                return SmoothUnary(kind, tree(n, depth - 1))
+            if kind == "pow":
+                return SmoothUnary("pow", tree(n, depth - 1),
+                                   rng.randint(1, 3))
+            if kind == "neg":
+                return Neg(tree(n, depth - 1))
+            if kind == "abs":
+                return Abs(tree(n, depth - 1))
+            if kind in ("max", "min"):
+                first = tree(n, depth - 1)
+                # repeat a branch now and then, so that it ties with itself
+                rest = [first if rng.random() < 0.3 else tree(n, depth - 1)
+                        for _ in range(rng.randint(1, 2))]
+                return (Max if kind == "max" else Min)((first, *rest))
+            a, c = tree(n, depth - 1), tree(n, depth - 1)
+            return {"sub": Sub, "mul": Mul, "add": Add}[kind](a, c)
+
+        def walk_stats(e, b):
+            if isinstance(e, Mul) and 0.0 in (
+                    float(e.a.evaluate(b.point, b.params)),
+                    float(e.b.evaluate(b.point, b.params))):
+                stats["zero_factor"] += 1
+            if isinstance(e, (Max, Min)):
+                vals = [float(c.evaluate(b.point, b.params))
+                        for c in e.children]
+                if len(set(vals)) < len(vals):
+                    stats["tie"] += 1
+            for c in (getattr(e, "children", ()) or
+                      [getattr(e, k) for k in ("child", "a", "b")
+                       if hasattr(e, k)]):
+                walk_stats(c, b)
+
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            e = tree(n, rng.randint(1, 5))
+            x = [rng.choice([0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
+                 for _ in range(n)]
+            b = Binding(np.array(x), {"p": rng.choice([0.0, 1.5])})
+            stats["smooth"] += not e._piecewise
+            with np.errstate(all="ignore"):
+                try:
+                    reference_vqd(e, b)
+                except GeometryError:
+                    with pytest.raises(GeometryError):
+                        qd_value_at(e, b)
+                    continue
+                walk_stats(e, b)
+                assert_same_bytes(e, b)
+        assert stats["zero_factor"] > 50 and stats["tie"] > 50
+        assert stats["smooth"] > 50
+
+    def test_non_finite_gradient_still_raises(self):
+        # exp(exp(x1)) at 7 overflows to inf, and the gradient with it
+        e = parse_expression("x2 * exp(exp(x1))", 2)
+        b = Binding(np.array([7.0, 0.0]), {})
+        with np.errstate(all="ignore"):
+            with pytest.raises(GeometryError, match="must be finite"):
+                reference_vqd(e, b)
+            with pytest.raises(GeometryError, match="must be finite"):
+                qd_at(e, b)
+
+    def test_unbound_parameter_in_a_smooth_subtree(self):
+        e = parse_expression("sin(q*x1) - x2", 2)
+        with pytest.raises(UnboundParameterError, match="'q'"):
+            qd_at(e, Binding(np.zeros(2), {}))
+
+
+class TestPolytopeBuilds:
+    """Only the root of a smooth subtree and the kink nodes build
+    polytopes; counted at geometry._canonical, which every Polytope
+    construction runs once."""
+
+    def count(self, monkeypatch, text, n, x):
+        calls = []
+        canonical = geometry._canonical
+
+        def counted(points):
+            calls.append(1)
+            return canonical(points)
+
+        monkeypatch.setattr(geometry, "_canonical", counted)
+        qd_at(parse_expression(text, n), Binding(np.asarray(x, float), {}))
+        return len(calls)
+
+    def test_smooth_expression_builds_one_pair(self, monkeypatch):
+        assert_equal(self.count(monkeypatch, "pow(x1, 3)*sin(x2) - 2*x1",
+                                2, [0.5, -1.0]), 2)
+
+    @pytest.mark.parametrize("x", [[0.5, -1.0], [0.0, 0.0]])
+    def test_abs_of_a_smooth_argument(self, monkeypatch, x):
+        # qd_smooth 2, the negated branch 2 and the absorb step 2; at the
+        # tie (x = 0) qd_max adds the sup sum, two shifted pieces of 2
+        # and their hull
+        want = 12 if x == [0.0, 0.0] else 6
+        assert_equal(self.count(monkeypatch, "abs(pow(x1, 3)*sin(x2) - x1)",
+                                2, x), want)

@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
 from quasidiff.calculus import Quasidifferential, steepest_rate
-from quasidiff.expressions import Binding, parse_expression
+from quasidiff.expressions import (Binding, UnboundParameterError,
+                                   parse_expression)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.problemfile import load
-from quasidiff.regularity import (NormKinkError, RegularityError, SystemSpec,
+from quasidiff.regularity import (BudgetExceededError, NormKinkError,
+                                  RegularityError, SystemSpec,
                                   check_condition4, decay_flag, margin_infima,
                                   psi_expr, sampled_strong_slope,
                                   solution_distance, verify_regularity_grid)
@@ -236,6 +238,19 @@ class TestRegularityGrid(TestCase):
                                      scan_radius=0.8, budget=10 ** 5)
         assert not rep.certified
         assert rep.violators and rep.worst_ratio > 5.0
+
+    def test_grid_over_budget_refused_before_evaluation(self):
+        # 3^2 targets x 3 points = 27; the unbound q would fail evaluation
+        f = parse_expression("q*x1", 1)
+        s = SystemSpec(1, (f, f))
+        with pytest.raises(BudgetExceededError,
+                           match=r"3\^2 targets x 3\^1 points = 27 exceeds "
+                                 "the budget 26"):
+            verify_regularity_grid(s, [0.0], K=1.0, r=0.5, x_grid=3,
+                                   target_grid=3, budget=26)
+        with pytest.raises(UnboundParameterError):
+            verify_regularity_grid(s, [0.0], K=1.0, r=0.5, x_grid=3,
+                                   target_grid=3, budget=27)
 
     def test_even_grid_rejected(self):
         with pytest.raises(RegularityError):
