@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import dd
+from .calculus import dd, steepest_rate
 from .expressions import Binding, ExpressionError, qd_at
 from .geometry import FEAS_TOL, Polytope
 from .mfcq import (DET_BUDGET, BudgetExceededError, InfeasiblePointError,
@@ -28,8 +28,7 @@ from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, _finite, load
 from .regularity import (RegularityError, decay_flag, margin_infima,
-                         psi_expr, sampled_strong_slope,
-                         verify_regularity_grid)
+                         psi_expr, verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
 _NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "tol")
@@ -161,6 +160,18 @@ def cmd_qd(args) -> tuple[list, dict, int]:
 
 
 def cmd_slope(args) -> tuple[list, dict, int]:
+    """Exact strong slope of psi = psi_{y,z} at the point.
+
+    Grammar functions are locally Lipschitz and directionally
+    differentiable, so psi(x + t d) = psi(x) + t psi'(x; d) + o(t)
+    uniformly in |d| = 1, and the slope is max(0, -min_{|d|=1} psi'(x; d)).
+    With psi'(x; d) = max_U <u, d> + min_V <v, d> that is
+    max_{v in V} max(0, max_{|d|=1} -max_{u in U + v} <u, d>)
+    = max_{v in V} d(0, U + v), the vertex margin of steepest_rate.
+    At psi(x) = 0 the point minimises psi >= 0, so the slope is 0 and no
+    quasidifferential is taken; a margin within FEAS_TOL prints 0, the cut
+    `contains` uses.
+    """
     pf = load(args.file)
     s = pf.system()
     x = _point_at(pf, args)
@@ -174,23 +185,31 @@ def cmd_slope(args) -> tuple[list, dict, int]:
     else:
         y = list(pf.check.y) if pf.check.y is not None else [0.0] * l
         z = list(pf.check.z) if pf.check.z is not None else [0.0] * m
-    norm = pf.check.norm or "l1"
-    psi = psi_expr(s, y, z, norm)
+    psi = psi_expr(s, y, z)
     value = float(psi.value(x))
-    slope = float(sampled_strong_slope(psi.value, x, seed=args.seed))
+    if value == 0.0:
+        slope, witness = 0.0, None
+        method = "exact (psi = 0 is its minimum)"
+    else:
+        margin, w = steepest_rate(psi.qd(x))
+        slope = float(margin) if margin > FEAS_TOL else 0.0
+        witness = _floats(w)
+        method = "exact (vertex margin)"
 
     lines: list = []
     payload: dict = {}
     _header(args, lines, payload)
     lines.append(f"point: {_vec(x)}")
     _params_line(pf.params, lines)
-    lines.append(f"norm: {norm}")
+    lines.append("norm: l1")
     lines.append(f"target y: {_vec(y) if y else '()'}")
     lines.append(f"target z: {_vec(z) if z else '()'}")
     lines.append(f"psi at point: {_g(value)}")
     lines.append(f"slope estimate: {_g(slope)}")
-    payload.update(point=_floats(x), params=dict(pf.params), norm=norm,
-                   target_y=y, target_z=z, psi=value, slope=slope)
+    lines.append(f"slope method: {method}")
+    payload.update(point=_floats(x), params=dict(pf.params), norm="l1",
+                   target_y=y, target_z=z, psi=value, slope=slope,
+                   slope_method=method, slope_witness=witness)
     return lines, payload, 0
 
 
@@ -259,8 +278,7 @@ def cmd_regcheck(args) -> tuple[list, dict, int]:
 
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
-    infima = margin_infima(s, center, seed=args.seed,
-                           norm=pf.check.norm or "l1")
+    infima = margin_infima(s, center, seed=args.seed)
     rep.margin_infima.extend(infima)
     rep.nonregularity_consistent = decay_flag(infima)
 
@@ -444,7 +462,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", metavar="PATH",
                         help="write a machine-readable sidecar")
         sp.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default 0)")
+                        help="seeds regcheck's margin shells only "
+                             "(default 0)")
         sp.add_argument("--tol", type=float, default=FEAS_TOL,
                         help="feasibility/active tolerance (default 1e-9)")
 
@@ -456,7 +475,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--dir", action="append", nargs="+", type=float,
                     metavar="H", help="direction for a dd value; repeatable")
 
-    sp = sub.add_parser("slope", help="sampled strong slope of the "
+    sp = sub.add_parser("slope", help="exact strong slope of the "
                                       "target-distance function")
     common(sp)
     sp.add_argument("--at", nargs="+", type=float, metavar="X")

@@ -68,7 +68,6 @@ class CheckSettings:
     scan_radius: Optional[float] = None
     budget: Optional[int] = None
     c: Optional[tuple[float, ...]] = None
-    norm: Optional[str] = None
     y: Optional[tuple[float, ...]] = None
     z: Optional[tuple[float, ...]] = None
 
@@ -234,13 +233,15 @@ def loads(text: str) -> ProblemFile:
             if key == "c" and not fields[key]:
                 raise ProblemFileError("c needs at least one number", lineno)
         elif key == "norm":
-            if value not in ("l1", "l2"):
-                raise ProblemFileError(f"norm must be l1 or l2, got {value!r}",
+            # psi is the l1 scalarization; the key stays valid for old files
+            if value != "l1":
+                raise ProblemFileError(f"norm must be l1, got {value!r}",
                                        lineno)
-            fields[key] = value
+            fields[key] = value  # kept only to catch a duplicate
         else:
             raise ProblemFileError(f"unknown [check] key {key!r}", lineno)
 
+    fields.pop("norm", None)
     return ProblemFile(n, objective, tuple(equalities), tuple(inequalities),
                        params, point, CheckSettings(**fields))
 

@@ -3,13 +3,15 @@
 A system is F(x, p) = y (equalities) together with g(x, p) <= z
 (inequalities).  The scalarization
 
-    psi_{y,z}(x) = ||F(x,p) - y|| + sum_i max(g_i(x,p) - z_i, 0)
+    psi_{y,z}(x) = sum_j |F_j(x,p) - y_j| + sum_i max(g_i(x,p) - z_i, 0)
 
 measures how far (y, z) is from the image set at x.  The sufficient
 condition implemented by check_condition4 asks for a superdifferential
-vertex w* with d(0, sub + w*) > 1/K; when the margin is positive it
-equals the strong slope of psi at x, so it is independent of the
-quasidifferential representative.
+vertex w* with d(0, sub + w*) > 1/K.  The vertex margin max_w d(0, sub + w)
+is the strong slope of psi at x (the proof is in cli.cmd_slope), so it is
+independent of the quasidifferential representative.  The grid check and
+the margin shells of margin_infima are sampled; sampled_strong_slope is a
+ring-sampled slope kept as an independent reference for the tests.
 
 Everything here is desk scale: n <= 3 for the grid oracle, vertex
 enumeration everywhere, deterministic seeds.
@@ -23,11 +25,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import Quasidifferential, absorb_singleton_sup, qd_add, \
-    qd_scale, steepest_rate
+from .calculus import Quasidifferential, steepest_rate
 from .expressions import Abs, Add, Binding, Const, Expr, Max, Sub, qd_at
 
-KINK_TOL = 1e-9
 SLOPE_DIRECTIONS = 256
 
 
@@ -37,13 +37,6 @@ class RegularityError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A combinatorial enumeration exceeded its configured cap."""
-
-
-class NormKinkError(RegularityError):
-    """Euclidean norm requested at a point where F(x,p) = y."""
-
-    def __init__(self):
-        super().__init__("norm-kink: use l1 or the sampling oracle")
 
 
 @dataclass(frozen=True)
@@ -81,27 +74,18 @@ class SystemSpec:
 class PsiFunction:
     """Scalarized distance-to-target function with value and qd access."""
 
-    def __init__(self, system: SystemSpec, y, z, norm: str = "l1"):
-        if norm not in ("l1", "l2"):
-            raise RegularityError(f"unknown norm '{norm}'")
+    def __init__(self, system: SystemSpec, y, z):
         self.system = system
         self.y, self.z = system.targets(y, z)
-        self.norm = norm
-        self.expr: Expr | None = None
-        if norm == "l1" or len(system.equalities) <= 1:
-            self.expr = self._build_l1()
-
-    def _build_l1(self) -> Expr:
-        s = self.system
         terms: list[Expr] = []
-        for f, yj in zip(s.equalities, self.y):
+        for f, yj in zip(system.equalities, self.y):
             terms.append(Abs(Sub(f, Const(float(yj)))))
-        for g, zi in zip(s.inequalities, self.z):
+        for g, zi in zip(system.inequalities, self.z):
             terms.append(Max((Sub(g, Const(float(zi))), Const(0.0))))
         out = terms[0]
         for t in terms[1:]:
             out = Add(out, t)
-        return out
+        self.expr = out
 
     def value(self, x) -> float:
         s = self.system
@@ -110,40 +94,15 @@ class PsiFunction:
         gvals = np.array([g.evaluate(x, s.params) for g in s.inequalities], dtype=float)
         res = fvals - self.y if fvals.size else np.zeros(0)
         pen = np.sum(np.maximum(gvals - self.z, 0.0)) if gvals.size else 0.0
-        if self.norm == "l1":
-            return float(np.sum(np.abs(res)) + pen)
-        return float(np.linalg.norm(res) + pen)
+        return float(np.sum(np.abs(res)) + pen)
 
     def qd(self, x) -> Quasidifferential:
-        b = self.system.binding(x)
-        if self.expr is not None:
-            return qd_at(self.expr, b)
-        # Euclidean norm of a genuinely vector residual: smooth composition
-        s = self.system
-        resid = np.array([float(f.evaluate(b.point, s.params)) for f in s.equalities])
-        resid = resid - self.y
-        nrm = float(np.linalg.norm(resid))
-        if nrm <= KINK_TOL:
-            raise NormKinkError()
-        parts: list[Quasidifferential] = []
-        for f, rj in zip(s.equalities, resid):
-            parts.append(qd_scale(qd_at(f, b), rj / nrm))
-        for g, zi in zip(s.inequalities, self.z):
-            parts.append(qd_at(Max((Sub(g, Const(float(zi))), Const(0.0))), b))
-        out = parts[0]
-        for p in parts[1:]:
-            out = qd_add(out, p)
-        return absorb_singleton_sup(out)
+        return qd_at(self.expr, self.system.binding(x))
 
 
-def psi_expr(s: SystemSpec, y=None, z=None, norm: str = "l1") -> PsiFunction:
-    """Build the scalarization psi_{y,z} for the system.
-
-    norm = "l2" is refused at points where F(x,p) = y (the norm kink);
-    with a single equality the two norms coincide and the expression
-    route is used for both.
-    """
-    return PsiFunction(s, y, z, norm)
+def psi_expr(s: SystemSpec, y=None, z=None) -> PsiFunction:
+    """Build the scalarization psi_{y,z} for the system."""
+    return PsiFunction(s, y, z)
 
 
 class Condition4Result(NamedTuple):
@@ -170,7 +129,9 @@ def sampled_strong_slope(fn: Callable[[np.ndarray], float], x,
     Ring sampling over ten radii halving from 1e-2; each ring takes the
     maximum positive difference quotient over a deterministic set of
     SLOPE_DIRECTIONS directions (two in R^1) plus 32 seeded random ones;
-    the estimate is the median of the last three rings.
+    the estimate is the median of the last three rings.  No command calls
+    it: `slope` prints the exact vertex margin, and the tests use this
+    estimate as an independent reference for it.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -466,8 +427,8 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     return report
 
 
-def margin_infima(s: SystemSpec, center, y=None, z=None, *, seed: int = 0,
-                  norm: str = "l1") -> list[tuple[float, float, int]]:
+def margin_infima(s: SystemSpec, center, y=None, z=None, *,
+                  seed: int = 0) -> list[tuple[float, float, int]]:
     """Infimum of condition-4 margins over shrinking sampling shells.
 
     Supports the 'consistent with non-regularity' label: margins that
@@ -488,7 +449,7 @@ def margin_infima(s: SystemSpec, center, y=None, z=None, *, seed: int = 0,
             xs = center + rho * rng.uniform(-1.0, 1.0, size=s.n)
             ys = y0 + rho * rng.uniform(-1.0, 1.0, size=y0.shape)
             zs = z0 + rho * rng.uniform(-1.0, 1.0, size=z0.shape)
-            psi = psi_expr(s, ys, zs, norm=norm)
+            psi = psi_expr(s, ys, zs)
             if psi.value(xs) <= 1e-9:
                 continue
             valid += 1

@@ -14,7 +14,7 @@ from quasidiff.cli import main
 from quasidiff.expressions import MAX_DEPTH
 from quasidiff.problemfile import (MAX_CONSTRAINTS, ProblemFileError, load,
                                    loads)
-from quasidiff.regularity import psi_expr
+from quasidiff.regularity import PsiFunction, psi_expr
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -45,7 +45,7 @@ target_grid = 11
 scan_radius = 1.0
 budget = 1000
 c = 0.5 1 2
-norm = l2
+norm = l1
 y = 0 0
 z = 0
 """
@@ -99,7 +99,7 @@ class TestProblemFileParsing:
         assert_allclose(pf.point, [0.0, 0.0])
         c = pf.check
         assert_equal((c.k, c.r, c.grid, c.target_grid), (2.0, 0.5, 21, 11))
-        assert_equal((c.scan_radius, c.budget, c.norm), (1.0, 1000, "l2"))
+        assert_equal((c.scan_radius, c.budget), (1.0, 1000))
         assert_equal(c.c, (0.5, 1.0, 2.0))
         assert_equal((c.y, c.z), ((0.0, 0.0), (0.0,)))
 
@@ -172,7 +172,8 @@ class TestProblemFileParsing:
     def test_check_validation(self):
         with pytest.raises(ProblemFileError, match="grid must be an integer"):
             loads("[problem]\nn = 1\n[check]\ngrid = 2.5\n")
-        with pytest.raises(ProblemFileError, match="norm must be l1 or l2"):
+        with pytest.raises(ProblemFileError,
+                           match="norm must be l1, got 'sup'"):
             loads("[problem]\nn = 1\n[check]\nnorm = sup\n")
         with pytest.raises(ProblemFileError, match=r"unknown \[check\] key"):
             loads("[problem]\nn = 1\n[check]\nfanciness = 11\n")
@@ -291,14 +292,63 @@ class TestSlopeReport:
         lines = text.splitlines()
         assert "psi at point: 0" in lines
         assert "slope estimate: 0" in lines
+        assert "slope method: exact (psi = 0 is its minimum)" in lines
         assert "norm: l1" in lines
         assert_allclose((payload["psi"], payload["slope"]), (0.0, 0.0))
+        assert_equal((payload["slope_method"], payload["slope_witness"]),
+                     ("exact (psi = 0 is its minimum)", None))
 
     def test_explicit_target(self):
         r = run_cli("slope", str(PROBLEMS / "cubic.prob"),
                     "--target", "0.008")
         assert r.returncode == 0
         assert "target y: (0.008)" in r.stdout
+        # psi = |x^3 - 0.008| is flat at 0; ring sampling read 1.5e-9
+        lines = r.stdout.splitlines()
+        assert "slope estimate: 0" in lines
+        assert "slope method: exact (vertex margin)" in lines
+
+    def test_sin_system_slope_is_sqrt_10(self, capsys):
+        # near 0, psi = 0.6 - (3 x1 + x2) + o(|x|); ring sampling read
+        # 3.16226628167
+        assert_equal(main(["slope", str(PROBLEMS / "sin_system.prob"),
+                           "--target", "0.3", "0.3"]), 0)
+        assert "slope estimate: 3.16227766017" in (
+            capsys.readouterr().out.splitlines())
+
+    def test_linear_residuals_slope_is_the_signed_gradient_sum(
+            self, tmp_path, capsys):
+        # near 0, sum_j |a_j x - y_j| = sum_j |y_j| - sum_j sign(y_j) a_j x
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4):
+            for trial in range(5):
+                l = int(rng.integers(1, 4))
+                a = rng.uniform(-2.0, 2.0, (l, n))
+                y = rng.choice((-1.0, 1.0), l) * rng.uniform(0.1, 1.0, l)
+                f = tmp_path / f"lin{n}_{trial}.prob"
+                f.write_text(f"[problem]\nn = {n}\n" + "".join(
+                    "equality = " + " + ".join(
+                        f"{float(c)!r}*x{i + 1}" for i, c in enumerate(row)) + "\n"
+                    for row in a) + "[point]\nx = " + " ".join(["0"] * n)
+                    + "\n")
+                sidecar = tmp_path / "lin.json"
+                assert_equal(main(["slope", str(f), "--target",
+                                   *(repr(float(v)) for v in y),
+                                   "--json", str(sidecar)]),
+                             0)
+                capsys.readouterr()
+                got = json.loads(sidecar.read_text())["slope"]
+                want = np.linalg.norm(np.sign(y) @ a)
+                assert abs(got - want) <= 1e-12, (n, trial, got, want)
+
+    def test_zero_psi_takes_no_quasidifferential(self, capsys, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("qd taken at psi = 0")
+        monkeypatch.setattr(PsiFunction, "qd", refuse)
+        assert_equal(main(["slope", str(PROBLEMS / "sin_system.prob")]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert "slope estimate: 0" in lines
+        assert "slope method: exact (psi = 0 is its minimum)" in lines
 
 
 class TestRegcheckReport:
@@ -537,6 +587,8 @@ BAD_CHECK_LINES = [
      "line 8: target_grid must be odd, got '2'"),
     ("regcheck", "K = 0", "line 8: k must be positive, got '0'"),
     ("regcheck", "r = -1", "line 8: r must be positive, got '-1'"),
+    # psi is the l1 scalarization; the l2 norm was removed
+    ("slope", "norm = l2", "line 8: norm must be l1, got 'l2'"),
     # an empty ladder is not the default ladder
     ("optcheck", "c =", "line 8: c needs at least one number"),
 ]

@@ -9,11 +9,11 @@ from quasidiff.expressions import (Binding, UnboundParameterError,
                                    parse_expression)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.problemfile import load
-from quasidiff.regularity import (BudgetExceededError, NormKinkError,
-                                  RegularityError, SystemSpec,
-                                  check_condition4, decay_flag, margin_infima,
-                                  psi_expr, sampled_strong_slope,
-                                  solution_distance, verify_regularity_grid)
+from quasidiff.regularity import (BudgetExceededError, RegularityError,
+                                  SystemSpec, check_condition4, decay_flag,
+                                  margin_infima, psi_expr,
+                                  sampled_strong_slope, solution_distance,
+                                  verify_regularity_grid)
 
 SQ2 = np.sqrt(2.0)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -59,28 +59,6 @@ class TestPsiAssembly(TestCase):
         assert_allclose(psi.value([0.0, 0.0]), 0.0)
         q = psi.qd(np.zeros(2))
         assert_allclose(steepest_rate(q)[0], 0.0, atol=1e-12)
-
-    def test_l2_refused_at_norm_kink(self):
-        s = SystemSpec(2, (parse_expression("x1", 2),
-                           parse_expression("x2", 2)))
-        with pytest.raises(NormKinkError):
-            psi_expr(s, [0.0, 0.0], norm="l2").qd(np.zeros(2))
-
-    def test_l2_smooth_composition_off_kink(self):
-        s = SystemSpec(2, (parse_expression("x1", 2),
-                           parse_expression("x2", 2)))
-        q = psi_expr(s, [0.3, 0.0], norm="l2").qd(np.zeros(2))
-        # gradient of ||x - (0.3, 0)|| at the origin
-        assert_allclose(q.sub.vertices, [[-1.0, 0.0]], atol=1e-12)
-
-    def test_single_equality_l2_equals_l1(self):
-        q1 = psi_expr(ABS_DIFF, [0.5], norm="l1").qd(np.zeros(2))
-        q2 = psi_expr(ABS_DIFF, [0.5], norm="l2").qd(np.zeros(2))
-        assert q1.sub == q2.sub and q1.sup == q2.sup
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(RegularityError):
-            psi_expr(ABS_DIFF, [0.0], norm="sup")
 
 
 class TestCondition4(TestCase):

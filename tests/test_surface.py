@@ -72,3 +72,19 @@ def test_commands_without_lp_load_no_scipy():
             for a in (command, str(ROOT / "problems" / name))]
     assert_equal(run_python(RUN_CLI, *args).splitlines(),
                  [f"{command} {name} 0 []" for command, name in runs])
+
+
+def test_slope_off_the_solution_set_loads_no_scipy():
+    # psi > 0 at the point, so the slope comes from the vertex margin,
+    # which projects with Wolfe's algorithm and needs no LP
+    code = f"""
+import contextlib, io, sys
+from quasidiff.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+lines = out.getvalue().splitlines()
+print(code, "slope method: exact (vertex margin)" in lines, {SCIPY_LOADED})
+"""
+    cubic = str(ROOT / "problems" / "cubic.prob")
+    assert_equal(run_python(code, "slope", cubic, "--target", "0.008"),
+                 "0 True []\n")
