@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -27,7 +28,8 @@ from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          estimate_c_star, feasibility_violations,
                          qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, _finite, load
-from .regularity import (RegularityError, decay_flag, margin_infima,
+from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
+                         RegularityError, decay_flag, margin_infima,
                          psi_expr, verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
@@ -271,10 +273,10 @@ def cmd_regcheck(args) -> tuple[list, dict, int]:
     if K is None or r is None:
         raise ProblemFileError("regcheck needs K and r "
                                "(flags --K/--r or [check] K/r)")
-    x_grid = _given(args.grid, _given(pf.check.grid, 21))
-    target_grid = _given(pf.check.target_grid, 11)
-    scan_radius = _given(pf.check.scan_radius, 1.0)
-    budget = _given(pf.check.budget, 10 ** 6)
+    x_grid = _given(args.grid, _given(pf.check.grid, X_GRID))
+    target_grid = _given(pf.check.target_grid, TARGET_GRID)
+    scan_radius = _given(pf.check.scan_radius, SCAN_RADIUS)
+    budget = _given(pf.check.budget, GRID_BUDGET)
 
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
@@ -450,8 +452,23 @@ _INPUT_ERRORS = (ProblemFileError, ExpressionError, InfeasiblePointError,
                  RegularityError, OptimalityError)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with the CLI's error contract: a rejected command line is
+    a ProblemFileError, which main prints as one line with exit 2, and a
+    negative number in exponent notation, such as -8.5e-16, is a flag
+    value, not an option (argparse's own pattern has no exponent)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+    def error(self, message):
+        raise ProblemFileError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="quasidiff",
         description="quasidifferential analysis of expression-defined "
                     "functions")
@@ -507,8 +524,8 @@ _COMMANDS = {"qd": cmd_qd, "slope": cmd_slope, "mfcq": cmd_mfcq,
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         # numpy overflow would otherwise give inf with a warning only
         with np.errstate(over="raise"):
             _check_flags(args)

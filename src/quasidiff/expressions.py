@@ -76,7 +76,7 @@ class ExprSyntaxError(ExpressionError):
         self.offset = offset
 
 
-class UnknownIdentifierError(ExpressionError):
+class _LocatedError(ExpressionError):
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (at byte {offset})"
@@ -84,12 +84,12 @@ class UnknownIdentifierError(ExpressionError):
         self.offset = offset
 
 
-class ArityError(ExpressionError):
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (at byte {offset})"
-        super().__init__(message)
-        self.offset = offset
+class UnknownIdentifierError(_LocatedError):
+    pass
+
+
+class ArityError(_LocatedError):
+    pass
 
 
 class UnboundParameterError(ExpressionError):
@@ -120,9 +120,14 @@ _ADD, _MUL, _PREFIX, _ATOM = 1, 2, 3, 4
 class Expr:
     """Base node.  Subclasses are frozen dataclasses; trees are values."""
 
-    # whether the subtree contains an abs, max or min node; composite
-    # nodes set it at construction from their children
+    # whether the subtree contains an abs, max or min node; Abs, Max and
+    # Min set it on the class, every other node at construction from its
+    # operands
     _piecewise = False
+
+    def __post_init__(self):
+        if any(c._piecewise for c in _operands(self)):
+            object.__setattr__(self, "_piecewise", True)
 
     def evaluate(self, point, params=None):
         """Evaluate at point (shape (..., n)); broadcasts over batches."""
@@ -144,23 +149,35 @@ class Expr:
         """Value and quasidifferential of a subtree with a kink."""
         raise NotImplementedError
 
-    def _inherit_piecewise(self, *children: "Expr") -> None:
-        object.__setattr__(self, "_piecewise",
-                           any(c._piecewise for c in children))
-
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
 
     def to_text(self) -> str:
         return self._fmt()[0]
 
-    def _kink(self, point, params) -> float:
-        return np.inf
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    """The subtrees directly below e, in order."""
+    if isinstance(e, (Add, Sub, Mul)):
+        return e.a, e.b
+    if isinstance(e, (Neg, SmoothUnary, Abs)):
+        return (e.child,)
+    if isinstance(e, (Max, Min)):
+        return e.children
+    return ()
 
 
 def _wrap(child: Expr, minlevel: int) -> str:
     s, lvl = child._fmt()
     return f"({s})" if lvl < minlevel else s
+
+
+def _broadcast(value, point):
+    """A value free of x as evaluate returns it: the scalar at a point, an
+    array of copies over a batch."""
+    point = np.asarray(point, dtype=float)
+    return np.broadcast_to(value, point.shape[:-1]).copy() \
+        if point.ndim > 1 else value
 
 
 @dataclass(frozen=True)
@@ -191,9 +208,7 @@ class Param(Expr):
         params = params or {}
         if self.name not in params:
             raise UnboundParameterError(self.name)
-        point = np.asarray(point, dtype=float)
-        return np.broadcast_to(float(params[self.name]), point.shape[:-1]).copy() \
-            if point.ndim > 1 else float(params[self.name])
+        return _broadcast(float(params[self.name]), point)
 
     def _vgrad(self, b):
         if self.name not in b.params:
@@ -209,9 +224,7 @@ class Const(Expr):
     value: float
 
     def evaluate(self, point, params=None):
-        point = np.asarray(point, dtype=float)
-        return np.broadcast_to(self.value, point.shape[:-1]).copy() \
-            if point.ndim > 1 else self.value
+        return _broadcast(self.value, point)
 
     def _vgrad(self, b):
         return float(self.value), np.zeros(b.n)
@@ -227,9 +240,6 @@ class Neg(Expr):
     def evaluate(self, point, params=None):
         return -self.child.evaluate(point, params)
 
-    def __post_init__(self):
-        self._inherit_piecewise(self.child)
-
     def _vgrad(self, b):
         v, g = self.child._vgrad(b)
         return -v, -g
@@ -241,9 +251,6 @@ class Neg(Expr):
     def _fmt(self):
         return "-" + _wrap(self.child, _PREFIX), _PREFIX
 
-    def _kink(self, point, params):
-        return self.child._kink(point, params)
-
 
 @dataclass(frozen=True)
 class Add(Expr):
@@ -252,9 +259,6 @@ class Add(Expr):
 
     def evaluate(self, point, params=None):
         return self.a.evaluate(point, params) + self.b.evaluate(point, params)
-
-    def __post_init__(self):
-        self._inherit_piecewise(self.a, self.b)
 
     def _vgrad(self, b):
         va, ga = self.a._vgrad(b)
@@ -269,9 +273,6 @@ class Add(Expr):
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} + {_wrap(self.b, _ADD)}", _ADD
 
-    def _kink(self, point, params):
-        return min(self.a._kink(point, params), self.b._kink(point, params))
-
 
 @dataclass(frozen=True)
 class Sub(Expr):
@@ -280,9 +281,6 @@ class Sub(Expr):
 
     def evaluate(self, point, params=None):
         return self.a.evaluate(point, params) - self.b.evaluate(point, params)
-
-    def __post_init__(self):
-        self._inherit_piecewise(self.a, self.b)
 
     def _vgrad(self, b):
         va, ga = self.a._vgrad(b)
@@ -303,9 +301,6 @@ class Sub(Expr):
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} - {_wrap(self.b, _ADD + 1)}", _ADD
 
-    def _kink(self, point, params):
-        return min(self.a._kink(point, params), self.b._kink(point, params))
-
 
 @dataclass(frozen=True)
 class Mul(Expr):
@@ -314,9 +309,6 @@ class Mul(Expr):
 
     def evaluate(self, point, params=None):
         return self.a.evaluate(point, params) * self.b.evaluate(point, params)
-
-    def __post_init__(self):
-        self._inherit_piecewise(self.a, self.b)
 
     def _vgrad(self, b):
         va, ga = self.a._vgrad(b)
@@ -331,11 +323,12 @@ class Mul(Expr):
     def _fmt(self):
         return f"{_wrap(self.a, _MUL)} * {_wrap(self.b, _MUL)}", _MUL
 
-    def _kink(self, point, params):
-        return min(self.a._kink(point, params), self.b._kink(point, params))
 
-
-_SMOOTH_KINDS = ("sin", "cos", "exp", "pow")
+# value and derivative of each smooth function of one argument; pow,
+# whose rule reads its exponent, is SmoothUnary's own
+_SMOOTH = {"sin": (np.sin, np.cos),
+           "cos": (np.cos, lambda v: -np.sin(v)),
+           "exp": (np.exp, np.exp)}
 
 
 @dataclass(frozen=True)
@@ -345,59 +338,41 @@ class SmoothUnary(Expr):
     k: int | None = None  # exponent, pow only
 
     def __post_init__(self):
-        if self.kind not in _SMOOTH_KINDS:
-            raise ExpressionError(f"unknown smooth function '{self.kind}'")
         if self.kind == "pow":
             if not isinstance(self.k, int) or self.k < 1:
                 raise ArityError("pow needs an integer exponent k >= 1")
+        elif self.kind not in _SMOOTH:
+            raise ExpressionError(f"unknown smooth function '{self.kind}'")
         elif self.k is not None:
             raise ExpressionError(f"{self.kind} takes no exponent")
-        self._inherit_piecewise(self.child)
+        super().__post_init__()
 
     def evaluate(self, point, params=None):
         v = self.child.evaluate(point, params)
-        if self.kind == "sin":
-            return np.sin(v)
-        if self.kind == "cos":
-            return np.cos(v)
-        if self.kind == "exp":
-            return np.exp(v)
-        return v ** self.k
+        return v ** self.k if self.kind == "pow" else _SMOOTH[self.kind][0](v)
 
-    def _derivative(self, v: float) -> float:
-        if self.kind == "sin":
-            return float(np.cos(v))
-        if self.kind == "cos":
-            return float(-np.sin(v))
-        if self.kind == "exp":
-            return float(np.exp(v))
-        return float(self.k) * v ** (self.k - 1)
-
-    def _value(self, v: float) -> float:
-        if self.kind == "sin":
-            return float(np.sin(v))
-        if self.kind == "cos":
-            return float(np.cos(v))
-        if self.kind == "exp":
-            return float(np.exp(v))
-        return v ** self.k
+    def _rule(self, v: float) -> tuple[float, float]:
+        """Value and derivative at the argument value v."""
+        if self.kind == "pow":
+            return v ** self.k, float(self.k) * v ** (self.k - 1)
+        f, df = _SMOOTH[self.kind]
+        return float(f(v)), float(df(v))
 
     def _vgrad(self, b):
         v, g = self.child._vgrad(b)
-        return self._value(v), self._derivative(v) * g
+        value, d = self._rule(v)
+        return value, d * g
 
     def _vqd_pair(self, b):
         v, q = self.child._vqd(b)
-        return self._value(v), qd_scale(q, self._derivative(v))
+        value, d = self._rule(v)
+        return value, qd_scale(q, d)
 
     def _fmt(self):
         inner = self.child._fmt()[0]
         if self.kind == "pow":
             return f"pow({inner}, {self.k})", _ATOM
         return f"{self.kind}({inner})", _ATOM
-
-    def _kink(self, point, params):
-        return self.child._kink(point, params)
 
 
 @dataclass(frozen=True)
@@ -418,15 +393,6 @@ class Abs(Expr):
 
     def _fmt(self):
         return f"abs({self.child._fmt()[0]})", _ATOM
-
-    def _kink(self, point, params):
-        own = float(np.abs(self.child.evaluate(point, params)))
-        return min(own, self.child._kink(point, params))
-
-
-def _gap(values) -> float:
-    vals = sorted(values)
-    return float(vals[-1] - vals[-2])
 
 
 @dataclass(frozen=True)
@@ -450,11 +416,6 @@ class Max(Expr):
     def _fmt(self):
         inner = ", ".join(c._fmt()[0] for c in self.children)
         return f"max({inner})", _ATOM
-
-    def _kink(self, point, params):
-        vals = [float(c.evaluate(point, params)) for c in self.children]
-        own = _gap(vals)
-        return min([own] + [c._kink(point, params) for c in self.children])
 
 
 @dataclass(frozen=True)
@@ -484,11 +445,6 @@ class Min(Expr):
         inner = ", ".join(c._fmt()[0] for c in self.children)
         return f"min({inner})", _ATOM
 
-    def _kink(self, point, params):
-        vals = [-float(c.evaluate(point, params)) for c in self.children]
-        own = _gap(vals)
-        return min([own] + [c._kink(point, params) for c in self.children])
-
 
 def _format_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
@@ -503,8 +459,25 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
                        r"|(?P<ident>[a-z][a-z0-9_]*)"
                        r"|(?P<op>[-+*(),]))")
 
-_FUNCTIONS = {"sin": (1, 1), "cos": (1, 1), "exp": (1, 1), "abs": (1, 1),
-              "pow": (2, 2), "max": (2, None), "min": (2, None)}
+
+def _pow(args: list, at: int) -> Expr:
+    k = args[1]
+    if not isinstance(k, Const) or k.value != int(k.value) or int(k.value) < 1:
+        raise ArityError("pow exponent must be an integer literal >= 1", at)
+    return SmoothUnary("pow", args[0], int(k.value))
+
+
+# The grammar's functions: name -> (fewest arguments, most arguments or
+# None for no bound, builder of the node from the arguments and the byte
+# offset of the call)
+_FUNCTIONS = {
+    **{kind: (1, 1, lambda args, at, kind=kind: SmoothUnary(kind, args[0]))
+       for kind in _SMOOTH},
+    "pow": (2, 2, _pow),
+    "abs": (1, 1, lambda args, at: Abs(args[0])),
+    "max": (2, None, lambda args, at: Max(tuple(args))),
+    "min": (2, None, lambda args, at: Min(tuple(args))),
+}
 
 _VAR_RE = re.compile(r"x[0-9]+$")
 
@@ -658,25 +631,13 @@ class _Parser:
                 self._error("expected ',' or ')'", s)
         depth = self._deeper(max(d for _, d in args) + 1, start)
         args = [e for e, _ in args]
-        lo, hi = _FUNCTIONS[name]
+        lo, hi, build = _FUNCTIONS[name]
+        at = _byte_offset(self.text, start)
         if len(args) < lo or (hi is not None and len(args) > hi):
             want = f"{lo}" if hi == lo else f">= {lo}"
             raise ArityError(f"{name} takes {want} argument(s), got {len(args)}",
-                             _byte_offset(self.text, start))
-        if name == "pow":
-            exponent = args[1]
-            if not isinstance(exponent, Const) or exponent.value != int(exponent.value) \
-                    or int(exponent.value) < 1:
-                raise ArityError("pow exponent must be an integer literal >= 1",
-                                 _byte_offset(self.text, start))
-            return SmoothUnary("pow", args[0], int(exponent.value)), depth
-        if name in ("sin", "cos", "exp"):
-            return SmoothUnary(name, args[0]), depth
-        if name == "abs":
-            return Abs(args[0]), depth
-        if name == "max":
-            return Max(tuple(args)), depth
-        return Min(tuple(args)), depth
+                             at)
+        return build(args, at), depth
 
 
 def parse_expression(text: str, n: int) -> Expr:
@@ -720,19 +681,13 @@ def _affine_degree(e: Expr) -> int:
     """0 when e is free of x, 1 when it is piecewise affine in x, else 2."""
     if isinstance(e, Var):
         return 1
-    if isinstance(e, (Const, Param)):
-        return 0
-    if isinstance(e, (Neg, Abs)):
-        return _affine_degree(e.child)
-    if isinstance(e, (Add, Sub)):
-        return max(_affine_degree(e.a), _affine_degree(e.b))
+    degrees = [_affine_degree(c) for c in _operands(e)]
+    d = max(degrees, default=0)
     if isinstance(e, Mul):
-        da, db = _affine_degree(e.a), _affine_degree(e.b)
-        return max(da, db) if min(da, db) == 0 else 2
-    if isinstance(e, (Max, Min)):
-        return max(_affine_degree(c) for c in e.children)
-    d = _affine_degree(e.child)  # SmoothUnary
-    return d if d == 0 or (e.kind == "pow" and e.k == 1) else 2
+        return d if min(degrees) == 0 else 2
+    if isinstance(e, SmoothUnary):
+        return d if d == 0 or (e.kind == "pow" and e.k == 1) else 2
+    return d
 
 
 def is_piecewise_affine(e: Expr) -> bool:
@@ -753,4 +708,12 @@ def kink_distance(e: Expr, b: Binding) -> float:
     between the two leading children.  Infinite for smooth expressions.
     Used to reject finite-difference probes that straddle a kink.
     """
-    return float(e._kink(b.point, b.params))
+    gaps = []
+    if isinstance(e, Abs):
+        gaps.append(float(np.abs(e.child.evaluate(b.point, b.params))))
+    elif isinstance(e, (Max, Min)):
+        vals = [float(c.evaluate(b.point, b.params)) for c in e.children]
+        vals = sorted(vals if isinstance(e, Max) else [-v for v in vals])
+        gaps.append(float(vals[-1] - vals[-2]))
+    return float(min(gaps + [kink_distance(c, b) for c in _operands(e)],
+                     default=np.inf))

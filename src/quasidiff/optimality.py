@@ -63,7 +63,6 @@ from .mfcq import (BudgetExceededError, active_inequalities,
 from .regularity import SystemSpec
 
 SELECTION_BUDGET = 10 ** 5
-RESIDUAL_TOL = 1e-8
 C_LADDER = (0.5, 1.0, 2.0, 10.0, 100.0)
 
 

@@ -229,9 +229,16 @@ def loads(text: str) -> ProblemFile:
                                        lineno)
         elif key in _CHECK_LIST:
             fields[key] = _floats(value, lineno, key)
-            # y and z are empty when there are no equalities or inequalities
             if key == "c" and not fields[key]:
                 raise ProblemFileError("c needs at least one number", lineno)
+            # y holds one target per equality, z one per inequality
+            targets = {"y": ("equality", equalities),
+                       "z": ("inequality", inequalities)}
+            if key in targets and len(fields[key]) != len(targets[key][1]):
+                role, exprs = targets[key]
+                raise ProblemFileError(
+                    f"{key} needs {len(exprs)} value(s) (one per {role}), "
+                    f"got {len(fields[key])}", lineno)
         elif key == "norm":
             # psi is the l1 scalarization; the key stays valid for old files
             if value != "l1":

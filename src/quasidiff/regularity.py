@@ -29,6 +29,12 @@ from .calculus import Quasidifferential, steepest_rate
 from .expressions import Abs, Add, Binding, Const, Expr, Max, Sub, qd_at
 
 SLOPE_DIRECTIONS = 256
+# verify_regularity_grid's defaults: points per axis, targets per axis,
+# the radius of the distance scan and the cap on (target, point) pairs
+X_GRID = 21
+TARGET_GRID = 11
+SCAN_RADIUS = 1.0
+GRID_BUDGET = 10 ** 6
 
 
 class RegularityError(ValueError):
@@ -327,9 +333,10 @@ def _axis(c: float, r: float, k: int) -> np.ndarray:
 
 
 def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
-                           x_grid: int = 21, target_grid: int = 11, *,
-                           scan_radius: float = 1.0,
-                           budget: int = 10 ** 6) -> RegularityGridReport:
+                           x_grid: int = X_GRID,
+                           target_grid: int = TARGET_GRID, *,
+                           scan_radius: float = SCAN_RADIUS,
+                           budget: int = GRID_BUDGET) -> RegularityGridReport:
     """Check d(x, S(p,y,z)) <= K * psi_{y,z}(x) over a grid.
 
     Grids are odd-sized and symmetric so the center is sampled exactly.

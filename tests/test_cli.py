@@ -591,6 +591,11 @@ BAD_CHECK_LINES = [
     ("slope", "norm = l2", "line 8: norm must be l1, got 'l2'"),
     # an empty ladder is not the default ladder
     ("optcheck", "c =", "line 8: c needs at least one number"),
+    # one target per equality and per inequality
+    ("slope", "y = 1 2",
+     "line 8: y needs 1 value(s) (one per equality), got 2"),
+    ("slope", "z = 1",
+     "line 8: z needs 0 value(s) (one per inequality), got 1"),
 ]
 
 
@@ -752,3 +757,75 @@ class TestNonFiniteInputs:
             assert_equal(code, 2)
             assert "overflows the float range" in err
         assert_equal([str(w.message) for w in recwarn], [])
+
+
+# a negative number in exponent notation is a flag value, not an option;
+# each flag's value reaches the report or the flag's own check
+NEGATIVE_EXPONENT_FLAGS = [
+    ("qd", ("--at", "-1e-3"), 0, "point: (-0.001)"),
+    ("qd", ("--dir", "-1e0"), 0, "  dd (-1): -1"),
+    ("slope", ("--target", "-8.5E-16"), 0, "target y: (-8.5e-16)"),
+    ("optcheck", ("--c", "1", "-1e0"), 2,
+     "error: penalty parameter c must be >= 0"),
+    ("regcheck", ("--K", "-1e0"), 2, "error: --K must be positive, got -1"),
+    ("regcheck", ("--r", "-.5e0"), 2, "error: --r must be positive, got -0.5"),
+    ("mfcq", ("--tol", "-1e-3"), 2,
+     "error: --tol must be positive, got -0.001"),
+]
+# command lines that argparse rejects, each with its one-line diagnostic
+# (None for the file written by the test)
+REJECTED_COMMAND_LINES = [
+    (["qd", None, "--bogus"], "unrecognized arguments: --bogus"),
+    (["regcheck", None, "--K", "abc"],
+     "argument --K: invalid float value: 'abc'"),
+    (["slope", None, "--target"],
+     "argument --target: expected at least one argument"),
+    (["mfcq", None, "--seed", "1.5"],
+     "argument --seed: invalid int value: '1.5'"),
+    (["qd"], "the following arguments are required: file"),
+    (["frob", None], "argument command: invalid choice: 'frob'"),
+    ([], "the following arguments are required: command"),
+]
+
+
+class TestCommandLine:
+    """argparse's rejections follow the CLI's contract: main returns 2
+    after one `error:` line on stderr and nothing on stdout."""
+
+    def run_main(self, tmp_path, capsys, argv):
+        f = tmp_path / "flags.prob"
+        f.write_text(FLAG_TEXT)
+        code = main([str(f) if a is None else a for a in argv])
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, flags, want_code, want_line", NEGATIVE_EXPONENT_FLAGS,
+        ids=[c + "".join(f) for c, f, _, _ in NEGATIVE_EXPONENT_FLAGS])
+    def test_negative_exponent_is_a_value(self, tmp_path, capsys, command,
+                                          flags, want_code, want_line):
+        code, out, err = self.run_main(tmp_path, capsys,
+                                       [command, None, *flags])
+        assert_equal(code, want_code)
+        if code == 0:
+            assert want_line in out.splitlines()
+            assert_equal(err, "")
+        else:
+            assert_equal((out, err), ("", want_line + "\n"))
+
+    @pytest.mark.parametrize(
+        "argv, message", REJECTED_COMMAND_LINES,
+        ids=["-".join(a or "file" for a in argv) or "empty"
+             for argv, _ in REJECTED_COMMAND_LINES])
+    def test_rejected_command_line_is_one_line(self, tmp_path, capsys, argv,
+                                               message):
+        code, out, err = self.run_main(tmp_path, capsys, argv)
+        assert_equal(code, 2)
+        assert_equal(out, "")
+        assert_equal(len(err.splitlines()), 1)
+        assert err.startswith(f"error: {message}"), err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert_equal(exit_.value.code, 0)
+        assert capsys.readouterr().out.startswith("usage: quasidiff")

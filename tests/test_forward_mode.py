@@ -3,6 +3,8 @@
 reference_vqd applies the pair algebra at every node, smooth or not, and
 folds smooth-led pairs back with absorb_singleton_sup.  The tests compare
 its value and vertex arrays with qd_value_at's by their bytes.
+reference_kink is kink_distance written as one rule per node type; the
+single walk over the operands must give the same float, bit for bit.
 """
 
 import random
@@ -19,7 +21,8 @@ from quasidiff.calculus import (absorb_singleton_sub, absorb_singleton_sup,
 from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Min, Mul,
                                    Neg, Param, SmoothUnary, Sub,
                                    UnboundParameterError, Var,
-                                   parse_expression, qd_at, qd_value_at)
+                                   kink_distance, parse_expression, qd_at,
+                                   qd_value_at)
 from quasidiff.geometry import GeometryError
 from quasidiff.optimality import build_penalty
 from quasidiff.problemfile import load, loads
@@ -284,3 +287,98 @@ class TestPolytopeBuilds:
         want = 12 if x == [0.0, 0.0] else 6
         assert_equal(self.count(monkeypatch, "abs(pow(x1, 3)*sin(x2) - x1)",
                                 2, x), want)
+
+
+def reference_kink(e, b):
+    """kink_distance as one rule per node type."""
+    if isinstance(e, (Neg, SmoothUnary)):
+        return reference_kink(e.child, b)
+    if isinstance(e, (Add, Sub, Mul)):
+        return min(reference_kink(e.a, b), reference_kink(e.b, b))
+    if isinstance(e, Abs):
+        own = float(np.abs(e.child.evaluate(b.point, b.params)))
+        return min(own, reference_kink(e.child, b))
+    if isinstance(e, Max):
+        vals = sorted(float(c.evaluate(b.point, b.params))
+                      for c in e.children)
+    elif isinstance(e, Min):
+        vals = sorted(-float(c.evaluate(b.point, b.params))
+                      for c in e.children)
+    else:
+        return np.inf  # Var, Const, Param
+    own = float(vals[-1] - vals[-2])
+    return min([own] + [reference_kink(c, b) for c in e.children])
+
+
+def assert_same_kink(e, b):
+    got, want = kink_distance(e, b), reference_kink(e, b)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+        (e.to_text(), got, want)
+    return got
+
+
+class TestKinkDistance:
+
+    @pytest.mark.parametrize("name", ["cubic.prob", "penalty_demo.prob",
+                                      "sin_system.prob"])
+    def test_fixtures(self, name):
+        pf = load(str(PROBLEMS / name))
+        gaps = [assert_same_kink(e, b) for e, b in _file_cases(
+            pf, [(0.1, -0.2, 0.3), (-0.5, 0.5, 0.0)])]
+        assert 0.0 in gaps
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_qd_build_chains(self, seed, load_perfbench):
+        load_perfbench("oracle")
+        gen = load_perfbench("gen")
+        gaps = []
+        for op in gen.qd_build(seed).ops:
+            pf = loads(op.text)
+            # at the kink the file names, and off it
+            for x in (pf.point, pf.point + 0.125):
+                gaps += [assert_same_kink(e, Binding(x, {}))
+                         for e in pf.equalities]
+        assert len(gaps) > 20 and 0.0 in gaps and max(gaps) > 0.0
+
+    def test_random_trees_with_ties_and_zero_arguments(self):
+        rng = random.Random(11)
+
+        def tree(n, depth):
+            if depth == 0 or rng.random() < 0.2:
+                r = rng.random()
+                if r < 0.6:
+                    return Var(rng.randint(1, n))
+                if r < 0.9:
+                    return Const(rng.choice([0.0, 1.0, -1.0, 0.5]))
+                return Param("p")
+            kind = rng.choice(["sin", "exp", "pow", "neg", "sub", "mul",
+                               "add", "abs", "abs", "max", "min"])
+            if kind in ("sin", "exp"):
+                return SmoothUnary(kind, tree(n, depth - 1))
+            if kind == "pow":
+                return SmoothUnary("pow", tree(n, depth - 1),
+                                   rng.randint(1, 3))
+            if kind == "neg":
+                return Neg(tree(n, depth - 1))
+            if kind == "abs":
+                return Abs(tree(n, depth - 1))
+            if kind in ("max", "min"):
+                first = tree(n, depth - 1)
+                # a repeated branch ties with itself
+                rest = [first if rng.random() < 0.4 else tree(n, depth - 1)
+                        for _ in range(rng.randint(1, 3))]
+                return (Max if kind == "max" else Min)((first, *rest))
+            return {"sub": Sub, "mul": Mul, "add": Add}[kind](
+                tree(n, depth - 1), tree(n, depth - 1))
+
+        counts = {"zero": 0, "positive": 0, "smooth": 0}
+        for _ in range(600):
+            n = rng.randint(1, 3)
+            e = tree(n, rng.randint(1, 5))
+            x = [rng.choice([0.0, 0.0, 1.0, -1.0, 0.5]) for _ in range(n)]
+            b = Binding(np.array(x), {"p": rng.choice([0.0, 1.5])})
+            with np.errstate(all="ignore"):
+                gap = assert_same_kink(e, b)
+            counts["zero" if gap == 0.0 else
+                   "smooth" if gap == np.inf else "positive"] += 1
+        assert min(counts.values()) > 50, counts
