@@ -26,7 +26,7 @@ from .mfcq import (DET_BUDGET, BudgetExceededError, InfeasiblePointError,
 from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          check_all_selections, check_stationarity,
                          estimate_c_star, feasibility_violations,
-                         qualification_pathway)
+                         program_data, qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, _finite, load
 from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
                          RegularityError, decay_flag, margin_infima,
@@ -351,6 +351,7 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
     pathway = qualification_pathway(p, b, tol=args.tol)
+    data = program_data(p, b)
 
     lines: list = []
     payload: dict = {}
@@ -379,8 +380,8 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
 
     exit_code = 0
     for c in ladder:
-        st = check_stationarity(p, b, c)
-        sw = check_all_selections(p, b, c_bound=c, budget=budget)
+        st = check_stationarity(data, c)
+        sw = check_all_selections(data, c_bound=c, budget=budget)
         if st.holds:
             st_text = "stationarity holds"
         else:
@@ -413,7 +414,7 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
                 "z": list(sw.first_infeasible.selection.z)},
             "agreement": agree})
 
-    c_star = estimate_c_star(p, b)
+    c_star = estimate_c_star(data)
     if np.isfinite(c_star):
         lines.append(f"c* estimate: {_g(c_star)} "
                      "(exact, one LP per vertex pair)")
@@ -454,14 +455,16 @@ _INPUT_ERRORS = (ProblemFileError, ExpressionError, InfeasiblePointError,
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with the CLI's error contract: a rejected command line is
-    a ProblemFileError, which main prints as one line with exit 2, and a
-    negative number in exponent notation, such as -8.5e-16, is a flag
-    value, not an option (argparse's own pattern has no exponent)."""
+    a ProblemFileError, which main prints as one line with exit 2, and
+    every negative float literal is a flag value, not an option.
+    argparse's own pattern has no exponent (-8.5e-16) and no -inf or -nan
+    (any case, as float() reads them); the flag's own check then rejects
+    a value that is not finite."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.I)
 
     def error(self, message):
         raise ProblemFileError(message)

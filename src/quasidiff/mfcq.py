@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import qd_plus_set
 from .expressions import Binding, qd_at
 from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
-                       complement_basis, solve_lp, span_basis, support)
+                       complement_basis, solve_lp, support)
 from .regularity import BudgetExceededError, SystemSpec
 
 DET_BUDGET = 10 ** 6
@@ -207,9 +207,10 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
     """
     eq_vertices = (np.vstack([p.vertices for p in eq_sums])
                    if eq_sums else np.zeros((0, n)))
-    rank = span_basis(eq_vertices).shape[0] if eq_vertices.size else 0
+    # one SVD gives the complement and, with it, the printed rank
     q = complement_basis(eq_vertices, n) if eq_vertices.size else np.eye(n)
     d = q.shape[1]
+    rank = n - d
     if not ineq_sums:
         hbar = q[:, 0] if d > 0 else np.zeros(n)
         return HbarResult(hbar + 0.0, np.inf, rank, d)

@@ -4,8 +4,12 @@ For min u(x) s.t. f_j(x) = 0, g_i(x) <= 0 the penalty
 
     Psi_c = u + c (sum_j |f_j| + sum_i max{g_i, 0})
 
-is quasidifferentiable whenever the data are.  Two equivalent necessary
-conditions are checked at a feasible candidate point:
+is quasidifferentiable whenever the data are.  With phi the constraint
+penalty in parentheses, its pair at a point follows from those of u and
+phi by the sum rule: [sub u + c sub phi, sup u + c sup phi] for c >= 0.
+So program_data walks u, each f_j and g_i, and phi once into a
+ProgramData record, and every check below reads that record.  Two
+equivalent necessary conditions are checked at a feasible candidate point:
 
   * stationarity of Psi_c: 0 in sub(Psi_c) + w for every w in
     sup(Psi_c), a polytope containment per superdifferential vertex;
@@ -55,11 +59,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .calculus import Quasidifferential, qd_add, qd_scale
 from .expressions import (Abs, Add, Binding, Const, Expr, Max, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
-from .mfcq import (BudgetExceededError, active_inequalities,
-                   feasibility_violations, qd_mfcq)
+from .mfcq import active_inequalities, feasibility_violations, qd_mfcq
 from .regularity import SystemSpec
 
 SELECTION_BUDGET = 10 ** 5
@@ -108,7 +112,8 @@ def constraint_penalty(p: ProgramSpec) -> Optional[Expr]:
 
 
 def build_penalty(p: ProgramSpec, c: float) -> Expr:
-    """Expression for Psi_c; c = 0 or an unconstrained program gives u."""
+    """Expression for Psi_c (u when c = 0 or unconstrained); the tests'
+    reference for the sum-rule pair of ProgramData.penalty."""
     if c < 0:
         raise OptimalityError("penalty parameter c must be >= 0")
     phi = constraint_penalty(p)
@@ -117,13 +122,45 @@ def build_penalty(p: ProgramSpec, c: float) -> Expr:
     return Add(p.objective, Mul(Const(c), phi))
 
 
+@dataclass(frozen=True)
+class ProgramData:
+    """A program at a point: the pairs of u, f_j and g_i, the active
+    inequalities in ascending order, and the pair of phi (None when
+    unconstrained).  Every check below reads this one record."""
+
+    n: int
+    u: Quasidifferential
+    f: tuple[Quasidifferential, ...]
+    g: tuple[Quasidifferential, ...]
+    active: tuple[int, ...]
+    phi: Optional[Quasidifferential]
+
+    def penalty(self, c: float) -> Quasidifferential:
+        """Pair of Psi_c by the sum rule, [sub u + c sub phi,
+        sup u + c sup phi]; c = 0 or an unconstrained program gives u's."""
+        if c < 0:
+            raise OptimalityError("penalty parameter c must be >= 0")
+        if c == 0 or self.phi is None:
+            return self.u
+        return qd_add(self.u, qd_scale(self.phi, c))
+
+
+def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
+    """Walk u, each f_j and g_i, and phi once at the binding."""
+    phi = constraint_penalty(p)
+    return ProgramData(p.n, qd_at(p.objective, b),
+                       tuple(qd_at(f, b) for f in p.equalities),
+                       tuple(qd_at(g, b) for g in p.inequalities),
+                       tuple(active_inequalities(p, b, FEAS_TOL)),
+                       None if phi is None else qd_at(phi, b))
+
+
 class StationarityResult(NamedTuple):
     holds: bool
     violating_w: Optional[np.ndarray]
 
 
-def check_stationarity(p: ProgramSpec, b: Binding,
-                       c: float) -> StationarityResult:
+def check_stationarity(data: ProgramData, c: float) -> StationarityResult:
     """Is 0 in sub(Psi_c) + w for every w in sup(Psi_c)?
 
     Containment over the whole superdifferential reduces to its
@@ -131,7 +168,7 @@ def check_stationarity(p: ProgramSpec, b: Binding,
     is extreme.  The first violating vertex in canonical order is
     returned as the witness.
     """
-    q = qd_at(build_penalty(p, c), b)
+    q = data.penalty(c)
     for w in q.sup.vertices:
         if not contains(q.sub, -w):
             return StationarityResult(False, w.copy())
@@ -161,29 +198,6 @@ class MultiplierCertificate:
     c_bound: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class _ProblemData:
-    n: int
-    sub_u: Polytope
-    sup_u: Polytope
-    sub_f: tuple[Polytope, ...]
-    sup_f: tuple[Polytope, ...]
-    sub_g: tuple[Polytope, ...]
-    sup_g: tuple[Polytope, ...]
-    active: tuple[int, ...]
-
-
-def _problem_data(p: ProgramSpec, b: Binding) -> _ProblemData:
-    qu = qd_at(p.objective, b)
-    qf = [qd_at(f, b) for f in p.equalities]
-    qg = [qd_at(g, b) for g in p.inequalities]
-    active = tuple(active_inequalities(p, b, FEAS_TOL))
-    return _ProblemData(p.n, qu.sub, qu.sup,
-                        tuple(q.sub for q in qf), tuple(q.sup for q in qf),
-                        tuple(q.sub for q in qg), tuple(q.sup for q in qg),
-                        active)
-
-
 def _check_index(idx: int, poly: Polytope, label: str) -> None:
     if not 0 <= idx < poly.nvertices:
         raise OptimalityError(
@@ -191,67 +205,62 @@ def _check_index(idx: int, poly: Polytope, label: str) -> None:
             f"({poly.nvertices} vertices)")
 
 
-def _check_selection(data: _ProblemData, sel: Selection,
-                     c_bound: Optional[float]) -> MultiplierCertificate:
-    l, na = len(data.sub_f), len(data.active)
+def check_multipliers(data: ProgramData, sel: Selection,
+                      c_bound: Optional[float] = None) -> MultiplierCertificate:
+    """Solve the multiplier LP for one vertex selection."""
+    l, na = len(data.f), len(data.active)
     if len(sel.v) != l or len(sel.w) != l or len(sel.z) != na:
         raise OptimalityError(
             f"selection must carry {l} v-indices, {l} w-indices and "
             f"{na} z-indices for the active inequalities")
-    _check_index(sel.w0, data.sup_u, "sup(u)")
+    _check_index(sel.w0, data.u.sup, "sup(u)")
     n = data.n
 
-    w0 = data.sup_u.vertices[sel.w0]
+    w0 = data.u.sup.vertices[sel.w0]
     # Column blocks: theta over sub(u) vertices, then per equality the
     # mu_lo weights over -(v_j + sup f_j) and mu_hi weights over
     # (sub f_j + w_j), then per active inequality the lam weights over
     # (sub g_i + z_i).
-    cols = [data.sub_u.vertices.T]
+    cols = [data.u.sub.vertices.T]
     sums = []  # (start, stop) of each weight block, theta excluded
-    pos = data.sub_u.nvertices
-    for j in range(l):
-        _check_index(sel.v[j], data.sub_f[j], f"sub(f{j + 1})")
-        _check_index(sel.w[j], data.sup_f[j], f"sup(f{j + 1})")
-        vstar = data.sub_f[j].vertices[sel.v[j]]
-        wstar = data.sup_f[j].vertices[sel.w[j]]
-        lo_block = -(vstar[None, :] + data.sup_f[j].vertices)
-        hi_block = data.sub_f[j].vertices + wstar[None, :]
+    pos = data.u.sub.nvertices
+    for j, fj in enumerate(data.f):
+        _check_index(sel.v[j], fj.sub, f"sub(f{j + 1})")
+        _check_index(sel.w[j], fj.sup, f"sup(f{j + 1})")
+        vstar = fj.sub.vertices[sel.v[j]]
+        wstar = fj.sup.vertices[sel.w[j]]
+        lo_block = -(vstar[None, :] + fj.sup.vertices)
+        hi_block = fj.sub.vertices + wstar[None, :]
         for block in (lo_block, hi_block):
             cols.append(block.T)
             sums.append((pos, pos + block.shape[0]))
             pos += block.shape[0]
     for k, i in enumerate(data.active):
-        _check_index(sel.z[k], data.sup_g[i], f"sup(g{i + 1})")
-        zstar = data.sup_g[i].vertices[sel.z[k]]
-        block = data.sub_g[i].vertices + zstar[None, :]
+        _check_index(sel.z[k], data.g[i].sup, f"sup(g{i + 1})")
+        zstar = data.g[i].sup.vertices[sel.z[k]]
+        block = data.g[i].sub.vertices + zstar[None, :]
         cols.append(block.T)
         sums.append((pos, pos + block.shape[0]))
         pos += block.shape[0]
 
     a_eq = np.zeros((n + 1, pos))
     a_eq[:n] = np.hstack(cols)
-    a_eq[n, :data.sub_u.nvertices] = 1.0
+    a_eq[n, :data.u.sub.nvertices] = 1.0
     b_eq = np.concatenate([-w0, [1.0]])
 
     a_ub = b_ub = None
-    if c_bound is not None:
-        rows = []
-        for j in range(l):
-            row = np.zeros(pos)
-            for start, stop in (sums[2 * j], sums[2 * j + 1]):
+    if c_bound is not None and sums:
+        # one row per equality (both of its blocks) and per active g_i
+        groups = [sums[2 * j:2 * j + 2] for j in range(l)]
+        groups += [[pair] for pair in sums[2 * l:]]
+        a_ub = np.zeros((len(groups), pos))
+        for row, group in zip(a_ub, groups):
+            for start, stop in group:
                 row[start:stop] = 1.0
-            rows.append(row)
-        for k in range(na):
-            row = np.zeros(pos)
-            start, stop = sums[2 * l + k]
-            row[start:stop] = 1.0
-            rows.append(row)
-        if rows:
-            a_ub = np.vstack(rows)
-            b_ub = np.full(len(rows), float(c_bound))
+        b_ub = np.full(len(groups), float(c_bound))
 
     cost = np.ones(pos)
-    cost[:data.sub_u.nvertices] = 0.0
+    cost[:data.u.sub.nvertices] = 0.0
     out = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                    bounds=[(0.0, None)] * pos)
     if out.status is LpStatus.INFEASIBLE:
@@ -263,7 +272,7 @@ def _check_selection(data: _ProblemData, sel: Selection,
     residual = float(np.max(np.abs(a_eq @ x - b_eq))) if pos else 0.0
     mu_lo = tuple(float(np.sum(x[s:t])) for s, t in sums[0:2 * l:2])
     mu_hi = tuple(float(np.sum(x[s:t])) for s, t in sums[1:2 * l:2])
-    lam_full = [0.0] * len(data.sub_g)
+    lam_full = [0.0] * len(data.g)
     for k, i in enumerate(data.active):
         start, stop = sums[2 * l + k]
         lam_full[i] = float(np.sum(x[start:stop]))
@@ -271,12 +280,6 @@ def _check_selection(data: _ProblemData, sel: Selection,
     bound = max(pairs + lam_full) if (pairs or lam_full) else 0.0
     return MultiplierCertificate(True, sel, mu_lo, mu_hi, tuple(lam_full),
                                  residual, bound, c_bound)
-
-
-def check_multipliers(p: ProgramSpec, b: Binding, sel: Selection,
-                      c_bound: Optional[float] = None) -> MultiplierCertificate:
-    """Solve the multiplier LP for one vertex selection."""
-    return _check_selection(_problem_data(p, b), sel, c_bound)
 
 
 @dataclass(frozen=True)
@@ -295,18 +298,17 @@ class SelectionSweep:
     first_infeasible: Optional[MultiplierCertificate] = None
 
 
-def check_all_selections(p: ProgramSpec, b: Binding,
+def check_all_selections(data: ProgramData,
                          c_bound: Optional[float] = None,
                          budget: int = SELECTION_BUDGET) -> SelectionSweep:
     """Check the multiplier condition over every vertex selection."""
-    data = _problem_data(p, b)
-    l, na = len(data.sub_f), len(data.active)
-    ranges = [range(data.sup_u.nvertices)]
-    for j in range(l):
-        ranges.append(range(data.sub_f[j].nvertices))
-        ranges.append(range(data.sup_f[j].nvertices))
+    l = len(data.f)
+    ranges = [range(data.u.sup.nvertices)]
+    for fj in data.f:
+        ranges.append(range(fj.sub.nvertices))
+        ranges.append(range(fj.sup.nvertices))
     for i in data.active:
-        ranges.append(range(data.sup_g[i].nvertices))
+        ranges.append(range(data.g[i].sup.nvertices))
     n_total = 1
     for r in ranges:
         n_total *= len(r)
@@ -319,14 +321,14 @@ def check_all_selections(p: ProgramSpec, b: Binding,
                         tuple(combo[1:1 + 2 * l:2]),
                         tuple(combo[2:2 + 2 * l:2]),
                         tuple(combo[1 + 2 * l:]))
-        cert = _check_selection(data, sel, c_bound)
+        cert = check_multipliers(data, sel, c_bound)
         n_checked += 1
         if not cert.feasible:
             return SelectionSweep(False, False, n_total, n_checked, cert)
     return SelectionSweep(True, True, n_total, n_checked)
 
 
-def estimate_c_star(p: ProgramSpec, b: Binding) -> float:
+def estimate_c_star(data: ProgramData) -> float:
     """The exact penalty threshold: the least c >= 0 with stationarity.
 
     With phi the constraint penalty, Psi_c = u + c phi, so for c > 0
@@ -352,29 +354,27 @@ def estimate_c_star(p: ProgramSpec, b: Binding) -> float:
     When some pair's LP is infeasible, no c >= 0 works and the result is
     inf.  Stationarity is checked at 0 first, so that an already
     stationary objective gives exactly 0; an unconstrained program that
-    is not stationary there gives inf without building phi.
+    is not stationary there gives inf.
     """
-    if check_stationarity(p, b, 0.0).holds:
+    if check_stationarity(data, 0.0).holds:
         return 0.0
-    phi = constraint_penalty(p)
-    if phi is None:
+    if data.phi is None:
         return np.inf
-    qu = qd_at(p.objective, b)
-    qphi = qd_at(phi, b)
+    qu, qphi, n = data.u, data.phi, data.n
     na, nb = qu.sub.nvertices, qphi.sub.nvertices
     # columns: theta over sub(u), rho over sub(phi), then c
-    a_eq = np.zeros((p.n + 2, na + nb + 1))
-    a_eq[:p.n, :na] = qu.sub.vertices.T
-    a_eq[:p.n, na:na + nb] = qphi.sub.vertices.T
-    a_eq[p.n, :na] = 1.0
-    a_eq[p.n + 1, na:na + nb] = 1.0
-    a_eq[p.n + 1, -1] = -1.0
+    a_eq = np.zeros((n + 2, na + nb + 1))
+    a_eq[:n, :na] = qu.sub.vertices.T
+    a_eq[:n, na:na + nb] = qphi.sub.vertices.T
+    a_eq[n, :na] = 1.0
+    a_eq[n + 1, na:na + nb] = 1.0
+    a_eq[n + 1, -1] = -1.0
     cost = np.zeros(na + nb + 1)
     cost[-1] = 1.0
     c_star = 0.0
     for w0 in qu.sup.vertices:
         for w1 in qphi.sup.vertices:
-            a_eq[:p.n, -1] = w1
+            a_eq[:n, -1] = w1
             out = solve_lp(cost, a_eq=a_eq,
                            b_eq=np.concatenate([-w0, [1.0, 0.0]]),
                            bounds=[(0.0, None)] * (na + nb + 1))

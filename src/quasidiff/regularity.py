@@ -94,13 +94,7 @@ class PsiFunction:
         self.expr = out
 
     def value(self, x) -> float:
-        s = self.system
-        x = np.asarray(x, dtype=float)
-        fvals = np.array([f.evaluate(x, s.params) for f in s.equalities], dtype=float)
-        gvals = np.array([g.evaluate(x, s.params) for g in s.inequalities], dtype=float)
-        res = fvals - self.y if fvals.size else np.zeros(0)
-        pen = np.sum(np.maximum(gvals - self.z, 0.0)) if gvals.size else 0.0
-        return float(np.sum(np.abs(res)) + pen)
+        return float(self.expr.evaluate(x, self.system.params))
 
     def qd(self, x) -> Quasidifferential:
         return qd_at(self.expr, self.system.binding(x))

@@ -20,7 +20,7 @@ from quasidiff.geometry import (Polytope, contains, minkowski_sum,
 from quasidiff.mfcq import full_rank_det_range, qd_mfcq
 from quasidiff.optimality import (C_LADDER, ProgramSpec, Selection,
                                   check_all_selections, check_multipliers,
-                                  check_stationarity)
+                                  check_stationarity, program_data)
 from quasidiff.regularity import (SystemSpec, check_condition4, psi_expr,
                                   solution_distance)
 
@@ -260,10 +260,11 @@ def test_criterion_7_penalty_conditions(capsys):
     sup_f = qd_at(p.equalities[0], b).sup
     assert_allclose(sub_f.vertices[1], [1.0, 0.0])
     assert_allclose(sup_f.vertices[1], [0.0, 1.0])
-    picked = check_multipliers(p, b, Selection(0, (1,), (1,)))
-    ladder_fails = all(not check_stationarity(p, b, c).holds
+    d = program_data(p, b)
+    picked = check_multipliers(d, Selection(0, (1,), (1,)))
+    ladder_fails = all(not check_stationarity(d, c).holds
                        for c in C_LADDER)
-    agree = all(check_all_selections(p, b, c_bound=c).holds is False
+    agree = all(check_all_selections(d, c_bound=c).holds is False
                 for c in C_LADDER)
     rng = np.random.default_rng(7)
     cross = 0
@@ -271,8 +272,8 @@ def test_criterion_7_penalty_conditions(capsys):
         q = dc_program(rng)
         qb = q.binding([0.0, 0.0])
         for c in (0.1, 1.0, 10.0):
-            sweep = check_all_selections(q, qb, c_bound=c)
-            stat = check_stationarity(q, qb, c)
+            sweep = check_all_selections(program_data(q, qb), c_bound=c)
+            stat = check_stationarity(program_data(q, qb), c)
             assert sweep.holds is not None
             assert_equal(sweep.holds, stat.holds)
             cross += 1

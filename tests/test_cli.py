@@ -561,6 +561,11 @@ BAD_FLAGS = [
     ("qd", ("--dir", "1", "--dir", "nan"), "--dir must be finite, got 'nan'"),
     ("slope", ("--target", "nan"), "--target must be finite, got 'nan'"),
     ("optcheck", ("--c", "1", "nan"), "--c must be finite, got '1 nan'"),
+    # float() spellings of -inf and -nan are values, not options
+    ("qd", ("--at", "-inf"), "--at must be finite, got '-inf'"),
+    ("slope", ("--target", "-Infinity"),
+     "--target must be finite, got '-inf'"),
+    ("optcheck", ("--c", "1", "-NaN"), "--c must be finite, got '1 nan'"),
     ("regcheck", ("--K", "nan"), "--K must be finite, got 'nan'"),
     ("regcheck", ("--r", "1e400"), "--r must be finite, got 'inf'"),
     ("mfcq", ("--tol", "nan"), "--tol must be finite, got 'nan'"),

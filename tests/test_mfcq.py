@@ -218,6 +218,22 @@ class TestFindHbar(TestCase):
         assert res.margin == -np.inf
         assert res.hbar is None
 
+    def test_rank_and_complement_come_from_one_svd(self):
+        # a gradient of norm 1e-10 is under span_basis's absolute cut but
+        # over the SVD's relative one; the printed rank is the SVD's too
+        res = find_hbar([singleton([1e-10, 0.0])], [singleton([0.0, 1.0])], 2)
+        assert_equal((res.eq_span_rank, res.complement_dim), (1, 1))
+        s = SystemSpec(2, (parse_expression("0.0000000001*x1", 2),),
+                       (parse_expression("x2", 2),))
+        rep = qd_mfcq(s, [0.0, 0.0])
+        assert_equal((rep.eq_span_rank, rep.complement_dim), (1, 1))
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            eq = [Polytope(rng.uniform(-1, 1, (int(rng.integers(1, 3)), 3)))
+                  for _ in range(int(rng.integers(0, 3)))]
+            res = find_hbar(eq, [singleton([0.0, 0.0, 1.0])], 3)
+            assert_equal(res.eq_span_rank + res.complement_dim, 3)
+
     def test_no_inequalities_is_vacuous(self):
         res = find_hbar([singleton([1.0, 0.0])], [], 2)
         assert res.margin == np.inf

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
+from quasidiff import optimality
 from quasidiff.calculus import Quasidifferential, dd
+from quasidiff.cli import main
 from quasidiff.expressions import parse_expression, qd_at
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
@@ -10,14 +14,20 @@ from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
                                   check_all_selections, check_multipliers,
                                   check_stationarity, constraint_penalty,
                                   estimate_c_star, feasibility_violations,
-                                  qualification_pathway)
+                                  program_data, qualification_pathway)
 from quasidiff.problemfile import loads
 
 ORIGIN = [0.0, 0.0]
+PENALTY_DEMO = (Path(__file__).resolve().parent.parent / "problems"
+                / "penalty_demo.prob")
 
 
 def pe(text, n=2):
     return parse_expression(text, n)
+
+
+def at_origin(p):
+    return program_data(p, p.binding(ORIGIN))
 
 
 def sign_program():
@@ -97,6 +107,72 @@ class TestBuildPenalty(TestCase):
             build_penalty(sign_program(), -1.0)
 
 
+def assert_penalty_pairs_match(p, b):
+    """The record's Psi_c pair is the walk of build_penalty, bit for bit,
+    on the default ladder, at 0 and at c*."""
+    d = program_data(p, b)
+    cs = {0.0, *C_LADDER}
+    c_star = estimate_c_star(d)
+    if np.isfinite(c_star):
+        cs.add(c_star)
+    for c in sorted(cs):
+        want = qd_at(build_penalty(p, c), b)
+        got = d.penalty(c)
+        assert got.sub == want.sub and got.sup == want.sup, c
+
+
+class TestProgramData(TestCase):
+
+    def test_penalty_pair_matches_the_expression_walk(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            p = dc_program(rng)
+            assert_penalty_pairs_match(p, p.binding(ORIGIN))
+        p = sign_program()
+        assert_penalty_pairs_match(p, p.binding(ORIGIN))
+
+    def test_zero_c_and_unconstrained_give_the_objective_pair(self):
+        d = at_origin(sign_program())
+        assert d.penalty(0.0) is d.u
+        d = at_origin(ProgramSpec(2, pe("pow(x1, 2)")))
+        assert d.phi is None and d.penalty(7.0) is d.u
+
+    def test_negative_c_rejected(self):
+        with pytest.raises(OptimalityError,
+                           match=r"penalty parameter c must be >= 0"):
+            check_stationarity(at_origin(sign_program()), -1.0)
+
+    def test_optcheck_walks_each_function_once(self):
+        # u, f1 and phi, against 18 walks when each c built its own Psi_c
+        walked = []
+
+        def counting(e, b):
+            walked.append(e)
+            return qd_at(e, b)
+
+        p = loads(PENALTY_DEMO.read_text()).program()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimality, "qd_at", counting)
+            assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
+        assert_equal(walked, [p.objective, p.equalities[0],
+                              constraint_penalty(p)])
+
+
+def test_penalty_pairs_match_on_the_benchmark_programs(load_perfbench):
+    load_perfbench("oracle")
+    gen = load_perfbench("gen")
+    n_checked = 0
+    for seed in (41, 42, 43):
+        w = gen.verdicts(seed)
+        for op in w.ops + w.warmup:
+            if op.command == "optcheck":
+                pf = loads(op.text)
+                p = pf.program()
+                assert_penalty_pairs_match(p, p.binding(pf.point))
+                n_checked += 1
+    assert n_checked > 0
+
+
 class TestFeasibilityViolations(TestCase):
 
     def test_equality_residual(self):
@@ -120,18 +196,18 @@ class TestStationarity(TestCase):
 
     def test_smooth_minimum_holds(self):
         p = ProgramSpec(2, pe("pow(x1, 2) + pow(x2, 2)"))
-        out = check_stationarity(p, p.binding(ORIGIN), 1.0)
+        out = check_stationarity(at_origin(p), 1.0)
         assert out.holds and out.violating_w is None
 
     def test_sharp_minimum_holds(self):
         p = ProgramSpec(2, pe("abs(x1)"))
-        assert check_stationarity(p, p.binding(ORIGIN), 1.0).holds
+        assert check_stationarity(at_origin(p), 1.0).holds
 
     def test_sign_program_fails_on_the_whole_ladder(self):
         p = sign_program()
         b = p.binding(ORIGIN)
         for c in C_LADDER:
-            out = check_stationarity(p, b, c)
+            out = check_stationarity(program_data(p, b), c)
             assert not out.holds
             # the witness is a superdifferential vertex whose negative
             # escapes the subdifferential
@@ -162,22 +238,22 @@ class TestStationarity(TestCase):
 
     def test_monotone_in_c_equality(self):
         p = ProgramSpec(2, pe("0 - x1"), (pe("x1"),))
-        b = p.binding(ORIGIN)
-        got = [check_stationarity(p, b, c).holds for c in C_LADDER]
+        d = at_origin(p)
+        got = [check_stationarity(d, c).holds for c in C_LADDER]
         assert_equal(got, [False, True, True, True, True])
 
     def test_monotone_in_c_inequality(self):
         p = ProgramSpec(2, pe("0 - x1"), (), (pe("x1"),))
-        b = p.binding(ORIGIN)
-        got = [check_stationarity(p, b, c).holds for c in C_LADDER]
+        d = at_origin(p)
+        got = [check_stationarity(d, c).holds for c in C_LADDER]
         assert_equal(got, [False, True, True, True, True])
 
     def test_random_fixtures_never_flip_back(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             p = dc_program(rng)
-            b = p.binding(ORIGIN)
-            got = [check_stationarity(p, b, c).holds for c in C_LADDER]
+            d = at_origin(p)
+            got = [check_stationarity(d, c).holds for c in C_LADDER]
             first = got.index(True) if True in got else len(got)
             assert_equal(got[first:], [True] * (len(got) - first))
 
@@ -187,7 +263,7 @@ class TestMultiplierSelection(TestCase):
     def test_active_inequality_with_slack_partner(self):
         p = ProgramSpec(2, pe("pow(x1, 2) + pow(x2, 2)"),
                         (), (pe("x1"), pe("x1 - 1")))
-        cert = check_multipliers(p, p.binding(ORIGIN), Selection(z=(0,)))
+        cert = check_multipliers(at_origin(p), Selection(z=(0,)))
         assert cert.feasible
         # lam spans all inequalities; the slack one is pinned to zero
         assert_equal(cert.lam, (0.0, 0.0))
@@ -198,7 +274,7 @@ class TestMultiplierSelection(TestCase):
         # min x2 s.t. x2 = 0: the classical multiplier is -1, recovered
         # here as mu_upper - mu_lower = -1
         p = ProgramSpec(2, pe("x2"), (pe("x2"),))
-        cert = check_multipliers(p, p.binding(ORIGIN), Selection(0, (0,), (0,)))
+        cert = check_multipliers(at_origin(p), Selection(0, (0,), (0,)))
         assert cert.feasible
         assert_allclose(cert.mu_lower, (1.0,))
         assert_allclose(cert.mu_upper, (0.0,))
@@ -209,30 +285,30 @@ class TestMultiplierSelection(TestCase):
         # min x2 s.t. x1 = 0: no multiplier can rotate (0,1) into
         # span{(1,0)}, exactly as in the classical KKT system
         p = ProgramSpec(2, pe("x2"), (pe("x1"),))
-        cert = check_multipliers(p, p.binding(ORIGIN), Selection(0, (0,), (0,)))
+        cert = check_multipliers(at_origin(p), Selection(0, (0,), (0,)))
         assert not cert.feasible
         assert cert.lam is None and cert.residual is None
 
     def test_sign_program_selections(self):
         p = sign_program()
-        b = p.binding(ORIGIN)
+        d = at_origin(p)
         # three of the four vertex selections admit multipliers; the
         # remaining one is infeasible no matter how large the bound
-        assert check_multipliers(p, b, Selection(0, (0,), (0,))).feasible
-        assert check_multipliers(p, b, Selection(0, (0,), (1,))).feasible
-        assert check_multipliers(p, b, Selection(0, (1,), (0,))).feasible
-        assert not check_multipliers(p, b, Selection(0, (1,), (1,))).feasible
-        assert not check_multipliers(p, b, Selection(0, (1,), (1,)),
+        assert check_multipliers(d, Selection(0, (0,), (0,))).feasible
+        assert check_multipliers(d, Selection(0, (0,), (1,))).feasible
+        assert check_multipliers(d, Selection(0, (1,), (0,))).feasible
+        assert not check_multipliers(d, Selection(0, (1,), (1,))).feasible
+        assert not check_multipliers(d, Selection(0, (1,), (1,)),
                                      c_bound=1e6).feasible
 
     def test_bound_is_respected_when_given(self):
         p = ProgramSpec(2, pe("0 - x1"), (pe("x1"),))
-        cert = check_multipliers(p, p.binding(ORIGIN), Selection(0, (0,), (0,)),
+        cert = check_multipliers(at_origin(p), Selection(0, (0,), (0,)),
                                  c_bound=2.0)
         assert cert.feasible
         assert_equal(cert.c_bound, 2.0)
         assert cert.multiplier_bound <= 2.0 + 1e-9
-        tight = check_multipliers(p, p.binding(ORIGIN),
+        tight = check_multipliers(at_origin(p),
                                   Selection(0, (0,), (0,)), c_bound=0.5)
         assert not tight.feasible
 
@@ -240,20 +316,20 @@ class TestMultiplierSelection(TestCase):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (), (pe("x1"),))
         with pytest.raises(OptimalityError,
                            match="0 v-indices, 0 w-indices and 1 z-indices"):
-            check_multipliers(p, p.binding(ORIGIN), Selection())
+            check_multipliers(at_origin(p), Selection())
 
     def test_selection_index_out_of_range(self):
         p = sign_program()
         with pytest.raises(OptimalityError,
                            match=r"index 5 out of range for sub\(f1\)"):
-            check_multipliers(p, p.binding(ORIGIN), Selection(0, (5,), (0,)))
+            check_multipliers(at_origin(p), Selection(0, (5,), (0,)))
 
 
 class TestSelectionSweep(TestCase):
 
     def test_sign_program_sweep_finds_the_witness(self):
         p = sign_program()
-        sweep = check_all_selections(p, p.binding(ORIGIN))
+        sweep = check_all_selections(at_origin(p))
         assert sweep.holds is False
         assert_equal(sweep.n_total, 4)
         assert sweep.first_infeasible is not None
@@ -262,7 +338,7 @@ class TestSelectionSweep(TestCase):
 
     def test_budget_cuts_the_sweep_short(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (pe("abs(x1)"),))
-        sweep = check_all_selections(p, p.binding(ORIGIN), budget=1)
+        sweep = check_all_selections(at_origin(p), budget=1)
         assert sweep.holds is None
         assert not sweep.complete
         assert_equal((sweep.n_total, sweep.n_checked), (2, 1))
@@ -270,13 +346,13 @@ class TestSelectionSweep(TestCase):
 
     def test_full_sweep_reports_complete(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (pe("abs(x1)"),))
-        sweep = check_all_selections(p, p.binding(ORIGIN))
+        sweep = check_all_selections(at_origin(p))
         assert sweep.holds is True and sweep.complete
         assert_equal((sweep.n_total, sweep.n_checked), (2, 2))
 
     def test_singleton_selection_space(self):
         p = ProgramSpec(2, pe("x2"), (pe("x2"),))
-        sweep = check_all_selections(p, p.binding(ORIGIN))
+        sweep = check_all_selections(at_origin(p))
         assert sweep.holds is True and sweep.complete
         assert_equal(sweep.n_total, 1)
 
@@ -290,9 +366,9 @@ class TestVerdictEquivalence(TestCase):
         p = sign_program()
         b = p.binding(ORIGIN)
         for c in C_LADDER:
-            sweep = check_all_selections(p, b, c_bound=c)
+            sweep = check_all_selections(program_data(p, b), c_bound=c)
             assert sweep.holds is False
-            assert not check_stationarity(p, b, c).holds
+            assert not check_stationarity(program_data(p, b), c).holds
 
     def test_random_dc_fixtures(self):
         rng = np.random.default_rng(7)
@@ -301,8 +377,8 @@ class TestVerdictEquivalence(TestCase):
             p = dc_program(rng)
             b = p.binding(ORIGIN)
             for c in (0.1, 1.0, 10.0):
-                sweep = check_all_selections(p, b, c_bound=c)
-                stat = check_stationarity(p, b, c)
+                sweep = check_all_selections(program_data(p, b), c_bound=c)
+                stat = check_stationarity(program_data(p, b), c)
                 assert sweep.holds is not None
                 assert_equal(sweep.holds, stat.holds)
                 seen[stat.holds] += 1
@@ -322,33 +398,34 @@ class TestVerdictEquivalence(TestCase):
             sub = minkowski_sum(q.sub, shift)
             sup = minkowski_sum(q.sup, scale(shift, -1.0))
             direct = all(contains(sub, -w) for w in sup.vertices)
-            assert_equal(direct, check_stationarity(p, b, c).holds)
+            assert_equal(direct,
+                         check_stationarity(program_data(p, b), c).holds)
 
 
 class TestCStarEstimate(TestCase):
 
     def test_linear_objective_crosses_at_one(self):
         p = ProgramSpec(2, pe("0 - x1"), (pe("x1"),))
-        est = estimate_c_star(p, p.binding(ORIGIN))
+        est = estimate_c_star(at_origin(p))
         assert_allclose(est, 1.0, atol=5e-3)
-        assert check_stationarity(p, p.binding(ORIGIN), est).holds
-        assert not check_stationarity(p, p.binding(ORIGIN), 0.9).holds
+        assert check_stationarity(at_origin(p), est).holds
+        assert not check_stationarity(at_origin(p), 0.9).holds
 
     def test_already_stationary_gives_zero(self):
         p = ProgramSpec(2, pe("pow(x1, 2) + pow(x2, 2)"))
-        assert_equal(estimate_c_star(p, p.binding(ORIGIN)), 0.0)
+        assert_equal(estimate_c_star(at_origin(p)), 0.0)
 
     def test_sign_program_never_crosses(self):
         p = sign_program()
-        assert_equal(estimate_c_star(p, p.binding(ORIGIN)), np.inf)
+        assert_equal(estimate_c_star(at_origin(p)), np.inf)
 
     def test_threshold_is_exact_at_one(self):
         p = ProgramSpec(2, pe("0 - x1"), (pe("x1"),))
-        b = p.binding(ORIGIN)
-        est = estimate_c_star(p, b)
+        d = at_origin(p)
+        est = estimate_c_star(d)
         assert_allclose(est, 1.0, rtol=0.0, atol=1e-12)
-        assert check_stationarity(p, b, est).holds
-        assert not check_stationarity(p, b, est * (1 - 1e-6)).holds
+        assert check_stationarity(d, est).holds
+        assert not check_stationarity(d, est * (1 - 1e-6)).holds
 
     def test_multi_pair_threshold_matches_rays(self):
         # u, phi and so Psi_c are positively homogeneous and linear between
@@ -371,10 +448,11 @@ class TestCStarEstimate(TestCase):
         # several vertices on each side, so several LPs decide c*
         assert qd_at(p.objective, b).sup.nvertices > 1
         assert qd_at(constraint_penalty(p), b).sup.nvertices > 1
-        est = estimate_c_star(p, b)
+        d = program_data(p, b)
+        est = estimate_c_star(d)
         assert_allclose(est, 7.0, rtol=0.0, atol=1e-12)
-        assert check_stationarity(p, b, est).holds
-        assert not check_stationarity(p, b, est * (1 - 1e-6)).holds
+        assert check_stationarity(d, est).holds
+        assert not check_stationarity(d, est * (1 - 1e-6)).holds
 
 
 def test_c_star_matches_the_benchmark_oracle(load_perfbench):
@@ -388,7 +466,7 @@ def test_c_star_matches_the_benchmark_oracle(load_perfbench):
                 continue
             pf = loads(op.text)
             p = pf.program()
-            est = estimate_c_star(p, p.binding(pf.point))
+            est = estimate_c_star(program_data(p, p.binding(pf.point)))
             truth = op.answer["c_star"]
             if np.isfinite(truth):
                 assert abs(est - truth) <= 1e-9, op.key
@@ -435,4 +513,4 @@ class TestQualificationPathway(TestCase):
         rep = qualification_pathway(p, p.binding(ORIGIN))
         assert_equal(rep.kind, "none")
         assert rep.mfcq_verdict is False
-        assert_equal(estimate_c_star(p, p.binding(ORIGIN)), np.inf)
+        assert_equal(estimate_c_star(at_origin(p)), np.inf)
