@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .mfcq import (DET_BUDGET, BudgetExceededError, InfeasiblePointError,
                    qd_mfcq)
 from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          check_all_selections, check_stationarity,
-                         estimate_c_star, feasibility_violations,
-                         program_data, qualification_pathway)
+                         estimate_c_star, program_data,
+                         qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, _finite, load
 from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
                          RegularityError, decay_flag, margin_infima,
@@ -281,8 +280,10 @@ def cmd_regcheck(args) -> tuple[list, dict, int]:
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
     infima = margin_infima(s, center, seed=args.seed)
-    rep.margin_infima.extend(infima)
-    rep.nonregularity_consistent = decay_flag(infima)
+    nonregular = decay_flag(infima)
+    notes = ([f"{rep.n_empty_solution_sets} target(s) had an empty sampled "
+              "solution set; distances recorded as +inf"]
+             if rep.n_empty_solution_sets else [])
 
     lines: list = []
     payload: dict = {}
@@ -328,14 +329,13 @@ def cmd_regcheck(args) -> tuple[list, dict, int]:
         lines.append(f"margin infimum r = {_g(radius)}: {_g(inf_margin)} "
                      f"({n_valid} valid)")
     lines.append("consistent with non-regularity: "
-                 + ("yes" if rep.nonregularity_consistent else "no"))
+                 + ("yes" if nonregular else "no"))
     payload.update(certified=rep.certified,
                    margin_infima=[{"radius": float(a), "infimum": float(b),
                                    "n_valid": int(c)}
                                   for a, b, c in infima],
-                   nonregularity_consistent=rep.nonregularity_consistent,
-                   notes=list(rep.notes))
-    for note in rep.notes:
+                   nonregularity_consistent=nonregular, notes=notes)
+    for note in notes:
         lines.append(f"note: {note}")
     return lines, payload, 0
 
@@ -345,9 +345,6 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     p = pf.program()
     x = _point_at(pf, args)
     b = p.binding(x)
-    bad = feasibility_violations(p, b, args.tol)
-    if bad:
-        raise InfeasiblePointError(bad)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
     pathway = qualification_pathway(p, b, tol=args.tol)
@@ -440,10 +437,23 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     return lines, payload, exit_code
 
 
+def _json_safe(obj):
+    """obj with each non-finite float spelt as the text report spells it
+    ("inf", "-inf", "nan"), which standard JSON has no number for."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return _g(obj)
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str, payload: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(_json_safe(payload), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
     except OSError as e:
         raise ProblemFileError(f"cannot write {path}: {e.strerror}") from e
@@ -486,29 +496,26 @@ def _parser() -> argparse.ArgumentParser:
                              "(default 0)")
         sp.add_argument("--tol", type=float, default=FEAS_TOL,
                         help="feasibility/active tolerance (default 1e-9)")
+        sp.add_argument("--at", nargs="+", type=float, metavar="X",
+                        help="evaluation point (overrides [point])")
 
     sp = sub.add_parser("qd", help="quasidifferentials of the file's "
                                    "functions at a point")
     common(sp)
-    sp.add_argument("--at", nargs="+", type=float, metavar="X",
-                    help="evaluation point (overrides [point])")
     sp.add_argument("--dir", action="append", nargs="+", type=float,
                     metavar="H", help="direction for a dd value; repeatable")
 
     sp = sub.add_parser("slope", help="exact strong slope of the "
                                       "target-distance function")
     common(sp)
-    sp.add_argument("--at", nargs="+", type=float, metavar="X")
     sp.add_argument("--target", nargs="+", type=float, metavar="T",
                     help="target values, equalities then inequalities")
 
     sp = sub.add_parser("mfcq", help="quasidifferential MFCQ at the point")
     common(sp)
-    sp.add_argument("--at", nargs="+", type=float, metavar="X")
 
     sp = sub.add_parser("regcheck", help="grid check of metric regularity")
     common(sp)
-    sp.add_argument("--at", nargs="+", type=float, metavar="X")
     sp.add_argument("--K", type=float, help="regularity constant")
     sp.add_argument("--r", type=float, help="neighborhood radius")
     sp.add_argument("--grid", type=int, help="points per axis (odd)")
@@ -516,7 +523,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optcheck", help="penalty-based necessary "
                                          "optimality conditions")
     common(sp)
-    sp.add_argument("--at", nargs="+", type=float, metavar="X")
     sp.add_argument("--c", nargs="+", type=float, metavar="C",
                     help="penalty ladder (default 0.5 1 2 10 100)")
     return ap

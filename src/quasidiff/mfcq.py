@@ -123,17 +123,24 @@ def full_rank_det_range(rows: Sequence[Polytope],
 
 def _sign_pattern_dependence(rows: Sequence[Polytope],
                              tol: float = FEAS_TOL):
-    """(lam, dist) for the first sign pattern whose hull lies within tol
-    of 0, lam = s mu at unit l2 norm with mu_j the Wolfe weight on A_j's
-    rows; (None, least distance) when every hull is farther."""
+    """(lam, dist) for the first sign pattern whose hull lies within
+    tol * max|a| of 0, lam = s mu at unit l2 norm with mu_j the Wolfe
+    weight on A_j's rows; (None, least distance) when every hull is
+    farther.  The cut is relative to the largest vertex, as the SVD cut of
+    geometry.complement_basis is, so that scaling every set by one factor
+    keeps the verdict; all-zero sets are dependent."""
     owner = np.repeat(np.arange(len(rows)), [r.nvertices for r in rows])
+    big = max(np.linalg.norm(r.vertices, axis=1).max() for r in rows)
+    # Wolfe's stopping test is absolute below unit norm, so sets smaller
+    # than 1/2 are lifted by a power of two, which is exact
+    lift = 2.0 ** max(0, -int(np.frexp(big)[1]))
     least = np.inf
     for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
-        signs = np.array((1.0,) + tail)
+        signs = lift * np.array((1.0,) + tail)
         x, corral, weights = _min_norm_combination(
             np.vstack([s * r.vertices for s, r in zip(signs, rows)]))
-        dist = float(np.linalg.norm(x))
-        if dist <= tol:
+        dist = float(np.linalg.norm(x)) / lift
+        if dist <= tol * big:
             lam = signs * np.bincount(owner[corral], weights=weights,
                                       minlength=len(rows))
             # + 0.0: a set with zero weight must not print as -0

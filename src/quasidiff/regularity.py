@@ -5,12 +5,15 @@ A system is F(x, p) = y (equalities) together with g(x, p) <= z
 
     psi_{y,z}(x) = sum_j |F_j(x,p) - y_j| + sum_i max(g_i(x,p) - z_i, 0)
 
-measures how far (y, z) is from the image set at x.  The sufficient
-condition implemented by check_condition4 asks for a superdifferential
-vertex w* with d(0, sub + w*) > 1/K.  The vertex margin max_w d(0, sub + w)
-is the strong slope of psi at x (the proof is in cli.cmd_slope), so it is
-independent of the quasidifferential representative.  The grid check and
-the margin shells of margin_infima are sampled; sampled_strong_slope is a
+measures how far (y, z) is from the image set at x; PsiFunction is the
+one place it is formed.  SystemSpec.values evaluates F and g once per
+point or batch, and _near is the one test of a scan point against the
+solution set S(y, z).  The sufficient condition implemented by
+check_condition4 asks for a superdifferential vertex w* with
+d(0, sub + w*) > 1/K.  The vertex margin max_w d(0, sub + w) is the strong
+slope of psi at x (the proof is in cli.cmd_slope), so it is independent
+of the quasidifferential representative.  The grid check and the margin
+shells of margin_infima are sampled; sampled_strong_slope is a
 ring-sampled slope kept as an independent reference for the tests.
 
 Everything here is desk scale: n <= 3 for the grid oracle, vertex
@@ -68,6 +71,12 @@ class SystemSpec:
             raise RegularityError(f"point must have shape ({self.n},)")
         return Binding(x, dict(self.params))
 
+    def values(self, x) -> tuple[list, list]:
+        """F(x) and g(x), each function evaluated once, at a point or over
+        a batch of points (shape (N, n))."""
+        return ([f.evaluate(x, self.params) for f in self.equalities],
+                [g.evaluate(x, self.params) for g in self.inequalities])
+
     def targets(self, y=None, z=None) -> tuple[np.ndarray, np.ndarray]:
         l, m = len(self.equalities), len(self.inequalities)
         y = np.zeros(l) if y is None else np.atleast_1d(np.asarray(y, dtype=float))
@@ -93,8 +102,10 @@ class PsiFunction:
             out = Add(out, t)
         self.expr = out
 
-    def value(self, x) -> float:
-        return float(self.expr.evaluate(x, self.system.params))
+    def value(self, x):
+        """psi at a point (a float) or over a batch (an array)."""
+        v = self.expr.evaluate(x, self.system.params)
+        return float(v) if np.ndim(v) == 0 else v
 
     def qd(self, x) -> Quasidifferential:
         return qd_at(self.expr, self.system.binding(x))
@@ -219,13 +230,22 @@ def _pattern_search(objective: Callable[[np.ndarray], float], start: np.ndarray,
     return c
 
 
+def _near(fv, gv, y, z, eta):
+    """Mask of the scan points taken as near S(y, z): |F_j - y_j| <= eta
+    and g_i <= z_i + eta, from the values of SystemSpec.values."""
+    return np.logical_and.reduce(
+        [np.abs(f - yj) <= eta for f, yj in zip(fv, y)]
+        + [g <= zi + eta for g, zi in zip(gv, z)])
+
+
 def _residual_fn(s: SystemSpec, y: np.ndarray, z: np.ndarray):
     def res(c: np.ndarray) -> float:
+        fv, gv = s.values(c)
         worst = 0.0
-        for f, yj in zip(s.equalities, y):
-            worst = max(worst, abs(float(f.evaluate(c, s.params)) - yj))
-        for g, zi in zip(s.inequalities, z):
-            worst = max(worst, float(g.evaluate(c, s.params)) - zi)
+        for f, yj in zip(fv, y):
+            worst = max(worst, abs(float(f) - yj))
+        for g, zi in zip(gv, z):
+            worst = max(worst, float(g) - zi)
         return worst
 
     return res
@@ -262,13 +282,7 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
     y, z = s.targets(y, z)
     c0 = x if center is None else np.asarray(center, dtype=float)
     pts, step = _scan_grid(c0, scan_radius, s.n, budget)
-    eta = 8.0 * step
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for f, yj in zip(s.equalities, y):
-        mask &= np.abs(f.evaluate(pts, s.params) - yj) <= eta
-    for g, zi in zip(s.inequalities, z):
-        mask &= g.evaluate(pts, s.params) <= zi + eta
-    accepted = pts[mask]
+    accepted = pts[_near(*s.values(pts), y, z, 8.0 * step)]
     if accepted.shape[0] == 0:
         return np.inf
     dist2 = np.einsum("ij,ij->i", accepted - x, accepted - x)
@@ -277,7 +291,7 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
     starts: list[np.ndarray] = []
     for idx in order:
         p = accepted[idx]
-        if all(np.linalg.norm(p - q) > 8 * step for q in starts) or not starts:
+        if all(np.linalg.norm(p - q) > 8 * step for q in starts):
             starts.append(p)
         if len(starts) >= 3:
             break
@@ -296,23 +310,14 @@ class GridViolator:
 
 @dataclass
 class RegularityGridReport:
-    K: float
-    r: float
-    x_grid: int
-    target_grid: int
-    scan_radius: float
-    budget: int
-    slack: float
-    psi_cutoff: float
+    """What the grid scan measured."""
+
     n_checked: int = 0
     n_skipped_near_graph: int = 0
     n_empty_solution_sets: int = 0
     worst_ratio: float = 0.0
     worst_point: tuple | None = None
     violators: list = field(default_factory=list)
-    margin_infima: list = field(default_factory=list)
-    nonregularity_consistent: bool = False
-    notes: list = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
@@ -368,31 +373,14 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     slack = 3.0 * step * np.sqrt(s.n)
     psi_cutoff = 10.0 * eta
 
-    f_scan = [f.evaluate(scan_pts, s.params) for f in s.equalities]
-    g_scan = [g.evaluate(scan_pts, s.params) for g in s.inequalities]
-    f_x = [f.evaluate(xpts, s.params) for f in s.equalities]
-    g_x = [g.evaluate(xpts, s.params) for g in s.inequalities]
-
-    report = RegularityGridReport(K=K, r=r, x_grid=x_grid,
-                                  target_grid=target_grid,
-                                  scan_radius=scan_radius, budget=budget,
-                                  slack=float(slack), psi_cutoff=float(psi_cutoff))
+    f_scan, g_scan = s.values(scan_pts)
+    report = RegularityGridReport()
 
     for combo in itertools.product(range(target_grid), repeat=l + m):
         y = np.array([taxis[combo[j]] for j in range(l)])
         z = np.array([taxis[combo[l + i]] for i in range(m)])
-        mask = np.ones(scan_pts.shape[0], dtype=bool)
-        for fv, yj in zip(f_scan, y):
-            mask &= np.abs(fv - yj) <= eta
-        for gv, zi in zip(g_scan, z):
-            mask &= gv <= zi + eta
-        accepted = scan_pts[mask]
-
-        psi = np.zeros(xpts.shape[0])
-        for fv, yj in zip(f_x, y):
-            psi += np.abs(fv - yj)
-        for gv, zi in zip(g_x, z):
-            psi += np.maximum(gv - zi, 0.0)
+        accepted = scan_pts[_near(f_scan, g_scan, y, z, eta)]
+        psi = PsiFunction(s, y, z).value(xpts)
 
         if accepted.shape[0] == 0:
             d = np.full(xpts.shape[0], np.inf)
@@ -421,10 +409,6 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
                         x=tuple(xpts[i]), y=tuple(y), z=tuple(z),
                         distance=float(dist), psi=float(psi[i]),
                         ratio=float(dist / psi[i])))
-    if report.n_empty_solution_sets:
-        report.notes.append(
-            f"{report.n_empty_solution_sets} target(s) had an empty sampled "
-            "solution set; distances recorded as +inf")
     return report
 
 

@@ -69,6 +69,10 @@ def run_twice(tmp_path, tag, *args):
     return outs[0][0], json.loads(outs[0][1])
 
 
+def refuse_constant(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
 CASES = {
     "qd": ("qd", str(PROBLEMS / "sin_system.prob"),
            "--dir", "1", "-1", "--dir", "0", "1"),
@@ -203,6 +207,8 @@ class TestReportShape:
             return
         if isinstance(obj, (int, float)):
             acc.add("%.12g" % float(obj))
+        elif obj in ("inf", "-inf", "nan"):
+            acc.add(obj)
         elif isinstance(obj, dict):
             for v in obj.values():
                 TestReportShape._json_numbers(v, acc)
@@ -218,6 +224,19 @@ class TestReportShape:
             self._json_numbers(payload, mirrored)
             for token in pattern.findall(text):
                 assert token in mirrored, f"{tag}: {token!r} not in sidecar"
+
+    def test_sidecars_are_standard_json(self, tmp_path, capsys):
+        # RFC 8259 has no Infinity or NaN: the sidecar spells a non-finite
+        # number as the text report does
+        payloads = {}
+        for tag, args in CASES.items():
+            sidecar = tmp_path / f"{tag}.json"
+            assert_equal(main([*args, "--json", str(sidecar)]), 0)
+            payloads[tag] = json.loads(sidecar.read_text(),
+                                       parse_constant=refuse_constant)
+        capsys.readouterr()
+        assert_equal(payloads["mfcq"]["margin"], "inf")
+        assert_equal(payloads["optcheck"]["c_star"], None)
 
     def test_header_lines(self, reports):
         for tag, (text, payload) in reports.items():
@@ -385,6 +404,24 @@ class TestRegcheckReport:
         assert sum(l.startswith("margin infimum r = ")
                    for l in text.splitlines()) == 4
 
+    def test_empty_targets_are_counted_and_noted(self, tmp_path, capsys):
+        # |x1| - 0.05 <= z has no solution for the targets z = -0.2, -0.1
+        f = tmp_path / "empty.prob"
+        f.write_text("[problem]\nn = 1\ninequality = abs(x1) - 0.05\n"
+                     "[point]\nx = 0\n[check]\nK = 2\nr = 0.2\n"
+                     "grid = 11\ntarget_grid = 5\n")
+        sidecar = tmp_path / "empty.json"
+        assert_equal(main(["regcheck", str(f), "--json", str(sidecar)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert "worst ratio: inf" in lines
+        assert_equal(lines[-1], "note: 2 target(s) had an empty sampled "
+                     "solution set; distances recorded as +inf")
+        payload = json.loads(sidecar.read_text(),
+                             parse_constant=refuse_constant)
+        assert_equal(payload["n_empty_solution_sets"], 2)
+        assert_equal(payload["worst_ratio"], "inf")
+        assert_equal(payload["notes"], [lines[-1][len("note: "):]])
+
     def test_flag_overrides_shrink_the_grid(self):
         r = run_cli("regcheck", str(PROBLEMS / "cubic.prob"),
                     "--K", "1.0", "--r", "0.1", "--grid", "5")
@@ -440,6 +477,13 @@ class TestOptcheckReport:
         assert_equal(lines[-1], "verdict: conditions fail at every tested "
                      "c; no qualification verified, so non-optimality is "
                      "not certified")
+
+    def test_unconstrained_program_needs_no_qualification(self, tmp_path,
+                                                          capsys):
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
+                                    "objective = abs(x1)\n[point]\nx = 0\n")
+        assert ("qualification pathway: unconstrained problem, no "
+                "qualification needed") in lines
 
     def test_threshold_above_the_ladder_is_reported(self, tmp_path, capsys):
         lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"

@@ -195,6 +195,24 @@ class TestSignPatternHullTest(TestCase):
             seen.add(dr.full_rank)
         assert_equal(seen, {True, False})
 
+    def test_cut_is_relative_to_the_largest_vertex(self):
+        # find_hbar's SVD cuts at FEAS_TOL * max s; the hull test must not
+        # call 1e-10 * x1 dependent next to an equality span rank of 1
+        s = SystemSpec(2, (parse_expression("0.0000000001*x1", 2),),
+                       (parse_expression("x2", 2),))
+        rep = qd_mfcq(s, np.zeros(2))
+        assert rep.full_rank and rep.verdict
+        assert_equal(rep.eq_span_rank, 1)
+        e1, e2 = singleton([1.0, 0.0, 0.0]), singleton([0.0, 1.0, 0.0])
+        for rows, independent in (([e1, e2], True),
+                                  ([e1, scale(e1, -1.0)], False),
+                                  ([UNIT_BOX], False)):
+            for t in (1.0, 1e-10):
+                res = full_rank_general([scale(r, t) for r in rows],
+                                        rows[0].dim)
+                assert_equal(res.full_rank, independent)
+        assert not full_rank_general([singleton([0.0, 0.0, 0.0])], 3).full_rank
+
     def test_budget_caps_the_pattern_count(self):
         rows = [singleton([1.0, 0.0, 0.0]), singleton([0.0, 1.0, 0.0])]
         with pytest.raises(BudgetExceededError):

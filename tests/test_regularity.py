@@ -180,6 +180,12 @@ class TestSolutionDistance(TestCase):
                               budget=10 ** 4)
         assert d == np.inf
 
+    def test_inequality_half_line(self):
+        # S = {u : u <= 0.2}, so d(0.6, S) = 0.4
+        s = SystemSpec(1, (), (parse_expression("x1", 1),))
+        d = solution_distance(s, [0.6], z=[0.2], budget=10 ** 4)
+        assert_allclose(d, 0.4, atol=1e-8)
+
     def test_identity_exact(self):
         d = solution_distance(IDENTITY, [0.0], [0.25], scan_radius=1.0,
                               budget=10 ** 5)
