@@ -17,8 +17,26 @@ solves for every other point against the same kept set as before.  The
 canonical vertex array is therefore the one the plain loop gives, byte
 for byte, whatever the directions.
 
+A canonical array is a fixed point of that map, so operations whose
+result is an operand's array, or its exact negation, skip it.  Dedup
+keeps rows that are already more than DEDUP_TOL apart; in 1-D the min
+and max, and in 2-D the hull of a hull, are the same rows; in dim >= 3
+a second pass tests each vertex against the other vertices, a subset of
+the points it was kept against in the first, so its distance can only
+grow.  Float
+negation is exact and keeps every pairwise distance, so the canonical
+form of -V is -V re-sorted: the 2-D chain meets the same cross products
+in mirrored order, and Wolfe's iterates on -V are those on V negated.
+Hence minkowski_sum with {0} returns the other operand, scale by 1
+returns its operand and scale by -1 the sorted negation, and none runs
+the dedup, the pre-pass or a Wolfe solve.  The one caveat is a vertex
+whose distance from the others' hull lies within rounding of FEAS_TOL,
+which a second pass could judge the other way.
+
 Tolerances: DEDUP_TOL collapses coincident vertices, FEAS_TOL is the
-membership/feasibility tolerance used everywhere else.
+membership/feasibility tolerance used everywhere else.  The 2-D hull's
+cut is absolute below unit size, so a planar set smaller than 1/2 is
+lifted by a power of two, which is exact, before its hull is taken.
 """
 
 from __future__ import annotations
@@ -271,7 +289,12 @@ def _canonical(points: np.ndarray) -> np.ndarray:
         if dim == 1:
             pts = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
         elif dim == 2:
-            pts = _hull_2d(pts, FEAS_TOL)
+            top = float(np.abs(pts).max())
+            if top < 0.5:  # the hull's cut is absolute below unit size
+                lift = 2.0 ** -int(np.frexp(top)[1])
+                pts = _hull_2d(pts * lift, FEAS_TOL) / lift
+            else:
+                pts = _hull_2d(pts, FEAS_TOL)
             pts = pts[np.lexsort(pts.T[::-1])]
         else:
             pts = _drop_redundant(pts)
@@ -318,8 +341,23 @@ class Polytope:
         return f"Polytope[{rows}]"
 
 
+def _from_canonical(vertices: np.ndarray) -> Polytope:
+    """A Polytope around an array that is already canonical, built
+    without running _canonical again (see the module docstring)."""
+    poly = object.__new__(Polytope)
+    vertices.setflags(write=False)
+    poly.vertices = vertices
+    return poly
+
+
+def _is_origin(a: Polytope) -> bool:
+    return a.nvertices == 1 and not a.vertices.any()
+
+
 def zero_polytope(dim: int) -> Polytope:
-    return Polytope(np.zeros((1, dim)))
+    if dim < 1:
+        raise GeometryError("a polytope needs at least one point in R^n, n >= 1")
+    return _from_canonical(np.zeros((1, dim)))
 
 
 def singleton(point) -> Polytope:
@@ -332,16 +370,34 @@ def _check_dims(a: Polytope, b: Polytope) -> None:
 
 
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
-    """{u + v : u in a, v in b}."""
+    """{u + v : u in a, v in b}.
+
+    A {0} operand returns the other operand itself: v + 0.0 is v, and a
+    canonical array is a fixed point of canonicalisation.
+    """
     _check_dims(a, b)
+    if _is_origin(b):
+        return a
+    if _is_origin(a):
+        return b
     pts = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
     return Polytope(pts)
 
 
 def scale(a: Polytope, t: float) -> Polytope:
-    """{t v : v in a}.  t = 0 collapses to the origin; t < 0 reflects."""
+    """{t v : v in a}.  t = 0 collapses to the origin; t < 0 reflects.
+
+    t = 1 returns a itself, and t = -1 the negated vertices re-sorted
+    (+ 0.0 so that no -0 appears), without canonicalising again: negation
+    is exact and keeps every pairwise distance.
+    """
     if t == 0.0:
         return zero_polytope(a.dim)
+    if t == 1.0:
+        return a
+    if t == -1.0:
+        flipped = -a.vertices + 0.0
+        return _from_canonical(flipped[np.lexsort(flipped.T[::-1])])
     return Polytope(t * a.vertices)
 
 

@@ -260,8 +260,9 @@ class TestSameBytesAsThePairWalk:
 
 class TestPolytopeBuilds:
     """Only the root of a smooth subtree and the kink nodes build
-    polytopes; counted at geometry._canonical, which every Polytope
-    construction runs once."""
+    polytopes; counted at geometry._canonical, which every Polytope(...)
+    runs once.  {0}, a sum with {0} and a sign flip of a canonical array
+    are returned without it."""
 
     def count(self, monkeypatch, text, n, x):
         calls = []
@@ -276,17 +277,26 @@ class TestPolytopeBuilds:
         return len(calls)
 
     def test_smooth_expression_builds_one_pair(self, monkeypatch):
+        # the gradient; its {0} partner is built directly
         assert_equal(self.count(monkeypatch, "pow(x1, 3)*sin(x2) - 2*x1",
-                                2, [0.5, -1.0]), 2)
+                                2, [0.5, -1.0]), 1)
 
     @pytest.mark.parametrize("x", [[0.5, -1.0], [0.0, 0.0]])
     def test_abs_of_a_smooth_argument(self, monkeypatch, x):
-        # qd_smooth 2, the negated branch 2 and the absorb step 2; at the
-        # tie (x = 0) qd_max adds the sup sum, two shifted pieces of 2
-        # and their hull
-        want = 12 if x == [0.0, 0.0] else 6
+        # the gradient; the negated branch and the absorb step only flip
+        # signs or add {0}.  At the tie (x = 0) qd_max adds the shifted
+        # piece g + g and the hull co{0, 2g}, and the absorb step shifts
+        # it by -g
+        want = 4 if x == [0.0, 0.0] else 1
         assert_equal(self.count(monkeypatch, "abs(pow(x1, 3)*sin(x2) - x1)",
                                 2, x), want)
+
+    def test_kink_sum_builds_no_zero_side(self, monkeypatch):
+        # 4 per abs term at its tie, as above, and the square
+        # seg1 + seg2; the sup sums {0} + {0} and {0} - seg3 and the sub
+        # sum square + {0} return an operand or its sign flip
+        assert_equal(self.count(monkeypatch, "abs(x1) + abs(x2) - abs(x3)",
+                                3, [0.0, 0.0, 0.0]), 3 * 4 + 1)
 
 
 def reference_kink(e, b):

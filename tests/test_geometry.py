@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
+from quasidiff import cli, geometry
 from quasidiff.calculus import qd_plus_set
 from quasidiff.expressions import Binding, qd_at
 from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
-                                LpStatus, Polytope, _certified_extreme,
-                                _dedup, _min_norm_point, complement_basis,
+                                LpStatus, Polytope, _canonical,
+                                _certified_extreme, _dedup, _min_norm_point,
+                                complement_basis,
                                 contains, convex_hull_union, minkowski_sum,
                                 nearest_point, scale, singleton, solve_lp,
                                 span_basis, support, zero_polytope)
@@ -97,6 +99,24 @@ def reference_canonical(points):
     return np.ascontiguousarray(pts[order])
 
 
+def assert_fixed_point(v):
+    """v is canonical: _canonical gives v back, and gives -v as the
+    re-sorted negation, byte for byte.  minkowski_sum with {0} and scale
+    by +-1 return these arrays without canonicalising again."""
+    got = _canonical(v)
+    assert (got.shape, got.tobytes()) == (v.shape, v.tobytes())
+    flipped = -v + 0.0
+    flipped = flipped[np.lexsort(flipped.T[::-1])]
+    got = _canonical(-v)
+    assert (got.shape, got.tobytes()) == (flipped.shape, flipped.tobytes())
+
+
+SMALL_POLYGONS = [
+    1e-6 * np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]),
+    1e-5 * np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]),
+]
+
+
 class TestCanonicalForm(TestCase):
 
     def test_hull_matches_gift_wrapping(self):
@@ -118,6 +138,19 @@ class TestCanonicalForm(TestCase):
     def test_duplicates_merged(self):
         poly = Polytope([[1.0], [1.0 + 1e-14], [-1.0]])
         assert_equal(poly.nvertices, 2)
+
+    def test_small_polygons_keep_their_corners(self):
+        # the 2-D hull's cut is absolute below unit size; the lift by a
+        # power of two makes it relative without changing a bit
+        for pts in SMALL_POLYGONS:
+            got = Polytope(pts).vertices
+            assert_equal(got.shape, pts.shape)
+            assert_fixed_point(got)
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7], [0.2, 0.2]])
+        want = Polytope(tri).vertices
+        for k in (2, 20, 30):
+            got = Polytope(2.0 ** -k * tri).vertices
+            assert got.tobytes() == (2.0 ** -k * want).tobytes()
 
     def test_vertices_lex_sorted(self):
         poly = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
@@ -160,6 +193,7 @@ class TestCanonicalMatchesReference(TestCase):
                 x = _min_norm_point(np.delete(pts, j, axis=0) - pts[j])
                 assert np.linalg.norm(x) > gap
             self.certified += int(cert.sum())
+        assert_fixed_point(got)
         return got
 
     def segment_sums(self, rng, dim, basis=None):
@@ -220,12 +254,43 @@ class TestCanonicalMatchesReference(TestCase):
         assert got.tobytes() == reference_dedup(pts, DEDUP_TOL).tobytes()
 
 
+class TestCanonicalFixedPoints:
+    """Every canonical array that the benchmark's generators reach is a
+    fixed point of _canonical, and so is its sign flip up to order."""
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize("workload", ["qd_build", "verdicts"])
+    def test_benchmark_arrays(self, workload, seed, load_perfbench,
+                              monkeypatch, tmp_path, capsys):
+        load_perfbench("oracle")
+        ops = getattr(load_perfbench("gen"), workload)(seed).ops
+        canonical = geometry._canonical
+        seen = {}
+
+        def recorded(points):
+            out = canonical(points)
+            seen.setdefault((out.shape, out.tobytes()), out)
+            return out
+
+        monkeypatch.setattr(geometry, "_canonical", recorded)
+        path = tmp_path / "op.prob"
+        for op in ops:
+            path.write_text(op.text)
+            assert_equal(cli.main([op.command, str(path)] + op.flags), 0)
+        assert len(seen) > 100
+        assert any(v.shape[0] > 2 and v.shape[1] >= 3 for v in seen.values())
+        for v in seen.values():
+            assert_fixed_point(v)
+
+
 class TestMinkowskiSum(TestCase):
 
     def test_identity_element(self):
         rng = np.random.default_rng(1)
         a = rand_poly(rng, 2, 5)
-        assert minkowski_sum(a, zero_polytope(2)) == a
+        assert minkowski_sum(a, zero_polytope(2)) is a
+        assert minkowski_sum(zero_polytope(2), a) is a
+        assert minkowski_sum(a, zero_polytope(2)) == Polytope(a.vertices)
 
     def test_interval_sums(self):
         # [-1,1] + {0} stays [-1,1]; [-2,2] + [-1,1] widens to [-3,3]
@@ -261,11 +326,18 @@ class TestScale(TestCase):
     def test_unit(self):
         rng = np.random.default_rng(4)
         a = rand_poly(rng, 2, 4)
-        assert scale(a, 1.0) == a
+        assert scale(a, 1.0) is a
 
     def test_reflection(self):
         a = Polytope([[1.0, 0.0], [2.0, 0.0]])
         assert scale(a, -1.0) == Polytope([[-1.0, 0.0], [-2.0, 0.0]])
+        # no -0 in the flipped array
+        assert scale(a, -1.0).vertices.tobytes() == \
+            np.array([[-2.0, 0.0], [-1.0, 0.0]]).tobytes()
+        rng = np.random.default_rng(4)
+        for dim in (1, 2, 3):
+            b = rand_poly(rng, dim, 6)
+            assert scale(b, -1.0) == Polytope(-b.vertices)
 
     def test_zero_collapses_to_origin(self):
         rng = np.random.default_rng(5)
