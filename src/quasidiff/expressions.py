@@ -173,11 +173,12 @@ def _wrap(child: Expr, minlevel: int) -> str:
 
 
 def _broadcast(value, point):
-    """A value free of x as evaluate returns it: the scalar at a point, an
-    array of copies over a batch."""
+    """A value free of x as evaluate returns it: a float at a point; over a
+    batch, an array of copies, or of its entries for an array value with
+    one entry per row."""
     point = np.asarray(point, dtype=float)
-    return np.broadcast_to(value, point.shape[:-1]).copy() \
-        if point.ndim > 1 else value
+    return np.broadcast_to(value, point.shape[:-1]).astype(float) \
+        if point.ndim > 1 else float(value)
 
 
 @dataclass(frozen=True)
@@ -205,10 +206,12 @@ class Param(Expr):
     name: str
 
     def evaluate(self, point, params=None):
+        """The bound value: a scalar, or an array with one entry per row of
+        a batch of points."""
         params = params or {}
         if self.name not in params:
             raise UnboundParameterError(self.name)
-        return _broadcast(float(params[self.name]), point)
+        return _broadcast(params[self.name], point)
 
     def _vgrad(self, b):
         if self.name not in b.params:

@@ -427,9 +427,10 @@ def nearest_point(a: Polytope, q) -> tuple[np.ndarray, float]:
     return q + x, float(np.linalg.norm(x))
 
 
-def contains(a: Polytope, q, tol: float = FEAS_TOL) -> bool:
-    """Membership test, consistent with nearest_point by construction."""
-    return nearest_point(a, q)[1] <= tol
+def contains(a: Polytope, q) -> bool:
+    """Membership test within FEAS_TOL, consistent with nearest_point by
+    construction."""
+    return nearest_point(a, q)[1] <= FEAS_TOL
 
 
 def span_basis(points) -> np.ndarray:

@@ -5,10 +5,15 @@ A system is F(x, p) = y (equalities) together with g(x, p) <= z
 
     psi_{y,z}(x) = sum_j |F_j(x,p) - y_j| + sum_i max(g_i(x,p) - z_i, 0)
 
-measures how far (y, z) is from the image set at x; PsiFunction is the
-one place it is formed.  SystemSpec.values evaluates F and g once per
-point or batch, and _near is the one test of a scan point against the
-solution set S(y, z).  The sufficient condition implemented by
+measures how far (y, z) is from the image set at x.  Each SystemSpec
+builds psi's tree once, on first use, with y_j and z_i as the parameters
+Y1..Yl and Z1..Zm; PsiFunction binds them to one target pair, or to one
+pair per row of a batch of points, so a new target changes a dict and not
+the tree.  A Param leaf runs the same IEEE operations as a Const leaf of
+the same value, so psi's values and quasidifferentials are those of the
+tree with the targets written in.  SystemSpec.values evaluates F and g
+once per point or batch, and _near is the one test of a scan point
+against the solution set S(y, z).  The sufficient condition implemented by
 check_condition4 asks for a superdifferential vertex w* with
 d(0, sub + w*) > 1/K.  The vertex margin max_w d(0, sub + w) is the strong
 slope of psi at x (the proof is in cli.cmd_slope), so it is independent
@@ -22,6 +27,7 @@ enumeration everywhere, deterministic seeds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -29,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .calculus import Quasidifferential, steepest_rate
-from .expressions import Abs, Add, Binding, Const, Expr, Max, Sub, qd_at
+from .expressions import Abs, Add, Binding, Const, Expr, Max, Param, Sub, qd_at
 
 SLOPE_DIRECTIONS = 256
 # verify_regularity_grid's defaults: points per axis, targets per axis,
@@ -78,41 +84,56 @@ class SystemSpec:
                 [g.evaluate(x, self.params) for g in self.inequalities])
 
     def targets(self, y=None, z=None) -> tuple[np.ndarray, np.ndarray]:
+        """y and z as arrays, zeros when not given: one pair, or one row per
+        batch row (only the last axis is checked)."""
         l, m = len(self.equalities), len(self.inequalities)
         y = np.zeros(l) if y is None else np.atleast_1d(np.asarray(y, dtype=float))
         z = np.zeros(m) if z is None else np.atleast_1d(np.asarray(z, dtype=float))
-        if y.shape != (l,) or z.shape != (m,):
+        if y.shape[-1] != l or z.shape[-1] != m:
             raise RegularityError(f"target shapes must be ({l},) and ({m},)")
         return y, z
 
+    @functools.cached_property
+    def psi_tree(self) -> Expr:
+        """psi_{y,z} with the targets as the parameters _target_names,
+        folded left to right into one sum."""
+        l = len(self.equalities)
+        terms = [Sub(h, Param(name)) for h, name in zip(
+            self.equalities + self.inequalities, _target_names(self))]
+        return functools.reduce(Add, [Abs(t) for t in terms[:l]]
+                                + [Max((t, Const(0.0))) for t in terms[l:]])
+
+
+def _target_names(s: SystemSpec) -> list[str]:
+    """The parameters of psi's tree that hold y and z: Y1..Yl, Z1..Zm.
+    Problem files lower-case every key and the parser's identifiers are
+    lower case, so no file can name them."""
+    return ([f"Y{j}" for j in range(1, len(s.equalities) + 1)]
+            + [f"Z{i}" for i in range(1, len(s.inequalities) + 1)])
+
 
 class PsiFunction:
-    """Scalarized distance-to-target function with value and qd access."""
+    """psi_{y,z}: the system's psi tree with its target parameters bound to
+    y and z, one pair or one pair per row of a batch."""
 
     def __init__(self, system: SystemSpec, y, z):
         self.system = system
-        self.y, self.z = system.targets(y, z)
-        terms: list[Expr] = []
-        for f, yj in zip(system.equalities, self.y):
-            terms.append(Abs(Sub(f, Const(float(yj)))))
-        for g, zi in zip(system.inequalities, self.z):
-            terms.append(Max((Sub(g, Const(float(zi))), Const(0.0))))
-        out = terms[0]
-        for t in terms[1:]:
-            out = Add(out, t)
-        self.expr = out
+        y, z = system.targets(y, z)
+        columns = [*np.moveaxis(y, -1, 0), *np.moveaxis(z, -1, 0)]
+        self.params = dict(zip(_target_names(system), columns), **system.params)
 
     def value(self, x):
         """psi at a point (a float) or over a batch (an array)."""
-        v = self.expr.evaluate(x, self.system.params)
+        v = self.system.psi_tree.evaluate(x, self.params)
         return float(v) if np.ndim(v) == 0 else v
 
     def qd(self, x) -> Quasidifferential:
-        return qd_at(self.expr, self.system.binding(x))
+        point = self.system.binding(x).point
+        return qd_at(self.system.psi_tree, Binding(point, self.params))
 
 
 def psi_expr(s: SystemSpec, y=None, z=None) -> PsiFunction:
-    """Build the scalarization psi_{y,z} for the system."""
+    """The scalarization psi_{y,z} of the system."""
     return PsiFunction(s, y, z)
 
 
@@ -189,13 +210,26 @@ def _compass(n: int) -> np.ndarray:
     return np.array([d / np.linalg.norm(d) for d in dirs])
 
 
-def _scan_grid(center: np.ndarray, radius: float, n: int, budget: int):
-    k = max(3, int(round(budget ** (1.0 / n))))
-    axes = [np.linspace(c - radius, c + radius, k) for c in center]
+def _axis(c: float, r: float, k: int) -> np.ndarray:
+    """k points evenly spaced on [c - r, c + r]; one point is c itself
+    (np.linspace would give c - r)."""
+    return np.array([c]) if k == 1 else np.linspace(c - r, c + r, k)
+
+
+def _lattice(center: np.ndarray, r: float, k: int) -> np.ndarray:
+    """The k^n points of the product of the axes _axis(c, r, k) over the
+    coordinates c of center, one per row, the last coordinate fastest."""
+    # axes stays alive through the stack: freed first, it lets malloc trim
+    # the heap, and a 10^6-point scan's temporaries then fault their pages
+    # in again (3.5x the minor faults, 10-15% of an n = 1 grid check)
+    axes = [_axis(c, r, k) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, n)
-    step = 2.0 * radius / (k - 1)
-    return pts, step
+    return np.stack(mesh, axis=-1).reshape(-1, len(center))
+
+
+def _scan_grid(center: np.ndarray, radius: float, budget: int):
+    k = max(3, int(round(budget ** (1.0 / len(center)))))
+    return _lattice(center, radius, k), 2.0 * radius / (k - 1)
 
 
 def _pattern_search(objective: Callable[[np.ndarray], float], start: np.ndarray,
@@ -281,7 +315,7 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
     x = np.asarray(x, dtype=float)
     y, z = s.targets(y, z)
     c0 = x if center is None else np.asarray(center, dtype=float)
-    pts, step = _scan_grid(c0, scan_radius, s.n, budget)
+    pts, step = _scan_grid(c0, scan_radius, budget)
     accepted = pts[_near(*s.values(pts), y, z, 8.0 * step)]
     if accepted.shape[0] == 0:
         return np.inf
@@ -325,12 +359,6 @@ class RegularityGridReport:
         return len(self.violators) == 0
 
 
-def _axis(c: float, r: float, k: int) -> np.ndarray:
-    """k points evenly spaced on [c - r, c + r]; one point is c itself
-    (np.linspace would give c - r)."""
-    return np.array([c]) if k == 1 else np.linspace(c - r, c + r, k)
-
-
 def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
                            x_grid: int = X_GRID,
                            target_grid: int = TARGET_GRID, *,
@@ -363,12 +391,10 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     from scipy.spatial import cKDTree
 
     center = np.asarray(center, dtype=float)
-    axes = [_axis(c, r, x_grid) for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xpts = np.stack(mesh, axis=-1).reshape(-1, s.n)
+    xpts = _lattice(center, r, x_grid)
     taxis = _axis(0.0, r, target_grid)
 
-    scan_pts, step = _scan_grid(center, scan_radius, s.n, budget)
+    scan_pts, step = _scan_grid(center, scan_radius, budget)
     eta = 8.0 * step
     slack = 3.0 * step * np.sqrt(s.n)
     psi_cutoff = 10.0 * eta
@@ -377,8 +403,7 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     report = RegularityGridReport()
 
     for combo in itertools.product(range(target_grid), repeat=l + m):
-        y = np.array([taxis[combo[j]] for j in range(l)])
-        z = np.array([taxis[combo[l + i]] for i in range(m)])
+        y, z = np.split(taxis[list(combo)], [l])
         accepted = scan_pts[_near(f_scan, g_scan, y, z, eta)]
         psi = PsiFunction(s, y, z).value(xpts)
 
@@ -412,34 +437,42 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     return report
 
 
-def margin_infima(s: SystemSpec, center, y=None, z=None, *,
+def margin_infima(s: SystemSpec, center, *,
                   seed: int = 0) -> list[tuple[float, float, int]]:
     """Infimum of condition-4 margins over shrinking sampling shells.
 
     Supports the 'consistent with non-regularity' label: margins that
     collapse as the shell shrinks are the necessary-direction signature.
-    Each shell takes up to 48 valid samples from 960 draws.  Entries are
+    Each shell draws (x, y, z) uniformly within rho of (center, 0, 0) and
+    takes up to 48 valid samples (psi > 1e-9) from 960 draws.  Entries are
     (radius, infimum, n_valid_samples).
+
+    The draws come in rounds of one batched psi evaluation each.  A round
+    holds no more rows than valid samples are still needed, so the 48th
+    valid sample is always a round's last row: the generator stream and
+    the draws evaluated are those of drawing and testing one at a time.
+    numpy's array pow can round a last bit differently from its scalar
+    pow, so only a psi within rounding of the cut could be screened the
+    other way.
     """
-    center = np.asarray(center, dtype=float)
-    y0, z0 = s.targets(y, z)
+    base = np.concatenate([s.binding(center).point, *s.targets()])
     rng = np.random.default_rng(seed)
     out = []
     for rho in (0.3, 0.1, 0.03, 0.01):
         inf_margin = np.inf
         valid = 0
-        attempts = 0
-        while valid < 48 and attempts < 960:
-            attempts += 1
-            xs = center + rho * rng.uniform(-1.0, 1.0, size=s.n)
-            ys = y0 + rho * rng.uniform(-1.0, 1.0, size=y0.shape)
-            zs = z0 + rho * rng.uniform(-1.0, 1.0, size=z0.shape)
-            psi = psi_expr(s, ys, zs)
-            if psi.value(xs) <= 1e-9:
-                continue
-            valid += 1
-            margin = steepest_rate(psi.qd(xs))[0]
-            inf_margin = min(inf_margin, margin)
+        drawn = 0
+        while valid < 48 and drawn < 960:
+            k = min(48 - valid, 960 - drawn)
+            drawn += k
+            draws = base + rho * rng.uniform(-1.0, 1.0, size=(k, base.size))
+            xs, ys, zs = np.split(draws, [s.n, s.n + len(s.equalities)], axis=1)
+            psi = PsiFunction(s, ys, zs).value(xs)
+            # not psi > 1e-9: a nan psi stays a valid sample
+            for i in np.flatnonzero(~(psi <= 1e-9)):
+                valid += 1
+                q = PsiFunction(s, ys[i], zs[i]).qd(xs[i])
+                inf_margin = min(inf_margin, steepest_rate(q)[0])
         out.append((float(rho), float(inf_margin), valid))
     return out
 

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
-from quasidiff import cli
+from quasidiff import cli, regularity
 from quasidiff.cli import main
 from quasidiff.expressions import MAX_DEPTH
 from quasidiff.problemfile import (MAX_CONSTRAINTS, ProblemFileError, load,
                                    loads)
-from quasidiff.regularity import PsiFunction, psi_expr
+from quasidiff.regularity import (PsiFunction, margin_infima, psi_expr,
+                                  verify_regularity_grid)
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -746,6 +747,41 @@ class TestNonFiniteInputs:
         # no sample above is, so it is taken here
         s = load(str(f)).system()
         assert_equal(psi_expr(s).qd(np.zeros(1)).sub.nvertices, 1)
+
+    def test_regcheck_builds_psi_once_at_the_constraint_cap(
+            self, tmp_path, capsys, monkeypatch):
+        # each psi tree holds one max node per inequality; a tree per
+        # target (3,841 of them here) would build that many times more
+        built = []
+
+        class CountingMax(regularity.Max):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(regularity, "Max", CountingMax)
+        f = tmp_path / "cap.prob"
+        f.write_text(cap_text(MAX_CONSTRAINTS))
+        assert_equal(main(["regcheck", str(f)]), 0)
+        capsys.readouterr()
+        assert_equal(len(built), MAX_CONSTRAINTS)
+
+    def test_overflow_in_a_margin_shell_is_two(self, tmp_path, capsys):
+        # exp(10000 x1) overflows past x1 = 0.071: inside the first margin
+        # shell (radius 0.3), outside the grid and the scan (radius 0.01)
+        text = ("[problem]\nn = 1\nequality = exp(10000*x1)\n[point]\n"
+                "x = 0\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
+                "target_grid = 1\nscan_radius = 0.01\nbudget = 100\n")
+        s = loads(text).system()
+        with np.errstate(over="raise"):
+            verify_regularity_grid(s, [0.0], 1.0, 0.01, 1, 1,
+                                   scan_radius=0.01, budget=100)
+            with pytest.raises(FloatingPointError):
+                margin_infima(s, [0.0])
+        code, err = self.run_main(tmp_path, capsys, text, command="regcheck")
+        assert_equal(code, 2)
+        assert_equal(err, "error: a value overflows the float range while "
+                     "evaluating the problem\n")
 
     def test_constraint_past_the_cap_is_two(self, tmp_path, capsys):
         code, err = self.run_main(tmp_path, capsys,

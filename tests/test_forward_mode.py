@@ -130,23 +130,25 @@ def assert_same_bytes(e, b):
 
 def _file_cases(pf, extra_points=()):
     """(expression, binding) pairs of a problem file: its functions, psi
-    at two targets and a penalty, at the file's point and extra_points."""
+    at two targets (the system's psi tree with its target parameters
+    bound) and a penalty, at the file's point and extra_points."""
     exprs = list(pf.equalities) + list(pf.inequalities)
     if pf.objective is not None:
         exprs.append(pf.objective)
         if exprs[:-1]:
             exprs.append(build_penalty(pf.program(), 2.0))
+    cases = [(e, pf.params) for e in exprs]
     if pf.equalities or pf.inequalities:
         s = pf.system()
         l, m = len(s.equalities), len(s.inequalities)
         for shift in (0.0, 0.25):
-            exprs.append(psi_expr(s, [shift] * l, [-shift] * m).expr)
+            cases.append((s.psi_tree,
+                          psi_expr(s, [shift] * l, [-shift] * m).params))
     x0 = pf.point if pf.point is not None else np.zeros(pf.n)
     for x in [x0] + [x0 + np.asarray(h, dtype=float)[:pf.n]
                      for h in extra_points]:
-        b = Binding(x, dict(pf.params))
-        for e in exprs:
-            yield e, b
+        for e, params in cases:
+            yield e, Binding(x, dict(params))
 
 
 class TestSameBytesAsThePairWalk:

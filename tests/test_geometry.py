@@ -440,7 +440,7 @@ class TestContains(TestCase):
 
     def test_point_beyond_tolerance(self):
         a = Polytope([[0.0, 0.0], [1.0, 0.0]])
-        assert not contains(a, [0.0, 2e-9], tol=1e-9)
+        assert not contains(a, [0.0, 2e-9])
 
     def test_consistent_with_nearest_point(self):
         rng = np.random.default_rng(10)

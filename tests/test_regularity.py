@@ -5,15 +5,18 @@ import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
 from quasidiff.calculus import Quasidifferential, steepest_rate
-from quasidiff.expressions import (Binding, UnboundParameterError,
-                                   parse_expression)
+from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Sub,
+                                   UnboundParameterError, parse_expression,
+                                   qd_at)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
-from quasidiff.problemfile import load
-from quasidiff.regularity import (BudgetExceededError, RegularityError,
-                                  SystemSpec, check_condition4, decay_flag,
+from quasidiff.problemfile import load, loads
+from quasidiff.regularity import (BudgetExceededError, PsiFunction,
+                                  RegularityError, SystemSpec,
+                                  check_condition4, decay_flag,
                                   margin_infima, psi_expr,
                                   sampled_strong_slope, solution_distance,
                                   verify_regularity_grid)
+from test_cli import cap_text
 
 SQ2 = np.sqrt(2.0)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -277,3 +280,138 @@ class TestMarginInfima(TestCase):
         assert not decay_flag(infima)
         for _, inf, n in infima:
             assert n > 0 and inf > 0.5
+
+
+def reference_psi_tree(s, y, z):
+    """psi_{y,z} with the targets written in as Const leaves, the tree that
+    was built anew for every target pair before the system's psi tree
+    took them as parameters."""
+    y, z = s.targets(y, z)
+    terms = ([Abs(Sub(f, Const(float(yj)))) for f, yj in zip(s.equalities, y)]
+             + [Max((Sub(g, Const(float(zi))), Const(0.0)))
+                for g, zi in zip(s.inequalities, z)])
+    out = terms[0]
+    for t in terms[1:]:
+        out = Add(out, t)
+    return out
+
+
+def reference_margin_infima(s, center, seed=0):
+    """margin_infima drawing, building and testing one (x, y, z) at a
+    time."""
+    center = np.asarray(center, dtype=float)
+    y0, z0 = s.targets()
+    rng = np.random.default_rng(seed)
+    out = []
+    for rho in (0.3, 0.1, 0.03, 0.01):
+        inf_margin = np.inf
+        valid = 0
+        attempts = 0
+        while valid < 48 and attempts < 960:
+            attempts += 1
+            xs = center + rho * rng.uniform(-1.0, 1.0, size=s.n)
+            ys = y0 + rho * rng.uniform(-1.0, 1.0, size=y0.shape)
+            zs = z0 + rho * rng.uniform(-1.0, 1.0, size=z0.shape)
+            e = reference_psi_tree(s, ys, zs)
+            if float(e.evaluate(xs, s.params)) <= 1e-9:
+                continue
+            valid += 1
+            margin = steepest_rate(qd_at(e, s.binding(xs)))[0]
+            inf_margin = min(inf_margin, margin)
+        out.append((float(rho), float(inf_margin), valid))
+    return out
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert_equal(got.shape, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _psi_cases(pf, rng):
+    """(system, point, batch, y rows, z rows) for a problem file: the
+    file's point x0, and 16 rows (x, y, z) drawn uniformly within 0.5 of
+    (x0, 0, 0)."""
+    s = pf.system()
+    l, m = len(s.equalities), len(s.inequalities)
+    x0 = pf.point if pf.point is not None else np.zeros(s.n)
+    draws = rng.uniform(-0.5, 0.5, size=(16, s.n + l + m))
+    xs, ys, zs = np.split(draws, [s.n, s.n + l], axis=1)
+    return s, x0, x0 + xs, ys, zs
+
+
+def _assert_psi_as_reference(s, x0, xs, ys, zs):
+    # one target pair (a drawn one, then zeros): value and qd at a point,
+    # value over the batch
+    for y, z in [(ys[0], zs[0]), (ys[1] * 0.0, zs[1] * 0.0)]:
+        psi, ref = PsiFunction(s, y, z), reference_psi_tree(s, y, z)
+        for x in (x0, xs[0]):
+            _same_bytes(psi.value(x), ref.evaluate(x, s.params))
+            got, want = psi.qd(x), qd_at(ref, s.binding(x))
+            _same_bytes(got.sub.vertices, want.sub.vertices)
+            _same_bytes(got.sup.vertices, want.sup.vertices)
+        _same_bytes(psi.value(xs), ref.evaluate(xs, s.params))
+    # one target pair per row, against each row's tree over the same
+    # batch (numpy's array pow may round a last bit differently from its
+    # scalar pow, so a batch is compared with a batch)
+    _same_bytes(PsiFunction(s, ys, zs).value(xs),
+                [reference_psi_tree(s, y, z).evaluate(xs, s.params)[i]
+                 for i, (y, z) in enumerate(zip(ys, zs))])
+
+
+class TestPsiTreeAsReference:
+    """The system's psi tree with bound target parameters gives the bytes
+    of the tree with the targets written in, and margin_infima's batched
+    rounds the floats of the per-draw loop."""
+
+    @pytest.mark.parametrize("name", ["cubic.prob", "penalty_demo.prob",
+                                      "sin_system.prob"])
+    def test_fixtures(self, name):
+        rng = np.random.default_rng(0)
+        _assert_psi_as_reference(*_psi_cases(load(PROBLEMS / name), rng))
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_benchmark_verdict_systems(self, seed, load_perfbench):
+        load_perfbench("oracle")
+        workload = load_perfbench("gen").verdicts(seed)
+        rng = np.random.default_rng(seed)
+        count = 0
+        for op in workload.ops + workload.warmup:
+            pf = loads(op.text)
+            if pf.equalities or pf.inequalities:
+                _assert_psi_as_reference(*_psi_cases(pf, rng))
+                count += 1
+        assert count > 0
+
+    def test_tree_is_built_once_per_system(self):
+        s = SystemSpec(2, (parse_expression("abs(x1) - x2", 2),),
+                       (parse_expression("x1", 2),))
+        tree = s.psi_tree
+        assert_equal(psi_expr(s, [0.3], [0.1]).value([1.0, 0.5]), 1.1)
+        assert s.psi_tree is tree
+        with pytest.raises(RegularityError):
+            psi_expr(s, [[0.3, 0.1]], [[0.1]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["CUBIC", "IDENTITY", "MIXED",
+                                      "sin_system", "cap", "half_valid"])
+    def test_margin_infima_as_per_draw_loop(self, name, seed):
+        s, center = {
+            "CUBIC": (CUBIC, [0.0]),
+            "IDENTITY": (IDENTITY, [0.0]),
+            "MIXED": (MIXED, [0.0, 0.0]),
+            "sin_system": (load(PROBLEMS / "sin_system.prob").system(),
+                           load(PROBLEMS / "sin_system.prob").point),
+            # the cap file's two constraint shapes: psi is 0 at every
+            # draw, so no sample is valid
+            "cap": (loads(cap_text(2)).system(), [0.0]),
+            # psi = max(x1 - z, 0) is positive at about half the draws
+            "half_valid": (SystemSpec(1, (), (parse_expression("x1", 1),)),
+                           [0.0]),
+        }[name]
+        got = margin_infima(s, center, seed=seed)
+        assert_equal(got, reference_margin_infima(s, center, seed=seed))
+        if name == "cap":
+            assert_equal([k for _, _, k in got], [0, 0, 0, 0])
+        if name == "half_valid":
+            assert all(0 < k <= 48 for _, _, k in got)
