@@ -1,8 +1,11 @@
-"""The text reports of the shipped fixtures, byte for byte.
+"""The reports of the shipped fixtures, byte for byte.
 
-Each file under tests/golden holds stdout, stderr and the exit code of
-one `quasidiff <command> problems/<fixture>.prob` run without flags.  A
-change that means to alter a report regenerates the files with
+Each `<command>-<fixture>.txt` under tests/golden holds stdout, stderr
+and the exit code of one `quasidiff <command> problems/<fixture>.prob`
+run without flags, and `<command>-<fixture>.json` the --json sidecar of
+the same run; a run that rejects its input writes no sidecar and has no
+.json file.  A change that means to alter a report regenerates both
+kinds of file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,22 +26,38 @@ COMMANDS = ("qd", "slope", "mfcq", "regcheck", "optcheck")
 FIXTURES = ("cubic", "penalty_demo", "sin_system")
 
 
-def record(command: str, fixture: str) -> str:
+def record(command: str, fixture: str, sidecar: Path):
+    """(text record, sidecar text or None) of one run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(ROOT / "problems" / f"{fixture}.prob")])
-    return f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
+        code = main([command, str(ROOT / "problems" / f"{fixture}.prob"),
+                     "--json", str(sidecar)])
+    text = f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
+    return text, (sidecar.read_text(encoding="utf-8")
+                  if sidecar.exists() else None)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 @pytest.mark.parametrize("command", COMMANDS)
-def test_report_is_unchanged(command, fixture):
-    golden = (GOLDEN / f"{command}-{fixture}.txt").read_text(encoding="utf-8")
-    assert record(command, fixture) == golden
+def test_report_is_unchanged(command, fixture, tmp_path):
+    text, sidecar = record(command, fixture, tmp_path / "sidecar.json")
+    stem = GOLDEN / f"{command}-{fixture}"
+    assert text == stem.with_suffix(".txt").read_text(encoding="utf-8")
+    golden = stem.with_suffix(".json")
+    assert sidecar == (golden.read_text(encoding="utf-8")
+                       if golden.exists() else None)
 
 
 if __name__ == "__main__":
-    for command in COMMANDS:
-        for fixture in FIXTURES:
-            (GOLDEN / f"{command}-{fixture}.txt").write_text(
-                record(command, fixture), encoding="utf-8")
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            for fixture in FIXTURES:
+                text, sidecar = record(command, fixture, Path(tmp) /
+                                       f"{command}-{fixture}.json")
+                stem = GOLDEN / f"{command}-{fixture}"
+                stem.with_suffix(".txt").write_text(text, encoding="utf-8")
+                stem.with_suffix(".json").unlink(missing_ok=True)
+                if sidecar is not None:
+                    stem.with_suffix(".json").write_text(sidecar,
+                                                         encoding="utf-8")
