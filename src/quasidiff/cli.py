@@ -6,6 +6,11 @@ number in it reappears in the optional --json sidecar, and exit codes
 mean 0 = check ran, 1 = a configured budget or limit cut the run short,
 2 = the input was rejected, 3 = an internal error (a defect of the
 program, reported as one line instead of a traceback).
+
+Each command fills one _Report: one add per report line carries the
+sidecar fields that mirror its numbers, and lines repeated per item
+(functions, ladder rungs, violators, warnings) mirror one sidecar list.
+main writes the sidecar first, then the lines to stdout.
 """
 
 from __future__ import annotations
@@ -48,22 +53,36 @@ def _poly(p: Polytope) -> str:
     return "{" + body + "}" if p.nvertices == 1 else "co{" + body + "}"
 
 
-def _floats(v) -> list:
-    return [float(c) for c in np.atleast_1d(v)]
+def _floats(v) -> list | None:
+    return None if v is None else [float(c) for c in np.atleast_1d(v)]
 
 
-def _header(args, lines: list, payload: dict) -> None:
-    lines.append(f"quasidiff {args.command} report")
-    lines.append(f"seed: {args.seed}")
-    lines.append(f"tol: {_g(args.tol)}")
-    payload.update(command=args.command, seed=args.seed,
-                   tol=float(args.tol))
+class _Report:
+    """One command's report: each add writes one text line for stdout
+    together with the --json sidecar fields that mirror its numbers;
+    code is the exit code."""
 
+    def __init__(self, args):
+        self.lines: list = []
+        self.payload: dict = {}
+        self.code = 0
+        self.add(f"quasidiff {args.command} report", command=args.command)
+        self.add(f"seed: {args.seed}", seed=args.seed)
+        self.add(f"tol: {_g(args.tol)}", tol=float(args.tol))
 
-def _params_line(params: dict, lines: list) -> None:
-    if params:
-        body = ", ".join(f"{k} = {_g(v)}" for k, v in sorted(params.items()))
-        lines.append(f"params: {body}")
+    def add(self, text=None, **fields) -> None:
+        """Append the line text, if given, and the sidecar fields."""
+        if text is not None:
+            self.lines.append(text)
+        self.payload.update(fields)
+
+    def point(self, label: str, x, params: dict) -> None:
+        """The point (or center) line, then a params line if any."""
+        self.add(f"{label}: {_vec(x)}", params=dict(params),
+                 **{label: _floats(x)})
+        if params:
+            self.add("params: " + ", ".join(
+                f"{k} = {_g(v)}" for k, v in sorted(params.items())))
 
 
 def _given(value, default):
@@ -79,7 +98,10 @@ def _check_flags(args) -> None:
     for flag, value in flags:
         if value is not None:
             vals = np.atleast_1d(value)
-            _finite(vals, " ".join(_g(v) for v in vals), None, flag)
+            text = " ".join(_g(v) for v in vals)
+            _finite(vals, text, None, flag)
+            if flag == "--c" and vals.min() < 0:
+                raise ProblemFileError(f"--c must be >= 0, got {text!r}")
     if args.tol <= 0:
         raise ProblemFileError(f"--tol must be positive, got {_g(args.tol)}")
     if args.seed < 0:
@@ -110,18 +132,20 @@ def _point_at(pf: ProblemFile, args) -> np.ndarray:
     return pf.point
 
 
-def _selection_str(sel) -> str:
-    return (f"w0={sel.w0} v={list(sel.v)} w={list(sel.w)} "
-            f"z={list(sel.z)}")
+def _selection(sel) -> dict:
+    return {"w0": sel.w0, "v": list(sel.v), "w": list(sel.w),
+            "z": list(sel.z)}
 
 
-def cmd_qd(args) -> tuple[list, dict, int]:
+def _xyz(x, y, z) -> dict:
+    return {"x": _floats(x), "y": _floats(y), "z": _floats(z)}
+
+
+def cmd_qd(args) -> _Report:
     pf = load(args.file)
     x = _point_at(pf, args)
     b = Binding(x, dict(pf.params))
-    roles = []
-    if pf.objective is not None:
-        roles.append(("objective", pf.objective))
+    roles = [("objective", pf.objective)] if pf.objective is not None else []
     roles += [(f"equality {j + 1}", f) for j, f in enumerate(pf.equalities)]
     roles += [(f"inequality {i + 1}", g)
               for i, g in enumerate(pf.inequalities)]
@@ -135,32 +159,28 @@ def cmd_qd(args) -> tuple[list, dict, int]:
                                    f"got {hv.size}")
         dirs.append(hv)
 
-    lines: list = []
-    payload: dict = {}
-    _header(args, lines, payload)
-    lines.append(f"point: {_vec(x)}")
-    _params_line(pf.params, lines)
-    payload.update(point=_floats(x), params=dict(pf.params), functions=[])
+    out = _Report(args)
+    out.point("point", x, pf.params)
+    functions: list = []
+    out.add(functions=functions)
     for role, e in roles:
         value = float(e.evaluate(b.point, b.params))
         q = qd_at(e, b)
-        lines.append(f"{role}: {e.to_text()}")
-        lines.append(f"  value: {_g(value)}")
-        lines.append(f"  sub: {_poly(q.sub)}")
-        lines.append(f"  sup: {_poly(q.sup)}")
-        rec = {"role": role, "text": e.to_text(), "value": value,
-               "sub": [ _floats(v) for v in q.sub.vertices ],
-               "sup": [ _floats(v) for v in q.sup.vertices ],
-               "dd": []}
+        rec = {"role": role, "text": e.to_text(), "value": value, "dd": []}
+        functions.append(rec)
+        out.add(f"{role}: {e.to_text()}")
+        out.add(f"  value: {_g(value)}")
+        for key, part in (("sub", q.sub), ("sup", q.sup)):
+            out.add(f"  {key}: {_poly(part)}")
+            rec[key] = [_floats(v) for v in part.vertices]
         for h in dirs:
-            val = dd(q, h)
-            lines.append(f"  dd {_vec(h)}: {_g(val)}")
-            rec["dd"].append({"h": _floats(h), "value": float(val)})
-        payload["functions"].append(rec)
-    return lines, payload, 0
+            val = float(dd(q, h))
+            out.add(f"  dd {_vec(h)}: {_g(val)}")
+            rec["dd"].append({"h": _floats(h), "value": val})
+    return out
 
 
-def cmd_slope(args) -> tuple[list, dict, int]:
+def cmd_slope(args) -> _Report:
     """Exact strong slope of psi = psi_{y,z} at the point.
 
     Grammar functions are locally Lipschitz and directionally
@@ -189,81 +209,64 @@ def cmd_slope(args) -> tuple[list, dict, int]:
     psi = psi_expr(s, y, z)
     value = float(psi.value(x))
     if value == 0.0:
-        slope, witness = 0.0, None
-        method = "exact (psi = 0 is its minimum)"
+        slope, witness, method = 0.0, None, "exact (psi = 0 is its minimum)"
     else:
-        margin, w = steepest_rate(psi.qd(x))
+        margin, witness = steepest_rate(psi.qd(x))
         slope = float(margin) if margin > FEAS_TOL else 0.0
-        witness = _floats(w)
         method = "exact (vertex margin)"
 
-    lines: list = []
-    payload: dict = {}
-    _header(args, lines, payload)
-    lines.append(f"point: {_vec(x)}")
-    _params_line(pf.params, lines)
-    lines.append("norm: l1")
-    lines.append(f"target y: {_vec(y) if y else '()'}")
-    lines.append(f"target z: {_vec(z) if z else '()'}")
-    lines.append(f"psi at point: {_g(value)}")
-    lines.append(f"slope estimate: {_g(slope)}")
-    lines.append(f"slope method: {method}")
-    payload.update(point=_floats(x), params=dict(pf.params), norm="l1",
-                   target_y=y, target_z=z, psi=value, slope=slope,
-                   slope_method=method, slope_witness=witness)
-    return lines, payload, 0
+    out = _Report(args)
+    out.point("point", x, pf.params)
+    out.add("norm: l1", norm="l1")
+    out.add(f"target y: {_vec(y)}", target_y=y)
+    out.add(f"target z: {_vec(z)}", target_z=z)
+    out.add(f"psi at point: {_g(value)}", psi=value)
+    out.add(f"slope estimate: {_g(slope)}", slope=slope,
+            slope_witness=_floats(witness))
+    out.add(f"slope method: {method}", slope_method=method)
+    return out
 
 
-def cmd_mfcq(args) -> tuple[list, dict, int]:
+def cmd_mfcq(args) -> _Report:
     pf = load(args.file)
     s = pf.system()
     x = _point_at(pf, args)
     budget = _given(pf.check.budget, DET_BUDGET)
     rep = qd_mfcq(s, x, tol=args.tol, budget=budget)
 
-    lines: list = []
-    payload: dict = {}
-    _header(args, lines, payload)
-    lines.append(f"point: {_vec(rep.point)}")
-    _params_line(rep.params, lines)
-    act = ", ".join(str(i + 1) for i in rep.active) if rep.active else "none"
-    lines.append(f"active inequalities: {act}")
-    lines.append(f"full rank: {'yes' if rep.full_rank else 'no'} "
-                 f"({rep.full_rank_method})")
-    lines.append(f"  {rep.full_rank_certificate}")
-    payload.update(point=_floats(rep.point), params=dict(rep.params),
-                   active=[i + 1 for i in rep.active],
-                   full_rank=rep.full_rank,
-                   full_rank_method=rep.full_rank_method,
-                   full_rank_certificate=rep.full_rank_certificate)
+    out = _Report(args)
+    out.point("point", rep.point, rep.params)
+    out.add("active inequalities: "
+            + (", ".join(str(i + 1) for i in rep.active) or "none"),
+            active=[i + 1 for i in rep.active])
+    out.add(f"full rank: {'yes' if rep.full_rank else 'no'} "
+            f"({rep.full_rank_method})", full_rank=rep.full_rank,
+            full_rank_method=rep.full_rank_method)
+    out.add(f"  {rep.full_rank_certificate}",
+            full_rank_certificate=rep.full_rank_certificate)
     if rep.det_range is not None:
-        lines.append(f"det range: [{_g(rep.det_range.min_det)}, "
-                     f"{_g(rep.det_range.max_det)}]")
-        payload["det_range"] = [float(rep.det_range.min_det),
-                                float(rep.det_range.max_det)]
+        dr = [float(rep.det_range.min_det), float(rep.det_range.max_det)]
+        out.add(f"det range: [{_g(dr[0])}, {_g(dr[1])}]", det_range=dr)
     if rep.failing_lambda is not None:
-        lines.append(f"failing lambda: {_vec(rep.failing_lambda)}")
-        payload["failing_lambda"] = _floats(rep.failing_lambda)
-    lines.append(f"equality span rank: {rep.eq_span_rank} "
-                 f"(complement dimension {rep.complement_dim})")
-    lines.append("hbar: " + (_vec(rep.hbar) if rep.hbar is not None
-                             else "none"))
-    lines.append(f"margin: {_g(rep.margin)}")
-    lines.append("verdict: q.d.-MFCQ "
-                 + ("holds" if rep.verdict else "fails"))
-    payload.update(eq_span_rank=rep.eq_span_rank,
-                   complement_dim=rep.complement_dim,
-                   hbar=None if rep.hbar is None else _floats(rep.hbar),
-                   margin=float(rep.margin), verdict=rep.verdict,
-                   warnings=list(rep.warnings), caveats=list(rep.caveats))
+        out.add(f"failing lambda: {_vec(rep.failing_lambda)}",
+                failing_lambda=_floats(rep.failing_lambda))
+    out.add(f"equality span rank: {rep.eq_span_rank} "
+            f"(complement dimension {rep.complement_dim})",
+            eq_span_rank=rep.eq_span_rank, complement_dim=rep.complement_dim)
+    out.add("hbar: " + ("none" if rep.hbar is None else _vec(rep.hbar)),
+            hbar=_floats(rep.hbar))
+    out.add(f"margin: {_g(rep.margin)}", margin=float(rep.margin))
+    out.add("verdict: q.d.-MFCQ " + ("holds" if rep.verdict else "fails"),
+            verdict=rep.verdict)
+    out.add(warnings=list(rep.warnings), caveats=list(rep.caveats))
     for w in rep.warnings:
-        lines.append(f"warning: {w}")
+        out.add(f"warning: {w}")
     for cv in rep.caveats:
-        lines.append(f"caveat: {cv}")
-    return lines, payload, 0
+        out.add(f"caveat: {cv}")
+    return out
 
 
-def cmd_regcheck(args) -> tuple[list, dict, int]:
+def cmd_regcheck(args) -> _Report:
     pf = load(args.file)
     s = pf.system()
     center = _point_at(pf, args)
@@ -280,67 +283,63 @@ def cmd_regcheck(args) -> tuple[list, dict, int]:
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
     infima = margin_infima(s, center, seed=args.seed)
-    nonregular = decay_flag(infima)
-    notes = ([f"{rep.n_empty_solution_sets} target(s) had an empty sampled "
-              "solution set; distances recorded as +inf"]
-             if rep.n_empty_solution_sets else [])
 
-    lines: list = []
-    payload: dict = {}
-    _header(args, lines, payload)
-    lines.append(f"center: {_vec(center)}")
-    _params_line(pf.params, lines)
-    lines.append(f"K: {_g(K)}  r: {_g(r)}  x grid: {x_grid}  "
-                 f"target grid: {target_grid}")
-    lines.append(f"scan radius: {_g(scan_radius)}  budget: {budget}")
-    lines.append(f"checked: {rep.n_checked}  skipped near graph: "
-                 f"{rep.n_skipped_near_graph}  empty targets: "
-                 f"{rep.n_empty_solution_sets}")
-    lines.append(f"worst ratio: {_g(rep.worst_ratio)}")
-    payload.update(center=_floats(center), params=dict(pf.params),
-                   K=float(K), r=float(r), x_grid=x_grid,
-                   target_grid=target_grid, scan_radius=float(scan_radius),
-                   budget=budget, n_checked=rep.n_checked,
-                   n_skipped_near_graph=rep.n_skipped_near_graph,
-                   n_empty_solution_sets=rep.n_empty_solution_sets,
-                   worst_ratio=float(rep.worst_ratio))
+    out = _Report(args)
+    out.point("center", center, pf.params)
+    out.add(f"K: {_g(K)}  r: {_g(r)}  x grid: {x_grid}  "
+            f"target grid: {target_grid}", K=float(K), r=float(r),
+            x_grid=x_grid, target_grid=target_grid)
+    out.add(f"scan radius: {_g(scan_radius)}  budget: {budget}",
+            scan_radius=float(scan_radius), budget=budget)
+    out.add(f"checked: {rep.n_checked}  skipped near graph: "
+            f"{rep.n_skipped_near_graph}  empty targets: "
+            f"{rep.n_empty_solution_sets}", n_checked=rep.n_checked,
+            n_skipped_near_graph=rep.n_skipped_near_graph,
+            n_empty_solution_sets=rep.n_empty_solution_sets)
+    out.add(f"worst ratio: {_g(rep.worst_ratio)}",
+            worst_ratio=float(rep.worst_ratio))
     if rep.worst_point is not None:
-        wx, wy, wz = rep.worst_point
-        lines.append(f"  at x = {_vec(wx)}, y = {_vec(wy)}, z = {_vec(wz)}")
-        payload["worst_point"] = {"x": _floats(wx), "y": _floats(wy),
-                                  "z": _floats(wz)}
-    lines.append(f"violators: {len(rep.violators)}")
-    payload["violators"] = []
+        out.add("  at x = {}, y = {}, z = {}".format(
+            *map(_vec, rep.worst_point)), worst_point=_xyz(*rep.worst_point))
+    out.add(f"violators: {len(rep.violators)}", violators=[
+        {**_xyz(v.x, v.y, v.z), "distance": float(v.distance),
+         "psi": float(v.psi), "ratio": float(v.ratio)}
+        for v in rep.violators])
     for v in rep.violators[:_MAX_VIOLATOR_LINES]:
-        lines.append(f"  x = {_vec(v.x)}, y = {_vec(v.y)}, z = {_vec(v.z)}: "
-                     f"d = {_g(v.distance)}, psi = {_g(v.psi)}, "
-                     f"ratio = {_g(v.ratio)}")
+        out.add(f"  x = {_vec(v.x)}, y = {_vec(v.y)}, z = {_vec(v.z)}: "
+                f"d = {_g(v.distance)}, psi = {_g(v.psi)}, "
+                f"ratio = {_g(v.ratio)}")
     if len(rep.violators) > _MAX_VIOLATOR_LINES:
-        lines.append(f"  ... and {len(rep.violators) - _MAX_VIOLATOR_LINES} "
-                     "more")
-    for v in rep.violators:
-        payload["violators"].append({
-            "x": _floats(v.x), "y": _floats(v.y), "z": _floats(v.z),
-            "distance": float(v.distance), "psi": float(v.psi),
-            "ratio": float(v.ratio)})
-    lines.append("certified: " + ("yes (up to grid resolution)"
-                                  if rep.certified else "no"))
+        out.add(f"  ... and {len(rep.violators) - _MAX_VIOLATOR_LINES} "
+                "more")
+    out.add("certified: " + ("yes (up to grid resolution)"
+                             if rep.certified else "no"),
+            certified=rep.certified)
+    out.add(margin_infima=[{"radius": float(a), "infimum": float(b),
+                            "n_valid": int(c)} for a, b, c in infima])
     for radius, inf_margin, n_valid in infima:
-        lines.append(f"margin infimum r = {_g(radius)}: {_g(inf_margin)} "
-                     f"({n_valid} valid)")
-    lines.append("consistent with non-regularity: "
-                 + ("yes" if nonregular else "no"))
-    payload.update(certified=rep.certified,
-                   margin_infima=[{"radius": float(a), "infimum": float(b),
-                                   "n_valid": int(c)}
-                                  for a, b, c in infima],
-                   nonregularity_consistent=nonregular, notes=notes)
-    for note in notes:
-        lines.append(f"note: {note}")
-    return lines, payload, 0
+        out.add(f"margin infimum r = {_g(radius)}: {_g(inf_margin)} "
+                f"({n_valid} valid)")
+    nonregular = decay_flag(infima)
+    out.add("consistent with non-regularity: "
+            + ("yes" if nonregular else "no"),
+            nonregularity_consistent=nonregular)
+    out.add(notes=[])
+    if rep.n_empty_solution_sets:
+        note = (f"{rep.n_empty_solution_sets} target(s) had an empty sampled "
+                "solution set; distances recorded as +inf")
+        out.add(f"note: {note}", notes=[note])
+    return out
 
 
-def cmd_optcheck(args) -> tuple[list, dict, int]:
+_PATHWAYS = {
+    "qd-mfcq": "q.d.-MFCQ verified",
+    "error-bound": "local error bound (piecewise-affine constraints)",
+    "unconstrained": "unconstrained problem, no qualification needed",
+    "none": "none verified (necessity of the conditions not established)"}
+
+
+def cmd_optcheck(args) -> _Report:
     pf = load(args.file)
     p = pf.program()
     x = _point_at(pf, args)
@@ -350,32 +349,19 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     pathway = qualification_pathway(p, b, tol=args.tol)
     data = program_data(p, b)
 
-    lines: list = []
-    payload: dict = {}
-    _header(args, lines, payload)
-    lines.append(f"point: {_vec(x)}")
-    _params_line(pf.params, lines)
-    lines.append(f"objective: {p.objective.to_text()}")
-    lines.append(f"constraints: {len(p.equalities)} equalities, "
-                 f"{len(p.inequalities)} inequalities")
-    if pathway.kind == "qd-mfcq":
-        pw = "q.d.-MFCQ verified"
-    elif pathway.kind == "error-bound":
-        pw = "local error bound (piecewise-affine constraints)"
-    elif pathway.kind == "unconstrained":
-        pw = "unconstrained problem, no qualification needed"
-    else:
-        pw = "none verified (necessity of the conditions not established)"
-    lines.append(f"qualification pathway: {pw}")
-    payload.update(point=_floats(x), params=dict(pf.params),
-                   objective=p.objective.to_text(),
-                   n_equalities=len(p.equalities),
-                   n_inequalities=len(p.inequalities),
-                   pathway={"kind": pathway.kind,
-                            "mfcq_verdict": pathway.mfcq_verdict},
-                   ladder=[float(c) for c in ladder], checks=[])
-
-    exit_code = 0
+    out = _Report(args)
+    out.point("point", x, pf.params)
+    out.add(f"objective: {p.objective.to_text()}",
+            objective=p.objective.to_text())
+    out.add(f"constraints: {len(p.equalities)} equalities, "
+            f"{len(p.inequalities)} inequalities",
+            n_equalities=len(p.equalities),
+            n_inequalities=len(p.inequalities))
+    out.add(f"qualification pathway: {_PATHWAYS[pathway.kind]}",
+            pathway={"kind": pathway.kind,
+                     "mfcq_verdict": pathway.mfcq_verdict})
+    checks: list = []
+    out.add(ladder=[float(c) for c in ladder], checks=checks)
     for c in ladder:
         st = check_stationarity(data, c)
         sw = check_all_selections(data, c_bound=c, budget=budget)
@@ -383,42 +369,37 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
             st_text = "stationarity holds"
         else:
             st_text = f"stationarity fails, violating w = {_vec(st.violating_w)}"
+        first = (None if sw.first_infeasible is None
+                 else _selection(sw.first_infeasible.selection))
         if sw.holds is True:
             sw_text = f"all {sw.n_total} selections feasible"
         elif sw.holds is False:
             sw_text = (f"infeasible selection "
-                       f"{_selection_str(sw.first_infeasible.selection)} "
-                       f"({sw.n_checked} of {sw.n_total} checked)")
+                       + " ".join(f"{k}={v}" for k, v in first.items())
+                       + f" ({sw.n_checked} of {sw.n_total} checked)")
         else:
             sw_text = (f"budget cut the sweep after {sw.n_checked} of "
                        f"{sw.n_total} selections")
-            exit_code = 1
+            out.code = 1
         if sw.holds is None:
             agree = "undetermined"
         else:
             agree = "yes" if st.holds == sw.holds else "NO"
-        lines.append(f"c = {_g(c)}: {st_text}; {sw_text}; agreement: {agree}")
-        payload["checks"].append({
+        out.add(f"c = {_g(c)}: {st_text}; {sw_text}; agreement: {agree}")
+        checks.append({
             "c": float(c), "stationarity": bool(st.holds),
-            "violating_w": None if st.violating_w is None
-            else _floats(st.violating_w),
+            "violating_w": _floats(st.violating_w),
             "selections": None if sw.holds is None else bool(sw.holds),
             "n_total": sw.n_total, "n_checked": sw.n_checked,
-            "first_infeasible": None if sw.first_infeasible is None else {
-                "w0": sw.first_infeasible.selection.w0,
-                "v": list(sw.first_infeasible.selection.v),
-                "w": list(sw.first_infeasible.selection.w),
-                "z": list(sw.first_infeasible.selection.z)},
-            "agreement": agree})
+            "first_infeasible": first, "agreement": agree})
 
     c_star = estimate_c_star(data)
     if np.isfinite(c_star):
-        lines.append(f"c* estimate: {_g(c_star)} "
-                     "(exact, one LP per vertex pair)")
-        payload["c_star"] = float(c_star)
+        out.add(f"c* estimate: {_g(c_star)} (exact, one LP per vertex pair)",
+                c_star=float(c_star))
     else:
-        lines.append("c* estimate: none (stationarity fails for every c >= 0)")
-        payload["c_star"] = None
+        out.add("c* estimate: none (stationarity fails for every c >= 0)",
+                c_star=None)
 
     # c* = inf is non-optimality only under a qualification (see optimality)
     if np.isinf(c_star) and pathway.kind != "none":
@@ -432,9 +413,8 @@ def cmd_optcheck(args) -> tuple[list, dict, int]:
     else:
         verdict = (f"necessary conditions hold only for c >= {_g(c_star)}, "
                    "above every tested c (no sufficiency claim)")
-    lines.append(f"verdict: {verdict}")
-    payload["verdict"] = verdict
-    return lines, payload, exit_code
+    out.add(f"verdict: {verdict}", verdict=verdict)
+    return out
 
 
 def _json_safe(obj):
@@ -495,7 +475,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="seeds regcheck's margin shells only "
                              "(default 0)")
         sp.add_argument("--tol", type=float, default=FEAS_TOL,
-                        help="feasibility/active tolerance (default 1e-9)")
+                        help="feasibility/active tolerance of mfcq and of "
+                             "optcheck's qualification pathway "
+                             "(default 1e-9)")
         sp.add_argument("--at", nargs="+", type=float, metavar="X",
                         help="evaluation point (overrides [point])")
 
@@ -538,11 +520,11 @@ def main(argv=None) -> int:
         # numpy overflow would otherwise give inf with a warning only
         with np.errstate(over="raise"):
             _check_flags(args)
-            lines, payload, code = _COMMANDS[args.command](args)
+            out = _COMMANDS[args.command](args)
         # the sidecar goes first, so that a path it cannot use leaves
         # nothing on stdout
         if args.json:
-            _write_json(args.json, payload)
+            _write_json(args.json, out.payload)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -558,8 +540,8 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    sys.stdout.write("\n".join(lines) + "\n")
-    return code
+    sys.stdout.write("\n".join(out.lines) + "\n")
+    return out.code
 
 
 if __name__ == "__main__":

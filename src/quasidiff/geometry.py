@@ -29,14 +29,22 @@ form of -V is -V re-sorted: the 2-D chain meets the same cross products
 in mirrored order, and Wolfe's iterates on -V are those on V negated.
 Hence minkowski_sum with {0} returns the other operand, scale by 1
 returns its operand and scale by -1 the sorted negation, and none runs
-the dedup, the pre-pass or a Wolfe solve.  The one caveat is a vertex
+the dedup, the pre-pass or a Wolfe solve.  The caveats are a vertex
 whose distance from the others' hull lies within rounding of FEAS_TOL,
-which a second pass could judge the other way.
+which a second pass could judge the other way, and a set below 1/2 whose
+largest |entry| lay on a dropped row just above a power of two, so that
+its canonical array gets a larger lift (see Tolerances).
 
 Tolerances: DEDUP_TOL collapses coincident vertices, FEAS_TOL is the
-membership/feasibility tolerance used everywhere else.  The 2-D hull's
-cut is absolute below unit size, so a planar set smaller than 1/2 is
-lifted by a power of two, which is exact, before its hull is taken.
+membership/feasibility tolerance used everywhere else.  DEDUP_TOL, the
+2-D hull's cut and Wolfe's stopping test are absolute below unit size,
+so one lift rule makes them relative there: a set whose largest |entry|
+is below 1/2 is multiplied by the power of two 2^k that puts it in
+[1/2, 1), which is exact, at the entry of _canonical (before the dedup)
+and of _min_norm_combination, and the result is scaled back.  Sets of
+size 1/2 or more keep their arithmetic and their absolute cuts.  So for
+k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
+2^k Polytope(P) byte for byte; for k > 0 it need not be.
 """
 
 from __future__ import annotations
@@ -109,18 +117,31 @@ def _min_norm_point(points: np.ndarray) -> np.ndarray:
     return _min_norm_combination(points)[0]
 
 
+def _lift_exponent(top: float) -> int:
+    """The k that lifts a set whose largest |entry| is top into [1/2, 1)
+    by the exact factor 2^k when top < 1/2; 0 for top >= 1/2 or top = 0."""
+    return max(0, -int(np.frexp(top)[1]))
+
+
 def _min_norm_combination(points: np.ndarray):
     """Minimum-norm point x of the convex hull of the given points, with
     the weights that give it: (x, corral, lam), x = lam @ points[corral].
 
     Wolfe's algorithm.  Terminates finitely on exact data; the stopping
-    test tolerates double-precision roundoff.
+    test tolerates double-precision roundoff.  A set smaller than 1/2 is
+    solved lifted by 2^_lift_exponent and x scaled back.
     """
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 1:
         return pts[0].copy(), [0], np.ones(1)
     norms2 = np.einsum("ij,ij->i", pts, pts)
+    # a row with |p|^2 >= dim / 4 has an entry of 1/2 or more
+    lift = (_lift_exponent(np.abs(pts).max())
+            if norms2.max() < 0.25 * pts.shape[1] else 0)
+    if lift:
+        pts = np.ldexp(pts, lift)
+        norms2 = np.einsum("ij,ij->i", pts, pts)
     start = int(np.argmin(norms2))
     corral = [start]
     lam = np.array([1.0])
@@ -172,7 +193,7 @@ def _min_norm_combination(points: np.ndarray):
             corral = [c for c, k_ in zip(corral, keep) if k_]
             lam = lam[keep]
             lam = lam / lam.sum()
-    return x, corral, lam
+    return (np.ldexp(x, -lift) if lift else x), corral, lam
 
 
 def _hull_2d(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -280,24 +301,23 @@ def _canonical(points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
         raise GeometryError("a polytope needs at least one point in R^n, n >= 1")
-    if not np.all(np.isfinite(pts)):
+    top = float(np.abs(pts).max())
+    if not np.isfinite(top):
         raise GeometryError("polytope vertices must be finite")
-    pts = pts + 0.0  # drop negative zeros so formatting stays canonical
-    pts = _dedup(pts, DEDUP_TOL)
+    k = _lift_exponent(top)
+    # + 0.0 drops negative zeros so formatting stays canonical
+    pts = _dedup((np.ldexp(pts, k) if k else pts) + 0.0, DEDUP_TOL)
     m, dim = pts.shape
     if m > 2:
         if dim == 1:
             pts = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
         elif dim == 2:
-            top = float(np.abs(pts).max())
-            if top < 0.5:  # the hull's cut is absolute below unit size
-                lift = 2.0 ** -int(np.frexp(top)[1])
-                pts = _hull_2d(pts * lift, FEAS_TOL) / lift
-            else:
-                pts = _hull_2d(pts, FEAS_TOL)
+            pts = _hull_2d(pts, FEAS_TOL)
             pts = pts[np.lexsort(pts.T[::-1])]
         else:
             pts = _drop_redundant(pts)
+    if k:  # the kept rows are lifted input rows, so this is exact
+        pts = np.ldexp(pts, -k)
     # every branch leaves a fresh, C-contiguous, lex-sorted array
     pts.setflags(write=False)
     return pts

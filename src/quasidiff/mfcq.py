@@ -28,8 +28,9 @@ import numpy as np
 
 from .calculus import qd_plus_set
 from .expressions import Binding, qd_at
-from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
-                       complement_basis, solve_lp, support)
+from .geometry import (FEAS_TOL, LpStatus, Polytope, _lift_exponent,
+                       _min_norm_combination, complement_basis, solve_lp,
+                       support)
 from .regularity import BudgetExceededError, SystemSpec
 
 DET_BUDGET = 10 ** 6
@@ -128,25 +129,27 @@ def _sign_pattern_dependence(rows: Sequence[Polytope],
     weight on A_j's rows; (None, least distance) when every hull is
     farther.  The cut is relative to the largest vertex, as the SVD cut of
     geometry.complement_basis is, so that scaling every set by one factor
-    keeps the verdict; all-zero sets are dependent."""
+    keeps the verdict; all-zero sets are dependent.  The sets are lifted
+    by geometry's rule (a union whose largest |entry| is below 1/2 goes
+    into [1/2, 1) by an exact power of two, larger ones stay as they are)
+    and compared in lifted units, where no norm underflows."""
     owner = np.repeat(np.arange(len(rows)), [r.nvertices for r in rows])
-    big = max(np.linalg.norm(r.vertices, axis=1).max() for r in rows)
-    # Wolfe's stopping test is absolute below unit norm, so sets smaller
-    # than 1/2 are lifted by a power of two, which is exact
-    lift = 2.0 ** max(0, -int(np.frexp(big)[1]))
+    stacked = np.vstack([r.vertices for r in rows])
+    k = _lift_exponent(np.abs(stacked).max())
+    lifted = np.ldexp(stacked, k) if k else stacked
+    big = np.linalg.norm(lifted, axis=1).max()
     least = np.inf
     for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
-        signs = lift * np.array((1.0,) + tail)
-        x, corral, weights = _min_norm_combination(
-            np.vstack([s * r.vertices for s, r in zip(signs, rows)]))
-        dist = float(np.linalg.norm(x)) / lift
+        signs = np.array((1.0,) + tail)
+        x, corral, weights = _min_norm_combination(signs[owner, None] * lifted)
+        dist = float(np.linalg.norm(x))
         if dist <= tol * big:
             lam = signs * np.bincount(owner[corral], weights=weights,
                                       minlength=len(rows))
             # + 0.0: a set with zero weight must not print as -0
-            return lam / np.linalg.norm(lam) + 0.0, dist
+            return lam / np.linalg.norm(lam) + 0.0, float(np.ldexp(dist, -k))
         least = min(least, dist)
-    return None, least
+    return None, float(np.ldexp(least, -k))
 
 
 @dataclass(frozen=True)

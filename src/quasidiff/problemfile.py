@@ -231,6 +231,9 @@ def loads(text: str) -> ProblemFile:
             fields[key] = _floats(value, lineno, key)
             if key == "c" and not fields[key]:
                 raise ProblemFileError("c needs at least one number", lineno)
+            if key == "c" and min(fields[key]) < 0:
+                raise ProblemFileError(f"c must be >= 0, got {value!r}",
+                                       lineno)
             # y holds one target per equality, z one per inequality
             targets = {"y": ("equality", equalities),
                        "z": ("inequality", inequalities)}

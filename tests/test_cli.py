@@ -304,6 +304,18 @@ class TestMfcqReport:
         assert "verdict: q.d.-MFCQ fails" in text
         assert payload["verdict"] is False and payload["full_rank"] is False
 
+    @pytest.mark.parametrize("coef", ["1e-200", "1e-310"])
+    def test_tiny_gradient_is_full_rank(self, tmp_path, capsys, coef):
+        # row norms of these sets underflow when squared; the hull test
+        # lifts the sets by a power of two before it measures them
+        f = tmp_path / "tiny.prob"
+        f.write_text(f"[problem]\nn = 2\nequality = {coef}*x1\n"
+                     "[point]\nx = 0 0\n")
+        assert_equal(main(["mfcq", str(f)]), 0)
+        out, err = capsys.readouterr()
+        assert "full rank: yes (sign-pattern hull test)" in out.splitlines()
+        assert_equal(err, "")
+
 
 class TestSlopeReport:
 
@@ -621,6 +633,9 @@ BAD_FLAGS = [
     ("regcheck", ("--grid", "4"), "--grid must be odd, got 4"),
     ("regcheck", ("--K", "0"), "--K must be positive, got 0"),
     ("regcheck", ("--r", "-0.5"), "--r must be positive, got -0.5"),
+    # a penalty value is checked where it is read, naming the flag
+    ("optcheck", ("--c", "-1"), "--c must be >= 0, got '-1'"),
+    ("optcheck", ("--c", "1", "-2"), "--c must be >= 0, got '1 -2'"),
 ]
 BAD_CHECK_LINES = [
     ("mfcq", "budget = 0", "line 8: budget must be >= 1, got '0'"),
@@ -641,6 +656,7 @@ BAD_CHECK_LINES = [
     ("slope", "norm = l2", "line 8: norm must be l1, got 'l2'"),
     # an empty ladder is not the default ladder
     ("optcheck", "c =", "line 8: c needs at least one number"),
+    ("optcheck", "c = 1 -2", "line 8: c must be >= 0, got '1 -2'"),
     # one target per equality and per inequality
     ("slope", "y = 1 2",
      "line 8: y needs 1 value(s) (one per equality), got 2"),
@@ -851,7 +867,7 @@ NEGATIVE_EXPONENT_FLAGS = [
     ("qd", ("--dir", "-1e0"), 0, "  dd (-1): -1"),
     ("slope", ("--target", "-8.5E-16"), 0, "target y: (-8.5e-16)"),
     ("optcheck", ("--c", "1", "-1e0"), 2,
-     "error: penalty parameter c must be >= 0"),
+     "error: --c must be >= 0, got '1 -1'"),
     ("regcheck", ("--K", "-1e0"), 2, "error: --K must be positive, got -1"),
     ("regcheck", ("--r", "-.5e0"), 2, "error: --r must be positive, got -0.5"),
     ("mfcq", ("--tol", "-1e-3"), 2,

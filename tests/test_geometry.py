@@ -140,15 +140,16 @@ class TestCanonicalForm(TestCase):
         assert_equal(poly.nvertices, 2)
 
     def test_small_polygons_keep_their_corners(self):
-        # the 2-D hull's cut is absolute below unit size; the lift by a
-        # power of two makes it relative without changing a bit
+        # the dedup and 2-D hull cuts are absolute below unit size; the
+        # lift by a power of two makes them relative without changing a bit
         for pts in SMALL_POLYGONS:
             got = Polytope(pts).vertices
             assert_equal(got.shape, pts.shape)
             assert_fixed_point(got)
+        # at k = 40 the absolute dedup cut collapsed it to 1 vertex
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7], [0.2, 0.2]])
         want = Polytope(tri).vertices
-        for k in (2, 20, 30):
+        for k in (2, 20, 30, 40):
             got = Polytope(2.0 ** -k * tri).vertices
             assert got.tobytes() == (2.0 ** -k * want).tobytes()
 
@@ -164,6 +165,63 @@ class TestCanonicalForm(TestCase):
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
             Polytope(np.zeros((0, 2)))
+
+
+def unit_sized_set(rng, dim):
+    """Points in [0, 1)^dim whose largest entry lies in [1/2, 1), with a
+    near-duplicate row at relative 1e-13 and a row within relative 1e-11
+    of the hull of two others."""
+    pts = rng.uniform(0.0, 0.99, (int(rng.integers(3, 9)), dim))
+    pts[0, 0] = rng.uniform(0.5, 0.99)
+    near_dup = pts[1] + 1e-13 * rng.uniform(-1.0, 1.0, dim)
+    near_hull = (0.5 * (pts[1] + pts[2])
+                 + 1e-11 * rng.uniform(-1.0, 1.0, dim))
+    return np.clip(np.vstack([pts, near_dup, near_hull]), 0.0, 0.99)
+
+
+class TestScaleCovariance(TestCase):
+    """One lift rule: a set smaller than 1/2 is canonicalised and
+    projected as the power-of-two multiple of it in [1/2, 1) is, so
+    scaling by 2^k, k <= 0, commutes with both, byte for byte."""
+
+    def test_polytope_commutes_with_powers_of_two(self):
+        rng = np.random.default_rng(23)
+        for dim in (1, 2, 3, 4):
+            for _ in range(3):
+                pts = unit_sized_set(rng, dim)
+                want = Polytope(pts).vertices
+                for k in range(-60, 1):
+                    got = Polytope(np.ldexp(pts, k)).vertices
+                    assert got.tobytes() == np.ldexp(want, k).tobytes()
+
+    def test_nearest_point_commutes_with_powers_of_two(self):
+        # the query also lies in [0, 1)^dim, so Wolfe's input P - q has
+        # entries in (-1, 1): it is lifted back to itself for every k
+        rng = np.random.default_rng(29)
+        for dim in (1, 2, 3, 4):
+            for _ in range(3):
+                poly = Polytope(unit_sized_set(rng, dim))
+                q = rng.uniform(0.0, 0.99, dim)
+                pt, d = nearest_point(poly, q)
+                for k in range(-60, 1):
+                    got_pt, got_d = nearest_point(
+                        Polytope(np.ldexp(poly.vertices, k)), np.ldexp(q, k))
+                    assert got_d == np.ldexp(d, k)
+                    assert got_pt.tobytes() == np.ldexp(pt, k).tobytes()
+
+    def test_tiny_segment_contains_the_origin(self):
+        # Wolfe's stopping test was absolute below unit norm (1e-10 here)
+        _, d = nearest_point(Polytope([[1e-10, 0.0], [-1e-10, 0.0]]),
+                             [0.0, 0.0])
+        assert_equal(d, 0.0)
+
+    def test_subnormal_set_is_lifted_exactly(self):
+        # 2.0 ** 1029 overflows; ldexp does not
+        pts = np.array([[1e-310, 0.0], [0.0, 1e-310], [-1e-310, 0.0]])
+        got = Polytope(pts).vertices
+        assert got.tobytes() == pts[[2, 1, 0]].tobytes()
+        _, d = nearest_point(Polytope(pts), [0.0, 0.0])
+        assert_equal(d, 0.0)
 
 
 class TestCanonicalMatchesReference(TestCase):
