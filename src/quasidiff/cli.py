@@ -7,10 +7,12 @@ mean 0 = check ran, 1 = a configured budget or limit cut the run short,
 2 = the input was rejected, 3 = an internal error (a defect of the
 program, reported as one line instead of a traceback).
 
-Each command fills one _Report: one add per report line carries the
-sidecar fields that mirror its numbers, and lines repeated per item
-(functions, ladder rungs, violators, warnings) mirror one sidecar list.
-main writes the sidecar first, then the lines to stdout.
+main reads the problem file and the point once and opens the _Report
+with the header and point lines; each command then adds only its own
+lines.  One add per report line carries the sidecar fields that mirror
+its numbers, and lines repeated per item (functions, ladder rungs,
+violators, warnings) mirror one sidecar list.  main writes the sidecar
+first, then the lines to stdout.
 """
 
 from __future__ import annotations
@@ -31,17 +33,18 @@ from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          check_all_selections, check_stationarity,
                          estimate_c_star, program_data,
                          qualification_pathway)
-from .problemfile import ProblemFile, ProblemFileError, _finite, load
+from .problemfile import ProblemFile, ProblemFileError, check_numbers, load
 from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
                          RegularityError, decay_flag, margin_infima,
                          psi_expr, verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
-_NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "tol")
+_NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "grid", "tol", "seed")
 
 
 def _g(x) -> str:
-    return "%.12g" % float(x)
+    # + 0.0: a zero prints as 0, whatever its sign
+    return "%.12g" % (float(x) + 0.0)
 
 
 def _vec(v) -> str:
@@ -58,31 +61,30 @@ def _floats(v) -> list | None:
 
 
 class _Report:
-    """One command's report: each add writes one text line for stdout
+    """One command's report, opened with the header lines and the point
+    x (the center for regcheck): each add writes one text line for stdout
     together with the --json sidecar fields that mirror its numbers;
     code is the exit code."""
 
-    def __init__(self, args):
+    def __init__(self, args, x, params: dict):
         self.lines: list = []
         self.payload: dict = {}
         self.code = 0
         self.add(f"quasidiff {args.command} report", command=args.command)
         self.add(f"seed: {args.seed}", seed=args.seed)
         self.add(f"tol: {_g(args.tol)}", tol=float(args.tol))
+        label = "center" if args.command == "regcheck" else "point"
+        self.add(f"{label}: {_vec(x)}", params=dict(params),
+                 **{label: _floats(x)})
+        if params:
+            self.add("params: " + ", ".join(
+                f"{k} = {_g(v)}" for k, v in sorted(params.items())))
 
     def add(self, text=None, **fields) -> None:
         """Append the line text, if given, and the sidecar fields."""
         if text is not None:
             self.lines.append(text)
         self.payload.update(fields)
-
-    def point(self, label: str, x, params: dict) -> None:
-        """The point (or center) line, then a params line if any."""
-        self.add(f"{label}: {_vec(x)}", params=dict(params),
-                 **{label: _floats(x)})
-        if params:
-            self.add("params: " + ", ".join(
-                f"{k} = {_g(v)}" for k, v in sorted(params.items())))
 
 
 def _given(value, default):
@@ -91,31 +93,14 @@ def _given(value, default):
 
 
 def _check_flags(args) -> None:
-    """Reject numeric flags that a problem file would reject."""
-    flags = [(f"--{name}", getattr(args, name, None))
-             for name in _NUMERIC_FLAGS]
-    flags += [("--dir", h) for h in getattr(args, "dir", None) or []]
-    for flag, value in flags:
+    """Hold each numeric flag to the rule of the file key it overrides."""
+    flags = [(name, getattr(args, name, None)) for name in _NUMERIC_FLAGS]
+    flags += [("dir", h) for h in getattr(args, "dir", None) or []]
+    for name, value in flags:
         if value is not None:
-            vals = np.atleast_1d(value)
-            text = " ".join(_g(v) for v in vals)
-            _finite(vals, text, None, flag)
-            if flag == "--c" and vals.min() < 0:
-                raise ProblemFileError(f"--c must be >= 0, got {text!r}")
-    if args.tol <= 0:
-        raise ProblemFileError(f"--tol must be positive, got {_g(args.tol)}")
-    if args.seed < 0:
-        raise ProblemFileError(f"--seed must be >= 0, got {args.seed}")
-    for name in ("K", "r"):
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise ProblemFileError(f"--{name} must be positive, "
-                                   f"got {_g(value)}")
-    grid = getattr(args, "grid", None)
-    if grid is not None and grid < 1:
-        raise ProblemFileError(f"--grid must be >= 1, got {grid}")
-    if grid is not None and grid % 2 == 0:
-        raise ProblemFileError(f"--grid must be odd, got {grid}")
+            vals = value if isinstance(value, list) else [value]
+            check_numbers(f"--{name}", vals, " ".join(
+                str(v) if isinstance(v, int) else _g(v) for v in vals))
 
 
 def _point_at(pf: ProblemFile, args) -> np.ndarray:
@@ -141,9 +126,7 @@ def _xyz(x, y, z) -> dict:
     return {"x": _floats(x), "y": _floats(y), "z": _floats(z)}
 
 
-def cmd_qd(args) -> _Report:
-    pf = load(args.file)
-    x = _point_at(pf, args)
+def cmd_qd(args, pf: ProblemFile, x, out: _Report) -> None:
     b = Binding(x, dict(pf.params))
     roles = [("objective", pf.objective)] if pf.objective is not None else []
     roles += [(f"equality {j + 1}", f) for j, f in enumerate(pf.equalities)]
@@ -158,9 +141,6 @@ def cmd_qd(args) -> _Report:
             raise ProblemFileError(f"--dir needs {pf.n} coordinates, "
                                    f"got {hv.size}")
         dirs.append(hv)
-
-    out = _Report(args)
-    out.point("point", x, pf.params)
     functions: list = []
     out.add(functions=functions)
     for role, e in roles:
@@ -177,10 +157,9 @@ def cmd_qd(args) -> _Report:
             val = float(dd(q, h))
             out.add(f"  dd {_vec(h)}: {_g(val)}")
             rec["dd"].append({"h": _floats(h), "value": val})
-    return out
 
 
-def cmd_slope(args) -> _Report:
+def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
     """Exact strong slope of psi = psi_{y,z} at the point.
 
     Grammar functions are locally Lipschitz and directionally
@@ -193,9 +172,7 @@ def cmd_slope(args) -> _Report:
     quasidifferential is taken; a margin within FEAS_TOL prints 0, the cut
     `contains` uses.
     """
-    pf = load(args.file)
     s = pf.system()
-    x = _point_at(pf, args)
     l, m = len(s.equalities), len(s.inequalities)
     if args.target is not None:
         t = [float(v) for v in args.target]
@@ -214,9 +191,6 @@ def cmd_slope(args) -> _Report:
         margin, witness = steepest_rate(psi.qd(x))
         slope = float(margin) if margin > FEAS_TOL else 0.0
         method = "exact (vertex margin)"
-
-    out = _Report(args)
-    out.point("point", x, pf.params)
     out.add("norm: l1", norm="l1")
     out.add(f"target y: {_vec(y)}", target_y=y)
     out.add(f"target z: {_vec(z)}", target_z=z)
@@ -224,18 +198,11 @@ def cmd_slope(args) -> _Report:
     out.add(f"slope estimate: {_g(slope)}", slope=slope,
             slope_witness=_floats(witness))
     out.add(f"slope method: {method}", slope_method=method)
-    return out
 
 
-def cmd_mfcq(args) -> _Report:
-    pf = load(args.file)
-    s = pf.system()
-    x = _point_at(pf, args)
-    budget = _given(pf.check.budget, DET_BUDGET)
-    rep = qd_mfcq(s, x, tol=args.tol, budget=budget)
-
-    out = _Report(args)
-    out.point("point", rep.point, rep.params)
+def cmd_mfcq(args, pf: ProblemFile, x, out: _Report) -> None:
+    rep = qd_mfcq(pf.system(), x, tol=args.tol,
+                  budget=_given(pf.check.budget, DET_BUDGET))
     out.add("active inequalities: "
             + (", ".join(str(i + 1) for i in rep.active) or "none"),
             active=[i + 1 for i in rep.active])
@@ -263,13 +230,10 @@ def cmd_mfcq(args) -> _Report:
         out.add(f"warning: {w}")
     for cv in rep.caveats:
         out.add(f"caveat: {cv}")
-    return out
 
 
-def cmd_regcheck(args) -> _Report:
-    pf = load(args.file)
+def cmd_regcheck(args, pf: ProblemFile, center, out: _Report) -> None:
     s = pf.system()
-    center = _point_at(pf, args)
     K = _given(args.K, pf.check.k)
     r = _given(args.r, pf.check.r)
     if K is None or r is None:
@@ -283,9 +247,6 @@ def cmd_regcheck(args) -> _Report:
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
     infima = margin_infima(s, center, seed=args.seed)
-
-    out = _Report(args)
-    out.point("center", center, pf.params)
     out.add(f"K: {_g(K)}  r: {_g(r)}  x grid: {x_grid}  "
             f"target grid: {target_grid}", K=float(K), r=float(r),
             x_grid=x_grid, target_grid=target_grid)
@@ -329,7 +290,6 @@ def cmd_regcheck(args) -> _Report:
         note = (f"{rep.n_empty_solution_sets} target(s) had an empty sampled "
                 "solution set; distances recorded as +inf")
         out.add(f"note: {note}", notes=[note])
-    return out
 
 
 _PATHWAYS = {
@@ -339,18 +299,13 @@ _PATHWAYS = {
     "none": "none verified (necessity of the conditions not established)"}
 
 
-def cmd_optcheck(args) -> _Report:
-    pf = load(args.file)
+def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
     p = pf.program()
-    x = _point_at(pf, args)
     b = p.binding(x)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
     pathway = qualification_pathway(p, b, tol=args.tol)
     data = program_data(p, b)
-
-    out = _Report(args)
-    out.point("point", x, pf.params)
     out.add(f"objective: {p.objective.to_text()}",
             objective=p.objective.to_text())
     out.add(f"constraints: {len(p.equalities)} equalities, "
@@ -414,14 +369,14 @@ def cmd_optcheck(args) -> _Report:
         verdict = (f"necessary conditions hold only for c >= {_g(c_star)}, "
                    "above every tested c (no sufficiency claim)")
     out.add(f"verdict: {verdict}", verdict=verdict)
-    return out
 
 
 def _json_safe(obj):
-    """obj with each non-finite float spelt as the text report spells it
-    ("inf", "-inf", "nan"), which standard JSON has no number for."""
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return _g(obj)
+    """obj with each float as the text report gives it: a zero without
+    its sign, and a non-finite value spelt ("inf", "-inf", "nan"), which
+    standard JSON has no number for."""
+    if isinstance(obj, float):
+        return obj + 0.0 if np.isfinite(obj) else _g(obj)
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -520,7 +475,10 @@ def main(argv=None) -> int:
         # numpy overflow would otherwise give inf with a warning only
         with np.errstate(over="raise"):
             _check_flags(args)
-            out = _COMMANDS[args.command](args)
+            pf = load(args.file)
+            x = _point_at(pf, args)
+            out = _Report(args, x, pf.params)
+            _COMMANDS[args.command](args, pf, x, out)
         # the sidecar goes first, so that a path it cannot use leaves
         # nothing on stdout
         if args.json:

@@ -709,7 +709,6 @@ def kink_distance(e: Expr, b: Binding) -> float:
 
     Minimum over Abs nodes of |argument| and over Max/Min nodes of the gap
     between the two leading children.  Infinite for smooth expressions.
-    Used to reject finite-difference probes that straddle a kink.
     """
     gaps = []
     if isinstance(e, Abs):

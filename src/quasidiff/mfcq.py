@@ -146,8 +146,7 @@ def _sign_pattern_dependence(rows: Sequence[Polytope],
         if dist <= tol * big:
             lam = signs * np.bincount(owner[corral], weights=weights,
                                       minlength=len(rows))
-            # + 0.0: a set with zero weight must not print as -0
-            return lam / np.linalg.norm(lam) + 0.0, float(np.ldexp(dist, -k))
+            return lam / np.linalg.norm(lam), float(np.ldexp(dist, -k))
         least = min(least, dist)
     return None, float(np.ldexp(least, -k))
 
@@ -223,7 +222,7 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
     rank = n - d
     if not ineq_sums:
         hbar = q[:, 0] if d > 0 else np.zeros(n)
-        return HbarResult(hbar + 0.0, np.inf, rank, d)
+        return HbarResult(hbar, np.inf, rank, d)
     if d == 0:
         return HbarResult(None, -np.inf, rank, 0)
 
@@ -267,7 +266,6 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
         hbar = q @ out2.point[:d]
     else:
         hbar = q @ out.point[:d]
-    hbar = hbar + 0.0
     margin = min(-support(p, hbar) for p in ineq_sums)
     return HbarResult(hbar, float(margin), rank, d)
 

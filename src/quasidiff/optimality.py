@@ -63,6 +63,8 @@ from .calculus import Quasidifferential, qd_add, qd_scale
 from .expressions import (Abs, Add, Binding, Const, Expr, Max, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
+# feasibility_violations is not called here; it stays importable from
+# this module because perfbench/tracer.py wraps it under this name
 from .mfcq import active_inequalities, feasibility_violations, qd_mfcq
 from .regularity import SystemSpec
 

@@ -21,26 +21,40 @@ line; blank lines and lines starting with # are skipped.
     scan_radius = 1.0  budget = 1000000
 
 At most MAX_CONSTRAINTS equality and inequality lines are accepted.
-Every diagnostic carries the 1-based line number of the offending
-line so fixtures stay diff-friendly and errors stay greppable.
+Every number must be finite and within the range _RANGES sets for its
+key; check_numbers holds the CLI flags to the same rule.  Every
+diagnostic of a file line carries its 1-based line number so fixtures
+stay diff-friendly and errors stay greppable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .expressions import Expr, ExpressionError, parse_expression
-from .optimality import OptimalityError, ProgramSpec
-from .regularity import RegularityError, SystemSpec
+from .optimality import ProgramSpec
+from .regularity import SystemSpec
 
 _SECTIONS = ("problem", "params", "point", "check")
 _PROBLEM_KEYS = ("n", "objective", "equality", "inequality")
 _CHECK_SCALAR = {"k": float, "r": float, "scan_radius": float,
                  "grid": int, "target_grid": int, "budget": int}
 _CHECK_LIST = ("c", "y", "z")
+_POSITIVE = ("positive", lambda v: v > 0)
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_ODD = ("odd", lambda v: v % 2 == 1)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0)
+# The range of each number by key, checked in order; a flag is held to the
+# key it overrides (--K to k), and --tol and --seed have keys of their own.
+_RANGES = {"k": (_POSITIVE,), "r": (_POSITIVE,),
+           "scan_radius": (_POSITIVE,), "tol": (_POSITIVE,),
+           "budget": (_AT_LEAST_ONE,), "grid": (_AT_LEAST_ONE, _ODD),
+           "target_grid": (_AT_LEAST_ONE, _ODD), "c": (_NONNEGATIVE,),
+           "seed": (_NONNEGATIVE,)}
 # The penalty and psi fold one Add level per constraint, so the cap keeps
 # their trees, with each term at most MAX_DEPTH deep, within recursion
 # limits.
@@ -83,28 +97,29 @@ class ProblemFile:
     check: CheckSettings = field(default_factory=CheckSettings)
 
     def system(self) -> SystemSpec:
-        try:
-            return SystemSpec(self.n, self.equalities, self.inequalities,
-                              dict(self.params))
-        except RegularityError as e:
-            raise ProblemFileError(str(e)) from e
+        return SystemSpec(self.n, self.equalities, self.inequalities,
+                          dict(self.params))
 
     def program(self) -> ProgramSpec:
         if self.objective is None:
             raise ProblemFileError("this check needs an objective = line "
                                    "in [problem]")
-        try:
-            return ProgramSpec(self.n, self.objective, self.equalities,
-                               self.inequalities, dict(self.params))
-        except OptimalityError as e:
-            raise ProblemFileError(str(e)) from e
+        return ProgramSpec(self.n, self.objective, self.equalities,
+                           self.inequalities, dict(self.params))
 
 
-def _finite(vals, value: str, lineno: int, key: str):
-    """vals parsed from value, or a ProblemFileError when any is inf or nan
-    (1e400 parses as inf)."""
-    if not np.all(np.isfinite(vals)):
-        raise ProblemFileError(f"{key} must be finite, got {value!r}", lineno)
+def check_numbers(name: str, vals, text: str,
+                  lineno: Optional[int] = None):
+    """vals, given as text for name (a key or a --flag), or a
+    ProblemFileError when one is inf or nan (1e400 parses as inf) or out
+    of the range _RANGES sets for the key."""
+    # an int is finite at any size, also beyond what numpy or float takes
+    if not all(isinstance(v, int) or math.isfinite(v) for v in vals):
+        raise ProblemFileError(f"{name} must be finite, got {text!r}", lineno)
+    for rule, holds in _RANGES.get(name.lstrip("-").lower(), ()):
+        if not all(holds(v) for v in vals):
+            raise ProblemFileError(f"{name} must be {rule}, got {text!r}",
+                                   lineno)
     return vals
 
 
@@ -114,7 +129,7 @@ def _floats(value: str, lineno: int, key: str) -> tuple[float, ...]:
     except ValueError:
         raise ProblemFileError(f"{key} expects numbers separated by spaces, "
                                f"got {value!r}", lineno) from None
-    return _finite(vals, value, lineno, key)
+    return check_numbers(key, vals, value, lineno)
 
 
 def _entries(text: str) -> dict[str, list[tuple[int, str, str]]]:
@@ -191,7 +206,7 @@ def loads(text: str) -> ProblemFile:
         except ValueError:
             raise ProblemFileError(f"parameter {key} must be a number, "
                                    f"got {value!r}", lineno) from None
-        _finite(params[key], value, lineno, f"parameter {key}")
+        check_numbers(f"parameter {key}", (params[key],), value, lineno)
 
     point = None
     for lineno, key, value in entries["point"]:
@@ -217,23 +232,11 @@ def loads(text: str) -> ProblemFile:
                 raise ProblemFileError(
                     f"{key} must be {'an integer' if caster is int else 'a number'}, "
                     f"got {value!r}", lineno) from None
-            _finite(fields[key], value, lineno, key)
-            if caster is float and fields[key] <= 0:
-                raise ProblemFileError(f"{key} must be positive, "
-                                       f"got {value!r}", lineno)
-            if caster is int and fields[key] < 1:
-                raise ProblemFileError(f"{key} must be >= 1, got {value!r}",
-                                       lineno)
-            if key in ("grid", "target_grid") and fields[key] % 2 == 0:
-                raise ProblemFileError(f"{key} must be odd, got {value!r}",
-                                       lineno)
+            check_numbers(key, (fields[key],), value, lineno)
         elif key in _CHECK_LIST:
             fields[key] = _floats(value, lineno, key)
             if key == "c" and not fields[key]:
                 raise ProblemFileError("c needs at least one number", lineno)
-            if key == "c" and min(fields[key]) < 0:
-                raise ProblemFileError(f"c must be >= 0, got {value!r}",
-                                       lineno)
             # y holds one target per equality, z one per inequality
             targets = {"y": ("equality", equalities),
                        "z": ("inequality", inequalities)}

@@ -248,6 +248,25 @@ class TestReportShape:
             assert_equal(payload["seed"], 0)
             assert_allclose(payload["tol"], 1e-9)
 
+    @pytest.mark.parametrize("argv, line", [
+        (["qd", None], "  value: 0"),
+        (["optcheck", str(PROBLEMS / "penalty_demo.prob"), "--c", "-0"],
+         "c = 0: "),
+        (["mfcq", str(PROBLEMS / "sin_system.prob"), "--at", "-0", "0"],
+         "point: (0, 0)"),
+        (["slope", str(PROBLEMS / "cubic.prob"), "--target", "-0"],
+         "target y: (0)"),
+    ], ids=["qd-value", "optcheck-c", "mfcq-at", "slope-target"])
+    def test_zero_prints_without_sign(self, tmp_path, capsys, argv, line):
+        f = tmp_path / "neg.prob"
+        f.write_text("[problem]\nn = 1\nobjective = -x1\n[point]\nx = 0\n")
+        sidecar = tmp_path / "neg.json"
+        assert_equal(main([str(f) if a is None else a for a in argv]
+                          + ["--json", str(sidecar)]), 0)
+        out = capsys.readouterr().out
+        assert any(l.startswith(line) for l in out.splitlines()), out
+        assert "-0.0" not in sidecar.read_text()
+
     def test_seed_and_tol_flags_are_echoed(self, tmp_path):
         r = run_cli("qd", str(PROBLEMS / "cubic.prob"),
                     "--seed", "3", "--tol", "1e-6")
@@ -626,13 +645,13 @@ BAD_FLAGS = [
     ("regcheck", ("--K", "nan"), "--K must be finite, got 'nan'"),
     ("regcheck", ("--r", "1e400"), "--r must be finite, got 'inf'"),
     ("mfcq", ("--tol", "nan"), "--tol must be finite, got 'nan'"),
-    ("mfcq", ("--tol", "-1"), "--tol must be positive, got -1"),
-    ("optcheck", ("--tol", "0"), "--tol must be positive, got 0"),
-    ("slope", ("--seed", "-1"), "--seed must be >= 0, got -1"),
-    ("regcheck", ("--grid", "-3"), "--grid must be >= 1, got -3"),
-    ("regcheck", ("--grid", "4"), "--grid must be odd, got 4"),
-    ("regcheck", ("--K", "0"), "--K must be positive, got 0"),
-    ("regcheck", ("--r", "-0.5"), "--r must be positive, got -0.5"),
+    ("mfcq", ("--tol", "-1"), "--tol must be positive, got '-1'"),
+    ("optcheck", ("--tol", "0"), "--tol must be positive, got '0'"),
+    ("slope", ("--seed", "-1"), "--seed must be >= 0, got '-1'"),
+    ("regcheck", ("--grid", "-3"), "--grid must be >= 1, got '-3'"),
+    ("regcheck", ("--grid", "4"), "--grid must be odd, got '4'"),
+    ("regcheck", ("--K", "0"), "--K must be positive, got '0'"),
+    ("regcheck", ("--r", "-0.5"), "--r must be positive, got '-0.5'"),
     # a penalty value is checked where it is read, naming the flag
     ("optcheck", ("--c", "-1"), "--c must be >= 0, got '-1'"),
     ("optcheck", ("--c", "1", "-2"), "--c must be >= 0, got '1 -2'"),
@@ -664,6 +683,23 @@ BAD_CHECK_LINES = [
      "line 8: z needs 0 value(s) (one per inequality), got 1"),
 ]
 
+# each flag and the file key it overrides, with a value the one rule
+# rejects; [point] x is line 6 and a [check] line is line 8
+RULE_PAIRS = [
+    ("regcheck", "--K", "K", "0", "must be positive"),
+    ("regcheck", "--r", "r", "-1", "must be positive"),
+    ("regcheck", "--grid", "grid", "4", "must be odd"),
+    ("optcheck", "--c", "c", "-1", "must be >= 0"),
+    ("qd", "--at", "x", "nan", "must be finite"),
+]
+# integers beyond the float range stay integers: the budget refuses the
+# grid, and the seed and the budget are used as given
+HUGE_INTEGERS = [
+    ("mfcq", "budget = 18446744073709551616", (), 0),
+    ("regcheck", "grid = 100000000000000000000001", (), 1),
+    ("regcheck", "", ("--grid", "100000000000000000000001"), 1),
+    ("regcheck", "", ("--seed", "100000000000000000000000"), 0),
+]
 
 # an expression nested k levels deep, one text per way of nesting
 DEEP_TEXTS = {
@@ -727,6 +763,45 @@ class TestNonFiniteInputs:
                                   command=command)
         assert_equal(code, 2)
         assert_equal(err, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, flag, key, value, rule", RULE_PAIRS,
+        ids=[f for _, f, _, _, _ in RULE_PAIRS])
+    def test_flag_and_key_share_one_rule(self, tmp_path, capsys, command,
+                                         flag, key, value, rule):
+        code, flag_err = self.run_main(tmp_path, capsys, FLAG_TEXT, flag,
+                                       value, command=command)
+        assert_equal(code, 2)
+        assert_equal(flag_err, f"error: {flag} {rule}, got '{value}'\n")
+        if key == "x":
+            text, line = FLAG_TEXT.replace("x = 0", f"x = {value}"), 6
+        else:
+            text, line = f"{FLAG_TEXT}{key} = {value}\n", 8
+        code, key_err = self.run_main(tmp_path, capsys, text,
+                                      command=command)
+        assert_equal(code, 2)
+        assert_equal(key_err, f"error: line {line}: {key.lower()} {rule}, "
+                     f"got '{value}'\n")
+
+    @pytest.mark.parametrize(
+        "command, line, flags, want_code", HUGE_INTEGERS,
+        ids=["mfcq-budget", "regcheck-grid", "regcheck--grid",
+             "regcheck--seed"])
+    def test_huge_integer_is_an_integer(self, tmp_path, capsys, command,
+                                        line, flags, want_code):
+        f = tmp_path / "huge.prob"
+        f.write_text(f"{FLAG_TEXT}K = 1\nr = 0.1\n{line}\n")
+        code = main([command, str(f), *flags])
+        out, err = capsys.readouterr()
+        assert_equal(code, want_code)
+        if code == 0:
+            assert_equal(err, "")
+            assert out.startswith(f"quasidiff {command} report\n")
+        else:
+            assert_equal(out, "")
+            assert err.startswith("error: regcheck grid of 11^1 targets x "
+                                  "100000000000000000000001^1 points"), err
+            assert err.endswith(" exceeds the budget 1000000\n"), err
 
     @pytest.mark.parametrize("kind", sorted(DEEP_TEXTS))
     def test_expression_at_depth_limit_runs(self, tmp_path, capsys, kind):
@@ -815,7 +890,7 @@ class TestNonFiniteInputs:
                      "No such file or directory\n")
 
     def test_internal_error_is_three(self, tmp_path, capsys, monkeypatch):
-        def broken(args):
+        def broken(*args):
             raise RuntimeError("boom")
         monkeypatch.setitem(cli._COMMANDS, "qd", broken)
         code, err = self.run_main(tmp_path, capsys, FLAG_TEXT)
@@ -868,10 +943,12 @@ NEGATIVE_EXPONENT_FLAGS = [
     ("slope", ("--target", "-8.5E-16"), 0, "target y: (-8.5e-16)"),
     ("optcheck", ("--c", "1", "-1e0"), 2,
      "error: --c must be >= 0, got '1 -1'"),
-    ("regcheck", ("--K", "-1e0"), 2, "error: --K must be positive, got -1"),
-    ("regcheck", ("--r", "-.5e0"), 2, "error: --r must be positive, got -0.5"),
+    ("regcheck", ("--K", "-1e0"), 2,
+     "error: --K must be positive, got '-1'"),
+    ("regcheck", ("--r", "-.5e0"), 2,
+     "error: --r must be positive, got '-0.5'"),
     ("mfcq", ("--tol", "-1e-3"), 2,
-     "error: --tol must be positive, got -0.001"),
+     "error: --tol must be positive, got '-0.001'"),
 ]
 # command lines that argparse rejects, each with its one-line diagnostic
 # (None for the file written by the test)
