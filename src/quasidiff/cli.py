@@ -18,6 +18,7 @@ first, then the lines to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -415,7 +416,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ProblemFileError(message)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args keeps
+    no state on it between calls."""
     ap = _ArgumentParser(
         prog="quasidiff",
         description="quasidifferential analysis of expression-defined "

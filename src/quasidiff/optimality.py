@@ -26,9 +26,15 @@ equivalent necessary conditions are checked at a feasible candidate point:
 
 Each selection reduces to a small LP once every scalar-times-polytope
 term is parameterized by nonnegative weights on the polytope vertices;
-the scalar is recovered as the weight sum.  Both verdicts agree at
-feasible points for the same c, independent of which quasidifferentials
-represent the data, and that equivalence is cross-asserted in tests.
+the scalar is recovered as the weight sum.  The bound enters that LP
+only as the right-hand side c of the rows sum(weights) <= c, so its
+feasible set grows with c: a selection feasible at c is feasible at
+every c' >= c, and one infeasible at c at every c' <= c.  ProgramData
+records each selection's outcomes, and a sweep at a later rung of the
+ladder solves only the selections that no earlier rung settles.  Both
+verdicts agree at feasible points for the same c, independent of which
+quasidifferentials represent the data, and that equivalence is
+cross-asserted in tests.
 
 The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
@@ -128,7 +134,12 @@ def build_penalty(p: ProgramSpec, c: float) -> Expr:
 class ProgramData:
     """A program at a point: the pairs of u, f_j and g_i, the active
     inequalities in ascending order, and the pair of phi (None when
-    unconstrained).  Every check below reads this one record."""
+    unconstrained).  Every check below reads this one record.
+
+    decided maps a selection's vertex indices to the least c_bound at
+    which its multiplier LP was feasible and the greatest at which it
+    was infeasible (None when not seen; a c_bound of None counts as
+    inf).  check_all_selections fills it and reads it."""
 
     n: int
     u: Quasidifferential
@@ -136,6 +147,7 @@ class ProgramData:
     g: tuple[Quasidifferential, ...]
     active: tuple[int, ...]
     phi: Optional[Quasidifferential]
+    decided: dict = field(default_factory=dict, compare=False, repr=False)
 
     def penalty(self, c: float) -> Quasidifferential:
         """Pair of Psi_c by the sum rule, [sub u + c sub phi,
@@ -300,10 +312,35 @@ class SelectionSweep:
     first_infeasible: Optional[MultiplierCertificate] = None
 
 
+def _selection_feasible(data: ProgramData, key: tuple, sel: Selection,
+                        c_bound: Optional[float]) -> bool:
+    """Is sel's multiplier LP feasible at c_bound?  Taken from
+    data.decided when an earlier bound settles it (the LP's feasible set
+    grows with c_bound), else solved and recorded."""
+    c = np.inf if c_bound is None else c_bound
+    least, greatest = data.decided.get(key, (None, None))
+    if least is not None and c >= least:
+        return True
+    if greatest is not None and c <= greatest:
+        return False
+    # undecided: c is below least and above greatest
+    feasible = check_multipliers(data, sel, c_bound).feasible
+    if feasible:
+        least = c
+    else:
+        greatest = c
+    data.decided[key] = (least, greatest)
+    return feasible
+
+
 def check_all_selections(data: ProgramData,
                          c_bound: Optional[float] = None,
                          budget: int = SELECTION_BUDGET) -> SelectionSweep:
-    """Check the multiplier condition over every vertex selection."""
+    """Check the multiplier condition over every vertex selection.
+
+    A selection that an earlier call on the same data settled (feasible
+    at a bound at most c_bound, or infeasible at one at least c_bound)
+    counts as checked without an LP."""
     l = len(data.f)
     ranges = [range(data.u.sup.nvertices)]
     for fj in data.f:
@@ -323,10 +360,11 @@ def check_all_selections(data: ProgramData,
                         tuple(combo[1:1 + 2 * l:2]),
                         tuple(combo[2:2 + 2 * l:2]),
                         tuple(combo[1 + 2 * l:]))
-        cert = check_multipliers(data, sel, c_bound)
         n_checked += 1
-        if not cert.feasible:
-            return SelectionSweep(False, False, n_total, n_checked, cert)
+        if not _selection_feasible(data, combo, sel, c_bound):
+            return SelectionSweep(False, False, n_total, n_checked,
+                                  MultiplierCertificate(False, sel,
+                                                        c_bound=c_bound))
     return SelectionSweep(True, True, n_total, n_checked)
 
 

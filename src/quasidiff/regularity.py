@@ -13,13 +13,24 @@ the tree.  A Param leaf runs the same IEEE operations as a Const leaf of
 the same value, so psi's values and quasidifferentials are those of the
 tree with the targets written in.  SystemSpec.values evaluates F and g
 once per point or batch, and _near is the one test of a scan point
-against the solution set S(y, z).  The sufficient condition implemented by
-check_condition4 asks for a superdifferential vertex w* with
-d(0, sub + w*) > 1/K.  The vertex margin max_w d(0, sub + w) is the strong
-slope of psi at x (the proof is in cli.cmd_slope), so it is independent
-of the quasidifferential representative.  The grid check and the margin
-shells of margin_infima are sampled; sampled_strong_slope is a
-ring-sampled slope kept as an independent reference for the tests.
+against the solution set S(y, z).
+
+The grid check scans once for all its targets.  Its targets form the
+product grid taxis^(l+m), and _near's test is one comparison per
+coordinate, so a scan point is accepted by some target exactly when
+each F_j is within eta of some axis value and each g_i is at most
+fl(max(taxis) + eta), as fl(z + eta) is monotone in z.
+_near_some_target keeps those rows, in order, and each target's _near
+then runs on them alone: it accepts the same rows in the same order as
+on the full scan, so distances, violators and reports keep their bytes.
+
+The sufficient condition implemented by check_condition4 asks for a
+superdifferential vertex w* with d(0, sub + w*) > 1/K.  The vertex
+margin max_w d(0, sub + w) is the strong slope of psi at x (the proof is
+in cli.cmd_slope), so it is independent of the quasidifferential
+representative.  The grid check and the margin shells of margin_infima
+are sampled; sampled_strong_slope is a ring-sampled slope kept as an
+independent reference for the tests.
 
 Everything here is desk scale: n <= 3 for the grid oracle, vertex
 enumeration everywhere, deterministic seeds.
@@ -44,6 +55,9 @@ X_GRID = 21
 TARGET_GRID = 11
 SCAN_RADIUS = 1.0
 GRID_BUDGET = 10 ** 6
+# the most points the solution-set scan takes: 10^8 is already 0.8 GB per
+# coordinate array
+SCAN_MAX = 10 ** 8
 
 
 class RegularityError(ValueError):
@@ -227,8 +241,27 @@ def _lattice(center: np.ndarray, r: float, k: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, len(center))
 
 
+def _count_text(count: int) -> str:
+    return (str(count) if count < 10 ** 18
+            else f"at least 1e{len(str(count)) - 1}")
+
+
 def _scan_grid(center: np.ndarray, radius: float, budget: int):
-    k = max(3, int(round(budget ** (1.0 / len(center)))))
+    """The solution-set scan: k = budget^(1/n) points per axis (at least
+    3), and its spacing.  More than SCAN_MAX points is a RegularityError,
+    raised before the scan is allocated."""
+    n = len(center)
+    try:
+        k = max(3, int(round(budget ** (1.0 / n))))
+        size = k ** n
+    except OverflowError:  # budget beyond the float range, about k^n
+        size = None
+    if size is None or size > SCAN_MAX:
+        raise RegularityError(
+            f"budget {budget} sizes the solution-set scan at budget^(1/{n}) "
+            f"points per axis, "
+            f"{'at least 1e308' if size is None else _count_text(size)} "
+            f"points in all, more than its maximum {SCAN_MAX}")
     return _lattice(center, radius, k), 2.0 * radius / (k - 1)
 
 
@@ -270,6 +303,30 @@ def _near(fv, gv, y, z, eta):
     return np.logical_and.reduce(
         [np.abs(f - yj) <= eta for f, yj in zip(fv, y)]
         + [g <= zi + eta for g, zi in zip(gv, z)])
+
+
+def _near_some_target(fv, gv, taxis, eta):
+    """Mask of the scan points that _near accepts for some target of the
+    product grid taxis^(l+m): every F_j within eta of some axis value,
+    and every g_i <= max(taxis) + eta.  The same IEEE comparisons as
+    _near, run in place on one float and one bool buffer."""
+    keep = np.ones(len((fv + gv)[0]), dtype=bool)
+    diff = np.empty(keep.shape)
+    hit = np.empty(keep.shape, dtype=bool)
+    for f in fv:
+        hit.fill(True)
+        for y in taxis:
+            np.abs(np.subtract(f, y, out=diff), out=diff)
+            np.greater(diff, eta, out=hit, where=hit)
+        # hit was "missed every y so far"; a nan F_j misses every target
+        # in _near, but every > is False for it, so f <= inf drops it
+        np.logical_not(hit, out=hit)
+        np.less_equal(f, np.inf, out=hit, where=hit)
+        keep &= hit
+    ztop = taxis.max() + eta
+    for g in gv:
+        np.less_equal(g, ztop, out=keep, where=keep)
+    return keep
 
 
 def _residual_fn(s: SystemSpec, y: np.ndarray, z: np.ndarray):
@@ -372,7 +429,12 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     is below the sampling band are skipped: the raw oracle cannot resolve
     ratios there.  The grid has target_grid^(l+m) * x_grid^n (target,
     point) pairs; more than budget raise BudgetExceededError before any
-    evaluation.
+    evaluation.  budget also sizes the solution-set scan (_scan_grid).
+
+    The scan is evaluated once, and only its rows that some target
+    accepts are kept (_near_some_target): a target's _near picks its
+    rows out of these, the same rows in the same order as out of the
+    full scan (the module docstring has the argument).
     """
     if s.n > 3:
         raise RegularityError("grid verification is desk scale: n <= 3")
@@ -383,11 +445,9 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     l, m = len(s.equalities), len(s.inequalities)
     count = target_grid ** (l + m) * x_grid ** s.n
     if count > budget:
-        size = (str(count) if count < 10 ** 18
-                else f"at least 1e{len(str(count)) - 1}")
         raise BudgetExceededError(
             f"regcheck grid of {target_grid}^{l + m} targets x {x_grid}^{s.n} "
-            f"points = {size} exceeds the budget {budget}")
+            f"points = {_count_text(count)} exceeds the budget {budget}")
     from scipy.spatial import cKDTree
 
     center = np.asarray(center, dtype=float)
@@ -400,6 +460,10 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     psi_cutoff = 10.0 * eta
 
     f_scan, g_scan = s.values(scan_pts)
+    keep = _near_some_target(f_scan, g_scan, taxis, eta)
+    scan_pts = scan_pts[keep]
+    f_scan = [f[keep] for f in f_scan]
+    g_scan = [g[keep] for g in g_scan]
     report = RegularityGridReport()
 
     for combo in itertools.product(range(target_grid), repeat=l + m):
@@ -456,6 +520,7 @@ def margin_infima(s: SystemSpec, center, *,
     other way.
     """
     base = np.concatenate([s.binding(center).point, *s.targets()])
+    targets = set(_target_names(s))
     rng = np.random.default_rng(seed)
     out = []
     for rho in (0.3, 0.1, 0.03, 0.01):
@@ -467,11 +532,14 @@ def margin_infima(s: SystemSpec, center, *,
             drawn += k
             draws = base + rho * rng.uniform(-1.0, 1.0, size=(k, base.size))
             xs, ys, zs = np.split(draws, [s.n, s.n + len(s.equalities)], axis=1)
-            psi = PsiFunction(s, ys, zs).value(xs)
+            batch = PsiFunction(s, ys, zs)
+            psi = batch.value(xs)
             # not psi > 1e-9: a nan psi stays a valid sample
             for i in np.flatnonzero(~(psi <= 1e-9)):
                 valid += 1
-                q = PsiFunction(s, ys[i], zs[i]).qd(xs[i])
+                row = {name: v[i] if name in targets else v
+                       for name, v in batch.params.items()}
+                q = qd_at(s.psi_tree, Binding(xs[i], row))
                 inf_margin = min(inf_margin, steepest_rate(q)[0])
         out.append((float(rho), float(inf_margin), valid))
     return out

@@ -783,6 +783,23 @@ class TestNonFiniteInputs:
         assert_equal(key_err, f"error: line {line}: {key.lower()} {rule}, "
                      f"got '{value}'\n")
 
+    @pytest.mark.parametrize("n, budget, points", [
+        (1, "1000000000000000000000000000000", "at least 1e30"),
+        (3, "1000000000", "1000000000")])
+    def test_scan_above_its_maximum_is_two(self, tmp_path, capsys, n,
+                                           budget, points):
+        # budget sizes regcheck's solution-set scan at budget^(1/n) points
+        # per axis; at n = 1, 10^30 ended in exit 3 from np.linspace
+        text = (f"[problem]\nn = {n}\nequality = x1\n[point]\nx ="
+                + " 0" * n + "\n[check]\nK = 1\nr = 0.1\n"
+                f"budget = {budget}\n")
+        code, err = self.run_main(tmp_path, capsys, text,
+                                  command="regcheck")
+        assert_equal(code, 2)
+        assert_equal(err, f"error: budget {budget} sizes the solution-set "
+                     f"scan at budget^(1/{n}) points per axis, {points} "
+                     "points in all, more than its maximum 100000000\n")
+
     @pytest.mark.parametrize(
         "command, line, flags, want_code", HUGE_INTEGERS,
         ids=["mfcq-budget", "regcheck-grid", "regcheck--grid",

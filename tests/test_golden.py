@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from quasidiff.cli import main
+from quasidiff.cli import _parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -46,6 +46,22 @@ def test_report_is_unchanged(command, fixture, tmp_path):
     golden = stem.with_suffix(".json")
     assert sidecar == (golden.read_text(encoding="utf-8")
                        if golden.exists() else None)
+
+
+def test_a_rejected_command_line_leaves_the_parser_intact(tmp_path):
+    # main builds its parser once per process; an argparse rejection
+    # (--target with no value) must not change the next parse
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["slope", str(ROOT / "problems" / "cubic.prob"),
+                     "--target"])
+    assert (code, err.getvalue()) == (
+        2, "error: argument --target: expected at least one argument\n")
+    text, sidecar = record("slope", "cubic", tmp_path / "sidecar.json")
+    assert text == (GOLDEN / "slope-cubic.txt").read_text(encoding="utf-8")
+    assert sidecar == (GOLDEN / "slope-cubic.json").read_text(
+        encoding="utf-8")
+    assert _parser() is _parser()
 
 
 if __name__ == "__main__":

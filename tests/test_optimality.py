@@ -357,6 +357,69 @@ class TestSelectionSweep(TestCase):
         assert_equal(sweep.n_total, 1)
 
 
+def _sweeps_as_fresh(p, b, ladders):
+    """Sweep each ladder on one ProgramData; each rung must equal the
+    sweep on a fresh record.  Returns how many distinct rungs the fresh
+    sweeps found infeasible."""
+    fresh = {}
+    for ladder in ladders:
+        data = program_data(p, b)
+        for c in ladder:
+            if c not in fresh:
+                fresh[c] = check_all_selections(program_data(p, b),
+                                                c_bound=c)
+            assert_equal(check_all_selections(data, c_bound=c), fresh[c])
+    return sum(sw.holds is False for sw in fresh.values())
+
+
+def _ladders(seed):
+    """The ladder ascending, descending, and shuffled with a repeated
+    rung and an unbounded one."""
+    rng = np.random.default_rng(seed)
+    shuffled = list(C_LADDER) + [C_LADDER[2], None]
+    rng.shuffle(shuffled)
+    return [C_LADDER, C_LADDER[::-1], shuffled]
+
+
+class TestSweepReuseAcrossRungs:
+    """A sweep reuses what earlier rungs on the same ProgramData settled
+    and still gives the sweep of a fresh record."""
+
+    def test_penalty_demo(self):
+        pf = loads(PENALTY_DEMO.read_text())
+        p = pf.program()
+        assert _sweeps_as_fresh(p, p.binding(pf.point), _ladders(0)) > 0
+
+    def test_benchmark_programs(self, load_perfbench):
+        load_perfbench("oracle")
+        gen = load_perfbench("gen")
+        programs = infeasible = 0
+        for seed in (41, 42, 43):
+            w = gen.verdicts(seed)
+            for op in w.ops + w.warmup:
+                if op.command == "optcheck":
+                    pf = loads(op.text)
+                    p = pf.program()
+                    infeasible += _sweeps_as_fresh(
+                        p, p.binding(pf.point), _ladders(seed))
+                    programs += 1
+        assert_equal(programs, 15)
+        assert infeasible > 0
+
+    def test_optcheck_solves_each_undecided_selection_once(self):
+        # 17 LPs when every rung solved its sweep anew
+        solved = []
+
+        def counting(data, sel, c_bound=None):
+            solved.append((sel, c_bound))
+            return check_multipliers(data, sel, c_bound)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimality, "check_multipliers", counting)
+            assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
+        assert_equal(len(solved), 8)
+
+
 class TestVerdictEquivalence(TestCase):
     """Stationarity of Psi_c and the multiplier sweep with bound c are
     two readings of the same condition; they must agree verdict for

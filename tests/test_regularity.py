@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,13 @@ from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Sub,
                                    qd_at)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.problemfile import load, loads
-from quasidiff.regularity import (BudgetExceededError, PsiFunction,
-                                  RegularityError, SystemSpec,
-                                  check_condition4, decay_flag,
+from quasidiff.regularity import (GRID_BUDGET, SCAN_MAX, SCAN_RADIUS,
+                                  TARGET_GRID, X_GRID, BudgetExceededError,
+                                  GridViolator, PsiFunction,
+                                  RegularityError, RegularityGridReport,
+                                  SystemSpec, _axis, _lattice, _near,
+                                  _near_some_target, _refine_distance,
+                                  _scan_grid, check_condition4, decay_flag,
                                   margin_infima, psi_expr,
                                   sampled_strong_slope, solution_distance,
                                   verify_regularity_grid)
@@ -415,3 +420,172 @@ class TestPsiTreeAsReference:
             assert_equal([k for _, _, k in got], [0, 0, 0, 0])
         if name == "half_valid":
             assert all(0 < k <= 48 for _, _, k in got)
+
+
+def reference_verify_regularity_grid(s, center, K, r, x_grid=X_GRID,
+                                     target_grid=TARGET_GRID, *,
+                                     scan_radius=SCAN_RADIUS,
+                                     budget=GRID_BUDGET):
+    """verify_regularity_grid with every target testing the full scan, as
+    before the scan kept only its rows near some target."""
+    from scipy.spatial import cKDTree
+
+    l, m = len(s.equalities), len(s.inequalities)
+    center = np.asarray(center, dtype=float)
+    xpts = _lattice(center, r, x_grid)
+    taxis = _axis(0.0, r, target_grid)
+    scan_pts, step = _scan_grid(center, scan_radius, budget)
+    eta = 8.0 * step
+    slack = 3.0 * step * np.sqrt(s.n)
+    psi_cutoff = 10.0 * eta
+    f_scan, g_scan = s.values(scan_pts)
+    report = RegularityGridReport()
+    for combo in itertools.product(range(target_grid), repeat=l + m):
+        y, z = np.split(taxis[list(combo)], [l])
+        accepted = scan_pts[_near(f_scan, g_scan, y, z, eta)]
+        psi = PsiFunction(s, y, z).value(xpts)
+        if accepted.shape[0] == 0:
+            d = np.full(xpts.shape[0], np.inf)
+            report.n_empty_solution_sets += 1
+        else:
+            d, _ = cKDTree(accepted).query(xpts)
+        for i in range(xpts.shape[0]):
+            if psi[i] < psi_cutoff:
+                report.n_skipped_near_graph += 1
+                continue
+            report.n_checked += 1
+            ratio = d[i] / psi[i]
+            if ratio > report.worst_ratio:
+                report.worst_ratio = float(ratio)
+                report.worst_point = (tuple(xpts[i]), tuple(y), tuple(z))
+            if d[i] > K * psi[i] + slack:
+                dist = d[i]
+                if np.isfinite(d[i]):
+                    j = int(np.argmin(np.einsum("ij,ij->i",
+                                                accepted - xpts[i],
+                                                accepted - xpts[i])))
+                    dist = _refine_distance(s, xpts[i], accepted[j], y, z,
+                                            step)
+                if dist > K * psi[i] + slack:
+                    report.violators.append(GridViolator(
+                        x=tuple(xpts[i]), y=tuple(y), z=tuple(z),
+                        distance=float(dist), psi=float(psi[i]),
+                        ratio=float(dist / psi[i])))
+    return report
+
+
+def _assert_same_report(got, want):
+    """Every RegularityGridReport field equal, floats by their bytes."""
+    assert_equal((got.n_checked, got.n_skipped_near_graph,
+                  got.n_empty_solution_sets, len(got.violators)),
+                 (want.n_checked, want.n_skipped_near_graph,
+                  want.n_empty_solution_sets, len(want.violators)))
+    _same_bytes(got.worst_ratio, want.worst_ratio)
+    assert (got.worst_point is None) == (want.worst_point is None)
+    for a, b in zip(got.worst_point or (), want.worst_point or ()):
+        _same_bytes(a, b)
+    for u, v in zip(got.violators, want.violators):
+        for name in ("x", "y", "z", "distance", "psi", "ratio"):
+            _same_bytes(getattr(u, name), getattr(v, name))
+
+
+def _file_grid(pf):
+    """verify_regularity_grid's arguments as regcheck takes them from a
+    problem file with K and r."""
+    c = pf.check
+    return dict(s=pf.system(), center=pf.point, K=c.k, r=c.r,
+                x_grid=c.grid or X_GRID,
+                target_grid=c.target_grid or TARGET_GRID,
+                scan_radius=c.scan_radius or SCAN_RADIUS,
+                budget=c.budget or GRID_BUDGET)
+
+
+TWO_EQUALITIES = SystemSpec(2, (parse_expression("abs(x1) - x2", 2),
+                                parse_expression("x1 + max(x2, 0)", 2)))
+ONE_INEQUALITY = SystemSpec(2, (), (parse_expression(
+    "pow(x1, 2) + x2 - 0.1", 2),))
+
+
+class TestGridScanPassAsReference:
+    """The grid check's one scan pass gives every report field of the
+    per-target full scans, to the byte."""
+
+    @pytest.mark.parametrize("name", [
+        "CUBIC", "IDENTITY", "ABS_DIFF", "MIXED", "sin_system",
+        "two_equalities", "one_inequality", "IDENTITY_one_target"])
+    def test_systems(self, name):
+        kw = {
+            "CUBIC": dict(s=CUBIC, center=[0.0], K=5.0, r=0.2, x_grid=9,
+                          target_grid=5, scan_radius=0.8, budget=10 ** 5),
+            "IDENTITY": dict(s=IDENTITY, center=[0.0], K=0.9, r=0.5,
+                             x_grid=9, target_grid=5, budget=10 ** 5),
+            "ABS_DIFF": dict(s=ABS_DIFF, center=[0.0, 0.0], K=1.5, r=0.5,
+                             x_grid=9, target_grid=5, scan_radius=1.2),
+            "MIXED": dict(s=MIXED, center=[0.1, -0.2], K=1.0, r=0.4,
+                          x_grid=7, target_grid=5, budget=10 ** 5),
+            # two equalities, 11^2 targets
+            "sin_system": dict(s=load(PROBLEMS / "sin_system.prob").system(),
+                               center=[0.0, 0.0], K=0.85, r=0.3,
+                               x_grid=5, budget=10 ** 5),
+            # 11^2 targets: a row must be near an axis value in both
+            # coordinates at once
+            "two_equalities": dict(s=TWO_EQUALITIES, center=[0.0, 0.0],
+                                   K=1.0, r=0.3, x_grid=5, target_grid=11,
+                                   budget=10 ** 5),
+            "one_inequality": dict(s=ONE_INEQUALITY, center=[0.0, 0.3],
+                                   K=0.9, r=0.3, x_grid=7, target_grid=7,
+                                   budget=10 ** 5),
+            "IDENTITY_one_target": dict(s=IDENTITY, center=[0.0], K=0.9,
+                                        r=0.5, x_grid=9, target_grid=1),
+        }[name]
+        got = verify_regularity_grid(**kw)
+        _assert_same_report(got, reference_verify_regularity_grid(**kw))
+        assert got.n_checked > 0
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_benchmark_regcheck_systems(self, seed, load_perfbench):
+        load_perfbench("oracle")
+        workload = load_perfbench("gen").verdicts(seed)
+        count = 0
+        for op in workload.ops + workload.warmup:
+            if op.command == "regcheck":
+                kw = _file_grid(loads(op.text))
+                _assert_same_report(verify_regularity_grid(**kw),
+                                    reference_verify_regularity_grid(**kw))
+                count += 1
+        assert_equal(count, 4)
+
+    def test_rows_near_no_target_are_dropped(self):
+        # x1 on [-1, 1] against the five axis values of [-0.3, 0.3]: the
+        # kept rows are those within eta of one of them, and a nan value
+        # is near none
+        pts, step = _scan_grid(np.zeros(1), 1.0, 1001)
+        eta = 8.0 * step
+        taxis = _axis(0.0, 0.3, 5)
+        fv, gv = IDENTITY.values(pts)
+        keep = _near_some_target(fv, gv, taxis, eta)
+        union = np.logical_or.reduce([_near(fv, gv, [y], [], eta)
+                                      for y in taxis])
+        assert_equal(keep, union)
+        assert 0 < keep.sum() < keep.size
+        f_nan = [np.where(keep, np.nan, fv[0])]
+        assert not _near_some_target(f_nan, gv, taxis, eta).any()
+
+
+class TestScanSize:
+    """budget sizes the solution-set scan at budget^(1/n) points per axis;
+    a scan above SCAN_MAX points is refused before it is allocated."""
+
+    @pytest.mark.parametrize("n, budget", [
+        (1, 10 ** 30), (1, SCAN_MAX + 1), (1, 10 ** 400), (3, 10 ** 9),
+        (3, 10 ** 30), (3, 10 ** 4000)])
+    def test_refused_before_allocation(self, n, budget):
+        # the unbound q would fail the scan's evaluation
+        s = SystemSpec(n, (parse_expression("q*x1", n),))
+        with pytest.raises(RegularityError, match=r"^budget \d+ sizes the "
+                           r"solution-set scan .* more than its maximum "
+                           r"100000000$"):
+            verify_regularity_grid(s, np.zeros(n), K=1.0, r=0.5, x_grid=1,
+                                   target_grid=1, budget=budget)
+        with pytest.raises(RegularityError, match="^budget"):
+            _scan_grid(np.zeros(n), 1.0, budget)
