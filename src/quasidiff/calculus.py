@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (Polytope, convex_hull_union, minkowski_sum,
-                       nearest_point, scale, support, zero_polytope)
+from .geometry import (Polytope, _lift_exponent, convex_hull_union,
+                       minkowski_sum, nearest_point, scale, support,
+                       zero_polytope)
 
 ACTIVE_TOL = 1e-9
 
@@ -159,13 +160,18 @@ def steepest_rate(q: Quasidifferential) -> tuple[float, np.ndarray]:
     attained at a vertex.  When positive this equals the strong slope of
     the function represented by q; at 0 the function is stationary in the
     sense that -sup is contained in sub.  Ties break to the first vertex
-    in canonical order.
+    in canonical order: a later vertex wins only by more than 1e-15 in
+    the units of geometry's lift rule (both sets' largest |entry| below
+    1/2 lifted into [1/2, 1)), so that scaling the pair by 2^k, k <= 0,
+    scales the margin by 2^k and keeps the witness.
     """
+    top = max(np.abs(q.sub.vertices).max(), np.abs(q.sup.vertices).max())
+    cut = np.ldexp(1e-15, -_lift_exponent(top))
     best = -1.0
     witness = q.sup.vertices[0]
     for w in q.sup.vertices:
         d = nearest_point(q.sub, -w)[1]
-        if d > best + 1e-15:
+        if d > best + cut:
             best = d
             witness = w
     return best, np.asarray(witness, dtype=float)

@@ -28,8 +28,8 @@ import numpy as np
 from .calculus import dd, steepest_rate
 from .expressions import Binding, ExpressionError, qd_at
 from .geometry import FEAS_TOL, Polytope
-from .mfcq import (DET_BUDGET, BudgetExceededError, InfeasiblePointError,
-                   qd_mfcq)
+from .mfcq import (CAVEATS, DET_BUDGET, BudgetExceededError,
+                   InfeasiblePointError, qd_mfcq)
 from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          check_all_selections, check_stationarity,
                          estimate_c_star, program_data,
@@ -207,29 +207,28 @@ def cmd_mfcq(args, pf: ProblemFile, x, out: _Report) -> None:
     out.add("active inequalities: "
             + (", ".join(str(i + 1) for i in rep.active) or "none"),
             active=[i + 1 for i in rep.active])
-    out.add(f"full rank: {'yes' if rep.full_rank else 'no'} "
-            f"({rep.full_rank_method})", full_rank=rep.full_rank,
-            full_rank_method=rep.full_rank_method)
-    out.add(f"  {rep.full_rank_certificate}",
-            full_rank_certificate=rep.full_rank_certificate)
-    if rep.det_range is not None:
-        dr = [float(rep.det_range.min_det), float(rep.det_range.max_det)]
+    fr, hb = rep.rank, rep.direction
+    out.add(f"full rank: {'yes' if fr.full_rank else 'no'} ({fr.method})",
+            full_rank=fr.full_rank, full_rank_method=fr.method)
+    out.add(f"  {fr.certificate}", full_rank_certificate=fr.certificate)
+    if fr.det_range is not None:
+        dr = [float(fr.det_range.min_det), float(fr.det_range.max_det)]
         out.add(f"det range: [{_g(dr[0])}, {_g(dr[1])}]", det_range=dr)
-    if rep.failing_lambda is not None:
-        out.add(f"failing lambda: {_vec(rep.failing_lambda)}",
-                failing_lambda=_floats(rep.failing_lambda))
-    out.add(f"equality span rank: {rep.eq_span_rank} "
-            f"(complement dimension {rep.complement_dim})",
-            eq_span_rank=rep.eq_span_rank, complement_dim=rep.complement_dim)
-    out.add("hbar: " + ("none" if rep.hbar is None else _vec(rep.hbar)),
-            hbar=_floats(rep.hbar))
-    out.add(f"margin: {_g(rep.margin)}", margin=float(rep.margin))
+    if fr.failing_lambda is not None:
+        out.add(f"failing lambda: {_vec(fr.failing_lambda)}",
+                failing_lambda=_floats(fr.failing_lambda))
+    out.add(f"equality span rank: {hb.eq_span_rank} "
+            f"(complement dimension {hb.complement_dim})",
+            eq_span_rank=hb.eq_span_rank, complement_dim=hb.complement_dim)
+    out.add("hbar: " + ("none" if hb.hbar is None else _vec(hb.hbar)),
+            hbar=_floats(hb.hbar))
+    out.add(f"margin: {_g(hb.margin)}", margin=float(hb.margin))
     out.add("verdict: q.d.-MFCQ " + ("holds" if rep.verdict else "fails"),
             verdict=rep.verdict)
-    out.add(warnings=list(rep.warnings), caveats=list(rep.caveats))
+    out.add(warnings=list(rep.warnings), caveats=list(CAVEATS))
     for w in rep.warnings:
         out.add(f"warning: {w}")
-    for cv in rep.caveats:
+    for cv in CAVEATS:
         out.add(f"caveat: {cv}")
 
 

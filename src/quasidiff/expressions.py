@@ -141,8 +141,10 @@ class Expr:
         v, g = self._vgrad(b)
         return v, qd_smooth(g)
 
-    def _vgrad(self, b: Binding) -> tuple[float, np.ndarray]:
-        """Value and gradient of a smooth subtree."""
+    def _vgrad(self, b: Binding) -> tuple[np.float64, np.ndarray]:
+        """Value and gradient of a smooth subtree.  The leaves return
+        np.float64 values, as _broadcast does, so that overflow in the
+        scalar arithmetic above them raises under np.errstate."""
         raise NotImplementedError
 
     def _vqd_pair(self, b: Binding):
@@ -173,12 +175,14 @@ def _wrap(child: Expr, minlevel: int) -> str:
 
 
 def _broadcast(value, point):
-    """A value free of x as evaluate returns it: a float at a point; over a
-    batch, an array of copies, or of its entries for an array value with
-    one entry per row."""
+    """A value free of x as evaluate returns it: an np.float64 at a point;
+    over a batch, an array of copies, or of its entries for an array value
+    with one entry per row.  Never a Python float, whose arithmetic
+    overflows to inf without the FloatingPointError that np.errstate
+    raises for numpy's."""
     point = np.asarray(point, dtype=float)
     return np.broadcast_to(value, point.shape[:-1]).astype(float) \
-        if point.ndim > 1 else float(value)
+        if point.ndim > 1 else np.float64(value)
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ class Var(Expr):
     def _vgrad(self, b):
         g = np.zeros(b.n)
         g[self.index - 1] = 1.0
-        return float(b.point[self.index - 1]), g
+        return b.point[self.index - 1], g
 
     def _fmt(self):
         return f"x{self.index}", _ATOM
@@ -216,7 +220,7 @@ class Param(Expr):
     def _vgrad(self, b):
         if self.name not in b.params:
             raise UnboundParameterError(self.name)
-        return float(b.params[self.name]), np.zeros(b.n)
+        return np.float64(b.params[self.name]), np.zeros(b.n)
 
     def _fmt(self):
         return self.name, _ATOM
@@ -230,7 +234,7 @@ class Const(Expr):
         return _broadcast(self.value, point)
 
     def _vgrad(self, b):
-        return float(self.value), np.zeros(b.n)
+        return np.float64(self.value), np.zeros(b.n)
 
     def _fmt(self):
         return _format_number(self.value), _ATOM

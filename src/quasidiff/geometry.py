@@ -84,21 +84,20 @@ class LpOutcome:
     objective: float | None = None
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
-             maximize=False) -> LpOutcome:
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+             bounds=(None, None), maximize=False) -> LpOutcome:
     """Solve min (or max) c.x subject to a_ub x <= b_ub, a_eq x = b_eq.
 
-    bounds follows scipy's convention; default is free variables, which
-    differs from scipy's nonnegative default on purpose.  Infeasible and
-    unbounded are ordinary statuses, not errors.
+    bounds follows scipy's convention: one (lo, hi) pair that every
+    variable shares, or one pair per variable.  The default is free
+    variables, which differs from scipy's nonnegative default on purpose.
+    Infeasible and unbounded are ordinary statuses, not errors.
     """
     # imported here so that commands that solve no LP never load scipy
     from scipy.optimize import linprog
 
     c = np.asarray(c, dtype=float)
     obj = -c if maximize else c
-    if bounds is None:
-        bounds = [(None, None)] * c.size
     res = linprog(obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 0:

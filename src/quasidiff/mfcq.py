@@ -16,12 +16,25 @@ alternative for sets; Demyanov & Rubinov, Quasidifferential Calculus,
 determinant range over vertex tuples instead, which the reports print
 (the determinant is multilinear in the rows, so the extremes sit at
 vertices and the image over the connected product is an interval).
+
+Condition 2 is two LPs over h = Q u, with Q an orthonormal basis of the
+complement of the equality sums' span.  With VQ the rows v Q for the
+vertices v of the active inequality sums and B the rows +Q[k], -Q[k]
+interleaved per coordinate k, stage 1 maximizes t subject to
+
+    [[VQ, 1], [B, 0]] (u, t) <= (0, 1),
+
+the largest worst slack in the box |h|_inf <= 1; hbar exists exactly
+when t* > 0.  Stage 2 picks, among the maximizers, the one of least
+l1 norm: minimize sum(h+ + h-) over (u, h+, h-) subject to
+[VQ, 0, 0] (u, h+, h-) <= -t* and [Q, -I, I] (u, h+, h-) = 0, with
+h+, h- in [0, 1].
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -226,77 +239,61 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
     if d == 0:
         return HbarResult(None, -np.inf, rank, 0)
 
-    # stage 1: maximize the worst slack t over h = q u, |h|_inf <= 1
-    vrows = np.vstack([p.vertices for p in ineq_sums])
-    a_ub = []
-    b_ub = []
-    for v in vrows:
-        a_ub.append(np.concatenate([v @ q, [1.0]]))  # <v, qu> + t <= 0
-        b_ub.append(0.0)
-    for k in range(n):
-        a_ub.append(np.concatenate([q[k], [0.0]]))
-        b_ub.append(1.0)
-        a_ub.append(np.concatenate([-q[k], [0.0]]))
-        b_ub.append(1.0)
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    out = solve_lp(c, a_ub=np.array(a_ub), b_ub=np.array(b_ub), maximize=True)
+    # stage 1: maximize the worst slack t over h = q u, |h|_inf <= 1:
+    # <v, q u> + t <= 0 per row v, then +-q[k] u <= 1 per coordinate
+    # (rows v @ q one at a time: the matrix product may round otherwise)
+    vq = np.array([v @ q for v in np.vstack([p.vertices for p in ineq_sums])])
+    m = len(vq)
+    box = np.empty((2 * n, d))
+    box[0::2], box[1::2] = q, -q
+    a_ub = np.block([[vq, np.ones((m, 1))], [box, np.zeros((2 * n, 1))]])
+    b_ub = np.concatenate([np.zeros(m), np.ones(2 * n)])
+    out = solve_lp(np.eye(d + 1)[d], a_ub=a_ub, b_ub=b_ub, maximize=True)
     if out.status != LpStatus.FEASIBLE:
         return HbarResult(None, -np.inf, rank, d)
     t_star = float(out.objective)
     if t_star <= 0.0:
         return HbarResult(None, t_star, rank, d)
 
-    # stage 2: among maximizers, minimize |h|_1 (variables u, h+, h-)
-    nvar = d + 2 * n
-    a_eq = np.zeros((n, nvar))
-    a_eq[:, :d] = q
-    a_eq[:, d:d + n] = -np.eye(n)
-    a_eq[:, d + n:] = np.eye(n)
-    rows2 = []
-    rhs2 = []
-    for v in vrows:
-        rows2.append(np.concatenate([v @ q, np.zeros(2 * n)]))
-        rhs2.append(-t_star)
-    cost = np.concatenate([np.zeros(d), np.ones(2 * n)])
-    bounds = [(None, None)] * d + [(0.0, 1.0)] * (2 * n)
-    out2 = solve_lp(cost, a_ub=np.array(rows2), b_ub=np.array(rhs2),
-                    a_eq=a_eq, b_eq=np.zeros(n), bounds=bounds)
-    if out2.status == LpStatus.FEASIBLE:
-        hbar = q @ out2.point[:d]
-    else:
-        hbar = q @ out.point[:d]
+    # stage 2: among maximizers, minimize |h|_1 over (u, h+, h-) with
+    # q u = h+ - h- and <v, q u> <= -t*
+    out2 = solve_lp(np.concatenate([np.zeros(d), np.ones(2 * n)]),
+                    a_ub=np.hstack([vq, np.zeros((m, 2 * n))]),
+                    b_ub=np.full(m, -t_star),
+                    a_eq=np.hstack([q, -np.eye(n), np.eye(n)]),
+                    b_eq=np.zeros(n),
+                    bounds=[(None, None)] * d + [(0.0, 1.0)] * (2 * n))
+    hbar = q @ (out2 if out2.status == LpStatus.FEASIBLE else out).point[:d]
     margin = min(-support(p, hbar) for p in ineq_sums)
     return HbarResult(hbar, float(margin), rank, d)
 
 
+# the one caveat of every q.d.-MFCQ verdict
+CAVEATS = ("image-set regularity (outer semicontinuity, local closedness of "
+           "the target section) is assumed, not verified",)
+
+
 @dataclass
 class MfcqReport:
-    point: tuple
-    params: dict
+    """The q.d.-MFCQ at a point: the active inequalities, the sums
+    A = sub + sup of the equalities and of the active inequalities, the
+    independence verdict (rank) and the direction search (direction)."""
+
     active: tuple[int, ...]
     eq_plus: list
     ineq_plus_active: list
-    full_rank: bool
-    full_rank_method: str
-    full_rank_certificate: str
-    det_range: DetRangeResult | None
-    failing_lambda: tuple | None
-    hbar: np.ndarray | None
-    margin: float
-    eq_span_rank: int
-    complement_dim: int
+    rank: FullRankResult
+    direction: HbarResult
     verdict: bool
-    warnings: list = field(default_factory=list)
-    caveats: list = field(default_factory=list)
+    warnings: list
 
 
 def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
             budget: int = DET_BUDGET) -> MfcqReport:
     """Full qualification check at a feasible point.
 
-    verdict is full_rank AND margin > 0.  Infeasible base points are
-    rejected with their residuals.
+    verdict is rank.full_rank AND direction.margin > 0.  Infeasible base
+    points are rejected with their residuals.
     """
     b = s.binding(x)
     residuals = feasibility_violations(s, b, tol)
@@ -309,33 +306,10 @@ def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
 
     fr = full_rank_general(eq_plus, s.n, budget=budget, tol=tol)
     hb = find_hbar(eq_plus, ineq_plus, s.n)
-    verdict = fr.full_rank and hb.margin > 0.0
-
     warnings = []
     if hb.eq_span_rank == s.n and s.equalities:
         warnings.append(
             "equality sums span the whole space; with active inequalities "
             "the qualification needs spare dimensions and fails here")
-    caveats = [
-        "image-set regularity (outer semicontinuity, local closedness of "
-        "the target section) is assumed, not verified",
-    ]
-    return MfcqReport(
-        point=tuple(float(v) for v in b.point),
-        params=dict(s.params),
-        active=tuple(active),
-        eq_plus=eq_plus,
-        ineq_plus_active=ineq_plus,
-        full_rank=fr.full_rank,
-        full_rank_method=fr.method,
-        full_rank_certificate=fr.certificate,
-        det_range=fr.det_range,
-        failing_lambda=fr.failing_lambda,
-        hbar=hb.hbar,
-        margin=hb.margin,
-        eq_span_rank=hb.eq_span_rank,
-        complement_dim=hb.complement_dim,
-        verdict=verdict,
-        warnings=warnings,
-        caveats=caveats,
-    )
+    return MfcqReport(tuple(active), eq_plus, ineq_plus, fr, hb,
+                      fr.full_rank and hb.margin > 0.0, warnings)

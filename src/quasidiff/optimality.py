@@ -26,15 +26,24 @@ equivalent necessary conditions are checked at a feasible candidate point:
 
 Each selection reduces to a small LP once every scalar-times-polytope
 term is parameterized by nonnegative weights on the polytope vertices;
-the scalar is recovered as the weight sum.  The bound enters that LP
-only as the right-hand side c of the rows sum(weights) <= c, so its
-feasible set grows with c: a selection feasible at c is feasible at
-every c' >= c, and one infeasible at c at every c' <= c.  ProgramData
-records each selection's outcomes, and a sweep at a later rung of the
-ladder solves only the selections that no earlier rung settles.  Both
-verdicts agree at feasible points for the same c, independent of which
-quasidifferentials represent the data, and that equivalence is
-cross-asserted in tests.
+the scalar is recovered as the weight sum.  In block form, with the
+vertex blocks P_0 = sub(u), P_lo_j = -(v_j + sup f_j),
+P_hi_j = sub(f_j) + w_j and P_i = sub(g_i) + z_i as columns of
+P = [P_0, P_lo_1, P_hi_1, ..., P_i, ...], T the 0/1 row that marks
+P_0's columns and G the 0/1 rows that mark each group (an equality's
+lo and hi blocks together, or one inequality's block), it is
+
+    min sum of the non-theta weights
+    s.t.  [P; T] x = (-w0, 1),  G x <= c,  x >= 0.
+
+The bound enters that LP only as the right-hand side c of the rows
+G x <= c, so its feasible set grows with c: a selection feasible at c
+is feasible at every c' >= c, and one infeasible at c at every
+c' <= c.  ProgramData records each selection's outcomes, and a sweep at
+a later rung of the ladder solves only the selections that no earlier
+rung settles.  Both verdicts agree at feasible points for the same c,
+independent of which quasidifferentials represent the data, and that
+equivalence is cross-asserted in tests.
 
 The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
@@ -228,72 +237,56 @@ def check_multipliers(data: ProgramData, sel: Selection,
             f"selection must carry {l} v-indices, {l} w-indices and "
             f"{na} z-indices for the active inequalities")
     _check_index(sel.w0, data.u.sup, "sup(u)")
-    n = data.n
 
-    w0 = data.u.sup.vertices[sel.w0]
-    # Column blocks: theta over sub(u) vertices, then per equality the
-    # mu_lo weights over -(v_j + sup f_j) and mu_hi weights over
-    # (sub f_j + w_j), then per active inequality the lam weights over
-    # (sub g_i + z_i).
-    cols = [data.u.sub.vertices.T]
-    sums = []  # (start, stop) of each weight block, theta excluded
-    pos = data.u.sub.nvertices
+    # Weight blocks, one LP column per vertex: theta over sub(u), then
+    # per equality f_j the mu_lo weights over -(v_j + sup f_j) and the
+    # mu_hi weights over (sub f_j + w_j), then per active g_i the lam
+    # weights over (sub g_i + z_i).  With P the blocks side by side
+    # (points as columns), T the 0/1 row of the theta columns and G the
+    # 0/1 rows of the groups (an equality's two blocks, or one
+    # inequality's), the LP is
+    #     min sum(x off theta)
+    #     s.t.  [P; T] x = (-w0, 1),  G x <= c_bound,  x >= 0.
+    blocks = [data.u.sub.vertices]
     for j, fj in enumerate(data.f):
         _check_index(sel.v[j], fj.sub, f"sub(f{j + 1})")
         _check_index(sel.w[j], fj.sup, f"sup(f{j + 1})")
-        vstar = fj.sub.vertices[sel.v[j]]
-        wstar = fj.sup.vertices[sel.w[j]]
-        lo_block = -(vstar[None, :] + fj.sup.vertices)
-        hi_block = fj.sub.vertices + wstar[None, :]
-        for block in (lo_block, hi_block):
-            cols.append(block.T)
-            sums.append((pos, pos + block.shape[0]))
-            pos += block.shape[0]
+        blocks.append(-(fj.sub.vertices[sel.v[j]] + fj.sup.vertices))
+        blocks.append(fj.sub.vertices + fj.sup.vertices[sel.w[j]])
     for k, i in enumerate(data.active):
         _check_index(sel.z[k], data.g[i].sup, f"sup(g{i + 1})")
-        zstar = data.g[i].sup.vertices[sel.z[k]]
-        block = data.g[i].sub.vertices + zstar[None, :]
-        cols.append(block.T)
-        sums.append((pos, pos + block.shape[0]))
-        pos += block.shape[0]
+        blocks.append(data.g[i].sub.vertices
+                      + data.g[i].sup.vertices[sel.z[k]])
+    block_id = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    # the group of each block: -1 for theta, j for f_j's pair, l + k for
+    # the k-th active inequality
+    group = np.concatenate([[-1], np.repeat(np.arange(l), 2),
+                            np.arange(l, l + na)])[block_id]
 
-    a_eq = np.zeros((n + 1, pos))
-    a_eq[:n] = np.hstack(cols)
-    a_eq[n, :data.u.sub.nvertices] = 1.0
-    b_eq = np.concatenate([-w0, [1.0]])
-
+    a_eq = np.vstack([np.vstack(blocks).T, block_id == 0])
+    b_eq = np.concatenate([-data.u.sup.vertices[sel.w0], [1.0]])
     a_ub = b_ub = None
-    if c_bound is not None and sums:
-        # one row per equality (both of its blocks) and per active g_i
-        groups = [sums[2 * j:2 * j + 2] for j in range(l)]
-        groups += [[pair] for pair in sums[2 * l:]]
-        a_ub = np.zeros((len(groups), pos))
-        for row, group in zip(a_ub, groups):
-            for start, stop in group:
-                row[start:stop] = 1.0
-        b_ub = np.full(len(groups), float(c_bound))
-
-    cost = np.ones(pos)
-    cost[:data.u.sub.nvertices] = 0.0
-    out = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                   bounds=[(0.0, None)] * pos)
+    if c_bound is not None and l + na:
+        a_ub = (group == np.arange(l + na)[:, None]).astype(float)
+        b_ub = np.full(l + na, float(c_bound))
+    out = solve_lp((group >= 0).astype(float), a_ub=a_ub, b_ub=b_ub,
+                   a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
     if out.status is LpStatus.INFEASIBLE:
         return MultiplierCertificate(False, sel, c_bound=c_bound)
     if out.status is not LpStatus.FEASIBLE:
         raise OptimalityError("multiplier program was unbounded")
 
     x = out.point
-    residual = float(np.max(np.abs(a_eq @ x - b_eq))) if pos else 0.0
-    mu_lo = tuple(float(np.sum(x[s:t])) for s, t in sums[0:2 * l:2])
-    mu_hi = tuple(float(np.sum(x[s:t])) for s, t in sums[1:2 * l:2])
+    sums = [float(np.sum(x[block_id == b])) for b in range(1, len(blocks))]
+    mu_lo, mu_hi = tuple(sums[0:2 * l:2]), tuple(sums[1:2 * l:2])
     lam_full = [0.0] * len(data.g)
-    for k, i in enumerate(data.active):
-        start, stop = sums[2 * l + k]
-        lam_full[i] = float(np.sum(x[start:stop]))
+    for i, lam in zip(data.active, sums[2 * l:]):
+        lam_full[i] = lam
     pairs = [a + bb for a, bb in zip(mu_lo, mu_hi)]
     bound = max(pairs + lam_full) if (pairs or lam_full) else 0.0
     return MultiplierCertificate(True, sel, mu_lo, mu_hi, tuple(lam_full),
-                                 residual, bound, c_bound)
+                                 float(np.max(np.abs(a_eq @ x - b_eq))),
+                                 bound, c_bound)
 
 
 @dataclass(frozen=True)
@@ -306,10 +299,14 @@ class SelectionSweep:
     """
 
     holds: Optional[bool]
-    complete: bool
     n_total: int
     n_checked: int
     first_infeasible: Optional[MultiplierCertificate] = None
+
+    @property
+    def complete(self) -> bool:
+        """Every selection was checked and feasible."""
+        return self.holds is True
 
 
 def _selection_feasible(data: ProgramData, key: tuple, sel: Selection,
@@ -355,17 +352,17 @@ def check_all_selections(data: ProgramData,
     n_checked = 0
     for combo in itertools.product(*ranges):
         if n_checked >= budget:
-            return SelectionSweep(None, False, n_total, n_checked)
+            return SelectionSweep(None, n_total, n_checked)
         sel = Selection(combo[0],
                         tuple(combo[1:1 + 2 * l:2]),
                         tuple(combo[2:2 + 2 * l:2]),
                         tuple(combo[1 + 2 * l:]))
         n_checked += 1
         if not _selection_feasible(data, combo, sel, c_bound):
-            return SelectionSweep(False, False, n_total, n_checked,
+            return SelectionSweep(False, n_total, n_checked,
                                   MultiplierCertificate(False, sel,
                                                         c_bound=c_bound))
-    return SelectionSweep(True, True, n_total, n_checked)
+    return SelectionSweep(True, n_total, n_checked)
 
 
 def estimate_c_star(data: ProgramData) -> float:
@@ -417,7 +414,7 @@ def estimate_c_star(data: ProgramData) -> float:
             a_eq[:n, -1] = w1
             out = solve_lp(cost, a_eq=a_eq,
                            b_eq=np.concatenate([-w0, [1.0, 0.0]]),
-                           bounds=[(0.0, None)] * (na + nb + 1))
+                           bounds=(0.0, None))
             if out.status is not LpStatus.FEASIBLE:
                 return np.inf
             c_star = max(c_star, out.objective)
@@ -436,7 +433,12 @@ class PathwayReport:
     """
 
     kind: str
-    mfcq_verdict: Optional[bool] = None
+
+    @property
+    def mfcq_verdict(self) -> Optional[bool]:
+        """The q.d.-MFCQ verdict; None when unconstrained."""
+        return None if self.kind == "unconstrained" else \
+            self.kind == "qd-mfcq"
 
 
 def qualification_pathway(p: ProgramSpec, b: Binding, *,
@@ -446,7 +448,7 @@ def qualification_pathway(p: ProgramSpec, b: Binding, *,
     if s is None:
         return PathwayReport("unconstrained")
     if qd_mfcq(s, b.point, tol=tol).verdict:
-        return PathwayReport("qd-mfcq", mfcq_verdict=True)
+        return PathwayReport("qd-mfcq")
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
-        return PathwayReport("error-bound", mfcq_verdict=False)
-    return PathwayReport("none", mfcq_verdict=False)
+        return PathwayReport("error-bound")
+    return PathwayReport("none")

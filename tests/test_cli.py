@@ -940,6 +940,24 @@ class TestNonFiniteInputs:
         assert_equal(code, 2)
         assert "overflows the float range" in err
 
+    @pytest.mark.parametrize("command", ["qd", "slope", "mfcq", "regcheck",
+                                         "optcheck"])
+    @pytest.mark.parametrize("lines", [
+        "equality = p*p*x1\n[params]\np = 1e308\n[point]\nx = 0.5\n",
+        "inequality = 1e300 * 1e300 * x1 - 1\n[point]\nx = -1\n",
+        "equality = abs(1e300 * 1e300 + x1)\n[point]\nx = 0\n"],
+        ids=["param-product", "constant-product", "constant-under-abs"])
+    def test_overflow_free_of_x_is_two(self, tmp_path, capsys, command,
+                                       lines):
+        # Python float arithmetic overflows to inf without raising, so a
+        # product of constants or parameters ended in exit 3 (a polytope
+        # vertex at inf), in a report of inf, or in "q.d.-MFCQ holds"
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  f"objective = x1\n{lines}[check]\nK = 1\n"
+                                  "r = 0.1\n", command=command)
+        assert_equal((code, err), (2, "error: a value overflows the float "
+                                      "range while evaluating the problem\n"))
+
     def test_numpy_overflow_is_two_without_warnings(self, tmp_path, capsys,
                                                     recwarn):
         # exp overflows to inf inside numpy, which by itself only warns

@@ -6,7 +6,7 @@ from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
 from quasidiff import cli, geometry
-from quasidiff.calculus import qd_plus_set
+from quasidiff.calculus import Quasidifferential, qd_plus_set, steepest_rate
 from quasidiff.expressions import Binding, qd_at
 from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
                                 LpStatus, Polytope, _canonical,
@@ -208,6 +208,28 @@ class TestScaleCovariance(TestCase):
                         Polytope(np.ldexp(poly.vertices, k)), np.ldexp(q, k))
                     assert got_d == np.ldexp(d, k)
                     assert got_pt.tobytes() == np.ldexp(pt, k).tobytes()
+
+    def test_steepest_rate_commutes_with_powers_of_two(self):
+        # sub = {(1, 0)}, sup = co{+-(1, 1)}: the margin is sqrt(5) at
+        # (1, 1), and the first vertex (-1, -1) gives 1; an absolute tie
+        # cut of 1e-15 kept the 1 from k = -51 down
+        pairs = [(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0],
+                                                    [-1.0, -1.0]]))]
+        # sub + w then has entries in (-1/2, 1), so every Wolfe input is
+        # lifted back to its k = 0 self, as in the test above
+        rng = np.random.default_rng(31)
+        for dim in (1, 2, 3):
+            for _ in range(3):
+                pairs.append((0.5 * unit_sized_set(rng, dim),
+                              0.5 * unit_sized_set(rng, dim) - 0.25))
+        for sub, sup in pairs:
+            base = Quasidifferential(Polytope(sub), Polytope(sup))
+            margin, witness = steepest_rate(base)
+            for k in range(-60, 1):
+                got, got_w = steepest_rate(Quasidifferential(
+                    Polytope(np.ldexp(sub, k)), Polytope(np.ldexp(sup, k))))
+                assert got == np.ldexp(margin, k), (k, got, margin)
+                assert got_w.tobytes() == np.ldexp(witness, k).tobytes()
 
     def test_tiny_segment_contains_the_origin(self):
         # Wolfe's stopping test was absolute below unit norm (1e-10 here)

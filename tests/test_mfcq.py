@@ -165,9 +165,9 @@ class TestSignPatternHullTest(TestCase):
             parse_expression("-1.5*x1 + 0.1*x2 + 1.9*x3"
                              " - 1.7*abs(1.6*x1 + 0.2*x2 + 1.6*x3)", 3)))
         rep = qd_mfcq(s, np.zeros(3))
-        assert not rep.full_rank
+        assert not rep.rank.full_rank
         assert not rep.verdict
-        lam = np.array(rep.failing_lambda)
+        lam = np.array(rep.rank.failing_lambda)
         assert_allclose(np.linalg.norm(lam), 1.0, atol=1e-12)
         assert_allclose(lam, np.array([1.0, -3.0]) / np.sqrt(10.0), atol=1e-9)
         # a_j = v_j0 + t_j (v_j1 - v_j0) with t in [0, 1], solved
@@ -201,8 +201,8 @@ class TestSignPatternHullTest(TestCase):
         s = SystemSpec(2, (parse_expression("0.0000000001*x1", 2),),
                        (parse_expression("x2", 2),))
         rep = qd_mfcq(s, np.zeros(2))
-        assert rep.full_rank and rep.verdict
-        assert_equal(rep.eq_span_rank, 1)
+        assert rep.rank.full_rank and rep.verdict
+        assert_equal(rep.direction.eq_span_rank, 1)
         e1, e2 = singleton([1.0, 0.0, 0.0]), singleton([0.0, 1.0, 0.0])
         for rows, independent in (([e1, e2], True),
                                   ([e1, scale(e1, -1.0)], False),
@@ -244,7 +244,8 @@ class TestFindHbar(TestCase):
         s = SystemSpec(2, (parse_expression("0.0000000001*x1", 2),),
                        (parse_expression("x2", 2),))
         rep = qd_mfcq(s, [0.0, 0.0])
-        assert_equal((rep.eq_span_rank, rep.complement_dim), (1, 1))
+        assert_equal((rep.direction.eq_span_rank,
+                      rep.direction.complement_dim), (1, 1))
         rng = np.random.default_rng(17)
         for _ in range(20):
             eq = [Polytope(rng.uniform(-1, 1, (int(rng.integers(1, 3)), 3)))
@@ -279,22 +280,23 @@ class TestQdMfcq(TestCase):
     def test_sin_system_inside_the_interval(self):
         rep = qd_mfcq(sin_system(1.0), np.zeros(2))
         assert rep.verdict
-        assert rep.full_rank_method == "determinant range"
-        assert_allclose(rep.det_range.min_det, 1.0, atol=1e-12)
-        assert_allclose(rep.det_range.max_det, 7.0, atol=1e-12)
+        assert rep.rank.method == "determinant range"
+        assert_allclose(rep.rank.det_range.min_det, 1.0, atol=1e-12)
+        assert_allclose(rep.rank.det_range.max_det, 7.0, atol=1e-12)
 
     def test_sin_system_outside_the_interval(self):
         # beyond either endpoint the determinant range reaches zero
         for p in (-0.7, 1.7):
             rep = qd_mfcq(sin_system(p), np.zeros(2))
             assert not rep.verdict
-            assert rep.det_range.min_det <= 0.0 <= rep.det_range.max_det
+            dr = rep.rank.det_range
+            assert dr.min_det <= 0.0 <= dr.max_det
 
     def test_single_equality_box_fails(self):
         s = SystemSpec(2, (parse_expression("abs(x1) - abs(x2)", 2),))
         rep = qd_mfcq(s, np.zeros(2))
         assert not rep.verdict
-        assert not rep.full_rank
+        assert not rep.rank.full_rank
         assert rep.eq_plus[0] == UNIT_BOX
 
     def test_infeasible_point_rejected_with_residuals(self):
@@ -308,12 +310,13 @@ class TestQdMfcq(TestCase):
                        (parse_expression("x2", 2),))
         rep = qd_mfcq(s, np.zeros(2))
         assert rep.verdict
-        assert_allclose(rep.hbar, [0.0, -1.0], atol=1e-9)
-        assert_allclose(rep.margin, 1.0, atol=1e-9)
+        assert_allclose(rep.direction.hbar, [0.0, -1.0], atol=1e-9)
+        assert_allclose(rep.direction.margin, 1.0, atol=1e-9)
 
     def test_verdict_shape(self):
         rep = qd_mfcq(sin_system(1.0), np.zeros(2))
-        assert rep.verdict == (rep.full_rank and rep.margin > 0)
+        assert rep.verdict == (rep.rank.full_rank
+                               and rep.direction.margin > 0)
 
     def test_smooth_matches_classical_mfcq(self):
         # all-singleton quasidifferentials: the verdict must agree with

@@ -1,14 +1,18 @@
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
-from quasidiff import optimality
+from quasidiff import mfcq, optimality
 from quasidiff.calculus import Quasidifferential, dd
 from quasidiff.cli import main
 from quasidiff.expressions import parse_expression, qd_at
-from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
+from quasidiff.geometry import (LpStatus, Polytope, complement_basis,
+                                contains, minkowski_sum, scale, solve_lp)
+from quasidiff.mfcq import qd_mfcq
 from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
                                   Selection, build_penalty,
                                   check_all_selections, check_multipliers,
@@ -16,6 +20,7 @@ from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
                                   estimate_c_star, feasibility_violations,
                                   program_data, qualification_pathway)
 from quasidiff.problemfile import loads
+from quasidiff.regularity import SystemSpec
 
 ORIGIN = [0.0, 0.0]
 PENALTY_DEMO = (Path(__file__).resolve().parent.parent / "problems"
@@ -463,6 +468,201 @@ class TestVerdictEquivalence(TestCase):
             direct = all(contains(sub, -w) for w in sup.vertices)
             assert_equal(direct,
                          check_stationarity(program_data(p, b), c).holds)
+
+
+def reference_hbar_lps(eq_sums, ineq_sums, n, first):
+    """find_hbar's LPs as its row-by-row loops built them before the block
+    form, each as (c, a_ub, b_ub, a_eq, b_eq, bounds, maximize); first is
+    the outcome of stage 1, whose optimum stage 2 reads."""
+    eq_vertices = (np.vstack([p.vertices for p in eq_sums])
+                   if eq_sums else np.zeros((0, n)))
+    q = complement_basis(eq_vertices, n) if eq_vertices.size else np.eye(n)
+    d = q.shape[1]
+    if not ineq_sums or d == 0:
+        return []
+    vrows = np.vstack([p.vertices for p in ineq_sums])
+    a_ub = []
+    b_ub = []
+    for v in vrows:
+        a_ub.append(np.concatenate([v @ q, [1.0]]))
+        b_ub.append(0.0)
+    for k in range(n):
+        a_ub.append(np.concatenate([q[k], [0.0]]))
+        b_ub.append(1.0)
+        a_ub.append(np.concatenate([-q[k], [0.0]]))
+        b_ub.append(1.0)
+    c = np.zeros(d + 1)
+    c[d] = 1.0
+    lps = [(c, np.array(a_ub), np.array(b_ub), None, None,
+            [(None, None)] * (d + 1), True)]
+    if first.status != LpStatus.FEASIBLE or first.objective <= 0.0:
+        return lps
+    t_star = float(first.objective)
+    nvar = d + 2 * n
+    a_eq = np.zeros((n, nvar))
+    a_eq[:, :d] = q
+    a_eq[:, d:d + n] = -np.eye(n)
+    a_eq[:, d + n:] = np.eye(n)
+    rows2 = []
+    rhs2 = []
+    for v in vrows:
+        rows2.append(np.concatenate([v @ q, np.zeros(2 * n)]))
+        rhs2.append(-t_star)
+    cost = np.concatenate([np.zeros(d), np.ones(2 * n)])
+    bounds = [(None, None)] * d + [(0.0, 1.0)] * (2 * n)
+    return lps + [(cost, np.array(rows2), np.array(rhs2), a_eq, np.zeros(n),
+                   bounds, False)]
+
+
+def reference_multiplier_lp(data, sel, c_bound=None):
+    """check_multipliers' LP as its loops with (start, stop) offsets built
+    it before the block form."""
+    l = len(data.f)
+    n = data.n
+    w0 = data.u.sup.vertices[sel.w0]
+    cols = [data.u.sub.vertices.T]
+    sums = []
+    pos = data.u.sub.nvertices
+    for j, fj in enumerate(data.f):
+        vstar = fj.sub.vertices[sel.v[j]]
+        wstar = fj.sup.vertices[sel.w[j]]
+        lo_block = -(vstar[None, :] + fj.sup.vertices)
+        hi_block = fj.sub.vertices + wstar[None, :]
+        for block in (lo_block, hi_block):
+            cols.append(block.T)
+            sums.append((pos, pos + block.shape[0]))
+            pos += block.shape[0]
+    for k, i in enumerate(data.active):
+        zstar = data.g[i].sup.vertices[sel.z[k]]
+        block = data.g[i].sub.vertices + zstar[None, :]
+        cols.append(block.T)
+        sums.append((pos, pos + block.shape[0]))
+        pos += block.shape[0]
+    a_eq = np.zeros((n + 1, pos))
+    a_eq[:n] = np.hstack(cols)
+    a_eq[n, :data.u.sub.nvertices] = 1.0
+    b_eq = np.concatenate([-w0, [1.0]])
+    a_ub = b_ub = None
+    if c_bound is not None and sums:
+        groups = [sums[2 * j:2 * j + 2] for j in range(l)]
+        groups += [[pair] for pair in sums[2 * l:]]
+        a_ub = np.zeros((len(groups), pos))
+        for row, group in zip(a_ub, groups):
+            for start, stop in group:
+                row[start:stop] = 1.0
+        b_ub = np.full(len(groups), float(c_bound))
+    cost = np.ones(pos)
+    cost[:data.u.sub.nvertices] = 0.0
+    return (cost, a_ub, b_ub, a_eq, b_eq, [(0.0, None)] * pos, False)
+
+
+def _lp_bytes(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize):
+    """An LP's inputs as (shape, bytes) pairs, bounds expanded to one
+    (lo, hi) pair per variable with None as -inf or inf."""
+    c = np.asarray(c, dtype=float)
+    pairs = [bounds] * c.size if np.ndim(bounds[0]) == 0 else bounds
+    box = np.array([[-np.inf if lo is None else lo,
+                     np.inf if hi is None else hi] for lo, hi in pairs])
+    return [None if a is None else (np.shape(a), np.asarray(a, float).tobytes())
+            for a in (c, a_ub, b_ub, a_eq, b_eq, box)] + [maximize]
+
+
+class TestLpInputsAsReference:
+    """The block-built LPs of find_hbar and check_multipliers take the
+    inputs of the loop-built ones, to the byte, and no LP is added or
+    dropped; estimate_c_star's variables stay nonnegative."""
+
+    @pytest.fixture(autouse=True)
+    def recorded(self, monkeypatch):
+        # (name, arguments, [(solve_lp inputs, outcome)]) per call of
+        # find_hbar or check_multipliers, and the inputs of every other
+        # solve_lp call
+        self.calls, self.others, inside = [], [], []
+
+        def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+                      bounds=(None, None), maximize=False):
+            out = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize)
+            lp = (c, a_ub, b_ub, a_eq, b_eq, bounds, maximize)
+            (inside[-1] if inside else self.others).append((lp, out))
+            return out
+
+        def traced(name, fn):
+            def call(*args):
+                inside.append([])
+                try:
+                    return fn(*args)
+                finally:
+                    self.calls.append((name, args, inside.pop()))
+            return call
+
+        for module in (mfcq, optimality):
+            monkeypatch.setattr(module, "solve_lp", recording)
+        monkeypatch.setattr(mfcq, "find_hbar",
+                            traced("find_hbar", mfcq.find_hbar))
+        monkeypatch.setattr(optimality, "check_multipliers",
+                            traced("check_multipliers",
+                                   optimality.check_multipliers))
+
+    def assert_inputs_kept(self):
+        counts = {"find_hbar": 0, "check_multipliers": 0}
+        for name, args, lps in self.calls:
+            if name == "find_hbar":
+                want = reference_hbar_lps(*args, lps[0][1] if lps else None)
+            else:
+                want = [reference_multiplier_lp(*args)]
+            assert_equal(len(lps), len(want))
+            for (got, _), ref in zip(lps, want):
+                assert _lp_bytes(*got) == _lp_bytes(*ref), name
+            counts[name] += len(lps)
+        nonnegative = (None, None, None, None, (0.0, None), False)
+        for lp, _ in self.others:
+            assert _lp_bytes(*lp)[5] == _lp_bytes(lp[0], *nonnegative)[5]
+        return counts
+
+    def run(self, tmp_path, command, path_or_text, *flags):
+        path = path_or_text
+        if not isinstance(path, Path):
+            path = tmp_path / "op.prob"
+            path.write_text(path_or_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main([command, str(path), *flags])
+
+    def test_fixtures(self, tmp_path):
+        for name in ("cubic", "penalty_demo", "sin_system"):
+            for command in ("mfcq", "optcheck"):
+                self.run(tmp_path, command, PENALTY_DEMO.with_stem(name))
+        # find_hbar runs for mfcq on each fixture and for optcheck's
+        # pathway on penalty_demo, the one program; no fixture has an
+        # active inequality, so it solves no LP
+        counts = self.assert_inputs_kept()
+        assert_equal(counts, {"find_hbar": 0, "check_multipliers": 8})
+        assert_equal(sum(name == "find_hbar" for name, _, _ in self.calls), 4)
+
+    def test_random_dc_programs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p = dc_program(rng)
+            b = p.binding(ORIGIN)
+            qualification_pathway(p, b)
+            # the equality's sum spans R^2, which leaves no direction to
+            # search; without it the active max-type inequality gets one
+            qd_mfcq(SystemSpec(2, (), p.inequalities), ORIGIN)
+            for c in (0.1, 1.0, 10.0):
+                check_all_selections(program_data(p, b), c_bound=c)
+        counts = self.assert_inputs_kept()
+        assert counts["find_hbar"] > 0 and counts["check_multipliers"] > 0
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_benchmark_ops(self, seed, tmp_path, load_perfbench):
+        load_perfbench("oracle")
+        w = load_perfbench("gen").verdicts(seed)
+        for op in w.warmup + w.ops:
+            if op.command in ("mfcq", "optcheck"):
+                self.run(tmp_path, op.command, op.text, *op.flags)
+        counts = self.assert_inputs_kept()
+        assert counts["find_hbar"] > 0 and counts["check_multipliers"] > 0
+        assert self.others
 
 
 class TestCStarEstimate(TestCase):
