@@ -4,8 +4,10 @@ Each `<command>-<fixture>.txt` under tests/golden holds stdout, stderr
 and the exit code of one `quasidiff <command> problems/<fixture>.prob`
 run without flags, and `<command>-<fixture>.json` the --json sidecar of
 the same run; a run that rejects its input writes no sidecar and has no
-.json file.  A change that means to alter a report regenerates both
-kinds of file with
+.json file.  benchmark-digests.txt holds one sha256 per op and warm-up
+run of the benchmark workloads (perfbench/gen.py) for seeds 41-43, over
+the same four parts.  A change that means to alter a report regenerates
+every file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,7 +15,10 @@ and says why; any other change must leave them as they are.
 """
 
 import contextlib
+import hashlib
 import io
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("qd", "slope", "mfcq", "regcheck", "optcheck")
 FIXTURES = ("cubic", "penalty_demo", "sin_system")
+WORKLOADS = ("cli-fixtures", "qd-build", "verdicts")
+SEEDS = (41, 42, 43)
+DIGESTS = GOLDEN / "benchmark-digests.txt"
 
 
 def record(command: str, fixture: str, sidecar: Path):
@@ -35,6 +43,46 @@ def record(command: str, fixture: str, sidecar: Path):
     text = f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
     return text, (sidecar.read_text(encoding="utf-8")
                   if sidecar.exists() else None)
+
+
+def run_argv(argv: list, sidecar: Path) -> str:
+    """stdout, stderr, exit code and sidecar of one in-process run."""
+    sidecar.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json", str(sidecar)])
+    side = (sidecar.read_text(encoding="utf-8") if sidecar.exists()
+            else "(none)\n")
+    return (f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
+            f"--- sidecar\n{side}")
+
+
+def benchmark_digests(gen, workdir: Path) -> str:
+    """One line '<workload> <seed> <op|warmup> <key> <sha256>' per run of
+    the workloads' ops and warm-up ops, run in workdir, which gets a copy
+    of problems/ and the generated problem files."""
+    shutil.copytree(ROOT / "problems", workdir / "problems")
+    lines = []
+    with contextlib.chdir(workdir):
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                w = gen.WORKLOADS[workload](seed)
+                runs = [("op", op) for op in w.ops]
+                runs += [("warmup", op) for op in w.warmup]
+                for role, op in runs:
+                    if op.text is not None:
+                        Path(op.file).write_text(op.text, encoding="utf-8")
+                    text = run_argv(op.argv(), workdir / "sidecar.json")
+                    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    lines.append(f"{workload} {seed} {role} {op.key} {sha}\n")
+    return "".join(lines)
+
+
+def test_benchmark_reports_are_unchanged(tmp_path, load_perfbench):
+    load_perfbench("oracle")
+    got = benchmark_digests(load_perfbench("gen"), tmp_path)
+    assert got.splitlines() == DIGESTS.read_text(
+        encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -66,6 +114,10 @@ def test_a_rejected_command_line_leaves_the_parser_intact(tmp_path):
 
 if __name__ == "__main__":
     import tempfile
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.write_text(benchmark_digests(gen, Path(tmp)), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
             for fixture in FIXTURES:
