@@ -104,14 +104,18 @@ def _check_flags(args) -> None:
                 str(v) if isinstance(v, int) else _g(v) for v in vals))
 
 
+def _vector(flag: str, values, n: int) -> np.ndarray:
+    """The values of a coordinate flag as a vector of R^n."""
+    x = np.asarray(values, dtype=float)
+    if x.shape != (n,):
+        raise ProblemFileError(f"{flag} needs {n} coordinates, got {x.size}")
+    return x
+
+
 def _point_at(pf: ProblemFile, args) -> np.ndarray:
     at = getattr(args, "at", None)
     if at is not None:
-        x = np.asarray(at, dtype=float)
-        if x.shape != (pf.n,):
-            raise ProblemFileError(f"--at needs {pf.n} coordinates, "
-                                   f"got {x.size}")
-        return x
+        return _vector("--at", at, pf.n)
     if pf.point is None:
         raise ProblemFileError("no evaluation point: add [point] x = ... "
                                "or pass --at")
@@ -135,13 +139,7 @@ def cmd_qd(args, pf: ProblemFile, x, out: _Report) -> None:
               for i, g in enumerate(pf.inequalities)]
     if not roles:
         raise ProblemFileError("the problem file defines no functions")
-    dirs = []
-    for h in args.dir or []:
-        hv = np.asarray(h, dtype=float)
-        if hv.shape != (pf.n,):
-            raise ProblemFileError(f"--dir needs {pf.n} coordinates, "
-                                   f"got {hv.size}")
-        dirs.append(hv)
+    dirs = [_vector("--dir", h, pf.n) for h in args.dir or []]
     functions: list = []
     out.add(functions=functions)
     for role, e in roles:

@@ -124,10 +124,16 @@ class Expr:
     # Min set it on the class, every other node at construction from its
     # operands
     _piecewise = False
+    # operator levels from the node down to its deepest leaf (0 for a
+    # leaf); it bounds the recursion of evaluate, _vqd and to_text
+    _depth = 0
 
     def __post_init__(self):
-        if any(c._piecewise for c in _operands(self)):
-            object.__setattr__(self, "_piecewise", True)
+        ops = _operands(self)
+        if ops:
+            object.__setattr__(self, "_depth", _depth_above(ops))
+            if any(c._piecewise for c in ops):
+                object.__setattr__(self, "_piecewise", True)
 
     def evaluate(self, point, params=None):
         """Evaluate at point (shape (..., n)); broadcasts over batches."""
@@ -164,9 +170,14 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
         return e.a, e.b
     if isinstance(e, (Neg, SmoothUnary, Abs)):
         return (e.child,)
-    if isinstance(e, (Max, Min)):
+    if isinstance(e, _Extremum):
         return e.children
     return ()
+
+
+def _depth_above(children) -> int:
+    """_depth of a node over these children."""
+    return 1 + max([c._depth for c in children]) if children else 0
 
 
 def _wrap(child: Expr, minlevel: int) -> str:
@@ -403,40 +414,38 @@ class Abs(Expr):
 
 
 @dataclass(frozen=True)
-class Max(Expr):
+class _Extremum(Expr):
+    """max or min of two or more children; the subclass names the
+    function and its numpy reduction."""
+
     children: tuple[Expr, ...]
     _piecewise = True
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 2:
-            raise ArityError("max needs at least two arguments")
+            raise ArityError(f"{self._name} needs at least two arguments")
+        super().__post_init__()
 
     def evaluate(self, point, params=None):
-        return np.maximum.reduce([c.evaluate(point, params) for c in self.children])
+        return self._reduce([c.evaluate(point, params) for c in self.children])
+
+    def _fmt(self):
+        inner = ", ".join(c._fmt()[0] for c in self.children)
+        return f"{self._name}({inner})", _ATOM
+
+
+class Max(_Extremum):
+    _name, _reduce = "max", np.maximum.reduce
 
     def _vqd_pair(self, b):
         items = [c._vqd(b) for c in self.children]
         val = max(v for v, _ in items)
         return val, qd_max(items)
 
-    def _fmt(self):
-        inner = ", ".join(c._fmt()[0] for c in self.children)
-        return f"max({inner})", _ATOM
 
-
-@dataclass(frozen=True)
-class Min(Expr):
-    children: tuple[Expr, ...]
-    _piecewise = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
-            raise ArityError("min needs at least two arguments")
-
-    def evaluate(self, point, params=None):
-        return np.minimum.reduce([c.evaluate(point, params) for c in self.children])
+class Min(_Extremum):
+    _name, _reduce = "min", np.minimum.reduce
 
     def _vqd_pair(self, b):
         items = [c._vqd(b) for c in self.children]
@@ -447,10 +456,6 @@ class Min(Expr):
                 not any(c._piecewise for c in self.children):
             out = absorb_singleton_sub(out)
         return val, out
-
-    def _fmt(self):
-        inner = ", ".join(c._fmt()[0] for c in self.children)
-        return f"min({inner})", _ATOM
 
 
 def _format_number(x: float) -> str:
@@ -464,7 +469,7 @@ def _format_number(x: float) -> str:
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
                        r"|(?P<ident>[a-z][a-z0-9_]*)"
-                       r"|(?P<op>[-+*(),]))")
+                       r"|(?P<op>[-+*(),])|(?P<bad>\S))")
 
 
 def _pow(args: list, at: int) -> Expr:
@@ -487,6 +492,9 @@ _FUNCTIONS = {
 }
 
 _VAR_RE = re.compile(r"x[0-9]+$")
+
+# the binary operators: precedence level (higher binds tighter) and node
+_BINARY = {"+": (0, Add), "-": (0, Sub), "*": (1, Mul)}
 
 # Deepest expression the parser accepts.  Evaluation, the
 # quasidifferential walk and printing recurse once or twice per tree
@@ -511,20 +519,12 @@ class _Parser:
 
     def _tokenize(self, text):
         tokens = []
-        i = 0
-        while i < len(text):
-            if not text[i:].strip():
-                break
-            m = _TOKEN_RE.match(text, i)
-            if m is None:
-                at = i + len(text[i:]) - len(text[i:].lstrip())
-                raise ExprSyntaxError(f"unexpected character {text[at]!r}",
-                                      _byte_offset(text, at))
+        for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
-            val = m.group(kind)
-            start = m.end() - len(val)
-            tokens.append((kind, val, start))
-            i = m.end()
+            if kind == "bad":
+                self._error(f"unexpected character {m.group(kind)!r}",
+                            m.start(kind))
+            tokens.append((kind, m.group(kind), m.start(kind)))
         tokens.append(("end", "", len(text)))
         return tokens
 
@@ -539,70 +539,59 @@ class _Parser:
     def _error(self, message, start):
         raise ExprSyntaxError(message, _byte_offset(self.text, start))
 
-    def _deeper(self, depth: int, start: int) -> int:
-        """depth, or a syntax error when it passes MAX_DEPTH."""
+    def _deeper(self, depth: int, start: int) -> None:
+        """A syntax error when depth passes MAX_DEPTH."""
         if depth > MAX_DEPTH:
             self._error(f"expression nests deeper than {MAX_DEPTH} levels",
                         start)
-        return depth
 
     def _nested(self, parse, start: int):
         """parse() one level further in: inside parentheses, a call or a
         unary minus.  Checked on the way down, before the recursion."""
-        self.nesting = self._deeper(self.nesting + 1, start)
+        self.nesting += 1
+        self._deeper(self.nesting, start)
         out = parse()
         self.nesting -= 1
         return out
 
-    # Each method returns (node, depth), depth being the number of
-    # operator levels from node down to its deepest leaf; it bounds the
-    # recursion of evaluate, _vqd and to_text.
+    # The tree depth of each node is checked where the node is built, at
+    # the byte offset of its operator or call.
 
     def parse(self) -> Expr:
-        e, _ = self._expr()
+        e = self._expr()
         kind, val, start = self._peek()
         if kind != "end":
             self._error(f"unexpected {val!r}", start)
         return e
 
-    def _expr(self) -> tuple[Expr, int]:
-        node, depth = self._term()
+    def _expr(self, level: int = 0) -> Expr:
+        """Factors joined by the binary operators of this level or a
+        tighter one, folded to the left."""
+        node = self._factor()
         while True:
             kind, val, start = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                rhs, d = self._term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-                depth = self._deeper(max(depth, d) + 1, start)
-            else:
-                return node, depth
+            op_level, build = _BINARY.get(val, (-1, None))
+            if op_level < level:
+                return node
+            self._next()
+            node = build(node, self._expr(op_level + 1))
+            self._deeper(node._depth, start)
 
-    def _term(self) -> tuple[Expr, int]:
-        node, depth = self._factor()
-        while True:
-            kind, val, start = self._peek()
-            if kind == "op" and val == "*":
-                self._next()
-                rhs, d = self._factor()
-                node = Mul(node, rhs)
-                depth = self._deeper(max(depth, d) + 1, start)
-            else:
-                return node, depth
-
-    def _factor(self) -> tuple[Expr, int]:
+    def _factor(self) -> Expr:
         kind, val, start = self._peek()
         if kind == "op" and val == "-":
             self._next()
-            child, d = self._nested(self._factor, start)
-            return Neg(child), self._deeper(d + 1, start)
+            node = Neg(self._nested(self._factor, start))
+            self._deeper(node._depth, start)
+            return node
         return self._atom()
 
-    def _atom(self) -> tuple[Expr, int]:
+    def _atom(self) -> Expr:
         kind, val, start = self._next()
         if kind == "num":
             if not np.isfinite(float(val)):
                 self._error(f"number {val} overflows to infinity", start)
-            return Const(float(val)), 0
+            return Const(float(val))
         if kind == "op" and val == "(":
             e = self._nested(self._expr, start)
             k2, v2, s2 = self._next()
@@ -618,12 +607,12 @@ class _Parser:
                     raise UnknownIdentifierError(
                         f"variable {val} outside declared dimension n={self.n}",
                         _byte_offset(self.text, start))
-                return Var(idx), 0
-            return Param(val), 0
+                return Var(idx)
+            return Param(val)
         self._error(f"unexpected {val!r}" if val else "unexpected end of input",
                     start)
 
-    def _call(self, name: str, start: int) -> tuple[Expr, int]:
+    def _call(self, name: str, start: int) -> Expr:
         kind, val, s = self._next()
         if val != "(":
             self._error(f"expected '(' after {name}", s)
@@ -636,15 +625,15 @@ class _Parser:
                 break
             else:
                 self._error("expected ',' or ')'", s)
-        depth = self._deeper(max(d for _, d in args) + 1, start)
-        args = [e for e, _ in args]
+        # the depth of the call, before its arity is checked
+        self._deeper(_depth_above(args), start)
         lo, hi, build = _FUNCTIONS[name]
         at = _byte_offset(self.text, start)
         if len(args) < lo or (hi is not None and len(args) > hi):
             want = f"{lo}" if hi == lo else f">= {lo}"
             raise ArityError(f"{name} takes {want} argument(s), got {len(args)}",
                              at)
-        return build(args, at), depth
+        return build(args, at)
 
 
 def parse_expression(text: str, n: int) -> Expr:

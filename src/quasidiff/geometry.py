@@ -44,7 +44,10 @@ is below 1/2 is multiplied by the power of two 2^k that puts it in
 and of _min_norm_combination, and the result is scaled back.  Sets of
 size 1/2 or more keep their arithmetic and their absolute cuts.  So for
 k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
-2^k Polytope(P) byte for byte; for k > 0 it need not be.
+2^k Polytope(P) byte for byte; for k > 0 it need not be.  The span of a
+point set and its orthogonal complement come from one SVD, whose cut is
+relative to the largest singular value, so 2^k P has the rank of P for
+every k.
 """
 
 from __future__ import annotations
@@ -213,12 +216,9 @@ def _hull_2d(pts: np.ndarray, tol: float) -> np.ndarray:
             out.append(q)
         return out
 
-    lower = half(p)
-    upper = half(p[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [p[0]]
-    return np.array(hull)
+    # called with more than two distinct rows, so each chain keeps at
+    # least its two ends and the hull is never empty
+    return np.array(half(p)[:-1] + half(p[::-1])[:-1])
 
 
 def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -452,36 +452,30 @@ def contains(a: Polytope, q) -> bool:
     return nearest_point(a, q)[1] <= FEAS_TOL
 
 
-def span_basis(points) -> np.ndarray:
-    """Orthonormal basis (rows) of span{points}; empty for all-zero input.
+def _svd_split(points, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(span rows, complement columns): orthonormal bases of span{points}
+    and of its orthogonal complement in R^dim, from one SVD.
 
-    Modified Gram-Schmidt with one reorthogonalization pass.
+    Singular values up to FEAS_TOL * max(s) count as zero, a cut relative
+    to the set, so 2^k P has the rank of P; this is the SVD and cut of
+    scipy.linalg.null_space(pts, rcond=FEAS_TOL), and the complement has
+    its bytes.  No points, or only zeros, span nothing.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    basis: list[np.ndarray] = []
-    for p in pts:
-        r = p.copy()
-        for _ in range(2):
-            for b in basis:
-                r = r - (r @ b) * b
-        if np.linalg.norm(r) > FEAS_TOL * max(1.0, float(np.linalg.norm(p))):
-            basis.append(r / np.linalg.norm(r))
-    if not basis:
-        return np.zeros((0, pts.shape[1]))
-    return np.array(basis)
+    if pts.size == 0:
+        return np.zeros((0, dim)), np.eye(dim)
+    _, s, vh = np.linalg.svd(pts, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * FEAS_TOL))
+    return vh[:rank], vh[rank:].T
+
+
+def span_basis(points) -> np.ndarray:
+    """Orthonormal basis (rows) of span{points}; empty for all-zero input."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _svd_split(pts, pts.shape[1])[0]
 
 
 def complement_basis(points, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of
-    span{points} in R^dim.
-
-    Singular values up to FEAS_TOL * max(s) count as zero; this is the
-    same SVD and cut as scipy.linalg.null_space(pts, rcond=FEAS_TOL), and
-    gives its bytes.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return np.eye(dim)
-    _, s, vh = np.linalg.svd(pts, full_matrices=True)
-    rank = int(np.sum(s > s.max(initial=0.0) * FEAS_TOL))
-    return vh[rank:].T
+    span{points} in R^dim, by the rank rule of span_basis."""
+    return _svd_split(points, dim)[1]

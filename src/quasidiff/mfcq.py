@@ -114,25 +114,19 @@ def full_rank_det_range(rows: Sequence[Polytope],
     if total > budget:
         raise BudgetExceededError(
             f"vertex-tuple count {total} exceeds the budget {budget}")
-    grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
-    combos = np.stack([g.reshape(-1) for g in grids], axis=1)  # (total, l)
-    best_min = np.inf
-    best_max = -np.inf
-    argmin = argmax = (0,) * l
+    # lexicographic order, so the first occurrence that argmin and argmax
+    # return is the tie-break of the docstring
+    combos = np.indices(counts).reshape(l, -1).T  # (total, l)
+    dets = np.empty(total)
     chunk = 200_000
     for start in range(0, total, chunk):
         idx = combos[start:start + chunk]
         mats = np.stack([rows[j].vertices[idx[:, j]] for j in range(l)], axis=1)
-        dets = np.linalg.det(mats)
-        i_min = int(np.argmin(dets))
-        i_max = int(np.argmax(dets))
-        if dets[i_min] < best_min:
-            best_min = float(dets[i_min])
-            argmin = tuple(int(v) for v in idx[i_min])
-        if dets[i_max] > best_max:
-            best_max = float(dets[i_max])
-            argmax = tuple(int(v) for v in idx[i_max])
-    return DetRangeResult(best_min, best_max, argmin, argmax, total)
+        dets[start:start + chunk] = np.linalg.det(mats)
+    i_min, i_max = int(np.argmin(dets)), int(np.argmax(dets))
+    return DetRangeResult(float(dets[i_min]), float(dets[i_max]),
+                          tuple(int(v) for v in combos[i_min]),
+                          tuple(int(v) for v in combos[i_max]), total)
 
 
 def _sign_pattern_dependence(rows: Sequence[Polytope],
@@ -230,7 +224,7 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
     eq_vertices = (np.vstack([p.vertices for p in eq_sums])
                    if eq_sums else np.zeros((0, n)))
     # one SVD gives the complement and, with it, the printed rank
-    q = complement_basis(eq_vertices, n) if eq_vertices.size else np.eye(n)
+    q = complement_basis(eq_vertices, n)
     d = q.shape[1]
     rank = n - d
     if not ineq_sums:

@@ -173,8 +173,9 @@ def sampled_strong_slope(fn: Callable[[np.ndarray], float], x,
     """Monte-Carlo estimate of the strong slope of fn at x.
 
     Ring sampling over ten radii halving from 1e-2; each ring takes the
-    maximum positive difference quotient over a deterministic set of
-    SLOPE_DIRECTIONS directions (two in R^1) plus 32 seeded random ones;
+    maximum positive difference quotient over SLOPE_DIRECTIONS directions
+    (two in R^1; evenly spaced angles in R^2; seeded random ones for
+    n >= 3) plus 32 seeded random ones;
     the estimate is the median of the last three rings.  No command calls
     it: `slope` prints the exact vertex margin, and the tests use this
     estimate as an independent reference for it.
@@ -187,13 +188,6 @@ def sampled_strong_slope(fn: Callable[[np.ndarray], float], x,
     elif n == 2:
         ang = np.linspace(0.0, 2 * np.pi, SLOPE_DIRECTIONS, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    elif n == 3:
-        k = np.arange(SLOPE_DIRECTIONS)
-        golden = (1 + 5 ** 0.5) / 2
-        zc = 1 - 2 * (k + 0.5) / SLOPE_DIRECTIONS
-        th = 2 * np.pi * k / golden
-        rc = np.sqrt(np.maximum(1 - zc ** 2, 0.0))
-        dirs = np.stack([rc * np.cos(th), rc * np.sin(th), zc], axis=1)
     else:
         raw = rng.standard_normal((SLOPE_DIRECTIONS, n))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
@@ -5,11 +7,14 @@ from numpy.testing import TestCase, assert_allclose, assert_equal
 from quasidiff.calculus import dd
 from quasidiff.expressions import (ArityError, Binding, ExprSyntaxError,
                                    UnboundParameterError,
-                                   UnknownIdentifierError, eval_expr,
-                                   is_piecewise_affine, kink_distance,
-                                   parse_expression, qd_at, qd_matrix_at,
-                                   qd_value_at)
+                                   UnknownIdentifierError, _operands,
+                                   eval_expr, is_piecewise_affine,
+                                   kink_distance, parse_expression, qd_at,
+                                   qd_matrix_at, qd_value_at)
 from quasidiff.geometry import Polytope, singleton, zero_polytope
+from quasidiff.problemfile import load, loads
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 F1_TEXT = "max(2*x1, x1) - abs(sin(p*x2))"
 F2_TEXT = "min(x2, 2*x2) + sin(p*(x1+x2))"
@@ -249,3 +254,26 @@ class TestMatrixAssembly(TestCase):
                 fdval = (eval_expr(e, binding(x + 1e-7 * h, p=1.0))
                          - eval_expr(e, b)) / 1e-7
                 assert_allclose(dd(row, h), fdval, atol=1e-5)
+
+
+def depth_reference(e) -> int:
+    """Operator levels from e down to its deepest leaf, recomputed."""
+    ops = _operands(e)
+    return 1 + max(depth_reference(c) for c in ops) if ops else 0
+
+
+def test_depth_is_computed_at_construction(load_perfbench):
+    load_perfbench("oracle")
+    gen = load_perfbench("gen")
+    files = [load(path) for path in sorted(PROBLEMS.glob("*.prob"))]
+    for seed in (41, 42, 43):
+        for w in (gen.qd_build(seed), gen.verdicts(seed)):
+            files += [loads(op.text) for op in w.ops + w.warmup]
+    roots = [e for pf in files for e in (pf.objective, *pf.equalities,
+                                          *pf.inequalities) if e is not None]
+    assert len(roots) > 200
+    todo = list(roots)
+    while todo:
+        e = todo.pop()
+        assert_equal(e._depth, depth_reference(e))
+        todo.extend(_operands(e))

@@ -551,6 +551,28 @@ class TestSpanBasis(TestCase):
             want = np.linalg.matrix_rank(pts, tol=1e-9)
             assert_equal(got, want)
 
+    def test_one_rank_rule_at_every_scale(self):
+        # span and complement come from one SVD whose cut is relative to
+        # the set, so 2^k P keeps the rank of P for every k, and the two
+        # bases split R^n into orthogonal parts
+        rng = np.random.default_rng(23)
+        sets = [np.array([[1.0, -1.0, 0.5], [-1.0, -1.0, 0.25]])]
+        for n in range(2, 5):
+            for rank in range(n + 1):
+                for rows in (rank, n + 2):
+                    sets.append(rng.standard_normal((rows, rank))
+                                @ rng.standard_normal((rank, n)))
+        for pts in sets:
+            n = pts.shape[1]
+            rank = span_basis(pts).shape[0]
+            for k in range(-60, 1):
+                scaled = np.ldexp(pts, k)
+                span = span_basis(scaled)
+                comp = complement_basis(scaled, n)
+                assert_equal(span.shape[0], rank)
+                assert_equal(span.shape[0] + comp.shape[1], n)
+                assert_allclose(span @ comp, 0.0, atol=1e-12)
+
     def test_complement_dimensions(self):
         comp = complement_basis([[1.0, 0.0, 0.0]], 3)
         assert_equal(comp.shape, (3, 2))

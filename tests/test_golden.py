@@ -34,27 +34,21 @@ SEEDS = (41, 42, 43)
 DIGESTS = GOLDEN / "benchmark-digests.txt"
 
 
-def record(command: str, fixture: str, sidecar: Path):
-    """(text record, sidecar text or None) of one run."""
+def run(argv: list, sidecar: Path):
+    """(text record, sidecar text or None) of one in-process run of argv
+    with --json sidecar."""
+    sidecar.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(ROOT / "problems" / f"{fixture}.prob"),
-                     "--json", str(sidecar)])
+        code = main(argv + ["--json", str(sidecar)])
     text = f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
     return text, (sidecar.read_text(encoding="utf-8")
                   if sidecar.exists() else None)
 
 
-def run_argv(argv: list, sidecar: Path) -> str:
-    """stdout, stderr, exit code and sidecar of one in-process run."""
-    sidecar.unlink(missing_ok=True)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--json", str(sidecar)])
-    side = (sidecar.read_text(encoding="utf-8") if sidecar.exists()
-            else "(none)\n")
-    return (f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
-            f"--- sidecar\n{side}")
+def record(command: str, fixture: str, sidecar: Path):
+    """run() of `quasidiff <command> problems/<fixture>.prob`."""
+    return run([command, str(ROOT / "problems" / f"{fixture}.prob")], sidecar)
 
 
 def benchmark_digests(gen, workdir: Path) -> str:
@@ -72,7 +66,10 @@ def benchmark_digests(gen, workdir: Path) -> str:
                 for role, op in runs:
                     if op.text is not None:
                         Path(op.file).write_text(op.text, encoding="utf-8")
-                    text = run_argv(op.argv(), workdir / "sidecar.json")
+                    text, side = run(op.argv(), workdir / "sidecar.json")
+                    if side is None:
+                        side = "(none)\n"
+                    text += f"--- sidecar\n{side}"
                     sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
                     lines.append(f"{workload} {seed} {role} {op.key} {sha}\n")
     return "".join(lines)

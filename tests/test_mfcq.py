@@ -107,6 +107,54 @@ class TestDetRange(TestCase):
         with pytest.raises(ValueError):
             full_rank_det_range([singleton([1.0, 0.0])])
 
+    def test_one_pass_matches_running_best_across_chunks(self):
+        # 61^3 = 226,981 tuples cross the 200,000-tuple chunk boundary; the
+        # 81-vertex paraboloid grid has 12 ties at each extreme, on both
+        # sides of it
+        rng = np.random.default_rng(29)
+        sphere = []
+        for _ in range(3):
+            raw = rng.standard_normal((61, 3))
+            sphere.append(Polytope(raw / np.linalg.norm(raw, axis=1,
+                                                        keepdims=True)))
+        g = np.arange(-4.0, 5.0)
+        grid = Polytope([(a, b, a * a + b * b) for a in g for b in g])
+        for rows, m in ((sphere, 61), ([grid] * 3, 81)):
+            assert all(r.nvertices == m for r in rows)
+            res = full_rank_det_range(rows)
+            lo, hi, argmin, argmax, count = running_best_det_range(rows)
+            assert np.float64(res.min_det).tobytes() == \
+                np.float64(lo).tobytes()
+            assert np.float64(res.max_det).tobytes() == \
+                np.float64(hi).tobytes()
+            assert_equal((res.argmin, res.argmax, res.count),
+                         (argmin, argmax, count))
+            assert count > 200_000
+
+
+def running_best_det_range(rows, chunk=200_000):
+    """(min, max, argmin, argmax, count) by the loop that kept a running
+    best per chunk, with strict comparisons, over meshgrid tuples."""
+    l = len(rows)
+    grids = np.meshgrid(*[np.arange(r.nvertices) for r in rows],
+                        indexing="ij")
+    combos = np.stack([g.reshape(-1) for g in grids], axis=1)
+    best_min, best_max = np.inf, -np.inf
+    argmin = argmax = (0,) * l
+    for start in range(0, len(combos), chunk):
+        idx = combos[start:start + chunk]
+        mats = np.stack([rows[j].vertices[idx[:, j]] for j in range(l)],
+                        axis=1)
+        dets = np.linalg.det(mats)
+        i_min, i_max = int(np.argmin(dets)), int(np.argmax(dets))
+        if dets[i_min] < best_min:
+            best_min = float(dets[i_min])
+            argmin = tuple(int(v) for v in idx[i_min])
+        if dets[i_max] > best_max:
+            best_max = float(dets[i_max])
+            argmax = tuple(int(v) for v in idx[i_max])
+    return best_min, best_max, argmin, argmax, len(combos)
+
 
 class TestFullRankDispatch(TestCase):
 
@@ -237,8 +285,9 @@ class TestFindHbar(TestCase):
         assert res.hbar is None
 
     def test_rank_and_complement_come_from_one_svd(self):
-        # a gradient of norm 1e-10 is under span_basis's absolute cut but
-        # over the SVD's relative one; the printed rank is the SVD's too
+        # a gradient of norm 1e-10 is under the absolute FEAS_TOL, but the
+        # SVD's cut is relative to the set, so it spans a line; the printed
+        # rank comes from the same SVD as the complement
         res = find_hbar([singleton([1e-10, 0.0])], [singleton([0.0, 1.0])], 2)
         assert_equal((res.eq_span_rank, res.complement_dim), (1, 1))
         s = SystemSpec(2, (parse_expression("0.0000000001*x1", 2),),
