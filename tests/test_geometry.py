@@ -9,7 +9,8 @@ from quasidiff import cli, geometry
 from quasidiff.calculus import Quasidifferential, qd_plus_set, steepest_rate
 from quasidiff.expressions import Binding, qd_at
 from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
-                                LpStatus, Polytope, _canonical,
+                                LpStatus, Polytope, _batched_min_norm,
+                                _canonical, _certificates,
                                 _certified_extreme, _dedup, _min_norm_point,
                                 complement_basis,
                                 contains, convex_hull_union, minkowski_sum,
@@ -89,7 +90,8 @@ def reference_canonical(points):
         i = 0
         while i < len(kept) and len(kept) > 1:
             others = np.array(kept[:i] + kept[i + 1:])
-            x = _min_norm_point(others - kept[i])
+            # through the module, so that a test can count the solves
+            x = geometry._min_norm_point(others - kept[i])
             if float(np.linalg.norm(x)) <= FEAS_TOL:
                 kept.pop(i)
             else:
@@ -247,32 +249,64 @@ class TestScaleCovariance(TestCase):
 
 
 class TestCanonicalMatchesReference(TestCase):
-    """The windowed dedup and the certified pre-pass change no byte."""
+    """The windowed dedup and the certificates change no byte."""
 
-    def setUp(self):
+    @pytest.fixture(autouse=True)
+    def counters(self, monkeypatch):
+        self.monkeypatch = monkeypatch
         self.certified = 0
+        self.batched = 0
 
     def check(self, points, got=None):
         """got (default: Polytope(points).vertices) equals the reference
-        on points byte for byte; every certified point is an output row
+        on points byte for byte.  Every certified vertex is an output row
         and lies more than the certificate's gap from the other points'
-        hull."""
+        hull; every interior-certified point is missing from the output
+        and lies within FEAS_TOL of the hull of the pre-pass's vertices.
+        Where the batch runs, fewer scalar solves remain than the
+        reference loop makes."""
         points = np.asarray(points, dtype=float)
-        if got is None:
-            got = Polytope(points).vertices
-        want = reference_canonical(points)
+        solves = []
+        scalar = geometry._min_norm_point
+
+        def counted(p):
+            solves.append(1)
+            return scalar(p)
+
+        with self.monkeypatch.context() as mp:
+            mp.setattr(geometry, "_min_norm_point", counted)
+            want = reference_canonical(points)
+            n_reference = len(solves)
+            built = got is None
+            if built:
+                got = Polytope(points).vertices
+            n_scalar = len(solves) - n_reference
         assert_equal(got.shape, want.shape)
         assert got.tobytes() == want.tobytes()
         pts = _dedup(points + 0.0, DEDUP_TOL)
         if pts.shape[0] > 2:
-            cert = _certified_extreme(pts)
+            filtered = _certified_extreme(pts)
+            vertex, inside = _certificates(pts)
+            assert not (vertex & inside).any()
+            assert (vertex >= filtered).all()
             rows = {r.tobytes() for r in got}
-            assert all(r.tobytes() in rows for r in pts[cert])
+            assert all(r.tobytes() in rows for r in pts[vertex])
+            assert not any(r.tobytes() in rows for r in pts[inside])
             gap = CERT_GAP * max(1.0, float(np.abs(pts).max()))
-            for j in np.flatnonzero(cert):
+            for j in np.flatnonzero(vertex):
                 x = _min_norm_point(np.delete(pts, j, axis=0) - pts[j])
                 assert np.linalg.norm(x) > gap
-            self.certified += int(cert.sum())
+            for j in np.flatnonzero(inside):
+                x = _min_norm_point(pts[filtered] - pts[j])
+                assert np.linalg.norm(x) <= FEAS_TOL
+            self.certified += int(vertex.sum())
+            if (~filtered).sum() >= geometry._CERT_BATCH_MIN:
+                self.batched += int((vertex & ~filtered).sum()
+                                    + inside.sum())
+                assert n_scalar < n_reference
+            if built:
+                # a certified point gets no scalar solve
+                assert n_scalar <= int((~vertex & ~inside).sum())
         assert_fixed_point(got)
         return got
 
@@ -314,6 +348,29 @@ class TestCanonicalMatchesReference(TestCase):
             self.check(np.vstack([p.vertices for p in parts]),
                        convex_hull_union(parts).vertices)
 
+    def test_zonotopes_of_eight_generators(self):
+        # the qd-build chain shape: sums of c [-g, g] with two-digit g
+        rng = np.random.default_rng(44)
+        for dim in (3, 4):
+            gens = (np.round(rng.uniform(-2.0, 2.0, (8, dim)), 2)
+                    * np.round(rng.uniform(0.5, 2.0, (8, 1)), 1))
+            acc = np.stack([gens[0], -gens[0]])
+            for g in gens[1:]:
+                acc = self.check(np.vstack([acc + g, acc - g]))
+        assert self.batched > 0
+
+    def test_rank_2_set_in_r4_reaches_the_batch(self):
+        # a corral in a plane holds at most 3 of the dim + 1 = 5 slots;
+        # the edge midpoints and inner points leave the pre-pass undecided
+        rng = np.random.default_rng(45)
+        basis = rng.standard_normal((2, 4))
+        ring = np.stack([np.cos(np.arange(7) * 2 * np.pi / 7),
+                         np.sin(np.arange(7) * 2 * np.pi / 7)], axis=1)
+        inner = np.vstack([0.5 * (ring + np.roll(ring, 1, axis=0)),
+                           rng.uniform(-0.3, 0.3, (6, 2))])
+        self.check(np.vstack([ring, inner]) @ basis + 0.25)
+        assert self.batched >= geometry._CERT_BATCH_MIN
+
     def test_ties_and_near_duplicates(self):
         # a lattice with exact support ties, plus copies 1e-13 off
         grid = np.array(np.meshgrid(*[[0.0, 0.5, 1.0]] * 3)).reshape(3, -1).T
@@ -321,6 +378,7 @@ class TestCanonicalMatchesReference(TestCase):
         noisy = grid + rng.choice([-1e-13, 0.0, 1e-13], grid.shape)
         got = self.check(np.vstack([grid, noisy]))
         assert_equal(got.shape, (8, 3))
+        assert self.batched > 0
 
     def test_dedup_keeps_greedy_clusters(self):
         # (2e-13, 1, 0) is within DEDUP_TOL of (0, 1, 0) but not adjacent
@@ -332,6 +390,51 @@ class TestCanonicalMatchesReference(TestCase):
         got = _dedup(pts, DEDUP_TOL)
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == reference_dedup(pts, DEDUP_TOL).tobytes()
+
+
+class TestBatchedMinNorm:
+    """The batched Wolfe kernel returns convex weights, and |x| never
+    claims a query closer to the hull than the scalar solve finds."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -40])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_contract(self, dim, scale):
+        rng = np.random.default_rng(46 + dim)
+        for n, m, with_skip in ((geometry.CERT_BLOCK + 9, 12, False),
+                                (7, 40, True), (5, 3, False)):
+            v = scale * rng.uniform(-1.0, 1.0, (m, dim))
+            q = scale * rng.uniform(-1.5, 1.5, (n, dim))
+            skip = rng.integers(0, m, n) if with_skip else None
+            x, corral, lam = _batched_min_norm(q, v, skip)
+            self.check_contract(q, v, skip, x, corral, lam)
+
+    def test_failed_solve_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        v = rng.uniform(-1.0, 1.0, (20, 4))
+        q = rng.uniform(-1.0, 1.0, (10, 4))
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(geometry.np.linalg, "solve", singular)
+            x, corral, lam = _batched_min_norm(q, v)
+        self.check_contract(q, v, None, x, corral, lam)
+
+    @staticmethod
+    def check_contract(q, v, skip, x, corral, lam):
+        assert lam.min() >= 0.0
+        assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        if skip is not None:
+            assert not lam[corral == skip[:, None]].any()
+        rel = v[corral] - q[:, None, :]
+        assert_allclose(x, np.einsum("rk,rkd->rd", lam, rel), rtol=0,
+                        atol=1e-15 * np.abs(rel).max())
+        for r in range(q.shape[0]):
+            others = v if skip is None else np.delete(v, skip[r], axis=0)
+            scale = np.abs(others - q[r]).max()
+            d = np.linalg.norm(_min_norm_point(others - q[r]))
+            assert np.linalg.norm(x[r]) >= d - 1e-12 * scale
 
 
 class TestCanonicalFixedPoints:
