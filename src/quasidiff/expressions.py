@@ -4,17 +4,27 @@ The grammar covers what the checks need and nothing more: variables
 x1..xn, lowercase parameter names, +, -, *, sin, cos, exp, pow(e, k),
 abs, max, min, parentheses and decimal literals.  No division.
 
-Evaluation is numpy-vectorized over batches of points.  qd_value_at walks
-the tree bottom-up applying the quasidifferential rules.  Representatives
-are only unique up to equivalence shifts, so the walk fixes a convention:
-kink-free subtrees are differentiated as smooth functions (the gradient
-stays in the subdifferential, even through negation and scaling), while
-any subtree containing abs, max or min is combined by the raw pair
-algebra, whose scale rule swaps the sets under negation.  This matches
-how the pairs are written down in worked derivations: abs of a smooth
-argument lands on the co{+-grad} form, a tied min of smooth branches on
-the concave-led [{0}, co{gradients}] form, and |f - y| keeps the raw
-max-rule pair when f itself has kinks.
+Evaluation is numpy-vectorized over batches of points, and a point and
+a batch row run the same IEEE operations, so evaluate at a point equals
+that row of a batch by bytes.  pow(e, k) is the one node whose numpy
+forms differ (the array v ** k rounds some last bits otherwise than the
+scalar one), so it takes one chain in both, for its value and for its
+derivative k * v^(k-1) alike: r = v, then for each bit of k after the
+leading one, r = r * r, and r = r * v when the bit is 1.  The computed
+v^k carries at most k - 1 rounding factors (1 + d), |d| <= u = 2^-53, so
+its relative error is at most (1 + u)^(k-1) - 1, about (k - 1) u,
+barring underflow and overflow.
+
+qd_value_at walks the tree bottom-up applying the quasidifferential
+rules.  Representatives are only unique up to equivalence shifts, so the
+walk fixes a convention: kink-free subtrees are differentiated as smooth
+functions (the gradient stays in the subdifferential, even through
+negation and scaling), while any subtree containing abs, max or min is
+combined by the raw pair algebra, whose scale rule swaps the sets under
+negation.  This matches how the pairs are written down in worked
+derivations: abs of a smooth argument lands on the co{+-grad} form, a
+tied min of smooth branches on the concave-led [{0}, co{gradients}]
+form, and |f - y| keeps the raw max-rule pair when f itself has kinks.
 
 Forward mode.  A differentiable f has the quasidifferential
 [{grad f}, {0}], so a kink-free subtree is carried as one (value,
@@ -349,6 +359,28 @@ _SMOOTH = {"sin": (np.sin, np.cos),
            "exp": (np.exp, np.exp)}
 
 
+def _power(v, k: int):
+    """v ** k for an integer k >= 0 (1 for k = 0) by the pow chain of the
+    module docstring.  At a point v becomes an np.float64, so overflow
+    raises under np.errstate; over a batch the chain multiplies in place
+    into its own buffer, and v, which may be a view of the caller's
+    array, is never written."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        r = v if k else np.ones_like(v)
+        for bit in bin(k)[3:]:
+            r = np.multiply(r, r, out=None if r is v else r)
+            if bit == "1":
+                np.multiply(r, v, out=r)
+        return r
+    v = np.float64(v)
+    r = v if k else np.float64(1.0)
+    for bit in bin(k)[3:]:
+        r = r * r
+        if bit == "1":
+            r = r * v
+    return r
+
+
 @dataclass(frozen=True)
 class SmoothUnary(Expr):
     kind: str
@@ -367,12 +399,13 @@ class SmoothUnary(Expr):
 
     def evaluate(self, point, params=None):
         v = self.child.evaluate(point, params)
-        return v ** self.k if self.kind == "pow" else _SMOOTH[self.kind][0](v)
+        return _power(v, self.k) if self.kind == "pow" \
+            else _SMOOTH[self.kind][0](v)
 
     def _rule(self, v: float) -> tuple[float, float]:
         """Value and derivative at the argument value v."""
         if self.kind == "pow":
-            return v ** self.k, float(self.k) * v ** (self.k - 1)
+            return _power(v, self.k), float(self.k) * _power(v, self.k - 1)
         f, df = _SMOOTH[self.kind]
         return float(f(v)), float(df(v))
 

@@ -303,23 +303,21 @@ def _near_some_target(fv, gv, taxis, eta):
     """Mask of the scan points that _near accepts for some target of the
     product grid taxis^(l+m): every F_j within eta of some axis value,
     and every g_i <= max(taxis) + eta.  The same IEEE comparisons as
-    _near, run in place on one float and one bool buffer."""
+    _near, run in place on one float and two bool buffers; a nan value
+    fails every <=, so its row is dropped, as _near drops it."""
     keep = np.ones(len((fv + gv)[0]), dtype=bool)
     diff = np.empty(keep.shape)
     hit = np.empty(keep.shape, dtype=bool)
+    near = np.empty(keep.shape, dtype=bool)
     for f in fv:
-        hit.fill(True)
+        hit.fill(False)
         for y in taxis:
             np.abs(np.subtract(f, y, out=diff), out=diff)
-            np.greater(diff, eta, out=hit, where=hit)
-        # hit was "missed every y so far"; a nan F_j misses every target
-        # in _near, but every > is False for it, so f <= inf drops it
-        np.logical_not(hit, out=hit)
-        np.less_equal(f, np.inf, out=hit, where=hit)
+            hit |= np.less_equal(diff, eta, out=near)
         keep &= hit
     ztop = taxis.max() + eta
     for g in gv:
-        np.less_equal(g, ztop, out=keep, where=keep)
+        keep &= np.less_equal(g, ztop, out=near)
     return keep
 
 
@@ -509,9 +507,6 @@ def margin_infima(s: SystemSpec, center, *,
     holds no more rows than valid samples are still needed, so the 48th
     valid sample is always a round's last row: the generator stream and
     the draws evaluated are those of drawing and testing one at a time.
-    numpy's array pow can round a last bit differently from its scalar
-    pow, so only a psi within rounding of the cut could be screened the
-    other way.
     """
     base = np.concatenate([s.binding(center).point, *s.targets()])
     targets = set(_target_names(s))

@@ -891,6 +891,25 @@ class TestNonFiniteInputs:
         assert_equal(err, "error: a value overflows the float range while "
                      "evaluating the problem\n")
 
+    def test_overflow_in_the_scan_alone_is_two(self, tmp_path, capsys):
+        # x1^1100 overflows past x1 = 1.906: inside the scan (radius 1
+        # about 1), outside the grid (radius 0.01) and the margin shells
+        # (radius 0.3); the batched pow chain must raise as the scalar
+        # one does
+        text = ("[problem]\nn = 1\nequality = pow(x1, 1100)\n[point]\n"
+                "x = 1\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
+                "target_grid = 1\nscan_radius = 1\nbudget = 100\n")
+        s = loads(text).system()
+        with np.errstate(over="raise"):
+            margin_infima(s, [1.0])
+            with pytest.raises(FloatingPointError):
+                verify_regularity_grid(s, [1.0], 1.0, 0.01, 1, 1,
+                                       scan_radius=1.0, budget=100)
+        code, err = self.run_main(tmp_path, capsys, text, command="regcheck")
+        assert_equal(code, 2)
+        assert_equal(err, "error: a value overflows the float range while "
+                     "evaluating the problem\n")
+
     def test_constraint_past_the_cap_is_two(self, tmp_path, capsys):
         code, err = self.run_main(tmp_path, capsys,
                                   cap_text(MAX_CONSTRAINTS + 1))

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from quasidiff.calculus import dd
 from quasidiff.expressions import (ArityError, Binding, ExprSyntaxError,
                                    UnboundParameterError,
                                    UnknownIdentifierError, _operands,
-                                   eval_expr, is_piecewise_affine,
+                                   _power, eval_expr, is_piecewise_affine,
                                    kink_distance, parse_expression, qd_at,
                                    qd_matrix_at, qd_value_at)
 from quasidiff.geometry import Polytope, singleton, zero_polytope
@@ -256,6 +257,14 @@ class TestMatrixAssembly(TestCase):
                 assert_allclose(dd(row, h), fdval, atol=1e-5)
 
 
+def _benchmark_files(gen):
+    """The problem files of the qd-build and verdicts workloads, seeds
+    41-43."""
+    return [loads(op.text) for seed in (41, 42, 43)
+            for w in (gen.qd_build(seed), gen.verdicts(seed))
+            for op in w.ops + w.warmup]
+
+
 def depth_reference(e) -> int:
     """Operator levels from e down to its deepest leaf, recomputed."""
     ops = _operands(e)
@@ -266,9 +275,7 @@ def test_depth_is_computed_at_construction(load_perfbench):
     load_perfbench("oracle")
     gen = load_perfbench("gen")
     files = [load(path) for path in sorted(PROBLEMS.glob("*.prob"))]
-    for seed in (41, 42, 43):
-        for w in (gen.qd_build(seed), gen.verdicts(seed)):
-            files += [loads(op.text) for op in w.ops + w.warmup]
+    files += _benchmark_files(gen)
     roots = [e for pf in files for e in (pf.objective, *pf.equalities,
                                           *pf.inequalities) if e is not None]
     assert len(roots) > 200
@@ -277,3 +284,75 @@ def test_depth_is_computed_at_construction(load_perfbench):
         e = todo.pop()
         assert_equal(e._depth, depth_reference(e))
         todo.extend(_operands(e))
+
+
+class TestPointAndBatchRoundAlike:
+    """evaluate at a point gives the bytes of that row of a batch, and pow
+    takes the chain of the expressions module docstring."""
+
+    def assert_rows_as_points(self, e, pts, params):
+        batch = e.evaluate(pts, params)
+        assert_equal(batch.shape, pts.shape[:1])
+        for x, row in zip(pts, batch):
+            assert np.float64(e.evaluate(x, params)).tobytes() \
+                == row.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "x2", "0.7", "p", "-x1", "x1 + x2", "x1 - x2", "x1 * x2",
+        "sin(3*x1)", "cos(x1 - x2)", "exp(2*x2)", "pow(x1, 1)",
+        "pow(x1 + 0.3, 2)", "pow(0.28*x1 + 0.96*x2 + 0.368, 3)",
+        "pow(x1 - x2, 7)", "pow(1.1*x2, 64)", "abs(x1 - p)",
+        "max(x1, x2, p)", "min(x1*x2, 0.1, -x2)"])
+    def test_every_node_kind(self, text):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1.5, 1.5, size=(500, 2))
+        pts[:20] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(20, 2))
+        self.assert_rows_as_points(parse_expression(text, 2), pts,
+                                   {"p": 0.25})
+
+    def test_benchmark_expressions(self, load_perfbench):
+        load_perfbench("oracle")
+        rng = np.random.default_rng(1)
+        count = 0
+        for pf in _benchmark_files(load_perfbench("gen")):
+            x0 = pf.point if pf.point is not None else np.zeros(pf.n)
+            pts = x0 + rng.uniform(-0.5, 0.5, size=(64, pf.n))
+            pts[0] = x0
+            for e in (pf.objective, *pf.equalities, *pf.inequalities):
+                if e is not None:
+                    self.assert_rows_as_points(e, pts, pf.params)
+                    count += 1
+        assert count > 200
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 64])
+    def test_pow_never_writes_its_argument(self, k):
+        # Var.evaluate returns a view of the caller's array, so a chain
+        # that multiplied into its argument would change the scan
+        base = np.random.default_rng(k).uniform(-2.0, 2.0, size=(40, 3))
+        before = base.copy()
+        view = base[5:35, 1]
+        out = _power(view, k)
+        assert base.tobytes() == before.tobytes()
+        assert_equal(out, [_power(v, k) for v in view])
+        pts = base.copy()
+        parse_expression(f"pow(x2, {k})", 3).evaluate(pts)
+        assert pts.tobytes() == before.tobytes()
+
+    def test_pow_error_bound(self):
+        # |v| in [2^-15, 2^16), so that v^64 neither underflows nor
+        # overflows; the bound is k u with u = 2^-53, above the chain's
+        # (1 + u)^(k-1) - 1
+        rng = np.random.default_rng(3)
+        v = rng.choice([-1.0, 1.0], 60) * rng.uniform(1.0, 2.0, 60) \
+            * 2.0 ** rng.integers(-15, 16, 60)
+        v[:2] = [0.0, -0.0]
+        for k in range(1, 65):
+            batch = _power(v, k)
+            for x, got in zip(v, batch):
+                at_point = _power(x, k)
+                assert at_point.tobytes() == got.tobytes()
+                exact = Fraction(x) ** k
+                assert abs(Fraction(float(got)) - exact) \
+                    <= k * Fraction(1, 2 ** 53) * abs(exact)
+                if x == 0.0:
+                    assert np.signbit(got) == (np.signbit(x) and k % 2 == 1)

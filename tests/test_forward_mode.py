@@ -41,6 +41,19 @@ def _reference_piecewise(e) -> bool:
     return False
 
 
+def reference_pow(v, k):
+    """v ** k by the chain the expressions module states: one step per bit
+    of k, from the leading one, squaring and then multiplying by v when
+    the bit is 1.  Starting from 1.0 changes no bit, since 1.0 * 1.0 and
+    1.0 * v are exact."""
+    r = 1.0
+    for bit in bin(k)[2:]:
+        r = r * r
+        if bit == "1":
+            r = r * v
+    return r
+
+
 def reference_vqd(e, b):
     """The pair walk of every node type, one polytope pair per node."""
     if isinstance(e, Var):
@@ -87,7 +100,7 @@ def reference_vqd(e, b):
         elif e.kind == "exp":
             val = float(np.exp(v))
         else:
-            val = v ** e.k
+            val = reference_pow(v, e.k)
         if e.kind == "sin":
             d = float(np.cos(v))
         elif e.kind == "cos":
@@ -95,7 +108,7 @@ def reference_vqd(e, b):
         elif e.kind == "exp":
             d = float(np.exp(v))
         else:
-            d = float(e.k) * v ** (e.k - 1)
+            d = float(e.k) * reference_pow(v, e.k - 1)
         out = qd_scale(q, d)
         if not _reference_piecewise(e.child):
             out = absorb_singleton_sup(out)

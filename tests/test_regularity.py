@@ -356,12 +356,10 @@ def _assert_psi_as_reference(s, x0, xs, ys, zs):
             _same_bytes(got.sub.vertices, want.sub.vertices)
             _same_bytes(got.sup.vertices, want.sup.vertices)
         _same_bytes(psi.value(xs), ref.evaluate(xs, s.params))
-    # one target pair per row, against each row's tree over the same
-    # batch (numpy's array pow may round a last bit differently from its
-    # scalar pow, so a batch is compared with a batch)
+    # one target pair per row, against each row's tree at that row's point
     _same_bytes(PsiFunction(s, ys, zs).value(xs),
-                [reference_psi_tree(s, y, z).evaluate(xs, s.params)[i]
-                 for i, (y, z) in enumerate(zip(ys, zs))])
+                [reference_psi_tree(s, y, z).evaluate(x, s.params)
+                 for x, y, z in zip(xs, ys, zs)])
 
 
 class TestPsiTreeAsReference:
@@ -570,6 +568,25 @@ class TestGridScanPassAsReference:
         assert 0 < keep.sum() < keep.size
         f_nan = [np.where(keep, np.nan, fv[0])]
         assert not _near_some_target(f_nan, gv, taxis, eta).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mask_is_the_union_of_target_masks(self, seed):
+        # two equalities and one inequality over 3^3 targets; the values
+        # sit near the axis values or the inequality's cut, and a tenth
+        # of them are nan, inf or -inf
+        rng = np.random.default_rng(seed)
+        taxis, eta, size = _axis(0.0, 0.3, 3), 0.01, 4000
+        values = rng.choice(taxis, size=(3, size)) \
+            + rng.uniform(-2.0 * eta, 2.0 * eta, size=(3, size))
+        odd = rng.random((3, size)) < 0.1
+        values[odd] = rng.choice([np.nan, np.inf, -np.inf], size=odd.sum())
+        fv, gv = [values[0], values[1]], [values[2]]
+        union = np.logical_or.reduce(
+            [_near(fv, gv, [y1, y2], [z], eta)
+             for y1, y2, z in itertools.product(taxis, repeat=3)])
+        keep = _near_some_target(fv, gv, taxis, eta)
+        assert keep.tobytes() == union.tobytes()
+        assert 0 < keep.sum() < size
 
 
 class TestScanSize:
