@@ -44,26 +44,6 @@ class Quasidifferential:
         return self.sub.dim
 
 
-@dataclass(frozen=True)
-class MatrixQuasidifferential:
-    """One quasidifferential per component of a vector-valued map."""
-
-    rows: tuple[Quasidifferential, ...]
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) == 0:
-            raise ValueError("matrix quasidifferential needs at least one row")
-        dim = rows[0].dim
-        if any(r.dim != dim for r in rows):
-            raise ValueError("rows live in different dimensions")
-
-    @property
-    def dim(self) -> int:
-        return self.rows[0].dim
-
-
 def dd(q: Quasidifferential, h) -> float:
     """Directional derivative generated by the pair at direction h."""
     h = np.asarray(h, dtype=float)
@@ -149,8 +129,9 @@ def qd_plus_set(q: Quasidifferential) -> Polytope:
     return minkowski_sum(q.sub, q.sup)
 
 
-def matrix_qd_plus(mq: MatrixQuasidifferential) -> list[Polytope]:
-    return [qd_plus_set(r) for r in mq.rows]
+def matrix_qd_plus(rows: Sequence[Quasidifferential]) -> list[Polytope]:
+    """The sum sub + sup of each row of a vector-valued map's pairs."""
+    return [qd_plus_set(r) for r in rows]
 
 
 def steepest_rate(q: Quasidifferential) -> tuple[float, np.ndarray]:

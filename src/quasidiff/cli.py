@@ -173,15 +173,13 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
     """
     s = pf.system()
     l, m = len(s.equalities), len(s.inequalities)
+    y, z = pf.check.y, pf.check.z
     if args.target is not None:
-        t = [float(v) for v in args.target]
-        if len(t) != l + m:
+        if len(args.target) != l + m:
             raise ProblemFileError(f"--target needs {l + m} values "
                                    f"({l} equality, {m} inequality)")
-        y, z = t[:l], t[l:]
-    else:
-        y = list(pf.check.y) if pf.check.y is not None else [0.0] * l
-        z = list(pf.check.z) if pf.check.z is not None else [0.0] * m
+        y, z = args.target[:l], args.target[l:]
+    y, z = s.targets(y, z)
     psi = psi_expr(s, y, z)
     value = float(psi.value(x))
     if value == 0.0:
@@ -191,8 +189,8 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
         slope = float(margin) if margin > FEAS_TOL else 0.0
         method = "exact (vertex margin)"
     out.add("norm: l1", norm="l1")
-    out.add(f"target y: {_vec(y)}", target_y=y)
-    out.add(f"target z: {_vec(z)}", target_z=z)
+    out.add(f"target y: {_vec(y)}", target_y=_floats(y))
+    out.add(f"target z: {_vec(z)}", target_z=_floats(z))
     out.add(f"psi at point: {_g(value)}", psi=value)
     out.add(f"slope estimate: {_g(slope)}", slope=slope,
             slope_witness=_floats(witness))
@@ -310,9 +308,10 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
             f"{len(p.inequalities)} inequalities",
             n_equalities=len(p.equalities),
             n_inequalities=len(p.inequalities))
-    out.add(f"qualification pathway: {_PATHWAYS[pathway.kind]}",
-            pathway={"kind": pathway.kind,
-                     "mfcq_verdict": pathway.mfcq_verdict})
+    out.add(f"qualification pathway: {_PATHWAYS[pathway]}",
+            pathway={"kind": pathway, "mfcq_verdict": (
+                None if pathway == "unconstrained"
+                else pathway == "qd-mfcq")})
     checks: list = []
     out.add(ladder=[float(c) for c in ladder], checks=checks)
     for c in ladder:
@@ -355,7 +354,7 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
                 c_star=None)
 
     # c* = inf is non-optimality only under a qualification (see optimality)
-    if np.isinf(c_star) and pathway.kind != "none":
+    if np.isinf(c_star) and pathway != "none":
         verdict = "necessary conditions fail: the point is not optimal"
     elif np.isinf(c_star):
         verdict = ("conditions fail at every tested c; no qualification "

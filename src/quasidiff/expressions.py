@@ -698,12 +698,10 @@ def qd_at(e: Expr, b: Binding) -> Quasidifferential:
     return qd_value_at(e, b)[1]
 
 
-def qd_matrix_at(es: Sequence[Expr], b: Binding):
-    from .calculus import MatrixQuasidifferential
-
-    if len(es) == 0:
-        raise ExpressionError("empty expression list")
-    return MatrixQuasidifferential(tuple(qd_at(e, b) for e in es))
+def qd_matrix_at(es: Sequence[Expr],
+                 b: Binding) -> tuple[Quasidifferential, ...]:
+    """The pair of each component of a vector-valued map, at one binding."""
+    return tuple(qd_at(e, b) for e in es)
 
 
 def _affine_degree(e: Expr) -> int:

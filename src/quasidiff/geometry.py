@@ -57,9 +57,10 @@ membership/feasibility tolerance used everywhere else.  DEDUP_TOL, the
 so one lift rule makes them relative there: a set whose largest |entry|
 is below 1/2 is multiplied by the power of two 2^k that puts it in
 [1/2, 1), which is exact, at the entry of _canonical (before the dedup)
-and of _min_norm_combination, and the result is scaled back.  Sets of
-size 1/2 or more keep their arithmetic and their absolute cuts.  So for
-k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
+and of _min_norm_combination, and the result is scaled back; nearest_point
+takes the norm of the lifted offset, so its distance does not underflow.
+Sets of size 1/2 or more keep their arithmetic and their absolute cuts.
+So for k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
 2^k Polytope(P) byte for byte; for k > 0 it need not be.  The span of a
 point set and its orthogonal complement come from one SVD, whose cut is
 relative to the largest singular value, so 2^k P has the rank of P for
@@ -148,6 +149,13 @@ def _lift_exponent(top: float) -> int:
     return max(0, -int(np.frexp(top)[1]))
 
 
+def _lifted(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """(points * 2^k, k), with k the _lift_exponent of the largest
+    |entry|: exact, and the points themselves when k = 0."""
+    k = _lift_exponent(np.abs(points).max())
+    return (np.ldexp(points, k) if k else points), k
+
+
 def _min_norm_combination(points: np.ndarray):
     """Minimum-norm point x of the convex hull of the given points, with
     the weights that give it: (x, corral, lam), x = lam @ points[corral].
@@ -160,13 +168,8 @@ def _min_norm_combination(points: np.ndarray):
     m = pts.shape[0]
     if m == 1:
         return pts[0].copy(), [0], np.ones(1)
+    pts, lift = _lifted(pts)
     norms2 = np.einsum("ij,ij->i", pts, pts)
-    # a row with |p|^2 >= dim / 4 has an entry of 1/2 or more
-    lift = (_lift_exponent(np.abs(pts).max())
-            if norms2.max() < 0.25 * pts.shape[1] else 0)
-    if lift:
-        pts = np.ldexp(pts, lift)
-        norms2 = np.einsum("ij,ij->i", pts, pts)
     start = int(np.argmin(norms2))
     corral = [start]
     lam = np.array([1.0])
@@ -547,12 +550,6 @@ class Polytope:
         return (self.vertices.shape == other.vertices.shape
                 and bool(np.array_equal(self.vertices, other.vertices)))
 
-    def approx_equal(self, other: "Polytope", tol: float = FEAS_TOL) -> bool:
-        """Same vertex set up to tol, after canonical sorting."""
-        if self.vertices.shape != other.vertices.shape:
-            return False
-        return bool(np.max(np.abs(self.vertices - other.vertices)) <= tol)
-
     def __repr__(self) -> str:
         rows = " ".join("(" + ", ".join(f"{v:.12g}" for v in row) + ")"
                         for row in self.vertices)
@@ -641,8 +638,10 @@ def nearest_point(a: Polytope, q) -> tuple[np.ndarray, float]:
     q = np.asarray(q, dtype=float)
     if q.shape != (a.dim,):
         raise GeometryError("query point has wrong dimension")
-    x = _min_norm_point(a.vertices - q)
-    return q + x, float(np.linalg.norm(x))
+    # the norm is taken lifted, where no square underflows
+    lifted, k = _lifted(a.vertices - q)
+    x = _min_norm_point(lifted)
+    return q + np.ldexp(x, -k), float(np.ldexp(np.linalg.norm(x), -k))
 
 
 def contains(a: Polytope, q) -> bool:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .calculus import qd_plus_set
 from .expressions import Binding, qd_at
-from .geometry import (FEAS_TOL, LpStatus, Polytope, _lift_exponent,
+from .geometry import (FEAS_TOL, LpStatus, Polytope, _lifted,
                        _min_norm_combination, complement_basis, solve_lp,
                        support)
 from .regularity import BudgetExceededError, SystemSpec
@@ -141,9 +141,7 @@ def _sign_pattern_dependence(rows: Sequence[Polytope],
     into [1/2, 1) by an exact power of two, larger ones stay as they are)
     and compared in lifted units, where no norm underflows."""
     owner = np.repeat(np.arange(len(rows)), [r.nvertices for r in rows])
-    stacked = np.vstack([r.vertices for r in rows])
-    k = _lift_exponent(np.abs(stacked).max())
-    lifted = np.ldexp(stacked, k) if k else stacked
+    lifted, k = _lifted(np.vstack([r.vertices for r in rows]))
     big = np.linalg.norm(lifted, axis=1).max()
     least = np.inf
     for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
@@ -270,12 +268,11 @@ CAVEATS = ("image-set regularity (outer semicontinuity, local closedness of "
 @dataclass
 class MfcqReport:
     """The q.d.-MFCQ at a point: the active inequalities, the sums
-    A = sub + sup of the equalities and of the active inequalities, the
-    independence verdict (rank) and the direction search (direction)."""
+    A = sub + sup of the equalities, the independence verdict (rank) and
+    the direction search (direction)."""
 
     active: tuple[int, ...]
     eq_plus: list
-    ineq_plus_active: list
     rank: FullRankResult
     direction: HbarResult
     verdict: bool
@@ -305,5 +302,5 @@ def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
         warnings.append(
             "equality sums span the whole space; with active inequalities "
             "the qualification needs spare dimensions and fails here")
-    return MfcqReport(tuple(active), eq_plus, ineq_plus, fr, hb,
+    return MfcqReport(tuple(active), eq_plus, fr, hb,
                       fr.full_rank and hb.margin > 0.0, warnings)

@@ -69,19 +69,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .calculus import Quasidifferential, qd_add, qd_scale
-from .expressions import (Abs, Add, Binding, Const, Expr, Max, Mul,
+from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
 # feasibility_violations is not called here; it stays importable from
 # this module because perfbench/tracer.py wraps it under this name
 from .mfcq import active_inequalities, feasibility_violations, qd_mfcq
-from .regularity import SystemSpec
+from .regularity import SystemSpec, l1_penalty
 
 SELECTION_BUDGET = 10 ** 5
 C_LADDER = (0.5, 1.0, 2.0, 10.0, 100.0)
@@ -121,19 +120,12 @@ class ProgramSpec:
                           dict(self.params))
 
 
-def constraint_penalty(p: ProgramSpec) -> Optional[Expr]:
-    """phi = sum_j |f_j| + sum_i max{g_i, 0}; None when unconstrained."""
-    parts = [Abs(f) for f in p.equalities]
-    parts += [Max((g, Const(0.0))) for g in p.inequalities]
-    return reduce(Add, parts) if parts else None
-
-
 def build_penalty(p: ProgramSpec, c: float) -> Expr:
     """Expression for Psi_c (u when c = 0 or unconstrained); the tests'
     reference for the sum-rule pair of ProgramData.penalty."""
     if c < 0:
         raise OptimalityError("penalty parameter c must be >= 0")
-    phi = constraint_penalty(p)
+    phi = l1_penalty(p.equalities, p.inequalities)
     if c == 0 or phi is None:
         return p.objective
     return Add(p.objective, Mul(Const(c), phi))
@@ -170,7 +162,7 @@ class ProgramData:
 
 def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
     """Walk u, each f_j and g_i, and phi once at the binding."""
-    phi = constraint_penalty(p)
+    phi = l1_penalty(p.equalities, p.inequalities)
     return ProgramData(p.n, qd_at(p.objective, b),
                        tuple(qd_at(f, b) for f in p.equalities),
                        tuple(qd_at(g, b) for g in p.inequalities),
@@ -303,11 +295,6 @@ class SelectionSweep:
     n_checked: int
     first_infeasible: Optional[MultiplierCertificate] = None
 
-    @property
-    def complete(self) -> bool:
-        """Every selection was checked and feasible."""
-        return self.holds is True
-
 
 def _selection_feasible(data: ProgramData, key: tuple, sel: Selection,
                         c_bound: Optional[float]) -> bool:
@@ -421,34 +408,21 @@ def estimate_c_star(data: ProgramData) -> float:
     return c_star
 
 
-@dataclass(frozen=True)
-class PathwayReport:
-    """Which qualification licenses the necessary condition.
+def qualification_pathway(p: ProgramSpec, b: Binding, *,
+                          tol: float = FEAS_TOL) -> str:
+    """Which qualification licenses the necessary condition, tried in
+    this order: "unconstrained", "qd-mfcq", "error-bound" or "none".
 
-    kind is one of "unconstrained", "qd-mfcq", "error-bound" or "none".
     "error-bound" is certified, not sampled: every constraint is
     piecewise affine, so a local error bound holds (see the module
     docstring).  "none" means neither certificate applies, not that the
     qualification fails.
     """
-
-    kind: str
-
-    @property
-    def mfcq_verdict(self) -> Optional[bool]:
-        """The q.d.-MFCQ verdict; None when unconstrained."""
-        return None if self.kind == "unconstrained" else \
-            self.kind == "qd-mfcq"
-
-
-def qualification_pathway(p: ProgramSpec, b: Binding, *,
-                          tol: float = FEAS_TOL) -> PathwayReport:
-    """Try q.d.-MFCQ first, then the piecewise-affine error bound."""
     s = p.constraint_system()
     if s is None:
-        return PathwayReport("unconstrained")
+        return "unconstrained"
     if qd_mfcq(s, b.point, tol=tol).verdict:
-        return PathwayReport("qd-mfcq")
+        return "qd-mfcq"
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
-        return PathwayReport("error-bound")
-    return PathwayReport("none")
+        return "error-bound"
+    return "none"

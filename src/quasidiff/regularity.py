@@ -68,6 +68,16 @@ class BudgetExceededError(RuntimeError):
     """A combinatorial enumeration exceeded its configured cap."""
 
 
+def l1_penalty(equalities: Sequence[Expr],
+               inequalities: Sequence[Expr]) -> Expr | None:
+    """sum_j |a_j| + sum_i max(b_i, 0) over the equality terms a_j and the
+    inequality terms b_i, folded left to right into one sum; None when
+    there are no terms."""
+    parts = ([Abs(a) for a in equalities]
+             + [Max((b, Const(0.0))) for b in inequalities])
+    return functools.reduce(Add, parts) if parts else None
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Equalities F, inequalities g, dimension and parameter values."""
@@ -109,13 +119,12 @@ class SystemSpec:
 
     @functools.cached_property
     def psi_tree(self) -> Expr:
-        """psi_{y,z} with the targets as the parameters _target_names,
-        folded left to right into one sum."""
+        """psi_{y,z}: l1_penalty of the terms F_j - Y_j and g_i - Z_i,
+        with the targets as the parameters _target_names."""
         l = len(self.equalities)
         terms = [Sub(h, Param(name)) for h, name in zip(
             self.equalities + self.inequalities, _target_names(self))]
-        return functools.reduce(Add, [Abs(t) for t in terms[:l]]
-                                + [Max((t, Const(0.0))) for t in terms[l:]])
+        return l1_penalty(terms[:l], terms[l:])
 
 
 def _target_names(s: SystemSpec) -> list[str]:

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
-from quasidiff.calculus import (ACTIVE_TOL, MatrixQuasidifferential,
-                                Quasidifferential, absorb_singleton_sub,
-                                absorb_singleton_sup, dd, matrix_qd_plus,
-                                qd_abs, qd_add, qd_max, qd_min, qd_mul,
-                                qd_plus_set, qd_scale, qd_smooth, qd_zero,
-                                steepest_rate)
+from quasidiff.calculus import (ACTIVE_TOL, Quasidifferential,
+                                absorb_singleton_sub, absorb_singleton_sup,
+                                dd, matrix_qd_plus, qd_abs, qd_add, qd_max,
+                                qd_min, qd_mul, qd_plus_set, qd_scale,
+                                qd_smooth, qd_zero, steepest_rate)
 from quasidiff.geometry import (Polytope, convex_hull_union, minkowski_sum,
                                 scale, singleton, support, zero_polytope)
 
@@ -208,8 +207,10 @@ class TestMaxMin(TestCase):
                         acc = minkowski_sum(acc, scale(q.sub, -1.0))
                 parts.append(acc)
             sup = convex_hull_union(parts)
-            assert out.sub.approx_equal(sub, 1e-9)
-            assert out.sup.approx_equal(sup, 1e-9)
+            assert_allclose(out.sub.vertices, sub.vertices, rtol=0,
+                            atol=1e-9)
+            assert_allclose(out.sup.vertices, sup.vertices, rtol=0,
+                            atol=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -316,15 +317,10 @@ class TestSteepestRate(TestCase):
 
 class TestMatrixRows(TestCase):
 
-    def test_mismatched_rows_rejected(self):
-        rng = np.random.default_rng(16)
-        with pytest.raises(ValueError):
-            MatrixQuasidifferential((rand_qd(rng, 2), rand_qd(rng, 3)))
-
     def test_row_sums_match_brute_force(self):
         rng = np.random.default_rng(17)
         rows = tuple(rand_qd(rng, 2) for _ in range(2))
-        sums = matrix_qd_plus(MatrixQuasidifferential(rows))
+        sums = matrix_qd_plus(rows)
         for q, got in zip(rows, sums):
             pairwise = np.array([v + w for v in q.sub.vertices
                                  for w in q.sup.vertices])
@@ -337,7 +333,7 @@ class TestMatrixRows(TestCase):
                                  Polytope([[0.0, -1.0], [0.0, 1.0]]))
         row2 = Quasidifferential(singleton([1.0, 1.0]),
                                  Polytope([[0.0, 1.0], [0.0, 2.0]]))
-        sums = matrix_qd_plus(MatrixQuasidifferential((row1, row2)))
+        sums = matrix_qd_plus((row1, row2))
         assert sums[0] == Polytope([[1.0, -1.0], [1.0, 1.0],
                                     [2.0, -1.0], [2.0, 1.0]])
         assert sums[1] == Polytope([[1.0, 2.0], [1.0, 3.0]])

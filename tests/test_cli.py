@@ -517,6 +517,23 @@ class TestOptcheckReport:
         assert ("qualification pathway: unconstrained problem, no "
                 "qualification needed") in lines
 
+    @pytest.mark.parametrize("lines, record", [
+        ("objective = abs(x1)\n",
+         {"kind": "unconstrained", "mfcq_verdict": None}),
+        ("objective = x1\ninequality = x1\n",
+         {"kind": "qd-mfcq", "mfcq_verdict": True}),
+        ("objective = x1\nequality = pow(x1, 2)\n",
+         {"kind": "none", "mfcq_verdict": False}),
+    ], ids=["unconstrained", "qd-mfcq", "none"])
+    def test_pathway_record(self, tmp_path, capsys, lines, record):
+        # penalty_demo's report pins the error-bound record
+        f = tmp_path / "pw.prob"
+        f.write_text(f"[problem]\nn = 1\n{lines}[point]\nx = 0\n")
+        sidecar = tmp_path / "pw.json"
+        assert_equal(main(["optcheck", str(f), "--json", str(sidecar)]), 0)
+        capsys.readouterr()
+        assert_equal(json.loads(sidecar.read_text())["pathway"], record)
+
     def test_threshold_above_the_ladder_is_reported(self, tmp_path, capsys):
         lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
                                     "objective = -x1\n"
@@ -682,6 +699,46 @@ BAD_CHECK_LINES = [
     ("slope", "z = 1",
      "line 8: z needs 0 value(s) (one per inequality), got 1"),
 ]
+# a problem file or flag the input layer rejects, with its one diagnostic
+# line; N1 is a file's lines 1-2 and ONE_VAR its lines 1-3
+N1 = "[problem]\nn = 1\n"
+ONE_VAR = N1 + "equality = x1\n"
+REJECTED_INPUTS = [
+    ("qd", N1 + "equality = x1 $ 2\n", (),
+     "line 3: equality: syntax error at byte 3: unexpected character '$'"),
+    ("qd", N1 + "equality = (x1\n", (),
+     "line 3: equality: syntax error at byte 3: expected ')'"),
+    ("qd", N1 + "equality = abs x1\n", (),
+     "line 3: equality: syntax error at byte 4: expected '(' after abs"),
+    ("qd", N1 + "equality = max(x1 x1)\n", (),
+     "line 3: equality: syntax error at byte 7: expected ',' or ')'"),
+    ("qd", N1 + "equality = x1 +\n", (),
+     "line 3: equality: syntax error at byte 4: unexpected end of input"),
+    ("qd", N1 + "equality = x1 x1\n", (),
+     "line 3: equality: syntax error at byte 3: unexpected 'x1'"),
+    ("qd", N1 + "equality = pow(x1, 0)\n", (),
+     "line 3: equality: pow exponent must be an integer literal >= 1 "
+     "(at byte 0)"),
+    ("qd", N1 + "equality = x2\n", (),
+     "line 3: equality: variable x2 outside declared dimension n=1 "
+     "(at byte 0)"),
+    ("qd", N1 + "[point]\nx = 0\n", (),
+     "the problem file defines no functions"),
+    ("slope", ONE_VAR + "[point]\nx = 0\n", ("--target", "1", "2"),
+     "--target needs 1 values (1 equality, 0 inequality)"),
+    ("qd", ONE_VAR, (),
+     "no evaluation point: add [point] x = ... or pass --at"),
+    ("qd", ONE_VAR + "[point]\nx = 0\nx = 0\n", (), "line 6: duplicate x"),
+    ("qd", ONE_VAR + "[point]\nx = a\n", (),
+     "line 5: x expects numbers separated by spaces, got 'a'"),
+    ("qd", ONE_VAR + "foo = 1\n", (), "line 4: unknown [problem] key 'foo'"),
+    ("qd", ONE_VAR + "[point]\nx = 0\ny = 0\n", (),
+     "line 6: unknown [point] key 'y'"),
+    ("qd", ONE_VAR + "[point]\nx = 0\n[check]\nK = 1\nK = 2\n", (),
+     "line 8: duplicate [check] key 'k'"),
+    ("qd", ONE_VAR + "[point]\nx = 0\n[check]\nfoo = 1\n", (),
+     "line 7: unknown [check] key 'foo'"),
+]
 
 # each flag and the file key it overrides, with a value the one rule
 # rejects; [point] x is line 6 and a [check] line is line 8
@@ -731,9 +788,10 @@ def cap_text(count):
 class TestNonFiniteInputs:
     """Inputs beyond the float range, from the file or from a flag,
     expressions nested beyond MAX_DEPTH, more than MAX_CONSTRAINTS
-    constraints and an unwritable sidecar end in exit 2 and one diagnostic
-    line, never in a traceback, in exit 1 (which means a budget ran out)
-    or in a report.  Any other exception is exit 3, also in one line."""
+    constraints, an unwritable sidecar and the other rejected inputs of
+    REJECTED_INPUTS end in exit 2 and one diagnostic line, never in a
+    traceback, in exit 1 (which means a budget ran out) or in a report.
+    Any other exception is exit 3, also in one line."""
 
     def run_main(self, tmp_path, capsys, text, *flags, command="qd"):
         f = tmp_path / "nf.prob"
@@ -760,6 +818,16 @@ class TestNonFiniteInputs:
     def test_bad_check_value_is_two(self, tmp_path, capsys, command, line,
                                     message):
         code, err = self.run_main(tmp_path, capsys, f"{FLAG_TEXT}{line}\n",
+                                  command=command)
+        assert_equal(code, 2)
+        assert_equal(err, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, text, flags, message", REJECTED_INPUTS,
+        ids=[m.split(": ")[-1] for _, _, _, m in REJECTED_INPUTS])
+    def test_rejected_input_is_two(self, tmp_path, capsys, command, text,
+                                   flags, message):
+        code, err = self.run_main(tmp_path, capsys, text, *flags,
                                   command=command)
         assert_equal(code, 2)
         assert_equal(err, f"error: {message}\n")

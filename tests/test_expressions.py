@@ -233,16 +233,16 @@ class TestMatrixAssembly(TestCase):
     def test_single_smooth_row(self):
         mq = qd_matrix_at([parse_expression("x1 + 2*x2", 2)],
                           binding([0.3, 0.4]))
-        assert_equal(len(mq.rows), 1)
-        assert mq.rows[0].sub == singleton([1.0, 2.0])
+        assert_equal(len(mq), 1)
+        assert mq[0].sub == singleton([1.0, 2.0])
 
     def test_sin_system_rows(self):
         es = [parse_expression(F1_TEXT, 2), parse_expression(F2_TEXT, 2)]
         mq = qd_matrix_at(es, binding([0.0, 0.0], p=1.0))
-        assert mq.rows[0].sub == Polytope([[1.0, 0.0], [2.0, 0.0]])
-        assert mq.rows[0].sup == Polytope([[0.0, -1.0], [0.0, 1.0]])
-        assert mq.rows[1].sub == singleton([1.0, 1.0])
-        assert mq.rows[1].sup == Polytope([[0.0, 1.0], [0.0, 2.0]])
+        assert mq[0].sub == Polytope([[1.0, 0.0], [2.0, 0.0]])
+        assert mq[0].sup == Polytope([[0.0, -1.0], [0.0, 1.0]])
+        assert mq[1].sub == singleton([1.0, 1.0])
+        assert mq[1].sup == Polytope([[0.0, 1.0], [0.0, 2.0]])
 
     def test_rows_against_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -250,7 +250,7 @@ class TestMatrixAssembly(TestCase):
         x = np.array([0.21, 0.37])  # off every kink
         b = binding(x, p=1.0)
         mq = qd_matrix_at(es, b)
-        for e, row in zip(es, mq.rows):
+        for e, row in zip(es, mq):
             for h in rng.standard_normal((20, 2)):
                 fdval = (eval_expr(e, binding(x + 1e-7 * h, p=1.0))
                          - eval_expr(e, b)) / 1e-7

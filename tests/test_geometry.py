@@ -181,6 +181,11 @@ def unit_sized_set(rng, dim):
     return np.clip(np.vstack([pts, near_dup, near_hull]), 0.0, 0.99)
 
 
+# every k from -60 up, and every 13th k from -900 to -68, where the
+# squares of a distance underflow unless it is measured lifted
+SCALE_EXPONENTS = [*range(-900, -60, 13), *range(-60, 1)]
+
+
 class TestScaleCovariance(TestCase):
     """One lift rule: a set smaller than 1/2 is canonicalised and
     projected as the power-of-two multiple of it in [1/2, 1) is, so
@@ -205,7 +210,7 @@ class TestScaleCovariance(TestCase):
                 poly = Polytope(unit_sized_set(rng, dim))
                 q = rng.uniform(0.0, 0.99, dim)
                 pt, d = nearest_point(poly, q)
-                for k in range(-60, 1):
+                for k in SCALE_EXPONENTS:
                     got_pt, got_d = nearest_point(
                         Polytope(np.ldexp(poly.vertices, k)), np.ldexp(q, k))
                     assert got_d == np.ldexp(d, k)
@@ -227,7 +232,7 @@ class TestScaleCovariance(TestCase):
         for sub, sup in pairs:
             base = Quasidifferential(Polytope(sub), Polytope(sup))
             margin, witness = steepest_rate(base)
-            for k in range(-60, 1):
+            for k in SCALE_EXPONENTS:
                 got, got_w = steepest_rate(Quasidifferential(
                     Polytope(np.ldexp(sub, k)), Polytope(np.ldexp(sup, k))))
                 assert got == np.ldexp(margin, k), (k, got, margin)
@@ -497,7 +502,7 @@ class TestMinkowskiSum(TestCase):
         assert minkowski_sum(a, b) == minkowski_sum(b, a)
         left = minkowski_sum(minkowski_sum(a, b), c)
         right = minkowski_sum(a, minkowski_sum(b, c))
-        assert left.approx_equal(right, 1e-9)
+        assert_allclose(left.vertices, right.vertices, rtol=0, atol=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):

@@ -16,11 +16,11 @@ from quasidiff.mfcq import qd_mfcq
 from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
                                   Selection, build_penalty,
                                   check_all_selections, check_multipliers,
-                                  check_stationarity, constraint_penalty,
-                                  estimate_c_star, feasibility_violations,
-                                  program_data, qualification_pathway)
+                                  check_stationarity, estimate_c_star,
+                                  feasibility_violations, program_data,
+                                  qualification_pathway)
 from quasidiff.problemfile import loads
-from quasidiff.regularity import SystemSpec
+from quasidiff.regularity import SystemSpec, l1_penalty
 
 ORIGIN = [0.0, 0.0]
 PENALTY_DEMO = (Path(__file__).resolve().parent.parent / "problems"
@@ -160,7 +160,7 @@ class TestProgramData(TestCase):
             mp.setattr(optimality, "qd_at", counting)
             assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
         assert_equal(walked, [p.objective, p.equalities[0],
-                              constraint_penalty(p)])
+                              l1_penalty(p.equalities, p.inequalities)])
 
 
 def test_penalty_pairs_match_on_the_benchmark_programs(load_perfbench):
@@ -345,20 +345,19 @@ class TestSelectionSweep(TestCase):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (pe("abs(x1)"),))
         sweep = check_all_selections(at_origin(p), budget=1)
         assert sweep.holds is None
-        assert not sweep.complete
         assert_equal((sweep.n_total, sweep.n_checked), (2, 1))
         assert sweep.first_infeasible is None
 
     def test_full_sweep_reports_complete(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (pe("abs(x1)"),))
         sweep = check_all_selections(at_origin(p))
-        assert sweep.holds is True and sweep.complete
+        assert sweep.holds is True
         assert_equal((sweep.n_total, sweep.n_checked), (2, 2))
 
     def test_singleton_selection_space(self):
         p = ProgramSpec(2, pe("x2"), (pe("x2"),))
         sweep = check_all_selections(at_origin(p))
-        assert sweep.holds is True and sweep.complete
+        assert sweep.holds is True
         assert_equal(sweep.n_total, 1)
 
 
@@ -710,7 +709,8 @@ class TestCStarEstimate(TestCase):
         assert_equal(max(ratios), 7.0)
         # several vertices on each side, so several LPs decide c*
         assert qd_at(p.objective, b).sup.nvertices > 1
-        assert qd_at(constraint_penalty(p), b).sup.nvertices > 1
+        phi = l1_penalty(p.equalities, p.inequalities)
+        assert qd_at(phi, b).sup.nvertices > 1
         d = program_data(p, b)
         est = estimate_c_star(d)
         assert_allclose(est, 7.0, rtol=0.0, atol=1e-12)
@@ -745,35 +745,31 @@ class TestQualificationPathway(TestCase):
 
     def test_unconstrained(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"))
-        rep = qualification_pathway(p, p.binding(ORIGIN))
-        assert_equal(rep.kind, "unconstrained")
-        assert rep.mfcq_verdict is None
+        kind = qualification_pathway(p, p.binding(ORIGIN))
+        assert_equal(kind, "unconstrained")
 
     def test_regular_equality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x2"), (pe("x1"),))
-        rep = qualification_pathway(p, p.binding(ORIGIN))
-        assert_equal(rep.kind, "qd-mfcq")
-        assert rep.mfcq_verdict is True
+        kind = qualification_pathway(p, p.binding(ORIGIN))
+        assert_equal(kind, "qd-mfcq")
 
     def test_regular_inequality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x1"), (), (pe("x1"),))
-        rep = qualification_pathway(p, p.binding(ORIGIN))
-        assert_equal(rep.kind, "qd-mfcq")
+        kind = qualification_pathway(p, p.binding(ORIGIN))
+        assert_equal(kind, "qd-mfcq")
 
     def test_sign_program_falls_back_to_error_bound(self):
         # MFCQ fails on the diagonal-pair set, but the constraint is
         # piecewise affine, so a local error bound holds
         p = sign_program()
-        rep = qualification_pathway(p, p.binding(ORIGIN))
-        assert_equal(rep.kind, "error-bound")
-        assert rep.mfcq_verdict is False
+        kind = qualification_pathway(p, p.binding(ORIGIN))
+        assert_equal(kind, "error-bound")
 
     def test_flat_equality_is_not_certified(self):
         # x1^2 = 0 has no error bound at 0: phi = x1^2 against d = |x1|.
         # The point is optimal (x1 = 0 is the whole feasible set), so a
         # certified pathway here would make c* = inf read "not optimal"
         p = ProgramSpec(2, pe("x1"), (pe("pow(x1, 2)"),))
-        rep = qualification_pathway(p, p.binding(ORIGIN))
-        assert_equal(rep.kind, "none")
-        assert rep.mfcq_verdict is False
+        kind = qualification_pathway(p, p.binding(ORIGIN))
+        assert_equal(kind, "none")
         assert_equal(estimate_c_star(at_origin(p)), np.inf)
