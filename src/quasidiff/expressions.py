@@ -33,47 +33,52 @@ an abs, max or min node or the root.  Each node knows at construction
 whether its subtree has a kink (_piecewise), so the dispatch costs O(1).
 Only the kink nodes and the nodes above them build polytopes.
 
+The slopes rule.  Each smooth-arithmetic node states its derivative
+once, as two functions of its operands' values: _value, and _slopes, its
+partial derivative in each operand (Neg -1; Add 1, 1; Sub 1, -1;
+Mul vb, va; SmoothUnary f'(v)).  _vgrad folds sum_i slope_i grad_i, and
+above a kink _vqd_pair folds the qd_add of qd_scale(pair_i, slope_i),
+the sum and scale rules of the Demyanov-Rubinov calculus.  Only Sub adds
+a rule: a smooth subtrahend enters as [{-grad}, {0}], not as the swapped
+[{0}, {-grad}].  Values and slopes stay np.float64, so an overflow in
+either raises under np.errstate at the node that makes it.
+
 The output is, byte for byte, the one the pair algebra gives when it is
-applied at every node (tests/test_forward_mode.py keeps that walk as its
-oracle).  That walk also keeps a smooth subtree as [{g}, {0}], but
-builds it at every node from canonical vertex rows, and
-canonicalisation adds 0.0 to every entry.  Per node it does these IEEE
-operations on the row g:
-  Var, Const, Param  the unit vector, or zeros;
-  Neg                scale by -1 swaps the sets, and the absorb step
-                     adds them: 0 + (-1.0 g), and -1.0 g is -g;
-  Add                ga + gb, and 0 + 0 for the superdifferential;
-  Sub                ga + (0 + (-1.0 gb)); ga - gb is ga + (-gb) in IEEE
-                     arithmetic;
-  Mul                va gb and vb ga land in sub or in sup depending on
-                     the signs of va and vb (a zero factor gives the
-                     origin), and the absorb step adds sub and sup; in
-                     every case the result is va gb + vb ga up to added
-                     zeros, and a sum of two terms is exactly commutative;
-  SmoothUnary        d g for the derivative d, placed as for Neg or Mul.
-_vgrad does the same multiplications and additions, less the additions
-of zero.  Adding a zero to a nonzero number changes no bit, and a zero
-entry stays a zero whatever the sign of its operands, so the two walks
-differ at most in the signs of zero entries, which the final + 0.0
-erases.  The node-by-node walk rejects a non-finite row at the node that
-makes it ("polytope vertices must be finite"); here inf and nan stay in
-the gradient (inf * 0 and inf - inf give nan, never a finite number), so
+applied at every node (tests/test_forward_mode.py keeps that walk, with
+each node's rule written out, as its oracle).  That walk also keeps a
+smooth subtree as [{g}, {0}], but builds it at every node from canonical
+vertex rows, and canonicalisation adds 0.0 to every entry.  The folds do
+its IEEE operations on the rows, less additions of zero:
+  1.0 g is g, and x + (-1.0 y) is x - y, exactly;
+  addition is commutative, so Mul's vb ga + va gb is va gb + vb ga;
+  qd_scale(q, 1.0) returns q's own polytopes;
+  a Minkowski sum's canonical array does not depend on the order of its
+  operands: the sums are the same multiset, lex-sorted before the dedup,
+  and the {0} shortcuts are symmetric.
+Adding a zero to a nonzero number changes no bit, and a zero entry stays
+a zero whatever the sign of its operands, so the two walks differ at
+most in the signs of zero entries, which the final + 0.0 erases.  The
+node-by-node walk rejects a non-finite row at the node that makes it
+("polytope vertices must be finite"); here inf and nan stay in the
+gradient (inf * 0 and inf - inf give nan, never a finite number), so
 the same GeometryError is raised where the subtree is wrapped, unless
-an exception from the nodes evaluated in between (an overflow in pow,
-say) comes first.
+an exception from the nodes evaluated in between (an overflow, say)
+comes first.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .calculus import (Quasidifferential, absorb_singleton_sub,
                        absorb_singleton_sup, qd_abs, qd_add, qd_max, qd_min,
-                       qd_mul, qd_scale, qd_smooth)
+                       qd_scale, qd_smooth)
 
 
 class ExpressionError(ValueError):
@@ -157,15 +162,25 @@ class Expr:
         v, g = self._vgrad(b)
         return v, qd_smooth(g)
 
+    # The two walks below fold the _value(*vals) and _slopes(*vals) of a
+    # smooth-arithmetic node (the slopes rule of the module docstring);
+    # the leaves and the kink nodes override the walk they take.
+
     def _vgrad(self, b: Binding) -> tuple[np.float64, np.ndarray]:
-        """Value and gradient of a smooth subtree.  The leaves return
-        np.float64 values, as _broadcast does, so that overflow in the
-        scalar arithmetic above them raises under np.errstate."""
-        raise NotImplementedError
+        """Value and gradient of a smooth subtree: sum_i slope_i grad_i
+        over the operands.  The leaves return np.float64 values, as
+        _broadcast does, so that overflow in the scalar arithmetic above
+        them raises under np.errstate."""
+        vals, grads = zip(*[c._vgrad(b) for c in _operands(self)])
+        return self._value(*vals), _fold(self._slopes(*vals), grads,
+                                         operator.mul, operator.add)
 
     def _vqd_pair(self, b: Binding):
-        """Value and quasidifferential of a subtree with a kink."""
-        raise NotImplementedError
+        """Value and quasidifferential of a subtree with a kink: the sum
+        over the operands of pair_i scaled by slope_i."""
+        vals, pairs = zip(*[c._vqd(b) for c in _operands(self)])
+        return self._value(*vals), _fold(self._slopes(*vals), pairs,
+                                         qd_scale, qd_add)
 
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
@@ -183,6 +198,14 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, _Extremum):
         return e.children
     return ()
+
+
+def _fold(slopes, parts, scale, add):
+    """add(...add(scale(parts[0], slopes[0]), scale(parts[1], slopes[1]))...),
+    left to right.  A part with slope 1 enters as it is: 1.0 g is g, and
+    qd_scale by 1 keeps the polytopes."""
+    return reduce(add, [part if t == 1.0 else scale(part, t)
+                        for t, part in zip(slopes, parts)])
 
 
 def _depth_above(children) -> int:
@@ -266,15 +289,15 @@ class Neg(Expr):
     child: Expr
 
     def evaluate(self, point, params=None):
+        # the literal operator, not _value: over a batch numpy then writes
+        # the result into the operand's temporary instead of a new buffer
         return -self.child.evaluate(point, params)
 
-    def _vgrad(self, b):
-        v, g = self.child._vgrad(b)
-        return -v, -g
+    def _value(self, v):
+        return -v
 
-    def _vqd_pair(self, b):
-        v, q = self.child._vqd(b)
-        return -v, qd_scale(q, -1.0)
+    def _slopes(self, v):
+        return (-1.0,)
 
     def _fmt(self):
         return "-" + _wrap(self.child, _PREFIX), _PREFIX
@@ -286,17 +309,14 @@ class Add(Expr):
     b: Expr
 
     def evaluate(self, point, params=None):
+        # literal, as in Neg: the sum reuses a temporary's buffer
         return self.a.evaluate(point, params) + self.b.evaluate(point, params)
 
-    def _vgrad(self, b):
-        va, ga = self.a._vgrad(b)
-        vb, gb = self.b._vgrad(b)
-        return va + vb, ga + gb
+    def _value(self, va, vb):
+        return va + vb
 
-    def _vqd_pair(self, b):
-        va, qa = self.a._vqd(b)
-        vb, qb = self.b._vqd(b)
-        return va + vb, qd_add(qa, qb)
+    def _slopes(self, va, vb):
+        return 1.0, 1.0
 
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} + {_wrap(self.b, _ADD)}", _ADD
@@ -308,23 +328,22 @@ class Sub(Expr):
     b: Expr
 
     def evaluate(self, point, params=None):
+        # literal, as in Neg: the difference reuses a temporary's buffer
         return self.a.evaluate(point, params) - self.b.evaluate(point, params)
 
-    def _vgrad(self, b):
-        va, ga = self.a._vgrad(b)
-        vb, gb = self.b._vgrad(b)
-        return va - vb, ga - gb
+    def _value(self, va, vb):
+        return va - vb
+
+    def _slopes(self, va, vb):
+        return 1.0, -1.0
 
     def _vqd_pair(self, b):
-        va, qa = self.a._vqd(b)
         if self.b._piecewise:
-            vb, qb = self.b._vqd(b)
-            nb = qd_scale(qb, -1.0)
-        else:
-            # a smooth subtrahend stays smooth-led: [{-grad}, {0}]
-            vb, gb = self.b._vgrad(b)
-            nb = qd_smooth(-gb)
-        return va - vb, qd_add(qa, nb)
+            return super()._vqd_pair(b)
+        # a smooth subtrahend stays smooth-led: [{-grad}, {0}]
+        va, qa = self.a._vqd(b)
+        vb, gb = self.b._vgrad(b)
+        return self._value(va, vb), qd_add(qa, qd_smooth(-gb))
 
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} - {_wrap(self.b, _ADD + 1)}", _ADD
@@ -336,17 +355,14 @@ class Mul(Expr):
     b: Expr
 
     def evaluate(self, point, params=None):
+        # literal, as in Neg: the product reuses a temporary's buffer
         return self.a.evaluate(point, params) * self.b.evaluate(point, params)
 
-    def _vgrad(self, b):
-        va, ga = self.a._vgrad(b)
-        vb, gb = self.b._vgrad(b)
-        return va * vb, va * gb + vb * ga
+    def _value(self, va, vb):
+        return va * vb
 
-    def _vqd_pair(self, b):
-        va, qa = self.a._vqd(b)
-        vb, qb = self.b._vqd(b)
-        return va * vb, qd_mul(qa, qb, va, vb)
+    def _slopes(self, va, vb):
+        return vb, va
 
     def _fmt(self):
         return f"{_wrap(self.a, _MUL)} * {_wrap(self.b, _MUL)}", _MUL
@@ -398,26 +414,15 @@ class SmoothUnary(Expr):
         super().__post_init__()
 
     def evaluate(self, point, params=None):
-        v = self.child.evaluate(point, params)
+        return self._value(self.child.evaluate(point, params))
+
+    def _value(self, v):
         return _power(v, self.k) if self.kind == "pow" \
             else _SMOOTH[self.kind][0](v)
 
-    def _rule(self, v: float) -> tuple[float, float]:
-        """Value and derivative at the argument value v."""
-        if self.kind == "pow":
-            return _power(v, self.k), float(self.k) * _power(v, self.k - 1)
-        f, df = _SMOOTH[self.kind]
-        return float(f(v)), float(df(v))
-
-    def _vgrad(self, b):
-        v, g = self.child._vgrad(b)
-        value, d = self._rule(v)
-        return value, d * g
-
-    def _vqd_pair(self, b):
-        v, q = self.child._vqd(b)
-        value, d = self._rule(v)
-        return value, qd_scale(q, d)
+    def _slopes(self, v):
+        return (self.k * _power(v, self.k - 1) if self.kind == "pow"
+                else _SMOOTH[self.kind][1](v),)
 
     def _fmt(self):
         inner = self.child._fmt()[0]

@@ -1027,6 +1027,19 @@ class TestNonFiniteInputs:
         assert_equal(code, 2)
         assert "overflows the float range" in err
 
+    def test_overflow_in_a_smooth_product_is_two(self, tmp_path, capsys,
+                                                 recwarn):
+        # exp's value and derivative were Python floats, whose product
+        # overflowed to inf without raising; inf * 0 then put nan in the
+        # gradient, and optcheck ended in exit 3 after two warnings
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 2\n"
+                                  "objective = exp(p)*exp(p)*x1\n"
+                                  "equality = x2\n[params]\np = 400\n"
+                                  "[point]\nx = 0 0\n", command="optcheck")
+        assert_equal((code, err), (2, "error: a value overflows the float "
+                                      "range while evaluating the problem\n"))
+        assert_equal([str(w.message) for w in recwarn], [])
+
     @pytest.mark.parametrize("command", ["qd", "slope", "mfcq", "regcheck",
                                          "optcheck"])
     @pytest.mark.parametrize("lines", [

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,6 +103,23 @@ class TestEvaluation(TestCase):
         e = parse_expression("abs(x1) - abs(x2)", 2)
         pts = np.array([[3.0, 1.0], [0.0, 2.0], [-1.0, -1.0]])
         assert_allclose(e.evaluate(pts, {}), [2.0, -2.0, 0.0])
+
+    def test_batch_arithmetic_reuses_a_temporary(self):
+        # Neg, Add, Sub and Mul apply their operator to the operands'
+        # temporaries, so numpy writes the result into one of them: the
+        # peak is the one column of the constant (8 MB), where a result
+        # in a buffer of its own would make it two
+        column = 8 * 10 ** 6
+        pts = np.linspace(-1.0, 1.0, 10 ** 6)[:, None]
+        for text in ("x1 + 0.3", "-1*x1"):
+            e = parse_expression(text, 1)
+            tracemalloc.start()
+            try:
+                e.evaluate(pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * column, (text, peak)
 
 
 class TestQdFixtures(TestCase):
