@@ -168,8 +168,8 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
     max_{v in V} max(0, max_{|d|=1} -max_{u in U + v} <u, d>)
     = max_{v in V} d(0, U + v), the vertex margin of steepest_rate.
     At psi(x) = 0 the point minimises psi >= 0, so the slope is 0 and no
-    quasidifferential is taken; a margin within FEAS_TOL prints 0, an
-    absolute cut.
+    quasidifferential is taken; a margin within FEAS_TOL prints 0, the cut
+    `contains` uses.
     """
     s = pf.system()
     l, m = len(s.equalities), len(s.inequalities)

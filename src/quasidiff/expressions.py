@@ -68,7 +68,6 @@ comes first.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -164,23 +163,34 @@ class Expr:
 
     # The two walks below fold the _value(*vals) and _slopes(*vals) of a
     # smooth-arithmetic node (the slopes rule of the module docstring);
-    # the leaves and the kink nodes override the walk they take.
+    # the leaves and the kink nodes override the walk they take.  A part
+    # with slope 1 enters as it is: 1.0 g is g, and qd_scale by 1 keeps
+    # the polytopes.
 
     def _vgrad(self, b: Binding) -> tuple[np.float64, np.ndarray]:
         """Value and gradient of a smooth subtree: sum_i slope_i grad_i
         over the operands.  The leaves return np.float64 values, as
         _broadcast does, so that overflow in the scalar arithmetic above
         them raises under np.errstate."""
-        vals, grads = zip(*[c._vgrad(b) for c in _operands(self)])
-        return self._value(*vals), _fold(self._slopes(*vals), grads,
-                                         operator.mul, operator.add)
+        # spelled out for the one or two operands a smooth node has: this
+        # walk runs once per node of every smooth subtree
+        ops = _operands(self)
+        if len(ops) == 1:
+            v, g = ops[0]._vgrad(b)
+            (t,) = self._slopes(v)
+            return self._value(v), g if t == 1.0 else g * t
+        (va, ga), (vb, gb) = ops[0]._vgrad(b), ops[1]._vgrad(b)
+        ta, tb = self._slopes(va, vb)
+        return self._value(va, vb), ((ga if ta == 1.0 else ga * ta)
+                                     + (gb if tb == 1.0 else gb * tb))
 
     def _vqd_pair(self, b: Binding):
         """Value and quasidifferential of a subtree with a kink: the sum
-        over the operands of pair_i scaled by slope_i."""
+        over the operands of pair_i scaled by slope_i, left to right."""
         vals, pairs = zip(*[c._vqd(b) for c in _operands(self)])
-        return self._value(*vals), _fold(self._slopes(*vals), pairs,
-                                         qd_scale, qd_add)
+        return self._value(*vals), reduce(qd_add, [
+            q if t == 1.0 else qd_scale(q, t)
+            for t, q in zip(self._slopes(*vals), pairs)])
 
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
@@ -198,14 +208,6 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, _Extremum):
         return e.children
     return ()
-
-
-def _fold(slopes, parts, scale, add):
-    """add(...add(scale(parts[0], slopes[0]), scale(parts[1], slopes[1]))...),
-    left to right.  A part with slope 1 enters as it is: 1.0 g is g, and
-    qd_scale by 1 keeps the polytopes."""
-    return reduce(add, [part if t == 1.0 else scale(part, t)
-                        for t, part in zip(slopes, parts)])
 
 
 def _depth_above(children) -> int:

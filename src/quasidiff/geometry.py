@@ -58,10 +58,8 @@ so one lift rule makes them relative there: a set whose largest |entry|
 is below 1/2 is multiplied by the power of two 2^k that puts it in
 [1/2, 1), which is exact, at the entry of _canonical (before the dedup)
 and of _min_norm_combination, and the result is scaled back; nearest_point
-takes the norm of the lifted offset, so its distance does not underflow,
-and contains cuts that norm at FEAS_TOL, as _drop_redundant cuts the
-lifted set.  Sets of size 1/2 or more keep their arithmetic and their
-absolute cuts.
+takes the norm of the lifted offset, so its distance does not underflow.
+Sets of size 1/2 or more keep their arithmetic and their absolute cuts.
 So for k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
 2^k Polytope(P) byte for byte; for k > 0 it need not be.  The span of a
 point set and its orthogonal complement come from one SVD, whose cut is
@@ -635,30 +633,21 @@ def support(a: Polytope, h) -> float:
     return float(np.max(a.vertices @ h))
 
 
-def _lifted_offset(a: Polytope, q) -> tuple[np.ndarray, np.ndarray, int]:
-    """(q, x, k): x is the nearest point of a - q to the origin, solved
-    lifted by 2^k (the _lifted rule), and not scaled back."""
+def nearest_point(a: Polytope, q) -> tuple[np.ndarray, float]:
+    """Euclidean projection of q onto a: (point, distance)."""
     q = np.asarray(q, dtype=float)
     if q.shape != (a.dim,):
         raise GeometryError("query point has wrong dimension")
-    lifted, k = _lifted(a.vertices - q)
-    return q, _min_norm_point(lifted), k
-
-
-def nearest_point(a: Polytope, q) -> tuple[np.ndarray, float]:
-    """Euclidean projection of q onto a: (point, distance)."""
-    q, x, k = _lifted_offset(a, q)
     # the norm is taken lifted, where no square underflows
+    lifted, k = _lifted(a.vertices - q)
+    x = _min_norm_point(lifted)
     return q + np.ldexp(x, -k), float(np.ldexp(np.linalg.norm(x), -k))
 
 
 def contains(a: Polytope, q) -> bool:
-    """Membership test: the lifted offset of nearest_point within
-    FEAS_TOL, the cut _drop_redundant applies to lifted sets.  An offset
-    set a - q of size >= 1/2 is not lifted, so the cut is absolute; a
-    smaller one is cut at FEAS_TOL relative to its power-of-two size, so
-    2^k a contains 2^k q exactly when a contains q."""
-    return bool(np.linalg.norm(_lifted_offset(a, q)[1]) <= FEAS_TOL)
+    """Membership test within FEAS_TOL, consistent with nearest_point by
+    construction."""
+    return nearest_point(a, q)[1] <= FEAS_TOL
 
 
 def _svd_split(points, dim: int) -> tuple[np.ndarray, np.ndarray]:

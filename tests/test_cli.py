@@ -517,6 +517,20 @@ class TestOptcheckReport:
         assert ("qualification pathway: unconstrained problem, no "
                 "qualification needed") in lines
 
+    def test_rounding_sized_gradient_is_stationary(self, tmp_path, capsys):
+        # cos'(fl(pi)) = -sin(fl(pi)) = -1.2e-16, a rounding error: the
+        # absolute FEAS_TOL cut of contains keeps 0 in sub(u) + w, where a
+        # cut relative to the size of the offset set would lift it to 1/2
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
+                                    "objective = cos(x1)\n[point]\n"
+                                    "x = 3.141592653589793\n")
+        checks = [line for line in lines if line.startswith("c = ")]
+        assert_equal(len(checks), 5)
+        for line in checks:
+            assert line.endswith(": stationarity holds; all 1 selections "
+                                 "feasible; agreement: yes"), line
+        assert "c* estimate: 0 (exact, one LP per vertex pair)" in lines
+
     @pytest.mark.parametrize("lines, record", [
         ("objective = abs(x1)\n",
          {"kind": "unconstrained", "mfcq_verdict": None}),
