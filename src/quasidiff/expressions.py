@@ -31,7 +31,10 @@ Forward mode.  A differentiable f has the quasidifferential
 gradient) pair by _vgrad and wrapped once, by qd_smooth, where it meets
 an abs, max or min node or the root.  Each node knows at construction
 whether its subtree has a kink (_piecewise), so the dispatch costs O(1).
-Only the kink nodes and the nodes above them build polytopes.
+Only the kink nodes and the nodes above them build polytopes.  The same
+walk runs over the rows of a batch of points, one set of params per row
+(_vgrad_rows, _vqd_rows), and builds no polytope at all where it holds
+(the row walk, below).
 
 The slopes rule.  Each smooth-arithmetic node states its derivative
 once, as two functions of its operands' values: _value, and _slopes, its
@@ -42,6 +45,28 @@ the sum and scale rules of the Demyanov-Rubinov calculus.  Only Sub adds
 a rule: a smooth subtrahend enters as [{-grad}, {0}], not as the swapped
 [{0}, {-grad}].  Values and slopes stay np.float64, so an overflow in
 either raises under np.errstate at the node that makes it.
+
+The row walk.  Where each abs, max and min node has exactly one branch
+within ACTIVE_TOL of its top, qd_max keeps that branch's pair, and every
+pair of the walk is a pair of singletons [{a}, {b}].  qd_rows_at carries
+a and b as arrays, one column per row, folds the same _value and _slopes
+with forward mode run over the batch, and states a row rule for the kink
+nodes only: Abs (with the absorption of a smooth child), the one active
+child of max and min, and Sub's smooth subtrahend.  Each row has the
+bytes of its qd_at:
+  a canonical singleton is row + 0.0, as the lift by 2^k is exact both
+  ways;
+  minkowski_sum with {0} returns the other operand, which is
+  (a + b) + 0.0 on rows without -0, and canonical rows have none;
+  scale by 1, -1 or 0 gives t row + 0.0 as well, and qd_scale swaps the
+  sets where t < 0;
+  qd_min scales by -1 twice, and -(-a + 0.0) + 0.0 is a.
+steepest_rate of [{a}, {b}] takes its one vertex w = b, and
+nearest_point's offset a - (-w) is a + b; calculus.singleton_rates norms
+it lifted, as a 1-D row, as nearest_point does.  The walk declines (None)
+where a row ties, a value at a kink or an entry is not finite (Polytope
+raises there), or the batch raises FloatingPointError; the caller then
+takes each row's pair walk, which raises what it always raised.
 
 The output is, byte for byte, the one the pair algebra gives when it is
 applied at every node (tests/test_forward_mode.py keeps that walk, with
@@ -75,7 +100,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import (Quasidifferential, absorb_singleton_sub,
+from .calculus import (ACTIVE_TOL, Quasidifferential, absorb_singleton_sub,
                        absorb_singleton_sup, qd_abs, qd_add, qd_max, qd_min,
                        qd_scale, qd_smooth)
 
@@ -110,6 +135,10 @@ class UnboundParameterError(ExpressionError):
     def __init__(self, name: str):
         super().__init__(f"unbound parameter '{name}'")
         self.name = name
+
+
+class _Declined(Exception):
+    """The row walk meets a tie at a kink or a number that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -192,6 +221,37 @@ class Expr:
             q if t == 1.0 else qd_scale(q, t)
             for t, q in zip(self._slopes(*vals), pairs)])
 
+    # The row walk of the module docstring: the walks above over the rows
+    # of a batch X, one set of params per row.  Gradients and the
+    # singletons a, b of a pair are (n, N) arrays, one column per row, so
+    # that a slope with one entry per row scales them as a float slope
+    # does.
+
+    def _vgrad_rows(self, X, params):
+        """_vgrad at each row: values (N,) and gradients (n, N)."""
+        ops = _operands(self)
+        if len(ops) == 1:
+            v, g = ops[0]._vgrad_rows(X, params)
+            (t,) = self._slopes(v)
+            return self._value(v), g * t
+        (va, ga), (vb, gb) = (ops[0]._vgrad_rows(X, params),
+                              ops[1]._vgrad_rows(X, params))
+        ta, tb = self._slopes(va, vb)
+        return self._value(va, vb), ga * ta + gb * tb
+
+    def _vqd_rows(self, X, params):
+        """_vqd at each row: values and the pair (a, b) of [{a}, {b}]."""
+        if self._piecewise:
+            return self._vqd_pair_rows(X, params)
+        v, g = self._vgrad_rows(X, params)
+        return v, _smooth_rows(g)
+
+    def _vqd_pair_rows(self, X, params):
+        """_vqd_pair at each row: the scaled pairs summed left to right."""
+        vals, pairs = zip(*[c._vqd_rows(X, params) for c in _operands(self)])
+        return self._value(*vals), reduce(_add_rows, [
+            _scale_rows(q, t) for t, q in zip(self._slopes(*vals), pairs)])
+
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
 
@@ -213,6 +273,46 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
 def _depth_above(children) -> int:
     """_depth of a node over these children."""
     return 1 + max([c._depth for c in children]) if children else 0
+
+
+def _canonical_rows(x):
+    """The canonical vertex of each singleton {x_i}: x + 0.0, since the
+    lift by 2^k is exact both ways.  _Declined where Polytope raises, on
+    an entry that is not finite."""
+    if not np.isfinite(x).all():
+        raise _Declined
+    return x + 0.0
+
+
+def _smooth_rows(g):
+    """qd_smooth(g) at each row: [{g}, {0}]."""
+    return _canonical_rows(g), np.zeros_like(g)
+
+
+def _scale_rows(q, t):
+    """qd_scale(q, t) at each row: t a and t b, swapped where t < 0.
+    scale's shortcuts agree: 1 a + 0.0 is a, 0 a + 0.0 is 0, and
+    -a + 0.0 is the flip."""
+    ta, tb = _canonical_rows(q[0] * t), _canonical_rows(q[1] * t)
+    flip = t < 0
+    return np.where(flip, tb, ta), np.where(flip, ta, tb)
+
+
+def _add_rows(p, q):
+    """qd_add at each row: a + 0 is a, so minkowski_sum's {0} shortcut
+    gives the bytes of the sum as well."""
+    return _canonical_rows(p[0] + q[0]), _canonical_rows(p[1] + q[1])
+
+
+def _sole_active(keys):
+    """Mask (branch, row) of the branch that qd_max keeps active, the one
+    whose key lies within ACTIVE_TOL of the top key: the same comparisons
+    as qd_max's.  _Declined where a row keeps more than one branch or a
+    key is not finite."""
+    active = keys >= keys.max(axis=0) - ACTIVE_TOL
+    if not (np.isfinite(keys).all() and (active.sum(axis=0) == 1).all()):
+        raise _Declined
+    return active
 
 
 def _wrap(child: Expr, minlevel: int) -> str:
@@ -247,6 +347,11 @@ class Var(Expr):
         g[self.index - 1] = 1.0
         return b.point[self.index - 1], g
 
+    def _vgrad_rows(self, X, params):
+        g = np.zeros(X.shape[::-1])
+        g[self.index - 1] = 1.0
+        return X[:, self.index - 1], g
+
     def _fmt(self):
         return f"x{self.index}", _ATOM
 
@@ -268,6 +373,11 @@ class Param(Expr):
             raise UnboundParameterError(self.name)
         return np.float64(b.params[self.name]), np.zeros(b.n)
 
+    def _vgrad_rows(self, X, params):
+        if self.name not in params:
+            raise UnboundParameterError(self.name)
+        return _broadcast(params[self.name], X), np.zeros(X.shape[::-1])
+
     def _fmt(self):
         return self.name, _ATOM
 
@@ -281,6 +391,9 @@ class Const(Expr):
 
     def _vgrad(self, b):
         return np.float64(self.value), np.zeros(b.n)
+
+    def _vgrad_rows(self, X, params):
+        return _broadcast(self.value, X), np.zeros(X.shape[::-1])
 
     def _fmt(self):
         return _format_number(self.value), _ATOM
@@ -346,6 +459,13 @@ class Sub(Expr):
         va, qa = self.a._vqd(b)
         vb, gb = self.b._vgrad(b)
         return self._value(va, vb), qd_add(qa, qd_smooth(-gb))
+
+    def _vqd_pair_rows(self, X, params):
+        if self.b._piecewise:
+            return super()._vqd_pair_rows(X, params)
+        va, qa = self.a._vqd_rows(X, params)
+        vb, gb = self.b._vgrad_rows(X, params)
+        return self._value(va, vb), _add_rows(qa, _smooth_rows(-gb))
 
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} - {_wrap(self.b, _ADD + 1)}", _ADD
@@ -449,6 +569,17 @@ class Abs(Expr):
             out = absorb_singleton_sup(out)
         return abs(v), out
 
+    def _vqd_pair_rows(self, X, params):
+        # qd_abs is qd_max of (v, q) and (-v, -q): the sign of the active
+        # branch scales q
+        v, q = self.child._vqd_rows(X, params)
+        first = _sole_active(np.stack([v, -v]))[0]
+        a, b = _scale_rows(q, np.where(first, 1.0, -1.0))
+        if not self.child._piecewise:
+            # absorb_singleton_sup: [{a + b}, {0}]
+            a, b = _smooth_rows(a + b)
+        return np.abs(v), (a, b)
+
     def _fmt(self):
         return f"abs({self.child._fmt()[0]})", _ATOM
 
@@ -470,13 +601,25 @@ class _Extremum(Expr):
     def evaluate(self, point, params=None):
         return self._reduce([c.evaluate(point, params) for c in self.children])
 
+    def _vqd_pair_rows(self, X, params):
+        # one active branch: qd_max and qd_min return its pair (qd_min
+        # scales by -1 twice, and -(-a + 0.0) + 0.0 is a), and its value
+        # is the max or the min
+        vals, pairs = zip(*[c._vqd_rows(X, params) for c in self.children])
+        subs, sups = zip(*pairs)
+        active = list(_sole_active(self._key(np.stack(vals))))
+        return np.select(active, vals), (np.select(active, subs),
+                                         np.select(active, sups))
+
     def _fmt(self):
         inner = ", ".join(c._fmt()[0] for c in self.children)
         return f"{self._name}({inner})", _ATOM
 
 
+# _key: what qd_max ranks a branch by, v for max and -v for min, as
+# qd_min is -max(-f_i)
 class Max(_Extremum):
-    _name, _reduce = "max", np.maximum.reduce
+    _name, _reduce, _key = "max", np.maximum.reduce, np.positive
 
     def _vqd_pair(self, b):
         items = [c._vqd(b) for c in self.children]
@@ -485,7 +628,7 @@ class Max(_Extremum):
 
 
 class Min(_Extremum):
-    _name, _reduce = "min", np.minimum.reduce
+    _name, _reduce, _key = "min", np.minimum.reduce, np.negative
 
     def _vqd_pair(self, b):
         items = [c._vqd(b) for c in self.children]
@@ -703,6 +846,19 @@ def qd_value_at(e: Expr, b: Binding) -> tuple[float, Quasidifferential]:
 
 def qd_at(e: Expr, b: Binding) -> Quasidifferential:
     return qd_value_at(e, b)[1]
+
+
+def qd_rows_at(e: Expr, points, params) -> tuple | None:
+    """The row walk: (values, a, b) with qd_at(e, row) = [{a_i}, {b_i}]
+    at each row of points (shape (N, n)); params holds scalars and arrays
+    with one entry per row.  None where the walk declines: a kink ties
+    within ACTIVE_TOL at some row, a number is not finite, or the batch
+    raises FloatingPointError (the module docstring)."""
+    try:
+        v, (a, b) = e._vqd_rows(np.asarray(points, dtype=float), params)
+    except (_Declined, FloatingPointError):
+        return None
+    return v, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
 
 
 def qd_matrix_at(es: Sequence[Expr],

@@ -143,10 +143,11 @@ def _min_norm_point(points: np.ndarray) -> np.ndarray:
     return _min_norm_combination(points)[0]
 
 
-def _lift_exponent(top: float) -> int:
+def _lift_exponent(top):
     """The k that lifts a set whose largest |entry| is top into [1/2, 1)
-    by the exact factor 2^k when top < 1/2; 0 for top >= 1/2 or top = 0."""
-    return max(0, -int(np.frexp(top)[1]))
+    by the exact factor 2^k when top < 1/2; 0 for top >= 1/2 or top = 0.
+    An array of tops gives one k per entry."""
+    return np.maximum(0, -np.frexp(top)[1])
 
 
 def _lifted(points: np.ndarray) -> tuple[np.ndarray, int]:

@@ -30,7 +30,11 @@ margin max_w d(0, sub + w) is the strong slope of psi at x (the proof is
 in cli.cmd_slope), so it is independent of the quasidifferential
 representative.  The grid check and the margin shells of margin_infima
 are sampled; sampled_strong_slope is a ring-sampled slope kept as an
-independent reference for the tests.
+independent reference for the tests.  margin_infima takes the margins
+of a round of draws from one row walk (expressions.qd_rows_at and
+calculus.singleton_rates), which gives each row's
+steepest_rate(qd_at(...)) by bytes wherever no kink of psi ties; a round
+where the walk declines takes the pair walk row by row.
 
 Everything here is desk scale: n <= 3 for the grid oracle, vertex
 enumeration everywhere, deterministic seeds.
@@ -45,8 +49,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import Quasidifferential, steepest_rate
-from .expressions import Abs, Add, Binding, Const, Expr, Max, Param, Sub, qd_at
+from .calculus import Quasidifferential, singleton_rates, steepest_rate
+from .expressions import (Abs, Add, Binding, Const, Expr, Max, Param, Sub,
+                          qd_at, qd_rows_at)
 
 SLOPE_DIRECTIONS = 256
 # verify_regularity_grid's defaults: points per axis, targets per axis,
@@ -516,6 +521,16 @@ def margin_infima(s: SystemSpec, center, *,
     holds no more rows than valid samples are still needed, so the 48th
     valid sample is always a round's last row: the generator stream and
     the draws evaluated are those of drawing and testing one at a time.
+
+    The valid rows of a round take one row walk (_shell_margins).  Where
+    each abs and max node of psi has one branch within ACTIVE_TOL of its
+    top, psi's pair at a row is [{a}, {b}], and its margin is |a + b|,
+    normed as nearest_point norms it; the walk gives the bytes of each
+    row's qd_at and steepest_rate (the expressions module docstring has
+    the argument).  A round where some row ties, some number is not
+    finite or the batch raises FloatingPointError takes the pair walk
+    per row instead, so its errors are those of the per-row loop.  The
+    margins fold in row order with the same min either way.
     """
     base = np.concatenate([s.binding(center).point, *s.targets()])
     targets = set(_target_names(s))
@@ -531,16 +546,34 @@ def margin_infima(s: SystemSpec, center, *,
             draws = base + rho * rng.uniform(-1.0, 1.0, size=(k, base.size))
             xs, ys, zs = np.split(draws, [s.n, s.n + len(s.equalities)], axis=1)
             batch = PsiFunction(s, ys, zs)
-            psi = batch.value(xs)
             # not psi > 1e-9: a nan psi stays a valid sample
-            for i in np.flatnonzero(~(psi <= 1e-9)):
+            rows = np.flatnonzero(~(batch.value(xs) <= 1e-9))
+            params = {name: v[rows] if name in targets else v
+                      for name, v in batch.params.items()}
+            for margin in _shell_margins(s.psi_tree, xs[rows], params,
+                                         targets):
                 valid += 1
-                row = {name: v[i] if name in targets else v
-                       for name, v in batch.params.items()}
-                q = qd_at(s.psi_tree, Binding(xs[i], row))
-                inf_margin = min(inf_margin, steepest_rate(q)[0])
+                inf_margin = min(inf_margin, margin)
         out.append((float(rho), float(inf_margin), valid))
     return out
+
+
+def _shell_margins(psi: Expr, xs: np.ndarray, params: dict,
+                   targets: set) -> list[float]:
+    """steepest_rate(qd_at(psi, row))[0] at each row of xs, whose values
+    of the parameters named in targets are one per row: one row walk, or
+    one pair walk per row where the row walk declines."""
+    if not len(xs):
+        return []
+    walked = qd_rows_at(psi, xs, params)
+    if walked is not None:
+        return singleton_rates(walked[1], walked[2])
+    margins = []
+    for i, x in enumerate(xs):
+        row = {name: v[i] if name in targets else v
+               for name, v in params.items()}
+        margins.append(steepest_rate(qd_at(psi, Binding(x, row)))[0])
+    return margins
 
 
 def decay_flag(infima: Sequence[tuple[float, float, int]]) -> bool:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
+from quasidiff import regularity
 from quasidiff.calculus import Quasidifferential, steepest_rate
 from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Sub,
                                    UnboundParameterError, parse_expression,
@@ -362,6 +363,27 @@ def _assert_psi_as_reference(s, x0, xs, ys, zs):
                  for x, y, z in zip(xs, ys, zs)])
 
 
+def _count_row_walks(monkeypatch) -> list:
+    """The outcomes of margin_infima's row walks, one per round, as they
+    happen."""
+    walked, walk = [], regularity.qd_rows_at
+
+    def counting(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(regularity, "qd_rows_at", counting)
+    return walked
+
+
+def _same_infima(got, want):
+    """Equal margin_infima entries, the floats by their bytes."""
+    assert_equal(len(got), len(want))
+    for (r, m, k), (r0, m0, k0) in zip(got, want):
+        assert (np.float64(r).tobytes(), np.float64(m).tobytes(), k) == \
+            (np.float64(r0).tobytes(), np.float64(m0).tobytes(), k0)
+
+
 class TestPsiTreeAsReference:
     """The system's psi tree with bound target parameters gives the bytes
     of the tree with the targets written in, and margin_infima's batched
@@ -418,6 +440,75 @@ class TestPsiTreeAsReference:
             assert_equal([k for _, _, k in got], [0, 0, 0, 0])
         if name == "half_valid":
             assert all(0 < k <= 48 for _, _, k in got)
+
+    @pytest.mark.parametrize("name", ["cubic.prob", "penalty_demo.prob",
+                                      "sin_system.prob", "verdicts-41",
+                                      "verdicts-42", "verdicts-43"])
+    def test_margin_infima_of_files_as_per_draw_loop(self, name,
+                                                     load_perfbench,
+                                                     monkeypatch):
+        # the row walk takes every round of these systems, and its floats
+        # have the bytes of the per-draw loop
+        if name.startswith("verdicts"):
+            load_perfbench("oracle")
+            workload = load_perfbench("gen").verdicts(int(name[-2:]))
+            files = [loads(op.text) for op in workload.ops + workload.warmup]
+        else:
+            files = [load(PROBLEMS / name)]
+        walked = _count_row_walks(monkeypatch)
+        count = 0
+        for pf in files:
+            if not (pf.equalities or pf.inequalities):
+                continue
+            s = pf.system()
+            center = pf.point if pf.point is not None else np.zeros(s.n)
+            _same_infima(margin_infima(s, center),
+                         reference_margin_infima(s, center))
+            count += 1
+        assert count > 0 and len(walked) >= 4 * count
+        assert all(w is not None for w in walked)
+
+    @pytest.mark.parametrize("text, center", [
+        ("max(x1, x1)", 0.0),
+        ("max(x1, x1 + 0.0000000001)", 0.0),
+        ("abs(x1 - p)", 0.5),
+    ])
+    def test_margin_infima_at_ties_as_per_draw_loop(self, text, center,
+                                                    monkeypatch):
+        # the first two tie at every draw, so each round takes the pair
+        # walk per row; the third ties only where x1 = p
+        s = SystemSpec(1, (parse_expression(text, 1),), params={"p": 0.5})
+        walked = _count_row_walks(monkeypatch)
+        for seed in range(3):
+            _same_infima(margin_infima(s, [center], seed=seed),
+                         reference_margin_infima(s, [center], seed=seed))
+        assert walked
+        declined = all(w is None for w in walked)
+        assert declined == text.startswith("max")
+
+    @pytest.mark.parametrize("text, center", [
+        # exp overflows in the screen's evaluation of the first shell
+        ("exp(10000*x1)", 0.0),
+        # 1e308 x1^2 stays finite on the first shell; its gradient
+        # 2e308 x1 overflows past x1 = 0.9, inside the row walk
+        ("1e308*pow(x1, 2)", 1.0),
+        # finite everywhere on the shells
+        ("exp(700*x1) - 1", 0.0),
+    ])
+    def test_margin_infima_under_overflow_as_per_draw_loop(self, text,
+                                                           center):
+        s = SystemSpec(1, (parse_expression(text, 1),))
+        outcomes = []
+        for run in (margin_infima, reference_margin_infima):
+            with np.errstate(over="raise"):
+                try:
+                    outcomes.append(run(s, [center]))
+                except FloatingPointError as exc:
+                    outcomes.append((type(exc), str(exc)))
+        if isinstance(outcomes[0], tuple):
+            assert_equal(outcomes[0], outcomes[1])
+        else:
+            _same_infima(*outcomes)
 
 
 def reference_verify_regularity_grid(s, center, K, r, x_grid=X_GRID,
