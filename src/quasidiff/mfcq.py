@@ -17,18 +17,15 @@ determinant range over vertex tuples instead, which the reports print
 (the determinant is multilinear in the rows, so the extremes sit at
 vertices and the image over the connected product is an interval).
 
-Condition 2 is two LPs over h = Q u, with Q an orthonormal basis of the
-complement of the equality sums' span.  With VQ the rows v Q for the
-vertices v of the active inequality sums and B the rows +Q[k], -Q[k]
-interleaved per coordinate k, stage 1 maximizes t subject to
-
-    [[VQ, 1], [B, 0]] (u, t) <= (0, 1),
-
-the largest worst slack in the box |h|_inf <= 1; hbar exists exactly
-when t* > 0.  Stage 2 picks, among the maximizers, the one of least
-l1 norm: minimize sum(h+ + h-) over (u, h+, h-) subject to
-[VQ, 0, 0] (u, h+, h-) <= -t* and [Q, -I, I] (u, h+, h-) = 0, with
-h+, h- in [0, 1].
+Condition 2 is the same question.  With Q an orthonormal basis of the
+complement of the equality sums' span, a u with <v, Q u> < 0 for every
+vertex v of the active inequality sums exists exactly when 0 is outside
+conv{Q^T v} (Gordan, Math. Ann. 6, 1873; Mangasarian, Nonlinear
+Programming, 1969, ch. 2).  One nearest-point solve gives that hull's
+least-norm point x*; if x* is not 0, hbar = -Q x*/|x*| is the unit l2
+direction whose worst slack min_v -<v, hbar> is largest, and that
+largest slack, the margin, is |x*|.  "Is x* zero?" is the hull test's
+cut, so both conditions decide "is 0 in this hull?" by one rule.
 """
 
 from __future__ import annotations
@@ -41,9 +38,8 @@ import numpy as np
 
 from .calculus import qd_plus_set
 from .expressions import Binding, qd_at
-from .geometry import (FEAS_TOL, LpStatus, Polytope, _lifted,
-                       _min_norm_combination, complement_basis, solve_lp,
-                       support)
+from .geometry import (FEAS_TOL, Polytope, _lifted, _min_norm_combination,
+                       complement_basis)
 from .regularity import BudgetExceededError, SystemSpec
 
 DET_BUDGET = 10 ** 6
@@ -129,31 +125,45 @@ def full_rank_det_range(rows: Sequence[Polytope],
                           tuple(int(v) for v in combos[i_max]), total)
 
 
+def _nearest_to_zero(points: np.ndarray, tol: float = FEAS_TOL):
+    """(x, corral, weights, dist, inside): Wolfe's least-norm point x of
+    conv(points) in lifted units, the weights on points[corral] that give
+    it, dist = |x| in the points' units, and inside when |x| <= tol *
+    max|point|.
+
+    The points are lifted by geometry's rule (a set whose largest |entry|
+    is below 1/2 goes into [1/2, 1) by an exact power of two, larger ones
+    stay as they are), and x and the cut are in lifted units, where no
+    norm underflows.  The cut is relative to the largest point, as the
+    SVD cut of geometry.complement_basis is, so that scaling every point
+    by one factor keeps the verdict; all-zero points are inside.
+    """
+    lifted, k = _lifted(points)
+    x, corral, weights = _min_norm_combination(lifted)
+    dist = float(np.linalg.norm(x))
+    inside = dist <= tol * np.linalg.norm(lifted, axis=1).max()
+    return x, corral, weights, float(np.ldexp(dist, -k)), inside
+
+
 def _sign_pattern_dependence(rows: Sequence[Polytope],
                              tol: float = FEAS_TOL):
-    """(lam, dist) for the first sign pattern whose hull lies within
-    tol * max|a| of 0, lam = s mu at unit l2 norm with mu_j the Wolfe
-    weight on A_j's rows; (None, least distance) when every hull is
-    farther.  The cut is relative to the largest vertex, as the SVD cut of
-    geometry.complement_basis is, so that scaling every set by one factor
-    keeps the verdict; all-zero sets are dependent.  The sets are lifted
-    by geometry's rule (a union whose largest |entry| is below 1/2 goes
-    into [1/2, 1) by an exact power of two, larger ones stay as they are)
-    and compared in lifted units, where no norm underflows."""
+    """(lam, dist) for the first sign pattern whose hull is inside the
+    cut of _nearest_to_zero, lam = s mu at unit l2 norm with mu_j the
+    Wolfe weight on A_j's rows; (None, least distance) when every hull is
+    outside.  All-zero sets are dependent."""
     owner = np.repeat(np.arange(len(rows)), [r.nvertices for r in rows])
-    lifted, k = _lifted(np.vstack([r.vertices for r in rows]))
-    big = np.linalg.norm(lifted, axis=1).max()
+    points = np.vstack([r.vertices for r in rows])
     least = np.inf
     for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
         signs = np.array((1.0,) + tail)
-        x, corral, weights = _min_norm_combination(signs[owner, None] * lifted)
-        dist = float(np.linalg.norm(x))
-        if dist <= tol * big:
+        _, corral, weights, dist, inside = _nearest_to_zero(
+            signs[owner, None] * points, tol)
+        if inside:
             lam = signs * np.bincount(owner[corral], weights=weights,
                                       minlength=len(rows))
-            return lam / np.linalg.norm(lam), float(np.ldexp(dist, -k))
+            return lam / np.linalg.norm(lam), dist
         least = min(least, dist)
-    return None, float(np.ldexp(least, -k))
+    return None, least
 
 
 @dataclass(frozen=True)
@@ -212,12 +222,15 @@ class HbarResult:
 def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
               n: int) -> HbarResult:
     """Direction orthogonal to all equality sums, strictly negative on the
-    active inequality sums, found by LP with an infinity-norm box.
+    active inequality sums, by Gordan's alternative.
 
-    margin is the best achievable worst slack; hbar is present exactly
-    when margin > 0.  With no active inequality the requirement is vacuous
-    and margin is +inf.  Among maximizers, the returned hbar has minimal
-    l1 norm (second-stage LP), which makes reports reproducible.
+    hbar = -Q x*/|x*| has unit l2 norm, with x* the least-norm point of
+    conv{Q^T v} over the inequality-sum vertices v, and margin = |x*| is
+    the largest worst slack over unit directions.  When x* is within the
+    hull test's cut of 0, at the default FEAS_TOL, no hbar exists and
+    margin is 0.  With no active
+    inequality the requirement is vacuous and margin is +inf; with no
+    complement left it is -inf.
     """
     eq_vertices = (np.vstack([p.vertices for p in eq_sums])
                    if eq_sums else np.zeros((0, n)))
@@ -230,34 +243,11 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
         return HbarResult(hbar, np.inf, rank, d)
     if d == 0:
         return HbarResult(None, -np.inf, rank, 0)
-
-    # stage 1: maximize the worst slack t over h = q u, |h|_inf <= 1:
-    # <v, q u> + t <= 0 per row v, then +-q[k] u <= 1 per coordinate
-    # (rows v @ q one at a time: the matrix product may round otherwise)
-    vq = np.array([v @ q for v in np.vstack([p.vertices for p in ineq_sums])])
-    m = len(vq)
-    box = np.empty((2 * n, d))
-    box[0::2], box[1::2] = q, -q
-    a_ub = np.block([[vq, np.ones((m, 1))], [box, np.zeros((2 * n, 1))]])
-    b_ub = np.concatenate([np.zeros(m), np.ones(2 * n)])
-    out = solve_lp(np.eye(d + 1)[d], a_ub=a_ub, b_ub=b_ub, maximize=True)
-    if out.status != LpStatus.FEASIBLE:
-        return HbarResult(None, -np.inf, rank, d)
-    t_star = float(out.objective)
-    if t_star <= 0.0:
-        return HbarResult(None, t_star, rank, d)
-
-    # stage 2: among maximizers, minimize |h|_1 over (u, h+, h-) with
-    # q u = h+ - h- and <v, q u> <= -t*
-    out2 = solve_lp(np.concatenate([np.zeros(d), np.ones(2 * n)]),
-                    a_ub=np.hstack([vq, np.zeros((m, 2 * n))]),
-                    b_ub=np.full(m, -t_star),
-                    a_eq=np.hstack([q, -np.eye(n), np.eye(n)]),
-                    b_eq=np.zeros(n),
-                    bounds=[(None, None)] * d + [(0.0, 1.0)] * (2 * n))
-    hbar = q @ (out2 if out2.status == LpStatus.FEASIBLE else out).point[:d]
-    margin = min(-support(p, hbar) for p in ineq_sums)
-    return HbarResult(hbar, float(margin), rank, d)
+    x, _, _, margin, inside = _nearest_to_zero(
+        np.vstack([p.vertices for p in ineq_sums]) @ q)
+    if inside:
+        return HbarResult(None, 0.0, rank, d)
+    return HbarResult(q @ (-x / np.linalg.norm(x)), margin, rank, d)
 
 
 # the one caveat of every q.d.-MFCQ verdict

@@ -336,6 +336,27 @@ class TestMfcqReport:
         assert_equal(err, "")
 
 
+    @pytest.mark.parametrize("coef, margin", [
+        ("1", "1.41421356237"),
+        ("0.000000000001", "1.41421356237e-12"),
+    ])
+    def test_direction_with_an_active_inequality(self, tmp_path, capsys,
+                                                 coef, margin):
+        # hbar is the unit l2 direction of Gordan's alternative, and the
+        # margin scales with the sets: no box makes tiny sets fail
+        f = tmp_path / "active.prob"
+        f.write_text(f"[problem]\nn = 3\nequality = {coef}*x1\n"
+                     f"inequality = {coef}*x2 + {coef}*x3\n"
+                     "[point]\nx = 0 0 0\n")
+        assert_equal(main(["mfcq", str(f)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("active inequalities: 1",
+                     "hbar: (0, -0.707106781187, -0.707106781187)",
+                     f"margin: {margin}",
+                     "verdict: q.d.-MFCQ holds"):
+            assert line in lines
+
+
 class TestSlopeReport:
 
     def test_zero_slope_at_the_kink_of_the_cubic(self, reports):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 
 import numpy as np
@@ -5,9 +7,11 @@ import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 from scipy.optimize import lsq_linear
 
+from quasidiff import mfcq
+from quasidiff.cli import main
 from quasidiff.expressions import parse_expression
-from quasidiff.geometry import (Polytope, minkowski_sum, scale, singleton,
-                                solve_lp, LpStatus)
+from quasidiff.geometry import (Polytope, complement_basis, minkowski_sum,
+                                scale, singleton, solve_lp, LpStatus)
 from quasidiff.mfcq import (BudgetExceededError, InfeasiblePointError,
                             _sign_pattern_dependence, active_inequalities,
                             find_hbar, full_rank_det_range, full_rank_general,
@@ -322,6 +326,118 @@ class TestFindHbar(TestCase):
                 for p in ineq:
                     for v in p.vertices:
                         assert v @ res.hbar <= -res.margin + 1e-9
+
+
+def box_lp_slack(eq_sums, ineq_sums, n):
+    """t*, the largest worst slack max_h min_v -<v, h> over h = Q u in the
+    box |h|_inf <= 1, by the stage-1 LP that find_hbar solved before it
+    took Gordan's alternative: maximize t subject to <v, Q u> + t <= 0 per
+    inequality-sum vertex v and +-Q[k] u <= 1 per coordinate k."""
+    eq_vertices = (np.vstack([p.vertices for p in eq_sums])
+                   if eq_sums else np.zeros((0, n)))
+    q = complement_basis(eq_vertices, n)
+    d = q.shape[1]
+    vq = np.vstack([p.vertices for p in ineq_sums]) @ q
+    m = len(vq)
+    a_ub = np.block([[vq, np.ones((m, 1))],
+                     [np.vstack([q, -q]), np.zeros((2 * n, 1))]])
+    b_ub = np.concatenate([np.zeros(m), np.ones(2 * n)])
+    out = solve_lp(np.eye(d + 1)[d], a_ub=a_ub, b_ub=b_ub, maximize=True)
+    assert out.status == LpStatus.FEASIBLE
+    return float(out.objective)
+
+
+def assert_matches_box_lp(eq_sums, ineq_sums, n):
+    """find_hbar against the box LP: the same verdict, m <= t* <= sqrt(n) m
+    (the box holds the unit l2 ball and lies in the sqrt(n) one), a unit
+    hbar orthogonal to the equality sums, and a worst slack of m.  Returns
+    whether hbar was found."""
+    res = find_hbar(eq_sums, ineq_sums, n)
+    t_star = box_lp_slack(eq_sums, ineq_sums, n)
+    assert_equal(t_star > 0.0, res.hbar is not None)
+    if res.hbar is None:
+        assert_equal(res.margin, 0.0)
+        return False
+    m = res.margin
+    assert m * (1.0 - 1e-9) <= t_star <= np.sqrt(n) * m * (1.0 + 1e-9)
+    assert_allclose(np.linalg.norm(res.hbar), 1.0, rtol=1e-12)
+    for p in eq_sums:
+        assert_allclose(p.vertices @ res.hbar, 0.0, atol=1e-12)
+    for p in ineq_sums:
+        assert np.all(p.vertices @ res.hbar <= -m * (1.0 - 1e-9))
+    return True
+
+
+class TestGordanDirection:
+    """find_hbar takes the least-norm point of conv{Q^T v}; the LP in the
+    infinity-norm box that it replaced is the reference."""
+
+    def test_matches_the_box_lp_on_random_sets(self):
+        rng = np.random.default_rng(11)
+        found = []
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            eq = [Polytope(rng.uniform(-1, 1, (int(rng.integers(1, 3)), n)))
+                  for _ in range(int(rng.integers(0, n)))]
+            ineq = [Polytope(rng.uniform(-1, 1, (int(rng.integers(1, 4)), n))
+                             + rng.uniform(-1, 1, n))
+                    for _ in range(int(rng.integers(1, 3)))]
+            if find_hbar(eq, ineq, n).complement_dim > 0:
+                found.append(assert_matches_box_lp(eq, ineq, n))
+        # both verdicts occur, or the comparison shows little
+        assert 0 < sum(found) < len(found)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_matches_the_box_lp_on_benchmark_calls(self, seed, tmp_path,
+                                                   monkeypatch,
+                                                   load_perfbench):
+        # the calls with an active inequality and a complement left, that
+        # is, those that solved the LPs, of the mfcq and optcheck ops
+        calls, find = [], mfcq.find_hbar
+
+        def recording(eq_sums, ineq_sums, n):
+            res = find(eq_sums, ineq_sums, n)
+            if ineq_sums and res.complement_dim > 0:
+                calls.append((eq_sums, ineq_sums, n))
+            return res
+
+        monkeypatch.setattr(mfcq, "find_hbar", recording)
+        load_perfbench("oracle")
+        w = load_perfbench("gen").verdicts(seed)
+        path = tmp_path / "op.prob"
+        for op in w.warmup + w.ops:
+            if op.command in ("mfcq", "optcheck"):
+                path.write_text(op.text)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main([op.command, str(path), *op.flags])
+        assert calls
+        for args in calls:
+            assert_matches_box_lp(*args)
+
+    def test_scale_covariance(self):
+        # no box and a cut relative to the sets: scaling every set by 2^k
+        # scales the margin and keeps the verdict and the direction
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(50):
+            n = 4
+            eq = [Polytope(rng.uniform(-1, 1, (int(rng.integers(1, 3)), n)))
+                  for _ in range(int(rng.integers(0, 3)))]
+            ineq = [Polytope(rng.uniform(-1, 1, (3, n)) + rng.uniform(-1, 1, n))
+                    for _ in range(2)]
+            base = find_hbar(eq, ineq, n)
+            seen.add(base.hbar is not None)
+            for k in (-600, -40, 40):
+                t = 2.0 ** k
+                res = find_hbar([scale(p, t) for p in eq],
+                                [scale(p, t) for p in ineq], n)
+                assert_equal(res.hbar is None, base.hbar is None)
+                if base.hbar is None:
+                    assert_equal(res.margin, base.margin)
+                    continue
+                assert_allclose(res.hbar, base.hbar, rtol=0.0, atol=1e-12)
+                assert_allclose(res.margin, base.margin * t, rtol=1e-12)
+        assert_equal(seen, {True, False})
 
 
 class TestQdMfcq(TestCase):

@@ -74,6 +74,15 @@ def test_commands_without_lp_load_no_scipy():
                  [f"{command} {name} 0 []" for command, name in runs])
 
 
+def test_mfcq_with_an_active_inequality_loads_no_scipy(tmp_path):
+    # the direction comes from a nearest-point solve, not an LP
+    f = tmp_path / "active.prob"
+    f.write_text("[problem]\nn = 3\nequality = x1\ninequality = x2 + x3\n"
+                 "[point]\nx = 0 0 0\n")
+    assert_equal(run_python(RUN_CLI, "mfcq", str(f)),
+                 "mfcq active.prob 0 []\n")
+
+
 def test_slope_off_the_solution_set_loads_no_scipy():
     # psi > 0 at the point, so the slope comes from the vertex margin,
     # which projects with Wolfe's algorithm and needs no LP
