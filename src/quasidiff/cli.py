@@ -5,7 +5,10 @@ text report is byte-identical across runs for identical inputs, every
 number in it reappears in the optional --json sidecar, and exit codes
 mean 0 = check ran, 1 = a configured budget or limit cut the run short,
 2 = the input was rejected, 3 = an internal error (a defect of the
-program, reported as one line instead of a traceback).
+program, reported as one line instead of a traceback).  For optcheck,
+stationarity decides every rung of the c ladder, and exit 1 means that
+the budget cut the search for an infeasible vertex selection, the
+paper's certificate, at a rung where stationarity fails.
 
 main reads the problem file and the point once and opens the _Report
 with the header and point lines; each command then adds only its own
@@ -314,36 +317,38 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
                 else pathway == "qd-mfcq")})
     checks: list = []
     out.add(ladder=[float(c) for c in ladder], checks=checks)
+    # the index of each failing rung's first infeasible selection; the
+    # search at c resumes at the largest one found at a rung at most c
+    found: dict = {}
     for c in ladder:
         st = check_stationarity(data, c)
-        sw = check_all_selections(data, c_bound=c, budget=budget)
+        row = {"c": float(c), "stationarity": bool(st.holds),
+               "violating_w": _floats(st.violating_w)}
+        checks.append(row)
         if st.holds:
-            st_text = "stationarity holds"
-        else:
-            st_text = f"stationarity fails, violating w = {_vec(st.violating_w)}"
+            out.add(f"c = {_g(c)}: stationarity holds")
+            continue
+        start = max((k for c1, k in found.items() if c1 <= c), default=0)
+        sw = check_all_selections(data, c_bound=c, budget=budget, start=start)
         first = (None if sw.first_infeasible is None
                  else _selection(sw.first_infeasible.selection))
-        if sw.holds is True:
-            sw_text = f"all {sw.n_total} selections feasible"
-        elif sw.holds is False:
+        if sw.holds is False:
+            found[c] = sw.n_checked - 1
             sw_text = (f"infeasible selection "
                        + " ".join(f"{k}={v}" for k, v in first.items())
                        + f" ({sw.n_checked} of {sw.n_total} checked)")
+        elif sw.holds is True:
+            # the multiplier form is equivalent to stationarity, so this
+            # is a defect of the program
+            sw_text = f"all {sw.n_total} selections feasible; agreement: NO"
         else:
-            sw_text = (f"budget cut the sweep after {sw.n_checked} of "
+            sw_text = (f"budget cut the search after {sw.n_checked} of "
                        f"{sw.n_total} selections")
             out.code = 1
-        if sw.holds is None:
-            agree = "undetermined"
-        else:
-            agree = "yes" if st.holds == sw.holds else "NO"
-        out.add(f"c = {_g(c)}: {st_text}; {sw_text}; agreement: {agree}")
-        checks.append({
-            "c": float(c), "stationarity": bool(st.holds),
-            "violating_w": _floats(st.violating_w),
-            "selections": None if sw.holds is None else bool(sw.holds),
-            "n_total": sw.n_total, "n_checked": sw.n_checked,
-            "first_infeasible": first, "agreement": agree})
+        out.add(f"c = {_g(c)}: stationarity fails, violating w = "
+                f"{_vec(st.violating_w)}; {sw_text}")
+        row.update({"selections": sw.holds, "n_total": sw.n_total,
+                    "n_checked": sw.n_checked, "first_infeasible": first})
 
     c_star = estimate_c_star(data)
     if np.isfinite(c_star):

@@ -39,9 +39,10 @@ lo and hi blocks together, or one inequality's block), it is
 The bound enters that LP only as the right-hand side c of the rows
 G x <= c, so its feasible set grows with c: a selection feasible at c
 is feasible at every c' >= c, and one infeasible at c at every
-c' <= c.  ProgramData records each selection's outcomes, and a sweep at
-a later rung of the ladder solves only the selections that no earlier
-rung settles.  Both verdicts agree at feasible points for the same c,
+c' <= c.  Selections are searched in lex order, so the first infeasible
+selection at c comes no earlier than the first one at any c' <= c: a
+search at c may resume at that index, and the selections it skips count
+as checked.  Both verdicts agree at feasible points for the same c,
 independent of which quasidifferentials represent the data, and that
 equivalence is cross-asserted in tests.
 
@@ -135,12 +136,7 @@ def build_penalty(p: ProgramSpec, c: float) -> Expr:
 class ProgramData:
     """A program at a point: the pairs of u, f_j and g_i, the active
     inequalities in ascending order, and the pair of phi (None when
-    unconstrained).  Every check below reads this one record.
-
-    decided maps a selection's vertex indices to the least c_bound at
-    which its multiplier LP was feasible and the greatest at which it
-    was infeasible (None when not seen; a c_bound of None counts as
-    inf).  check_all_selections fills it and reads it."""
+    unconstrained).  Every check below reads this one record."""
 
     n: int
     u: Quasidifferential
@@ -148,7 +144,6 @@ class ProgramData:
     g: tuple[Quasidifferential, ...]
     active: tuple[int, ...]
     phi: Optional[Quasidifferential]
-    decided: dict = field(default_factory=dict, compare=False, repr=False)
 
     def penalty(self, c: float) -> Quasidifferential:
         """Pair of Psi_c by the sum rule, [sub u + c sub phi,
@@ -296,35 +291,16 @@ class SelectionSweep:
     first_infeasible: Optional[MultiplierCertificate] = None
 
 
-def _selection_feasible(data: ProgramData, key: tuple, sel: Selection,
-                        c_bound: Optional[float]) -> bool:
-    """Is sel's multiplier LP feasible at c_bound?  Taken from
-    data.decided when an earlier bound settles it (the LP's feasible set
-    grows with c_bound), else solved and recorded."""
-    c = np.inf if c_bound is None else c_bound
-    least, greatest = data.decided.get(key, (None, None))
-    if least is not None and c >= least:
-        return True
-    if greatest is not None and c <= greatest:
-        return False
-    # undecided: c is below least and above greatest
-    feasible = check_multipliers(data, sel, c_bound).feasible
-    if feasible:
-        least = c
-    else:
-        greatest = c
-    data.decided[key] = (least, greatest)
-    return feasible
-
-
 def check_all_selections(data: ProgramData,
                          c_bound: Optional[float] = None,
-                         budget: int = SELECTION_BUDGET) -> SelectionSweep:
-    """Check the multiplier condition over every vertex selection.
+                         budget: int = SELECTION_BUDGET,
+                         start: int = 0) -> SelectionSweep:
+    """Search the vertex selections in lex order for the first one whose
+    multiplier LP is infeasible at c_bound.
 
-    A selection that an earlier call on the same data settled (feasible
-    at a bound at most c_bound, or infeasible at one at least c_bound)
-    counts as checked without an LP."""
+    The search begins at index start, and the selections before it count
+    as checked: start may be the first infeasible index at any bound at
+    most c_bound (see the module docstring)."""
     l = len(data.f)
     ranges = [range(data.u.sup.nvertices)]
     for fj in data.f:
@@ -336,8 +312,8 @@ def check_all_selections(data: ProgramData,
     for r in ranges:
         n_total *= len(r)
 
-    n_checked = 0
-    for combo in itertools.product(*ranges):
+    n_checked = start
+    for combo in itertools.islice(itertools.product(*ranges), start, None):
         if n_checked >= budget:
             return SelectionSweep(None, n_total, n_checked)
         sel = Selection(combo[0],
@@ -345,10 +321,9 @@ def check_all_selections(data: ProgramData,
                         tuple(combo[2:2 + 2 * l:2]),
                         tuple(combo[1 + 2 * l:]))
         n_checked += 1
-        if not _selection_feasible(data, combo, sel, c_bound):
-            return SelectionSweep(False, n_total, n_checked,
-                                  MultiplierCertificate(False, sel,
-                                                        c_bound=c_bound))
+        cert = check_multipliers(data, sel, c_bound)
+        if not cert.feasible:
+            return SelectionSweep(False, n_total, n_checked, cert)
     return SelectionSweep(True, n_total, n_checked)
 
 

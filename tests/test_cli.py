@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
-from quasidiff import cli, regularity
+from quasidiff import cli, optimality, regularity
 from quasidiff.cli import main
 from quasidiff.expressions import MAX_DEPTH
 from quasidiff.problemfile import (MAX_CONSTRAINTS, ProblemFileError, load,
@@ -494,7 +494,7 @@ class TestOptcheckReport:
         for l in cs:
             assert "stationarity fails" in l
             assert "infeasible selection" in l
-            assert l.endswith("agreement: yes")
+            assert l.endswith(" of 4 checked)"), l
         assert ("c* estimate: none "
                 "(stationarity fails for every c >= 0)") in lines
         assert ("verdict: necessary conditions fail: "
@@ -506,6 +506,7 @@ class TestOptcheckReport:
         for chk in payload["checks"]:
             assert chk["stationarity"] is False
             assert chk["selections"] is False
+            assert "agreement" not in chk
 
     @staticmethod
     def optcheck_lines(tmp_path, capsys, text):
@@ -548,9 +549,28 @@ class TestOptcheckReport:
         checks = [line for line in lines if line.startswith("c = ")]
         assert_equal(len(checks), 5)
         for line in checks:
-            assert line.endswith(": stationarity holds; all 1 selections "
-                                 "feasible; agreement: yes"), line
+            assert line.endswith(": stationarity holds"), line
         assert "c* estimate: 0 (exact, one LP per vertex pair)" in lines
+
+    def test_holding_rungs_run_no_selection_search(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # 4^12 selections; the budget keeps a search, were one to run,
+        # short of the minutes the full sweep took
+        eqs = "".join(f"equality = abs({j}*x1 - x2) - abs(x1 + {j}*x2)\n"
+                      for j in range(1, 13))
+        solved = []
+        monkeypatch.setattr(optimality, "check_multipliers",
+                            lambda *args: solved.append(args))
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 2\n"
+                                    "objective = -x1 + x2\n" + eqs +
+                                    "[point]\nx = 0 0\n[check]\nc = 1 10\n"
+                                    "budget = 1000\n")
+        assert_equal([l for l in lines if l.startswith(("c = ", "c* "))],
+                     ["c = 1: stationarity holds",
+                      "c = 10: stationarity holds",
+                      "c* estimate: 0.214285714286 (exact, one LP per "
+                      "vertex pair)"])
+        assert_equal(solved, [])
 
     @pytest.mark.parametrize("lines, record", [
         ("objective = abs(x1)\n",
@@ -619,8 +639,19 @@ class TestExitCodes:
                      "[check]\nbudget = 1\nc = 1\n")
         r = run_cli("optcheck", str(f))
         assert_equal(r.returncode, 1)
-        assert "budget cut the sweep after 1 of 4 selections" in r.stdout
-        assert "agreement: undetermined" in r.stdout
+        assert ("c = 1: stationarity fails, violating w = (-1, 1); budget "
+                "cut the search after 1 of 4 selections\n") in r.stdout
+
+    def test_selection_budget_is_unused_where_stationarity_holds(self,
+                                                                  tmp_path):
+        # exit 1 means the budget cut a search, and only a failing rung
+        # searches
+        f = tmp_path / "oh.prob"
+        f.write_text("[problem]\nn = 1\nobjective = cos(x1)\n[point]\n"
+                     "x = 3.141592653589793\n[check]\nbudget = 1\n")
+        r = run_cli("optcheck", str(f))
+        assert_equal((r.returncode, r.stderr), (0, ""))
+        assert "c = 100: stationarity holds\n" in r.stdout
 
     def test_regcheck_grid_over_budget_is_one(self, tmp_path):
         # 11^12 targets x 21 points, refused before any evaluation

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -361,57 +362,84 @@ class TestSelectionSweep(TestCase):
         assert_equal(sweep.n_total, 1)
 
 
-def _sweeps_as_fresh(p, b, ladders):
-    """Sweep each ladder on one ProgramData; each rung must equal the
-    sweep on a fresh record.  Returns how many distinct rungs the fresh
-    sweeps found infeasible."""
-    fresh = {}
-    for ladder in ladders:
-        data = program_data(p, b)
-        for c in ladder:
-            if c not in fresh:
-                fresh[c] = check_all_selections(program_data(p, b),
-                                                c_bound=c)
-            assert_equal(check_all_selections(data, c_bound=c), fresh[c])
-    return sum(sw.holds is False for sw in fresh.values())
+def benchmark_programs(load_perfbench):
+    """The problem-file texts of the optcheck ops and warm-ups of the
+    verdicts workload for seeds 41-43."""
+    load_perfbench("oracle")
+    gen = load_perfbench("gen")
+    texts = [op.text for seed in (41, 42, 43)
+             for op in gen.verdicts(seed).ops + gen.verdicts(seed).warmup
+             if op.command == "optcheck"]
+    assert_equal(len(texts), 15)
+    return texts
 
 
-def _ladders(seed):
-    """The ladder ascending, descending, and shuffled with a repeated
-    rung and an unbounded one."""
+def optcheck_checks(path, ladder, tmp_path):
+    """The sidecar's rung records of optcheck on path with --c ladder."""
+    sidecar = tmp_path / "oc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert_equal(main(["optcheck", str(path), "--json", str(sidecar),
+                           "--c", *map(str, ladder)]), 0)
+    return json.loads(sidecar.read_text())["checks"]
+
+
+def _resumed_as_fresh(path, seed, tmp_path):
+    """Run optcheck on the ladder ascending, descending, and shuffled
+    with a repeated rung and c = 0; each failing rung must report the
+    first infeasible selection and the count of a fresh search, which
+    optcheck with that rung alone runs.  Returns the number of failing
+    rungs whose search went past the first selection."""
     rng = np.random.default_rng(seed)
-    shuffled = list(C_LADDER) + [C_LADDER[2], None]
+    shuffled = list(C_LADDER) + [C_LADDER[2], 0.0]
     rng.shuffle(shuffled)
-    return [C_LADDER, C_LADDER[::-1], shuffled]
+    fresh = {c: optcheck_checks(path, [c], tmp_path)[0] for c in shuffled}
+    resumed = 0
+    for ladder in (C_LADDER, C_LADDER[::-1], shuffled):
+        for c, row in zip(ladder, optcheck_checks(path, ladder, tmp_path)):
+            assert_equal(row, fresh[c])
+            resumed += row.get("selections") is False and row["n_checked"] > 1
+    return resumed
+
+
+def test_search_decides_every_rung_as_stationarity(load_perfbench):
+    # what the optcheck report's agreement column used to print: on
+    # penalty_demo, the benchmark programs and the random DC programs of
+    # TestVerdictEquivalence the full search holds exactly where
+    # stationarity holds
+    programs = [(pf.program(), pf.point) for pf in map(
+        loads, [PENALTY_DEMO.read_text()] + benchmark_programs(load_perfbench))]
+    rng = np.random.default_rng(7)
+    programs += [(dc_program(rng), ORIGIN) for _ in range(20)]
+    seen = {True: 0, False: 0}
+    for p, x in programs:
+        b = p.binding(x)
+        for c in (0.0, 0.1) + C_LADDER:
+            stat = check_stationarity(program_data(p, b), c)
+            sweep = check_all_selections(program_data(p, b), c_bound=c)
+            assert_equal(sweep.holds, stat.holds)
+            seen[stat.holds] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 class TestSweepReuseAcrossRungs:
-    """A sweep reuses what earlier rungs on the same ProgramData settled
-    and still gives the sweep of a fresh record."""
+    """The search at a failing rung resumes at the first infeasible
+    selection of the largest failing rung below it and still finds what
+    a fresh search finds."""
 
-    def test_penalty_demo(self):
-        pf = loads(PENALTY_DEMO.read_text())
-        p = pf.program()
-        assert _sweeps_as_fresh(p, p.binding(pf.point), _ladders(0)) > 0
+    def test_penalty_demo(self, tmp_path):
+        assert _resumed_as_fresh(PENALTY_DEMO, 0, tmp_path) > 0
 
-    def test_benchmark_programs(self, load_perfbench):
-        load_perfbench("oracle")
-        gen = load_perfbench("gen")
-        programs = infeasible = 0
-        for seed in (41, 42, 43):
-            w = gen.verdicts(seed)
-            for op in w.ops + w.warmup:
-                if op.command == "optcheck":
-                    pf = loads(op.text)
-                    p = pf.program()
-                    infeasible += _sweeps_as_fresh(
-                        p, p.binding(pf.point), _ladders(seed))
-                    programs += 1
-        assert_equal(programs, 15)
-        assert infeasible > 0
+    def test_benchmark_programs(self, tmp_path, load_perfbench):
+        resumed = 0
+        for k, text in enumerate(benchmark_programs(load_perfbench)):
+            path = tmp_path / "op.prob"
+            path.write_text(text)
+            resumed += _resumed_as_fresh(path, k, tmp_path)
+        assert resumed > 0
 
-    def test_optcheck_solves_each_undecided_selection_once(self):
-        # 17 LPs when every rung solved its sweep anew
+    @staticmethod
+    def optcheck_lps(path):
+        """The multiplier LPs that optcheck on path solves."""
         solved = []
 
         def counting(data, sel, c_bound=None):
@@ -420,8 +448,19 @@ class TestSweepReuseAcrossRungs:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimality, "check_multipliers", counting)
-            assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
-        assert_equal(len(solved), 8)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert_equal(main(["optcheck", str(path)]), 0)
+        return len(solved)
+
+    def test_optcheck_solves_each_undecided_selection_once(self):
+        # 17 LPs when every rung searched anew
+        assert_equal(self.optcheck_lps(PENALTY_DEMO), 8)
+
+    def test_holding_rungs_solve_no_lp(self, tmp_path):
+        path = tmp_path / "oc.prob"
+        path.write_text("[problem]\nn = 1\nobjective = cos(x1)\n"
+                        "[point]\nx = 3.141592653589793\n")
+        assert_equal(self.optcheck_lps(path), 0)
 
 
 class TestVerdictEquivalence(TestCase):
