@@ -23,6 +23,17 @@ fl(max(taxis) + eta), as fl(z + eta) is monotone in z.
 _near_some_target keeps those rows, in order, and each target's _near
 then runs on them alone: it accepts the same rows in the same order as
 on the full scan, so distances, violators and reports keep their bytes.
+_scan builds, evaluates and screens the lattice SCAN_BLOCK rows at a
+time, so the full lattice and its value arrays never exist at once.
+A target evaluates psi first; a row with psi below the cutoff is only
+counted, and distances are measured at the other rows alone, by a sorted
+search at n = 1 and by scipy's cKDTree at n >= 2 (_nearest_distances).
+
+A violator's distance is refined in two phases: _on_set searches from
+the nearest accepted row to a certified point of S, and
+_refine_distance slides from there toward x within S.  The first phase
+does not depend on x, so the grid check runs it once per start row of a
+target, at its first use, and the second once per violator.
 
 The sufficient condition implemented by check_condition4 asks for a
 superdifferential vertex w* with d(0, sub + w*) > 1/K.  The vertex
@@ -60,9 +71,13 @@ X_GRID = 21
 TARGET_GRID = 11
 SCAN_RADIUS = 1.0
 GRID_BUDGET = 10 ** 6
-# the most points the solution-set scan takes: 10^8 is already 0.8 GB per
-# coordinate array
+# the most points the solution-set scan takes.  Streamed in blocks, the
+# scan holds no 0.8 GB lattice coordinate array: only its axes (as long
+# as the scan itself at n = 1 alone), one block and the rows that some
+# target accepts, so the cap bounds time more than memory
 SCAN_MAX = 10 ** 8
+# the rows of the scan that are built, evaluated and screened at a time
+SCAN_BLOCK = 65536
 
 
 class RegularityError(ValueError):
@@ -238,15 +253,17 @@ def _axis(c: float, r: float, k: int) -> np.ndarray:
     return np.array([c]) if k == 1 else np.linspace(c - r, c + r, k)
 
 
+def _rows(axes: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the product of axes, one point per row, the
+    last coordinate fastest."""
+    idx = np.unravel_index(np.arange(start, stop), [len(a) for a in axes])
+    return np.stack([a[i] for a, i in zip(axes, idx)], axis=-1)
+
+
 def _lattice(center: np.ndarray, r: float, k: int) -> np.ndarray:
     """The k^n points of the product of the axes _axis(c, r, k) over the
     coordinates c of center, one per row, the last coordinate fastest."""
-    # axes stays alive through the stack: freed first, it lets malloc trim
-    # the heap, and a 10^6-point scan's temporaries then fault their pages
-    # in again (3.5x the minor faults, 10-15% of an n = 1 grid check)
-    axes = [_axis(c, r, k) for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(center))
+    return _rows([_axis(c, r, k) for c in center], 0, k ** len(center))
 
 
 def _count_text(count: int) -> str:
@@ -255,9 +272,9 @@ def _count_text(count: int) -> str:
 
 
 def _scan_grid(center: np.ndarray, radius: float, budget: int):
-    """The solution-set scan: k = budget^(1/n) points per axis (at least
-    3), and its spacing.  More than SCAN_MAX points is a RegularityError,
-    raised before the scan is allocated."""
+    """The axes of the solution-set scan: k = budget^(1/n) points each (at
+    least 3), and their spacing.  More than SCAN_MAX points is a
+    RegularityError, raised before anything is allocated."""
     n = len(center)
     try:
         k = max(3, int(round(budget ** (1.0 / n))))
@@ -270,7 +287,40 @@ def _scan_grid(center: np.ndarray, radius: float, budget: int):
             f"points per axis, "
             f"{'at least 1e308' if size is None else _count_text(size)} "
             f"points in all, more than its maximum {SCAN_MAX}")
-    return _lattice(center, radius, k), 2.0 * radius / (k - 1)
+    return [_axis(c, radius, k) for c in center], 2.0 * radius / (k - 1)
+
+
+def _scan(s: SystemSpec, axes: Sequence[np.ndarray], keep):
+    """The rows of the scan lattice over axes that keep(F, g) accepts, in
+    lattice order, with their F and g values.  The lattice is built,
+    evaluated and screened SCAN_BLOCK rows at a time."""
+    size, l = len(axes[0]) ** len(axes), len(s.equalities)
+    parts = []
+    for start in range(0, size, SCAN_BLOCK):
+        block = _rows(axes, start, min(start + SCAN_BLOCK, size))
+        f, g = s.values(block)
+        mask = keep(f, g)
+        parts.append([v[mask] for v in [block, *f, *g]])
+    pts, *values = map(np.concatenate, zip(*parts))
+    return pts, values[:l], values[l:]
+
+
+def _nearest_distances(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """d(q_i, pts) for each row q_i of q, by the bytes of
+    cKDTree(pts).query(q)[0].  At n = 1, pts must be non-decreasing, as
+    the kept rows of a scan are (a linspace axis, and rounding is
+    monotone); the nearest point is then one of the two neighbours that
+    np.searchsorted finds, and the distance is the square root of the
+    smaller squared difference, as the tree takes it.  The tree gives inf
+    where a square overflows, and raises nothing, so neither does this."""
+    if pts.shape[1] > 1:
+        from scipy.spatial import cKDTree
+        return cKDTree(pts).query(q)[0]
+    p, x = pts[:, 0], q[:, 0]
+    i = np.searchsorted(p, x)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.sqrt(np.minimum(np.square(x - p[np.maximum(i - 1, 0)]),
+                                  np.square(x - p[np.minimum(i, len(p) - 1)])))
 
 
 def _pattern_search(objective: Callable[[np.ndarray], float], start: np.ndarray,
@@ -348,19 +398,32 @@ def _residual_fn(s: SystemSpec, y: np.ndarray, z: np.ndarray):
     return res
 
 
-def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
-                     y: np.ndarray, z: np.ndarray, step: float) -> float:
-    dirs = _compass(s.n)
+def _on_set(s: SystemSpec, start: np.ndarray, y: np.ndarray, z: np.ndarray,
+            step: float) -> np.ndarray | None:
+    """The refinement's first phase: a pattern search on the residual from
+    start, to a point of S(y, z) certified within _REFINE_RES_TOL, or None
+    where it certifies none.  It depends on start and not on x."""
     res = _residual_fn(s, y, z)
-    on_set = _pattern_search(res, start, max(step, 1e-7), 1e-13, dirs)
-    if res(on_set) > _REFINE_RES_TOL:
+    on_set = _pattern_search(res, start, max(step, 1e-7), 1e-13, _compass(s.n))
+    return None if res(on_set) > _REFINE_RES_TOL else on_set
+
+
+def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
+                     on_set: np.ndarray | None, y: np.ndarray, z: np.ndarray,
+                     step: float) -> float:
+    """The refinement's second phase: a pattern search toward x that stays
+    within _REFINE_RES_TOL of S(y, z), from on_set = _on_set(s, start, y,
+    z, step); the distance from x to where it ends."""
+    if on_set is None:
         # could not certify a true solution nearby; keep the raw figure
         return float(np.linalg.norm(x - start))
+    res = _residual_fn(s, y, z)
 
     def constrained(c: np.ndarray) -> float:
         return float(np.linalg.norm(x - c)) if res(c) <= _REFINE_RES_TOL else np.inf
 
-    final = _pattern_search(constrained, on_set, max(step, 1e-7), 1e-11, dirs)
+    final = _pattern_search(constrained, on_set, max(step, 1e-7), 1e-11,
+                            _compass(s.n))
     return float(np.linalg.norm(x - final))
 
 
@@ -378,8 +441,9 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
     x = np.asarray(x, dtype=float)
     y, z = s.targets(y, z)
     c0 = x if center is None else np.asarray(center, dtype=float)
-    pts, step = _scan_grid(c0, scan_radius, budget)
-    accepted = pts[_near(*s.values(pts), y, z, 8.0 * step)]
+    axes, step = _scan_grid(c0, scan_radius, budget)
+    accepted = _scan(s, axes,
+                     lambda fv, gv: _near(fv, gv, y, z, 8.0 * step))[0]
     if accepted.shape[0] == 0:
         return np.inf
     dist2 = np.einsum("ij,ij->i", accepted - x, accepted - x)
@@ -392,7 +456,8 @@ def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,
             starts.append(p)
         if len(starts) >= 3:
             break
-    return min(_refine_distance(s, x, p, y, z, step) for p in starts)
+    return min(_refine_distance(s, x, p, _on_set(s, p, y, z, step), y, z, step)
+               for p in starts)
 
 
 @dataclass(frozen=True)
@@ -440,7 +505,8 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     The scan is evaluated once, and only its rows that some target
     accepts are kept (_near_some_target): a target's _near picks its
     rows out of these, the same rows in the same order as out of the
-    full scan (the module docstring has the argument).
+    full scan (the module docstring has the argument).  Distances are
+    measured only at the rows that psi does not skip.
     """
     if s.n > 3:
         raise RegularityError("grid verification is desk scale: n <= 3")
@@ -454,51 +520,49 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
         raise BudgetExceededError(
             f"regcheck grid of {target_grid}^{l + m} targets x {x_grid}^{s.n} "
             f"points = {_count_text(count)} exceeds the budget {budget}")
-    from scipy.spatial import cKDTree
-
     center = np.asarray(center, dtype=float)
     xpts = _lattice(center, r, x_grid)
     taxis = _axis(0.0, r, target_grid)
 
-    scan_pts, step = _scan_grid(center, scan_radius, budget)
+    axes, step = _scan_grid(center, scan_radius, budget)
     eta = 8.0 * step
     slack = 3.0 * step * np.sqrt(s.n)
     psi_cutoff = 10.0 * eta
 
-    f_scan, g_scan = s.values(scan_pts)
-    keep = _near_some_target(f_scan, g_scan, taxis, eta)
-    scan_pts = scan_pts[keep]
-    f_scan = [f[keep] for f in f_scan]
-    g_scan = [g[keep] for g in g_scan]
+    scan_pts, f_scan, g_scan = _scan(
+        s, axes, lambda fv, gv: _near_some_target(fv, gv, taxis, eta))
     report = RegularityGridReport()
 
     for combo in itertools.product(range(target_grid), repeat=l + m):
         y, z = np.split(taxis[list(combo)], [l])
         accepted = scan_pts[_near(f_scan, g_scan, y, z, eta)]
         psi = PsiFunction(s, y, z).value(xpts)
-
+        # not psi >= psi_cutoff: a nan psi is checked
+        checked = np.flatnonzero(~(psi < psi_cutoff))
+        report.n_skipped_near_graph += len(psi) - len(checked)
+        report.n_checked += len(checked)
+        d = np.full(len(checked), np.inf)
         if accepted.shape[0] == 0:
-            d = np.full(xpts.shape[0], np.inf)
             report.n_empty_solution_sets += 1
-        else:
-            d, _ = cKDTree(accepted).query(xpts)
+        elif len(checked):
+            d = _nearest_distances(accepted, xpts[checked])
+        # the first refinement phase, once per start row of this target
+        on_set = functools.cache(
+            lambda j: _on_set(s, accepted[j], y, z, step))
 
-        for i in range(xpts.shape[0]):
-            if psi[i] < psi_cutoff:
-                report.n_skipped_near_graph += 1
-                continue
-            report.n_checked += 1
-            ratio = d[i] / psi[i]
+        for i, di in zip(checked, d):
+            ratio = di / psi[i]
             if ratio > report.worst_ratio:
                 report.worst_ratio = float(ratio)
                 report.worst_point = (tuple(xpts[i]), tuple(y), tuple(z))
-            if d[i] > K * psi[i] + slack:
-                dist = d[i]
-                if np.isfinite(d[i]):
+            if di > K * psi[i] + slack:
+                dist = di
+                if np.isfinite(di):
                     j = int(np.argmin(np.einsum("ij,ij->i",
                                                 accepted - xpts[i],
                                                 accepted - xpts[i])))
-                    dist = _refine_distance(s, xpts[i], accepted[j], y, z, step)
+                    dist = _refine_distance(s, xpts[i], accepted[j],
+                                            on_set(j), y, z, step)
                 if dist > K * psi[i] + slack:
                     report.violators.append(GridViolator(
                         x=tuple(xpts[i]), y=tuple(y), z=tuple(z),

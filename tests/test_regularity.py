@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
 from quasidiff import regularity
@@ -12,12 +15,14 @@ from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Sub,
                                    qd_at)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.problemfile import load, loads
-from quasidiff.regularity import (GRID_BUDGET, SCAN_MAX, SCAN_RADIUS,
-                                  TARGET_GRID, X_GRID, BudgetExceededError,
-                                  GridViolator, PsiFunction,
-                                  RegularityError, RegularityGridReport,
-                                  SystemSpec, _axis, _lattice, _near,
-                                  _near_some_target, _refine_distance,
+from quasidiff.regularity import (GRID_BUDGET, SCAN_BLOCK, SCAN_MAX,
+                                  SCAN_RADIUS, TARGET_GRID, X_GRID,
+                                  BudgetExceededError, GridViolator,
+                                  PsiFunction, RegularityError,
+                                  RegularityGridReport, SystemSpec, _axis,
+                                  _lattice, _near, _near_some_target,
+                                  _nearest_distances, _on_set,
+                                  _refine_distance,
                                   _scan_grid, check_condition4, decay_flag,
                                   margin_infima, psi_expr,
                                   sampled_strong_slope, solution_distance,
@@ -523,7 +528,9 @@ def reference_verify_regularity_grid(s, center, K, r, x_grid=X_GRID,
     center = np.asarray(center, dtype=float)
     xpts = _lattice(center, r, x_grid)
     taxis = _axis(0.0, r, target_grid)
-    scan_pts, step = _scan_grid(center, scan_radius, budget)
+    axes, step = _scan_grid(center, scan_radius, budget)
+    scan_pts = np.stack(np.meshgrid(*axes, indexing="ij"),
+                        axis=-1).reshape(-1, len(center))
     eta = 8.0 * step
     slack = 3.0 * step * np.sqrt(s.n)
     psi_cutoff = 10.0 * eta
@@ -553,8 +560,9 @@ def reference_verify_regularity_grid(s, center, K, r, x_grid=X_GRID,
                     j = int(np.argmin(np.einsum("ij,ij->i",
                                                 accepted - xpts[i],
                                                 accepted - xpts[i])))
-                    dist = _refine_distance(s, xpts[i], accepted[j], y, z,
-                                            step)
+                    dist = _refine_distance(
+                        s, xpts[i], accepted[j],
+                        _on_set(s, accepted[j], y, z, step), y, z, step)
                 if dist > K * psi[i] + slack:
                     report.violators.append(GridViolator(
                         x=tuple(xpts[i]), y=tuple(y), z=tuple(z),
@@ -644,14 +652,118 @@ class TestGridScanPassAsReference:
                 count += 1
         assert_equal(count, 4)
 
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_all_skipped_grids_measure_no_distance(self, seed,
+                                                   load_perfbench,
+                                                   monkeypatch):
+        # every row of the n = 2 grids lies below the psi cutoff, so no
+        # nearest-distance structure is built and nothing is refined
+        def unused(*args):
+            raise AssertionError("a distance was measured")
+
+        monkeypatch.setattr(regularity, "_nearest_distances", unused)
+        monkeypatch.setattr(regularity, "_on_set", unused)
+        load_perfbench("oracle")
+        workload = load_perfbench("gen").verdicts(seed)
+        count = 0
+        for op in workload.ops + workload.warmup:
+            if op.key.startswith(("regcheck-n2", "warmup-regcheck")):
+                kw = _file_grid(loads(op.text))
+                got = verify_regularity_grid(**kw)
+                assert_equal(got.n_checked, 0)
+                _assert_same_report(got,
+                                    reference_verify_regularity_grid(**kw))
+                count += 1
+        assert_equal(count, 3)
+
+    @pytest.mark.parametrize("scan_radius", [1.0, 40.0])
+    def test_n1_scan_with_rounding_ties(self, scan_radius):
+        # at 1e16 the float spacing is 2, so the scan's linspace repeats
+        # each value many times (at radius 1 all of them round to 1e16),
+        # and the nearest accepted point has equal neighbours
+        s = SystemSpec(1, (parse_expression("x1 - 10000000000000000", 1),))
+        kw = dict(s=s, center=[1e16], K=0.5, r=8.0, x_grid=5,
+                  target_grid=5, scan_radius=scan_radius, budget=10 ** 4)
+        (axis,), _ = _scan_grid(np.array([1e16]), scan_radius, 10 ** 4)
+        assert len(np.unique(axis)) < len(axis) // 100
+        got = verify_regularity_grid(**kw)
+        _assert_same_report(got, reference_verify_regularity_grid(**kw))
+        assert got.violators
+
+    def test_targets_sharing_a_start_index(self, monkeypatch):
+        # x1 = y: each target's accepted rows are a window of equal size
+        # about y, so violators above their target all start from the
+        # last row of their own window, the same index for every target;
+        # the first refinement phase is reused within a target only
+        starts = []
+
+        def recording(s, start, y, z, step):
+            starts.append((tuple(y), tuple(start)))
+            return _on_set(s, start, y, z, step)
+
+        monkeypatch.setattr(regularity, "_on_set", recording)
+        kw = dict(s=IDENTITY, center=[0.0], K=0.5, r=0.5, x_grid=9,
+                  target_grid=5, budget=10 ** 4)
+        got = verify_regularity_grid(**kw)
+        _assert_same_report(got, reference_verify_regularity_grid(**kw))
+        assert_equal(len(starts), len(set(starts)))
+        assert len({y for y, _ in starts}) > 1
+        assert len(starts) < len(got.violators)
+
+    @pytest.mark.parametrize("budget", [
+        1000, SCAN_BLOCK, 2 * SCAN_BLOCK, 2 * SCAN_BLOCK + 1])
+    def test_scan_block_boundaries(self, budget):
+        # a scan inside one block, at one and two whole blocks, and one
+        # row into a third block
+        kw = dict(s=CUBIC, center=[0.0], K=5.0, r=0.2, x_grid=9,
+                  target_grid=5, scan_radius=0.8, budget=budget)
+        got = verify_regularity_grid(**kw)
+        _assert_same_report(got, reference_verify_regularity_grid(**kw))
+        assert got.n_checked > 0
+
+    def test_n3(self):
+        # 46^3 scan rows, two blocks
+        s = SystemSpec(3, (parse_expression("x1 + abs(x2) - x3", 3),))
+        kw = dict(s=s, center=[0.0, 0.0, 0.0], K=0.8, r=0.3, x_grid=5,
+                  target_grid=5, scan_radius=0.1, budget=10 ** 5)
+        got = verify_regularity_grid(**kw)
+        _assert_same_report(got, reference_verify_regularity_grid(**kw))
+        assert got.n_checked > 0 and got.violators
+
+    def test_one_feasibility_search_per_start(self, monkeypatch):
+        # cubic.prob's 14 violators share 2 starts: 2 searches for the
+        # first phase and 14 for the second, where running both phases
+        # per violator takes 28
+        calls = []
+        search = regularity._pattern_search
+        monkeypatch.setattr(regularity, "_pattern_search",
+                            lambda *a: calls.append(1) or search(*a))
+        got = verify_regularity_grid(**_file_grid(load(PROBLEMS
+                                                       / "cubic.prob")))
+        assert_equal(len(got.violators), 14)
+        assert_equal(len(calls), 16)
+
+    def test_scan_is_streamed(self):
+        # the cubic.prob settings scan 10^6 rows; streamed in blocks, the
+        # peak is the 8 MB scan axis and one block's buffers, where the
+        # whole lattice with its value and mask arrays peaked at 25.8 MB
+        kw = _file_grid(load(PROBLEMS / "cubic.prob"))
+        tracemalloc.start()
+        try:
+            verify_regularity_grid(**kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 10 ** 6, peak
+
     def test_rows_near_no_target_are_dropped(self):
         # x1 on [-1, 1] against the five axis values of [-0.3, 0.3]: the
         # kept rows are those within eta of one of them, and a nan value
         # is near none
-        pts, step = _scan_grid(np.zeros(1), 1.0, 1001)
+        (axis,), step = _scan_grid(np.zeros(1), 1.0, 1001)
         eta = 8.0 * step
         taxis = _axis(0.0, 0.3, 5)
-        fv, gv = IDENTITY.values(pts)
+        fv, gv = IDENTITY.values(axis[:, None])
         keep = _near_some_target(fv, gv, taxis, eta)
         union = np.logical_or.reduce([_near(fv, gv, [y], [], eta)
                                       for y in taxis])
@@ -678,6 +790,34 @@ class TestGridScanPassAsReference:
         keep = _near_some_target(fv, gv, taxis, eta)
         assert keep.tobytes() == union.tobytes()
         assert 0 < keep.sum() < size
+
+
+# mantissas of the n = 1 distance sets and queries: a few that repeat,
+# and any float in [-4, 4]; queries reach past the set on both sides
+_MANTISSAS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-4.0, 4.0))
+
+
+class TestNearestDistances:
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_n1_is_the_tree_by_bytes(self, data):
+        # scales 2^-600 to 2^600: squares underflow to 0 and overflow to
+        # inf, where the tree gives inf and raises nothing
+        from scipy.spatial import cKDTree
+
+        scale = 2.0 ** data.draw(st.integers(-600, 600), label="exponent")
+        pts = np.sort(np.array(data.draw(st.lists(
+            _MANTISSAS, min_size=1, max_size=60), label="set"))) * scale
+        q = np.array(data.draw(st.lists(
+            st.one_of(_MANTISSAS, st.floats(-8.0, 8.0)), min_size=1,
+            max_size=20), label="queries")) * scale
+        want = cKDTree(pts[:, None]).query(q[:, None])[0]
+        with np.errstate(over="raise"):
+            got = _nearest_distances(pts[:, None], q[:, None])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestScanSize:

@@ -97,3 +97,42 @@ print(code, "slope method: exact (vertex margin)" in lines, {SCIPY_LOADED})
     cubic = str(ROOT / "problems" / "cubic.prob")
     assert_equal(run_python(code, "slope", cubic, "--target", "0.008"),
                  "0 True []\n")
+
+
+# regcheck's n = 2 grids: at budget 4e4 the psi cutoff is 0.8, above
+# every psi of the r = 0.2 grid (as in the benchmark's n = 2 grids), so
+# no row is checked; at r = 0.5 and the default budget, rows are checked
+_SKIPPED_N2 = ("[problem]\nn = 2\nequality = abs(x1) - abs(x2)\n[point]\n"
+               "x = 0 0\n[check]\nK = 1.5\nr = 0.2\ngrid = 5\n"
+               "target_grid = 5\nbudget = 40000\n")
+_CHECKED_N2 = ("[problem]\nn = 2\nequality = abs(x1) - abs(x2)\n[point]\n"
+               "x = 0 0\n[check]\nK = 1.5\nr = 0.5\ngrid = 5\n"
+               "target_grid = 5\nscan_radius = 1.2\n")
+
+
+def test_regcheck_measures_distances_without_scipy(tmp_path):
+    # at n = 1 the nearest scan point comes from a sorted search, and a
+    # grid that checks no row measures no distance
+    skipped = tmp_path / "skipped.prob"
+    skipped.write_text(_SKIPPED_N2)
+    cubic = str(ROOT / "problems" / "cubic.prob")
+    assert_equal(run_python(RUN_CLI, "regcheck", cubic, "regcheck",
+                            str(skipped)).splitlines(),
+                 ["regcheck cubic.prob 0 []", "regcheck skipped.prob 0 []"])
+
+
+def test_checked_n2_grid_loads_the_kd_tree(tmp_path):
+    # where scipy still loads: the nearest-distance tree of an n >= 2
+    # grid with checked rows
+    checked = tmp_path / "checked.prob"
+    checked.write_text(_CHECKED_N2)
+    code = f"""
+import contextlib, io, sys
+from quasidiff.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+checked = out.getvalue().split("checked: ")[1].split()[0]
+print(code, checked, "scipy.spatial" in {SCIPY_LOADED})
+"""
+    assert_equal(run_python(code, "regcheck", str(checked)),
+                 "0 100 True\n")
