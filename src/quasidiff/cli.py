@@ -31,7 +31,7 @@ import numpy as np
 from .calculus import dd, steepest_rate
 from .expressions import Binding, ExpressionError, qd_at
 from .geometry import FEAS_TOL, Polytope
-from .mfcq import (CAVEATS, DET_BUDGET, BudgetExceededError,
+from .mfcq import (CAVEATS, PATTERN_BUDGET, BudgetExceededError,
                    InfeasiblePointError, qd_mfcq)
 from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
                          check_all_selections, check_stationarity,
@@ -202,17 +202,19 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
 
 def cmd_mfcq(args, pf: ProblemFile, x, out: _Report) -> None:
     rep = qd_mfcq(pf.system(), x, tol=args.tol,
-                  budget=_given(pf.check.budget, DET_BUDGET))
+                  budget=_given(pf.check.budget, PATTERN_BUDGET))
     out.add("active inequalities: "
             + (", ".join(str(i + 1) for i in rep.active) or "none"),
             active=[i + 1 for i in rep.active])
     fr, hb = rep.rank, rep.direction
     out.add(f"full rank: {'yes' if fr.full_rank else 'no'} ({fr.method})",
             full_rank=fr.full_rank, full_rank_method=fr.method)
-    out.add(f"  {fr.certificate}", full_rank_certificate=fr.certificate)
-    if fr.det_range is not None:
-        dr = [float(fr.det_range.min_det), float(fr.det_range.max_det)]
-        out.add(f"det range: [{_g(dr[0])}, {_g(dr[1])}]", det_range=dr)
+    cert, hull = fr.certificate, {}
+    if fr.distance is not None:
+        cert += f", distance {_g(fr.distance)}"
+        hull = {"full_rank_distance": float(fr.distance),
+                "sign_patterns": fr.sign_patterns}
+    out.add(f"  {cert}", full_rank_certificate=fr.certificate, **hull)
     if fr.failing_lambda is not None:
         out.add(f"failing lambda: {_vec(fr.failing_lambda)}",
                 failing_lambda=_floats(fr.failing_lambda))

@@ -12,10 +12,11 @@ Condition 1 is decided exactly.  Writing the multipliers as s mu with
 signs s and mu in the simplex, the l sets are dependent exactly when 0 is
 in conv(s_1 A_1 u ... u s_l A_l) for some s with s_1 = +1 (Gordan's
 alternative for sets; Demyanov & Rubinov, Quasidifferential Calculus,
-1986): 2^(l-1) nearest-point solves.  The square case l = n reads the
-determinant range over vertex tuples instead, which the reports print
+1986): 2^(l-1) nearest-point solves, for every 1 <= l <= n.  The range
+of the determinant over vertex tuples also decides the square case l = n
 (the determinant is multilinear in the rows, so the extremes sit at
-vertices and the image over the connected product is an interval).
+vertices); no command reads it, and full_rank_det_range stays as the
+tests' reference for that case.
 
 Condition 2 is the same question.  With Q an orthonormal basis of the
 complement of the equality sums' span, a u with <v, Q u> < 0 for every
@@ -42,7 +43,8 @@ from .geometry import (FEAS_TOL, Polytope, _lifted, _min_norm_combination,
                        complement_basis)
 from .regularity import BudgetExceededError, SystemSpec
 
-DET_BUDGET = 10 ** 6
+# caps the 2^(l-1) sign patterns of the hull test
+PATTERN_BUDGET = 10 ** 6
 
 
 class InfeasiblePointError(ValueError):
@@ -57,11 +59,8 @@ class InfeasiblePointError(ValueError):
 def active_inequalities(s: SystemSpec, b: Binding,
                         tol: float = FEAS_TOL) -> list[int]:
     """Indices i with |g_i(x,p)| <= tol."""
-    out = []
-    for i, g in enumerate(s.inequalities):
-        if abs(float(g.evaluate(b.point, b.params))) <= tol:
-            out.append(i)
-    return out
+    return [i for i, g in enumerate(s.inequalities)
+            if abs(float(g.evaluate(b.point, b.params))) <= tol]
 
 
 def feasibility_violations(s: SystemSpec, b: Binding,
@@ -94,7 +93,7 @@ class DetRangeResult:
 
 
 def full_rank_det_range(rows: Sequence[Polytope],
-                        budget: int = DET_BUDGET) -> DetRangeResult:
+                        budget: int = 10 ** 6) -> DetRangeResult:
     """Exact determinant range over all vertex tuples (square case).
 
     Ties for the extremes break to the lexicographically first tuple.
@@ -168,22 +167,26 @@ def _sign_pattern_dependence(rows: Sequence[Polytope],
 
 @dataclass(frozen=True)
 class FullRankResult:
+    """The independence verdict.  The hull test also gives distance, the
+    least distance of 0 from the signed hulls it solved, and the count
+    sign_patterns of its hulls; both are None for the other methods."""
+
     full_rank: bool
     method: str
     certificate: str
-    det_range: DetRangeResult | None = None
+    distance: float | None = None
+    sign_patterns: int | None = None
     failing_lambda: tuple | None = None
 
 
 def full_rank_general(rows: Sequence[Polytope], n: int, *,
-                      budget: int = DET_BUDGET,
+                      budget: int = PATTERN_BUDGET,
                       tol: float = FEAS_TOL) -> FullRankResult:
     """Linear independence of the sets, decided exactly for every shape.
 
-    l > n is dependent by counting; l = n reads the determinant range;
-    1 <= l < n runs the 2^(l-1) sign-pattern hull tests, which must fit
-    in budget.  A dependent verdict from the hull test carries the unit
-    failing lambda of its certificate.
+    l > n is dependent by counting; 1 <= l <= n runs the 2^(l-1)
+    sign-pattern hull tests, which must fit in budget.  A dependent
+    verdict carries the unit failing lambda of its certificate.
     """
     l = len(rows)
     if l == 0:
@@ -191,12 +194,6 @@ def full_rank_general(rows: Sequence[Polytope], n: int, *,
     if l > n:
         return FullRankResult(False, "counting",
                               f"{l} sets in R^{n} are always dependent")
-    if l == n:
-        dr = full_rank_det_range(rows, budget)
-        cert = (f"0 not in det range [{dr.min_det:.12g}, {dr.max_det:.12g}]"
-                if dr.full_rank else
-                f"det range [{dr.min_det:.12g}, {dr.max_det:.12g}] contains 0")
-        return FullRankResult(dr.full_rank, "determinant range", cert, dr)
     patterns = 2 ** (l - 1)
     if patterns > budget:
         raise BudgetExceededError(
@@ -205,10 +202,10 @@ def full_rank_general(rows: Sequence[Polytope], n: int, *,
     if lam is None:
         return FullRankResult(True, "sign-pattern hull test",
                               f"0 is outside every signed hull ({patterns} "
-                              f"of them), least distance {dist:.6g}")
+                              "of them)", dist, patterns)
     return FullRankResult(False, "sign-pattern hull test",
-                          f"0 is in a signed hull, distance {dist:.3g}",
-                          failing_lambda=tuple(float(v) for v in lam))
+                          "0 is in a signed hull", dist, patterns,
+                          tuple(float(v) for v in lam))
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,7 @@ class MfcqReport:
 
 
 def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
-            budget: int = DET_BUDGET) -> MfcqReport:
+            budget: int = PATTERN_BUDGET) -> MfcqReport:
     """Full qualification check at a feasible point.
 
     verdict is rank.full_rank AND direction.margin > 0.  Infeasible base

@@ -159,8 +159,10 @@ def test_criterion_4_parametric_verdict_flips(capsys):
     expected_lower = (1.0 - np.sqrt(5.0)) / 2.0
     expected_upper = (1.0 + np.sqrt(5.0)) / 2.0
     rep = qd_mfcq(sin_system(1.0), np.zeros(2))
-    range_ok = (abs(rep.rank.det_range.min_det - 1.0) <= 1e-12
-                and abs(rep.rank.det_range.max_det - 7.0) <= 1e-12)
+    det_range = full_rank_det_range(rep.eq_plus)
+    range_ok = (rep.rank.full_rank
+                and abs(det_range.min_det - 1.0) <= 1e-12
+                and abs(det_range.max_det - 7.0) <= 1e-12)
     member = np.array([[1.0, -1.0], [1.0, 2.0]])
     member_det = float(np.linalg.det(member))
     rows = matrix_qd_plus(qd_matrix_at(sin_system(1.0).equalities,
@@ -168,8 +170,8 @@ def test_criterion_4_parametric_verdict_flips(capsys):
     member_ok = (abs(member_det - 3.0) <= 1e-12
                  and contains(rows[0], member[0])
                  and contains(rows[1], member[1])
-                 and rep.rank.det_range.min_det - 1e-12 <= member_det
-                 <= rep.rank.det_range.max_det + 1e-12)
+                 and det_range.min_det - 1e-12 <= member_det
+                 <= det_range.max_det + 1e-12)
     # p = -0.5 lies between 1 - sqrt(2) and (1 - sqrt(5))/2: the sums are
     # the polytopes above and every vertex tuple has det >= 1 + p - p^2.
     mid_rows = matrix_qd_plus(qd_matrix_at(sin_system(-0.5).equalities,
@@ -195,7 +197,7 @@ def test_criterion_4_parametric_verdict_flips(capsys):
          f"p = -0.5 min det {mid_range.min_det:.12g} vs 0.25 "
          f"{word(mid_ok)}")
     assert upper_ok, f"upper flip at {upper!r}"
-    assert range_ok, f"det range {rep.rank.det_range}"
+    assert range_ok, f"full rank {rep.rank}, det range {det_range}"
     assert member_ok, f"member determinant {member_det!r}"
     assert mid_ok, f"p = -0.5 sums {mid_rows}, det range {mid_range}"
     assert lower_ok, (f"lower verdict flip at {lower:.9f}, expected "

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose, assert_equal
 from quasidiff import cli, optimality, regularity
 from quasidiff.cli import main
 from quasidiff.expressions import MAX_DEPTH
+from quasidiff.mfcq import full_rank_det_range, qd_mfcq
 from quasidiff.problemfile import (MAX_CONSTRAINTS, ProblemFileError, load,
                                    loads)
 from quasidiff.regularity import (PsiFunction, margin_infima, psi_expr,
@@ -85,10 +86,17 @@ CASES = {
 }
 
 
+# one equality in R^2, l < n: its sum co{(1, 1), (3, 1)} is sqrt(2) from 0
+HULL_TEXT = "[problem]\nn = 2\nequality = abs(x1) + 2*x1 + x2\n[point]\nx = 0 0\n"
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
-    return {tag: run_twice(tmp, tag, *args) for tag, args in CASES.items()}
+    hull = tmp / "hull.prob"
+    hull.write_text(HULL_TEXT)
+    cases = dict(CASES, mfcq_hull=("mfcq", str(hull)))
+    return {tag: run_twice(tmp, tag, *args) for tag, args in cases.items()}
 
 
 class TestProblemFileParsing:
@@ -307,21 +315,42 @@ class TestMfcqReport:
     def test_holding_system(self, reports):
         text, payload = reports["mfcq"]
         lines = text.splitlines()
-        assert "full rank: yes (determinant range)" in lines
-        assert "  0 not in det range [1, 7]" in lines
-        assert "det range: [1, 7]" in lines
+        assert "full rank: yes (sign-pattern hull test)" in lines
+        # the nearest of the two signed hulls passes at 1/sqrt(13)
+        assert ("  0 is outside every signed hull (2 of them), distance "
+                "0.277350098113") in lines
         assert "verdict: q.d.-MFCQ holds" in lines
         assert any(l.startswith("warning: equality sums span")
                    for l in lines)
         assert payload["verdict"] is True
-        assert_allclose(payload["det_range"], [1.0, 7.0])
-        assert_equal(payload["full_rank_method"], "determinant range")
+        assert_allclose(payload["full_rank_distance"], 1.0 / np.sqrt(13.0),
+                        rtol=1e-12)
+        assert_equal(payload["sign_patterns"], 2)
+        assert_equal(payload["full_rank_method"], "sign-pattern hull test")
+        # the determinant range of the same sums, by the reference
+        pf = load(str(PROBLEMS / "sin_system.prob"))
+        dr = full_rank_det_range(qd_mfcq(pf.system(), pf.point).eq_plus)
+        assert_allclose([dr.min_det, dr.max_det], [1.0, 7.0])
 
     def test_degenerate_equality(self, reports):
         text, payload = reports["mfcq_flat"]
-        assert "det range: [0, 0]" in text
+        assert "  0 is in a signed hull, distance 0" in text.splitlines()
+        assert "failing lambda: (1)" in text.splitlines()
         assert "verdict: q.d.-MFCQ fails" in text
         assert payload["verdict"] is False and payload["full_rank"] is False
+        assert_equal((payload["full_rank_distance"], payload["sign_patterns"]),
+                     (0.0, 1))
+        pf = load(str(PROBLEMS / "cubic.prob"))
+        dr = full_rank_det_range(qd_mfcq(pf.system(), pf.point).eq_plus)
+        assert_equal([dr.min_det, dr.max_det], [0.0, 0.0])
+
+    def test_hull_distance_is_mirrored(self, reports):
+        text, payload = reports["mfcq_hull"]
+        assert ("  0 is outside every signed hull (1 of them), distance "
+                "1.41421356237") in text.splitlines()
+        assert_allclose(payload["full_rank_distance"], np.sqrt(2.0),
+                        rtol=1e-12)
+        assert_equal(payload["sign_patterns"], 1)
 
     @pytest.mark.parametrize("coef", ["1e-200", "1e-310"])
     def test_tiny_gradient_is_full_rank(self, tmp_path, capsys, coef):
@@ -630,7 +659,21 @@ class TestExitCodes:
         r = run_cli("mfcq", str(f))
         assert_equal(r.returncode, 1)
         assert_equal(r.stdout, "")
-        assert "vertex-tuple count 8 exceeds the budget 1" in r.stderr
+        assert "sign-pattern count 2 exceeds the budget 1" in r.stderr
+
+    def test_square_system_within_the_pattern_budget_is_zero(
+            self, tmp_path, capsys):
+        # the budget caps the 2 sign patterns, not the 8 vertex tuples
+        f = tmp_path / "b.prob"
+        f.write_text("[problem]\nn = 2\n"
+                     "equality = max(2*x1, x1) - abs(sin(p*x2))\n"
+                     "equality = sin(p*(x1 + x2)) + min(x2, 2*x2)\n"
+                     "[params]\np = 1.0\n[point]\nx = 0 0\n"
+                     "[check]\nbudget = 2\n")
+        assert_equal(main(["mfcq", str(f)]), 0)
+        out, err = capsys.readouterr()
+        assert "verdict: q.d.-MFCQ holds" in out.splitlines()
+        assert_equal(err, "")
 
     def test_selection_budget_is_one_but_still_reports(self, tmp_path):
         f = tmp_path / "ob.prob"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from quasidiff.mfcq import (BudgetExceededError, InfeasiblePointError,
                             _sign_pattern_dependence, active_inequalities,
                             find_hbar, full_rank_det_range, full_rank_general,
                             qd_mfcq)
+from quasidiff.problemfile import loads
 from quasidiff.regularity import SystemSpec
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 UNIT_BOX = Polytope([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 
 
@@ -181,13 +184,31 @@ class TestFullRankDispatch(TestCase):
         off = full_rank_general([Polytope([[1.0, 0.0], [2.0, 0.0]])], 2)
         assert off.full_rank
 
-    def test_square_case_delegates_to_det_range(self):
+    def test_square_case_runs_the_hull_test(self):
         rows = [Polytope([[1.0, 0.0], [2.0, 0.0]]),
                 Polytope([[0.0, 1.0], [0.0, 2.0]])]
         res = full_rank_general(rows, 2)
-        assert res.full_rank and res.method == "determinant range"
-        assert_allclose(res.det_range.min_det, 1.0)
-        assert_allclose(res.det_range.max_det, 4.0)
+        assert res.full_rank and res.method == "sign-pattern hull test"
+        assert_equal(res.sign_patterns, 2)
+        # the nearest signed hull is co{(1, 0), (0, -1)}, at 1/sqrt(2)
+        assert_allclose(res.distance, np.sqrt(0.5), rtol=1e-12)
+        dr = full_rank_det_range(rows)
+        assert_allclose(dr.min_det, 1.0)
+        assert_allclose(dr.max_det, 4.0)
+        assert_equal(res.full_rank, dr.full_rank)
+
+    def test_no_command_computes_a_determinant(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("determinant computed")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "det", refuse)
+            mp.setattr(mfcq, "full_rank_det_range", refuse)
+            for command, fixture in (("mfcq", "cubic"), ("mfcq", "sin_system"),
+                                     ("mfcq", "penalty_demo"),
+                                     ("optcheck", "penalty_demo")):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, str(PROBLEMS / f"{fixture}.prob")])
+                assert_equal(code, 0)
 
     def test_lambda_grid_finds_dependence(self):
         res = full_rank_general([singleton([1.0, 0.0, 0.0]),
@@ -206,7 +227,7 @@ class TestFullRankDispatch(TestCase):
         assert "outside every signed hull" in res.certificate
 
 
-class TestSignPatternHullTest(TestCase):
+class TestSignPatternHullTest:
 
     def test_dependent_segments_missed_by_a_direction_grid(self):
         # both sums are segments and lam_1 a_1 + lam_2 a_2 = 0 is solvable
@@ -231,7 +252,26 @@ class TestSignPatternHullTest(TestCase):
         fit = lsq_linear(a, -c, bounds=(0.0, 1.0), method="bvls")
         assert np.linalg.norm(a @ fit.x + c) <= 1e-9
 
-    def test_agrees_with_det_range_on_square_cases(self):
+    def test_agrees_with_det_range_on_square_cases(self, load_perfbench):
+        # the square mfcq systems of the benchmark, a tiny gradient, and x1
+        # written so that its sum [-1, 3] holds 0
+        load_perfbench("oracle")
+        gen = load_perfbench("gen")
+        texts = [op.text for seed in (41, 42, 43)
+                 for op in gen.verdicts(seed).ops
+                 if op.key.startswith("mfcq-square")]
+        assert_equal(len(texts), 9)
+        texts += [f"[problem]\nn = 1\nequality = {f}\n[point]\nx = 0\n"
+                  for f in ("0.0000000001*x1", "x1 + abs(x1) - abs(x1)")]
+        seen = set()
+        for text in texts:
+            pf = loads(text)
+            rows = qd_mfcq(pf.system(), pf.point).eq_plus
+            dr = full_rank_det_range(rows)
+            assert_equal(full_rank_general(rows, pf.n).full_rank,
+                         dr.full_rank)
+            seen.add(dr.full_rank)
+        assert_equal(seen, {True, False})
         rng = np.random.default_rng(7)
         seen = set()
         for _ in range(60):
@@ -445,16 +485,18 @@ class TestQdMfcq(TestCase):
     def test_sin_system_inside_the_interval(self):
         rep = qd_mfcq(sin_system(1.0), np.zeros(2))
         assert rep.verdict
-        assert rep.rank.method == "determinant range"
-        assert_allclose(rep.rank.det_range.min_det, 1.0, atol=1e-12)
-        assert_allclose(rep.rank.det_range.max_det, 7.0, atol=1e-12)
+        assert rep.rank.method == "sign-pattern hull test"
+        dr = full_rank_det_range(rep.eq_plus)
+        assert_allclose(dr.min_det, 1.0, atol=1e-12)
+        assert_allclose(dr.max_det, 7.0, atol=1e-12)
 
     def test_sin_system_outside_the_interval(self):
         # beyond either endpoint the determinant range reaches zero
         for p in (-0.7, 1.7):
             rep = qd_mfcq(sin_system(p), np.zeros(2))
             assert not rep.verdict
-            dr = rep.rank.det_range
+            assert not rep.rank.full_rank
+            dr = full_rank_det_range(rep.eq_plus)
             assert dr.min_det <= 0.0 <= dr.max_det
 
     def test_single_equality_box_fails(self):
