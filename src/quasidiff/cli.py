@@ -305,8 +305,8 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
     b = p.binding(x)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
-    pathway = qualification_pathway(p, b, tol=args.tol)
     data = program_data(p, b)
+    pathway = qualification_pathway(p, b, data, tol=args.tol)
     out.add(f"objective: {p.objective.to_text()}",
             objective=p.objective.to_text())
     out.add(f"constraints: {len(p.equalities)} equalities, "

@@ -157,39 +157,54 @@ def _lifted(points: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.ldexp(points, k) if k else points), k
 
 
-def _min_norm_combination(points: np.ndarray):
+def _min_norm_combination(points):
     """Minimum-norm point x of the convex hull of the given points, with
     the weights that give it: (x, corral, lam), x = lam @ points[corral].
 
+    points may also be a list of point arrays T_1, ..., T_k: x is then
+    the minimum-norm point of the Minkowski sum T_1 + ... + T_k, found
+    through the sum's support oracle (the sum of each set's argmin of
+    <t, x>) without enumerating the sum, and corral lists index tuples,
+    x = lam @ [T_1[j_1] + ... + T_k[j_k] for (j_1, ..., j_k) in corral].
+
     Wolfe's algorithm.  Terminates finitely on exact data; the stopping
     test tolerates double-precision roundoff.  A set smaller than 1/2 is
-    solved lifted by 2^_lift_exponent and x scaled back.
+    solved lifted by 2^_lift_exponent and x scaled back; a sum is lifted
+    by the exponent of the sum of its sets' largest |entry|, and its
+    stopping test scales with k times the sum of their largest squared
+    norms, a bound on the sum's by Cauchy-Schwarz.  A list of one array
+    runs the arithmetic of the array itself; only the corral's form
+    differs.
     """
-    pts = np.asarray(points, dtype=float)
-    m = pts.shape[0]
-    if m == 1:
-        return pts[0].copy(), [0], np.ones(1)
-    pts, lift = _lifted(pts)
-    norms2 = np.einsum("ij,ij->i", pts, pts)
-    start = int(np.argmin(norms2))
-    corral = [start]
+    one = isinstance(points, np.ndarray)
+    sets = [np.asarray(t, dtype=float) for t in ([points] if one else points)]
+    m = sum(t.shape[0] for t in sets)
+    if m == len(sets):
+        x = _row_sum(sets, [[0]] * m)[0]
+        return x, [0] if one else [(0,) * m], np.ones(1)
+    lift = _lift_exponent(sum(float(np.abs(t).max()) for t in sets))
+    if lift:
+        sets = [np.ldexp(t, lift) for t in sets]
+    norms2 = [np.einsum("ij,ij->i", t, t) for t in sets]
+    corral = [tuple([int(n.argmin()) for n in norms2])]
     lam = np.array([1.0])
-    x = pts[start].copy()
-    scale2 = max(1.0, float(norms2.max()))
+    x = _row_sum(sets, corral[0]).copy()
+    sub = x[None, :]
+    scale2 = max(1.0, len(sets) * sum([float(n.max()) for n in norms2]))
     for _ in range(16 * m + 64):
-        dots = pts @ x
+        dots = [t @ x for t in sets]
         xx = float(x @ x)
-        j = int(np.argmin(dots))
-        if dots[j] >= xx - 1e-12 * scale2:
+        j = tuple([int(d.argmin()) for d in dots])
+        if sum([d[i] for d, i in zip(dots, j)]) >= xx - 1e-12 * scale2:
             break
         if j in corral:
             break
         corral.append(j)
+        sub = np.concatenate((sub, _row_sum(sets, j)[None, :]))
         lam = np.append(lam, 0.0)
         # minor cycle: pull x to the affine minimizer over the corral,
         # dropping vertices whose weight hits zero on the way
         while True:
-            sub = pts[corral]
             k = len(corral)
             g = sub @ sub.T
             kkt = np.zeros((k + 1, k + 1))
@@ -217,12 +232,23 @@ def _min_norm_combination(points: np.ndarray):
                 # numerical stall; accept the clipped point
                 lam = np.clip(lam, 0.0, None)
                 lam = lam / lam.sum()
-                x = lam @ pts[corral]
+                x = lam @ sub
                 break
             corral = [c for c, k_ in zip(corral, keep) if k_]
+            sub = sub[keep]
             lam = lam[keep]
             lam = lam / lam.sum()
-    return (np.ldexp(x, -lift) if lift else x), corral, lam
+    return ((np.ldexp(x, -lift) if lift else x),
+            [c for c, in corral] if one else corral, lam)
+
+
+def _row_sum(sets, idx):
+    """The rows sets[0][idx[0]] + ... + sets[-1][idx[-1]]: points of a
+    Minkowski sum, picked by one index list per set."""
+    out = sets[0][idx[0]]
+    for t, j in zip(sets[1:], idx[1:]):
+        out = out + t[j]
+    return out
 
 
 def _hull_2d(pts: np.ndarray, tol: float) -> np.ndarray:

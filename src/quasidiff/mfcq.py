@@ -267,11 +267,13 @@ class MfcqReport:
 
 
 def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
-            budget: int = PATTERN_BUDGET) -> MfcqReport:
+            budget: int = PATTERN_BUDGET, walked=None) -> MfcqReport:
     """Full qualification check at a feasible point.
 
     verdict is rank.full_rank AND direction.margin > 0.  Infeasible base
-    points are rejected with their residuals.
+    points are rejected with their residuals.  walked, when given, holds
+    the pairs of every f_j and of every g_i at x, which are then read
+    instead of walked again.
     """
     b = s.binding(x)
     residuals = feasibility_violations(s, b, tol)
@@ -279,8 +281,10 @@ def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
         raise InfeasiblePointError(residuals)
 
     active = active_inequalities(s, b, tol)
-    eq_plus = [qd_plus_set(qd_at(f, b)) for f in s.equalities]
-    ineq_plus = [qd_plus_set(qd_at(s.inequalities[i], b)) for i in active]
+    f_qd, g_qd = walked or ([qd_at(f, b) for f in s.equalities],
+                            {i: qd_at(s.inequalities[i], b) for i in active})
+    eq_plus = [qd_plus_set(q) for q in f_qd]
+    ineq_plus = [qd_plus_set(g_qd[i]) for i in active]
 
     fr = full_rank_general(eq_plus, s.n, budget=budget, tol=tol)
     hb = find_hbar(eq_plus, ineq_plus, s.n)

@@ -24,27 +24,40 @@ equivalent necessary conditions are checked at a feasible candidate point:
     lam_i = 0 off the active set and max{mu_lo_j + mu_hi_j, lam_i}
     bounded by the penalty parameter.
 
-Each selection reduces to a small LP once every scalar-times-polytope
-term is parameterized by nonnegative weights on the polytope vertices;
-the scalar is recovered as the weight sum.  In block form, with the
-vertex blocks P_0 = sub(u), P_lo_j = -(v_j + sup f_j),
-P_hi_j = sub(f_j) + w_j and P_i = sub(g_i) + z_i as columns of
-P = [P_0, P_lo_1, P_hi_1, ..., P_i, ...], T the 0/1 row that marks
-P_0's columns and G the 0/1 rows that mark each group (an equality's
-lo and hi blocks together, or one inequality's block), it is
+For a bound c, an equality's two terms mu_lo_j L_j + mu_hi_j H_j with
+mu_lo_j + mu_hi_j <= c, L_j = -(v_j + sup f_j) and H_j = sub(f_j) + w_j,
+range over c co({0} u L_j u H_j), and an inequality's term over
+c co({0} u (sub(g_i) + z_i)).  So a selection is feasible exactly when
+-w0 lies in the Minkowski sum
+
+    sub(u) + sum_j c co({0} u L_j u H_j) + sum_i c co({0} u (sub g_i + z_i)),
+
+one containment, decided as contains decides one: Wolfe's nearest point
+of the sum to -w0, found through the sum's support oracle without
+enumerating it, within FEAS_TOL.  check_all_selections decides every
+selection so and solves no LP.  check_multipliers keeps the LP form as
+the certificate that carries multiplier values: every scalar-times-
+polytope term parameterized by nonnegative weights on the polytope
+vertices, the scalar recovered as the weight sum.  In block form, with
+the vertex blocks P_0 = sub(u), P_lo_j = L_j, P_hi_j = H_j and
+P_i = sub(g_i) + z_i as columns of P = [P_0, P_lo_1, P_hi_1, ..., P_i,
+...], T the 0/1 row that marks P_0's columns and G the 0/1 rows that
+mark each group (an equality's lo and hi blocks together, or one
+inequality's block), it is
 
     min sum of the non-theta weights
-    s.t.  [P; T] x = (-w0, 1),  G x <= c,  x >= 0.
+    s.t.  [P; T] x = (-w0, 1),  G x <= c,  x >= 0,
 
-The bound enters that LP only as the right-hand side c of the rows
-G x <= c, so its feasible set grows with c: a selection feasible at c
-is feasible at every c' >= c, and one infeasible at c at every
-c' <= c.  Selections are searched in lex order, so the first infeasible
-selection at c comes no earlier than the first one at any c' <= c: a
-search at c may resume at that index, and the selections it skips count
-as checked.  Both verdicts agree at feasible points for the same c,
-independent of which quasidifferentials represent the data, and that
-equivalence is cross-asserted in tests.
+whose feasible set is the containment's.  The set of feasible points
+grows with c (the sum's terms grow with c, as each contains 0): a
+selection feasible at c is feasible at every c' >= c, and one
+infeasible at c at every c' <= c.  Selections are searched in lex
+order, so the first infeasible selection at c comes no earlier than the
+first one at any c' <= c: a search at c may resume at that index, and
+the selections it skips count as checked.  Both verdicts agree at
+feasible points for the same c, independent of which
+quasidifferentials represent the data, and that equivalence, and the
+containment's agreement with the LP, are cross-asserted in tests.
 
 The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
@@ -77,7 +90,8 @@ import numpy as np
 from .calculus import Quasidifferential, qd_add, qd_scale
 from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
-from .geometry import FEAS_TOL, LpStatus, Polytope, contains, solve_lp
+from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
+                       contains, solve_lp)
 # feasibility_violations is not called here; it stays importable from
 # this module because perfbench/tracer.py wraps it under this name
 from .mfcq import active_inequalities, feasibility_violations, qd_mfcq
@@ -217,7 +231,8 @@ def _check_index(idx: int, poly: Polytope, label: str) -> None:
 
 def check_multipliers(data: ProgramData, sel: Selection,
                       c_bound: Optional[float] = None) -> MultiplierCertificate:
-    """Solve the multiplier LP for one vertex selection."""
+    """Solve the multiplier LP for one vertex selection: the certificate
+    with multiplier values (check_all_selections decides without it)."""
     l, na = len(data.f), len(data.active)
     if len(sel.v) != l or len(sel.w) != l or len(sel.z) != na:
         raise OptimalityError(
@@ -291,23 +306,31 @@ class SelectionSweep:
     first_infeasible: Optional[MultiplierCertificate] = None
 
 
-def check_all_selections(data: ProgramData,
-                         c_bound: Optional[float] = None,
+def check_all_selections(data: ProgramData, c_bound: float,
                          budget: int = SELECTION_BUDGET,
                          start: int = 0) -> SelectionSweep:
     """Search the vertex selections in lex order for the first one whose
-    multiplier LP is infeasible at c_bound.
+    multiplier system is infeasible at c_bound.
 
-    The search begins at index start, and the selections before it count
-    as checked: start may be the first infeasible index at any bound at
-    most c_bound (see the module docstring)."""
-    l = len(data.f)
-    ranges = [range(data.u.sup.nvertices)]
+    Each selection is decided as a containment in a Minkowski sum by
+    Wolfe's nearest point, with the FEAS_TOL cut of contains (see the
+    module docstring); no LP is solved.  The search begins at index
+    start, and the selections before it count as checked: start may be
+    the first infeasible index at any bound at most c_bound."""
+    l, c = len(data.f), float(c_bound)
+    origin = np.zeros((1, data.n))
+    u_terms = [data.u.sub.vertices + w0 for w0 in data.u.sup.vertices]
+    f_terms = [[[c * np.vstack([origin, -(v + fj.sup.vertices),
+                                fj.sub.vertices + w])
+                 for w in fj.sup.vertices] for v in fj.sub.vertices]
+               for fj in data.f]
+    g_terms = [[c * np.vstack([origin, data.g[i].sub.vertices + z])
+                for z in data.g[i].sup.vertices] for i in data.active]
+    ranges = [range(len(u_terms))]
     for fj in data.f:
         ranges.append(range(fj.sub.nvertices))
         ranges.append(range(fj.sup.nvertices))
-    for i in data.active:
-        ranges.append(range(data.g[i].sup.nvertices))
+    ranges += [range(len(t)) for t in g_terms]
     n_total = 1
     for r in ranges:
         n_total *= len(r)
@@ -321,9 +344,13 @@ def check_all_selections(data: ProgramData,
                         tuple(combo[2:2 + 2 * l:2]),
                         tuple(combo[1 + 2 * l:]))
         n_checked += 1
-        cert = check_multipliers(data, sel, c_bound)
-        if not cert.feasible:
-            return SelectionSweep(False, n_total, n_checked, cert)
+        sets = ([u_terms[sel.w0]]
+                + [t[v][w] for t, v, w in zip(f_terms, sel.v, sel.w)]
+                + [t[z] for t, z in zip(g_terms, sel.z)])
+        if np.linalg.norm(_min_norm_combination(sets)[0]) > FEAS_TOL:
+            return SelectionSweep(False, n_total, n_checked,
+                                  MultiplierCertificate(False, sel,
+                                                        c_bound=c_bound))
     return SelectionSweep(True, n_total, n_checked)
 
 
@@ -383,20 +410,21 @@ def estimate_c_star(data: ProgramData) -> float:
     return c_star
 
 
-def qualification_pathway(p: ProgramSpec, b: Binding, *,
-                          tol: float = FEAS_TOL) -> str:
+def qualification_pathway(p: ProgramSpec, b: Binding, data: ProgramData,
+                          *, tol: float = FEAS_TOL) -> str:
     """Which qualification licenses the necessary condition, tried in
     this order: "unconstrained", "qd-mfcq", "error-bound" or "none".
 
-    "error-bound" is certified, not sampled: every constraint is
-    piecewise affine, so a local error bound holds (see the module
-    docstring).  "none" means neither certificate applies, not that the
-    qualification fails.
+    data is program_data(p, b), whose pairs of f_j and g_i the q.d.-MFCQ
+    reads instead of walking the constraints again.  "error-bound" is
+    certified, not sampled: every constraint is piecewise affine, so a
+    local error bound holds (see the module docstring).  "none" means
+    neither certificate applies, not that the qualification fails.
     """
     s = p.constraint_system()
     if s is None:
         return "unconstrained"
-    if qd_mfcq(s, b.point, tol=tol).verdict:
+    if qd_mfcq(s, b.point, tol=tol, walked=(data.f, data.g)).verdict:
         return "qd-mfcq"
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
         return "error-bound"

@@ -587,9 +587,9 @@ class TestOptcheckReport:
         # short of the minutes the full sweep took
         eqs = "".join(f"equality = abs({j}*x1 - x2) - abs(x1 + {j}*x2)\n"
                       for j in range(1, 13))
-        solved = []
-        monkeypatch.setattr(optimality, "check_multipliers",
-                            lambda *args: solved.append(args))
+        decided = []
+        monkeypatch.setattr(optimality, "_min_norm_combination",
+                            lambda sets: decided.append(sets))
         lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 2\n"
                                     "objective = -x1 + x2\n" + eqs +
                                     "[point]\nx = 0 0\n[check]\nc = 1 10\n"
@@ -599,7 +599,7 @@ class TestOptcheckReport:
                       "c = 10: stationarity holds",
                       "c* estimate: 0.214285714286 (exact, one LP per "
                       "vertex pair)"])
-        assert_equal(solved, [])
+        assert_equal(decided, [])
 
     @pytest.mark.parametrize("lines, record", [
         ("objective = abs(x1)\n",

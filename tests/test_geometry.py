@@ -1,11 +1,14 @@
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
-from quasidiff import cli, geometry
+from quasidiff import cli, geometry, mfcq
 from quasidiff.calculus import Quasidifferential, qd_plus_set, steepest_rate
 from quasidiff.expressions import Binding, qd_at
 from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
@@ -469,6 +472,137 @@ class TestCanonicalFixedPoints:
         assert any(v.shape[0] > 2 and v.shape[1] >= 3 for v in seen.values())
         for v in seen.values():
             assert_fixed_point(v)
+
+
+def reference_min_norm_combination(points):
+    """Wolfe's algorithm on one point array as _min_norm_combination ran
+    it before it took a list of sets; a one-set call keeps these bytes."""
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[0]
+    if m == 1:
+        return pts[0].copy(), [0], np.ones(1)
+    pts, lift = geometry._lifted(pts)
+    norms2 = np.einsum("ij,ij->i", pts, pts)
+    start = int(np.argmin(norms2))
+    corral = [start]
+    lam = np.array([1.0])
+    x = pts[start].copy()
+    scale2 = max(1.0, float(norms2.max()))
+    for _ in range(16 * m + 64):
+        dots = pts @ x
+        xx = float(x @ x)
+        j = int(np.argmin(dots))
+        if dots[j] >= xx - 1e-12 * scale2:
+            break
+        if j in corral:
+            break
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            sub = pts[corral]
+            k = len(corral)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = sub @ sub.T
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            mu = sol[:k]
+            if np.all(mu >= -1e-12):
+                lam = np.clip(mu, 0.0, None)
+                lam = lam / lam.sum()
+                x = lam @ sub
+                break
+            neg = mu < 0
+            steps = lam[neg] / (lam[neg] - mu[neg])
+            theta = float(np.clip(steps.min(), 0.0, 1.0))
+            lam = (1.0 - theta) * lam + theta * mu
+            keep = lam > 1e-14
+            if keep.all():
+                lam = np.clip(lam, 0.0, None)
+                lam = lam / lam.sum()
+                x = lam @ pts[corral]
+                break
+            corral = [c for c, k_ in zip(corral, keep) if k_]
+            lam = lam[keep]
+            lam = lam / lam.sum()
+    return (np.ldexp(x, -lift) if lift else x), corral, lam
+
+
+# coordinates of the summed sets: a few that repeat, so that sums tie
+# and collapse, and any float in [-2, 2]
+_SUM_COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                        st.floats(-2.0, 2.0))
+
+
+class TestMinNormOfSums:
+    """Wolfe's nearest point on a Minkowski sum, found through the sum's
+    support oracle, and the one-set call it grew from."""
+
+    def test_one_set_keeps_its_bytes_on_the_fixtures(self, monkeypatch,
+                                                     capsys):
+        # every one-set call of the 15 flagless fixture runs
+        solver, seen = geometry._min_norm_combination, []
+
+        def recorded(points):
+            if isinstance(points, np.ndarray):
+                seen.append(np.array(points, dtype=float))
+            return solver(points)
+
+        for module in (geometry, mfcq):
+            monkeypatch.setattr(module, "_min_norm_combination", recorded)
+        for path in sorted(PROBLEMS.glob("*.prob")):
+            for command in ("qd", "slope", "mfcq", "regcheck", "optcheck"):
+                cli.main([command, str(path)])
+        capsys.readouterr()
+        assert len(seen) > 10
+        # and seeded sets in R^1 to R^4 from 2^-40 to 2^9 in size, half
+        # of them on a grid so that points tie
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            size = 2.0 ** int(rng.integers(-40, 10))
+            pts = rng.standard_normal((int(rng.integers(2, 30)),
+                                       int(rng.integers(1, 5)))) * size
+            if rng.random() < 0.5:
+                pts = np.round(pts * 4 / size) * size / 4
+            seen.append(pts - pts.mean(axis=0) * rng.random())
+        for pts in seen:
+            x, corral, lam = solver(pts)
+            want = reference_min_norm_combination(pts)
+            assert x.tobytes() == want[0].tobytes()
+            assert corral == want[1]
+            assert all(type(c) is int for c in corral)
+            assert lam.tobytes() == want[2].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_sum_distance_is_the_explicit_sums(self, data):
+        dim = data.draw(st.integers(1, 4), label="dim")
+        k = data.draw(st.integers(1, 4), label="k")
+        sets = [np.array(data.draw(st.lists(
+            st.lists(_SUM_COORDS, min_size=dim, max_size=dim),
+            min_size=1, max_size=4), label=f"T{i + 1}")) for i in range(k)]
+        explicit = functools.reduce(
+            lambda a, b: (a[:, None, :] + b[None, :, :]).reshape(-1, dim),
+            sets)
+        want = nearest_point(Polytope(explicit), np.zeros(dim))[1]
+        x, corral, lam = geometry._min_norm_combination(sets)
+        scale = float(np.abs(explicit).max())
+        # the norm taken lifted, as nearest_point takes it, so that its
+        # square does not underflow
+        e = geometry._lift_exponent(scale)
+        got = np.ldexp(np.linalg.norm(np.ldexp(x, e)), -e)
+        assert abs(got - want) <= 1e-12 * scale
+        # x is the weighted sum of the corral's picks, one row per set
+        assert all(len(c) == k for c in corral)
+        picks = geometry._row_sum(sets, np.transpose(corral))
+        assert_allclose(x, lam @ picks, rtol=0, atol=1e-14 * scale)
+        assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-12
 
 
 class TestMinkowskiSum(TestCase):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
-from quasidiff import geometry, mfcq, optimality
+from quasidiff import cli, geometry, mfcq, optimality
 from quasidiff.calculus import Quasidifferential, dd
 from quasidiff.cli import main
 from quasidiff.expressions import parse_expression, qd_at
@@ -65,6 +66,29 @@ def dc_program(rng):
     c3 = rng.uniform(-1.5, 1.5)
     g1 = f"max({c1[0]:.3f}*x1 + {c1[1]:.3f}*x2, {c3:.3f}*x1)"
     return ProgramSpec(2, pe(u), (pe(f1),), (pe(g1), pe("x1 + x2 - 1")))
+
+
+def twelve_equalities():
+    """A program whose enumerated containment sum would hold 5^12 points:
+    12 kinked equalities in R^2, 4^12 vertex selections, at the origin."""
+    eqs = "".join(f"equality = abs({j}*x1 - x2) - abs(x1 + {j}*x2)\n"
+                  for j in range(1, 13))
+    pf = loads("[problem]\nn = 2\nobjective = -x1 + x2\n" + eqs
+               + "[point]\nx = 0 0\n")
+    return pf.program(), pf.point
+
+
+def selections(data):
+    """The vertex selections of data in the lex order in which
+    check_all_selections numbers them."""
+    l = len(data.f)
+    ranges = [range(data.u.sup.nvertices)]
+    for fj in data.f:
+        ranges += [range(fj.sub.nvertices), range(fj.sup.nvertices)]
+    ranges += [range(data.g[i].sup.nvertices) for i in data.active]
+    for combo in itertools.product(*ranges):
+        yield Selection(combo[0], combo[1:1 + 2 * l:2],
+                        combo[2:2 + 2 * l:2], combo[1 + 2 * l:])
 
 
 class TestProgramSpec(TestCase):
@@ -149,7 +173,8 @@ class TestProgramData(TestCase):
             check_stationarity(at_origin(sign_program()), -1.0)
 
     def test_optcheck_walks_each_function_once(self):
-        # u, f1 and phi, against 18 walks when each c built its own Psi_c
+        # u, f1 and phi, against 18 walks when each c built its own Psi_c;
+        # the pathway's q.d.-MFCQ reads program_data's pair of f1
         walked = []
 
         def counting(e, b):
@@ -158,8 +183,10 @@ class TestProgramData(TestCase):
 
         p = loads(PENALTY_DEMO.read_text()).program()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimality, "qd_at", counting)
-            assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
+            for module in (mfcq, optimality):
+                mp.setattr(module, "qd_at", counting)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
         assert_equal(walked, [p.objective, p.equalities[0],
                               l1_penalty(p.equalities, p.inequalities)])
 
@@ -335,7 +362,7 @@ class TestSelectionSweep(TestCase):
 
     def test_sign_program_sweep_finds_the_witness(self):
         p = sign_program()
-        sweep = check_all_selections(at_origin(p))
+        sweep = check_all_selections(at_origin(p), 1e6)
         assert sweep.holds is False
         assert_equal(sweep.n_total, 4)
         assert sweep.first_infeasible is not None
@@ -344,20 +371,20 @@ class TestSelectionSweep(TestCase):
 
     def test_budget_cuts_the_sweep_short(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (pe("abs(x1)"),))
-        sweep = check_all_selections(at_origin(p), budget=1)
+        sweep = check_all_selections(at_origin(p), 1e6, budget=1)
         assert sweep.holds is None
         assert_equal((sweep.n_total, sweep.n_checked), (2, 1))
         assert sweep.first_infeasible is None
 
     def test_full_sweep_reports_complete(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"), (pe("abs(x1)"),))
-        sweep = check_all_selections(at_origin(p))
+        sweep = check_all_selections(at_origin(p), 1e6)
         assert sweep.holds is True
         assert_equal((sweep.n_total, sweep.n_checked), (2, 2))
 
     def test_singleton_selection_space(self):
         p = ProgramSpec(2, pe("x2"), (pe("x2"),))
-        sweep = check_all_selections(at_origin(p))
+        sweep = check_all_selections(at_origin(p), 1e6)
         assert sweep.holds is True
         assert_equal(sweep.n_total, 1)
 
@@ -421,6 +448,54 @@ def test_search_decides_every_rung_as_stationarity(load_perfbench):
     assert seen[True] > 0 and seen[False] > 0
 
 
+def selection_programs(family, load_perfbench):
+    """(program, point) pairs of one family of the selection tests."""
+    if family == "twelve_equalities":
+        return [twelve_equalities()]
+    if family == "dc":
+        rng = np.random.default_rng(7)
+        return [(dc_program(rng), ORIGIN) for _ in range(20)]
+    texts = ([PENALTY_DEMO.read_text()] if family == "penalty_demo"
+             else benchmark_programs(load_perfbench))
+    return [(pf.program(), pf.point) for pf in map(loads, texts)]
+
+
+@pytest.mark.parametrize("family", ["penalty_demo", "benchmark", "dc",
+                                    "twelve_equalities"])
+def test_wolfe_decides_each_selection_as_the_lp(family, load_perfbench):
+    # check_all_selections on one selection alone (start k, budget k + 1)
+    # decides it as check_multipliers' LP does, on every selection (the
+    # first 200 of the twelve equalities) at c = 0, 0.1 and the ladder
+    seen = {True: 0, False: 0}
+    for p, x in selection_programs(family, load_perfbench):
+        data = program_data(p, p.binding(x))
+        for k, sel in enumerate(itertools.islice(selections(data), 200)):
+            for c in (0.0, 0.1) + C_LADDER:
+                sweep = check_all_selections(data, c, budget=k + 1, start=k)
+                feasible = check_multipliers(data, sel, c).feasible
+                assert_equal(sweep.n_checked, k + 1)
+                assert_equal(sweep.holds is not False, feasible)
+                if not feasible:
+                    assert_equal(sweep.first_infeasible.selection, sel)
+                seen[feasible] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_selection_search_solves_no_lp(monkeypatch, load_perfbench):
+    def refused(*args, **kwargs):
+        raise AssertionError("the selection search solved an LP")
+
+    for module in (geometry, optimality):
+        monkeypatch.setattr(module, "solve_lp", refused)
+    programs = [(sign_program(), ORIGIN)]
+    for family in ("penalty_demo", "dc", "twelve_equalities"):
+        programs += selection_programs(family, load_perfbench)
+    for p, x in programs:
+        data = program_data(p, p.binding(x))
+        for c in (0.0, 0.1) + C_LADDER:
+            assert check_all_selections(data, c, budget=20).n_checked > 0
+
+
 class TestSweepReuseAcrossRungs:
     """The search at a failing rung resumes at the first infeasible
     selection of the largest failing rung below it and still finds what
@@ -438,29 +513,31 @@ class TestSweepReuseAcrossRungs:
         assert resumed > 0
 
     @staticmethod
-    def optcheck_lps(path):
-        """The multiplier LPs that optcheck on path solves."""
-        solved = []
+    def optcheck_decisions(path):
+        """The selection decisions (one Wolfe solve on a sum each) that
+        optcheck on path makes."""
+        decided = []
+        solver = optimality._min_norm_combination
 
-        def counting(data, sel, c_bound=None):
-            solved.append((sel, c_bound))
-            return check_multipliers(data, sel, c_bound)
+        def counting(sets):
+            decided.append(sets)
+            return solver(sets)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimality, "check_multipliers", counting)
+            mp.setattr(optimality, "_min_norm_combination", counting)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert_equal(main(["optcheck", str(path)]), 0)
-        return len(solved)
+        return len(decided)
 
     def test_optcheck_solves_each_undecided_selection_once(self):
-        # 17 LPs when every rung searched anew
-        assert_equal(self.optcheck_lps(PENALTY_DEMO), 8)
+        # 17 decisions when every rung searched anew
+        assert_equal(self.optcheck_decisions(PENALTY_DEMO), 8)
 
     def test_holding_rungs_solve_no_lp(self, tmp_path):
         path = tmp_path / "oc.prob"
         path.write_text("[problem]\nn = 1\nobjective = cos(x1)\n"
                         "[point]\nx = 3.141592653589793\n")
-        assert_equal(self.optcheck_lps(path), 0)
+        assert_equal(self.optcheck_decisions(path), 0)
 
 
 class TestVerdictEquivalence(TestCase):
@@ -562,16 +639,19 @@ def _lp_bytes(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize):
 
 
 class TestLpInputsAsReference:
-    """find_hbar solves no LP; the block-built LP of check_multipliers
-    takes the inputs of the loop-built one, to the byte, and no LP is
-    added or dropped; estimate_c_star's variables stay nonnegative."""
+    """find_hbar and the selection search solve no LP; the block-built LP
+    of check_multipliers, called directly on each selection that a search
+    decided, takes the inputs of the loop-built one, to the byte, and
+    decides the selection as the search did; estimate_c_star's variables
+    stay nonnegative."""
 
     @pytest.fixture(autouse=True)
     def recorded(self, monkeypatch):
         # (name, arguments, [(solve_lp inputs, outcome)]) per call of
-        # find_hbar or check_multipliers, and the inputs of every other
-        # solve_lp call
+        # find_hbar or check_multipliers, the inputs of every other
+        # solve_lp call, and the search's decisions
         self.calls, self.others, inside = [], [], []
+        self.decisions = []
 
         def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                       bounds=(None, None), maximize=False):
@@ -589,6 +669,29 @@ class TestLpInputsAsReference:
                     self.calls.append((name, args, inside.pop()))
             return call
 
+        solver = optimality._min_norm_combination
+
+        def deciding(sets):
+            self.decisions.append(len(sets))
+            return solver(sets)
+
+        search = optimality.check_all_selections
+
+        def searching(data, c_bound, budget=optimality.SELECTION_BUDGET,
+                      start=0):
+            # the search solves no LP; then each selection it decided
+            # has its LP solved directly, the LPs the search used to solve
+            lps = len(self.others)
+            sweep = search(data, c_bound, budget, start)
+            assert_equal(len(self.others), lps)
+            decided = itertools.islice(selections(data), start,
+                                       sweep.n_checked)
+            for k, sel in enumerate(decided, start + 1):
+                cert = optimality.check_multipliers(data, sel, c_bound)
+                last = k == sweep.n_checked and sweep.holds is False
+                assert_equal(cert.feasible, not last)
+            return sweep
+
         # mfcq imports no solve_lp; geometry's is the one it could reach
         for module in (geometry, optimality):
             monkeypatch.setattr(module, "solve_lp", recording)
@@ -597,6 +700,9 @@ class TestLpInputsAsReference:
         monkeypatch.setattr(optimality, "check_multipliers",
                             traced("check_multipliers",
                                    optimality.check_multipliers))
+        monkeypatch.setattr(optimality, "_min_norm_combination", deciding)
+        for module in (cli, optimality):
+            monkeypatch.setattr(module, "check_all_selections", searching)
 
     def assert_inputs_kept(self):
         counts = {"find_hbar": 0, "check_multipliers": 0}
@@ -629,6 +735,7 @@ class TestLpInputsAsReference:
         # pathway on penalty_demo, the one program
         counts = self.assert_inputs_kept()
         assert_equal(counts, {"find_hbar": 0, "check_multipliers": 8})
+        assert_equal(len(self.decisions), 8)
         assert_equal(sum(name == "find_hbar" for name, _, _ in self.calls), 4)
 
     def test_random_dc_programs(self):
@@ -636,14 +743,15 @@ class TestLpInputsAsReference:
         for _ in range(20):
             p = dc_program(rng)
             b = p.binding(ORIGIN)
-            qualification_pathway(p, b)
+            qualification_pathway(p, b, program_data(p, b))
             # the equality's sum spans R^2, which leaves no direction to
             # search; without it the active max-type inequality gets one
             qd_mfcq(SystemSpec(2, (), p.inequalities), ORIGIN)
             for c in (0.1, 1.0, 10.0):
-                check_all_selections(program_data(p, b), c_bound=c)
+                optimality.check_all_selections(program_data(p, b), c)
         counts = self.assert_inputs_kept()
         assert counts["check_multipliers"] > 0
+        assert_equal(len(self.decisions), counts["check_multipliers"])
         assert any(name == "find_hbar" and args[1]
                    for name, args, _ in self.calls)
 
@@ -656,6 +764,7 @@ class TestLpInputsAsReference:
                 self.run(tmp_path, op.command, op.text, *op.flags)
         counts = self.assert_inputs_kept()
         assert counts["check_multipliers"] > 0
+        assert_equal(len(self.decisions), counts["check_multipliers"])
         assert any(name == "find_hbar" and args[1]
                    for name, args, _ in self.calls)
         assert self.others
@@ -742,24 +851,24 @@ class TestQualificationPathway(TestCase):
 
     def test_unconstrained(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
         assert_equal(kind, "unconstrained")
 
     def test_regular_equality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x2"), (pe("x1"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
         assert_equal(kind, "qd-mfcq")
 
     def test_regular_inequality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x1"), (), (pe("x1"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
         assert_equal(kind, "qd-mfcq")
 
     def test_sign_program_falls_back_to_error_bound(self):
         # MFCQ fails on the diagonal-pair set, but the constraint is
         # piecewise affine, so a local error bound holds
         p = sign_program()
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
         assert_equal(kind, "error-bound")
 
     def test_flat_equality_is_not_certified(self):
@@ -767,6 +876,6 @@ class TestQualificationPathway(TestCase):
         # The point is optimal (x1 = 0 is the whole feasible set), so a
         # certified pathway here would make c* = inf read "not optimal"
         p = ProgramSpec(2, pe("x1"), (pe("pow(x1, 2)"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
         assert_equal(kind, "none")
         assert_equal(estimate_c_star(at_origin(p)), np.inf)
