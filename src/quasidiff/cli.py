@@ -305,8 +305,9 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
     b = p.binding(x)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
-    data = program_data(p, b)
-    pathway = qualification_pathway(p, b, data, tol=args.tol)
+    walked: dict = {}
+    pathway = qualification_pathway(p, b, tol=args.tol, walked=walked)
+    data = program_data(p, b, walked)
     out.add(f"objective: {p.objective.to_text()}",
             objective=p.objective.to_text())
     out.add(f"constraints: {len(p.equalities)} equalities, "

@@ -171,9 +171,9 @@ def _min_norm_combination(points):
     test tolerates double-precision roundoff.  A set smaller than 1/2 is
     solved lifted by 2^_lift_exponent and x scaled back; a sum is lifted
     by the exponent of the sum of its sets' largest |entry|, and its
-    stopping test scales with k times the sum of their largest squared
-    norms, a bound on the sum's by Cauchy-Schwarz.  A list of one array
-    runs the arithmetic of the array itself; only the corral's form
+    stopping test scales with the square of the sum of their largest
+    norms, which bounds the sum's largest squared norm.  A list of one
+    array runs the arithmetic of the array itself; only the corral's form
     differs.
     """
     one = isinstance(points, np.ndarray)
@@ -190,7 +190,8 @@ def _min_norm_combination(points):
     lam = np.array([1.0])
     x = _row_sum(sets, corral[0]).copy()
     sub = x[None, :]
-    scale2 = max(1.0, len(sets) * sum([float(n.max()) for n in norms2]))
+    scale2 = max(1.0, float(norms2[0].max()) if len(sets) == 1 else
+                 sum([float(np.sqrt(n.max())) for n in norms2]) ** 2)
     for _ in range(16 * m + 64):
         dots = [t @ x for t in sets]
         xx = float(x @ x)

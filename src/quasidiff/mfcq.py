@@ -271,9 +271,9 @@ def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
     """Full qualification check at a feasible point.
 
     verdict is rank.full_rank AND direction.margin > 0.  Infeasible base
-    points are rejected with their residuals.  walked, when given, holds
-    the pairs of every f_j and of every g_i at x, which are then read
-    instead of walked again.
+    points are rejected with their residuals.  walked, when given, is a
+    dict that receives the pair at x of each f_j and active g_i, keyed by
+    the id of the function, for program_data to read.
     """
     b = s.binding(x)
     residuals = feasibility_violations(s, b, tol)
@@ -281,10 +281,11 @@ def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
         raise InfeasiblePointError(residuals)
 
     active = active_inequalities(s, b, tol)
-    f_qd, g_qd = walked or ([qd_at(f, b) for f in s.equalities],
-                            {i: qd_at(s.inequalities[i], b) for i in active})
-    eq_plus = [qd_plus_set(q) for q in f_qd]
-    ineq_plus = [qd_plus_set(g_qd[i]) for i in active]
+    walked = {} if walked is None else walked
+    for fn in s.equalities + tuple(s.inequalities[i] for i in active):
+        walked[id(fn)] = qd_at(fn, b)
+    eq_plus = [qd_plus_set(walked[id(f)]) for f in s.equalities]
+    ineq_plus = [qd_plus_set(walked[id(s.inequalities[i])]) for i in active]
 
     fr = full_rank_general(eq_plus, s.n, budget=budget, tol=tol)
     hb = find_hbar(eq_plus, ineq_plus, s.n)

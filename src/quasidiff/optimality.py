@@ -32,11 +32,16 @@ c co({0} u (sub(g_i) + z_i)).  So a selection is feasible exactly when
 
     sub(u) + sum_j c co({0} u L_j u H_j) + sum_i c co({0} u (sub g_i + z_i)),
 
-one containment, decided as contains decides one: Wolfe's nearest point
-of the sum to -w0, found through the sum's support oracle without
-enumerating it, within FEAS_TOL.  check_all_selections decides every
-selection so and solves no LP.  check_multipliers keeps the LP form as
-the certificate that carries multiplier values: every scalar-times-
+one containment, decided by contains' cut FEAS_TOL on the distance.
+Wolfe's nearest point x of the sum to -w0, found through the sum's
+support oracle without enumerating it, bounds that distance: above by
+|x|, below by the separating bound of x.  check_all_selections decides
+a selection by these bounds when they fall on one side of the cut.
+Wolfe's stopping test is relative to the sum's scale, which grows with
+c, so at large c (from about 1e4 on the test programs, never up to 1e3)
+the bounds can straddle the cut; such a selection goes to
+check_multipliers, the LP form, which is also the certificate that
+carries multiplier values: every scalar-times-
 polytope term parameterized by nonnegative weights on the polytope
 vertices, the scalar recovered as the weight sum.  In block form, with
 the vertex blocks P_0 = sub(u), P_lo_j = L_j, P_hi_j = H_j and
@@ -82,6 +87,7 @@ local minimiser; without one it proves nothing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -169,14 +175,19 @@ class ProgramData:
         return qd_add(self.u, qd_scale(self.phi, c))
 
 
-def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
-    """Walk u, each f_j and g_i, and phi once at the binding."""
+def program_data(p: ProgramSpec, b: Binding,
+                 walked: Optional[dict] = None) -> ProgramData:
+    """Walk u, each f_j and g_i, and phi once at the binding; a pair that
+    walked holds for a function (keyed by its id, as qd_mfcq fills it)
+    is read instead of walked again."""
     phi = l1_penalty(p.equalities, p.inequalities)
-    return ProgramData(p.n, qd_at(p.objective, b),
-                       tuple(qd_at(f, b) for f in p.equalities),
-                       tuple(qd_at(g, b) for g in p.inequalities),
+
+    def at(e: Expr) -> Quasidifferential:
+        return (walked or {}).get(id(e)) or qd_at(e, b)
+    return ProgramData(p.n, at(p.objective), tuple(map(at, p.equalities)),
+                       tuple(map(at, p.inequalities)),
                        tuple(active_inequalities(p, b, FEAS_TOL)),
-                       None if phi is None else qd_at(phi, b))
+                       None if phi is None else at(phi))
 
 
 class StationarityResult(NamedTuple):
@@ -232,7 +243,8 @@ def _check_index(idx: int, poly: Polytope, label: str) -> None:
 def check_multipliers(data: ProgramData, sel: Selection,
                       c_bound: Optional[float] = None) -> MultiplierCertificate:
     """Solve the multiplier LP for one vertex selection: the certificate
-    with multiplier values (check_all_selections decides without it)."""
+    with multiplier values, and check_all_selections' decision where
+    Wolfe's bounds leave one open."""
     l, na = len(data.f), len(data.active)
     if len(sel.v) != l or len(sel.w) != l or len(sel.z) != na:
         raise OptimalityError(
@@ -313,10 +325,11 @@ def check_all_selections(data: ProgramData, c_bound: float,
     multiplier system is infeasible at c_bound.
 
     Each selection is decided as a containment in a Minkowski sum by
-    Wolfe's nearest point, with the FEAS_TOL cut of contains (see the
-    module docstring); no LP is solved.  The search begins at index
-    start, and the selections before it count as checked: start may be
-    the first infeasible index at any bound at most c_bound."""
+    Wolfe's nearest point, with the FEAS_TOL cut of contains, and by its
+    LP only when Wolfe's bounds straddle that cut (see the module
+    docstring).  The search begins at index start, and the selections
+    before it count as checked: start may be the first infeasible index
+    at any bound at most c_bound."""
     l, c = len(data.f), float(c_bound)
     origin = np.zeros((1, data.n))
     u_terms = [data.u.sub.vertices + w0 for w0 in data.u.sup.vertices]
@@ -326,31 +339,33 @@ def check_all_selections(data: ProgramData, c_bound: float,
                for fj in data.f]
     g_terms = [[c * np.vstack([origin, data.g[i].sub.vertices + z])
                 for z in data.g[i].sup.vertices] for i in data.active]
-    ranges = [range(len(u_terms))]
-    for fj in data.f:
-        ranges.append(range(fj.sub.nvertices))
-        ranges.append(range(fj.sup.nvertices))
-    ranges += [range(len(t)) for t in g_terms]
-    n_total = 1
-    for r in ranges:
-        n_total *= len(r)
+    sizes = ([len(u_terms)]
+             + [n for t in f_terms for n in (len(t), len(t[0]))]
+             + [len(t) for t in g_terms])
+    n_total = math.prod(sizes)
 
     n_checked = start
-    for combo in itertools.islice(itertools.product(*ranges), start, None):
+    for combo in itertools.islice(itertools.product(*map(range, sizes)),
+                                  start, None):
         if n_checked >= budget:
             return SelectionSweep(None, n_total, n_checked)
-        sel = Selection(combo[0],
-                        tuple(combo[1:1 + 2 * l:2]),
-                        tuple(combo[2:2 + 2 * l:2]),
-                        tuple(combo[1 + 2 * l:]))
+        sel = Selection(combo[0], combo[1:1 + 2 * l:2],
+                        combo[2:2 + 2 * l:2], combo[1 + 2 * l:])
         n_checked += 1
         sets = ([u_terms[sel.w0]]
                 + [t[v][w] for t, v, w in zip(f_terms, sel.v, sel.w)]
                 + [t[z] for t, z in zip(g_terms, sel.z)])
-        if np.linalg.norm(_min_norm_combination(sets)[0]) > FEAS_TOL:
-            return SelectionSweep(False, n_total, n_checked,
-                                  MultiplierCertificate(False, sel,
-                                                        c_bound=c_bound))
+        # Wolfe's x is a point of the sum, and no point p of the sum has
+        # <p, x> below sum_i min <t_i, x>: its distance to 0 is at most
+        # |x| and at least that sum over |x|.  A selection whose FEAS_TOL
+        # verdict these bounds leave open is decided by its LP.
+        x = _min_norm_combination(sets)[0]
+        dist = float(np.linalg.norm(x))
+        if dist > FEAS_TOL and (
+                sum([float((t @ x).min()) for t in sets]) > FEAS_TOL * dist
+                or not check_multipliers(data, sel, c_bound).feasible):
+            cert = MultiplierCertificate(False, sel, c_bound=c_bound)
+            return SelectionSweep(False, n_total, n_checked, cert)
     return SelectionSweep(True, n_total, n_checked)
 
 
@@ -410,21 +425,22 @@ def estimate_c_star(data: ProgramData) -> float:
     return c_star
 
 
-def qualification_pathway(p: ProgramSpec, b: Binding, data: ProgramData,
-                          *, tol: float = FEAS_TOL) -> str:
+def qualification_pathway(p: ProgramSpec, b: Binding, *,
+                          tol: float = FEAS_TOL,
+                          walked: Optional[dict] = None) -> str:
     """Which qualification licenses the necessary condition, tried in
     this order: "unconstrained", "qd-mfcq", "error-bound" or "none".
 
-    data is program_data(p, b), whose pairs of f_j and g_i the q.d.-MFCQ
-    reads instead of walking the constraints again.  "error-bound" is
-    certified, not sampled: every constraint is piecewise affine, so a
-    local error bound holds (see the module docstring).  "none" means
-    neither certificate applies, not that the qualification fails.
+    "error-bound" is certified, not sampled: every constraint is
+    piecewise affine, so a local error bound holds (see the module
+    docstring).  "none" means neither certificate applies, not that the
+    qualification fails.  walked is passed on to qd_mfcq, so that
+    program_data(p, b, walked) need not walk the constraints again.
     """
     s = p.constraint_system()
     if s is None:
         return "unconstrained"
-    if qd_mfcq(s, b.point, tol=tol, walked=(data.f, data.g)).verdict:
+    if qd_mfcq(s, b.point, tol=tol, walked=walked).verdict:
         return "qd-mfcq"
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
         return "error-bound"

@@ -546,6 +546,24 @@ class TestOptcheckReport:
         assert_equal((code, err), (0, ""))
         return out.splitlines()
 
+    def test_huge_bound_leaves_open_selections_to_their_lps(self, capsys,
+                                                           monkeypatch):
+        # at c = 1e150 Wolfe's bounds decide none of the first three
+        # selections, which are feasible; their LPs say so, and the line
+        # is the one the LP search printed
+        solved = []
+        certify = optimality.check_multipliers
+        monkeypatch.setattr(optimality, "check_multipliers",
+                            lambda *args: solved.append(args[1])
+                            or certify(*args))
+        assert_equal(main(["optcheck", str(PROBLEMS / "penalty_demo.prob"),
+                           "--c", "1e150"]), 0)
+        assert ("c = 1e+150: stationarity fails, violating w = (-1e+150, "
+                "-1e+150); infeasible selection w0=0 v=[1] w=[1] z=[] "
+                "(4 of 4 checked)") in capsys.readouterr().out.splitlines()
+        assert_equal([(s.v, s.w) for s in solved],
+                     [((0,), (0,)), ((0,), (1,)), ((1,), (0,))])
+
     def test_flat_equality_optimum_is_not_called_non_optimal(self, tmp_path,
                                                             capsys):
         # x1 = 0 is the whole feasible set, so the point is optimal, but
@@ -1148,6 +1166,16 @@ class TestNonFiniteInputs:
         assert_equal((code, err), (2, "error: a value overflows the float "
                                       "range while evaluating the problem\n"))
         assert_equal([str(w.message) for w in recwarn], [])
+
+    def test_infeasible_point_is_named_before_an_objective_overflow(
+            self, tmp_path, capsys):
+        # optcheck checks the qualification, and with it feasibility,
+        # before it walks the objective
+        code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
+                                  "objective = exp(x1)\nequality = x1\n"
+                                  "[point]\nx = 1000\n", command="optcheck")
+        assert_equal((code, err),
+                     (2, "error: base point infeasible: f1 = 1000\n"))
 
     @pytest.mark.parametrize("command", ["qd", "slope", "mfcq", "regcheck",
                                          "optcheck"])

@@ -173,8 +173,8 @@ class TestProgramData(TestCase):
             check_stationarity(at_origin(sign_program()), -1.0)
 
     def test_optcheck_walks_each_function_once(self):
-        # u, f1 and phi, against 18 walks when each c built its own Psi_c;
-        # the pathway's q.d.-MFCQ reads program_data's pair of f1
+        # f1, u and phi, against 18 walks when each c built its own Psi_c:
+        # the pathway's q.d.-MFCQ walks f1 and program_data reads its pair
         walked = []
 
         def counting(e, b):
@@ -187,7 +187,7 @@ class TestProgramData(TestCase):
                 mp.setattr(module, "qd_at", counting)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
-        assert_equal(walked, [p.objective, p.equalities[0],
+        assert_equal(walked, [p.equalities[0], p.objective,
                               l1_penalty(p.equalities, p.inequalities)])
 
 
@@ -465,12 +465,13 @@ def selection_programs(family, load_perfbench):
 def test_wolfe_decides_each_selection_as_the_lp(family, load_perfbench):
     # check_all_selections on one selection alone (start k, budget k + 1)
     # decides it as check_multipliers' LP does, on every selection (the
-    # first 200 of the twelve equalities) at c = 0, 0.1 and the ladder
+    # first 200 of the twelve equalities) at c = 0, 0.1, the ladder and
+    # the large bounds at which Wolfe's bounds can leave a selection open
     seen = {True: 0, False: 0}
     for p, x in selection_programs(family, load_perfbench):
         data = program_data(p, p.binding(x))
         for k, sel in enumerate(itertools.islice(selections(data), 200)):
-            for c in (0.0, 0.1) + C_LADDER:
+            for c in (0.0, 0.1) + C_LADDER + (1e4, 1e6, 1e10):
                 sweep = check_all_selections(data, c, budget=k + 1, start=k)
                 feasible = check_multipliers(data, sel, c).feasible
                 assert_equal(sweep.n_checked, k + 1)
@@ -482,6 +483,8 @@ def test_wolfe_decides_each_selection_as_the_lp(family, load_perfbench):
 
 
 def test_selection_search_solves_no_lp(monkeypatch, load_perfbench):
+    # up to c = 100 Wolfe's bounds decide every selection of these
+    # programs; only a selection they leave open goes to its LP
     def refused(*args, **kwargs):
         raise AssertionError("the selection search solved an LP")
 
@@ -639,11 +642,12 @@ def _lp_bytes(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize):
 
 
 class TestLpInputsAsReference:
-    """find_hbar and the selection search solve no LP; the block-built LP
-    of check_multipliers, called directly on each selection that a search
-    decided, takes the inputs of the loop-built one, to the byte, and
-    decides the selection as the search did; estimate_c_star's variables
-    stay nonnegative."""
+    """find_hbar solves no LP, nor does the selection search at the
+    fixtures' bounds, where Wolfe's bounds decide every selection; the
+    block-built LP of check_multipliers, called directly on each selection
+    that a search decided, takes the inputs of the loop-built one, to the
+    byte, and decides the selection as the search did; estimate_c_star's
+    variables stay nonnegative."""
 
     @pytest.fixture(autouse=True)
     def recorded(self, monkeypatch):
@@ -743,7 +747,7 @@ class TestLpInputsAsReference:
         for _ in range(20):
             p = dc_program(rng)
             b = p.binding(ORIGIN)
-            qualification_pathway(p, b, program_data(p, b))
+            qualification_pathway(p, b)
             # the equality's sum spans R^2, which leaves no direction to
             # search; without it the active max-type inequality gets one
             qd_mfcq(SystemSpec(2, (), p.inequalities), ORIGIN)
@@ -851,24 +855,24 @@ class TestQualificationPathway(TestCase):
 
     def test_unconstrained(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"))
-        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
+        kind = qualification_pathway(p, p.binding(ORIGIN))
         assert_equal(kind, "unconstrained")
 
     def test_regular_equality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x2"), (pe("x1"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
+        kind = qualification_pathway(p, p.binding(ORIGIN))
         assert_equal(kind, "qd-mfcq")
 
     def test_regular_inequality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x1"), (), (pe("x1"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
+        kind = qualification_pathway(p, p.binding(ORIGIN))
         assert_equal(kind, "qd-mfcq")
 
     def test_sign_program_falls_back_to_error_bound(self):
         # MFCQ fails on the diagonal-pair set, but the constraint is
         # piecewise affine, so a local error bound holds
         p = sign_program()
-        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
+        kind = qualification_pathway(p, p.binding(ORIGIN))
         assert_equal(kind, "error-bound")
 
     def test_flat_equality_is_not_certified(self):
@@ -876,6 +880,6 @@ class TestQualificationPathway(TestCase):
         # The point is optimal (x1 = 0 is the whole feasible set), so a
         # certified pathway here would make c* = inf read "not optimal"
         p = ProgramSpec(2, pe("x1"), (pe("pow(x1, 2)"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN), at_origin(p))
+        kind = qualification_pathway(p, p.binding(ORIGIN))
         assert_equal(kind, "none")
         assert_equal(estimate_c_star(at_origin(p)), np.inf)
