@@ -43,7 +43,7 @@ from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
                          psi_expr, verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
-_NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "grid", "tol", "seed")
+_NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "grid", "seed")
 
 
 def _g(x) -> str:
@@ -76,7 +76,7 @@ class _Report:
         self.code = 0
         self.add(f"quasidiff {args.command} report", command=args.command)
         self.add(f"seed: {args.seed}", seed=args.seed)
-        self.add(f"tol: {_g(args.tol)}", tol=float(args.tol))
+        self.add(f"tol: {_g(FEAS_TOL)}", tol=FEAS_TOL)
         label = "center" if args.command == "regcheck" else "point"
         self.add(f"{label}: {_vec(x)}", params=dict(params),
                  **{label: _floats(x)})
@@ -201,7 +201,7 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
 
 
 def cmd_mfcq(args, pf: ProblemFile, x, out: _Report) -> None:
-    rep = qd_mfcq(pf.system(), x, tol=args.tol,
+    rep = qd_mfcq(pf.system(), x,
                   budget=_given(pf.check.budget, PATTERN_BUDGET))
     out.add("active inequalities: "
             + (", ".join(str(i + 1) for i in rep.active) or "none"),
@@ -305,9 +305,8 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
     b = p.binding(x)
     ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
     budget = _given(pf.check.budget, SELECTION_BUDGET)
-    walked: dict = {}
-    pathway = qualification_pathway(p, b, tol=args.tol, walked=walked)
-    data = program_data(p, b, walked)
+    data = program_data(p, b)
+    pathway = qualification_pathway(p, data)
     out.add(f"objective: {p.objective.to_text()}",
             objective=p.objective.to_text())
     out.add(f"constraints: {len(p.equalities)} equalities, "
@@ -437,10 +436,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0,
                         help="seeds regcheck's margin shells only "
                              "(default 0)")
-        sp.add_argument("--tol", type=float, default=FEAS_TOL,
-                        help="feasibility/active tolerance of mfcq and of "
-                             "optcheck's qualification pathway "
-                             "(default 1e-9)")
         sp.add_argument("--at", nargs="+", type=float, metavar="X",
                         help="evaluation point (overrides [point])")
 

@@ -27,6 +27,11 @@ least-norm point x*; if x* is not 0, hbar = -Q x*/|x*| is the unit l2
 direction whose worst slack min_v -<v, hbar> is largest, and that
 largest slack, the margin, is |x*|.  "Is x* zero?" is the hull test's
 cut, so both conditions decide "is 0 in this hull?" by one rule.
+
+geometry.FEAS_TOL is the one tolerance: of feasibility, of the active
+set and, relative to the largest point, of the hull test's cut.
+qd_mfcq checks the point and walks the constraints; mfcq_of_pairs
+decides on the pairs, for qd_mfcq and for optimality's pathway alike.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import qd_plus_set
+from .calculus import Quasidifferential, qd_plus_set
 from .expressions import Binding, qd_at
 from .geometry import (FEAS_TOL, Polytope, _lifted, _min_norm_combination,
                        complement_basis)
@@ -56,25 +61,24 @@ class InfeasiblePointError(ValueError):
         self.residuals = residuals
 
 
-def active_inequalities(s: SystemSpec, b: Binding,
-                        tol: float = FEAS_TOL) -> list[int]:
-    """Indices i with |g_i(x,p)| <= tol."""
+def active_inequalities(s: SystemSpec, b: Binding) -> list[int]:
+    """Indices i with |g_i(x,p)| <= FEAS_TOL; s is a system or a
+    program."""
     return [i for i, g in enumerate(s.inequalities)
-            if abs(float(g.evaluate(b.point, b.params))) <= tol]
+            if abs(float(g.evaluate(b.point, b.params))) <= FEAS_TOL]
 
 
-def feasibility_violations(s: SystemSpec, b: Binding,
-                           tol: float = FEAS_TOL) -> dict:
-    """Constraint residuals exceeding tol, keyed like 'f2' / 'g1'; s is a
-    system or a program."""
+def feasibility_violations(s: SystemSpec, b: Binding) -> dict:
+    """Constraint residuals exceeding FEAS_TOL, keyed like 'f2' / 'g1';
+    s is a system or a program."""
     out = {}
     for j, f in enumerate(s.equalities):
         r = float(f.evaluate(b.point, b.params))
-        if abs(r) > tol:
+        if abs(r) > FEAS_TOL:
             out[f"f{j + 1}"] = r
     for i, g in enumerate(s.inequalities):
         r = float(g.evaluate(b.point, b.params))
-        if r > tol:
+        if r > FEAS_TOL:
             out[f"g{i + 1}"] = r
     return out
 
@@ -124,11 +128,11 @@ def full_rank_det_range(rows: Sequence[Polytope],
                           tuple(int(v) for v in combos[i_max]), total)
 
 
-def _nearest_to_zero(points: np.ndarray, tol: float = FEAS_TOL):
+def _nearest_to_zero(points: np.ndarray):
     """(x, corral, weights, dist, inside): Wolfe's least-norm point x of
     conv(points) in lifted units, the weights on points[corral] that give
-    it, dist = |x| in the points' units, and inside when |x| <= tol *
-    max|point|.
+    it, dist = |x| in the points' units, and inside when |x| <= FEAS_TOL
+    * max|point|.
 
     The points are lifted by geometry's rule (a set whose largest |entry|
     is below 1/2 goes into [1/2, 1) by an exact power of two, larger ones
@@ -140,12 +144,11 @@ def _nearest_to_zero(points: np.ndarray, tol: float = FEAS_TOL):
     lifted, k = _lifted(points)
     x, corral, weights = _min_norm_combination(lifted)
     dist = float(np.linalg.norm(x))
-    inside = dist <= tol * np.linalg.norm(lifted, axis=1).max()
+    inside = dist <= FEAS_TOL * np.linalg.norm(lifted, axis=1).max()
     return x, corral, weights, float(np.ldexp(dist, -k)), inside
 
 
-def _sign_pattern_dependence(rows: Sequence[Polytope],
-                             tol: float = FEAS_TOL):
+def _sign_pattern_dependence(rows: Sequence[Polytope]):
     """(lam, dist) for the first sign pattern whose hull is inside the
     cut of _nearest_to_zero, lam = s mu at unit l2 norm with mu_j the
     Wolfe weight on A_j's rows; (None, least distance) when every hull is
@@ -156,7 +159,7 @@ def _sign_pattern_dependence(rows: Sequence[Polytope],
     for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
         signs = np.array((1.0,) + tail)
         _, corral, weights, dist, inside = _nearest_to_zero(
-            signs[owner, None] * points, tol)
+            signs[owner, None] * points)
         if inside:
             lam = signs * np.bincount(owner[corral], weights=weights,
                                       minlength=len(rows))
@@ -180,8 +183,7 @@ class FullRankResult:
 
 
 def full_rank_general(rows: Sequence[Polytope], n: int, *,
-                      budget: int = PATTERN_BUDGET,
-                      tol: float = FEAS_TOL) -> FullRankResult:
+                      budget: int = PATTERN_BUDGET) -> FullRankResult:
     """Linear independence of the sets, decided exactly for every shape.
 
     l > n is dependent by counting; 1 <= l <= n runs the 2^(l-1)
@@ -198,7 +200,7 @@ def full_rank_general(rows: Sequence[Polytope], n: int, *,
     if patterns > budget:
         raise BudgetExceededError(
             f"sign-pattern count {patterns} exceeds the budget {budget}")
-    lam, dist = _sign_pattern_dependence(rows, tol)
+    lam, dist = _sign_pattern_dependence(rows)
     if lam is None:
         return FullRankResult(True, "sign-pattern hull test",
                               f"0 is outside every signed hull ({patterns} "
@@ -224,8 +226,7 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
     hbar = -Q x*/|x*| has unit l2 norm, with x* the least-norm point of
     conv{Q^T v} over the inequality-sum vertices v, and margin = |x*| is
     the largest worst slack over unit directions.  When x* is within the
-    hull test's cut of 0, at the default FEAS_TOL, no hbar exists and
-    margin is 0.  With no active
+    hull test's cut of 0, no hbar exists and margin is 0.  With no active
     inequality the requirement is vacuous and margin is +inf; with no
     complement left it is -inf.
     """
@@ -266,31 +267,35 @@ class MfcqReport:
     warnings: list
 
 
-def qd_mfcq(s: SystemSpec, x, *, tol: float = FEAS_TOL,
-            budget: int = PATTERN_BUDGET, walked=None) -> MfcqReport:
+def qd_mfcq(s: SystemSpec, x, *, budget: int = PATTERN_BUDGET) -> MfcqReport:
     """Full qualification check at a feasible point.
 
     verdict is rank.full_rank AND direction.margin > 0.  Infeasible base
-    points are rejected with their residuals.  walked, when given, is a
-    dict that receives the pair at x of each f_j and active g_i, keyed by
-    the id of the function, for program_data to read.
+    points are rejected with their residuals.
     """
     b = s.binding(x)
-    residuals = feasibility_violations(s, b, tol)
+    residuals = feasibility_violations(s, b)
     if residuals:
         raise InfeasiblePointError(residuals)
+    active = active_inequalities(s, b)
+    return mfcq_of_pairs(active, [qd_at(f, b) for f in s.equalities],
+                         [qd_at(s.inequalities[i], b) for i in active],
+                         s.n, budget)
 
-    active = active_inequalities(s, b, tol)
-    walked = {} if walked is None else walked
-    for fn in s.equalities + tuple(s.inequalities[i] for i in active):
-        walked[id(fn)] = qd_at(fn, b)
-    eq_plus = [qd_plus_set(walked[id(f)]) for f in s.equalities]
-    ineq_plus = [qd_plus_set(walked[id(s.inequalities[i])]) for i in active]
 
-    fr = full_rank_general(eq_plus, s.n, budget=budget, tol=tol)
-    hb = find_hbar(eq_plus, ineq_plus, s.n)
+def mfcq_of_pairs(active: Sequence[int],
+                  eq_pairs: Sequence[Quasidifferential],
+                  ineq_pairs: Sequence[Quasidifferential], n: int,
+                  budget: int = PATTERN_BUDGET) -> MfcqReport:
+    """The q.d.-MFCQ from the pairs at a feasible point of each f_j and of
+    each active g_i, in the order of active; qd_mfcq after its walk, and
+    optimality.qualification_pathway on a program's pairs."""
+    eq_plus = [qd_plus_set(q) for q in eq_pairs]
+    ineq_plus = [qd_plus_set(q) for q in ineq_pairs]
+    fr = full_rank_general(eq_plus, n, budget=budget)
+    hb = find_hbar(eq_plus, ineq_plus, n)
     warnings = []
-    if hb.eq_span_rank == s.n and s.equalities:
+    if hb.eq_span_rank == n and eq_plus:
         warnings.append(
             "equality sums span the whole space; with active inequalities "
             "the qualification needs spare dimensions and fails here")

@@ -7,8 +7,11 @@ For min u(x) s.t. f_j(x) = 0, g_i(x) <= 0 the penalty
 is quasidifferentiable whenever the data are.  With phi the constraint
 penalty in parentheses, its pair at a point follows from those of u and
 phi by the sum rule: [sub u + c sub phi, sup u + c sup phi] for c >= 0.
-So program_data walks u, each f_j and g_i, and phi once into a
-ProgramData record, and every check below reads that record.  Two
+So program_data checks feasibility, takes the active set (both at
+geometry.FEAS_TOL, the one cut of this module and of mfcq), and walks u,
+each f_j and g_i, and phi once into a ProgramData record.  Every check
+below reads that record, qualification_pathway included, so the
+q.d.-MFCQ and the penalty conditions read one active set.  Two
 equivalent necessary conditions are checked at a feasible candidate point:
 
   * stationarity of Psi_c: 0 in sub(Psi_c) + w for every w in
@@ -98,10 +101,9 @@ from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
                        contains, solve_lp)
-# feasibility_violations is not called here; it stays importable from
-# this module because perfbench/tracer.py wraps it under this name
-from .mfcq import active_inequalities, feasibility_violations, qd_mfcq
-from .regularity import SystemSpec, l1_penalty
+from .mfcq import (InfeasiblePointError, active_inequalities,
+                   feasibility_violations, mfcq_of_pairs)
+from .regularity import l1_penalty
 
 SELECTION_BUDGET = 10 ** 5
 C_LADDER = (0.5, 1.0, 2.0, 10.0, 100.0)
@@ -132,13 +134,6 @@ class ProgramSpec:
         if x.shape != (self.n,):
             raise OptimalityError(f"point must have shape ({self.n},)")
         return Binding(x, dict(self.params))
-
-    def constraint_system(self) -> Optional[SystemSpec]:
-        """The constraints as a standalone system; None when unconstrained."""
-        if not self.equalities and not self.inequalities:
-            return None
-        return SystemSpec(self.n, self.equalities, self.inequalities,
-                          dict(self.params))
 
 
 def build_penalty(p: ProgramSpec, c: float) -> Expr:
@@ -175,19 +170,24 @@ class ProgramData:
         return qd_add(self.u, qd_scale(self.phi, c))
 
 
-def program_data(p: ProgramSpec, b: Binding,
-                 walked: Optional[dict] = None) -> ProgramData:
-    """Walk u, each f_j and g_i, and phi once at the binding; a pair that
-    walked holds for a function (keyed by its id, as qd_mfcq fills it)
-    is read instead of walked again."""
+def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
+    """Check that the binding is feasible (InfeasiblePointError names the
+    residuals), take its active set, then walk each f_j, the active g_i,
+    u, the other g_i and phi once, in that order: the constraints that
+    the q.d.-MFCQ reads come first, and no function is walked at an
+    infeasible point."""
+    residuals = feasibility_violations(p, b)
+    if residuals:
+        raise InfeasiblePointError(residuals)
+    active = tuple(active_inequalities(p, b))
+    f = tuple(qd_at(e, b) for e in p.equalities)
+    g = {i: qd_at(p.inequalities[i], b) for i in active}
+    u = qd_at(p.objective, b)
+    g.update({i: qd_at(e, b) for i, e in enumerate(p.inequalities)
+              if i not in g})
     phi = l1_penalty(p.equalities, p.inequalities)
-
-    def at(e: Expr) -> Quasidifferential:
-        return (walked or {}).get(id(e)) or qd_at(e, b)
-    return ProgramData(p.n, at(p.objective), tuple(map(at, p.equalities)),
-                       tuple(map(at, p.inequalities)),
-                       tuple(active_inequalities(p, b, FEAS_TOL)),
-                       None if phi is None else at(phi))
+    return ProgramData(p.n, u, f, tuple(q for _, q in sorted(g.items())),
+                       active, None if phi is None else qd_at(phi, b))
 
 
 class StationarityResult(NamedTuple):
@@ -425,22 +425,21 @@ def estimate_c_star(data: ProgramData) -> float:
     return c_star
 
 
-def qualification_pathway(p: ProgramSpec, b: Binding, *,
-                          tol: float = FEAS_TOL,
-                          walked: Optional[dict] = None) -> str:
+def qualification_pathway(p: ProgramSpec, data: ProgramData) -> str:
     """Which qualification licenses the necessary condition, tried in
     this order: "unconstrained", "qd-mfcq", "error-bound" or "none".
 
+    The q.d.-MFCQ is decided on data's pairs and active set, those of
+    program_data(p, b), as qd_mfcq decides it after its own walk.
     "error-bound" is certified, not sampled: every constraint is
     piecewise affine, so a local error bound holds (see the module
     docstring).  "none" means neither certificate applies, not that the
-    qualification fails.  walked is passed on to qd_mfcq, so that
-    program_data(p, b, walked) need not walk the constraints again.
+    qualification fails.
     """
-    s = p.constraint_system()
-    if s is None:
+    if data.phi is None:
         return "unconstrained"
-    if qd_mfcq(s, b.point, tol=tol, walked=walked).verdict:
+    if mfcq_of_pairs(data.active, data.f, [data.g[i] for i in data.active],
+                     data.n).verdict:
         return "qd-mfcq"
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
         return "error-bound"

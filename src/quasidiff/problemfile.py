@@ -17,7 +17,7 @@ line; blank lines and lines starting with # are skipped.
 
     [check]
     K = 2.0            r = 0.5          grid = 21     target_grid = 11
-    c = 0.5 1 2        norm = l1        y = 0         z = 0
+    c = 0.5 1 2        y = 0            z = 0
     scan_radius = 1.0  budget = 1000000
 
 At most MAX_CONSTRAINTS equality and inequality lines are accepted.
@@ -49,9 +49,8 @@ _AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
 _ODD = ("odd", lambda v: v % 2 == 1)
 _NONNEGATIVE = (">= 0", lambda v: v >= 0)
 # The range of each number by key, checked in order; a flag is held to the
-# key it overrides (--K to k), and --tol and --seed have keys of their own.
-_RANGES = {"k": (_POSITIVE,), "r": (_POSITIVE,),
-           "scan_radius": (_POSITIVE,), "tol": (_POSITIVE,),
+# key it overrides (--K to k), and --seed has a key of its own.
+_RANGES = {"k": (_POSITIVE,), "r": (_POSITIVE,), "scan_radius": (_POSITIVE,),
            "budget": (_AT_LEAST_ONE,), "grid": (_AT_LEAST_ONE, _ODD),
            "target_grid": (_AT_LEAST_ONE, _ODD), "c": (_NONNEGATIVE,),
            "seed": (_NONNEGATIVE,)}
@@ -245,16 +244,9 @@ def loads(text: str) -> ProblemFile:
                 raise ProblemFileError(
                     f"{key} needs {len(exprs)} value(s) (one per {role}), "
                     f"got {len(fields[key])}", lineno)
-        elif key == "norm":
-            # psi is the l1 scalarization; the key stays valid for old files
-            if value != "l1":
-                raise ProblemFileError(f"norm must be l1, got {value!r}",
-                                       lineno)
-            fields[key] = value  # kept only to catch a duplicate
         else:
             raise ProblemFileError(f"unknown [check] key {key!r}", lineno)
 
-    fields.pop("norm", None)
     return ProblemFile(n, objective, tuple(equalities), tuple(inequalities),
                        params, point, CheckSettings(**fields))
 

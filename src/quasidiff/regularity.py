@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -63,6 +64,7 @@ import numpy as np
 from .calculus import Quasidifferential, singleton_rates, steepest_rate
 from .expressions import (Abs, Add, Binding, Const, Expr, Max, Param, Sub,
                           qd_at, qd_rows_at)
+from .geometry import _lifted
 
 SLOPE_DIRECTIONS = 256
 # verify_regularity_grid's defaults: points per axis, targets per axis,
@@ -306,21 +308,23 @@ def _scan(s: SystemSpec, axes: Sequence[np.ndarray], keep):
 
 
 def _nearest_distances(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """d(q_i, pts) for each row q_i of q, by the bytes of
+    """d(q_i, pts) for each row q_i of q.  At n >= 2 it is
     cKDTree(pts).query(q)[0].  At n = 1, pts must be non-decreasing, as
     the kept rows of a scan are (a linspace axis, and rounding is
     monotone); the nearest point is then one of the two neighbours that
-    np.searchsorted finds, and the distance is the square root of the
-    smaller squared difference, as the tree takes it.  The tree gives inf
-    where a square overflows, and raises nothing, so neither does this."""
+    np.searchsorted finds, and the distance is the smaller |x - p|.  That
+    is the tree's sqrt of the squared difference, to the byte, wherever
+    the square is a normal number, and exact where the square would
+    underflow or overflow.  A difference that overflows is inf, and
+    raises nothing."""
     if pts.shape[1] > 1:
         from scipy.spatial import cKDTree
         return cKDTree(pts).query(q)[0]
     p, x = pts[:, 0], q[:, 0]
     i = np.searchsorted(p, x)
-    with np.errstate(over="ignore", under="ignore"):
-        return np.sqrt(np.minimum(np.square(x - p[np.maximum(i - 1, 0)]),
-                                  np.square(x - p[np.minimum(i, len(p) - 1)])))
+    with np.errstate(over="ignore"):
+        return np.minimum(np.abs(x - p[np.maximum(i - 1, 0)]),
+                          np.abs(x - p[np.minimum(i, len(p) - 1)]))
 
 
 def _pattern_search(objective: Callable[[np.ndarray], float], start: np.ndarray,
@@ -408,6 +412,15 @@ def _on_set(s: SystemSpec, start: np.ndarray, y: np.ndarray, z: np.ndarray,
     return None if res(on_set) > _REFINE_RES_TOL else on_set
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v|, taken lifted by geometry's exact power of two, as
+    nearest_point takes its distance, so that no square underflows; the
+    bytes of np.linalg.norm(v), sqrt(v . v), wherever its squares are
+    normal."""
+    lifted, k = _lifted(v)
+    return math.ldexp(math.sqrt(lifted.dot(lifted)), -int(k))
+
+
 def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
                      on_set: np.ndarray | None, y: np.ndarray, z: np.ndarray,
                      step: float) -> float:
@@ -416,15 +429,15 @@ def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
     z, step); the distance from x to where it ends."""
     if on_set is None:
         # could not certify a true solution nearby; keep the raw figure
-        return float(np.linalg.norm(x - start))
+        return _norm(x - start)
     res = _residual_fn(s, y, z)
 
     def constrained(c: np.ndarray) -> float:
-        return float(np.linalg.norm(x - c)) if res(c) <= _REFINE_RES_TOL else np.inf
+        return _norm(x - c) if res(c) <= _REFINE_RES_TOL else np.inf
 
     final = _pattern_search(constrained, on_set, max(step, 1e-7), 1e-11,
                             _compass(s.n))
-    return float(np.linalg.norm(x - final))
+    return _norm(x - final)
 
 
 def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,

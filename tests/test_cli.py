@@ -47,7 +47,6 @@ target_grid = 11
 scan_radius = 1.0
 budget = 1000
 c = 0.5 1 2
-norm = l1
 y = 0 0
 z = 0
 """
@@ -185,9 +184,10 @@ class TestProblemFileParsing:
     def test_check_validation(self):
         with pytest.raises(ProblemFileError, match="grid must be an integer"):
             loads("[problem]\nn = 1\n[check]\ngrid = 2.5\n")
+        # psi is the l1 scalarization, and no key names another norm
         with pytest.raises(ProblemFileError,
-                           match="norm must be l1, got 'sup'"):
-            loads("[problem]\nn = 1\n[check]\nnorm = sup\n")
+                           match=r"unknown \[check\] key 'norm'"):
+            loads("[problem]\nn = 1\n[check]\nnorm = l1\n")
         with pytest.raises(ProblemFileError, match=r"unknown \[check\] key"):
             loads("[problem]\nn = 1\n[check]\nfanciness = 11\n")
         with pytest.raises(ProblemFileError, match="duplicate \\[check\\] key"):
@@ -276,11 +276,11 @@ class TestReportShape:
         assert "-0.0" not in sidecar.read_text()
 
     def test_seed_and_tol_flags_are_echoed(self, tmp_path):
-        r = run_cli("qd", str(PROBLEMS / "cubic.prob"),
-                    "--seed", "3", "--tol", "1e-6")
+        # the tolerance is geometry.FEAS_TOL, echoed whatever the flags
+        r = run_cli("qd", str(PROBLEMS / "cubic.prob"), "--seed", "3")
         assert r.returncode == 0
         assert "seed: 3" in r.stdout
-        assert "tol: 1e-06" in r.stdout
+        assert "tol: 1e-09" in r.stdout
 
 
 class TestQdReport:
@@ -504,6 +504,20 @@ class TestRegcheckReport:
         assert_equal(payload["worst_ratio"], "inf")
         assert_equal(payload["notes"], [lines[-1][len("note: "):]])
 
+    def test_n1_distances_keep_their_scale(self, tmp_path, capsys):
+        # the ratios of 2*x1 at scale 1e-170 are those at scale 1: d(x, S)
+        # = |x|, psi = 2|x|, so every checked ratio is near 1/2 > 1/K,
+        # although each squared difference here would underflow to 0
+        f = tmp_path / "tiny.prob"
+        f.write_text("[problem]\nn = 1\nequality = 2*x1\n[point]\nx = 0\n"
+                     "[check]\nK = 0.1\nr = 1e-170\nscan_radius = 1e-170\n"
+                     "budget = 10000\n")
+        assert_equal(main(["regcheck", str(f)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert "worst ratio: 0.499783311664" in lines
+        assert "violators: 220" in lines
+        assert "certified: no" in lines
+
     def test_flag_overrides_shrink_the_grid(self):
         r = run_cli("regcheck", str(PROBLEMS / "cubic.prob"),
                     "--K", "1.0", "--r", "0.1", "--grid", "5")
@@ -635,6 +649,22 @@ class TestOptcheckReport:
         assert_equal(main(["optcheck", str(f), "--json", str(sidecar)]), 0)
         capsys.readouterr()
         assert_equal(json.loads(sidecar.read_text())["pathway"], record)
+
+    def test_pathway_and_penalty_read_one_active_set(self, tmp_path,
+                                                     capsys):
+        # g1(0) = -1e-10 is within FEAS_TOL: mfcq counts it active, and
+        # so does every rung's selection, z=[0]
+        text = ("[problem]\nn = 1\nobjective = -x1\n"
+                "inequality = x1 - 0.0000000001\n[point]\nx = 0\n")
+        f = tmp_path / "oc.prob"
+        f.write_text(text)
+        assert_equal(main(["mfcq", str(f)]), 0)
+        assert "active inequalities: 1" in capsys.readouterr().out.splitlines()
+        lines = self.optcheck_lines(tmp_path, capsys, text)
+        assert "qualification pathway: q.d.-MFCQ verified" in lines
+        assert ("c = 0.5: stationarity fails, violating w = (0); infeasible "
+                "selection w0=0 v=[] w=[] z=[0] (1 of 1 checked)") in lines
+        assert "c* estimate: 1 (exact, one LP per vertex pair)" in lines
 
     def test_threshold_above_the_ladder_is_reported(self, tmp_path, capsys):
         lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
@@ -788,9 +818,6 @@ BAD_FLAGS = [
     ("optcheck", ("--c", "1", "-NaN"), "--c must be finite, got '1 nan'"),
     ("regcheck", ("--K", "nan"), "--K must be finite, got 'nan'"),
     ("regcheck", ("--r", "1e400"), "--r must be finite, got 'inf'"),
-    ("mfcq", ("--tol", "nan"), "--tol must be finite, got 'nan'"),
-    ("mfcq", ("--tol", "-1"), "--tol must be positive, got '-1'"),
-    ("optcheck", ("--tol", "0"), "--tol must be positive, got '0'"),
     ("slope", ("--seed", "-1"), "--seed must be >= 0, got '-1'"),
     ("regcheck", ("--grid", "-3"), "--grid must be >= 1, got '-3'"),
     ("regcheck", ("--grid", "4"), "--grid must be odd, got '4'"),
@@ -815,8 +842,8 @@ BAD_CHECK_LINES = [
      "line 8: target_grid must be odd, got '2'"),
     ("regcheck", "K = 0", "line 8: k must be positive, got '0'"),
     ("regcheck", "r = -1", "line 8: r must be positive, got '-1'"),
-    # psi is the l1 scalarization; the l2 norm was removed
-    ("slope", "norm = l2", "line 8: norm must be l1, got 'l2'"),
+    # psi is the l1 scalarization; no key names a norm
+    ("slope", "norm = l2", "line 8: unknown [check] key 'norm'"),
     # an empty ladder is not the default ladder
     ("optcheck", "c =", "line 8: c needs at least one number"),
     ("optcheck", "c = 1 -2", "line 8: c must be >= 0, got '1 -2'"),
@@ -1169,8 +1196,7 @@ class TestNonFiniteInputs:
 
     def test_infeasible_point_is_named_before_an_objective_overflow(
             self, tmp_path, capsys):
-        # optcheck checks the qualification, and with it feasibility,
-        # before it walks the objective
+        # program_data checks feasibility before it walks the objective
         code, err = self.run_main(tmp_path, capsys, "[problem]\nn = 1\n"
                                   "objective = exp(x1)\nequality = x1\n"
                                   "[point]\nx = 1000\n", command="optcheck")
@@ -1219,13 +1245,13 @@ NEGATIVE_EXPONENT_FLAGS = [
      "error: --K must be positive, got '-1'"),
     ("regcheck", ("--r", "-.5e0"), 2,
      "error: --r must be positive, got '-0.5'"),
-    ("mfcq", ("--tol", "-1e-3"), 2,
-     "error: --tol must be positive, got '-0.001'"),
 ]
 # command lines that argparse rejects, each with its one-line diagnostic
 # (None for the file written by the test)
 REJECTED_COMMAND_LINES = [
     (["qd", None, "--bogus"], "unrecognized arguments: --bogus"),
+    # every cut is geometry.FEAS_TOL; no flag sets it
+    (["mfcq", None, "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
     (["regcheck", None, "--K", "abc"],
      "argument --K: invalid float value: 'abc'"),
     (["slope", None, "--target"],

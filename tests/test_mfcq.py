@@ -45,7 +45,7 @@ class TestActiveSet(TestCase):
 
     def test_value_exactly_at_tolerance_is_active(self):
         s = SystemSpec(1, (), (parse_expression("x1", 1),))
-        got = active_inequalities(s, s.binding([1e-9]), tol=1e-9)
+        got = active_inequalities(s, s.binding([1e-9]))
         assert_equal(got, [0])
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -102,14 +103,6 @@ class TestProgramSpec(TestCase):
         with pytest.raises(OptimalityError):
             ProgramSpec(0, parse_expression("x1", 1))
 
-    def test_constraint_system(self):
-        p = ProgramSpec(2, pe("x1"))
-        assert p.constraint_system() is None
-        q = ProgramSpec(2, pe("x1"), (pe("x2"),), params={"p": 3.0})
-        s = q.constraint_system()
-        assert s.n == 2 and len(s.equalities) == 1
-        assert s.params == {"p": 3.0}
-
 
 class TestBuildPenalty(TestCase):
 
@@ -173,22 +166,49 @@ class TestProgramData(TestCase):
             check_stationarity(at_origin(sign_program()), -1.0)
 
     def test_optcheck_walks_each_function_once(self):
-        # f1, u and phi, against 18 walks when each c built its own Psi_c:
-        # the pathway's q.d.-MFCQ walks f1 and program_data reads its pair
+        # penalty_demo with an inactive g1 and an active g2: f1, g2, u, g1
+        # and phi, each once, against 18 walks when each c built its own
+        # Psi_c; the pathway reads program_data's pairs of f1 and g2
         walked = []
 
         def counting(e, b):
             walked.append(e)
             return qd_at(e, b)
 
-        p = loads(PENALTY_DEMO.read_text()).program()
-        with pytest.MonkeyPatch.context() as mp:
+        text = PENALTY_DEMO.read_text().replace(
+            "[point]", "inequality = x1 - 1\ninequality = x2\n[point]")
+        p = loads(text).program()
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "walks.prob"
+            path.write_text(text)
             for module in (mfcq, optimality):
                 mp.setattr(module, "qd_at", counting)
             with contextlib.redirect_stdout(io.StringIO()):
-                assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
-        assert_equal(walked, [p.equalities[0], p.objective,
+                assert_equal(main(["optcheck", str(path)]), 0)
+        assert_equal(walked, [p.equalities[0], p.inequalities[1],
+                              p.objective, p.inequalities[0],
                               l1_penalty(p.equalities, p.inequalities)])
+
+    def test_optcheck_takes_feasibility_and_the_active_set_once(self):
+        # both are program_data's, and qualification_pathway reads them
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("feasibility_violations", "active_inequalities"):
+                wrapped = counted(name, getattr(mfcq, name))
+                for module in (mfcq, optimality):
+                    mp.setattr(module, name, wrapped)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
+        assert_equal(calls, ["feasibility_violations",
+                             "active_inequalities"])
 
 
 def test_penalty_pairs_match_on_the_benchmark_programs(load_perfbench):
@@ -747,7 +767,7 @@ class TestLpInputsAsReference:
         for _ in range(20):
             p = dc_program(rng)
             b = p.binding(ORIGIN)
-            qualification_pathway(p, b)
+            qualification_pathway(p, program_data(p, b))
             # the equality's sum spans R^2, which leaves no direction to
             # search; without it the active max-type inequality gets one
             qd_mfcq(SystemSpec(2, (), p.inequalities), ORIGIN)
@@ -855,24 +875,24 @@ class TestQualificationPathway(TestCase):
 
     def test_unconstrained(self):
         p = ProgramSpec(2, pe("pow(x1, 2)"))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, at_origin(p))
         assert_equal(kind, "unconstrained")
 
     def test_regular_equality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x2"), (pe("x1"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, at_origin(p))
         assert_equal(kind, "qd-mfcq")
 
     def test_regular_inequality_uses_mfcq(self):
         p = ProgramSpec(2, pe("x1"), (), (pe("x1"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, at_origin(p))
         assert_equal(kind, "qd-mfcq")
 
     def test_sign_program_falls_back_to_error_bound(self):
         # MFCQ fails on the diagonal-pair set, but the constraint is
         # piecewise affine, so a local error bound holds
         p = sign_program()
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, at_origin(p))
         assert_equal(kind, "error-bound")
 
     def test_flat_equality_is_not_certified(self):
@@ -880,6 +900,6 @@ class TestQualificationPathway(TestCase):
         # The point is optimal (x1 = 0 is the whole feasible set), so a
         # certified pathway here would make c* = inf read "not optimal"
         p = ProgramSpec(2, pe("x1"), (pe("pow(x1, 2)"),))
-        kind = qualification_pathway(p, p.binding(ORIGIN))
+        kind = qualification_pathway(p, at_origin(p))
         assert_equal(kind, "none")
         assert_equal(estimate_c_star(at_origin(p)), np.inf)

@@ -804,8 +804,10 @@ class TestNearestDistances:
               database=None)
     @given(data=st.data())
     def test_n1_is_the_tree_by_bytes(self, data):
-        # scales 2^-600 to 2^600: squares underflow to 0 and overflow to
-        # inf, where the tree gives inf and raises nothing
+        # scales 2^-600 to 2^600: at n = 1 the distance is the least
+        # |q - p| at every scale, and the tree's sqrt of its square
+        # wherever that square is a normal number; where the square
+        # underflows or overflows, only the tree's reading is off
         from scipy.spatial import cKDTree
 
         scale = 2.0 ** data.draw(st.integers(-600, 600), label="exponent")
@@ -814,10 +816,16 @@ class TestNearestDistances:
         q = np.array(data.draw(st.lists(
             st.one_of(_MANTISSAS, st.floats(-8.0, 8.0)), min_size=1,
             max_size=20), label="queries")) * scale
-        want = cKDTree(pts[:, None]).query(q[:, None])[0]
         with np.errstate(over="raise"):
             got = _nearest_distances(pts[:, None], q[:, None])
+        want = np.abs(q[:, None] - pts[None, :]).min(axis=1)
         assert got.tobytes() == want.tobytes()
+        with np.errstate(over="ignore", under="ignore"):
+            square = want * want
+        normal = (want == 0) | ((square >= np.finfo(float).tiny)
+                                & (square < np.inf))
+        tree = cKDTree(pts[:, None]).query(q[:, None])[0]
+        assert got[normal].tobytes() == tree[normal].tobytes()
 
 
 class TestScanSize:
