@@ -43,7 +43,6 @@ from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
                          psi_expr, verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
-_NUMERIC_FLAGS = ("at", "target", "c", "K", "r", "grid", "seed")
 
 
 def _g(x) -> str:
@@ -75,7 +74,9 @@ class _Report:
         self.payload: dict = {}
         self.code = 0
         self.add(f"quasidiff {args.command} report", command=args.command)
-        self.add(f"seed: {args.seed}", seed=args.seed)
+        # the margin shells' seed and the feasibility cut are constants,
+        # echoed so that every report states them
+        self.add("seed: 0", seed=0)
         self.add(f"tol: {_g(FEAS_TOL)}", tol=FEAS_TOL)
         label = "center" if args.command == "regcheck" else "point"
         self.add(f"{label}: {_vec(x)}", params=dict(params),
@@ -97,14 +98,12 @@ def _given(value, default):
 
 
 def _check_flags(args) -> None:
-    """Hold each numeric flag to the rule of the file key it overrides."""
-    flags = [(name, getattr(args, name, None)) for name in _NUMERIC_FLAGS]
+    """Reject a --target or --dir value that is not finite."""
+    flags = [("target", getattr(args, "target", None))]
     flags += [("dir", h) for h in getattr(args, "dir", None) or []]
-    for name, value in flags:
-        if value is not None:
-            vals = value if isinstance(value, list) else [value]
-            check_numbers(f"--{name}", vals, " ".join(
-                str(v) if isinstance(v, int) else _g(v) for v in vals))
+    for name, vals in flags:
+        if vals is not None:
+            check_numbers(f"--{name}", vals, " ".join(map(_g, vals)))
 
 
 def _vector(flag: str, values, n: int) -> np.ndarray:
@@ -115,13 +114,9 @@ def _vector(flag: str, values, n: int) -> np.ndarray:
     return x
 
 
-def _point_at(pf: ProblemFile, args) -> np.ndarray:
-    at = getattr(args, "at", None)
-    if at is not None:
-        return _vector("--at", at, pf.n)
+def _point_at(pf: ProblemFile) -> np.ndarray:
     if pf.point is None:
-        raise ProblemFileError("no evaluation point: add [point] x = ... "
-                               "or pass --at")
+        raise ProblemFileError("no evaluation point: add [point] x = ...")
     return pf.point
 
 
@@ -176,7 +171,7 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
     """
     s = pf.system()
     l, m = len(s.equalities), len(s.inequalities)
-    y, z = pf.check.y, pf.check.z
+    y = z = None
     if args.target is not None:
         if len(args.target) != l + m:
             raise ProblemFileError(f"--target needs {l + m} values "
@@ -235,19 +230,17 @@ def cmd_mfcq(args, pf: ProblemFile, x, out: _Report) -> None:
 
 def cmd_regcheck(args, pf: ProblemFile, center, out: _Report) -> None:
     s = pf.system()
-    K = _given(args.K, pf.check.k)
-    r = _given(args.r, pf.check.r)
+    K, r = pf.check.k, pf.check.r
     if K is None or r is None:
-        raise ProblemFileError("regcheck needs K and r "
-                               "(flags --K/--r or [check] K/r)")
-    x_grid = _given(args.grid, _given(pf.check.grid, X_GRID))
+        raise ProblemFileError("regcheck needs [check] K and r")
+    x_grid = _given(pf.check.grid, X_GRID)
     target_grid = _given(pf.check.target_grid, TARGET_GRID)
     scan_radius = _given(pf.check.scan_radius, SCAN_RADIUS)
     budget = _given(pf.check.budget, GRID_BUDGET)
 
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
-    infima = margin_infima(s, center, seed=args.seed)
+    infima = margin_infima(s, center)
     out.add(f"K: {_g(K)}  r: {_g(r)}  x grid: {x_grid}  "
             f"target grid: {target_grid}", K=float(K), r=float(r),
             x_grid=x_grid, target_grid=target_grid)
@@ -303,10 +296,12 @@ _PATHWAYS = {
 def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
     p = pf.program()
     b = p.binding(x)
-    ladder = tuple(_given(args.c, _given(pf.check.c, C_LADDER)))
-    budget = _given(pf.check.budget, SELECTION_BUDGET)
+    ladder = _given(pf.check.c, C_LADDER)
     data = program_data(p, b)
-    pathway = qualification_pathway(p, data)
+    # one budget key caps both the hull test and the selection search
+    pathway = qualification_pathway(
+        p, data, budget=_given(pf.check.budget, PATTERN_BUDGET))
+    budget = _given(pf.check.budget, SELECTION_BUDGET)
     out.add(f"objective: {p.objective.to_text()}",
             objective=p.objective.to_text())
     out.add(f"constraints: {len(p.equalities)} equalities, "
@@ -433,11 +428,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="problem file")
         sp.add_argument("--json", metavar="PATH",
                         help="write a machine-readable sidecar")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seeds regcheck's margin shells only "
-                             "(default 0)")
-        sp.add_argument("--at", nargs="+", type=float, metavar="X",
-                        help="evaluation point (overrides [point])")
 
     sp = sub.add_parser("qd", help="quasidifferentials of the file's "
                                    "functions at a point")
@@ -449,22 +439,17 @@ def _parser() -> argparse.ArgumentParser:
                                       "target-distance function")
     common(sp)
     sp.add_argument("--target", nargs="+", type=float, metavar="T",
-                    help="target values, equalities then inequalities")
+                    help="targets, equalities then inequalities (default 0)")
 
     sp = sub.add_parser("mfcq", help="quasidifferential MFCQ at the point")
     common(sp)
 
     sp = sub.add_parser("regcheck", help="grid check of metric regularity")
     common(sp)
-    sp.add_argument("--K", type=float, help="regularity constant")
-    sp.add_argument("--r", type=float, help="neighborhood radius")
-    sp.add_argument("--grid", type=int, help="points per axis (odd)")
 
     sp = sub.add_parser("optcheck", help="penalty-based necessary "
                                          "optimality conditions")
     common(sp)
-    sp.add_argument("--c", nargs="+", type=float, metavar="C",
-                    help="penalty ladder (default 0.5 1 2 10 100)")
     return ap
 
 
@@ -479,7 +464,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise"):
             _check_flags(args)
             pf = load(args.file)
-            x = _point_at(pf, args)
+            x = _point_at(pf)
             out = _Report(args, x, pf.params)
             _COMMANDS[args.command](args, pf, x, out)
         # the sidecar goes first, so that a path it cannot use leaves

@@ -69,6 +69,7 @@ every k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -153,7 +154,9 @@ def _lift_exponent(top):
 def _lifted(points: np.ndarray) -> tuple[np.ndarray, int]:
     """(points * 2^k, k), with k the _lift_exponent of the largest
     |entry|: exact, and the points themselves when k = 0."""
-    k = _lift_exponent(np.abs(points).max())
+    # math.frexp on a float: numpy's scalar frexp costs as much as the
+    # norms that the lift guards
+    k = max(0, -math.frexp(float(np.abs(points).max()))[1])
     return (np.ldexp(points, k) if k else points), k
 
 

@@ -101,7 +101,7 @@ from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
                        contains, solve_lp)
-from .mfcq import (InfeasiblePointError, active_inequalities,
+from .mfcq import (PATTERN_BUDGET, InfeasiblePointError, active_inequalities,
                    feasibility_violations, mfcq_of_pairs)
 from .regularity import l1_penalty
 
@@ -425,12 +425,14 @@ def estimate_c_star(data: ProgramData) -> float:
     return c_star
 
 
-def qualification_pathway(p: ProgramSpec, data: ProgramData) -> str:
+def qualification_pathway(p: ProgramSpec, data: ProgramData, *,
+                          budget: int = PATTERN_BUDGET) -> str:
     """Which qualification licenses the necessary condition, tried in
     this order: "unconstrained", "qd-mfcq", "error-bound" or "none".
 
     The q.d.-MFCQ is decided on data's pairs and active set, those of
-    program_data(p, b), as qd_mfcq decides it after its own walk.
+    program_data(p, b), as qd_mfcq decides it after its own walk, with
+    its sign-pattern count capped at budget (BudgetExceededError).
     "error-bound" is certified, not sampled: every constraint is
     piecewise affine, so a local error bound holds (see the module
     docstring).  "none" means neither certificate applies, not that the
@@ -439,7 +441,7 @@ def qualification_pathway(p: ProgramSpec, data: ProgramData) -> str:
     if data.phi is None:
         return "unconstrained"
     if mfcq_of_pairs(data.active, data.f, [data.g[i] for i in data.active],
-                     data.n).verdict:
+                     data.n, budget).verdict:
         return "qd-mfcq"
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
         return "error-bound"

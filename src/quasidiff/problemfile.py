@@ -17,14 +17,13 @@ line; blank lines and lines starting with # are skipped.
 
     [check]
     K = 2.0            r = 0.5          grid = 21     target_grid = 11
-    c = 0.5 1 2        y = 0            z = 0
-    scan_radius = 1.0  budget = 1000000
+    c = 0.5 1 2        scan_radius = 1.0  budget = 1000000
 
 At most MAX_CONSTRAINTS equality and inequality lines are accepted.
 Every number must be finite and within the range _RANGES sets for its
-key; check_numbers holds the CLI flags to the same rule.  Every
-diagnostic of a file line carries its 1-based line number so fixtures
-stay diff-friendly and errors stay greppable.
+key; check_numbers holds the CLI's --target and --dir values to the
+same finiteness.  Every diagnostic of a file line carries its 1-based
+line number so fixtures stay diff-friendly and errors stay greppable.
 """
 
 from __future__ import annotations
@@ -43,17 +42,14 @@ _SECTIONS = ("problem", "params", "point", "check")
 _PROBLEM_KEYS = ("n", "objective", "equality", "inequality")
 _CHECK_SCALAR = {"k": float, "r": float, "scan_radius": float,
                  "grid": int, "target_grid": int, "budget": int}
-_CHECK_LIST = ("c", "y", "z")
 _POSITIVE = ("positive", lambda v: v > 0)
 _AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
 _ODD = ("odd", lambda v: v % 2 == 1)
 _NONNEGATIVE = (">= 0", lambda v: v >= 0)
-# The range of each number by key, checked in order; a flag is held to the
-# key it overrides (--K to k), and --seed has a key of its own.
+# The range of each number by key, checked in order.
 _RANGES = {"k": (_POSITIVE,), "r": (_POSITIVE,), "scan_radius": (_POSITIVE,),
            "budget": (_AT_LEAST_ONE,), "grid": (_AT_LEAST_ONE, _ODD),
-           "target_grid": (_AT_LEAST_ONE, _ODD), "c": (_NONNEGATIVE,),
-           "seed": (_NONNEGATIVE,)}
+           "target_grid": (_AT_LEAST_ONE, _ODD), "c": (_NONNEGATIVE,)}
 # The penalty and psi fold one Add level per constraint, so the cap keeps
 # their trees, with each term at most MAX_DEPTH deep, within recursion
 # limits.
@@ -81,8 +77,6 @@ class CheckSettings:
     scan_radius: Optional[float] = None
     budget: Optional[int] = None
     c: Optional[tuple[float, ...]] = None
-    y: Optional[tuple[float, ...]] = None
-    z: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ def check_numbers(name: str, vals, text: str,
     # an int is finite at any size, also beyond what numpy or float takes
     if not all(isinstance(v, int) or math.isfinite(v) for v in vals):
         raise ProblemFileError(f"{name} must be finite, got {text!r}", lineno)
-    for rule, holds in _RANGES.get(name.lstrip("-").lower(), ()):
+    for rule, holds in _RANGES.get(name, ()):
         if not all(holds(v) for v in vals):
             raise ProblemFileError(f"{name} must be {rule}, got {text!r}",
                                    lineno)
@@ -232,18 +226,10 @@ def loads(text: str) -> ProblemFile:
                     f"{key} must be {'an integer' if caster is int else 'a number'}, "
                     f"got {value!r}", lineno) from None
             check_numbers(key, (fields[key],), value, lineno)
-        elif key in _CHECK_LIST:
+        elif key == "c":
             fields[key] = _floats(value, lineno, key)
-            if key == "c" and not fields[key]:
+            if not fields[key]:
                 raise ProblemFileError("c needs at least one number", lineno)
-            # y holds one target per equality, z one per inequality
-            targets = {"y": ("equality", equalities),
-                       "z": ("inequality", inequalities)}
-            if key in targets and len(fields[key]) != len(targets[key][1]):
-                role, exprs = targets[key]
-                raise ProblemFileError(
-                    f"{key} needs {len(exprs)} value(s) (one per {role}), "
-                    f"got {len(fields[key])}", lineno)
         else:
             raise ProblemFileError(f"unknown [check] key {key!r}", lineno)
 

@@ -418,7 +418,7 @@ def _norm(v: np.ndarray) -> float:
     bytes of np.linalg.norm(v), sqrt(v . v), wherever its squares are
     normal."""
     lifted, k = _lifted(v)
-    return math.ldexp(math.sqrt(lifted.dot(lifted)), -int(k))
+    return math.ldexp(math.sqrt(lifted.dot(lifted)), -k)
 
 
 def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,

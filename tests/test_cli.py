@@ -47,9 +47,16 @@ target_grid = 11
 scan_radius = 1.0
 budget = 1000
 c = 0.5 1 2
-y = 0 0
-z = 0
 """
+
+
+def fixture_with(name, old=None, new=None):
+    """The text of problems/<name>.prob with its one old replaced by new."""
+    text = (PROBLEMS / f"{name}.prob").read_text()
+    if old is not None:
+        assert_equal(text.count(old), 1)
+        text = text.replace(old, new)
+    return text
 
 
 def run_cli(*args):
@@ -113,7 +120,6 @@ class TestProblemFileParsing:
         assert_equal((c.k, c.r, c.grid, c.target_grid), (2.0, 0.5, 21, 11))
         assert_equal((c.scan_radius, c.budget), (1.0, 1000))
         assert_equal(c.c, (0.5, 1.0, 2.0))
-        assert_equal((c.y, c.z), ((0.0, 0.0), (0.0,)))
 
     def test_system_and_program_accessors(self):
         pf = loads(FULL_TEXT)
@@ -160,7 +166,7 @@ class TestProblemFileParsing:
         for section, key, value in (("point", "x", "nan"),
                                     ("params", "p", "1e400"),
                                     ("check", "K", "inf"),
-                                    ("check", "y", "0 -inf")):
+                                    ("check", "c", "0 -inf")):
             with pytest.raises(ProblemFileError,
                                match=f"line 5: .*{key.lower()} must be finite"):
                 loads(f"{base}[{section}]\n{key} = {value}\n")
@@ -256,31 +262,26 @@ class TestReportShape:
             assert_equal(payload["seed"], 0)
             assert_allclose(payload["tol"], 1e-9)
 
-    @pytest.mark.parametrize("argv, line", [
-        (["qd", None], "  value: 0"),
-        (["optcheck", str(PROBLEMS / "penalty_demo.prob"), "--c", "-0"],
-         "c = 0: "),
-        (["mfcq", str(PROBLEMS / "sin_system.prob"), "--at", "-0", "0"],
+    @pytest.mark.parametrize("command, text, flags, line", [
+        ("qd", "[problem]\nn = 1\nobjective = -x1\n[point]\nx = 0\n", (),
+         "  value: 0"),
+        ("optcheck", fixture_with("penalty_demo", "c = 0.5 1 2 10 100",
+                                  "c = -0"), (), "c = 0: "),
+        ("mfcq", fixture_with("sin_system", "x = 0 0", "x = -0 0"), (),
          "point: (0, 0)"),
-        (["slope", str(PROBLEMS / "cubic.prob"), "--target", "-0"],
+        ("slope", fixture_with("cubic"), ("--target", "-0"),
          "target y: (0)"),
     ], ids=["qd-value", "optcheck-c", "mfcq-at", "slope-target"])
-    def test_zero_prints_without_sign(self, tmp_path, capsys, argv, line):
+    def test_zero_prints_without_sign(self, tmp_path, capsys, command, text,
+                                      flags, line):
         f = tmp_path / "neg.prob"
-        f.write_text("[problem]\nn = 1\nobjective = -x1\n[point]\nx = 0\n")
+        f.write_text(text)
         sidecar = tmp_path / "neg.json"
-        assert_equal(main([str(f) if a is None else a for a in argv]
-                          + ["--json", str(sidecar)]), 0)
+        assert_equal(main([command, str(f), *flags,
+                           "--json", str(sidecar)]), 0)
         out = capsys.readouterr().out
         assert any(l.startswith(line) for l in out.splitlines()), out
         assert "-0.0" not in sidecar.read_text()
-
-    def test_seed_and_tol_flags_are_echoed(self, tmp_path):
-        # the tolerance is geometry.FEAS_TOL, echoed whatever the flags
-        r = run_cli("qd", str(PROBLEMS / "cubic.prob"), "--seed", "3")
-        assert r.returncode == 0
-        assert "seed: 3" in r.stdout
-        assert "tol: 1e-09" in r.stdout
 
 
 class TestQdReport:
@@ -302,12 +303,6 @@ class TestQdReport:
         assert_allclose(f1["dd"][0]["value"], 1.0)
         assert_allclose(f2["sub"], [[1.0, 1.0]])
         assert_allclose(f2["dd"][1]["value"], 2.0)
-
-    def test_at_overrides_the_point_section(self):
-        r = run_cli("qd", str(PROBLEMS / "cubic.prob"), "--at", "0.5")
-        assert r.returncode == 0
-        assert "point: (0.5)" in r.stdout
-        assert "value: 0.125" in r.stdout
 
 
 class TestMfcqReport:
@@ -518,11 +513,13 @@ class TestRegcheckReport:
         assert "violators: 220" in lines
         assert "certified: no" in lines
 
-    def test_flag_overrides_shrink_the_grid(self):
-        r = run_cli("regcheck", str(PROBLEMS / "cubic.prob"),
-                    "--K", "1.0", "--r", "0.1", "--grid", "5")
-        assert r.returncode == 0
-        assert "K: 1  r: 0.1  x grid: 5" in r.stdout
+    def test_flag_overrides_shrink_the_grid(self, tmp_path, capsys):
+        # the [check] keys, the only source of K, r and grid, shrink it
+        f = tmp_path / "small.prob"
+        f.write_text(fixture_with("cubic", "K = 22.0\nr = 0.2\ngrid = 21",
+                                  "K = 1.0\nr = 0.1\ngrid = 5"))
+        assert_equal(main(["regcheck", str(f)]), 0)
+        assert "K: 1  r: 0.1  x grid: 5" in capsys.readouterr().out
 
 
 class TestOptcheckReport:
@@ -560,7 +557,8 @@ class TestOptcheckReport:
         assert_equal((code, err), (0, ""))
         return out.splitlines()
 
-    def test_huge_bound_leaves_open_selections_to_their_lps(self, capsys,
+    def test_huge_bound_leaves_open_selections_to_their_lps(self, tmp_path,
+                                                           capsys,
                                                            monkeypatch):
         # at c = 1e150 Wolfe's bounds decide none of the first three
         # selections, which are feasible; their LPs say so, and the line
@@ -570,8 +568,10 @@ class TestOptcheckReport:
         monkeypatch.setattr(optimality, "check_multipliers",
                             lambda *args: solved.append(args[1])
                             or certify(*args))
-        assert_equal(main(["optcheck", str(PROBLEMS / "penalty_demo.prob"),
-                           "--c", "1e150"]), 0)
+        f = tmp_path / "huge.prob"
+        f.write_text(fixture_with("penalty_demo", "c = 0.5 1 2 10 100",
+                                  "c = 1e150"))
+        assert_equal(main(["optcheck", str(f)]), 0)
         assert ("c = 1e+150: stationarity fails, violating w = (-1e+150, "
                 "-1e+150); infeasible selection w0=0 v=[1] w=[1] z=[] "
                 "(4 of 4 checked)") in capsys.readouterr().out.splitlines()
@@ -688,11 +688,14 @@ class TestOptcheckReport:
                      "for c >= 225.141025641, above every tested c "
                      "(no sufficiency claim)")
 
-    def test_explicit_ladder_flag(self):
-        r = run_cli("optcheck", str(PROBLEMS / "penalty_demo.prob"),
-                    "--c", "0.5")
-        assert r.returncode == 0
-        assert sum(l.startswith("c = ") for l in r.stdout.splitlines()) == 1
+    def test_explicit_ladder_flag(self, tmp_path, capsys):
+        # the ladder is [check] c
+        f = tmp_path / "one.prob"
+        f.write_text(fixture_with("penalty_demo", "c = 0.5 1 2 10 100",
+                                  "c = 0.5"))
+        assert_equal(main(["optcheck", str(f)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert_equal(sum(l.startswith("c = ") for l in lines), 1)
 
 
 class TestExitCodes:
@@ -776,21 +779,32 @@ class TestExitCodes:
         assert_equal(r.returncode, 2)
         assert "error: line 1: key before any [section] header" in r.stderr
 
-    def test_infeasible_candidate_is_two(self):
-        r = run_cli("optcheck", str(PROBLEMS / "penalty_demo.prob"),
-                    "--at", "0.3", "0.1")
+    def test_infeasible_candidate_is_two(self, tmp_path):
+        f = tmp_path / "off.prob"
+        f.write_text(fixture_with("penalty_demo", "x = 0 0", "x = 0.3 0.1"))
+        r = run_cli("optcheck", str(f))
         assert_equal(r.returncode, 2)
         assert "error: base point infeasible: f1 = 0.2" in r.stderr
-
-    def test_wrong_at_count_is_two(self):
-        r = run_cli("qd", str(PROBLEMS / "sin_system.prob"), "--at", "1.0")
-        assert_equal(r.returncode, 2)
-        assert "--at needs 2 coordinates, got 1" in r.stderr
 
     def test_regcheck_without_constants_is_two(self):
         r = run_cli("regcheck", str(PROBLEMS / "sin_system.prob"))
         assert_equal(r.returncode, 2)
-        assert "regcheck needs K and r" in r.stderr
+        assert_equal(r.stderr, "error: regcheck needs [check] K and r\n")
+
+    def test_pattern_budget_cuts_optcheck_as_it_cuts_mfcq(self, tmp_path,
+                                                         capsys):
+        # one budget key: the qualification pathway's hull test has the
+        # 2 sign patterns that mfcq counts, and budget 1 cuts both
+        f = tmp_path / "pb.prob"
+        f.write_text("[problem]\nn = 2\nobjective = x1\n"
+                     "equality = abs(x1) + 2*x1\n"
+                     "equality = abs(x2) + 2*x2\n[point]\nx = 0 0\n"
+                     "[check]\nbudget = 1\n")
+        for command in ("mfcq", "optcheck"):
+            assert_equal(main([command, str(f)]), 1)
+            assert_equal(capsys.readouterr(), ("", "error: sign-pattern "
+                                               "count 2 exceeds the budget "
+                                               "1\n"))
 
     def test_optcheck_without_objective_is_two(self):
         r = run_cli("optcheck", str(PROBLEMS / "sin_system.prob"))
@@ -803,29 +817,25 @@ class TestExitCodes:
 FLAG_TEXT = ("[problem]\nn = 1\nobjective = x1\nequality = x1\n"
              "[point]\nx = 0\n[check]\n")
 BAD_FLAGS = [
-    ("qd", ("--at", "nan"), "--at must be finite, got 'nan'"),
-    ("mfcq", ("--at", "nan"), "--at must be finite, got 'nan'"),
-    ("regcheck", ("--at", "nan"), "--at must be finite, got 'nan'"),
-    ("optcheck", ("--at", "nan"), "--at must be finite, got 'nan'"),
-    ("slope", ("--at", "nan"), "--at must be finite, got 'nan'"),
     ("qd", ("--dir", "1", "--dir", "nan"), "--dir must be finite, got 'nan'"),
     ("slope", ("--target", "nan"), "--target must be finite, got 'nan'"),
-    ("optcheck", ("--c", "1", "nan"), "--c must be finite, got '1 nan'"),
     # float() spellings of -inf and -nan are values, not options
-    ("qd", ("--at", "-inf"), "--at must be finite, got '-inf'"),
     ("slope", ("--target", "-Infinity"),
      "--target must be finite, got '-inf'"),
-    ("optcheck", ("--c", "1", "-NaN"), "--c must be finite, got '1 nan'"),
-    ("regcheck", ("--K", "nan"), "--K must be finite, got 'nan'"),
-    ("regcheck", ("--r", "1e400"), "--r must be finite, got 'inf'"),
-    ("slope", ("--seed", "-1"), "--seed must be >= 0, got '-1'"),
-    ("regcheck", ("--grid", "-3"), "--grid must be >= 1, got '-3'"),
-    ("regcheck", ("--grid", "4"), "--grid must be odd, got '4'"),
-    ("regcheck", ("--K", "0"), "--K must be positive, got '0'"),
-    ("regcheck", ("--r", "-0.5"), "--r must be positive, got '-0.5'"),
-    # a penalty value is checked where it is read, naming the flag
-    ("optcheck", ("--c", "-1"), "--c must be >= 0, got '-1'"),
-    ("optcheck", ("--c", "1", "-2"), "--c must be >= 0, got '1 -2'"),
+] + [
+    # the flags that shadowed [point] x, [check] K, r, grid and c, and the
+    # seed, are unknown arguments on the commands that took them
+    (command, flags, "unrecognized arguments: " + " ".join(flags))
+    for command, flags in [
+        ("qd", ("--at", "nan")), ("mfcq", ("--at", "nan")),
+        ("regcheck", ("--at", "nan")), ("optcheck", ("--at", "nan")),
+        ("slope", ("--at", "nan")), ("optcheck", ("--c", "1", "nan")),
+        ("qd", ("--at", "-inf")), ("optcheck", ("--c", "1", "-NaN")),
+        ("regcheck", ("--K", "nan")), ("regcheck", ("--r", "1e400")),
+        ("slope", ("--seed", "-1")), ("regcheck", ("--grid", "-3")),
+        ("regcheck", ("--grid", "4")), ("regcheck", ("--K", "0")),
+        ("regcheck", ("--r", "-0.5")), ("optcheck", ("--c", "-1")),
+        ("optcheck", ("--c", "1", "-2"))]
 ]
 BAD_CHECK_LINES = [
     ("mfcq", "budget = 0", "line 8: budget must be >= 1, got '0'"),
@@ -847,11 +857,9 @@ BAD_CHECK_LINES = [
     # an empty ladder is not the default ladder
     ("optcheck", "c =", "line 8: c needs at least one number"),
     ("optcheck", "c = 1 -2", "line 8: c must be >= 0, got '1 -2'"),
-    # one target per equality and per inequality
-    ("slope", "y = 1 2",
-     "line 8: y needs 1 value(s) (one per equality), got 2"),
-    ("slope", "z = 1",
-     "line 8: z needs 0 value(s) (one per inequality), got 1"),
+    # the targets are --target's alone
+    ("slope", "y = 1 2", "line 8: unknown [check] key 'y'"),
+    ("slope", "z = 1", "line 8: unknown [check] key 'z'"),
 ]
 # a problem file or flag the input layer rejects, with its one diagnostic
 # line; N1 is a file's lines 1-2 and ONE_VAR its lines 1-3
@@ -880,8 +888,9 @@ REJECTED_INPUTS = [
      "the problem file defines no functions"),
     ("slope", ONE_VAR + "[point]\nx = 0\n", ("--target", "1", "2"),
      "--target needs 1 values (1 equality, 0 inequality)"),
-    ("qd", ONE_VAR, (),
-     "no evaluation point: add [point] x = ... or pass --at"),
+    ("qd", ONE_VAR, (), "no evaluation point: add [point] x = ..."),
+    ("qd", ONE_VAR + "[point]\nx = 0 0\n", (),
+     "line 5: x needs 1 coordinates, got 2"),
     ("qd", ONE_VAR + "[point]\nx = 0\nx = 0\n", (), "line 6: duplicate x"),
     ("qd", ONE_VAR + "[point]\nx = a\n", (),
      "line 5: x expects numbers separated by spaces, got 'a'"),
@@ -894,22 +903,11 @@ REJECTED_INPUTS = [
      "line 7: unknown [check] key 'foo'"),
 ]
 
-# each flag and the file key it overrides, with a value the one rule
-# rejects; [point] x is line 6 and a [check] line is line 8
-RULE_PAIRS = [
-    ("regcheck", "--K", "K", "0", "must be positive"),
-    ("regcheck", "--r", "r", "-1", "must be positive"),
-    ("regcheck", "--grid", "grid", "4", "must be odd"),
-    ("optcheck", "--c", "c", "-1", "must be >= 0"),
-    ("qd", "--at", "x", "nan", "must be finite"),
-]
 # integers beyond the float range stay integers: the budget refuses the
-# grid, and the seed and the budget are used as given
+# grid, and the budget is used as given
 HUGE_INTEGERS = [
-    ("mfcq", "budget = 18446744073709551616", (), 0),
-    ("regcheck", "grid = 100000000000000000000001", (), 1),
-    ("regcheck", "", ("--grid", "100000000000000000000001"), 1),
-    ("regcheck", "", ("--seed", "100000000000000000000000"), 0),
+    ("mfcq", "budget = 18446744073709551616", 0),
+    ("regcheck", "grid = 100000000000000000000001", 1),
 ]
 
 # an expression nested k levels deep, one text per way of nesting
@@ -986,25 +984,6 @@ class TestNonFiniteInputs:
         assert_equal(code, 2)
         assert_equal(err, f"error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "command, flag, key, value, rule", RULE_PAIRS,
-        ids=[f for _, f, _, _, _ in RULE_PAIRS])
-    def test_flag_and_key_share_one_rule(self, tmp_path, capsys, command,
-                                         flag, key, value, rule):
-        code, flag_err = self.run_main(tmp_path, capsys, FLAG_TEXT, flag,
-                                       value, command=command)
-        assert_equal(code, 2)
-        assert_equal(flag_err, f"error: {flag} {rule}, got '{value}'\n")
-        if key == "x":
-            text, line = FLAG_TEXT.replace("x = 0", f"x = {value}"), 6
-        else:
-            text, line = f"{FLAG_TEXT}{key} = {value}\n", 8
-        code, key_err = self.run_main(tmp_path, capsys, text,
-                                      command=command)
-        assert_equal(code, 2)
-        assert_equal(key_err, f"error: line {line}: {key.lower()} {rule}, "
-                     f"got '{value}'\n")
-
     @pytest.mark.parametrize("n, budget, points", [
         (1, "1000000000000000000000000000000", "at least 1e30"),
         (3, "1000000000", "1000000000")])
@@ -1023,14 +1002,13 @@ class TestNonFiniteInputs:
                      "points in all, more than its maximum 100000000\n")
 
     @pytest.mark.parametrize(
-        "command, line, flags, want_code", HUGE_INTEGERS,
-        ids=["mfcq-budget", "regcheck-grid", "regcheck--grid",
-             "regcheck--seed"])
+        "command, line, want_code", HUGE_INTEGERS,
+        ids=["mfcq-budget", "regcheck-grid"])
     def test_huge_integer_is_an_integer(self, tmp_path, capsys, command,
-                                        line, flags, want_code):
+                                        line, want_code):
         f = tmp_path / "huge.prob"
         f.write_text(f"{FLAG_TEXT}K = 1\nr = 0.1\n{line}\n")
-        code = main([command, str(f), *flags])
+        code = main([command, str(f)])
         out, err = capsys.readouterr()
         assert_equal(code, want_code)
         if code == 0:
@@ -1234,30 +1212,27 @@ class TestNonFiniteInputs:
 
 
 # a negative number in exponent notation is a flag value, not an option;
-# each flag's value reaches the report or the flag's own check
+# each flag's value reaches the report, and a removed flag is refused
+# with its values
 NEGATIVE_EXPONENT_FLAGS = [
-    ("qd", ("--at", "-1e-3"), 0, "point: (-0.001)"),
     ("qd", ("--dir", "-1e0"), 0, "  dd (-1): -1"),
     ("slope", ("--target", "-8.5E-16"), 0, "target y: (-8.5e-16)"),
-    ("optcheck", ("--c", "1", "-1e0"), 2,
-     "error: --c must be >= 0, got '1 -1'"),
-    ("regcheck", ("--K", "-1e0"), 2,
-     "error: --K must be positive, got '-1'"),
-    ("regcheck", ("--r", "-.5e0"), 2,
-     "error: --r must be positive, got '-0.5'"),
-]
+] + [(command, flags, 2, "error: unrecognized arguments: " + " ".join(flags))
+     for command, flags in [("qd", ("--at", "-1e-3")),
+                            ("optcheck", ("--c", "1", "-1e0")),
+                            ("regcheck", ("--K", "-1e0")),
+                            ("regcheck", ("--r", "-.5e0"))]]
 # command lines that argparse rejects, each with its one-line diagnostic
 # (None for the file written by the test)
 REJECTED_COMMAND_LINES = [
     (["qd", None, "--bogus"], "unrecognized arguments: --bogus"),
     # every cut is geometry.FEAS_TOL; no flag sets it
     (["mfcq", None, "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
-    (["regcheck", None, "--K", "abc"],
-     "argument --K: invalid float value: 'abc'"),
+    # K, r, grid, c and the point are file keys alone, and the seed is 0
+    (["regcheck", None, "--K", "abc"], "unrecognized arguments: --K abc"),
     (["slope", None, "--target"],
      "argument --target: expected at least one argument"),
-    (["mfcq", None, "--seed", "1.5"],
-     "argument --seed: invalid int value: '1.5'"),
+    (["mfcq", None, "--seed", "1.5"], "unrecognized arguments: --seed 1.5"),
     (["qd"], "the following arguments are required: file"),
     (["frob", None], "argument command: invalid choice: 'frob'"),
     ([], "the following arguments are required: command"),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -422,11 +423,15 @@ def benchmark_programs(load_perfbench):
 
 
 def optcheck_checks(path, ladder, tmp_path):
-    """The sidecar's rung records of optcheck on path with --c ladder."""
+    """The sidecar's rung records of optcheck on path with [check] c set
+    to ladder."""
+    laddered = tmp_path / "ladder.prob"
+    laddered.write_text(re.sub(r"(?m)^c = .*\n", "", path.read_text())
+                        + "[check]\nc = " + " ".join(map(str, ladder)) + "\n")
     sidecar = tmp_path / "oc.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert_equal(main(["optcheck", str(path), "--json", str(sidecar),
-                           "--c", *map(str, ladder)]), 0)
+        assert_equal(main(["optcheck", str(laddered), "--json",
+                           str(sidecar)]), 0)
     return json.loads(sidecar.read_text())["checks"]
 
 

@@ -5,17 +5,19 @@ reader would paste them.  A line that is a bare expression followed by a
 comment holding a python literal, such as `dd(q, [0.0, 1.0])  # -1.0`,
 must evaluate to that literal.  The "Command line" section names every
 flag that the parser accepts and no other, and its `quasidiff ...`
-examples exit 0.
+examples exit 0.  Its ```ini sample is a problem file that names every
+[check] key that problemfile accepts.
 """
 
 import argparse
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 from numpy.testing import assert_equal
 
-from quasidiff import cli
+from quasidiff import cli, problemfile
 from quasidiff.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -81,3 +83,12 @@ def test_command_line_examples_exit_zero(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out.startswith(
             f"quasidiff {argv[0]} report\n")
     assert_equal(len(list(tmp_path.iterdir())), 1)
+
+
+def test_problem_file_sample_parses_and_names_every_check_key():
+    sample, = re.findall(r"^```ini\n(.*?)^```$", command_line_section(),
+                         re.M | re.S)
+    problemfile.loads(sample)
+    named = {key for _, key, _ in problemfile._entries(sample)["check"]}
+    assert_equal(named, {f.name for f in
+                         dataclasses.fields(problemfile.CheckSettings)})
