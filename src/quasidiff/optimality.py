@@ -71,7 +71,11 @@ The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
 superdifferential vertices of u and of the constraint penalty, with c*
 the largest per-pair minimum (estimate_c_star has the proof), and
-c* = inf when some pair admits no c at all.
+c* = inf when some pair admits no c at all.  The pairs' LPs share no
+variable, so they are solved as the diagonal blocks of one sparse LP,
+one HiGHS call for up to C_STAR_BLOCK pairs, whose objective is the sum
+of the blocks' c.  sub(phi) enters it lifted by an exact power of two,
+since HiGHS reads matrix entries below 1e-9 as zero.
 
 Why c* = inf proves non-optimality under a qualification: a local error
 bound d(x, S) <= L phi(x) near the point, with phi the constraint
@@ -99,14 +103,17 @@ import numpy as np
 from .calculus import Quasidifferential, qd_add, qd_scale
 from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
-from .geometry import (FEAS_TOL, LpStatus, Polytope, _min_norm_combination,
-                       contains, solve_lp)
+from .geometry import (FEAS_TOL, LpStatus, Polytope, _lifted,
+                       _min_norm_combination, contains, solve_lp)
 from .mfcq import (PATTERN_BUDGET, InfeasiblePointError, active_inequalities,
                    feasibility_violations, mfcq_of_pairs)
 from .regularity import l1_penalty
 
 SELECTION_BUDGET = 10 ** 5
 C_LADDER = (0.5, 1.0, 2.0, 10.0, 100.0)
+# Most vertex pairs per c* LP: bounds the block matrix as
+# geometry.CERT_BLOCK bounds the batched certificates
+C_STAR_BLOCK = 256
 
 
 class OptimalityError(ValueError):
@@ -392,37 +399,67 @@ def estimate_c_star(data: ProgramData) -> float:
     intersection, the set where stationarity holds.  This is also the
     proof that stationarity is monotone in c.
 
-    When some pair's LP is infeasible, no c >= 0 works and the result is
-    inf.  Stationarity is checked at 0 first, so that an already
-    stationary objective gives exactly 0; an unconstrained program that
-    is not stationary there gives inf.
+    The per-pair LPs share no variable, so they are solved as the
+    diagonal blocks of one sparse LP whose objective is the sum of the
+    blocks' c: every optimum of the sum is optimal in each block, and
+    c* is the largest block c.  The sum is infeasible exactly when some
+    block is, and then no c >= 0 works and the result is inf.  The pairs
+    go in chunks of at most C_STAR_BLOCK blocks, which bounds the
+    matrix, and the first infeasible chunk ends the search.
+
+    HiGHS reads matrix entries below 1e-9 as zero, so sub(phi) and w1
+    are lifted by the exact factor 2^k of geometry._lifted, which puts
+    the largest |entry| of sub(phi) in [1/2, 1) when it is below 1/2.
+    The lifted LP has the solutions (theta, rho / 2^k, c / 2^k), so its
+    c' gives c = 2^k c' exactly.
+
+    Stationarity is checked at 0 first, so that an already stationary
+    objective gives exactly 0; an unconstrained program that is not
+    stationary there gives inf.
     """
     if check_stationarity(data, 0.0).holds:
         return 0.0
     if data.phi is None:
         return np.inf
-    qu, qphi, n = data.u, data.phi, data.n
-    na, nb = qu.sub.nvertices, qphi.sub.nvertices
-    # columns: theta over sub(u), rho over sub(phi), then c
-    a_eq = np.zeros((n + 2, na + nb + 1))
-    a_eq[:n, :na] = qu.sub.vertices.T
-    a_eq[:n, na:na + nb] = qphi.sub.vertices.T
-    a_eq[n, :na] = 1.0
-    a_eq[n + 1, na:na + nb] = 1.0
-    a_eq[n + 1, -1] = -1.0
-    cost = np.zeros(na + nb + 1)
-    cost[-1] = 1.0
+    # imported here, as solve_lp imports scipy, so that commands that
+    # solve no LP never load it
+    from scipy import sparse
+
+    qu, n = data.u, data.n
+    b, k = _lifted(data.phi.sub.vertices)
+    w1s = np.ldexp(data.phi.sup.vertices, k)
+    na, nb = qu.sub.nvertices, len(b)
+    rows, cols = n + 2, na + nb + 1
+    # one block: columns theta over sub(u), rho over lifted sub(phi),
+    # then c, whose first n entries are the pair's w1
+    block = np.zeros((rows, cols))
+    block[:n, :na] = qu.sub.vertices.T
+    block[:n, na:-1] = b.T
+    block[n, :na] = 1.0
+    block[n + 1, na:-1] = 1.0
+    block[n + 1, -1] = -1.0
+    # pair p is (w0, w1) = (p // |sup phi|, p % |sup phi|) in vertex
+    # indices: w0 outer, w1 inner
+    n_pairs = qu.sup.nvertices * len(w1s)
     c_star = 0.0
-    for w0 in qu.sup.vertices:
-        for w1 in qphi.sup.vertices:
-            a_eq[:n, -1] = w1
-            out = solve_lp(cost, a_eq=a_eq,
-                           b_eq=np.concatenate([-w0, [1.0, 0.0]]),
-                           bounds=(0.0, None))
-            if out.status is not LpStatus.FEASIBLE:
-                return np.inf
-            c_star = max(c_star, out.objective)
-    return c_star
+    for start in range(0, n_pairs, C_STAR_BLOCK):
+        i0, i1 = np.divmod(np.arange(start, min(start + C_STAR_BLOCK,
+                                                n_pairs)), len(w1s))
+        m = len(i0)
+        stack = np.broadcast_to(block, (m, rows, cols)).copy()
+        stack[:, :n, -1] = w1s[i1]
+        p, r, col = np.nonzero(stack)
+        a_eq = sparse.csc_array((stack[p, r, col],
+                                 (p * rows + r, p * cols + col)),
+                                shape=(m * rows, m * cols))
+        b_eq = np.hstack([-qu.sup.vertices[i0], np.ones((m, 1)),
+                          np.zeros((m, 1))])
+        out = solve_lp(np.tile(np.eye(cols)[-1], m), a_eq=a_eq,
+                       b_eq=b_eq.ravel(), bounds=(0.0, None))
+        if out.status is not LpStatus.FEASIBLE:
+            return np.inf
+        c_star = max(c_star, float(out.point[cols - 1::cols].max()))
+    return math.ldexp(c_star, k)
 
 
 def qualification_pathway(p: ProgramSpec, data: ProgramData, *,

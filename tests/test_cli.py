@@ -676,6 +676,24 @@ class TestOptcheckReport:
                      "for c >= 1000, above every tested c "
                      "(no sufficiency claim)")
 
+    @pytest.mark.parametrize("coef, c_star", [
+        ("0.000000001", "1000000000"), ("0.0000000000001", "1e+13")])
+    def test_small_equality_coefficient_keeps_its_threshold(
+            self, tmp_path, capsys, coef, c_star):
+        # the feasible set is {0}, so the point is optimal; HiGHS reads
+        # matrix entries below 1e-9 as zero, and c* read "none" before
+        # sub(phi) was lifted by a power of two
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
+                                    "objective = -x1\n"
+                                    f"equality = {coef}*x1\n[point]\n"
+                                    "x = 0\n")
+        assert "qualification pathway: q.d.-MFCQ verified" in lines
+        assert (f"c* estimate: {c_star} (exact, one LP per vertex pair)"
+                in lines)
+        assert_equal(lines[-1], "verdict: necessary conditions hold only "
+                     f"for c >= {c_star}, above every tested c "
+                     "(no sufficiency claim)")
+
     def test_benchmark_threshold_above_the_ladder(self, tmp_path, capsys,
                                                   load_perfbench):
         load_perfbench("oracle")

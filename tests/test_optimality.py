@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
+from scipy import sparse
 
 from quasidiff import cli, geometry, mfcq, optimality
 from quasidiff.calculus import Quasidifferential, dd
@@ -657,13 +659,16 @@ def reference_multiplier_lp(data, sel, c_bound=None):
 
 def _lp_bytes(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize):
     """An LP's inputs as (shape, bytes) pairs, bounds expanded to one
-    (lo, hi) pair per variable with None as -inf or inf."""
+    (lo, hi) pair per variable with None as -inf or inf, and a sparse
+    matrix densified."""
     c = np.asarray(c, dtype=float)
     pairs = [bounds] * c.size if np.ndim(bounds[0]) == 0 else bounds
     box = np.array([[-np.inf if lo is None else lo,
                      np.inf if hi is None else hi] for lo, hi in pairs])
+    dense = [a.toarray() if sparse.issparse(a) else a
+             for a in (c, a_ub, b_ub, a_eq, b_eq, box)]
     return [None if a is None else (np.shape(a), np.asarray(a, float).tobytes())
-            for a in (c, a_ub, b_ub, a_eq, b_eq, box)] + [maximize]
+            for a in dense] + [maximize]
 
 
 class TestLpInputsAsReference:
@@ -851,6 +856,142 @@ class TestCStarEstimate(TestCase):
         assert_allclose(est, 7.0, rtol=0.0, atol=1e-12)
         assert check_stationarity(d, est).holds
         assert not check_stationarity(d, est * (1 - 1e-6)).holds
+
+
+def reference_c_star(data):
+    """estimate_c_star as one dense LP per vertex pair, before the pairs
+    became the blocks of one LP and sub(phi) was lifted."""
+    if check_stationarity(data, 0.0).holds:
+        return 0.0
+    if data.phi is None:
+        return np.inf
+    qu, qphi, n = data.u, data.phi, data.n
+    na, nb = qu.sub.nvertices, qphi.sub.nvertices
+    a_eq = np.zeros((n + 2, na + nb + 1))
+    a_eq[:n, :na] = qu.sub.vertices.T
+    a_eq[:n, na:na + nb] = qphi.sub.vertices.T
+    a_eq[n, :na] = 1.0
+    a_eq[n + 1, na:na + nb] = 1.0
+    a_eq[n + 1, -1] = -1.0
+    cost = np.zeros(na + nb + 1)
+    cost[-1] = 1.0
+    c_star = 0.0
+    for w0 in qu.sup.vertices:
+        for w1 in qphi.sup.vertices:
+            a_eq[:n, -1] = w1
+            out = solve_lp(cost, a_eq=a_eq,
+                           b_eq=np.concatenate([-w0, [1.0, 0.0]]),
+                           bounds=(0.0, None))
+            if out.status is not geometry.LpStatus.FEASIBLE:
+                return np.inf
+            c_star = max(c_star, out.objective)
+    return c_star
+
+
+def assert_same_c_star(got, want):
+    """The report's %.12g text, and a relative difference of at most
+    1e-12 (inf only against inf)."""
+    assert_equal(f"{got:.12g}", f"{want:.12g}")
+    if np.isfinite(want):
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def c_star_programs(load_perfbench, families=("penalty_demo", "benchmark",
+                                              "dc", "twelve_equalities")):
+    """ProgramData of the selection tests' programs, family by family."""
+    return [program_data(p, p.binding(x)) for family in families
+            for p, x in selection_programs(family, load_perfbench)]
+
+
+class TestCStarBlockLp:
+    """estimate_c_star solves the per-pair LPs as the blocks of one LP
+    and finds the c* of one LP per pair."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(optimality, "solve_lp", counting)
+        return calls
+
+    def test_one_lp_per_estimate_gives_the_per_pair_c_star(
+            self, counted, load_perfbench):
+        seen = {"finite": 0, "inf": 0}
+        for data in c_star_programs(load_perfbench):
+            del counted[:]
+            got = estimate_c_star(data)
+            assert_equal(len(counted), 1)
+            assert_same_c_star(got, reference_c_star(data))
+            seen["finite" if np.isfinite(got) else "inf"] += 1
+        assert min(seen.values()) > 0, seen
+        # twelve_equalities has 48 pairs, one block each
+        data = c_star_programs(load_perfbench, ["twelve_equalities"])[0]
+        assert_equal(data.u.sup.nvertices * data.phi.sup.nvertices, 48)
+
+    def test_chunks_of_two_pairs_give_the_same_c_star(
+            self, counted, monkeypatch, load_perfbench):
+        programs = c_star_programs(load_perfbench)
+        whole = [estimate_c_star(data) for data in programs]
+        del counted[:]
+        monkeypatch.setattr(optimality, "C_STAR_BLOCK", 2)
+        chunked = [estimate_c_star(data) for data in programs]
+        for got, want in zip(chunked, whole):
+            assert_same_c_star(got, want)
+        assert np.inf in chunked
+        # twelve_equalities' 48 pairs alone take 24 calls
+        assert len(counted) > 24
+
+    def test_small_phi_is_lifted_past_highs_zero_cut(self):
+        # HiGHS reads matrix entries below 1e-9 as zero; the lift by an
+        # exact power of two keeps them, and c* = 1 / coefficient
+        for coef, want in ((1e-6, 1e6), (1e-9, 1e9), (1e-13, 1e13)):
+            p = ProgramSpec(1, pe("0 - x1", 1), (pe(f"{coef!r}*x1", 1),))
+            data = program_data(p, p.binding([0.0]))
+            assert_allclose(estimate_c_star(data), want, rtol=1e-12)
+
+
+def _shifted(q, rng):
+    """[sub + C, sup - C] for a random triangle C: q's function again."""
+    shift = Polytope(rng.uniform(-1.0, 1.0, (3, q.dim)))
+    return Quasidifferential(minkowski_sum(q.sub, shift),
+                             minkowski_sum(q.sup, scale(shift, -1.0)))
+
+
+def test_c_star_ignores_the_choice_of_quasidifferential(load_perfbench):
+    # stationarity, and so its threshold c*, is a property of the
+    # functions, not of the pairs that represent them
+    rng = np.random.default_rng(17)
+    seen = {"finite": 0, "inf": 0}
+    for data in c_star_programs(load_perfbench, ["penalty_demo", "benchmark"]):
+        want = estimate_c_star(data)
+        for _ in range(5):
+            shifted = dataclasses.replace(data, u=_shifted(data.u, rng),
+                                          phi=_shifted(data.phi, rng))
+            got = estimate_c_star(shifted)
+            if np.isfinite(want):
+                assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            else:
+                assert_equal(got, np.inf)
+            seen["finite" if np.isfinite(want) else "inf"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_c_star_is_the_ladder_threshold(load_perfbench):
+    # stationarity holds at c* and just above it, and fails just below
+    finite = 0
+    for data in c_star_programs(load_perfbench, ["benchmark", "dc"]):
+        c_star = estimate_c_star(data)
+        if not 0 < c_star < np.inf:
+            continue
+        for c, holds in ((c_star, True), (c_star * (1 + 1e-6), True),
+                         (c_star * (1 - 1e-6), False)):
+            assert_equal(check_stationarity(data, c).holds, holds, c)
+        finite += 1
+    assert finite > 0
 
 
 def test_c_star_matches_the_benchmark_oracle(load_perfbench):
