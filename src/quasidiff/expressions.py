@@ -28,32 +28,36 @@ form, and |f - y| keeps the raw max-rule pair when f itself has kinks.
 
 Forward mode.  A differentiable f has the quasidifferential
 [{grad f}, {0}], so a kink-free subtree is carried as one (value,
-gradient) pair by _vgrad and wrapped once, by qd_smooth, where it meets
-an abs, max or min node or the root.  Each node knows at construction
-whether its subtree has a kink (_piecewise), so the dispatch costs O(1).
-Only the kink nodes and the nodes above them build polytopes.  The same
-walk runs over the rows of a batch of points, one set of params per row
-(_vgrad_rows, _vqd_rows), and builds no polytope at all where it holds
-(the row walk, below).
+gradient) pair by _vgrad and wrapped once, by the smooth rule, where it
+meets an abs, max or min node or the root.  Each node knows at
+construction whether its subtree has a kink (_piecewise), so the
+dispatch costs O(1).  Only the kink nodes and the nodes above them
+combine pairs.  x is a point (n,) or a batch of rows (N, n): a value is
+an np.float64 at a point and an array (N,) over a batch, a gradient an
+array (n,) or (n, N), one column per row.
+
+Rule sets.  _vqd and _vqd_pair state each node's walk once and combine
+pairs only through a rule set: smooth (a gradient as a pair), add,
+scale, abs and extremum (max or min).  qd_value_at walks with _PAIRS,
+calculus's pair algebra at one point; qd_rows_at with _ROWS, the row
+walk below, which builds no polytope at all.
 
 The slopes rule.  Each smooth-arithmetic node states its derivative
 once, as two functions of its operands' values: _value, and _slopes, its
 partial derivative in each operand (Neg -1; Add 1, 1; Sub 1, -1;
 Mul vb, va; SmoothUnary f'(v)).  _vgrad folds sum_i slope_i grad_i, and
-above a kink _vqd_pair folds the qd_add of qd_scale(pair_i, slope_i),
-the sum and scale rules of the Demyanov-Rubinov calculus.  Only Sub adds
-a rule: a smooth subtrahend enters as [{-grad}, {0}], not as the swapped
-[{0}, {-grad}].  Values and slopes stay np.float64, so an overflow in
-either raises under np.errstate at the node that makes it.
+above a kink _vqd_pair folds the add of scale(pair_i, slope_i), the sum
+and scale rules of the Demyanov-Rubinov calculus.  Only Sub adds a rule:
+a smooth subtrahend enters as [{-grad}, {0}], not as the swapped
+[{0}, {-grad}].  Values and slopes stay np.float64 at a point, so an
+overflow in either raises under np.errstate at the node that makes it.
 
 The row walk.  Where each abs, max and min node has exactly one branch
 within ACTIVE_TOL of its top, qd_max keeps that branch's pair, and every
-pair of the walk is a pair of singletons [{a}, {b}].  qd_rows_at carries
-a and b as arrays, one column per row, folds the same _value and _slopes
-with forward mode run over the batch, and states a row rule for the kink
-nodes only: Abs (with the absorption of a smooth child), the one active
-child of max and min, and Sub's smooth subtrahend.  Each row has the
-bytes of its qd_at:
+pair of the walk is a pair of singletons [{a}, {b}].  _ROWS carries a
+and b as (n, N) arrays, one column per row, and states each rule on
+them: abs and extremum keep the one active branch, which _sole_active
+finds by qd_max's comparisons.  Each row has the bytes of its qd_at:
   a canonical singleton is row + 0.0, as the lift by 2^k is exact both
   ways;
   minkowski_sum with {0} returns the other operand, which is
@@ -96,6 +100,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -182,75 +187,42 @@ class Expr:
         """Evaluate at point (shape (..., n)); broadcasts over batches."""
         raise NotImplementedError
 
-    def _vqd(self, b: Binding):
-        """Value and quasidifferential at b: forward mode for a smooth
-        subtree, the pair algebra above a kink."""
+    def _vqd(self, x, params, rules):
+        """Value and pair at x, a point (n,) or a batch of rows (N, n):
+        forward mode for a smooth subtree, the rule set above a kink."""
         if self._piecewise:
-            return self._vqd_pair(b)
-        v, g = self._vgrad(b)
-        return v, qd_smooth(g)
+            return self._vqd_pair(x, params, rules)
+        v, g = self._vgrad(x, params)
+        return v, rules.smooth(g)
 
     # The two walks below fold the _value(*vals) and _slopes(*vals) of a
     # smooth-arithmetic node (the slopes rule of the module docstring);
-    # the leaves and the kink nodes override the walk they take.  A part
-    # with slope 1 enters as it is: 1.0 g is g, and qd_scale by 1 keeps
-    # the polytopes.
+    # the leaves and the kink nodes override the walk they take.
 
-    def _vgrad(self, b: Binding) -> tuple[np.float64, np.ndarray]:
+    def _vgrad(self, x, params):
         """Value and gradient of a smooth subtree: sum_i slope_i grad_i
-        over the operands.  The leaves return np.float64 values, as
-        _broadcast does, so that overflow in the scalar arithmetic above
-        them raises under np.errstate."""
+        over the operands.  At a point the values are np.float64, as
+        _broadcast makes them, so that overflow in the scalar arithmetic
+        raises under np.errstate; over a batch they are arrays (N,) and
+        the gradients (n, N), one column per row, so that a slope with
+        one entry per row scales them as a float slope does."""
         # spelled out for the one or two operands a smooth node has: this
         # walk runs once per node of every smooth subtree
         ops = _operands(self)
         if len(ops) == 1:
-            v, g = ops[0]._vgrad(b)
+            v, g = ops[0]._vgrad(x, params)
             (t,) = self._slopes(v)
-            return self._value(v), g if t == 1.0 else g * t
-        (va, ga), (vb, gb) = ops[0]._vgrad(b), ops[1]._vgrad(b)
+            return self._value(v), _times(g, t)
+        (va, ga), (vb, gb) = ops[0]._vgrad(x, params), ops[1]._vgrad(x, params)
         ta, tb = self._slopes(va, vb)
-        return self._value(va, vb), ((ga if ta == 1.0 else ga * ta)
-                                     + (gb if tb == 1.0 else gb * tb))
+        return self._value(va, vb), _times(ga, ta) + _times(gb, tb)
 
-    def _vqd_pair(self, b: Binding):
-        """Value and quasidifferential of a subtree with a kink: the sum
-        over the operands of pair_i scaled by slope_i, left to right."""
-        vals, pairs = zip(*[c._vqd(b) for c in _operands(self)])
-        return self._value(*vals), reduce(qd_add, [
-            q if t == 1.0 else qd_scale(q, t)
-            for t, q in zip(self._slopes(*vals), pairs)])
-
-    # The row walk of the module docstring: the walks above over the rows
-    # of a batch X, one set of params per row.  Gradients and the
-    # singletons a, b of a pair are (n, N) arrays, one column per row, so
-    # that a slope with one entry per row scales them as a float slope
-    # does.
-
-    def _vgrad_rows(self, X, params):
-        """_vgrad at each row: values (N,) and gradients (n, N)."""
-        ops = _operands(self)
-        if len(ops) == 1:
-            v, g = ops[0]._vgrad_rows(X, params)
-            (t,) = self._slopes(v)
-            return self._value(v), g * t
-        (va, ga), (vb, gb) = (ops[0]._vgrad_rows(X, params),
-                              ops[1]._vgrad_rows(X, params))
-        ta, tb = self._slopes(va, vb)
-        return self._value(va, vb), ga * ta + gb * tb
-
-    def _vqd_rows(self, X, params):
-        """_vqd at each row: values and the pair (a, b) of [{a}, {b}]."""
-        if self._piecewise:
-            return self._vqd_pair_rows(X, params)
-        v, g = self._vgrad_rows(X, params)
-        return v, _smooth_rows(g)
-
-    def _vqd_pair_rows(self, X, params):
-        """_vqd_pair at each row: the scaled pairs summed left to right."""
-        vals, pairs = zip(*[c._vqd_rows(X, params) for c in _operands(self)])
-        return self._value(*vals), reduce(_add_rows, [
-            _scale_rows(q, t) for t, q in zip(self._slopes(*vals), pairs)])
+    def _vqd_pair(self, x, params, rules):
+        """Value and pair of a subtree with a kink: the sum over the
+        operands of pair_i scaled by slope_i, left to right."""
+        vals, pairs = zip(*[c._vqd(x, params, rules) for c in _operands(self)])
+        return self._value(*vals), reduce(rules.add, [
+            rules.scale(q, t) for t, q in zip(self._slopes(*vals), pairs)])
 
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
@@ -274,6 +246,48 @@ def _depth_above(children) -> int:
     """_depth of a node over these children."""
     return 1 + max([c._depth for c in children]) if children else 0
 
+
+def _times(g, t):
+    """slope t times gradient g; 1.0 g is g, so a float slope of 1 keeps
+    g itself (a slope with one entry per row is always multiplied)."""
+    return g if isinstance(t, float) and t == 1.0 else g * t
+
+
+# The rule sets of the module docstring.  smooth(g), add(p, q),
+# scale(q, t) and abs(v, q, smooth_child) return a pair, and
+# extremum(node, items) the (value, pair) of a max or min node from its
+# children's (value, pair) items.
+
+def _abs_pairs(v, q, smooth_child):
+    out = qd_abs(q, v)
+    # smooth argument: fold back to the co{+-grad} form
+    return absorb_singleton_sup(out) if smooth_child else out
+
+
+def _extremum_pairs(node, items):
+    vals = [v for v, _ in items]
+    if isinstance(node, Max):
+        return max(vals), qd_max(items)
+    out = qd_min(items)
+    # tie among smooth branches: display concave-led, [{0}, co{grads}]
+    if out.sup.nvertices > 1 and \
+            not any(c._piecewise for c in node.children):
+        out = absorb_singleton_sub(out)
+    return min(vals), out
+
+
+# calculus's pair algebra, at one point.  A part with slope 1 enters as it
+# is: qd_scale by 1 keeps the polytopes.  The rules name each calculus
+# function when they run, so that a wrapper bound to its name in this
+# module (perfbench's tracer) sees the call.
+_PAIRS = SimpleNamespace(smooth=lambda g: qd_smooth(g),
+                         add=lambda p, q: qd_add(p, q),
+                         scale=lambda q, t: q if t == 1.0 else qd_scale(q, t),
+                         abs=_abs_pairs, extremum=_extremum_pairs)
+
+
+# The row walk of the module docstring: a pair [{a}, {b}] is the tuple
+# (a, b) of (n, N) arrays, one column per row.
 
 def _canonical_rows(x):
     """The canonical vertex of each singleton {x_i}: x + 0.0, since the
@@ -315,6 +329,30 @@ def _sole_active(keys):
     return active
 
 
+def _abs_rows(v, q, smooth_child):
+    """qd_abs is qd_max of (v, q) and (-v, -q): the sign of the active
+    branch scales q; absorb_singleton_sup of a smooth child's pair is
+    [{a + b}, {0}]."""
+    first = _sole_active(np.stack([v, -v]))[0]
+    a, b = _scale_rows(q, np.where(first, 1.0, -1.0))
+    return _smooth_rows(a + b) if smooth_child else (a, b)
+
+
+def _extremum_rows(node, items):
+    """One active branch: qd_max and qd_min return its pair (qd_min scales
+    by -1 twice, and -(-a + 0.0) + 0.0 is a), and its value is the max or
+    the min."""
+    vals, pairs = zip(*items)
+    subs, sups = zip(*pairs)
+    active = list(_sole_active(node._key(np.stack(vals))))
+    return np.select(active, vals), (np.select(active, subs),
+                                     np.select(active, sups))
+
+
+_ROWS = SimpleNamespace(smooth=_smooth_rows, add=_add_rows, scale=_scale_rows,
+                        abs=_abs_rows, extremum=_extremum_rows)
+
+
 def _wrap(child: Expr, minlevel: int) -> str:
     s, lvl = child._fmt()
     return f"({s})" if lvl < minlevel else s
@@ -342,15 +380,11 @@ class Var(Expr):
                 f"variable x{self.index} outside point dimension {point.shape[-1]}")
         return point[..., self.index - 1]
 
-    def _vgrad(self, b):
-        g = np.zeros(b.n)
+    def _vgrad(self, x, params):
+        # x.T[i] is an np.float64 at a point and column i of a batch
+        g = np.zeros(x.shape[::-1])
         g[self.index - 1] = 1.0
-        return b.point[self.index - 1], g
-
-    def _vgrad_rows(self, X, params):
-        g = np.zeros(X.shape[::-1])
-        g[self.index - 1] = 1.0
-        return X[:, self.index - 1], g
+        return x.T[self.index - 1], g
 
     def _fmt(self):
         return f"x{self.index}", _ATOM
@@ -368,15 +402,10 @@ class Param(Expr):
             raise UnboundParameterError(self.name)
         return _broadcast(params[self.name], point)
 
-    def _vgrad(self, b):
-        if self.name not in b.params:
-            raise UnboundParameterError(self.name)
-        return np.float64(b.params[self.name]), np.zeros(b.n)
-
-    def _vgrad_rows(self, X, params):
+    def _vgrad(self, x, params):
         if self.name not in params:
             raise UnboundParameterError(self.name)
-        return _broadcast(params[self.name], X), np.zeros(X.shape[::-1])
+        return _broadcast(params[self.name], x), np.zeros(x.shape[::-1])
 
     def _fmt(self):
         return self.name, _ATOM
@@ -389,11 +418,8 @@ class Const(Expr):
     def evaluate(self, point, params=None):
         return _broadcast(self.value, point)
 
-    def _vgrad(self, b):
-        return np.float64(self.value), np.zeros(b.n)
-
-    def _vgrad_rows(self, X, params):
-        return _broadcast(self.value, X), np.zeros(X.shape[::-1])
+    def _vgrad(self, x, params):
+        return _broadcast(self.value, x), np.zeros(x.shape[::-1])
 
     def _fmt(self):
         return _format_number(self.value), _ATOM
@@ -452,20 +478,13 @@ class Sub(Expr):
     def _slopes(self, va, vb):
         return 1.0, -1.0
 
-    def _vqd_pair(self, b):
+    def _vqd_pair(self, x, params, rules):
         if self.b._piecewise:
-            return super()._vqd_pair(b)
+            return super()._vqd_pair(x, params, rules)
         # a smooth subtrahend stays smooth-led: [{-grad}, {0}]
-        va, qa = self.a._vqd(b)
-        vb, gb = self.b._vgrad(b)
-        return self._value(va, vb), qd_add(qa, qd_smooth(-gb))
-
-    def _vqd_pair_rows(self, X, params):
-        if self.b._piecewise:
-            return super()._vqd_pair_rows(X, params)
-        va, qa = self.a._vqd_rows(X, params)
-        vb, gb = self.b._vgrad_rows(X, params)
-        return self._value(va, vb), _add_rows(qa, _smooth_rows(-gb))
+        va, qa = self.a._vqd(x, params, rules)
+        vb, gb = self.b._vgrad(x, params)
+        return self._value(va, vb), rules.add(qa, rules.smooth(-gb))
 
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} - {_wrap(self.b, _ADD + 1)}", _ADD
@@ -561,24 +580,9 @@ class Abs(Expr):
     def evaluate(self, point, params=None):
         return np.abs(self.child.evaluate(point, params))
 
-    def _vqd_pair(self, b):
-        v, q = self.child._vqd(b)
-        out = qd_abs(q, v)
-        # smooth argument: fold back to the co{+-grad} form
-        if not self.child._piecewise:
-            out = absorb_singleton_sup(out)
-        return abs(v), out
-
-    def _vqd_pair_rows(self, X, params):
-        # qd_abs is qd_max of (v, q) and (-v, -q): the sign of the active
-        # branch scales q
-        v, q = self.child._vqd_rows(X, params)
-        first = _sole_active(np.stack([v, -v]))[0]
-        a, b = _scale_rows(q, np.where(first, 1.0, -1.0))
-        if not self.child._piecewise:
-            # absorb_singleton_sup: [{a + b}, {0}]
-            a, b = _smooth_rows(a + b)
-        return np.abs(v), (a, b)
+    def _vqd_pair(self, x, params, rules):
+        v, q = self.child._vqd(x, params, rules)
+        return abs(v), rules.abs(v, q, not self.child._piecewise)
 
     def _fmt(self):
         return f"abs({self.child._fmt()[0]})", _ATOM
@@ -601,15 +605,9 @@ class _Extremum(Expr):
     def evaluate(self, point, params=None):
         return self._reduce([c.evaluate(point, params) for c in self.children])
 
-    def _vqd_pair_rows(self, X, params):
-        # one active branch: qd_max and qd_min return its pair (qd_min
-        # scales by -1 twice, and -(-a + 0.0) + 0.0 is a), and its value
-        # is the max or the min
-        vals, pairs = zip(*[c._vqd_rows(X, params) for c in self.children])
-        subs, sups = zip(*pairs)
-        active = list(_sole_active(self._key(np.stack(vals))))
-        return np.select(active, vals), (np.select(active, subs),
-                                         np.select(active, sups))
+    def _vqd_pair(self, x, params, rules):
+        return rules.extremum(
+            self, [c._vqd(x, params, rules) for c in self.children])
 
     def _fmt(self):
         inner = ", ".join(c._fmt()[0] for c in self.children)
@@ -621,24 +619,9 @@ class _Extremum(Expr):
 class Max(_Extremum):
     _name, _reduce, _key = "max", np.maximum.reduce, np.positive
 
-    def _vqd_pair(self, b):
-        items = [c._vqd(b) for c in self.children]
-        val = max(v for v, _ in items)
-        return val, qd_max(items)
-
 
 class Min(_Extremum):
     _name, _reduce, _key = "min", np.minimum.reduce, np.negative
-
-    def _vqd_pair(self, b):
-        items = [c._vqd(b) for c in self.children]
-        val = min(v for v, _ in items)
-        out = qd_min(items)
-        # tie among smooth branches: display concave-led, [{0}, co{grads}]
-        if out.sup.nvertices > 1 and \
-                not any(c._piecewise for c in self.children):
-            out = absorb_singleton_sub(out)
-        return val, out
 
 
 def _format_number(x: float) -> str:
@@ -841,7 +824,7 @@ def qd_value_at(e: Expr, b: Binding) -> tuple[float, Quasidifferential]:
     """Value and canonical quasidifferential of e at the binding."""
     if b.point.ndim != 1:
         raise ExpressionError("quasidifferentials need a single point, not a batch")
-    return e._vqd(b)
+    return e._vqd(b.point, b.params, _PAIRS)
 
 
 def qd_at(e: Expr, b: Binding) -> Quasidifferential:
@@ -855,7 +838,7 @@ def qd_rows_at(e: Expr, points, params) -> tuple | None:
     within ACTIVE_TOL at some row, a number is not finite, or the batch
     raises FloatingPointError (the module docstring)."""
     try:
-        v, (a, b) = e._vqd_rows(np.asarray(points, dtype=float), params)
+        v, (a, b) = e._vqd(np.asarray(points, dtype=float), params, _ROWS)
     except (_Declined, FloatingPointError):
         return None
     return v, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)

@@ -56,14 +56,16 @@ inequality's block), it is
     min sum of the non-theta weights
     s.t.  [P; T] x = (-w0, 1),  G x <= c,  x >= 0,
 
-whose feasible set is the containment's.  The set of feasible points
-grows with c (the sum's terms grow with c, as each contains 0): a
-selection feasible at c is feasible at every c' >= c, and one
-infeasible at c at every c' <= c.  Selections are searched in lex
-order, so the first infeasible selection at c comes no earlier than the
-first one at any c' <= c: a search at c may resume at that index, and
-the selections it skips count as checked.  Both verdicts agree at
-feasible points for the same c, independent of which
+whose feasible set is the containment's.  Each group's blocks enter it
+lifted by an exact power of two 2^k, with cost 2^k and cap c / 2^k on
+the lifted weights, since HiGHS reads matrix entries below 1e-9 as
+zero.  The set of feasible points grows with c (the sum's terms grow
+with c, as each contains 0): a selection feasible at c is feasible at
+every c' >= c, and one infeasible at c at every c' <= c.  Selections
+are searched in lex order, so the first infeasible selection at c comes
+no earlier than the first one at any c' <= c: a search at c may resume
+at that index, and the selections it skips count as checked.  Both
+verdicts agree at feasible points for the same c, independent of which
 quasidifferentials represent the data, and that equivalence, and the
 containment's agreement with the LP, are cross-asserted in tests.
 
@@ -281,24 +283,36 @@ def check_multipliers(data: ProgramData, sel: Selection,
     block_id = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
     # the group of each block: -1 for theta, j for f_j's pair, l + k for
     # the k-th active inequality
-    group = np.concatenate([[-1], np.repeat(np.arange(l), 2),
-                            np.arange(l, l + na)])[block_id]
+    block_group = np.concatenate([[-1], np.repeat(np.arange(l), 2),
+                                  np.arange(l, l + na)])
+    group = block_group[block_id]
 
-    a_eq = np.vstack([np.vstack(blocks).T, block_id == 0])
+    # HiGHS reads matrix entries below 1e-9 as zero, so each group's
+    # points are lifted by the exact 2^k of geometry._lifted: its weights
+    # become x / 2^k, its cap c / 2^k and its cost 2^k, and its sums are
+    # scaled back by 2^k
+    points, lift = np.vstack(blocks), np.zeros(l + na, dtype=int)
+    for i in range(l + na):
+        points[group == i], lift[i] = _lifted(points[group == i])
+    block_lift = np.concatenate([[0], lift])[block_group + 1]
+
+    a_eq = np.vstack([points.T, block_id == 0])
     b_eq = np.concatenate([-data.u.sup.vertices[sel.w0], [1.0]])
     a_ub = b_ub = None
     if c_bound is not None and l + na:
         a_ub = (group == np.arange(l + na)[:, None]).astype(float)
-        b_ub = np.full(l + na, float(c_bound))
-    out = solve_lp((group >= 0).astype(float), a_ub=a_ub, b_ub=b_ub,
-                   a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
+        b_ub = np.ldexp(float(c_bound), -lift)
+    out = solve_lp(np.ldexp((group >= 0).astype(float), block_lift[block_id]),
+                   a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+                   bounds=(0.0, None))
     if out.status is LpStatus.INFEASIBLE:
         return MultiplierCertificate(False, sel, c_bound=c_bound)
     if out.status is not LpStatus.FEASIBLE:
         raise OptimalityError("multiplier program was unbounded")
 
     x = out.point
-    sums = [float(np.sum(x[block_id == b])) for b in range(1, len(blocks))]
+    sums = [math.ldexp(float(np.sum(x[block_id == b])), int(block_lift[b]))
+            for b in range(1, len(blocks))]
     mu_lo, mu_hi = tuple(sums[0:2 * l:2]), tuple(sums[1:2 * l:2])
     lam_full = [0.0] * len(data.g)
     for i, lam in zip(data.active, sums[2 * l:]):

@@ -5,9 +5,11 @@ line; blank lines and lines starting with # are skipped.
 
     [problem]
     n = 2
-    objective = -x1 + x2              optional, needed by optcheck
-    equality = abs(x1) - abs(x2)      repeatable
-    inequality = x1                   repeatable
+    # optional, needed by optcheck
+    objective = -x1 + x2
+    # equality and inequality lines are repeatable
+    equality = abs(x1) - abs(x2)
+    inequality = x1
 
     [params]
     p = 1.0
@@ -16,8 +18,13 @@ line; blank lines and lines starting with # are skipped.
     x = 0 0
 
     [check]
-    K = 2.0            r = 0.5          grid = 21     target_grid = 11
-    c = 0.5 1 2        scan_radius = 1.0  budget = 1000000
+    K = 2.0
+    r = 0.5
+    grid = 21
+    target_grid = 11
+    c = 0.5 1 2
+    scan_radius = 1.0
+    budget = 1000000
 
 At most MAX_CONSTRAINTS equality and inequality lines are accepted.
 Every number must be finite and within the range _RANGES sets for its

@@ -42,10 +42,12 @@ in cli.cmd_slope), so it is independent of the quasidifferential
 representative.  The grid check and the margin shells of margin_infima
 are sampled; sampled_strong_slope is a ring-sampled slope kept as an
 independent reference for the tests.  margin_infima takes the margins
-of a round of draws from one row walk (expressions.qd_rows_at and
-calculus.singleton_rates), which gives each row's
-steepest_rate(qd_at(...)) by bytes wherever no kink of psi ties; a round
-where the walk declines takes the pair walk row by row.
+of a round of draws from one walk over all its rows: qd_rows_at runs
+qd_at's walk with the row rule set of expressions, which carries each
+pair as one singleton per row, and calculus.singleton_rates norms them.
+That gives each row's steepest_rate(qd_at(...)) by bytes wherever no
+kink of psi ties; a round where the walk declines takes the pair walk
+row by row.
 
 Everything here is desk scale: n <= 3 for the grid oracle, vertex
 enumeration everywhere, deterministic seeds.

@@ -49,7 +49,11 @@ def test_one_pair_is_its_own_quartiles():
 
 @pytest.mark.parametrize("stdout", [
     "", "table\nnot json\n",
-    '{"correct": false, "metrics": {"setup_s": {"value": 1.0}}}\n'])
+    '{"correct": false, "metrics": {"setup_s": {"value": 1.0}}}\n',
+    '{"qd-build": {"correct": true, "attempted": 1, "failed": 0, '
+    '"metrics": {"setup_s": {"value": 1.0}}}, '
+    '"verdicts": {"correct": false, "attempted": 1, "failed": 1, '
+    '"metrics": {"setup_s": {"value": 1.0}}}}\n'])
 def test_a_run_without_a_correct_json_line_is_refused(stdout):
     tool = load_tool()
     with pytest.raises(tool.RunError):
@@ -94,3 +98,28 @@ def test_runs_alternate_and_a_bad_run_exits_two(tmp_path, capsys):
     broken = fake_checkout(tmp_path, "broken", "not json", log)
     assert_equal(tool.main([parent, broken, "--pairs", "1", *flags]), 2)
     assert "not JSON" in capsys.readouterr().err
+
+
+def all_line(qd_ops, verdicts_ops, verdicts_failed):
+    """The last line of a `--workload all` run of two workloads."""
+    qd, verdicts = json.loads(result_line(qd_ops)), \
+        json.loads(result_line(verdicts_ops))
+    verdicts["failed"] = verdicts_failed
+    return json.dumps({"qd-build": qd, "verdicts": verdicts})
+
+
+def test_every_workload_of_a_run_is_read(tmp_path, capsys):
+    tool = load_tool()
+    log = tmp_path / "order.log"
+    parent = fake_checkout(tmp_path, "parent", all_line(10.0, 20.0, 1), log)
+    change = fake_checkout(tmp_path, "change", all_line(11.0, 19.0, 2), log)
+    flags = ["--workload", "all", "--seed", "41", "--seconds", "1"]
+    assert_equal(tool.main([parent, change, "--pairs", "2", *flags]), 0)
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[-4:] for line in out
+            if line.startswith(("qd-build/", "verdicts/"))}
+    assert_equal(rows, {"qd-build/ops_per_s": ["1.100", "2", "of", "2"],
+                        "verdicts/ops_per_s": ["0.950", "0", "of", "2"]})
+    assert_equal(out[-2:], [
+        "parent: qd-build failed 0/8 (0), verdicts failed 2/8 (0.25)",
+        "change: qd-build failed 0/8 (0), verdicts failed 4/8 (0.5)"])

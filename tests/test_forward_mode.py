@@ -6,7 +6,7 @@ its value and vertex arrays with qd_value_at's by their bytes.
 reference_kink is kink_distance written as one rule per node type; the
 single walk over the operands must give the same float, bit for bit.
 The row walk, qd_rows_at, must give each row's qd_value_at by its bytes,
-or decline.
+or decline.  A value of the walk at a point is an np.float64.
 """
 
 import random
@@ -276,6 +276,16 @@ class TestSameBytesAsThePairWalk:
         e = parse_expression("sin(q*x1) - x2", 2)
         with pytest.raises(UnboundParameterError, match="'q'"):
             qd_at(e, Binding(np.zeros(2), {}))
+
+
+@pytest.mark.parametrize("text", ["x1", "p", "3", "x1*p", "abs(x1)",
+                                  "max(x1, x2)"])
+def test_values_at_a_point_are_numpy_floats(text):
+    # an np.float64, not a 0-d array nor a Python float: its arithmetic
+    # raises under np.errstate, and it prints as a number
+    b = Binding(np.array([0.5, -2.0]), {"p": 1.5})
+    v, _ = qd_value_at(parse_expression(text, 2), b)
+    assert type(v) is np.float64
 
 
 class TestPolytopeBuilds:

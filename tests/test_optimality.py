@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -381,6 +382,27 @@ class TestMultiplierSelection(TestCase):
             check_multipliers(at_origin(p), Selection(0, (5,), (0,)))
 
 
+@pytest.mark.parametrize("coef", [1e-6, 1e-9, 1e-13])
+def test_small_constraint_entries_are_lifted_past_highs_zero_cut(coef):
+    # HiGHS reads matrix entries below 1e-9 as zero; each group's blocks
+    # are lifted by an exact power of two, and the multiplier 1 / coef
+    # holds under a cap of twice it, not under 0.999 of it
+    equality = ProgramSpec(1, pe("0 - x1", 1), (pe(f"{coef!r}*x1", 1),))
+    inequality = ProgramSpec(1, pe("0 - x1", 1), (),
+                             (pe(f"{coef!r}*x1", 1),))
+    for p, sel, got in ((equality, Selection(0, (0,), (0,)),
+                         lambda cert: cert.mu_upper[0]),
+                        (inequality, Selection(z=(0,)),
+                         lambda cert: cert.lam[0])):
+        data = program_data(p, p.binding([0.0]))
+        for c_bound in (None, 2 / coef):
+            cert = check_multipliers(data, sel, c_bound)
+            assert cert.feasible
+            assert_allclose(got(cert), 1 / coef, rtol=1e-12)
+            assert_allclose(cert.multiplier_bound, 1 / coef, rtol=1e-12)
+        assert not check_multipliers(data, sel, 0.999 / coef).feasible
+
+
 class TestSelectionSweep(TestCase):
 
     def test_sign_program_sweep_finds_the_witness(self):
@@ -617,25 +639,31 @@ class TestVerdictEquivalence(TestCase):
 
 def reference_multiplier_lp(data, sel, c_bound=None):
     """check_multipliers' LP as its loops with (start, stop) offsets built
-    it before the block form."""
+    it before the block form, with each group (an equality's two blocks,
+    or one inequality's block) lifted by the exact 2^k of
+    geometry._lifted: its cost 2^k and its cap c_bound / 2^k."""
     l = len(data.f)
     n = data.n
     w0 = data.u.sup.vertices[sel.w0]
     cols = [data.u.sub.vertices.T]
-    sums = []
+    sums, lifts = [], []
     pos = data.u.sub.nvertices
     for j, fj in enumerate(data.f):
         vstar = fj.sub.vertices[sel.v[j]]
         wstar = fj.sup.vertices[sel.w[j]]
         lo_block = -(vstar[None, :] + fj.sup.vertices)
         hi_block = fj.sub.vertices + wstar[None, :]
-        for block in (lo_block, hi_block):
+        pair, lift = geometry._lifted(np.vstack([lo_block, hi_block]))
+        lifts.append(lift)
+        for block in (pair[:len(lo_block)], pair[len(lo_block):]):
             cols.append(block.T)
             sums.append((pos, pos + block.shape[0]))
             pos += block.shape[0]
     for k, i in enumerate(data.active):
         zstar = data.g[i].sup.vertices[sel.z[k]]
-        block = data.g[i].sub.vertices + zstar[None, :]
+        block, lift = geometry._lifted(data.g[i].sub.vertices
+                                       + zstar[None, :])
+        lifts.append(lift)
         cols.append(block.T)
         sums.append((pos, pos + block.shape[0]))
         pos += block.shape[0]
@@ -643,17 +671,20 @@ def reference_multiplier_lp(data, sel, c_bound=None):
     a_eq[:n] = np.hstack(cols)
     a_eq[n, :data.u.sub.nvertices] = 1.0
     b_eq = np.concatenate([-w0, [1.0]])
+    groups = [sums[2 * j:2 * j + 2] for j in range(l)]
+    groups += [[pair] for pair in sums[2 * l:]]
     a_ub = b_ub = None
     if c_bound is not None and sums:
-        groups = [sums[2 * j:2 * j + 2] for j in range(l)]
-        groups += [[pair] for pair in sums[2 * l:]]
         a_ub = np.zeros((len(groups), pos))
         for row, group in zip(a_ub, groups):
             for start, stop in group:
                 row[start:stop] = 1.0
-        b_ub = np.full(len(groups), float(c_bound))
-    cost = np.ones(pos)
-    cost[:data.u.sub.nvertices] = 0.0
+        b_ub = np.array([math.ldexp(float(c_bound), -lift)
+                         for lift in lifts])
+    cost = np.zeros(pos)
+    for group, lift in zip(groups, lifts):
+        for start, stop in group:
+            cost[start:stop] = math.ldexp(1.0, lift)
     return (cost, a_ub, b_ub, a_eq, b_eq, [(0.0, None)] * pos, False)
 
 

@@ -5,14 +5,16 @@ reader would paste them.  A line that is a bare expression followed by a
 comment holding a python literal, such as `dd(q, [0.0, 1.0])  # -1.0`,
 must evaluate to that literal.  The "Command line" section names every
 flag that the parser accepts and no other, and its `quasidiff ...`
-examples exit 0.  Its ```ini sample is a problem file that names every
-[check] key that problemfile accepts.
+examples exit 0.  Its ```ini sample, and the sample of the problemfile
+module docstring, are problem files that name every [check] key that
+problemfile accepts.
 """
 
 import argparse
 import ast
 import dataclasses
 import re
+import textwrap
 from pathlib import Path
 
 from numpy.testing import assert_equal
@@ -86,9 +88,13 @@ def test_command_line_examples_exit_zero(tmp_path, capsys, monkeypatch):
 
 
 def test_problem_file_sample_parses_and_names_every_check_key():
-    sample, = re.findall(r"^```ini\n(.*?)^```$", command_line_section(),
+    readme, = re.findall(r"^```ini\n(.*?)^```$", command_line_section(),
                          re.M | re.S)
-    problemfile.loads(sample)
-    named = {key for _, key, _ in problemfile._entries(sample)["check"]}
-    assert_equal(named, {f.name for f in
-                         dataclasses.fields(problemfile.CheckSettings)})
+    # the problemfile module docstring's sample: its first indented block
+    docstring = textwrap.dedent(re.search(r"^    .*\n(?:^    .*\n|^\n)*",
+                                          problemfile.__doc__, re.M)[0])
+    for sample in (readme, docstring):
+        problemfile.loads(sample)
+        named = {key for _, key, _ in problemfile._entries(sample)["check"]}
+        assert_equal(named, {f.name for f in
+                             dataclasses.fields(problemfile.CheckSettings)})

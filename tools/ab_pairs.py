@@ -9,11 +9,15 @@ parent goes first in even pairs and the change in odd ones, so that a
 drift of the machine's speed over the comparison weighs on both sides
 alike.  Only `perfbench/` of each checkout is read.
 
-It prints each run's end-to-end metrics as it ends, then, for each
-metric, the median and quartiles of each side, the change/parent ratio
-of the medians, and in how many pairs the change led.  It exits 2 when
-a run fails, ends in a line that is not JSON, or reads
-`"correct": false`.  Only the standard library is used.
+With `--workload all` each run measures every workload, and each metric
+is named `workload/metric`.
+
+It prints each run's end-to-end metrics and failed ops as it ends, then,
+for each metric, the median and quartiles of each side, the
+change/parent ratio of the medians, and in how many pairs the change
+led, and last each side's failed ops over all its runs, by workload.  It
+exits 2 when a run fails, ends in a line that is not JSON, or reads
+`"correct": false` for any workload.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     for name in pairs[0][0]:
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
-        higher = name in HIGHER_IS_BETTER
+        higher = name.split("/")[-1] in HIGHER_IS_BETTER
         led = sum((c > p) if higher else (c < p)
                   for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
@@ -58,20 +62,30 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     return out
 
 
-def parse_result(stdout: str) -> dict:
-    """{metric: value} from the last line of a run.py run; RunError if it
-    is not JSON or reads "correct": false."""
+def parse_result(stdout: str) -> tuple[dict, dict]:
+    """({metric: value}, {workload: (failed ops, attempted ops)}) from the
+    last line of a run.py run.  That line is one workload's result, named
+    "" here, or for `--workload all` a map from each workload to its
+    result, whose metrics are then named workload/metric.  RunError if
+    the line is not JSON or some workload reads "correct": false."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise RunError("the last line of the run is not JSON") from None
-    if result.get("correct") is not True:
-        raise RunError(f"the run is not correct: {lines[-1]}")
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    results = {"": result} if "metrics" in result else result
+    metrics, ops = {}, {}
+    for workload, r in results.items():
+        if r.get("correct") is not True:
+            raise RunError(f"the run is not correct: {lines[-1]}")
+        prefix = f"{workload}/" if workload else ""
+        metrics.update({prefix + k: m["value"]
+                        for k, m in r["metrics"].items()})
+        ops[workload] = (r["failed"], r["attempted"])
+    return metrics, ops
 
 
-def run(checkout: str, args) -> dict:
+def run(checkout: str, args) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", "0"]
@@ -82,14 +96,24 @@ def run(checkout: str, args) -> dict:
     return parse_result(proc.stdout)
 
 
-def report(summary: dict, n_pairs: int) -> None:
-    print(f"{'metric':16s} {'parent median [q1, q3]':>30s} "
+def _failed(workload: str, failed: int, attempted: int) -> str:
+    return (f"{workload + ' ' if workload else ''}failed {failed}/"
+            f"{attempted} ({failed / attempted if attempted else 0.0:.4g})")
+
+
+def report(summary: dict, n_pairs: int, ops: dict) -> None:
+    """The summary table, then each workload's failed/attempted ops on
+    each side, from ops, {(side, workload): [failed, attempted]}."""
+    print(f"{'metric':28s} {'parent median [q1, q3]':>30s} "
           f"{'change median [q1, q3]':>30s} {'ratio':>7s} {'change led':>10s}")
     for name, s in summary.items():
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
                  for q in (s["parent"], s["change"])]
-        print(f"{name:16s} {cells[0]:>30s} {cells[1]:>30s} "
+        print(f"{name:28s} {cells[0]:>30s} {cells[1]:>30s} "
               f"{s['ratio']:7.3f} {s['led']:>5d} of {n_pairs}")
+    for side in ("parent", "change"):
+        print(f"{side}: " + ", ".join(_failed(w, *ops[side, w])
+                                      for o, w in ops if o == side))
 
 
 def main(argv=None) -> int:
@@ -103,21 +127,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    pairs = []
+    pairs, ops = [], {}
     try:
         for i in range(args.pairs):
             sides = {}
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                sides[side] = run(getattr(args, side), args)
+                sides[side], counts = run(getattr(args, side), args)
+                for w, (failed, attempted) in counts.items():
+                    total = ops.setdefault((side, w), [0, 0])
+                    total[0] += failed
+                    total[1] += attempted
                 print(f"pair {i + 1} {side}: " + ", ".join(
-                    f"{k} {v:.4g}" for k, v in sides[side].items()),
+                    [f"{k} {v:.4g}" for k, v in sides[side].items()]
+                    + [_failed(w, *c) for w, c in counts.items()]),
                     flush=True)
             pairs.append((sides["parent"], sides["change"]))
     except RunError as e:
         print(f"ab_pairs: {e}", file=sys.stderr)
         return 2
-    report(summarize(pairs), args.pairs)
+    report(summarize(pairs), args.pairs, ops)
     return 0
 
 
