@@ -6,9 +6,9 @@ number in it reappears in the optional --json sidecar, and exit codes
 mean 0 = check ran, 1 = a configured budget or limit cut the run short,
 2 = the input was rejected, 3 = an internal error (a defect of the
 program, reported as one line instead of a traceback).  For optcheck,
-stationarity decides every rung of the c ladder, and exit 1 means that
-the budget cut the search for an infeasible vertex selection, the
-paper's certificate, at a rung where stationarity fails.
+stationarity decides every rung of the c ladder, and exit 1 means only
+that the sign-pattern count of the q.d.-MFCQ hull test exceeds the
+budget.
 
 main reads the problem file and the point once and opens the _Report
 with the header and point lines; each command then adds only its own
@@ -33,8 +33,7 @@ from .expressions import Binding, ExpressionError, qd_at
 from .geometry import FEAS_TOL, Polytope
 from .mfcq import (CAVEATS, PATTERN_BUDGET, BudgetExceededError,
                    InfeasiblePointError, qd_mfcq)
-from .optimality import (C_LADDER, SELECTION_BUDGET, OptimalityError,
-                         check_all_selections, check_stationarity,
+from .optimality import (C_LADDER, OptimalityError, check_stationarity,
                          estimate_c_star, program_data,
                          qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, check_numbers, load
@@ -66,13 +65,11 @@ def _floats(v) -> list | None:
 class _Report:
     """One command's report, opened with the header lines and the point
     x (the center for regcheck): each add writes one text line for stdout
-    together with the --json sidecar fields that mirror its numbers;
-    code is the exit code."""
+    together with the --json sidecar fields that mirror its numbers."""
 
     def __init__(self, args, x, params: dict):
         self.lines: list = []
         self.payload: dict = {}
-        self.code = 0
         self.add(f"quasidiff {args.command} report", command=args.command)
         # the margin shells' seed and the feasibility cut are constants,
         # echoed so that every report states them
@@ -118,11 +115,6 @@ def _point_at(pf: ProblemFile) -> np.ndarray:
     if pf.point is None:
         raise ProblemFileError("no evaluation point: add [point] x = ...")
     return pf.point
-
-
-def _selection(sel) -> dict:
-    return {"w0": sel.w0, "v": list(sel.v), "w": list(sel.w),
-            "z": list(sel.z)}
 
 
 def _xyz(x, y, z) -> dict:
@@ -298,10 +290,8 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
     b = p.binding(x)
     ladder = _given(pf.check.c, C_LADDER)
     data = program_data(p, b)
-    # one budget key caps both the hull test and the selection search
     pathway = qualification_pathway(
         p, data, budget=_given(pf.check.budget, PATTERN_BUDGET))
-    budget = _given(pf.check.budget, SELECTION_BUDGET)
     out.add(f"objective: {p.objective.to_text()}",
             objective=p.objective.to_text())
     out.add(f"constraints: {len(p.equalities)} equalities, "
@@ -314,38 +304,15 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
                 else pathway == "qd-mfcq")})
     checks: list = []
     out.add(ladder=[float(c) for c in ladder], checks=checks)
-    # the index of each failing rung's first infeasible selection; the
-    # search at c resumes at the largest one found at a rung at most c
-    found: dict = {}
     for c in ladder:
         st = check_stationarity(data, c)
-        row = {"c": float(c), "stationarity": bool(st.holds),
-               "violating_w": _floats(st.violating_w)}
-        checks.append(row)
-        if st.holds:
-            out.add(f"c = {_g(c)}: stationarity holds")
-            continue
-        start = max((k for c1, k in found.items() if c1 <= c), default=0)
-        sw = check_all_selections(data, c_bound=c, budget=budget, start=start)
-        first = (None if sw.first_infeasible is None
-                 else _selection(sw.first_infeasible.selection))
-        if sw.holds is False:
-            found[c] = sw.n_checked - 1
-            sw_text = (f"infeasible selection "
-                       + " ".join(f"{k}={v}" for k, v in first.items())
-                       + f" ({sw.n_checked} of {sw.n_total} checked)")
-        elif sw.holds is True:
-            # the multiplier form is equivalent to stationarity, so this
-            # is a defect of the program
-            sw_text = f"all {sw.n_total} selections feasible; agreement: NO"
-        else:
-            sw_text = (f"budget cut the search after {sw.n_checked} of "
-                       f"{sw.n_total} selections")
-            out.code = 1
-        out.add(f"c = {_g(c)}: stationarity fails, violating w = "
-                f"{_vec(st.violating_w)}; {sw_text}")
-        row.update({"selections": sw.holds, "n_total": sw.n_total,
-                    "n_checked": sw.n_checked, "first_infeasible": first})
+        checks.append({"c": float(c), "stationarity": bool(st.holds),
+                       "violating_w": _floats(st.violating_w),
+                       "violating_distance": st.violating_distance})
+        out.add(f"c = {_g(c)}: stationarity holds" if st.holds else
+                f"c = {_g(c)}: stationarity fails, violating w = "
+                f"{_vec(st.violating_w)}, distance "
+                f"{_g(st.violating_distance)}")
 
     c_star = estimate_c_star(data)
     if np.isfinite(c_star):
@@ -487,7 +454,7 @@ def main(argv=None) -> int:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     sys.stdout.write("\n".join(out.lines) + "\n")
-    return out.code
+    return 0
 
 
 if __name__ == "__main__":

@@ -27,31 +27,28 @@ equivalent necessary conditions are checked at a feasible candidate point:
     lam_i = 0 off the active set and max{mu_lo_j + mu_hi_j, lam_i}
     bounded by the penalty parameter.
 
-For a bound c, an equality's two terms mu_lo_j L_j + mu_hi_j H_j with
-mu_lo_j + mu_hi_j <= c, L_j = -(v_j + sup f_j) and H_j = sub(f_j) + w_j,
-range over c co({0} u L_j u H_j), and an inequality's term over
+Stationarity decides every rung of optcheck's ladder: check_stationarity
+returns the first vertex w of sup(Psi_c) with -w outside sub(Psi_c) and
+the distance from -w to sub(Psi_c), the margin by which the rung fails,
+cut at FEAS_TOL as contains cuts it.  The multiplier form is the paper's
+statement of the same condition, kept as the tests' reference; no
+command runs it.  For a bound c, an equality's two terms
+mu_lo_j L_j + mu_hi_j H_j with mu_lo_j + mu_hi_j <= c,
+L_j = -(v_j + sup f_j) and H_j = sub(f_j) + w_j, range over
+c co({0} u L_j u H_j), and an inequality's term over
 c co({0} u (sub(g_i) + z_i)).  So a selection is feasible exactly when
 -w0 lies in the Minkowski sum
 
-    sub(u) + sum_j c co({0} u L_j u H_j) + sum_i c co({0} u (sub g_i + z_i)),
+    sub(u) + sum_j c co({0} u L_j u H_j) + sum_i c co({0} u (sub g_i + z_i)).
 
-one containment, decided by contains' cut FEAS_TOL on the distance.
-Wolfe's nearest point x of the sum to -w0, found through the sum's
-support oracle without enumerating it, bounds that distance: above by
-|x|, below by the separating bound of x.  check_all_selections decides
-a selection by these bounds when they fall on one side of the cut.
-Wolfe's stopping test is relative to the sum's scale, which grows with
-c, so at large c (from about 1e4 on the test programs, never up to 1e3)
-the bounds can straddle the cut; such a selection goes to
-check_multipliers, the LP form, which is also the certificate that
-carries multiplier values: every scalar-times-
-polytope term parameterized by nonnegative weights on the polytope
-vertices, the scalar recovered as the weight sum.  In block form, with
-the vertex blocks P_0 = sub(u), P_lo_j = L_j, P_hi_j = H_j and
-P_i = sub(g_i) + z_i as columns of P = [P_0, P_lo_1, P_hi_1, ..., P_i,
-...], T the 0/1 row that marks P_0's columns and G the 0/1 rows that
-mark each group (an equality's lo and hi blocks together, or one
-inequality's block), it is
+check_multipliers decides that as an LP that also carries multiplier
+values: every scalar-times-polytope term parameterized by nonnegative
+weights on the polytope vertices, the scalar recovered as the weight
+sum.  In block form, with the vertex blocks P_0 = sub(u), P_lo_j = L_j,
+P_hi_j = H_j and P_i = sub(g_i) + z_i as columns of P = [P_0, P_lo_1,
+P_hi_1, ..., P_i, ...], T the 0/1 row that marks P_0's columns and G the
+0/1 rows that mark each group (an equality's lo and hi blocks together,
+or one inequality's block), it is
 
     min sum of the non-theta weights
     s.t.  [P; T] x = (-w0, 1),  G x <= c,  x >= 0,
@@ -59,15 +56,10 @@ inequality's block), it is
 whose feasible set is the containment's.  Each group's blocks enter it
 lifted by an exact power of two 2^k, with cost 2^k and cap c / 2^k on
 the lifted weights, since HiGHS reads matrix entries below 1e-9 as
-zero.  The set of feasible points grows with c (the sum's terms grow
-with c, as each contains 0): a selection feasible at c is feasible at
-every c' >= c, and one infeasible at c at every c' <= c.  Selections
-are searched in lex order, so the first infeasible selection at c comes
-no earlier than the first one at any c' <= c: a search at c may resume
-at that index, and the selections it skips count as checked.  Both
-verdicts agree at feasible points for the same c, independent of which
-quasidifferentials represent the data, and that equivalence, and the
-containment's agreement with the LP, are cross-asserted in tests.
+zero.  check_all_selections searches the selections in lex order for
+the first whose LP is infeasible.  Both verdicts agree at feasible
+points for the same c, independent of which quasidifferentials
+represent the data, and that equivalence is cross-asserted in tests.
 
 The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
@@ -106,7 +98,7 @@ from .calculus import Quasidifferential, qd_add, qd_scale
 from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import (FEAS_TOL, LpStatus, Polytope, _lifted,
-                       _min_norm_combination, contains, solve_lp)
+                       nearest_point, solve_lp)
 from .mfcq import (PATTERN_BUDGET, InfeasiblePointError, active_inequalities,
                    feasibility_violations, mfcq_of_pairs)
 from .regularity import l1_penalty
@@ -202,6 +194,7 @@ def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
 class StationarityResult(NamedTuple):
     holds: bool
     violating_w: Optional[np.ndarray]
+    violating_distance: Optional[float]
 
 
 def check_stationarity(data: ProgramData, c: float) -> StationarityResult:
@@ -210,13 +203,15 @@ def check_stationarity(data: ProgramData, c: float) -> StationarityResult:
     Containment over the whole superdifferential reduces to its
     vertices: the condition -w in sub is linear in w, so the worst w
     is extreme.  The first violating vertex in canonical order is
-    returned as the witness.
+    returned as the witness, with the distance from -w to sub(Psi_c),
+    which exceeds FEAS_TOL, the cut of contains.
     """
     q = data.penalty(c)
     for w in q.sup.vertices:
-        if not contains(q.sub, -w):
-            return StationarityResult(False, w.copy())
-    return StationarityResult(True, None)
+        dist = nearest_point(q.sub, -w)[1]
+        if dist > FEAS_TOL:
+            return StationarityResult(False, w.copy(), dist)
+    return StationarityResult(True, None, None)
 
 
 @dataclass(frozen=True)
@@ -252,8 +247,7 @@ def _check_index(idx: int, poly: Polytope, label: str) -> None:
 def check_multipliers(data: ProgramData, sel: Selection,
                       c_bound: Optional[float] = None) -> MultiplierCertificate:
     """Solve the multiplier LP for one vertex selection: the certificate
-    with multiplier values, and check_all_selections' decision where
-    Wolfe's bounds leave one open."""
+    with multiplier values, and check_all_selections' decision."""
     l, na = len(data.f), len(data.active)
     if len(sel.v) != l or len(sel.w) != l or len(sel.z) != na:
         raise OptimalityError(
@@ -340,54 +334,24 @@ class SelectionSweep:
 
 
 def check_all_selections(data: ProgramData, c_bound: float,
-                         budget: int = SELECTION_BUDGET,
-                         start: int = 0) -> SelectionSweep:
+                         budget: int = SELECTION_BUDGET) -> SelectionSweep:
     """Search the vertex selections in lex order for the first one whose
-    multiplier system is infeasible at c_bound.
-
-    Each selection is decided as a containment in a Minkowski sum by
-    Wolfe's nearest point, with the FEAS_TOL cut of contains, and by its
-    LP only when Wolfe's bounds straddle that cut (see the module
-    docstring).  The search begins at index start, and the selections
-    before it count as checked: start may be the first infeasible index
-    at any bound at most c_bound."""
-    l, c = len(data.f), float(c_bound)
-    origin = np.zeros((1, data.n))
-    u_terms = [data.u.sub.vertices + w0 for w0 in data.u.sup.vertices]
-    f_terms = [[[c * np.vstack([origin, -(v + fj.sup.vertices),
-                                fj.sub.vertices + w])
-                 for w in fj.sup.vertices] for v in fj.sub.vertices]
-               for fj in data.f]
-    g_terms = [[c * np.vstack([origin, data.g[i].sub.vertices + z])
-                for z in data.g[i].sup.vertices] for i in data.active]
-    sizes = ([len(u_terms)]
-             + [n for t in f_terms for n in (len(t), len(t[0]))]
-             + [len(t) for t in g_terms])
+    multiplier LP (check_multipliers) is infeasible at c_bound."""
+    l = len(data.f)
+    sizes = ([data.u.sup.nvertices]
+             + [n for fj in data.f
+                for n in (fj.sub.nvertices, fj.sup.nvertices)]
+             + [data.g[i].sup.nvertices for i in data.active])
     n_total = math.prod(sizes)
-
-    n_checked = start
-    for combo in itertools.islice(itertools.product(*map(range, sizes)),
-                                  start, None):
+    for n_checked, combo in enumerate(itertools.product(*map(range, sizes))):
         if n_checked >= budget:
             return SelectionSweep(None, n_total, n_checked)
-        sel = Selection(combo[0], combo[1:1 + 2 * l:2],
-                        combo[2:2 + 2 * l:2], combo[1 + 2 * l:])
-        n_checked += 1
-        sets = ([u_terms[sel.w0]]
-                + [t[v][w] for t, v, w in zip(f_terms, sel.v, sel.w)]
-                + [t[z] for t, z in zip(g_terms, sel.z)])
-        # Wolfe's x is a point of the sum, and no point p of the sum has
-        # <p, x> below sum_i min <t_i, x>: its distance to 0 is at most
-        # |x| and at least that sum over |x|.  A selection whose FEAS_TOL
-        # verdict these bounds leave open is decided by its LP.
-        x = _min_norm_combination(sets)[0]
-        dist = float(np.linalg.norm(x))
-        if dist > FEAS_TOL and (
-                sum([float((t @ x).min()) for t in sets]) > FEAS_TOL * dist
-                or not check_multipliers(data, sel, c_bound).feasible):
-            cert = MultiplierCertificate(False, sel, c_bound=c_bound)
-            return SelectionSweep(False, n_total, n_checked, cert)
-    return SelectionSweep(True, n_total, n_checked)
+        cert = check_multipliers(data, Selection(
+            combo[0], combo[1:1 + 2 * l:2], combo[2:2 + 2 * l:2],
+            combo[1 + 2 * l:]), c_bound)
+        if not cert.feasible:
+            return SelectionSweep(False, n_total, n_checked + 1, cert)
+    return SelectionSweep(True, n_total, n_total)
 
 
 def estimate_c_star(data: ProgramData) -> float:

@@ -1,10 +1,7 @@
-import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
@@ -475,8 +472,8 @@ class TestCanonicalFixedPoints:
 
 
 def reference_min_norm_combination(points):
-    """Wolfe's algorithm on one point array as _min_norm_combination ran
-    it before it took a list of sets; a one-set call keeps these bytes."""
+    """Wolfe's algorithm on one point array, step for step: the bytes
+    that each _min_norm_combination call keeps."""
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 1:
@@ -533,15 +530,9 @@ def reference_min_norm_combination(points):
     return (np.ldexp(x, -lift) if lift else x), corral, lam
 
 
-# coordinates of the summed sets: a few that repeat, so that sums tie
-# and collapse, and any float in [-2, 2]
-_SUM_COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
-                        st.floats(-2.0, 2.0))
-
-
 class TestMinNormOfSums:
-    """Wolfe's nearest point on a Minkowski sum, found through the sum's
-    support oracle, and the one-set call it grew from."""
+    """Wolfe's nearest point on one point array keeps the bytes of
+    reference_min_norm_combination."""
 
     def test_one_set_keeps_its_bytes_on_the_fixtures(self, monkeypatch,
                                                      capsys):
@@ -577,32 +568,6 @@ class TestMinNormOfSums:
             assert corral == want[1]
             assert all(type(c) is int for c in corral)
             assert lam.tobytes() == want[2].tobytes()
-
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              database=None)
-    @given(data=st.data())
-    def test_sum_distance_is_the_explicit_sums(self, data):
-        dim = data.draw(st.integers(1, 4), label="dim")
-        k = data.draw(st.integers(1, 4), label="k")
-        sets = [np.array(data.draw(st.lists(
-            st.lists(_SUM_COORDS, min_size=dim, max_size=dim),
-            min_size=1, max_size=4), label=f"T{i + 1}")) for i in range(k)]
-        explicit = functools.reduce(
-            lambda a, b: (a[:, None, :] + b[None, :, :]).reshape(-1, dim),
-            sets)
-        want = nearest_point(Polytope(explicit), np.zeros(dim))[1]
-        x, corral, lam = geometry._min_norm_combination(sets)
-        scale = float(np.abs(explicit).max())
-        # the norm taken lifted, as nearest_point takes it, so that its
-        # square does not underflow
-        e = geometry._lift_exponent(scale)
-        got = np.ldexp(np.linalg.norm(np.ldexp(x, e)), -e)
-        assert abs(got - want) <= 1e-12 * scale
-        # x is the weighted sum of the corral's picks, one row per set
-        assert all(len(c) == k for c in corral)
-        picks = geometry._row_sum(sets, np.transpose(corral))
-        assert_allclose(x, lam @ picks, rtol=0, atol=1e-14 * scale)
-        assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-12
 
 
 class TestMinkowskiSum(TestCase):

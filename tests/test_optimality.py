@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import io
-import itertools
 import json
 import math
 import re
@@ -17,8 +16,8 @@ from quasidiff import cli, geometry, mfcq, optimality
 from quasidiff.calculus import Quasidifferential, dd
 from quasidiff.cli import main
 from quasidiff.expressions import parse_expression, qd_at
-from quasidiff.geometry import (Polytope, contains, minkowski_sum, scale,
-                                solve_lp)
+from quasidiff.geometry import (FEAS_TOL, Polytope, contains, minkowski_sum,
+                                nearest_point, scale, solve_lp)
 from quasidiff.mfcq import qd_mfcq
 from quasidiff.optimality import (C_LADDER, OptimalityError, ProgramSpec,
                                   Selection, build_penalty,
@@ -81,19 +80,6 @@ def twelve_equalities():
     pf = loads("[problem]\nn = 2\nobjective = -x1 + x2\n" + eqs
                + "[point]\nx = 0 0\n")
     return pf.program(), pf.point
-
-
-def selections(data):
-    """The vertex selections of data in the lex order in which
-    check_all_selections numbers them."""
-    l = len(data.f)
-    ranges = [range(data.u.sup.nvertices)]
-    for fj in data.f:
-        ranges += [range(fj.sub.nvertices), range(fj.sup.nvertices)]
-    ranges += [range(data.g[i].sup.nvertices) for i in data.active]
-    for combo in itertools.product(*ranges):
-        yield Selection(combo[0], combo[1:1 + 2 * l:2],
-                        combo[2:2 + 2 * l:2], combo[1 + 2 * l:])
 
 
 class TestProgramSpec(TestCase):
@@ -255,6 +241,7 @@ class TestStationarity(TestCase):
         p = ProgramSpec(2, pe("pow(x1, 2) + pow(x2, 2)"))
         out = check_stationarity(at_origin(p), 1.0)
         assert out.holds and out.violating_w is None
+        assert out.violating_distance is None
 
     def test_sharp_minimum_holds(self):
         p = ProgramSpec(2, pe("abs(x1)"))
@@ -273,6 +260,10 @@ class TestStationarity(TestCase):
                 np.all(np.isclose(q.sup.vertices, out.violating_w), axis=1))
             assert row.size == 1
             assert not contains(q.sub, -out.violating_w)
+            # and its distance is the one contains cuts at FEAS_TOL
+            assert_equal(out.violating_distance,
+                         nearest_point(q.sub, -out.violating_w)[1])
+            assert out.violating_distance > FEAS_TOL
 
     def test_penalty_is_blind_along_the_balanced_diagonal(self):
         # |h1| = |h2| kills the penalty term while the objective drops
@@ -446,42 +437,10 @@ def benchmark_programs(load_perfbench):
     return texts
 
 
-def optcheck_checks(path, ladder, tmp_path):
-    """The sidecar's rung records of optcheck on path with [check] c set
-    to ladder."""
-    laddered = tmp_path / "ladder.prob"
-    laddered.write_text(re.sub(r"(?m)^c = .*\n", "", path.read_text())
-                        + "[check]\nc = " + " ".join(map(str, ladder)) + "\n")
-    sidecar = tmp_path / "oc.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert_equal(main(["optcheck", str(laddered), "--json",
-                           str(sidecar)]), 0)
-    return json.loads(sidecar.read_text())["checks"]
-
-
-def _resumed_as_fresh(path, seed, tmp_path):
-    """Run optcheck on the ladder ascending, descending, and shuffled
-    with a repeated rung and c = 0; each failing rung must report the
-    first infeasible selection and the count of a fresh search, which
-    optcheck with that rung alone runs.  Returns the number of failing
-    rungs whose search went past the first selection."""
-    rng = np.random.default_rng(seed)
-    shuffled = list(C_LADDER) + [C_LADDER[2], 0.0]
-    rng.shuffle(shuffled)
-    fresh = {c: optcheck_checks(path, [c], tmp_path)[0] for c in shuffled}
-    resumed = 0
-    for ladder in (C_LADDER, C_LADDER[::-1], shuffled):
-        for c, row in zip(ladder, optcheck_checks(path, ladder, tmp_path)):
-            assert_equal(row, fresh[c])
-            resumed += row.get("selections") is False and row["n_checked"] > 1
-    return resumed
-
-
 def test_search_decides_every_rung_as_stationarity(load_perfbench):
-    # what the optcheck report's agreement column used to print: on
-    # penalty_demo, the benchmark programs and the random DC programs of
-    # TestVerdictEquivalence the full search holds exactly where
-    # stationarity holds
+    # on penalty_demo, the benchmark programs and the random DC programs
+    # of TestVerdictEquivalence the full LP-decided search holds exactly
+    # where stationarity holds
     programs = [(pf.program(), pf.point) for pf in map(
         loads, [PENALTY_DEMO.read_text()] + benchmark_programs(load_perfbench))]
     rng = np.random.default_rng(7)
@@ -498,7 +457,7 @@ def test_search_decides_every_rung_as_stationarity(load_perfbench):
 
 
 def selection_programs(family, load_perfbench):
-    """(program, point) pairs of one family of the selection tests."""
+    """(program, point) pairs of one family of test programs."""
     if family == "twelve_equalities":
         return [twelve_equalities()]
     if family == "dc":
@@ -509,87 +468,87 @@ def selection_programs(family, load_perfbench):
     return [(pf.program(), pf.point) for pf in map(loads, texts)]
 
 
-@pytest.mark.parametrize("family", ["penalty_demo", "benchmark", "dc",
-                                    "twelve_equalities"])
-def test_wolfe_decides_each_selection_as_the_lp(family, load_perfbench):
-    # check_all_selections on one selection alone (start k, budget k + 1)
-    # decides it as check_multipliers' LP does, on every selection (the
-    # first 200 of the twelve equalities) at c = 0, 0.1, the ladder and
-    # the large bounds at which Wolfe's bounds can leave a selection open
-    seen = {True: 0, False: 0}
-    for p, x in selection_programs(family, load_perfbench):
-        data = program_data(p, p.binding(x))
-        for k, sel in enumerate(itertools.islice(selections(data), 200)):
-            for c in (0.0, 0.1) + C_LADDER + (1e4, 1e6, 1e10):
-                sweep = check_all_selections(data, c, budget=k + 1, start=k)
-                feasible = check_multipliers(data, sel, c).feasible
-                assert_equal(sweep.n_checked, k + 1)
-                assert_equal(sweep.holds is not False, feasible)
-                if not feasible:
-                    assert_equal(sweep.first_infeasible.selection, sel)
-                seen[feasible] += 1
-    assert seen[True] > 0 and seen[False] > 0
+def optcheck_checks(path, ladder, tmp_path):
+    """The sidecar's rung records of optcheck on path with [check] c set
+    to ladder."""
+    laddered = tmp_path / "ladder.prob"
+    laddered.write_text(re.sub(r"(?m)^c = .*\n", "", path.read_text())
+                        + "[check]\nc = " + " ".join(map(str, ladder)) + "\n")
+    sidecar = tmp_path / "oc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert_equal(main(["optcheck", str(laddered), "--json",
+                           str(sidecar)]), 0)
+    return json.loads(sidecar.read_text())["checks"]
 
 
-def test_selection_search_solves_no_lp(monkeypatch, load_perfbench):
-    # up to c = 100 Wolfe's bounds decide every selection of these
-    # programs; only a selection they leave open goes to its LP
-    def refused(*args, **kwargs):
-        raise AssertionError("the selection search solved an LP")
-
-    for module in (geometry, optimality):
-        monkeypatch.setattr(module, "solve_lp", refused)
-    programs = [(sign_program(), ORIGIN)]
-    for family in ("penalty_demo", "dc", "twelve_equalities"):
-        programs += selection_programs(family, load_perfbench)
-    for p, x in programs:
-        data = program_data(p, p.binding(x))
-        for c in (0.0, 0.1) + C_LADDER:
-            assert check_all_selections(data, c, budget=20).n_checked > 0
+def _rungs_as_fresh(path, seed, tmp_path):
+    """Run optcheck on the ladder ascending, descending, and shuffled
+    with a repeated rung and c = 0; each rung must report what optcheck
+    with that rung alone reports.  Returns the number of failing rungs."""
+    rng = np.random.default_rng(seed)
+    shuffled = list(C_LADDER) + [C_LADDER[2], 0.0]
+    rng.shuffle(shuffled)
+    fresh = {c: optcheck_checks(path, [c], tmp_path)[0] for c in shuffled}
+    failing = 0
+    for ladder in (C_LADDER, C_LADDER[::-1], shuffled):
+        for c, row in zip(ladder, optcheck_checks(path, ladder, tmp_path)):
+            assert_equal(row, fresh[c])
+            failing += row["stationarity"] is False
+    return failing
 
 
 class TestSweepReuseAcrossRungs:
-    """The search at a failing rung resumes at the first infeasible
-    selection of the largest failing rung below it and still finds what
-    a fresh search finds."""
+    """Stationarity alone decides each optcheck rung: no rung carries
+    anything over from another, and no command runs the multiplier form
+    (check_all_selections or check_multipliers)."""
+
+    @pytest.fixture(autouse=True)
+    def no_multiplier_form(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("optcheck ran the multiplier form")
+
+        for module in (cli, optimality):
+            for name in ("check_all_selections", "check_multipliers"):
+                monkeypatch.setattr(module, name, refused, raising=False)
 
     def test_penalty_demo(self, tmp_path):
-        assert _resumed_as_fresh(PENALTY_DEMO, 0, tmp_path) > 0
+        assert _rungs_as_fresh(PENALTY_DEMO, 0, tmp_path) > 0
 
     def test_benchmark_programs(self, tmp_path, load_perfbench):
-        resumed = 0
+        failing = 0
         for k, text in enumerate(benchmark_programs(load_perfbench)):
             path = tmp_path / "op.prob"
             path.write_text(text)
-            resumed += _resumed_as_fresh(path, k, tmp_path)
-        assert resumed > 0
+            failing += _rungs_as_fresh(path, k, tmp_path)
+        assert failing > 0
 
     @staticmethod
-    def optcheck_decisions(path):
-        """The selection decisions (one Wolfe solve on a sum each) that
-        optcheck on path makes."""
-        decided = []
-        solver = optimality._min_norm_combination
+    def optcheck_lps(path):
+        """The number of LPs that optcheck on path solves."""
+        solved = []
+        solver = optimality.solve_lp
 
-        def counting(sets):
-            decided.append(sets)
-            return solver(sets)
+        def counting(*args, **kwargs):
+            solved.append(args)
+            return solver(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimality, "_min_norm_combination", counting)
+            for module in (geometry, optimality):
+                mp.setattr(module, "solve_lp", counting)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert_equal(main(["optcheck", str(path)]), 0)
-        return len(decided)
+        return len(solved)
 
     def test_optcheck_solves_each_undecided_selection_once(self):
-        # 17 decisions when every rung searched anew
-        assert_equal(self.optcheck_decisions(PENALTY_DEMO), 8)
+        # 17 selection decisions when every rung searched anew, 8 with the
+        # resume; none now, so the one LP left is the c* estimate's
+        assert_equal(self.optcheck_lps(PENALTY_DEMO), 1)
 
     def test_holding_rungs_solve_no_lp(self, tmp_path):
         path = tmp_path / "oc.prob"
         path.write_text("[problem]\nn = 1\nobjective = cos(x1)\n"
                         "[point]\nx = 3.141592653589793\n")
-        assert_equal(self.optcheck_decisions(path), 0)
+        assert_equal(self.optcheck_lps(path), 0)
 
 
 class TestVerdictEquivalence(TestCase):
@@ -703,20 +662,17 @@ def _lp_bytes(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize):
 
 
 class TestLpInputsAsReference:
-    """find_hbar solves no LP, nor does the selection search at the
-    fixtures' bounds, where Wolfe's bounds decide every selection; the
-    block-built LP of check_multipliers, called directly on each selection
-    that a search decided, takes the inputs of the loop-built one, to the
-    byte, and decides the selection as the search did; estimate_c_star's
+    """find_hbar solves no LP, and no command runs check_multipliers; its
+    block-built LP, called by the reference search on each selection,
+    takes the inputs of the loop-built one, to the byte; estimate_c_star's
     variables stay nonnegative."""
 
     @pytest.fixture(autouse=True)
     def recorded(self, monkeypatch):
         # (name, arguments, [(solve_lp inputs, outcome)]) per call of
-        # find_hbar or check_multipliers, the inputs of every other
-        # solve_lp call, and the search's decisions
+        # find_hbar or check_multipliers, and the inputs of every other
+        # solve_lp call
         self.calls, self.others, inside = [], [], []
-        self.decisions = []
 
         def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                       bounds=(None, None), maximize=False):
@@ -734,29 +690,6 @@ class TestLpInputsAsReference:
                     self.calls.append((name, args, inside.pop()))
             return call
 
-        solver = optimality._min_norm_combination
-
-        def deciding(sets):
-            self.decisions.append(len(sets))
-            return solver(sets)
-
-        search = optimality.check_all_selections
-
-        def searching(data, c_bound, budget=optimality.SELECTION_BUDGET,
-                      start=0):
-            # the search solves no LP; then each selection it decided
-            # has its LP solved directly, the LPs the search used to solve
-            lps = len(self.others)
-            sweep = search(data, c_bound, budget, start)
-            assert_equal(len(self.others), lps)
-            decided = itertools.islice(selections(data), start,
-                                       sweep.n_checked)
-            for k, sel in enumerate(decided, start + 1):
-                cert = optimality.check_multipliers(data, sel, c_bound)
-                last = k == sweep.n_checked and sweep.holds is False
-                assert_equal(cert.feasible, not last)
-            return sweep
-
         # mfcq imports no solve_lp; geometry's is the one it could reach
         for module in (geometry, optimality):
             monkeypatch.setattr(module, "solve_lp", recording)
@@ -765,9 +698,6 @@ class TestLpInputsAsReference:
         monkeypatch.setattr(optimality, "check_multipliers",
                             traced("check_multipliers",
                                    optimality.check_multipliers))
-        monkeypatch.setattr(optimality, "_min_norm_combination", deciding)
-        for module in (cli, optimality):
-            monkeypatch.setattr(module, "check_all_selections", searching)
 
     def assert_inputs_kept(self):
         counts = {"find_hbar": 0, "check_multipliers": 0}
@@ -799,8 +729,7 @@ class TestLpInputsAsReference:
         # find_hbar runs for mfcq on each fixture and for optcheck's
         # pathway on penalty_demo, the one program
         counts = self.assert_inputs_kept()
-        assert_equal(counts, {"find_hbar": 0, "check_multipliers": 8})
-        assert_equal(len(self.decisions), 8)
+        assert_equal(counts, {"find_hbar": 0, "check_multipliers": 0})
         assert_equal(sum(name == "find_hbar" for name, _, _ in self.calls), 4)
 
     def test_random_dc_programs(self):
@@ -816,7 +745,6 @@ class TestLpInputsAsReference:
                 optimality.check_all_selections(program_data(p, b), c)
         counts = self.assert_inputs_kept()
         assert counts["check_multipliers"] > 0
-        assert_equal(len(self.decisions), counts["check_multipliers"])
         assert any(name == "find_hbar" and args[1]
                    for name, args, _ in self.calls)
 
@@ -824,12 +752,21 @@ class TestLpInputsAsReference:
     def test_benchmark_ops(self, seed, tmp_path, load_perfbench):
         load_perfbench("oracle")
         w = load_perfbench("gen").verdicts(seed)
-        for op in w.warmup + w.ops:
-            if op.command in ("mfcq", "optcheck"):
-                self.run(tmp_path, op.command, op.text, *op.flags)
+        ops = [op for op in w.warmup + w.ops
+               if op.command in ("mfcq", "optcheck")]
+        for op in ops:
+            self.run(tmp_path, op.command, op.text, *op.flags)
+        assert all(name == "find_hbar" for name, _, _ in self.calls)
+        # the reference search on the optcheck programs
+        for op in ops:
+            if op.command == "optcheck":
+                pf = loads(op.text)
+                p = pf.program()
+                data = program_data(p, p.binding(pf.point))
+                for c in (0.1, 1.0, 10.0):
+                    optimality.check_all_selections(data, c)
         counts = self.assert_inputs_kept()
         assert counts["check_multipliers"] > 0
-        assert_equal(len(self.decisions), counts["check_multipliers"])
         assert any(name == "find_hbar" and args[1]
                    for name, args, _ in self.calls)
         assert self.others
@@ -929,7 +866,7 @@ def assert_same_c_star(got, want):
 
 def c_star_programs(load_perfbench, families=("penalty_demo", "benchmark",
                                               "dc", "twelve_equalities")):
-    """ProgramData of the selection tests' programs, family by family."""
+    """ProgramData of selection_programs' families, family by family."""
     return [program_data(p, p.binding(x)) for family in families
             for p, x in selection_programs(family, load_perfbench)]
 
