@@ -18,11 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (Polytope, _lift_exponent, convex_hull_union,
-                       minkowski_sum, nearest_point, scale, support,
-                       zero_polytope)
-
-ACTIVE_TOL = 1e-9
+from .geometry import (FEAS_TOL, Polytope, _lift_exponent,
+                       convex_hull_union, minkowski_sum, nearest_point, scale,
+                       support, zero_polytope)
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def qd_max(items: Sequence[tuple[float, Quasidifferential]]) -> Quasidifferentia
         raise ValueError("qd_max of an empty collection")
     vals = [v for v, _ in items]
     top = max(vals)
-    active = [i for i, v in enumerate(vals) if v >= top - ACTIVE_TOL]
+    active = [i for i, v in enumerate(vals) if v >= top - FEAS_TOL]
     qs = [q for _, q in items]
     dim = qs[0].dim
     sup = None

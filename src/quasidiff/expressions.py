@@ -19,9 +19,11 @@ qd_value_at walks the tree bottom-up applying the quasidifferential
 rules.  Representatives are only unique up to equivalence shifts, so the
 walk fixes a convention: kink-free subtrees are differentiated as smooth
 functions (the gradient stays in the subdifferential, even through
-negation and scaling), while any subtree containing abs, max or min is
-combined by the raw pair algebra, whose scale rule swaps the sets under
-negation.  This matches how the pairs are written down in worked
+negation, scaling and a product with a kinked factor of either sign),
+while any subtree containing abs, max or min is combined by the raw pair
+algebra, whose scale rule swaps the sets under negation.  So
+x1 * (abs(x2) - 1) at (0.5, 0) keeps -grad x1 in the subdifferential, as
+abs(x2) - x1 does.  This matches how the pairs are written down in worked
 derivations: abs of a smooth argument lands on the co{+-grad} form, a
 tied min of smooth branches on the concave-led [{0}, co{gradients}]
 form, and |f - y| keeps the raw max-rule pair when f itself has kinks.
@@ -29,12 +31,13 @@ form, and |f - y| keeps the raw max-rule pair when f itself has kinks.
 Forward mode.  A differentiable f has the quasidifferential
 [{grad f}, {0}], so a kink-free subtree is carried as one (value,
 gradient) pair by _vgrad and wrapped once, by the smooth rule, where it
-meets an abs, max or min node or the root.  Each node knows at
-construction whether its subtree has a kink (_piecewise), so the
-dispatch costs O(1).  Only the kink nodes and the nodes above them
-combine pairs.  x is a point (n,) or a batch of rows (N, n): a value is
-an np.float64 at a point and an array (N,) over a batch, a gradient an
-array (n,) or (n, N), one column per row.
+meets an abs, max or min node, an arithmetic node above a kink (scaled
+by its slope first) or the root.  Each node knows at construction
+whether its subtree has a kink (_piecewise), so the dispatch costs
+O(1).  Only the kink nodes and the nodes above them combine pairs.  x is
+a point (n,) or a batch of rows (N, n): a value is an np.float64 at a
+point and an array (N,) over a batch, a gradient an array (n,) or
+(n, N), one column per row.
 
 Rule sets.  _vqd and _vqd_pair state each node's walk once and combine
 pairs only through a rule set: smooth (a gradient as a pair), add,
@@ -46,14 +49,16 @@ The slopes rule.  Each smooth-arithmetic node states its derivative
 once, as two functions of its operands' values: _value, and _slopes, its
 partial derivative in each operand (Neg -1; Add 1, 1; Sub 1, -1;
 Mul vb, va; SmoothUnary f'(v)).  _vgrad folds sum_i slope_i grad_i, and
-above a kink _vqd_pair folds the add of scale(pair_i, slope_i), the sum
-and scale rules of the Demyanov-Rubinov calculus.  Only Sub adds a rule:
-a smooth subtrahend enters as [{-grad}, {0}], not as the swapped
-[{0}, {-grad}].  Values and slopes stay np.float64 at a point, so an
-overflow in either raises under np.errstate at the node that makes it.
+above a kink _vqd_pair folds the add of the operands' scaled parts, the
+sum and scale rules of the Demyanov-Rubinov calculus: scale(pair_i,
+slope_i) for a kinked operand, smooth(slope_i grad_i) for a smooth one,
+which enters as [{slope_i grad_i}, {0}] whatever the sign of its slope,
+not as the swapped [{0}, {slope_i grad_i}].  Values and slopes stay
+np.float64 at a point, so an overflow in either raises under np.errstate
+at the node that makes it.
 
 The row walk.  Where each abs, max and min node has exactly one branch
-within ACTIVE_TOL of its top, qd_max keeps that branch's pair, and every
+within FEAS_TOL of its top, qd_max keeps that branch's pair, and every
 pair of the walk is a pair of singletons [{a}, {b}].  _ROWS carries a
 and b as (n, N) arrays, one column per row, and states each rule on
 them: abs and extremum keep the one active branch, which _sole_active
@@ -105,9 +110,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import (ACTIVE_TOL, Quasidifferential, absorb_singleton_sub,
+from .calculus import (Quasidifferential, absorb_singleton_sub,
                        absorb_singleton_sup, qd_abs, qd_add, qd_max, qd_min,
                        qd_scale, qd_smooth)
+from .geometry import FEAS_TOL
 
 
 class ExpressionError(ValueError):
@@ -219,10 +225,17 @@ class Expr:
 
     def _vqd_pair(self, x, params, rules):
         """Value and pair of a subtree with a kink: the sum over the
-        operands of pair_i scaled by slope_i, left to right."""
-        vals, pairs = zip(*[c._vqd(x, params, rules) for c in _operands(self)])
+        operands, left to right, of each operand's part scaled by its
+        slope.  A kinked operand's pair is scaled by the scale rule; a
+        smooth operand's gradient is scaled first and wrapped once, by
+        the smooth rule, so it stays in the subdifferential whatever the
+        sign of its slope."""
+        ops = _operands(self)
+        vals, parts = zip(*[c._vqd_pair(x, params, rules) if c._piecewise
+                            else c._vgrad(x, params) for c in ops])
         return self._value(*vals), reduce(rules.add, [
-            rules.scale(q, t) for t, q in zip(self._slopes(*vals), pairs)])
+            rules.scale(q, t) if c._piecewise else rules.smooth(_times(q, t))
+            for c, t, q in zip(ops, self._slopes(*vals), parts)])
 
     def _fmt(self) -> tuple[str, int]:
         raise NotImplementedError
@@ -320,10 +333,10 @@ def _add_rows(p, q):
 
 def _sole_active(keys):
     """Mask (branch, row) of the branch that qd_max keeps active, the one
-    whose key lies within ACTIVE_TOL of the top key: the same comparisons
+    whose key lies within FEAS_TOL of the top key: the same comparisons
     as qd_max's.  _Declined where a row keeps more than one branch or a
     key is not finite."""
-    active = keys >= keys.max(axis=0) - ACTIVE_TOL
+    active = keys >= keys.max(axis=0) - FEAS_TOL
     if not (np.isfinite(keys).all() and (active.sum(axis=0) == 1).all()):
         raise _Declined
     return active
@@ -477,14 +490,6 @@ class Sub(Expr):
 
     def _slopes(self, va, vb):
         return 1.0, -1.0
-
-    def _vqd_pair(self, x, params, rules):
-        if self.b._piecewise:
-            return super()._vqd_pair(x, params, rules)
-        # a smooth subtrahend stays smooth-led: [{-grad}, {0}]
-        va, qa = self.a._vqd(x, params, rules)
-        vb, gb = self.b._vgrad(x, params)
-        return self._value(va, vb), rules.add(qa, rules.smooth(-gb))
 
     def _fmt(self):
         return f"{_wrap(self.a, _ADD)} - {_wrap(self.b, _ADD + 1)}", _ADD
@@ -835,7 +840,7 @@ def qd_rows_at(e: Expr, points, params) -> tuple | None:
     """The row walk: (values, a, b) with qd_at(e, row) = [{a_i}, {b_i}]
     at each row of points (shape (N, n)); params holds scalars and arrays
     with one entry per row.  None where the walk declines: a kink ties
-    within ACTIVE_TOL at some row, a number is not finite, or the batch
+    within FEAS_TOL at some row, a number is not finite, or the batch
     raises FloatingPointError (the module docstring)."""
     try:
         v, (a, b) = e._vqd(np.asarray(points, dtype=float), params, _ROWS)

@@ -65,6 +65,10 @@ So for k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
 point set and its orthogonal complement come from one SVD, whose cut is
 relative to the largest singular value, so 2^k P has the rank of P for
 every k.
+
+FEAS_TOL is also the one tie cut: qd_max and the row walk take a branch
+within FEAS_TOL of the top as active, so phi's max(g_i, 0) ties where
+mfcq's active_inequalities takes |g_i| <= FEAS_TOL.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

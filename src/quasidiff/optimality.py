@@ -8,10 +8,11 @@ is quasidifferentiable whenever the data are.  With phi the constraint
 penalty in parentheses, its pair at a point follows from those of u and
 phi by the sum rule: [sub u + c sub phi, sup u + c sup phi] for c >= 0.
 So program_data checks feasibility, takes the active set (both at
-geometry.FEAS_TOL, the one cut of this module and of mfcq), and walks u,
-each f_j and g_i, and phi once into a ProgramData record.  Every check
-below reads that record, qualification_pathway included, so the
-q.d.-MFCQ and the penalty conditions read one active set.  Two
+geometry.FEAS_TOL, the one cut of this module and of mfcq, and the tie
+cut of qd_max, so that phi's max{g_i, 0} ties on the active set), and
+walks each f_j, the active g_i, u and phi once into a ProgramData record.
+Every check below reads that record, qualification_pathway included, so
+the q.d.-MFCQ and the penalty conditions read one active set.  Two
 equivalent necessary conditions are checked at a feasible candidate point:
 
   * stationarity of Psi_c: 0 in sub(Psi_c) + w for every w in
@@ -53,11 +54,12 @@ or one inequality's block), it is
     min sum of the non-theta weights
     s.t.  [P; T] x = (-w0, 1),  G x <= c,  x >= 0,
 
-whose feasible set is the containment's.  Each group's blocks enter it
-lifted by an exact power of two 2^k, with cost 2^k and cap c / 2^k on
-the lifted weights, since HiGHS reads matrix entries below 1e-9 as
-zero.  check_all_selections searches the selections in lex order for
-the first whose LP is infeasible.  Both verdicts agree at feasible
+whose feasible set is the containment's.  Theta's block and each
+group's blocks enter it lifted by an exact power of two 2^k, since HiGHS
+reads matrix entries below 1e-9 as zero: theta's entries of T become
+2^k, and a group takes cost 2^k and cap c / 2^k on its lifted weights.
+check_all_selections searches the selections in lex order for the first
+whose LP is infeasible.  Both verdicts agree at feasible
 points for the same c, independent of which quasidifferentials
 represent the data, and that equivalence is cross-asserted in tests.
 
@@ -150,14 +152,15 @@ def build_penalty(p: ProgramSpec, c: float) -> Expr:
 
 @dataclass(frozen=True)
 class ProgramData:
-    """A program at a point: the pairs of u, f_j and g_i, the active
-    inequalities in ascending order, and the pair of phi (None when
-    unconstrained).  Every check below reads this one record."""
+    """A program at a point: the pairs of u, f_j and the active g_i (g
+    holds one entry per inequality, None where it is inactive), the
+    active inequalities in ascending order, and the pair of phi (None
+    when unconstrained).  Every check below reads this one record."""
 
     n: int
     u: Quasidifferential
     f: tuple[Quasidifferential, ...]
-    g: tuple[Quasidifferential, ...]
+    g: tuple[Optional[Quasidifferential], ...]
     active: tuple[int, ...]
     phi: Optional[Quasidifferential]
 
@@ -174,21 +177,22 @@ class ProgramData:
 def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
     """Check that the binding is feasible (InfeasiblePointError names the
     residuals), take its active set, then walk each f_j, the active g_i,
-    u, the other g_i and phi once, in that order: the constraints that
-    the q.d.-MFCQ reads come first, and no function is walked at an
-    infeasible point."""
+    u and phi once, in that order: the constraints that the q.d.-MFCQ
+    reads come first, and no function is walked at an infeasible point.
+    No check reads an inactive g_i's pair, so none is walked; phi's walk
+    still covers their kinks."""
     residuals = feasibility_violations(p, b)
     if residuals:
         raise InfeasiblePointError(residuals)
     active = tuple(active_inequalities(p, b))
     f = tuple(qd_at(e, b) for e in p.equalities)
-    g = {i: qd_at(p.inequalities[i], b) for i in active}
+    g = [None] * len(p.inequalities)
+    for i in active:
+        g[i] = qd_at(p.inequalities[i], b)
     u = qd_at(p.objective, b)
-    g.update({i: qd_at(e, b) for i, e in enumerate(p.inequalities)
-              if i not in g})
     phi = l1_penalty(p.equalities, p.inequalities)
-    return ProgramData(p.n, u, f, tuple(q for _, q in sorted(g.items())),
-                       active, None if phi is None else qd_at(phi, b))
+    return ProgramData(p.n, u, f, tuple(g), active,
+                       None if phi is None else qd_at(phi, b))
 
 
 class StationarityResult(NamedTuple):
@@ -281,21 +285,22 @@ def check_multipliers(data: ProgramData, sel: Selection,
                                   np.arange(l, l + na)])
     group = block_group[block_id]
 
-    # HiGHS reads matrix entries below 1e-9 as zero, so each group's
-    # points are lifted by the exact 2^k of geometry._lifted: its weights
-    # become x / 2^k, its cap c / 2^k and its cost 2^k, and its sums are
-    # scaled back by 2^k
-    points, lift = np.vstack(blocks), np.zeros(l + na, dtype=int)
-    for i in range(l + na):
-        points[group == i], lift[i] = _lifted(points[group == i])
-    block_lift = np.concatenate([[0], lift])[block_group + 1]
+    # HiGHS reads matrix entries below 1e-9 as zero, so theta's block and
+    # each group's points are lifted by the exact 2^k of geometry._lifted:
+    # their weights become x / 2^k, theta's entries of T 2^k, a group's
+    # cap c / 2^k and its cost 2^k, and a group's sums are scaled back by
+    # 2^k; lift[g + 1] is group g's, lift[0] theta's
+    points, lift = np.vstack(blocks), np.zeros(l + na + 1, dtype=int)
+    for i in range(-1, l + na):
+        points[group == i], lift[i + 1] = _lifted(points[group == i])
+    block_lift = lift[block_group + 1]
 
-    a_eq = np.vstack([points.T, block_id == 0])
+    a_eq = np.vstack([points.T, np.ldexp(1.0, lift[0]) * (block_id == 0)])
     b_eq = np.concatenate([-data.u.sup.vertices[sel.w0], [1.0]])
     a_ub = b_ub = None
     if c_bound is not None and l + na:
         a_ub = (group == np.arange(l + na)[:, None]).astype(float)
-        b_ub = np.ldexp(float(c_bound), -lift)
+        b_ub = np.ldexp(float(c_bound), -lift[1:])
     out = solve_lp(np.ldexp((group >= 0).astype(float), block_lift[block_id]),
                    a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                    bounds=(0.0, None))

@@ -602,7 +602,7 @@ def margin_infima(s: SystemSpec, center, *,
     the draws evaluated are those of drawing and testing one at a time.
 
     The valid rows of a round take one row walk (_shell_margins).  Where
-    each abs and max node of psi has one branch within ACTIVE_TOL of its
+    each abs and max node of psi has one branch within FEAS_TOL of its
     top, psi's pair at a row is [{a}, {b}], and its margin is |a + b|,
     normed as nearest_point norms it; the walk gives the bytes of each
     row's qd_at and steepest_rate (the expressions module docstring has

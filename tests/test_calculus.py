@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 
-from quasidiff.calculus import (ACTIVE_TOL, Quasidifferential,
-                                absorb_singleton_sub, absorb_singleton_sup,
-                                dd, matrix_qd_plus, qd_abs, qd_add, qd_max,
-                                qd_min, qd_mul, qd_plus_set, qd_scale,
-                                qd_smooth, qd_zero, steepest_rate)
-from quasidiff.geometry import (Polytope, convex_hull_union, minkowski_sum,
-                                scale, singleton, support, zero_polytope)
+from quasidiff.calculus import (Quasidifferential, absorb_singleton_sub,
+                                absorb_singleton_sup, dd, matrix_qd_plus,
+                                qd_abs, qd_add, qd_max, qd_min, qd_mul,
+                                qd_plus_set, qd_scale, qd_smooth, qd_zero,
+                                steepest_rate)
+from quasidiff.geometry import (FEAS_TOL, Polytope, convex_hull_union,
+                                minkowski_sum, scale, singleton, support,
+                                zero_polytope)
 
 # the Euclidean-norm pair of f = |x1| - |x2| at the origin
 ABS_DIFF = Quasidifferential(Polytope([[-1.0, 0.0], [1.0, 0.0]]),
@@ -156,7 +157,7 @@ class TestMaxMin(TestCase):
     def test_tie_within_tolerance_is_active(self):
         q1 = qd_smooth([1.0])
         q2 = qd_smooth([-1.0])
-        out = qd_max([(0.5, q1), (0.5 + 0.5 * ACTIVE_TOL, q2)])
+        out = qd_max([(0.5, q1), (0.5 + 0.5 * FEAS_TOL, q2)])
         # both branches active: max{x, -x} shape, sub spans both slopes
         assert_allclose(dd(out, [1.0]), 1.0, atol=1e-9)
         assert_allclose(dd(out, [-1.0]), 1.0, atol=1e-9)
@@ -174,7 +175,7 @@ class TestMaxMin(TestCase):
                  (0.2, rand_qd(rng, 2))]
         out = qd_max(items)
         for h in rng.standard_normal((100, 2)):
-            want = max(dd(q, h) for v, q in items if v >= 1.0 - ACTIVE_TOL)
+            want = max(dd(q, h) for v, q in items if v >= 1.0 - FEAS_TOL)
             assert_allclose(dd(out, h), want, atol=1e-9)
 
     def test_min_dd_is_active_min(self):
@@ -183,7 +184,7 @@ class TestMaxMin(TestCase):
                  (0.5, rand_qd(rng, 2))]
         out = qd_min(items)
         for h in rng.standard_normal((100, 2)):
-            want = min(dd(q, h) for v, q in items if v <= ACTIVE_TOL)
+            want = min(dd(q, h) for v, q in items if v <= FEAS_TOL)
             assert_allclose(dd(out, h), want, atol=1e-9)
 
     def test_min_equals_direct_dual_formula(self):

@@ -20,7 +20,7 @@ from numpy.testing import assert_equal
 
 from quasidiff import geometry
 from quasidiff.calculus import (absorb_singleton_sub, absorb_singleton_sup,
-                                qd_abs, qd_add, qd_max, qd_min, qd_mul,
+                                dd, qd_abs, qd_add, qd_max, qd_min,
                                 qd_scale, qd_smooth, qd_zero,
                                 singleton_rates, steepest_rate)
 from quasidiff.expressions import (_FUNCTIONS, Abs, Add, Binding, Const, Max,
@@ -59,6 +59,13 @@ def reference_pow(v, k):
     return r
 
 
+def reference_scaled(e, q, t):
+    """The pair q of operand e scaled by its slope t; a smooth operand's
+    pair is shifted back to [{t grad}, {0}], whatever the sign of t."""
+    out = qd_scale(q, t)
+    return out if _reference_piecewise(e) else absorb_singleton_sup(out)
+
+
 def reference_vqd(e, b):
     """The pair walk of every node type, one polytope pair per node."""
     if isinstance(e, Var):
@@ -74,10 +81,7 @@ def reference_vqd(e, b):
         return float(e.value), qd_zero(b.n)
     if isinstance(e, Neg):
         v, q = reference_vqd(e.child, b)
-        out = qd_scale(q, -1.0)
-        if not _reference_piecewise(e.child):
-            out = absorb_singleton_sup(out)
-        return -v, out
+        return -v, reference_scaled(e.child, q, -1.0)
     if isinstance(e, Add):
         va, qa = reference_vqd(e.a, b)
         vb, qb = reference_vqd(e.b, b)
@@ -85,17 +89,12 @@ def reference_vqd(e, b):
     if isinstance(e, Sub):
         va, qa = reference_vqd(e.a, b)
         vb, qb = reference_vqd(e.b, b)
-        nb = qd_scale(qb, -1.0)
-        if not _reference_piecewise(e.b):
-            nb = absorb_singleton_sup(nb)
-        return va - vb, qd_add(qa, nb)
+        return va - vb, qd_add(qa, reference_scaled(e.b, qb, -1.0))
     if isinstance(e, Mul):
         va, qa = reference_vqd(e.a, b)
         vb, qb = reference_vqd(e.b, b)
-        out = qd_mul(qa, qb, va, vb)
-        if not (_reference_piecewise(e.a) or _reference_piecewise(e.b)):
-            out = absorb_singleton_sup(out)
-        return va * vb, out
+        return va * vb, qd_add(reference_scaled(e.a, qa, vb),
+                               reference_scaled(e.b, qb, va))
     if isinstance(e, SmoothUnary):
         v, q = reference_vqd(e.child, b)
         if e.kind == "sin":
@@ -114,10 +113,7 @@ def reference_vqd(e, b):
             d = float(np.exp(v))
         else:
             d = float(e.k) * reference_pow(v, e.k - 1)
-        out = qd_scale(q, d)
-        if not _reference_piecewise(e.child):
-            out = absorb_singleton_sup(out)
-        return val, out
+        return val, reference_scaled(e.child, q, d)
     if isinstance(e, Abs):
         v, q = reference_vqd(e.child, b)
         out = qd_abs(q, v)
@@ -276,6 +272,20 @@ class TestSameBytesAsThePairWalk:
         e = parse_expression("sin(q*x1) - x2", 2)
         with pytest.raises(UnboundParameterError, match="'q'"):
             qd_at(e, Binding(np.zeros(2), {}))
+
+
+@pytest.mark.parametrize("text", ["x1*(abs(x2) - 1)", "(abs(x2) - 1)*x1"])
+def test_smooth_factor_of_a_negative_kink_stays_in_sub(text):
+    # the slope of x1 is abs(0) - 1 = -1, so its scaled gradient (-1, 0)
+    # enters the subdifferential, as it does in abs(x2) - x1, and not the
+    # superdifferential, as the scale rule would swap it
+    q = qd_at(parse_expression(text, 2), Binding(np.array([0.5, 0.0]), {}))
+    assert_equal(q.sub.vertices, [[-1.0, -0.5], [-1.0, 0.5]])
+    assert_equal(q.sup.vertices, [[0.0, 0.0]])
+    # dyadic directions, so that the closed form is exact
+    for h in [(1.0, 0.0), (0.0, 1.0), (-1.0, 2.0), (0.25, -0.75),
+              (-2.0, -1.0)]:
+        assert_equal(dd(q, h), -h[0] + 0.5 * abs(h[1]))
 
 
 @pytest.mark.parametrize("text", ["x1", "p", "3", "x1*p", "abs(x1)",
@@ -512,7 +522,7 @@ class TestRowWalk:
 
     @pytest.mark.parametrize("text, x, p", [
         ("max(x1, x1)", [0.3, -1.0], 0.0),
-        # 1e-10 lies inside ACTIVE_TOL
+        # 1e-10 lies inside FEAS_TOL
         ("max(x1, x1 + 0.0000000001)", [0.3, -1.0], 0.0),
         # one row with x1 = p is enough
         ("abs(x1 - p)", [0.3, 0.5, -1.0], [0.0, 0.5, 0.0]),

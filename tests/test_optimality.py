@@ -156,9 +156,10 @@ class TestProgramData(TestCase):
             check_stationarity(at_origin(sign_program()), -1.0)
 
     def test_optcheck_walks_each_function_once(self):
-        # penalty_demo with an inactive g1 and an active g2: f1, g2, u, g1
-        # and phi, each once, against 18 walks when each c built its own
-        # Psi_c; the pathway reads program_data's pairs of f1 and g2
+        # penalty_demo with an inactive g1 and an active g2: f1, g2, u and
+        # phi, each once, against 18 walks when each c built its own
+        # Psi_c; the pathway reads program_data's pairs of f1 and g2, and
+        # no check reads the inactive g1's
         walked = []
 
         def counting(e, b):
@@ -177,7 +178,7 @@ class TestProgramData(TestCase):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert_equal(main(["optcheck", str(path)]), 0)
         assert_equal(walked, [p.equalities[0], p.inequalities[1],
-                              p.objective, p.inequalities[0],
+                              p.objective,
                               l1_penalty(p.equalities, p.inequalities)])
 
     def test_optcheck_takes_feasibility_and_the_active_set_once(self):
@@ -394,6 +395,18 @@ def test_small_constraint_entries_are_lifted_past_highs_zero_cut(coef):
         assert not check_multipliers(data, sel, 0.999 / coef).feasible
 
 
+@pytest.mark.parametrize("coef", [1e-6, 1e-10, 1e-13])
+def test_small_objective_entries_are_lifted_past_highs_zero_cut(coef):
+    # min coef x2 s.t. x1 = 0 at the origin: x2 can fall, so the one
+    # selection admits no multipliers at any bound; theta's block,
+    # sub(u) = {(0, coef)}, is lifted as the groups are, or HiGHS reads
+    # coef as zero
+    data = at_origin(ProgramSpec(2, pe(f"{coef!r}*x2"), (pe("x1"),)))
+    for c_bound in (None, 1.0, 1e6):
+        assert not check_multipliers(data, Selection(0, (0,), (0,)),
+                                     c_bound).feasible
+
+
 class TestSelectionSweep(TestCase):
 
     def test_sign_program_sweep_finds_the_witness(self):
@@ -598,13 +611,15 @@ class TestVerdictEquivalence(TestCase):
 
 def reference_multiplier_lp(data, sel, c_bound=None):
     """check_multipliers' LP as its loops with (start, stop) offsets built
-    it before the block form, with each group (an equality's two blocks,
-    or one inequality's block) lifted by the exact 2^k of
-    geometry._lifted: its cost 2^k and its cap c_bound / 2^k."""
+    it before the block form, with theta's block and each group (an
+    equality's two blocks, or one inequality's block) lifted by the exact
+    2^k of geometry._lifted: theta's entries of the T row 2^k, a group's
+    cost 2^k and its cap c_bound / 2^k."""
     l = len(data.f)
     n = data.n
     w0 = data.u.sup.vertices[sel.w0]
-    cols = [data.u.sub.vertices.T]
+    theta, theta_lift = geometry._lifted(data.u.sub.vertices)
+    cols = [theta.T]
     sums, lifts = [], []
     pos = data.u.sub.nvertices
     for j, fj in enumerate(data.f):
@@ -628,7 +643,7 @@ def reference_multiplier_lp(data, sel, c_bound=None):
         pos += block.shape[0]
     a_eq = np.zeros((n + 1, pos))
     a_eq[:n] = np.hstack(cols)
-    a_eq[n, :data.u.sub.nvertices] = 1.0
+    a_eq[n, :data.u.sub.nvertices] = math.ldexp(1.0, theta_lift)
     b_eq = np.concatenate([-w0, [1.0]])
     groups = [sums[2 * j:2 * j + 2] for j in range(l)]
     groups += [[pair] for pair in sums[2 * l:]]
