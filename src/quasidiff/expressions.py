@@ -24,15 +24,18 @@ while any subtree containing abs, max or min is combined by the raw pair
 algebra, whose scale rule swaps the sets under negation.  So
 x1 * (abs(x2) - 1) at (0.5, 0) keeps -grad x1 in the subdifferential, as
 abs(x2) - x1 does.  This matches how the pairs are written down in worked
-derivations: abs of a smooth argument lands on the co{+-grad} form, a
-tied min of smooth branches on the concave-led [{0}, co{gradients}]
-form, and |f - y| keeps the raw max-rule pair when f itself has kinks.
+derivations: abs of a smooth argument lands on the co{+-grad} form by
+the smooth rule alone, as the max of [{grad}, {0}] and [{-grad}, {0}],
+with no fold-back; a tied min of smooth branches on the concave-led
+[{0}, co{gradients}] form; and |f - y| keeps the raw max-rule pair when
+f itself has kinks.
 
 Forward mode.  A differentiable f has the quasidifferential
 [{grad f}, {0}], so a kink-free subtree is carried as one (value,
 gradient) pair by _vgrad and wrapped once, by the smooth rule, where it
-meets an abs, max or min node, an arithmetic node above a kink (scaled
-by its slope first) or the root.  Each node knows at construction
+meets a max or min node, an arithmetic node above a kink (scaled by its
+slope first) or the root; under an abs node it is wrapped as g and as
+-g, the two branches of max(f, -f).  Each node knows at construction
 whether its subtree has a kink (_piecewise), so the dispatch costs
 O(1).  Only the kink nodes and the nodes above them combine pairs.  x is
 a point (n,) or a batch of rows (N, n): a value is an np.float64 at a
@@ -40,10 +43,11 @@ point and an array (N,) over a batch, a gradient an array (n,) or
 (n, N), one column per row.
 
 Rule sets.  _vqd and _vqd_pair state each node's walk once and combine
-pairs only through a rule set: smooth (a gradient as a pair), add,
-scale, abs and extremum (max or min).  qd_value_at walks with _PAIRS,
-calculus's pair algebra at one point; qd_rows_at with _ROWS, the row
-walk below, which builds no polytope at all.
+pairs only through a rule set of four rules: smooth (a gradient as a
+pair), add, scale and extremum (max or min; abs walks as max(f, -f)).
+qd_value_at walks with _PAIRS, calculus's pair algebra at one point;
+qd_rows_at with _ROWS, the row walk below, which builds no polytope at
+all.
 
 The slopes rule.  Each smooth-arithmetic node states its derivative
 once, as two functions of its operands' values: _value, and _slopes, its
@@ -61,8 +65,9 @@ The row walk.  Where each abs, max and min node has exactly one branch
 within FEAS_TOL of its top, qd_max keeps that branch's pair, and every
 pair of the walk is a pair of singletons [{a}, {b}].  _ROWS carries a
 and b as (n, N) arrays, one column per row, and states each rule on
-them: abs and extremum keep the one active branch, which _sole_active
-finds by qd_max's comparisons.  Each row has the bytes of its qd_at:
+them: the extremum rule keeps the one active branch, of an abs node as
+of a max or min node, which _sole_active finds by qd_max's comparisons.
+Each row has the bytes of its qd_at:
   a canonical singleton is row + 0.0, as the lift by 2^k is exact both
   ways;
   minkowski_sum with {0} returns the other operand, which is
@@ -110,9 +115,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import (Quasidifferential, absorb_singleton_sub,
-                       absorb_singleton_sup, qd_abs, qd_add, qd_max, qd_min,
-                       qd_scale, qd_smooth)
+from .calculus import (Quasidifferential, absorb_singleton_sub, qd_add,
+                       qd_max, qd_min, qd_scale, qd_smooth)
 from .geometry import FEAS_TOL
 
 
@@ -266,20 +270,14 @@ def _times(g, t):
     return g if isinstance(t, float) and t == 1.0 else g * t
 
 
-# The rule sets of the module docstring.  smooth(g), add(p, q),
-# scale(q, t) and abs(v, q, smooth_child) return a pair, and
-# extremum(node, items) the (value, pair) of a max or min node from its
-# children's (value, pair) items.
-
-def _abs_pairs(v, q, smooth_child):
-    out = qd_abs(q, v)
-    # smooth argument: fold back to the co{+-grad} form
-    return absorb_singleton_sup(out) if smooth_child else out
-
+# The rule sets of the module docstring.  smooth(g), add(p, q) and
+# scale(q, t) return a pair, and extremum(node, items) the (value, pair)
+# of a max-keyed (Max, Abs) or min-keyed node from its branches'
+# (value, pair) items.
 
 def _extremum_pairs(node, items):
     vals = [v for v, _ in items]
-    if isinstance(node, Max):
+    if node._key is np.positive:
         return max(vals), qd_max(items)
     out = qd_min(items)
     # tie among smooth branches: display concave-led, [{0}, co{grads}]
@@ -296,7 +294,7 @@ def _extremum_pairs(node, items):
 _PAIRS = SimpleNamespace(smooth=lambda g: qd_smooth(g),
                          add=lambda p, q: qd_add(p, q),
                          scale=lambda q, t: q if t == 1.0 else qd_scale(q, t),
-                         abs=_abs_pairs, extremum=_extremum_pairs)
+                         extremum=_extremum_pairs)
 
 
 # The row walk of the module docstring: a pair [{a}, {b}] is the tuple
@@ -342,15 +340,6 @@ def _sole_active(keys):
     return active
 
 
-def _abs_rows(v, q, smooth_child):
-    """qd_abs is qd_max of (v, q) and (-v, -q): the sign of the active
-    branch scales q; absorb_singleton_sup of a smooth child's pair is
-    [{a + b}, {0}]."""
-    first = _sole_active(np.stack([v, -v]))[0]
-    a, b = _scale_rows(q, np.where(first, 1.0, -1.0))
-    return _smooth_rows(a + b) if smooth_child else (a, b)
-
-
 def _extremum_rows(node, items):
     """One active branch: qd_max and qd_min return its pair (qd_min scales
     by -1 twice, and -(-a + 0.0) + 0.0 is a), and its value is the max or
@@ -363,7 +352,7 @@ def _extremum_rows(node, items):
 
 
 _ROWS = SimpleNamespace(smooth=_smooth_rows, add=_add_rows, scale=_scale_rows,
-                        abs=_abs_rows, extremum=_extremum_rows)
+                        extremum=_extremum_rows)
 
 
 def _wrap(child: Expr, minlevel: int) -> str:
@@ -581,13 +570,24 @@ class SmoothUnary(Expr):
 class Abs(Expr):
     child: Expr
     _piecewise = True
+    _key = np.positive
 
     def evaluate(self, point, params=None):
         return np.abs(self.child.evaluate(point, params))
 
     def _vqd_pair(self, x, params, rules):
-        v, q = self.child._vqd(x, params, rules)
-        return abs(v), rules.abs(v, q, not self.child._piecewise)
+        """|f| as max(f, -f): the child is walked once, and the extremum
+        rule, max-keyed, combines (v, part) with (-v, part negated by the
+        operands' rule of Expr._vqd_pair): scale(q, -1) for a kinked child,
+        smooth(-g) for a smooth one, which keeps -g in the
+        subdifferential.  The value is abs(v), as evaluate gives it."""
+        if self.child._piecewise:
+            v, q = self.child._vqd_pair(x, params, rules)
+            neg = rules.scale(q, -1.0)
+        else:
+            v, g = self.child._vgrad(x, params)
+            q, neg = rules.smooth(g), rules.smooth(-g)
+        return abs(v), rules.extremum(self, [(v, q), (-v, neg)])[1]
 
     def _fmt(self):
         return f"abs({self.child._fmt()[0]})", _ATOM
@@ -619,8 +619,8 @@ class _Extremum(Expr):
         return f"{self._name}({inner})", _ATOM
 
 
-# _key: what qd_max ranks a branch by, v for max and -v for min, as
-# qd_min is -max(-f_i)
+# _key: what qd_max ranks a branch by, v for max (and for Abs, the max
+# of f and -f) and -v for min, as qd_min is -max(-f_i)
 class Max(_Extremum):
     _name, _reduce, _key = "max", np.maximum.reduce, np.positive
 

@@ -58,10 +58,15 @@ whose feasible set is the containment's.  Theta's block and each
 group's blocks enter it lifted by an exact power of two 2^k, since HiGHS
 reads matrix entries below 1e-9 as zero: theta's entries of T become
 2^k, and a group takes cost 2^k and cap c / 2^k on its lifted weights.
-check_all_selections searches the selections in lex order for the first
-whose LP is infeasible.  Both verdicts agree at feasible
-points for the same c, independent of which quasidifferentials
-represent the data, and that equivalence is cross-asserted in tests.
+HiGHS reads a cost of 1e20 or more as infinite, so every cost then takes
+one exact factor 2^-t, t = max(0, largest group lift - 66), which leaves
+the optima unchanged.  check_all_selections searches the selections in
+lex order for the first whose LP is infeasible.  In exact arithmetic the
+two verdicts agree at feasible points for the same c, whichever
+quasidifferentials represent the data, and the tests cross-assert them
+on the ladders they run.  At large c they can split in floating point:
+contains cuts the stationarity distance at the absolute FEAS_TOL, while
+the distance's rounding grows with c (ROADMAP items 2 and 7).
 
 The exact penalty threshold c*, the least c at which stationarity
 holds, is found by the same weight parameterization: one LP per pair of
@@ -289,11 +294,16 @@ def check_multipliers(data: ProgramData, sel: Selection,
     # each group's points are lifted by the exact 2^k of geometry._lifted:
     # their weights become x / 2^k, theta's entries of T 2^k, a group's
     # cap c / 2^k and its cost 2^k, and a group's sums are scaled back by
-    # 2^k; lift[g + 1] is group g's, lift[0] theta's
+    # 2^k; lift[g + 1] is group g's, lift[0] theta's.  HiGHS reads a cost
+    # of 1e20 or more as infinite, so every cost takes one exact factor
+    # 2^-t that keeps the largest at most 2^66; a common power of two
+    # leaves the optima as they are
     points, lift = np.vstack(blocks), np.zeros(l + na + 1, dtype=int)
     for i in range(-1, l + na):
         points[group == i], lift[i + 1] = _lifted(points[group == i])
     block_lift = lift[block_group + 1]
+    t = max(int(lift[1:].max(initial=0)) - 66, 0)
+    cost = np.ldexp((group >= 0).astype(float), block_lift[block_id] - t)
 
     a_eq = np.vstack([points.T, np.ldexp(1.0, lift[0]) * (block_id == 0)])
     b_eq = np.concatenate([-data.u.sup.vertices[sel.w0], [1.0]])
@@ -301,8 +311,7 @@ def check_multipliers(data: ProgramData, sel: Selection,
     if c_bound is not None and l + na:
         a_ub = (group == np.arange(l + na)[:, None]).astype(float)
         b_ub = np.ldexp(float(c_bound), -lift[1:])
-    out = solve_lp(np.ldexp((group >= 0).astype(float), block_lift[block_id]),
-                   a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+    out = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                    bounds=(0.0, None))
     if out.status is LpStatus.INFEASIBLE:
         return MultiplierCertificate(False, sel, c_bound=c_bound)

@@ -305,6 +305,17 @@ class TestQdReport:
         assert_allclose(f2["sub"], [[1.0, 1.0]])
         assert_allclose(f2["dd"][1]["value"], 2.0)
 
+    def test_abs_of_a_huge_gradient_at_its_tie(self, tmp_path, capsys):
+        # |f| is max(f, -f) of [{g}, {0}] and [{-g}, {0}]: the hull
+        # co{g, -g} is formed as it is, never by way of 2g = 2e308
+        f = tmp_path / "huge.prob"
+        f.write_text("[problem]\nn = 1\nequality = abs(1e308*x1)\n"
+                     "[point]\nx = 0\n")
+        assert_equal(main(["qd", str(f)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert "  sub: co{(-1e+308), (1e+308)}" in lines
+        assert "  sup: {(0)}" in lines
+
 
 class TestMfcqReport:
 

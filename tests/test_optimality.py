@@ -374,11 +374,14 @@ class TestMultiplierSelection(TestCase):
             check_multipliers(at_origin(p), Selection(0, (5,), (0,)))
 
 
-@pytest.mark.parametrize("coef", [1e-6, 1e-9, 1e-13])
+@pytest.mark.parametrize("coef", [1e-6, 1e-9, 1e-13, 1e-25, 1e-30])
 def test_small_constraint_entries_are_lifted_past_highs_zero_cut(coef):
     # HiGHS reads matrix entries below 1e-9 as zero; each group's blocks
     # are lifted by an exact power of two, and the multiplier 1 / coef
-    # holds under a cap of twice it, not under 0.999 of it
+    # holds under a cap of twice it, not under 0.999 of it.  The lift
+    # 2^k is the group's cost, and HiGHS reads a cost of 1e20 or more
+    # (2^83 at 1e-25) as infinite, so every cost is scaled down by one
+    # power of two
     equality = ProgramSpec(1, pe("0 - x1", 1), (pe(f"{coef!r}*x1", 1),))
     inequality = ProgramSpec(1, pe("0 - x1", 1), (),
                              (pe(f"{coef!r}*x1", 1),))
@@ -614,7 +617,8 @@ def reference_multiplier_lp(data, sel, c_bound=None):
     it before the block form, with theta's block and each group (an
     equality's two blocks, or one inequality's block) lifted by the exact
     2^k of geometry._lifted: theta's entries of the T row 2^k, a group's
-    cost 2^k and its cap c_bound / 2^k."""
+    cost 2^k and its cap c_bound / 2^k.  Every cost then takes the factor
+    2^-t, t = max(0, largest group lift - 66)."""
     l = len(data.f)
     n = data.n
     w0 = data.u.sup.vertices[sel.w0]
@@ -655,10 +659,11 @@ def reference_multiplier_lp(data, sel, c_bound=None):
                 row[start:stop] = 1.0
         b_ub = np.array([math.ldexp(float(c_bound), -lift)
                          for lift in lifts])
+    t = max([0] + [lift - 66 for lift in lifts])
     cost = np.zeros(pos)
     for group, lift in zip(groups, lifts):
         for start, stop in group:
-            cost[start:stop] = math.ldexp(1.0, lift)
+            cost[start:stop] = math.ldexp(1.0, lift - t)
     return (cost, a_ub, b_ub, a_eq, b_eq, [(0.0, None)] * pos, False)
 
 

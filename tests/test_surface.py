@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from numpy.testing import assert_equal
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +23,17 @@ def test_traced_names_resolve():
                if not hasattr(importlib.import_module(f"quasidiff.{short}"),
                               name)]
     assert_equal(missing, [])
+
+
+def test_version_has_one_source():
+    # pyproject reads the version from the package, so the two cannot
+    # drift apart
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert_equal(pyproject["project"]["dynamic"], ["version"])
+    assert_equal(pyproject["tool"]["setuptools"]["dynamic"],
+                 {"version": {"attr": "quasidiff.__version__"}})
 
 
 def run_python(code, *args):
