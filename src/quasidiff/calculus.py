@@ -156,19 +156,6 @@ def steepest_rate(q: Quasidifferential) -> tuple[float, np.ndarray]:
     return best, np.asarray(witness, dtype=float)
 
 
-def singleton_rates(sub: np.ndarray, sup: np.ndarray) -> list[float]:
-    """steepest_rate of the pair [{sub_i}, {sup_i}] for each row i, with
-    nearest_point's arithmetic.  The one vertex w = sup_i is the witness,
-    and the offset sub_i - (-w) is sub_i + sup_i by bytes.  Each offset is
-    lifted by its own 2^k and normed as a 1-D row, as nearest_point norms
-    its lifted singleton: a norm along an axis of a 2-D array can round
-    otherwise."""
-    offsets = sub + sup
-    k = _lift_exponent(np.abs(offsets).max(axis=1))
-    lifted = np.ldexp(offsets, k[:, None])
-    return np.ldexp([np.linalg.norm(row) for row in lifted], -k).tolist()
-
-
 def absorb_singleton_sup(q: Quasidifferential) -> Quasidifferential:
     """Equivalence shift moving a singleton superdifferential into sub.
 

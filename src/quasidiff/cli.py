@@ -38,8 +38,8 @@ from .optimality import (C_LADDER, OptimalityError, check_stationarity,
                          qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, check_numbers, load
 from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
-                         RegularityError, decay_flag, margin_infima,
-                         psi_expr, verify_regularity_grid)
+                         RegularityError, center_line_slope, psi_expr,
+                         verify_regularity_grid)
 
 _MAX_VIOLATOR_LINES = 5
 
@@ -71,9 +71,8 @@ class _Report:
         self.lines: list = []
         self.payload: dict = {}
         self.add(f"quasidiff {args.command} report", command=args.command)
-        # the margin shells' seed and the feasibility cut are constants,
-        # echoed so that every report states them
-        self.add("seed: 0", seed=0)
+        # the feasibility cut is a constant, echoed so that every report
+        # states it
         self.add(f"tol: {_g(FEAS_TOL)}", tol=FEAS_TOL)
         label = "center" if args.command == "regcheck" else "point"
         self.add(f"{label}: {_vec(x)}", params=dict(params),
@@ -232,7 +231,7 @@ def cmd_regcheck(args, pf: ProblemFile, center, out: _Report) -> None:
 
     rep = verify_regularity_grid(s, center, K, r, x_grid, target_grid,
                                  scan_radius=scan_radius, budget=budget)
-    infima = margin_infima(s, center)
+    slope = center_line_slope(s, center, budget)
     out.add(f"K: {_g(K)}  r: {_g(r)}  x grid: {x_grid}  "
             f"target grid: {target_grid}", K=float(K), r=float(r),
             x_grid=x_grid, target_grid=target_grid)
@@ -262,15 +261,19 @@ def cmd_regcheck(args, pf: ProblemFile, center, out: _Report) -> None:
     out.add("certified: " + ("yes (up to grid resolution)"
                              if rep.certified else "no"),
             certified=rep.certified)
-    out.add(margin_infima=[{"radius": float(a), "infimum": float(b),
-                            "n_valid": int(c)} for a, b, c in infima])
-    for radius, inf_margin, n_valid in infima:
-        out.add(f"margin infimum r = {_g(radius)}: {_g(inf_margin)} "
-                f"({n_valid} valid)")
-    nonregular = decay_flag(infima)
-    out.add("consistent with non-regularity: "
-            + ("yes" if nonregular else "no"),
-            nonregularity_consistent=nonregular)
+    if slope is None:
+        out.add("center-line slope: not computed (the center is not in "
+                "S(0, 0))", center_line_slope=None, center_line_patterns=None,
+                modulus_lower_bound=None)
+    else:
+        # the least slope s bounds the modulus below by 1/s (regularity)
+        s_min, patterns = slope
+        bound = 1.0 / s_min if s_min else np.inf
+        out.add(f"center-line slope: {_g(s_min)} (exact, {patterns} sign "
+                "patterns)", center_line_slope=s_min,
+                center_line_patterns=patterns)
+        out.add("modulus lower bound: " + (_g(bound) if s_min else
+                "inf (not metrically regular)"), modulus_lower_bound=bound)
     out.add(notes=[])
     if rep.n_empty_solution_sets:
         note = (f"{rep.n_empty_solution_sets} target(s) had an empty sampled "

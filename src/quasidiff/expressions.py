@@ -32,55 +32,29 @@ f itself has kinks.
 
 Forward mode.  A differentiable f has the quasidifferential
 [{grad f}, {0}], so a kink-free subtree is carried as one (value,
-gradient) pair by _vgrad and wrapped once, by the smooth rule, where it
-meets a max or min node, an arithmetic node above a kink (scaled by its
-slope first) or the root; under an abs node it is wrapped as g and as
--g, the two branches of max(f, -f).  Each node knows at construction
-whether its subtree has a kink (_piecewise), so the dispatch costs
-O(1).  Only the kink nodes and the nodes above them combine pairs.  x is
-a point (n,) or a batch of rows (N, n): a value is an np.float64 at a
-point and an array (N,) over a batch, a gradient an array (n,) or
-(n, N), one column per row.
-
-Rule sets.  _vqd and _vqd_pair state each node's walk once and combine
-pairs only through a rule set of four rules: smooth (a gradient as a
-pair), add, scale and extremum (max or min; abs walks as max(f, -f)).
-qd_value_at walks with _PAIRS, calculus's pair algebra at one point;
-qd_rows_at with _ROWS, the row walk below, which builds no polytope at
-all.
+gradient) pair by _vgrad and wrapped once, by qd_smooth, where it meets
+a max or min node, an arithmetic node above a kink (scaled by its slope
+first) or the root; under an abs node it is wrapped as g and as -g, the
+two branches of max(f, -f).  Each node knows at construction whether its
+subtree has a kink (_piecewise), so the dispatch costs O(1).  Only the
+kink nodes and the nodes above them combine pairs, by four rules of
+calculus's pair algebra: qd_smooth (a gradient as a pair), qd_add, _scale
+and _extremum (max or min; abs walks as max(f, -f)).  Each is called by
+its module-global name, so a wrapper bound to that name in this module
+(perfbench's tracer) sees the call.  x is a point (n,): a value is an
+np.float64, a gradient an array (n,).
 
 The slopes rule.  Each smooth-arithmetic node states its derivative
 once, as two functions of its operands' values: _value, and _slopes, its
 partial derivative in each operand (Neg -1; Add 1, 1; Sub 1, -1;
 Mul vb, va; SmoothUnary f'(v)).  _vgrad folds sum_i slope_i grad_i, and
 above a kink _vqd_pair folds the add of the operands' scaled parts, the
-sum and scale rules of the Demyanov-Rubinov calculus: scale(pair_i,
-slope_i) for a kinked operand, smooth(slope_i grad_i) for a smooth one,
-which enters as [{slope_i grad_i}, {0}] whatever the sign of its slope,
-not as the swapped [{0}, {slope_i grad_i}].  Values and slopes stay
-np.float64 at a point, so an overflow in either raises under np.errstate
-at the node that makes it.
-
-The row walk.  Where each abs, max and min node has exactly one branch
-within FEAS_TOL of its top, qd_max keeps that branch's pair, and every
-pair of the walk is a pair of singletons [{a}, {b}].  _ROWS carries a
-and b as (n, N) arrays, one column per row, and states each rule on
-them: the extremum rule keeps the one active branch, of an abs node as
-of a max or min node, which _sole_active finds by qd_max's comparisons.
-Each row has the bytes of its qd_at:
-  a canonical singleton is row + 0.0, as the lift by 2^k is exact both
-  ways;
-  minkowski_sum with {0} returns the other operand, which is
-  (a + b) + 0.0 on rows without -0, and canonical rows have none;
-  scale by 1, -1 or 0 gives t row + 0.0 as well, and qd_scale swaps the
-  sets where t < 0;
-  qd_min scales by -1 twice, and -(-a + 0.0) + 0.0 is a.
-steepest_rate of [{a}, {b}] takes its one vertex w = b, and
-nearest_point's offset a - (-w) is a + b; calculus.singleton_rates norms
-it lifted, as a 1-D row, as nearest_point does.  The walk declines (None)
-where a row ties, a value at a kink or an entry is not finite (Polytope
-raises there), or the batch raises FloatingPointError; the caller then
-takes each row's pair walk, which raises what it always raised.
+sum and scale rules of the Demyanov-Rubinov calculus: _scale(pair_i,
+slope_i) for a kinked operand, qd_smooth(slope_i grad_i) for a smooth
+one, which enters as [{slope_i grad_i}, {0}] whatever the sign of its
+slope, not as the swapped [{0}, {slope_i grad_i}].  Values and slopes
+are np.float64, so an overflow in either raises under np.errstate at the
+node that makes it.
 
 The output is, byte for byte, the one the pair algebra gives when it is
 applied at every node (tests/test_forward_mode.py keeps that walk, with
@@ -110,14 +84,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .calculus import (Quasidifferential, absorb_singleton_sub, qd_add,
                        qd_max, qd_min, qd_scale, qd_smooth)
-from .geometry import FEAS_TOL
 
 
 class ExpressionError(ValueError):
@@ -150,10 +122,6 @@ class UnboundParameterError(ExpressionError):
     def __init__(self, name: str):
         super().__init__(f"unbound parameter '{name}'")
         self.name = name
-
-
-class _Declined(Exception):
-    """The row walk meets a tie at a kink or a number that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -197,13 +165,13 @@ class Expr:
         """Evaluate at point (shape (..., n)); broadcasts over batches."""
         raise NotImplementedError
 
-    def _vqd(self, x, params, rules):
-        """Value and pair at x, a point (n,) or a batch of rows (N, n):
-        forward mode for a smooth subtree, the rule set above a kink."""
+    def _vqd(self, x, params):
+        """Value and pair at the point x: forward mode for a smooth
+        subtree, the pair rules above a kink."""
         if self._piecewise:
-            return self._vqd_pair(x, params, rules)
+            return self._vqd_pair(x, params)
         v, g = self._vgrad(x, params)
-        return v, rules.smooth(g)
+        return v, qd_smooth(g)
 
     # The two walks below fold the _value(*vals) and _slopes(*vals) of a
     # smooth-arithmetic node (the slopes rule of the module docstring);
@@ -211,11 +179,9 @@ class Expr:
 
     def _vgrad(self, x, params):
         """Value and gradient of a smooth subtree: sum_i slope_i grad_i
-        over the operands.  At a point the values are np.float64, as
-        _broadcast makes them, so that overflow in the scalar arithmetic
-        raises under np.errstate; over a batch they are arrays (N,) and
-        the gradients (n, N), one column per row, so that a slope with
-        one entry per row scales them as a float slope does."""
+        over the operands.  The values are np.float64, as _broadcast
+        makes them, so that overflow in the scalar arithmetic raises
+        under np.errstate."""
         # spelled out for the one or two operands a smooth node has: this
         # walk runs once per node of every smooth subtree
         ops = _operands(self)
@@ -227,18 +193,18 @@ class Expr:
         ta, tb = self._slopes(va, vb)
         return self._value(va, vb), _times(ga, ta) + _times(gb, tb)
 
-    def _vqd_pair(self, x, params, rules):
+    def _vqd_pair(self, x, params):
         """Value and pair of a subtree with a kink: the sum over the
         operands, left to right, of each operand's part scaled by its
-        slope.  A kinked operand's pair is scaled by the scale rule; a
-        smooth operand's gradient is scaled first and wrapped once, by
-        the smooth rule, so it stays in the subdifferential whatever the
-        sign of its slope."""
+        slope.  A kinked operand's pair is scaled by _scale; a smooth
+        operand's gradient is scaled first and wrapped once, by
+        qd_smooth, so it stays in the subdifferential whatever the sign
+        of its slope."""
         ops = _operands(self)
-        vals, parts = zip(*[c._vqd_pair(x, params, rules) if c._piecewise
+        vals, parts = zip(*[c._vqd_pair(x, params) if c._piecewise
                             else c._vgrad(x, params) for c in ops])
-        return self._value(*vals), reduce(rules.add, [
-            rules.scale(q, t) if c._piecewise else rules.smooth(_times(q, t))
+        return self._value(*vals), reduce(qd_add, [
+            _scale(q, t) if c._piecewise else qd_smooth(_times(q, t))
             for c, t, q in zip(ops, self._slopes(*vals), parts)])
 
     def _fmt(self) -> tuple[str, int]:
@@ -265,17 +231,23 @@ def _depth_above(children) -> int:
 
 
 def _times(g, t):
-    """slope t times gradient g; 1.0 g is g, so a float slope of 1 keeps
-    g itself (a slope with one entry per row is always multiplied)."""
-    return g if isinstance(t, float) and t == 1.0 else g * t
+    """slope t times gradient g; 1.0 g is g, so a slope of 1 keeps g
+    itself."""
+    return g if t == 1.0 else g * t
 
 
-# The rule sets of the module docstring.  smooth(g), add(p, q) and
-# scale(q, t) return a pair, and extremum(node, items) the (value, pair)
-# of a max-keyed (Max, Abs) or min-keyed node from its branches'
-# (value, pair) items.
+# The scale and extremum rules of the walk, over calculus's qd_scale,
+# qd_max and qd_min; qd_smooth and qd_add are used as they are.
 
-def _extremum_pairs(node, items):
+def _scale(q, t):
+    """qd_scale(q, t); a part with slope 1 enters as it is, since qd_scale
+    by 1 keeps the polytopes."""
+    return q if t == 1.0 else qd_scale(q, t)
+
+
+def _extremum(node, items):
+    """The (value, pair) of a max-keyed (Max, Abs) or min-keyed node from
+    its branches' (value, pair) items."""
     vals = [v for v, _ in items]
     if node._key is np.positive:
         return max(vals), qd_max(items)
@@ -285,74 +257,6 @@ def _extremum_pairs(node, items):
             not any(c._piecewise for c in node.children):
         out = absorb_singleton_sub(out)
     return min(vals), out
-
-
-# calculus's pair algebra, at one point.  A part with slope 1 enters as it
-# is: qd_scale by 1 keeps the polytopes.  The rules name each calculus
-# function when they run, so that a wrapper bound to its name in this
-# module (perfbench's tracer) sees the call.
-_PAIRS = SimpleNamespace(smooth=lambda g: qd_smooth(g),
-                         add=lambda p, q: qd_add(p, q),
-                         scale=lambda q, t: q if t == 1.0 else qd_scale(q, t),
-                         extremum=_extremum_pairs)
-
-
-# The row walk of the module docstring: a pair [{a}, {b}] is the tuple
-# (a, b) of (n, N) arrays, one column per row.
-
-def _canonical_rows(x):
-    """The canonical vertex of each singleton {x_i}: x + 0.0, since the
-    lift by 2^k is exact both ways.  _Declined where Polytope raises, on
-    an entry that is not finite."""
-    if not np.isfinite(x).all():
-        raise _Declined
-    return x + 0.0
-
-
-def _smooth_rows(g):
-    """qd_smooth(g) at each row: [{g}, {0}]."""
-    return _canonical_rows(g), np.zeros_like(g)
-
-
-def _scale_rows(q, t):
-    """qd_scale(q, t) at each row: t a and t b, swapped where t < 0.
-    scale's shortcuts agree: 1 a + 0.0 is a, 0 a + 0.0 is 0, and
-    -a + 0.0 is the flip."""
-    ta, tb = _canonical_rows(q[0] * t), _canonical_rows(q[1] * t)
-    flip = t < 0
-    return np.where(flip, tb, ta), np.where(flip, ta, tb)
-
-
-def _add_rows(p, q):
-    """qd_add at each row: a + 0 is a, so minkowski_sum's {0} shortcut
-    gives the bytes of the sum as well."""
-    return _canonical_rows(p[0] + q[0]), _canonical_rows(p[1] + q[1])
-
-
-def _sole_active(keys):
-    """Mask (branch, row) of the branch that qd_max keeps active, the one
-    whose key lies within FEAS_TOL of the top key: the same comparisons
-    as qd_max's.  _Declined where a row keeps more than one branch or a
-    key is not finite."""
-    active = keys >= keys.max(axis=0) - FEAS_TOL
-    if not (np.isfinite(keys).all() and (active.sum(axis=0) == 1).all()):
-        raise _Declined
-    return active
-
-
-def _extremum_rows(node, items):
-    """One active branch: qd_max and qd_min return its pair (qd_min scales
-    by -1 twice, and -(-a + 0.0) + 0.0 is a), and its value is the max or
-    the min."""
-    vals, pairs = zip(*items)
-    subs, sups = zip(*pairs)
-    active = list(_sole_active(node._key(np.stack(vals))))
-    return np.select(active, vals), (np.select(active, subs),
-                                     np.select(active, sups))
-
-
-_ROWS = SimpleNamespace(smooth=_smooth_rows, add=_add_rows, scale=_scale_rows,
-                        extremum=_extremum_rows)
 
 
 def _wrap(child: Expr, minlevel: int) -> str:
@@ -383,10 +287,9 @@ class Var(Expr):
         return point[..., self.index - 1]
 
     def _vgrad(self, x, params):
-        # x.T[i] is an np.float64 at a point and column i of a batch
-        g = np.zeros(x.shape[::-1])
+        g = np.zeros(x.shape)
         g[self.index - 1] = 1.0
-        return x.T[self.index - 1], g
+        return x[self.index - 1], g
 
     def _fmt(self):
         return f"x{self.index}", _ATOM
@@ -407,7 +310,7 @@ class Param(Expr):
     def _vgrad(self, x, params):
         if self.name not in params:
             raise UnboundParameterError(self.name)
-        return _broadcast(params[self.name], x), np.zeros(x.shape[::-1])
+        return _broadcast(params[self.name], x), np.zeros(x.shape)
 
     def _fmt(self):
         return self.name, _ATOM
@@ -421,7 +324,7 @@ class Const(Expr):
         return _broadcast(self.value, point)
 
     def _vgrad(self, x, params):
-        return _broadcast(self.value, x), np.zeros(x.shape[::-1])
+        return _broadcast(self.value, x), np.zeros(x.shape)
 
     def _fmt(self):
         return _format_number(self.value), _ATOM
@@ -575,19 +478,19 @@ class Abs(Expr):
     def evaluate(self, point, params=None):
         return np.abs(self.child.evaluate(point, params))
 
-    def _vqd_pair(self, x, params, rules):
-        """|f| as max(f, -f): the child is walked once, and the extremum
-        rule, max-keyed, combines (v, part) with (-v, part negated by the
-        operands' rule of Expr._vqd_pair): scale(q, -1) for a kinked child,
-        smooth(-g) for a smooth one, which keeps -g in the
+    def _vqd_pair(self, x, params):
+        """|f| as max(f, -f): the child is walked once, and _extremum,
+        max-keyed, combines (v, part) with (-v, part negated by the
+        operands' rule of Expr._vqd_pair): _scale(q, -1) for a kinked
+        child, qd_smooth(-g) for a smooth one, which keeps -g in the
         subdifferential.  The value is abs(v), as evaluate gives it."""
         if self.child._piecewise:
-            v, q = self.child._vqd_pair(x, params, rules)
-            neg = rules.scale(q, -1.0)
+            v, q = self.child._vqd_pair(x, params)
+            neg = _scale(q, -1.0)
         else:
             v, g = self.child._vgrad(x, params)
-            q, neg = rules.smooth(g), rules.smooth(-g)
-        return abs(v), rules.extremum(self, [(v, q), (-v, neg)])[1]
+            q, neg = qd_smooth(g), qd_smooth(-g)
+        return abs(v), _extremum(self, [(v, q), (-v, neg)])[1]
 
     def _fmt(self):
         return f"abs({self.child._fmt()[0]})", _ATOM
@@ -610,9 +513,8 @@ class _Extremum(Expr):
     def evaluate(self, point, params=None):
         return self._reduce([c.evaluate(point, params) for c in self.children])
 
-    def _vqd_pair(self, x, params, rules):
-        return rules.extremum(
-            self, [c._vqd(x, params, rules) for c in self.children])
+    def _vqd_pair(self, x, params):
+        return _extremum(self, [c._vqd(x, params) for c in self.children])
 
     def _fmt(self):
         inner = ", ".join(c._fmt()[0] for c in self.children)
@@ -829,24 +731,11 @@ def qd_value_at(e: Expr, b: Binding) -> tuple[float, Quasidifferential]:
     """Value and canonical quasidifferential of e at the binding."""
     if b.point.ndim != 1:
         raise ExpressionError("quasidifferentials need a single point, not a batch")
-    return e._vqd(b.point, b.params, _PAIRS)
+    return e._vqd(b.point, b.params)
 
 
 def qd_at(e: Expr, b: Binding) -> Quasidifferential:
     return qd_value_at(e, b)[1]
-
-
-def qd_rows_at(e: Expr, points, params) -> tuple | None:
-    """The row walk: (values, a, b) with qd_at(e, row) = [{a_i}, {b_i}]
-    at each row of points (shape (N, n)); params holds scalars and arrays
-    with one entry per row.  None where the walk declines: a kink ties
-    within FEAS_TOL at some row, a number is not finite, or the batch
-    raises FloatingPointError (the module docstring)."""
-    try:
-        v, (a, b) = e._vqd(np.asarray(points, dtype=float), params, _ROWS)
-    except (_Declined, FloatingPointError):
-        return None
-    return v, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
 
 
 def qd_matrix_at(es: Sequence[Expr],

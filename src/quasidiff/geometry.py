@@ -66,9 +66,9 @@ point set and its orthogonal complement come from one SVD, whose cut is
 relative to the largest singular value, so 2^k P has the rank of P for
 every k.
 
-FEAS_TOL is also the one tie cut: qd_max and the row walk take a branch
-within FEAS_TOL of the top as active, so phi's max(g_i, 0) ties where
-mfcq's active_inequalities takes |g_i| <= FEAS_TOL.
+FEAS_TOL is also the one tie cut: qd_max takes a branch within FEAS_TOL
+of the top as active, so phi's max(g_i, 0) ties where
+regularity.active_inequalities takes |g_i| <= FEAS_TOL.
 """
 
 from __future__ import annotations
@@ -150,8 +150,7 @@ def _min_norm_point(points: np.ndarray) -> np.ndarray:
 
 def _lift_exponent(top):
     """The k that lifts a set whose largest |entry| is top into [1/2, 1)
-    by the exact factor 2^k when top < 1/2; 0 for top >= 1/2 or top = 0.
-    An array of tops gives one k per entry."""
+    by the exact factor 2^k when top < 1/2; 0 for top >= 1/2 or top = 0."""
     return np.maximum(0, -np.frexp(top)[1])
 
 

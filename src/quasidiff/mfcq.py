@@ -46,7 +46,8 @@ from .calculus import Quasidifferential, qd_plus_set
 from .expressions import Binding, qd_at
 from .geometry import (FEAS_TOL, Polytope, _lifted, _min_norm_combination,
                        complement_basis)
-from .regularity import BudgetExceededError, SystemSpec
+from .regularity import (BudgetExceededError, SystemSpec,
+                         active_inequalities, feasibility_violations)
 
 # caps the 2^(l-1) sign patterns of the hull test
 PATTERN_BUDGET = 10 ** 6
@@ -59,28 +60,6 @@ class InfeasiblePointError(ValueError):
         detail = ", ".join(f"{k} = {v:.6g}" for k, v in residuals.items())
         super().__init__(f"base point infeasible: {detail}")
         self.residuals = residuals
-
-
-def active_inequalities(s: SystemSpec, b: Binding) -> list[int]:
-    """Indices i with |g_i(x,p)| <= FEAS_TOL; s is a system or a
-    program."""
-    return [i for i, g in enumerate(s.inequalities)
-            if abs(float(g.evaluate(b.point, b.params))) <= FEAS_TOL]
-
-
-def feasibility_violations(s: SystemSpec, b: Binding) -> dict:
-    """Constraint residuals exceeding FEAS_TOL, keyed like 'f2' / 'g1';
-    s is a system or a program."""
-    out = {}
-    for j, f in enumerate(s.equalities):
-        r = float(f.evaluate(b.point, b.params))
-        if abs(r) > FEAS_TOL:
-            out[f"f{j + 1}"] = r
-    for i, g in enumerate(s.inequalities):
-        r = float(g.evaluate(b.point, b.params))
-        if r > FEAS_TOL:
-            out[f"g{i + 1}"] = r
-    return out
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,9 @@ from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
 from .geometry import (FEAS_TOL, LpStatus, Polytope, _lifted,
                        nearest_point, solve_lp)
-from .mfcq import (PATTERN_BUDGET, InfeasiblePointError, active_inequalities,
-                   feasibility_violations, mfcq_of_pairs)
-from .regularity import l1_penalty
+from .mfcq import PATTERN_BUDGET, InfeasiblePointError, mfcq_of_pairs
+from .regularity import (active_inequalities, feasibility_violations,
+                         l1_penalty)
 
 SELECTION_BUDGET = 10 ** 5
 C_LADDER = (0.5, 1.0, 2.0, 10.0, 100.0)

@@ -39,15 +39,39 @@ The sufficient condition implemented by check_condition4 asks for a
 superdifferential vertex w* with d(0, sub + w*) > 1/K.  The vertex
 margin max_w d(0, sub + w) is the strong slope of psi at x (the proof is
 in cli.cmd_slope), so it is independent of the quasidifferential
-representative.  The grid check and the margin shells of margin_infima
-are sampled; sampled_strong_slope is a ring-sampled slope kept as an
-independent reference for the tests.  margin_infima takes the margins
-of a round of draws from one walk over all its rows: qd_rows_at runs
-qd_at's walk with the row rule set of expressions, which carries each
-pair as one singleton per row, and calculus.singleton_rates norms them.
-That gives each row's steepest_rate(qd_at(...)) by bytes wherever no
-kink of psi ties; a round where the walk declines takes the pair walk
-row by row.
+representative.
+
+center_line_slope bounds the regularity modulus from below, exactly.
+By Ioffe's criterion (Metric regularity and subdifferential calculus,
+Russ. Math. Surveys 55, 2000), the least regularity modulus of the
+system at a feasible center x0 is 1/m, with m the liminf of the strong
+slope of psi_{y,z} in x as (x, y, z) -> (x0, 0, 0) with psi > 0.  Fix
+x = x0 and move the targets off (f(x0), g(x0)) into one orthant: a sign
+s_j of f_j(x0) - y_j for each equality, and a subset I of the active
+inequalities (those within FEAS_TOL of 0) with z_i < g_i(x0) exactly
+for i in I.  Near x0, since each sign persists and every other
+inequality term is 0, psi is then
+
+    sum_j s_j (f_j - y_j) + sum_{i in I} (g_i - z_i),
+
+so its slope at x0 is steepest_rate of
+
+    sum_j s_j qd f_j + sum_{i in I} qd g_i,
+
+the same at every target of the orthant, however close to (0, 0).  So m
+is at most the least of these 2^(l+|A|) rates, s: every modulus K has
+K >= 1/s, and s = 0 proves that the system is not metrically regular at
+x0.  The pattern with no term (no equality, I empty) has psi = 0 near
+x0 and no slope to bound: its rate reads inf.  A rate within FEAS_TOL of
+0 reads 0, the cut that the slope command prints by.  The pairs are
+built from each qd f_j and qd g_i directly, never from psi's tree at a
+target near f(x0), whose abs and max nodes would tie there.
+
+The grid check is sampled.  sampled_strong_slope is a ring-sampled
+slope kept as an independent reference for the tests.  margin_infima
+samples condition-4 margins in four shells around (center, 0, 0), and
+decay_flag labels their collapse; the center-line slope decides that
+label's question exactly, so no command calls either.
 
 Everything here is desk scale: n <= 3 for the grid oracle, vertex
 enumeration everywhere, deterministic seeds.
@@ -63,10 +87,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import Quasidifferential, singleton_rates, steepest_rate
+from .calculus import Quasidifferential, qd_add, qd_scale, steepest_rate
 from .expressions import (Abs, Add, Binding, Const, Expr, Max, Param, Sub,
-                          qd_at, qd_rows_at)
-from .geometry import _lifted
+                          qd_at)
+from .geometry import FEAS_TOL, _lifted
 
 SLOPE_DIRECTIONS = 256
 # verify_regularity_grid's defaults: points per axis, targets per axis,
@@ -149,6 +173,28 @@ class SystemSpec:
         terms = [Sub(h, Param(name)) for h, name in zip(
             self.equalities + self.inequalities, _target_names(self))]
         return l1_penalty(terms[:l], terms[l:])
+
+
+def active_inequalities(s: SystemSpec, b: Binding) -> list[int]:
+    """Indices i with |g_i(x,p)| <= FEAS_TOL; s is a system or a
+    program."""
+    return [i for i, g in enumerate(s.inequalities)
+            if abs(float(g.evaluate(b.point, b.params))) <= FEAS_TOL]
+
+
+def feasibility_violations(s: SystemSpec, b: Binding) -> dict:
+    """Constraint residuals exceeding FEAS_TOL, keyed like 'f2' / 'g1';
+    s is a system or a program."""
+    out = {}
+    for j, f in enumerate(s.equalities):
+        r = float(f.evaluate(b.point, b.params))
+        if abs(r) > FEAS_TOL:
+            out[f"f{j + 1}"] = r
+    for i, g in enumerate(s.inequalities):
+        r = float(g.evaluate(b.point, b.params))
+        if r > FEAS_TOL:
+            out[f"g{i + 1}"] = r
+    return out
 
 
 def _target_names(s: SystemSpec) -> list[str]:
@@ -586,73 +632,65 @@ def verify_regularity_grid(s: SystemSpec, center, K: float, r: float,
     return report
 
 
+def center_line_slope(s: SystemSpec, center,
+                      budget: int) -> tuple[float, int] | None:
+    """(least rate, sign-pattern count) of the center-line argument of the
+    module docstring: the exact lower bound 1/rate on the regularity
+    modulus at center, and 0 where the system is not metrically regular
+    there.  None where feasibility_violations rejects the center.  More
+    than budget patterns raise BudgetExceededError before any walk."""
+    b = s.binding(center)
+    if feasibility_violations(s, b):
+        return None
+    active = active_inequalities(s, b)
+    patterns = 2 ** (len(s.equalities) + len(active))
+    if patterns > budget:
+        raise BudgetExceededError(
+            f"center-line sign-pattern count {_count_text(patterns)} "
+            f"exceeds the budget {budget}")
+    # each equality enters as +qd f_j or -qd f_j, each active inequality
+    # as qd g_i or not at all
+    eqs = [qd_at(f, b) for f in s.equalities]
+    choices = ([(q, qd_scale(q, -1.0)) for q in eqs]
+               + [(qd_at(s.inequalities[i], b), None) for i in active])
+    least = np.inf
+    for pattern in itertools.product(*choices):
+        terms = [q for q in pattern if q is not None]
+        if terms:
+            rate = steepest_rate(functools.reduce(qd_add, terms))[0]
+            least = min(least, rate)
+    return (0.0 if least <= FEAS_TOL else float(least)), patterns
+
+
 def margin_infima(s: SystemSpec, center, *,
                   seed: int = 0) -> list[tuple[float, float, int]]:
     """Infimum of condition-4 margins over shrinking sampling shells.
 
-    Supports the 'consistent with non-regularity' label: margins that
-    collapse as the shell shrinks are the necessary-direction signature.
-    Each shell draws (x, y, z) uniformly within rho of (center, 0, 0) and
-    takes up to 48 valid samples (psi > 1e-9) from 960 draws.  Entries are
-    (radius, infimum, n_valid_samples).
-
-    The draws come in rounds of one batched psi evaluation each.  A round
-    holds no more rows than valid samples are still needed, so the 48th
-    valid sample is always a round's last row: the generator stream and
-    the draws evaluated are those of drawing and testing one at a time.
-
-    The valid rows of a round take one row walk (_shell_margins).  Where
-    each abs and max node of psi has one branch within FEAS_TOL of its
-    top, psi's pair at a row is [{a}, {b}], and its margin is |a + b|,
-    normed as nearest_point norms it; the walk gives the bytes of each
-    row's qd_at and steepest_rate (the expressions module docstring has
-    the argument).  A round where some row ties, some number is not
-    finite or the batch raises FloatingPointError takes the pair walk
-    per row instead, so its errors are those of the per-row loop.  The
-    margins fold in row order with the same min either way.
+    Backs decay_flag's heuristic label: margins that collapse as the
+    shell shrinks are the necessary-direction signature.  Each shell
+    draws (x, y, z) uniformly within rho of (center, 0, 0) and takes up
+    to 48 valid samples (psi > 1e-9) from 960 draws; each valid draw
+    takes one psi quasidifferential and its steepest_rate.  Entries are
+    (radius, infimum, n_valid_samples).  No command calls it: regcheck
+    prints the center-line slope.
     """
     base = np.concatenate([s.binding(center).point, *s.targets()])
-    targets = set(_target_names(s))
     rng = np.random.default_rng(seed)
     out = []
     for rho in (0.3, 0.1, 0.03, 0.01):
         inf_margin = np.inf
-        valid = 0
-        drawn = 0
+        valid = drawn = 0
         while valid < 48 and drawn < 960:
-            k = min(48 - valid, 960 - drawn)
-            drawn += k
-            draws = base + rho * rng.uniform(-1.0, 1.0, size=(k, base.size))
-            xs, ys, zs = np.split(draws, [s.n, s.n + len(s.equalities)], axis=1)
-            batch = PsiFunction(s, ys, zs)
+            drawn += 1
+            draw = base + rho * rng.uniform(-1.0, 1.0, size=base.size)
+            x, y, z = np.split(draw, [s.n, s.n + len(s.equalities)])
+            psi = PsiFunction(s, y, z)
             # not psi > 1e-9: a nan psi stays a valid sample
-            rows = np.flatnonzero(~(batch.value(xs) <= 1e-9))
-            params = {name: v[rows] if name in targets else v
-                      for name, v in batch.params.items()}
-            for margin in _shell_margins(s.psi_tree, xs[rows], params,
-                                         targets):
+            if not psi.value(x) <= 1e-9:
                 valid += 1
-                inf_margin = min(inf_margin, margin)
+                inf_margin = min(inf_margin, steepest_rate(psi.qd(x))[0])
         out.append((float(rho), float(inf_margin), valid))
     return out
-
-
-def _shell_margins(psi: Expr, xs: np.ndarray, params: dict,
-                   targets: set) -> list[float]:
-    """steepest_rate(qd_at(psi, row))[0] at each row of xs, whose values
-    of the parameters named in targets are one per row: one row walk, or
-    one pair walk per row where the row walk declines."""
-    if not len(xs):
-        return []
-    walked = qd_rows_at(psi, xs, params)
-    if walked is not None:
-        return singleton_rates(walked[1], walked[2])
-    margins = []
-    for i, x in enumerate(xs):
-        row = {name: v[i] if name in targets else v
-               for name, v in params.items()}
-        margins.append(steepest_rate(qd_at(psi, Binding(x, row)))[0])
-    return margins
 
 
 def decay_flag(infima: Sequence[tuple[float, float, int]]) -> bool:
@@ -660,7 +698,8 @@ def decay_flag(infima: Sequence[tuple[float, float, int]]) -> bool:
 
     Either a 10x drop from the first shell to the last, or an infimum at
     numerical-zero scale on some shell (the slope can vanish inside every
-    shell, in which case no decay between shells is visible).
+    shell, in which case no decay between shells is visible).  No command
+    calls it.
     """
     vals = [v for _, v, k in infima if k > 0]
     if len(vals) < 2:

@@ -16,7 +16,7 @@ from quasidiff.geometry import FEAS_TOL
 from quasidiff.mfcq import full_rank_det_range, qd_mfcq
 from quasidiff.problemfile import (MAX_CONSTRAINTS, ProblemFileError, load,
                                    loads)
-from quasidiff.regularity import (PsiFunction, margin_infima, psi_expr,
+from quasidiff.regularity import (PsiFunction, center_line_slope, psi_expr,
                                   verify_regularity_grid)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -258,9 +258,9 @@ class TestReportShape:
         for tag, (text, payload) in reports.items():
             lines = text.splitlines()
             assert lines[0].endswith(" report")
-            assert_equal(lines[1], "seed: 0")
-            assert_equal(lines[2], "tol: 1e-09")
-            assert_equal(payload["seed"], 0)
+            assert_equal(lines[1], "tol: 1e-09")
+            # no command samples at random, so no seed is echoed
+            assert "seed" not in payload
             assert_allclose(payload["tol"], 1e-9)
 
     @pytest.mark.parametrize("command, text, flags, line", [
@@ -469,11 +469,11 @@ class TestRegcheckReport:
                 in lines)
         assert "violators: 14" in lines
         assert "certified: no" in lines
-        assert "consistent with non-regularity: yes" in lines
+        assert "center-line slope: 0 (exact, 2 sign patterns)" in lines
         assert_equal(payload["n_checked"], 226)
         assert_equal(len(payload["violators"]), 14)
         assert payload["certified"] is False
-        assert payload["nonregularity_consistent"] is True
+        assert_equal(payload["center_line_slope"], 0.0)
         assert_allclose(payload["worst_ratio"], 161.124883347, rtol=1e-9)
 
     def test_violator_lines_are_truncated_but_mirrored_in_full(self, reports):
@@ -486,12 +486,58 @@ class TestRegcheckReport:
         assert_equal(len(ratios), 14)
         assert min(ratios) > 22.0
 
-    def test_margin_infima_lines(self, reports):
+    def test_center_line_lines(self, reports):
+        # x^3 has slope 0 at 0 on both target orthants: the modulus is
+        # unbounded there
         text, payload = reports["regcheck"]
-        radii = [m["radius"] for m in payload["margin_infima"]]
-        assert_allclose(radii, [0.3, 0.1, 0.03, 0.01])
-        assert sum(l.startswith("margin infimum r = ")
-                   for l in text.splitlines()) == 4
+        lines = text.splitlines()
+        at = lines.index("center-line slope: 0 (exact, 2 sign patterns)")
+        assert_equal(lines[at - 1], "certified: no")
+        assert_equal(lines[at + 1],
+                     "modulus lower bound: inf (not metrically regular)")
+        assert_equal((payload["center_line_slope"],
+                      payload["center_line_patterns"],
+                      payload["modulus_lower_bound"]), (0.0, 2, "inf"))
+        for gone in ("margin_infima", "nonregularity_consistent", "seed"):
+            assert gone not in payload
+        assert not any(l.startswith(("margin infimum", "consistent with"))
+                       for l in lines)
+
+    @pytest.mark.parametrize("line, slope, bound", [
+        # slope 2 on both orthants: the modulus is at least 1/2
+        ("equality = 2*x1", "2 (exact, 2 sign patterns)", "0.5"),
+        # |x1| - y has slope 0 at 0 where y < 0, which no x reaches
+        ("equality = abs(x1)", "0 (exact, 2 sign patterns)",
+         "inf (not metrically regular)"),
+        # no equality and no active inequality: psi = 0 near the center
+        ("inequality = x1 - 1", "inf (exact, 1 sign patterns)", "0"),
+    ])
+    def test_center_line_bound_is_the_inverse_slope(self, tmp_path, capsys,
+                                                    line, slope, bound):
+        f = tmp_path / "lin.prob"
+        f.write_text(f"[problem]\nn = 1\n{line}\n[point]\nx = 0\n"
+                     "[check]\nK = 1\nr = 0.1\ngrid = 1\n"
+                     "target_grid = 1\n")
+        assert_equal(main(["regcheck", str(f)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert_equal(lines[-2:], [f"center-line slope: {slope}",
+                                  f"modulus lower bound: {bound}"])
+
+    def test_infeasible_center_is_not_computed(self, tmp_path, capsys):
+        f = tmp_path / "off.prob"
+        sidecar = tmp_path / "off.json"
+        f.write_text("[problem]\nn = 1\nequality = x1 - 0.5\n[point]\n"
+                     "x = 0\n[check]\nK = 1\nr = 0.1\ngrid = 1\n"
+                     "target_grid = 1\n")
+        assert_equal(main(["regcheck", str(f), "--json", str(sidecar)]), 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert_equal(lines[-1], "center-line slope: not computed (the "
+                     "center is not in S(0, 0))")
+        assert not any(l.startswith("modulus") for l in lines)
+        payload = json.loads(sidecar.read_text())
+        for key in ("center_line_slope", "center_line_patterns",
+                    "modulus_lower_bound"):
+            assert payload[key] is None
 
     def test_empty_targets_are_counted_and_noted(self, tmp_path, capsys):
         # |x1| - 0.05 <= z has no solution for the targets z = -0.2, -0.1
@@ -1089,8 +1135,8 @@ class TestNonFiniteInputs:
             out, err = capsys.readouterr()
             assert out.startswith(f"quasidiff {command} report\n"), command
             assert_equal(err, "")
-        # regcheck takes psi's quasidifferential only where psi > 0, which
-        # no sample above is, so it is taken here
+        # regcheck's center-line slope walks no pair here, with no
+        # equality and no inequality active at 0, so psi's is taken here
         s = load(str(f)).system()
         assert_equal(psi_expr(s).qd(np.zeros(1)).sub.nvertices, 1)
 
@@ -1112,18 +1158,19 @@ class TestNonFiniteInputs:
         capsys.readouterr()
         assert_equal(len(built), MAX_CONSTRAINTS)
 
-    def test_overflow_in_a_margin_shell_is_two(self, tmp_path, capsys):
-        # exp(10000 x1) overflows past x1 = 0.071: inside the first margin
-        # shell (radius 0.3), outside the grid and the scan (radius 0.01)
-        text = ("[problem]\nn = 1\nequality = exp(10000*x1)\n[point]\n"
-                "x = 0\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
+    def test_overflow_in_the_center_walk_is_two(self, tmp_path, capsys):
+        # 1e308 x1^2 - 1e308 stays finite on the grid and the scan (radius
+        # 0.01 about 1), and is 0 at the center, where its gradient, 2e308,
+        # overflows in the center-line slope's walk
+        text = ("[problem]\nn = 1\nequality = 1e308*pow(x1, 2) - 1e308\n"
+                "[point]\nx = 1\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
                 "target_grid = 1\nscan_radius = 0.01\nbudget = 100\n")
         s = loads(text).system()
         with np.errstate(over="raise"):
-            verify_regularity_grid(s, [0.0], 1.0, 0.01, 1, 1,
+            verify_regularity_grid(s, [1.0], 1.0, 0.01, 1, 1,
                                    scan_radius=0.01, budget=100)
             with pytest.raises(FloatingPointError):
-                margin_infima(s, [0.0])
+                center_line_slope(s, [1.0], 100)
         code, err = self.run_main(tmp_path, capsys, text, command="regcheck")
         assert_equal(code, 2)
         assert_equal(err, "error: a value overflows the float range while "
@@ -1131,15 +1178,15 @@ class TestNonFiniteInputs:
 
     def test_overflow_in_the_scan_alone_is_two(self, tmp_path, capsys):
         # x1^1100 overflows past x1 = 1.906: inside the scan (radius 1
-        # about 1), outside the grid (radius 0.01) and the margin shells
-        # (radius 0.3); the batched pow chain must raise as the scalar
-        # one does
-        text = ("[problem]\nn = 1\nequality = pow(x1, 1100)\n[point]\n"
-                "x = 1\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
+        # about 1), outside the grid (radius 0.01) and the center, where
+        # x1^1100 - 1 is 0 and the center-line slope is taken; the
+        # batched pow chain must raise as the scalar one does
+        text = ("[problem]\nn = 1\nequality = pow(x1, 1100) - 1\n"
+                "[point]\nx = 1\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
                 "target_grid = 1\nscan_radius = 1\nbudget = 100\n")
         s = loads(text).system()
         with np.errstate(over="raise"):
-            margin_infima(s, [1.0])
+            assert np.isfinite(center_line_slope(s, [1.0], 100)[0])
             with pytest.raises(FloatingPointError):
                 verify_regularity_grid(s, [1.0], 1.0, 0.01, 1, 1,
                                        scan_radius=1.0, budget=100)
@@ -1147,6 +1194,18 @@ class TestNonFiniteInputs:
         assert_equal(code, 2)
         assert_equal(err, "error: a value overflows the float range while "
                      "evaluating the problem\n")
+
+    def test_center_line_patterns_past_the_budget_are_one(self, tmp_path,
+                                                          capsys):
+        # 7 equalities give 2^7 = 128 sign patterns; the 1-point grid and
+        # the 100-point scan fit in the budget
+        text = ("[problem]\nn = 1\n" + "equality = x1\n" * 7
+                + "[point]\nx = 0\n[check]\nK = 1\nr = 0.01\ngrid = 1\n"
+                "target_grid = 1\nbudget = 100\n")
+        code, err = self.run_main(tmp_path, capsys, text, command="regcheck")
+        assert_equal(code, 1)
+        assert_equal(err, "error: center-line sign-pattern count 128 "
+                     "exceeds the budget 100\n")
 
     def test_constraint_past_the_cap_is_two(self, tmp_path, capsys):
         code, err = self.run_main(tmp_path, capsys,

@@ -5,8 +5,7 @@ folds smooth-led pairs back with absorb_singleton_sup.  The tests compare
 its value and vertex arrays with qd_value_at's by their bytes.
 reference_kink is kink_distance written as one rule per node type; the
 single walk over the operands must give the same float, bit for bit.
-The row walk, qd_rows_at, must give each row's qd_value_at by its bytes,
-or decline.  A value of the walk at a point is an np.float64.
+A value of the walk at a point is an np.float64.
 """
 
 import random
@@ -14,20 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_equal
 
 from quasidiff import geometry
 from quasidiff.calculus import (absorb_singleton_sub, absorb_singleton_sup,
                                 dd, qd_abs, qd_add, qd_max, qd_min,
-                                qd_scale, qd_smooth, qd_zero,
-                                singleton_rates, steepest_rate)
-from quasidiff.expressions import (_FUNCTIONS, _PAIRS, _ROWS, Abs, Add,
-                                   Binding, Const, Max, Min, Mul, Neg, Param,
-                                   SmoothUnary, Sub, UnboundParameterError,
-                                   Var, kink_distance, parse_expression,
-                                   qd_at, qd_rows_at, qd_value_at)
+                                qd_scale, qd_smooth, qd_zero)
+from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Min, Mul,
+                                   Neg, Param, SmoothUnary, Sub,
+                                   UnboundParameterError, Var, kink_distance,
+                                   parse_expression, qd_at, qd_value_at)
 from quasidiff.geometry import GeometryError
 from quasidiff.optimality import build_penalty
 from quasidiff.problemfile import load, loads
@@ -298,13 +293,6 @@ def test_values_at_a_point_are_numpy_floats(text):
     assert type(v) is np.float64
 
 
-def test_both_walks_state_the_same_four_rules():
-    # a rule added to one walk and not to the other fails here
-    rules = {"smooth", "add", "scale", "extremum"}
-    assert_equal(set(vars(_PAIRS)), rules)
-    assert_equal(set(vars(_ROWS)), rules)
-
-
 class TestPolytopeBuilds:
     """Only the root of a smooth subtree and the kink nodes build
     polytopes; counted at geometry._canonical, which every Polytope(...)
@@ -439,124 +427,3 @@ class TestKinkDistance:
             counts["zero" if gap == 0.0 else
                    "smooth" if gap == np.inf else "positive"] += 1
         assert min(counts.values()) > 50, counts
-
-
-def _calls(children):
-    """A node of each function of the grammar over children; pow takes an
-    exponent of 1 to 4."""
-    def call(name):
-        lo, hi, build = _FUNCTIONS[name]
-        if name == "pow":
-            args = st.tuples(children, st.integers(1, 4).map(float).map(Const))
-        else:
-            args = st.lists(children, min_size=lo, max_size=hi or 3)
-        return args.map(lambda a: build(list(a), 0))
-    return st.sampled_from(sorted(_FUNCTIONS)).flatmap(call)
-
-
-def _trees(n):
-    """Trees over x1..xn, a parameter p and a few constants, built from
-    the grammar's functions, +, -, * and negation."""
-    leaves = st.one_of(st.integers(1, n).map(Var), st.just(Param("p")),
-                       st.sampled_from([0.0, 0.5, -1.0, 2.0]).map(Const))
-
-    def grow(children):
-        binary = st.tuples(st.sampled_from([Add, Sub, Mul]), children,
-                           children).map(lambda t: t[0](t[1], t[2]))
-        return st.one_of(_calls(children), binary, children.map(Neg))
-    return st.recursive(leaves, grow, max_leaves=12)
-
-
-# coordinates and parameter values: a few that make kinks tie, and any
-# float in [-2, 2]
-_COORDS = st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-2.0, 2.0))
-
-
-class TestRowWalk:
-
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              database=None)
-    @given(data=st.data())
-    def test_rows_are_the_pair_walk_or_decline(self, data):
-        n = data.draw(st.integers(1, 3), label="n")
-        e = data.draw(_trees(n), label="tree")
-        rows = data.draw(st.integers(1, 6), label="rows")
-        X = np.array(data.draw(st.lists(
-            st.lists(_COORDS, min_size=n, max_size=n),
-            min_size=rows, max_size=rows), label="points"))
-        P = np.array(data.draw(st.lists(_COORDS, min_size=rows,
-                                        max_size=rows), label="p"))
-        with np.errstate(all="ignore"):
-            walked = qd_rows_at(e, X, {"p": P})
-            if walked is None:
-                event("declined")
-                return
-            event("walked")
-            values, a, b = walked
-            rates = singleton_rates(a, b)
-            for i in range(rows):
-                v, q = qd_value_at(e, Binding(X[i], {"p": P[i]}))
-                assert np.float64(v).tobytes() == values[i].tobytes()
-                assert q.sub.vertices.tobytes() == a[i:i + 1].tobytes()
-                assert q.sup.vertices.tobytes() == b[i:i + 1].tobytes()
-                assert_equal(q.sub.vertices.shape, (1, n))
-                assert_equal(q.sup.vertices.shape, (1, n))
-                want = steepest_rate(q)[0]
-                assert np.float64(want).tobytes() == \
-                    np.float64(rates[i]).tobytes()
-
-    @pytest.mark.parametrize("text", [
-        # a smooth subtrahend, and a kink subtrahend (swapped by -1)
-        "abs(x1) - x1*x2", "x1*x2 - abs(x1)",
-        # negation, a smooth function and products above a kink
-        "-abs(x1 - x2)", "sin(max(x1, x2)) * x1 + p*min(x2, 1)",
-        # three branches; abs of a smooth and of a kink argument
-        "min(x1, -x2, 2*x1*x2)", "abs(pow(x1, 3) - x2)",
-        "abs(abs(x1) - x2) - exp(x2)",
-    ])
-    def test_each_row_rule(self, text):
-        e = parse_expression(text, 2)
-        X = np.array([[0.3, -0.7], [-1.1, 0.4], [0.6, 0.2], [-0.2, -0.9]])
-        P = np.array([0.5, -2.0, 0.0, 1.0])
-        values, a, b = qd_rows_at(e, X, {"p": P})
-        rates = singleton_rates(a, b)
-        for i, x in enumerate(X):
-            v, q = qd_value_at(e, Binding(x, {"p": P[i]}))
-            got = (values[i], a[i:i + 1], b[i:i + 1], rates[i])
-            want = (v, q.sub.vertices, q.sup.vertices, steepest_rate(q)[0])
-            for g, w in zip(got, want):
-                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
-
-    @pytest.mark.parametrize("text, x, p", [
-        ("max(x1, x1)", [0.3, -1.0], 0.0),
-        # 1e-10 lies inside FEAS_TOL
-        ("max(x1, x1 + 0.0000000001)", [0.3, -1.0], 0.0),
-        # one row with x1 = p is enough
-        ("abs(x1 - p)", [0.3, 0.5, -1.0], [0.0, 0.5, 0.0]),
-        ("min(2*x1, x1 + x1) + abs(x1)", [0.3, 0.7], 0.0),
-    ])
-    def test_declines_at_a_tie(self, text, x, p):
-        X = np.array(x)[:, None]
-        assert qd_rows_at(parse_expression(text, 1), X, {"p": p}) is None
-
-    def test_walks_off_the_ties(self):
-        e = parse_expression("abs(x1 - p) + max(x1, x1 + 0.00000001)", 1)
-        X = np.array([[0.3], [-1.0]])
-        values, a, b = qd_rows_at(e, X, {"p": 0.5})
-        for i, x in enumerate(X):
-            v, q = qd_value_at(e, Binding(x, {"p": 0.5}))
-            assert_equal((values[i], a[i], b[i]),
-                         (v, q.sub.vertices[0], q.sup.vertices[0]))
-
-    @pytest.mark.parametrize("text", ["x2 * exp(exp(x1))",
-                                      "abs(x2 * exp(exp(x1)))"])
-    def test_declines_where_the_pair_walk_raises(self, text):
-        # at x1 = 7 the gradient overflows: inf without np.errstate, a
-        # FloatingPointError with over="raise"
-        e = parse_expression(text, 2)
-        X = np.array([[0.0, 1.0], [7.0, 1.0]])
-        for over in ("ignore", "raise"):
-            with np.errstate(over=over, invalid="ignore"):
-                assert qd_rows_at(e, X, {}) is None
-                with pytest.raises((GeometryError, FloatingPointError)):
-                    qd_at(e, Binding(X[1], {}))

@@ -14,6 +14,7 @@ from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Sub,
                                    UnboundParameterError, parse_expression,
                                    qd_at)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
+from quasidiff.mfcq import qd_mfcq
 from quasidiff.problemfile import load, loads
 from quasidiff.regularity import (GRID_BUDGET, SCAN_BLOCK, SCAN_MAX,
                                   SCAN_RADIUS, TARGET_GRID, X_GRID,
@@ -23,7 +24,8 @@ from quasidiff.regularity import (GRID_BUDGET, SCAN_BLOCK, SCAN_MAX,
                                   _lattice, _near, _near_some_target,
                                   _nearest_distances, _on_set,
                                   _refine_distance,
-                                  _scan_grid, check_condition4, decay_flag,
+                                  _scan_grid, center_line_slope,
+                                  check_condition4, decay_flag,
                                   margin_infima, psi_expr,
                                   sampled_strong_slope, solution_distance,
                                   verify_regularity_grid)
@@ -278,6 +280,73 @@ class TestRegularityGrid(TestCase):
         assert_equal({(v.y, v.z) for v in rep.violators}, {((0.0,), ())})
 
 
+class TestCenterLineSlope:
+    """The least center-line slope of psi (the regularity module
+    docstring): hand values, and the paper's theorem, q.d.-MFCQ implies
+    metric regularity, so the slope is positive wherever qd_mfcq holds."""
+
+    @pytest.mark.parametrize("name, center, slope, patterns", [
+        ("CUBIC", [0.0], 0.0, 2),
+        # |x1| - |x2| - y: d(0, co{(+-1, 0)} + (0, +-1)) = 1
+        ("ABS_DIFF", [0.0, 0.0], 1.0, 2),
+        # the least of 1, sqrt 2, 1 and sqrt 5 over the four patterns
+        ("MIXED", [0.0, 0.0], 1.0, 4),
+        ("IDENTITY", [0.0], 1.0, 2),
+    ])
+    def test_hand_values(self, name, center, slope, patterns):
+        s = {"CUBIC": CUBIC, "ABS_DIFF": ABS_DIFF, "MIXED": MIXED,
+             "IDENTITY": IDENTITY}[name]
+        assert_equal(center_line_slope(s, center, GRID_BUDGET),
+                     (slope, patterns))
+
+    @pytest.mark.parametrize("name, slope, patterns", [
+        ("cubic.prob", 0.0, 2),
+        ("penalty_demo.prob", 1.0, 2),
+        ("sin_system.prob", np.sqrt(5.0), 4),
+    ])
+    def test_fixtures(self, name, slope, patterns):
+        pf = load(PROBLEMS / name)
+        got, count = center_line_slope(pf.system(), pf.point, GRID_BUDGET)
+        assert abs(got - slope) <= 1e-12, got
+        assert_equal(count, patterns)
+
+    def test_no_term_reads_inf(self):
+        # inactive inequality: one empty pattern, and psi = 0 near 0
+        s = SystemSpec(1, (), (parse_expression("x1 - 1", 1),))
+        assert_equal(center_line_slope(s, [0.0], 1), (np.inf, 1))
+        # active: the pattern without it has no term, the other slope 1
+        s = SystemSpec(1, (), (parse_expression("x1", 1),))
+        assert_equal(center_line_slope(s, [0.0], 2), (1.0, 2))
+
+    def test_budget_caps_the_patterns_before_any_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked past the budget")
+        monkeypatch.setattr(regularity, "qd_at", refuse)
+        s = SystemSpec(1, (parse_expression("x1", 1),) * 7)
+        with pytest.raises(BudgetExceededError, match="count 128 exceeds "
+                           "the budget 100"):
+            center_line_slope(s, [0.0], 100)
+
+    def test_mfcq_implies_a_positive_slope(self, load_perfbench):
+        load_perfbench("oracle")
+        gen = load_perfbench("gen")
+        files = [load(PROBLEMS / f"{name}.prob")
+                 for name in ("cubic", "penalty_demo", "sin_system")]
+        for seed in (41, 42, 43):
+            workload = gen.verdicts(seed)
+            files += [loads(op.text) for op in workload.ops + workload.warmup
+                      if op.command in ("mfcq", "optcheck")]
+        held = 0
+        for pf in files:
+            s = pf.system()
+            if qd_mfcq(s, pf.point).verdict:
+                held += 1
+                assert center_line_slope(s, pf.point, GRID_BUDGET)[0] > 0.0
+        # the fixtures and 48 benchmark systems; sin_system and 12 of the
+        # benchmark's hold
+        assert_equal((len(files), held), (51, 13))
+
+
 class TestMarginInfima(TestCase):
 
     def test_cubic_margins_collapse(self):
@@ -368,19 +437,6 @@ def _assert_psi_as_reference(s, x0, xs, ys, zs):
                  for x, y, z in zip(xs, ys, zs)])
 
 
-def _count_row_walks(monkeypatch) -> list:
-    """The outcomes of margin_infima's row walks, one per round, as they
-    happen."""
-    walked, walk = [], regularity.qd_rows_at
-
-    def counting(*args):
-        walked.append(walk(*args))
-        return walked[-1]
-
-    monkeypatch.setattr(regularity, "qd_rows_at", counting)
-    return walked
-
-
 def _same_infima(got, want):
     """Equal margin_infima entries, the floats by their bytes."""
     assert_equal(len(got), len(want))
@@ -446,56 +502,11 @@ class TestPsiTreeAsReference:
         if name == "half_valid":
             assert all(0 < k <= 48 for _, _, k in got)
 
-    @pytest.mark.parametrize("name", ["cubic.prob", "penalty_demo.prob",
-                                      "sin_system.prob", "verdicts-41",
-                                      "verdicts-42", "verdicts-43"])
-    def test_margin_infima_of_files_as_per_draw_loop(self, name,
-                                                     load_perfbench,
-                                                     monkeypatch):
-        # the row walk takes every round of these systems, and its floats
-        # have the bytes of the per-draw loop
-        if name.startswith("verdicts"):
-            load_perfbench("oracle")
-            workload = load_perfbench("gen").verdicts(int(name[-2:]))
-            files = [loads(op.text) for op in workload.ops + workload.warmup]
-        else:
-            files = [load(PROBLEMS / name)]
-        walked = _count_row_walks(monkeypatch)
-        count = 0
-        for pf in files:
-            if not (pf.equalities or pf.inequalities):
-                continue
-            s = pf.system()
-            center = pf.point if pf.point is not None else np.zeros(s.n)
-            _same_infima(margin_infima(s, center),
-                         reference_margin_infima(s, center))
-            count += 1
-        assert count > 0 and len(walked) >= 4 * count
-        assert all(w is not None for w in walked)
-
-    @pytest.mark.parametrize("text, center", [
-        ("max(x1, x1)", 0.0),
-        ("max(x1, x1 + 0.0000000001)", 0.0),
-        ("abs(x1 - p)", 0.5),
-    ])
-    def test_margin_infima_at_ties_as_per_draw_loop(self, text, center,
-                                                    monkeypatch):
-        # the first two tie at every draw, so each round takes the pair
-        # walk per row; the third ties only where x1 = p
-        s = SystemSpec(1, (parse_expression(text, 1),), params={"p": 0.5})
-        walked = _count_row_walks(monkeypatch)
-        for seed in range(3):
-            _same_infima(margin_infima(s, [center], seed=seed),
-                         reference_margin_infima(s, [center], seed=seed))
-        assert walked
-        declined = all(w is None for w in walked)
-        assert declined == text.startswith("max")
-
     @pytest.mark.parametrize("text, center", [
         # exp overflows in the screen's evaluation of the first shell
         ("exp(10000*x1)", 0.0),
         # 1e308 x1^2 stays finite on the first shell; its gradient
-        # 2e308 x1 overflows past x1 = 0.9, inside the row walk
+        # 2e308 x1 overflows past x1 = 0.9, inside the walk
         ("1e308*pow(x1, 2)", 1.0),
         # finite everywhere on the shells
         ("exp(700*x1) - 1", 0.0),
