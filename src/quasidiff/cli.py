@@ -6,9 +6,8 @@ number in it reappears in the optional --json sidecar, and exit codes
 mean 0 = check ran, 1 = a configured budget or limit cut the run short,
 2 = the input was rejected, 3 = an internal error (a defect of the
 program, reported as one line instead of a traceback).  For optcheck,
-stationarity decides every rung of the c ladder, and exit 1 means only
-that the sign-pattern count of the q.d.-MFCQ hull test exceeds the
-budget.
+exit 1 means only that the sign-pattern count of the q.d.-MFCQ hull
+test exceeds the budget.
 
 main reads the problem file and the point once and opens the _Report
 with the header and point lines; each command then adds only its own
@@ -33,9 +32,8 @@ from .expressions import Binding, ExpressionError, qd_at
 from .geometry import FEAS_TOL, Polytope
 from .mfcq import (CAVEATS, PATTERN_BUDGET, BudgetExceededError,
                    InfeasiblePointError, qd_mfcq)
-from .optimality import (C_LADDER, OptimalityError, check_stationarity,
-                         estimate_c_star, program_data,
-                         qualification_pathway)
+from .optimality import (C_LADDER, OptimalityError, estimate_c_star,
+                         program_data, qualification_pathway)
 from .problemfile import ProblemFile, ProblemFileError, check_numbers, load
 from .regularity import (GRID_BUDGET, SCAN_RADIUS, TARGET_GRID, X_GRID,
                          RegularityError, center_line_slope, psi_expr,
@@ -305,19 +303,23 @@ def cmd_optcheck(args, pf: ProblemFile, x, out: _Report) -> None:
             pathway={"kind": pathway, "mfcq_verdict": (
                 None if pathway == "unconstrained"
                 else pathway == "qd-mfcq")})
+    # stationarity is monotone in c with the exact threshold c*
+    # (optimality.estimate_c_star), so c >= c* decides each rung, and a
+    # failing rung prints the vertex margin of Psi_c, its strong slope
+    c_star = estimate_c_star(data)
     checks: list = []
     out.add(ladder=[float(c) for c in ladder], checks=checks)
     for c in ladder:
-        st = check_stationarity(data, c)
-        checks.append({"c": float(c), "stationarity": bool(st.holds),
-                       "violating_w": _floats(st.violating_w),
-                       "violating_distance": st.violating_distance})
-        out.add(f"c = {_g(c)}: stationarity holds" if st.holds else
-                f"c = {_g(c)}: stationarity fails, violating w = "
-                f"{_vec(st.violating_w)}, distance "
-                f"{_g(st.violating_distance)}")
+        margin = w = None
+        if c < c_star:
+            margin, w = steepest_rate(data.penalty(c))
+        checks.append({"c": float(c), "stationarity": margin is None,
+                       "violating_w": _floats(w),
+                       "violating_distance": margin})
+        out.add(f"c = {_g(c)}: stationarity holds" if margin is None else
+                f"c = {_g(c)}: stationarity fails, violating w = {_vec(w)}, "
+                f"distance {_g(margin)}")
 
-    c_star = estimate_c_star(data)
     if np.isfinite(c_star):
         out.add(f"c* estimate: {_g(c_star)} (exact, one LP per vertex pair)",
                 c_star=float(c_star))

@@ -28,12 +28,12 @@ equivalent necessary conditions are checked at a feasible candidate point:
     lam_i = 0 off the active set and max{mu_lo_j + mu_hi_j, lam_i}
     bounded by the penalty parameter.
 
-Stationarity decides every rung of optcheck's ladder: check_stationarity
-returns the first vertex w of sup(Psi_c) with -w outside sub(Psi_c) and
-the distance from -w to sub(Psi_c), the margin by which the rung fails,
-cut at FEAS_TOL as contains cuts it.  The multiplier form is the paper's
-statement of the same condition, kept as the tests' reference; no
-command runs it.  For a bound c, an equality's two terms
+check_stationarity decides stationarity by the vertex margin of Psi_c,
+max over the vertices w of sup(Psi_c) of d(-w, sub(Psi_c)), cut at
+FEAS_TOL as contains cuts it; the margin is the strong slope of Psi_c,
+so it does not depend on the representative.  The multiplier form is
+the paper's statement of the same condition, kept as the tests'
+reference; no command runs it.  For a bound c, an equality's two terms
 mu_lo_j L_j + mu_hi_j H_j with mu_lo_j + mu_hi_j <= c,
 L_j = -(v_j + sup f_j) and H_j = sub(f_j) + w_j, range over
 c co({0} u L_j u H_j), and an inequality's term over
@@ -64,19 +64,19 @@ the optima unchanged.  check_all_selections searches the selections in
 lex order for the first whose LP is infeasible.  In exact arithmetic the
 two verdicts agree at feasible points for the same c, whichever
 quasidifferentials represent the data, and the tests cross-assert them
-on the ladders they run.  At large c they can split in floating point:
-contains cuts the stationarity distance at the absolute FEAS_TOL, while
-the distance's rounding grows with c (ROADMAP items 2 and 7).
+on the ladders they run.
 
 The exact penalty threshold c*, the least c at which stationarity
-holds, is found by the same weight parameterization: one LP per pair of
-superdifferential vertices of u and of the constraint penalty, with c*
-the largest per-pair minimum (estimate_c_star has the proof), and
-c* = inf when some pair admits no c at all.  The pairs' LPs share no
-variable, so they are solved as the diagonal blocks of one sparse LP,
-one HiGHS call for up to C_STAR_BLOCK pairs, whose objective is the sum
-of the blocks' c.  sub(phi) enters it lifted by an exact power of two,
-since HiGHS reads matrix entries below 1e-9 as zero.
+holds, decides each rung of optcheck's ladder, as stationarity is
+monotone in c; a failing rung prints the vertex margin.  c* is found by
+the same weight parameterization: one LP per pair of superdifferential
+vertices of u and of the constraint penalty, with c* the largest
+per-pair minimum (estimate_c_star has the proof), and c* = inf when
+some pair admits no c at all.  The pairs' LPs share no variable, so
+they are solved as the diagonal blocks of one sparse LP, one HiGHS call
+for up to C_STAR_BLOCK pairs, whose objective is the sum of the blocks'
+c.  sub(phi) enters it lifted by an exact power of two, since HiGHS
+reads matrix entries below 1e-9 as zero.
 
 Why c* = inf proves non-optimality under a qualification: a local error
 bound d(x, S) <= L phi(x) near the point, with phi the constraint
@@ -101,11 +101,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .calculus import Quasidifferential, qd_add, qd_scale
+from .calculus import Quasidifferential, qd_add, qd_scale, steepest_rate
 from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
-from .geometry import (FEAS_TOL, LpStatus, Polytope, _lifted,
-                       nearest_point, solve_lp)
+from .geometry import FEAS_TOL, LpStatus, Polytope, _lifted, solve_lp
 from .mfcq import PATTERN_BUDGET, InfeasiblePointError, mfcq_of_pairs
 from .regularity import (active_inequalities, feasibility_violations,
                          l1_penalty)
@@ -209,18 +208,17 @@ class StationarityResult(NamedTuple):
 def check_stationarity(data: ProgramData, c: float) -> StationarityResult:
     """Is 0 in sub(Psi_c) + w for every w in sup(Psi_c)?
 
-    Containment over the whole superdifferential reduces to its
-    vertices: the condition -w in sub is linear in w, so the worst w
-    is extreme.  The first violating vertex in canonical order is
-    returned as the witness, with the distance from -w to sub(Psi_c),
-    which exceeds FEAS_TOL, the cut of contains.
+    The vertex margin of steepest_rate, max over the vertices w of
+    sup(Psi_c) of d(-w, sub(Psi_c)), decides it at FEAS_TOL, the cut of
+    contains: the distance is convex in w, so the worst w is extreme.
+    When it fails, the farthest vertex is the witness and the margin its
+    distance, the strong slope of Psi_c, which no choice of
+    quasidifferentials changes.
     """
-    q = data.penalty(c)
-    for w in q.sup.vertices:
-        dist = nearest_point(q.sub, -w)[1]
-        if dist > FEAS_TOL:
-            return StationarityResult(False, w.copy(), dist)
-    return StationarityResult(True, None, None)
+    margin, w = steepest_rate(data.penalty(c))
+    if margin <= FEAS_TOL:
+        return StationarityResult(True, None, None)
+    return StationarityResult(False, w, margin)
 
 
 @dataclass(frozen=True)

@@ -603,6 +603,9 @@ class TestOptcheckReport:
             assert chk["stationarity"] is False
             assert l.endswith(
                 f", distance {cli._g(chk['violating_distance'])}")
+            # penalty_demo's margin is sqrt(2) on this ladder; c* decides a
+            # rung, so elsewhere a failing rung's margin can be below
+            # FEAS_TOL (test_rung_just_below_a_tiny_threshold_fails)
             assert chk["violating_distance"] > FEAS_TOL
             assert "selections" not in chk and "agreement" not in chk
 
@@ -617,9 +620,9 @@ class TestOptcheckReport:
 
     def test_huge_bound_leaves_open_selections_to_their_lps(self, tmp_path,
                                                            capsys):
-        # at c = 1e150 stationarity alone decides the rung; its distance
-        # is not pinned, as at this scale it is rounding of the order of
-        # c's ulp, not the margin sqrt(2) of the smaller rungs
+        # at c = 1e150 c* = inf alone decides the rung; its distance is
+        # not pinned, as at this scale it is rounding of the order of c's
+        # ulp, not the margin sqrt(2) of the smaller rungs
         f = tmp_path / "huge.prob"
         f.write_text(fixture_with("penalty_demo", "c = 0.5 1 2 10 100",
                                   "c = 1e150"))
@@ -628,6 +631,35 @@ class TestOptcheckReport:
                 if l.startswith("c = ")]
         assert row.startswith("c = 1e+150: stationarity fails, violating "
                               "w = (-1e+150, -1e+150), distance "), row
+
+    def test_huge_rungs_fail_where_c_star_is_none(self, tmp_path, capsys):
+        # c* = inf fails every rung; at 1e16 rounding of order c times
+        # eps, about 2, swamps the margin sqrt(2), so only that rung's
+        # verdict is pinned
+        lines = self.optcheck_lines(tmp_path, capsys, fixture_with(
+            "penalty_demo", "c = 0.5 1 2 10 100", "c = 1e9 1e16"))
+        rungs = [l for l in lines if l.startswith("c = ")]
+        assert_equal(rungs[0], "c = 1000000000: stationarity fails, "
+                     "violating w = (-1000000000, 1000000000), "
+                     "distance 1.41421356237")
+        assert rungs[1].startswith("c = 1e+16: stationarity fails, "), rungs
+        assert ("c* estimate: none (stationarity fails for every c >= 0)"
+                in lines)
+
+    def test_rung_just_below_a_tiny_threshold_fails(self, tmp_path, capsys):
+        # c* = 1e9: the rung below it fails by the true slope
+        # |-1 + 999999999e-9| = 1e-9, within FEAS_TOL, and c* itself holds
+        lines = self.optcheck_lines(tmp_path, capsys, "[problem]\nn = 1\n"
+                                    "objective = -x1\n"
+                                    "equality = 0.000000001*x1\n[point]\n"
+                                    "x = 0\n[check]\n"
+                                    "c = 999999999 1000000000\n")
+        assert_equal([l for l in lines if l.startswith(("c = ", "c* "))],
+                     ["c = 999999999: stationarity fails, violating w = (0), "
+                      "distance 9.99999971718e-10",
+                      "c = 1000000000: stationarity holds",
+                      "c* estimate: 1000000000 (exact, one LP per vertex "
+                      "pair)"])
 
     def test_flat_equality_optimum_is_not_called_non_optimal(self, tmp_path,
                                                             capsys):
@@ -681,14 +713,15 @@ class TestOptcheckReport:
 
     def test_failing_rung_of_twelve_equalities_runs_no_search(
             self, tmp_path, capsys):
-        # stationarity decides the failing rung c = 0.1 alone; a search of
-        # the 4^12 selections for a second witness ran into the default
-        # budget and exit 1
+        # c* decides the failing rung c = 0.1 alone, and it prints the
+        # vertex of sup(Psi_c) farthest from -sub(Psi_c); a search of the
+        # 4^12 selections for a second witness ran into the default budget
+        # and exit 1
         lines = self.optcheck_lines(tmp_path, capsys,
                                     self.TWELVE_EQUALITIES + "c = 0.1 1\n")
         assert_equal([l for l in lines if l.startswith(("c = ", "c* "))],
                      ["c = 0.1: stationarity fails, violating w = "
-                      "(-7.2, 7.8), distance 0.187408514266",
+                      "(-6.6, 9), distance 0.749634057065",
                       "c = 1: stationarity holds",
                       "c* estimate: 0.214285714286 (exact, one LP per "
                       "vertex pair)"])

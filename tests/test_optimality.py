@@ -13,7 +13,7 @@ from numpy.testing import TestCase, assert_allclose, assert_equal
 from scipy import sparse
 
 from quasidiff import cli, geometry, mfcq, optimality
-from quasidiff.calculus import Quasidifferential, dd
+from quasidiff.calculus import Quasidifferential, dd, steepest_rate
 from quasidiff.cli import main
 from quasidiff.expressions import parse_expression, qd_at
 from quasidiff.geometry import (FEAS_TOL, Polytope, contains, minkowski_sum,
@@ -484,17 +484,46 @@ def selection_programs(family, load_perfbench):
     return [(pf.program(), pf.point) for pf in map(loads, texts)]
 
 
-def optcheck_checks(path, ladder, tmp_path):
-    """The sidecar's rung records of optcheck on path with [check] c set
-    to ladder."""
+def optcheck_report(path, ladder, tmp_path):
+    """The report lines and the sidecar of optcheck on path with [check]
+    c set to ladder."""
     laddered = tmp_path / "ladder.prob"
     laddered.write_text(re.sub(r"(?m)^c = .*\n", "", path.read_text())
                         + "[check]\nc = " + " ".join(map(str, ladder)) + "\n")
     sidecar = tmp_path / "oc.json"
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert_equal(main(["optcheck", str(laddered), "--json",
                            str(sidecar)]), 0)
-    return json.loads(sidecar.read_text())["checks"]
+    return out.getvalue().splitlines(), json.loads(sidecar.read_text())
+
+
+def optcheck_checks(path, ladder, tmp_path):
+    """The sidecar's rung records of optcheck on path with [check] c set
+    to ladder."""
+    return optcheck_report(path, ladder, tmp_path)[1]["checks"]
+
+
+def test_every_rung_holds_exactly_from_c_star_on(tmp_path, load_perfbench):
+    # stationarity is monotone in c with the exact threshold c*, so no
+    # report prints a holding rung below its c* or a failing rung at or
+    # above it, up to c = 1e16, where rounding swamps every margin
+    ladder = C_LADDER + (1e3, 1e4, 1e6, 1e10, 1e16)
+    seen = {True: 0, False: 0}
+    for text in [PENALTY_DEMO.read_text()] + benchmark_programs(
+            load_perfbench):
+        path = tmp_path / "op.prob"
+        path.write_text(text)
+        lines, report = optcheck_report(path, ladder, tmp_path)
+        c_star = np.inf if report["c_star"] is None else report["c_star"]
+        rungs = [line for line in lines if line.startswith("c = ")]
+        assert_equal(len(rungs), len(ladder))
+        for c, line, row in zip(ladder, rungs, report["checks"]):
+            holds = c >= c_star
+            assert_equal(row["stationarity"], holds, line)
+            assert_equal(line.endswith(": stationarity holds"), holds, line)
+            seen[holds] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def _rungs_as_fresh(path, seed, tmp_path):
@@ -514,8 +543,8 @@ def _rungs_as_fresh(path, seed, tmp_path):
 
 
 class TestSweepReuseAcrossRungs:
-    """Stationarity alone decides each optcheck rung: no rung carries
-    anything over from another, and no command runs the multiplier form
+    """c* alone decides each optcheck rung: no rung carries anything over
+    from another, and no command runs the multiplier form
     (check_all_selections or check_multipliers)."""
 
     @pytest.fixture(autouse=True)
@@ -966,6 +995,23 @@ def test_c_star_ignores_the_choice_of_quasidifferential(load_perfbench):
                 assert_equal(got, np.inf)
             seen["finite" if np.isfinite(want) else "inf"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_margin_ignores_the_choice_of_quasidifferential(load_perfbench):
+    # a failing rung prints the vertex margin of Psi_c, its strong slope,
+    # a property of the functions like c*: the shifted pairs give it again
+    rng = np.random.default_rng(19)
+    failing = 0
+    for data in c_star_programs(load_perfbench, ["penalty_demo", "benchmark"]):
+        rungs = [c for c in C_LADDER if c < estimate_c_star(data)]
+        want = [steepest_rate(data.penalty(c))[0] for c in rungs]
+        for _ in range(5):
+            shifted = dataclasses.replace(data, u=_shifted(data.u, rng),
+                                          phi=_shifted(data.phi, rng))
+            got = [steepest_rate(shifted.penalty(c))[0] for c in rungs]
+            assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        failing += len(rungs)
+    assert failing > 0
 
 
 def test_c_star_is_the_ladder_threshold(load_perfbench):
