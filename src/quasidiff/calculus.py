@@ -156,6 +156,23 @@ def steepest_rate(q: Quasidifferential) -> tuple[float, np.ndarray]:
     return best, np.asarray(witness, dtype=float)
 
 
+def strong_slope(q: Quasidifferential) -> tuple[float, np.ndarray]:
+    """The strong slope of the function that q represents, with
+    steepest_rate's witness: its vertex margin, read as 0 within
+    FEAS_TOL, the cut that contains uses.
+
+    Grammar functions are locally Lipschitz and directionally
+    differentiable, so f(x + t d) = f(x) + t f'(x; d) + o(t) uniformly in
+    |d| = 1, and the slope is max(0, -min_{|d|=1} f'(x; d)).  With
+    f'(x; d) = max_U <u, d> + min_V <v, d> that is
+    max_{v in V} max(0, max_{|d|=1} -max_{u in U + v} <u, d>)
+    = max_{v in V} d(0, U + v), the vertex margin of steepest_rate.  So
+    it does not depend on the representative.
+    """
+    margin, witness = steepest_rate(q)
+    return (float(margin) if margin > FEAS_TOL else 0.0), witness
+
+
 def absorb_singleton_sup(q: Quasidifferential) -> Quasidifferential:
     """Equivalence shift moving a singleton superdifferential into sub.
 

@@ -27,8 +27,8 @@ import sys
 
 import numpy as np
 
-from .calculus import dd, steepest_rate
-from .expressions import Binding, ExpressionError, qd_at
+from .calculus import dd, steepest_rate, strong_slope
+from .expressions import Binding, ExpressionError, qd_value_at
 from .geometry import FEAS_TOL, Polytope
 from .mfcq import (CAVEATS, PATTERN_BUDGET, BudgetExceededError,
                    InfeasiblePointError, qd_mfcq)
@@ -130,8 +130,7 @@ def cmd_qd(args, pf: ProblemFile, x, out: _Report) -> None:
     functions: list = []
     out.add(functions=functions)
     for role, e in roles:
-        value = float(e.evaluate(b.point, b.params))
-        q = qd_at(e, b)
+        value, q = qd_value_at(e, b)
         rec = {"role": role, "text": e.to_text(), "value": value, "dd": []}
         functions.append(rec)
         out.add(f"{role}: {e.to_text()}")
@@ -146,17 +145,10 @@ def cmd_qd(args, pf: ProblemFile, x, out: _Report) -> None:
 
 
 def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
-    """Exact strong slope of psi = psi_{y,z} at the point.
-
-    Grammar functions are locally Lipschitz and directionally
-    differentiable, so psi(x + t d) = psi(x) + t psi'(x; d) + o(t)
-    uniformly in |d| = 1, and the slope is max(0, -min_{|d|=1} psi'(x; d)).
-    With psi'(x; d) = max_U <u, d> + min_V <v, d> that is
-    max_{v in V} max(0, max_{|d|=1} -max_{u in U + v} <u, d>)
-    = max_{v in V} d(0, U + v), the vertex margin of steepest_rate.
-    At psi(x) = 0 the point minimises psi >= 0, so the slope is 0 and no
-    quasidifferential is taken; a margin within FEAS_TOL prints 0, the cut
-    `contains` uses.
+    """Exact strong slope of psi = psi_{y,z} at the point: the vertex
+    margin of psi's pair, read as 0 within FEAS_TOL (calculus.strong_slope
+    has the proof).  At psi(x) = 0 the point minimises psi >= 0, so the
+    slope is 0 and no quasidifferential is taken.
     """
     s = pf.system()
     l, m = len(s.equalities), len(s.inequalities)
@@ -172,8 +164,7 @@ def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
     if value == 0.0:
         slope, witness, method = 0.0, None, "exact (psi = 0 is its minimum)"
     else:
-        margin, witness = steepest_rate(psi.qd(x))
-        slope = float(margin) if margin > FEAS_TOL else 0.0
+        slope, witness = strong_slope(psi.qd(x))
         method = "exact (vertex margin)"
     out.add("norm: l1", norm="l1")
     out.add(f"target y: {_vec(y)}", target_y=_floats(y))

@@ -30,8 +30,11 @@ cut, so both conditions decide "is 0 in this hull?" by one rule.
 
 geometry.FEAS_TOL is the one tolerance: of feasibility, of the active
 set and, relative to the largest point, of the hull test's cut.
-qd_mfcq checks the point and walks the constraints; mfcq_of_pairs
-decides on the pairs, for qd_mfcq and for optimality's pathway alike.
+regularity.feasible_active checks the point and takes its active set,
+and regularity.point_pairs walks the constraints into one PointPairs
+record, the one that the center-line slope reads and that optcheck's
+ProgramData extends.  mfcq_of_pairs decides on that record, for qd_mfcq
+and for optimality's pathway alike, so this module walks nothing.
 """
 
 from __future__ import annotations
@@ -42,24 +45,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import Quasidifferential, qd_plus_set
-from .expressions import Binding, qd_at
+from .calculus import qd_plus_set
 from .geometry import (FEAS_TOL, Polytope, _lifted, _min_norm_combination,
                        complement_basis)
-from .regularity import (BudgetExceededError, SystemSpec,
-                         active_inequalities, feasibility_violations)
+# InfeasiblePointError and active_inequalities are also imported from
+# here: by the command line, the tests and perfbench/tracer.PUBLIC
+from .regularity import (BudgetExceededError, InfeasiblePointError,
+                         PointPairs, SystemSpec, active_inequalities,
+                         feasible_active, point_pairs)
 
 # caps the 2^(l-1) sign patterns of the hull test
 PATTERN_BUDGET = 10 ** 6
-
-
-class InfeasiblePointError(ValueError):
-    """The base point does not satisfy the constraint system."""
-
-    def __init__(self, residuals: dict):
-        detail = ", ".join(f"{k} = {v:.6g}" for k, v in residuals.items())
-        super().__init__(f"base point infeasible: {detail}")
-        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -253,24 +249,17 @@ def qd_mfcq(s: SystemSpec, x, *, budget: int = PATTERN_BUDGET) -> MfcqReport:
     points are rejected with their residuals.
     """
     b = s.binding(x)
-    residuals = feasibility_violations(s, b)
-    if residuals:
-        raise InfeasiblePointError(residuals)
-    active = active_inequalities(s, b)
-    return mfcq_of_pairs(active, [qd_at(f, b) for f in s.equalities],
-                         [qd_at(s.inequalities[i], b) for i in active],
-                         s.n, budget)
+    return mfcq_of_pairs(point_pairs(s, b, feasible_active(s, b)), budget)
 
 
-def mfcq_of_pairs(active: Sequence[int],
-                  eq_pairs: Sequence[Quasidifferential],
-                  ineq_pairs: Sequence[Quasidifferential], n: int,
+def mfcq_of_pairs(pairs: PointPairs,
                   budget: int = PATTERN_BUDGET) -> MfcqReport:
     """The q.d.-MFCQ from the pairs at a feasible point of each f_j and of
-    each active g_i, in the order of active; qd_mfcq after its walk, and
-    optimality.qualification_pathway on a program's pairs."""
-    eq_plus = [qd_plus_set(q) for q in eq_pairs]
-    ineq_plus = [qd_plus_set(q) for q in ineq_pairs]
+    each active g_i; qd_mfcq after its walk, and
+    optimality.qualification_pathway on a program's ProgramData."""
+    eq_plus = [qd_plus_set(q) for q in pairs.f]
+    ineq_plus = [qd_plus_set(pairs.g[i]) for i in pairs.active]
+    n = pairs.n
     fr = full_rank_general(eq_plus, n, budget=budget)
     hb = find_hbar(eq_plus, ineq_plus, n)
     warnings = []
@@ -278,5 +267,5 @@ def mfcq_of_pairs(active: Sequence[int],
         warnings.append(
             "equality sums span the whole space; with active inequalities "
             "the qualification needs spare dimensions and fails here")
-    return MfcqReport(tuple(active), eq_plus, fr, hb,
+    return MfcqReport(pairs.active, eq_plus, fr, hb,
                       fr.full_rank and hb.margin > 0.0, warnings)

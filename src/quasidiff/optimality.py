@@ -7,13 +7,15 @@ For min u(x) s.t. f_j(x) = 0, g_i(x) <= 0 the penalty
 is quasidifferentiable whenever the data are.  With phi the constraint
 penalty in parentheses, its pair at a point follows from those of u and
 phi by the sum rule: [sub u + c sub phi, sup u + c sup phi] for c >= 0.
-So program_data checks feasibility, takes the active set (both at
-geometry.FEAS_TOL, the one cut of this module and of mfcq, and the tie
-cut of qd_max, so that phi's max{g_i, 0} ties on the active set), and
-walks each f_j, the active g_i, u and phi once into a ProgramData record.
-Every check below reads that record, qualification_pathway included, so
-the q.d.-MFCQ and the penalty conditions read one active set.  Two
-equivalent necessary conditions are checked at a feasible candidate point:
+So program_data takes regularity's record of the constraints at a
+feasible point (regularity.feasible_active checks feasibility and takes
+the active set, both at geometry.FEAS_TOL, the tie cut of qd_max, so
+that phi's max{g_i, 0} ties on the active set; point_pairs walks each
+f_j and the active g_i), walks u and phi once, and extends the record
+into a ProgramData.  Every check below reads that record,
+qualification_pathway included, so the q.d.-MFCQ and the penalty
+conditions read one active set.  Two equivalent necessary conditions
+are checked at a feasible candidate point:
 
   * stationarity of Psi_c: 0 in sub(Psi_c) + w for every w in
     sup(Psi_c), a polytope containment per superdifferential vertex;
@@ -28,10 +30,10 @@ equivalent necessary conditions are checked at a feasible candidate point:
     lam_i = 0 off the active set and max{mu_lo_j + mu_hi_j, lam_i}
     bounded by the penalty parameter.
 
-check_stationarity decides stationarity by the vertex margin of Psi_c,
-max over the vertices w of sup(Psi_c) of d(-w, sub(Psi_c)), cut at
-FEAS_TOL as contains cuts it; the margin is the strong slope of Psi_c,
-so it does not depend on the representative.  The multiplier form is
+check_stationarity decides stationarity by calculus.strong_slope of
+Psi_c, the vertex margin max over the vertices w of sup(Psi_c) of
+d(-w, sub(Psi_c)) read as 0 within FEAS_TOL, as contains cuts; it does
+not depend on the representative.  The multiplier form is
 the paper's statement of the same condition, kept as the tests'
 reference; no command runs it.  For a bound c, an equality's two terms
 mu_lo_j L_j + mu_hi_j H_j with mu_lo_j + mu_hi_j <= c,
@@ -101,13 +103,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .calculus import Quasidifferential, qd_add, qd_scale, steepest_rate
+from .calculus import Quasidifferential, qd_add, qd_scale, strong_slope
 from .expressions import (Add, Binding, Const, Expr, Mul,
                           is_piecewise_affine, qd_at)
-from .geometry import FEAS_TOL, LpStatus, Polytope, _lifted, solve_lp
-from .mfcq import PATTERN_BUDGET, InfeasiblePointError, mfcq_of_pairs
-from .regularity import (active_inequalities, feasibility_violations,
-                         l1_penalty)
+from .geometry import LpStatus, Polytope, _lifted, solve_lp
+from .mfcq import PATTERN_BUDGET, mfcq_of_pairs
+# feasibility_violations is also imported from here: by the tests and
+# perfbench/tracer.PUBLIC
+from .regularity import (PointPairs, feasibility_violations, feasible_active,
+                         l1_penalty, point_pairs)
 
 SELECTION_BUDGET = 10 ** 5
 C_LADDER = (0.5, 1.0, 2.0, 10.0, 100.0)
@@ -155,17 +159,12 @@ def build_penalty(p: ProgramSpec, c: float) -> Expr:
 
 
 @dataclass(frozen=True)
-class ProgramData:
-    """A program at a point: the pairs of u, f_j and the active g_i (g
-    holds one entry per inequality, None where it is inactive), the
-    active inequalities in ascending order, and the pair of phi (None
-    when unconstrained).  Every check below reads this one record."""
+class ProgramData(PointPairs):
+    """A program at a point: regularity.point_pairs' record of f_j and
+    the active g_i, with the pair of u and that of phi (None when
+    unconstrained).  Every check below reads this one record."""
 
-    n: int
     u: Quasidifferential
-    f: tuple[Quasidifferential, ...]
-    g: tuple[Optional[Quasidifferential], ...]
-    active: tuple[int, ...]
     phi: Optional[Quasidifferential]
 
     def penalty(self, c: float) -> Quasidifferential:
@@ -179,24 +178,17 @@ class ProgramData:
 
 
 def program_data(p: ProgramSpec, b: Binding) -> ProgramData:
-    """Check that the binding is feasible (InfeasiblePointError names the
-    residuals), take its active set, then walk each f_j, the active g_i,
-    u and phi once, in that order: the constraints that the q.d.-MFCQ
-    reads come first, and no function is walked at an infeasible point.
-    No check reads an inactive g_i's pair, so none is walked; phi's walk
+    """regularity.feasible_active and point_pairs at the binding, then
+    the walks of u and phi, in that order: the constraints that the
+    q.d.-MFCQ reads come first, and no function is walked at an
+    infeasible point (InfeasiblePointError names the residuals).  No
+    check reads an inactive g_i's pair, so none is walked; phi's walk
     still covers their kinks."""
-    residuals = feasibility_violations(p, b)
-    if residuals:
-        raise InfeasiblePointError(residuals)
-    active = tuple(active_inequalities(p, b))
-    f = tuple(qd_at(e, b) for e in p.equalities)
-    g = [None] * len(p.inequalities)
-    for i in active:
-        g[i] = qd_at(p.inequalities[i], b)
+    pairs = point_pairs(p, b, feasible_active(p, b))
     u = qd_at(p.objective, b)
     phi = l1_penalty(p.equalities, p.inequalities)
-    return ProgramData(p.n, u, f, tuple(g), active,
-                       None if phi is None else qd_at(phi, b))
+    return ProgramData(**vars(pairs), u=u,
+                       phi=None if phi is None else qd_at(phi, b))
 
 
 class StationarityResult(NamedTuple):
@@ -208,15 +200,16 @@ class StationarityResult(NamedTuple):
 def check_stationarity(data: ProgramData, c: float) -> StationarityResult:
     """Is 0 in sub(Psi_c) + w for every w in sup(Psi_c)?
 
-    The vertex margin of steepest_rate, max over the vertices w of
-    sup(Psi_c) of d(-w, sub(Psi_c)), decides it at FEAS_TOL, the cut of
-    contains: the distance is convex in w, so the worst w is extreme.
-    When it fails, the farthest vertex is the witness and the margin its
-    distance, the strong slope of Psi_c, which no choice of
-    quasidifferentials changes.
+    It holds exactly when calculus.strong_slope of Psi_c reads 0: the
+    vertex margin, max over the vertices w of sup(Psi_c) of
+    d(-w, sub(Psi_c)), is within FEAS_TOL, the cut of contains; the
+    distance is convex in w, so the worst w is extreme.  When it fails,
+    the farthest vertex is the witness and the margin its distance, the
+    strong slope of Psi_c, which no choice of quasidifferentials
+    changes.
     """
-    margin, w = steepest_rate(data.penalty(c))
-    if margin <= FEAS_TOL:
+    margin, w = strong_slope(data.penalty(c))
+    if margin == 0.0:
         return StationarityResult(True, None, None)
     return StationarityResult(False, w, margin)
 
@@ -467,8 +460,7 @@ def qualification_pathway(p: ProgramSpec, data: ProgramData, *,
     """
     if data.phi is None:
         return "unconstrained"
-    if mfcq_of_pairs(data.active, data.f, [data.g[i] for i in data.active],
-                     data.n, budget).verdict:
+    if mfcq_of_pairs(data, budget).verdict:
         return "qd-mfcq"
     if all(map(is_piecewise_affine, p.equalities + p.inequalities)):
         return "error-bound"

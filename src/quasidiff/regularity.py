@@ -38,8 +38,14 @@ target, at its first use, and the second once per violator.
 The sufficient condition implemented by check_condition4 asks for a
 superdifferential vertex w* with d(0, sub + w*) > 1/K.  The vertex
 margin max_w d(0, sub + w) is the strong slope of psi at x (the proof is
-in cli.cmd_slope), so it is independent of the quasidifferential
+calculus.strong_slope's), so it is independent of the quasidifferential
 representative.
+
+A feasible point of a system or a program is one record: feasible_active
+checks feasibility and takes the active set, and point_pairs walks each
+f_j and each active g_i once into a PointPairs.  The center-line slope
+below, mfcq.qd_mfcq and optimality.program_data take the constraints'
+pairs from that record alone.
 
 center_line_slope bounds the regularity modulus from below, exactly.
 By Ioffe's criterion (Metric regularity and subdifferential calculus,
@@ -62,10 +68,13 @@ the same at every target of the orthant, however close to (0, 0).  So m
 is at most the least of these 2^(l+|A|) rates, s: every modulus K has
 K >= 1/s, and s = 0 proves that the system is not metrically regular at
 x0.  The pattern with no term (no equality, I empty) has psi = 0 near
-x0 and no slope to bound: its rate reads inf.  A rate within FEAS_TOL of
-0 reads 0, the cut that the slope command prints by.  The pairs are
-built from each qd f_j and qd g_i directly, never from psi's tree at a
-target near f(x0), whose abs and max nodes would tie there.
+x0 and no slope to bound: its rate reads inf.  Each rate is
+calculus.strong_slope's, read as 0 within FEAS_TOL, as the slope
+command prints it.  The pairs are point_pairs' qd f_j and qd g_i, never
+psi's tree at a target near f(x0), whose abs and max nodes would tie
+there.  The pattern count is checked against the budget between
+feasible_active and point_pairs, so a count past it is refused before
+any quasidifferential is taken.
 
 The grid check is sampled.  sampled_strong_slope is a ring-sampled
 slope kept as an independent reference for the tests.  margin_infima
@@ -87,7 +96,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import Quasidifferential, qd_add, qd_scale, steepest_rate
+from .calculus import (Quasidifferential, qd_add, qd_scale, steepest_rate,
+                       strong_slope)
 from .expressions import (Abs, Add, Binding, Const, Expr, Max, Param, Sub,
                           qd_at)
 from .geometry import FEAS_TOL, _lifted
@@ -114,6 +124,15 @@ class RegularityError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A combinatorial enumeration exceeded its configured cap."""
+
+
+class InfeasiblePointError(ValueError):
+    """The base point does not satisfy the constraint system."""
+
+    def __init__(self, residuals: dict):
+        detail = ", ".join(f"{k} = {v:.6g}" for k, v in residuals.items())
+        super().__init__(f"base point infeasible: {detail}")
+        self.residuals = residuals
 
 
 def l1_penalty(equalities: Sequence[Expr],
@@ -195,6 +214,43 @@ def feasibility_violations(s: SystemSpec, b: Binding) -> dict:
         if r > FEAS_TOL:
             out[f"g{i + 1}"] = r
     return out
+
+
+def feasible_active(s: SystemSpec, b: Binding) -> tuple[int, ...]:
+    """The active inequalities at a feasible binding; InfeasiblePointError
+    names the residuals of an infeasible one.  s is a system or a
+    program."""
+    residuals = feasibility_violations(s, b)
+    if residuals:
+        raise InfeasiblePointError(residuals)
+    return tuple(active_inequalities(s, b))
+
+
+@dataclass(frozen=True)
+class PointPairs:
+    """The constraints at a feasible point: the active inequalities in
+    ascending order, the pair of each f_j, and g with one entry per
+    inequality, the pair of an active g_i and None where it is
+    inactive.  The q.d.-MFCQ, the center-line slope and optcheck's
+    ProgramData read this one record."""
+
+    n: int
+    active: tuple[int, ...]
+    f: tuple[Quasidifferential, ...]
+    g: tuple[Quasidifferential | None, ...]
+
+
+def point_pairs(s: SystemSpec, b: Binding,
+                active: tuple[int, ...]) -> PointPairs:
+    """Walk each f_j, then each active g_i, once and in that order, at a
+    binding whose active set feasible_active gave.  No verdict reads an
+    inactive g_i's pair, so none is walked.  s is a system or a
+    program."""
+    f = tuple(qd_at(e, b) for e in s.equalities)
+    g = [None] * len(s.inequalities)
+    for i in active:
+        g[i] = qd_at(s.inequalities[i], b)
+    return PointPairs(s.n, active, f, tuple(g))
 
 
 def _target_names(s: SystemSpec) -> list[str]:
@@ -637,29 +693,31 @@ def center_line_slope(s: SystemSpec, center,
     """(least rate, sign-pattern count) of the center-line argument of the
     module docstring: the exact lower bound 1/rate on the regularity
     modulus at center, and 0 where the system is not metrically regular
-    there.  None where feasibility_violations rejects the center.  More
-    than budget patterns raise BudgetExceededError before any walk."""
+    there.  None where feasible_active rejects the center.  More than
+    budget patterns raise BudgetExceededError before point_pairs walks
+    any constraint."""
     b = s.binding(center)
-    if feasibility_violations(s, b):
+    try:
+        active = feasible_active(s, b)
+    except InfeasiblePointError:
         return None
-    active = active_inequalities(s, b)
     patterns = 2 ** (len(s.equalities) + len(active))
     if patterns > budget:
         raise BudgetExceededError(
             f"center-line sign-pattern count {_count_text(patterns)} "
             f"exceeds the budget {budget}")
+    pairs = point_pairs(s, b, active)
     # each equality enters as +qd f_j or -qd f_j, each active inequality
     # as qd g_i or not at all
-    eqs = [qd_at(f, b) for f in s.equalities]
-    choices = ([(q, qd_scale(q, -1.0)) for q in eqs]
-               + [(qd_at(s.inequalities[i], b), None) for i in active])
+    choices = ([(q, qd_scale(q, -1.0)) for q in pairs.f]
+               + [(pairs.g[i], None) for i in active])
     least = np.inf
     for pattern in itertools.product(*choices):
         terms = [q for q in pattern if q is not None]
         if terms:
-            rate = steepest_rate(functools.reduce(qd_add, terms))[0]
-            least = min(least, rate)
-    return (0.0 if least <= FEAS_TOL else float(least)), patterns
+            least = min(least,
+                        strong_slope(functools.reduce(qd_add, terms))[0])
+    return float(least), patterns
 
 
 def margin_infima(s: SystemSpec, center, *,

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import TestCase, assert_allclose, assert_equal
 from scipy import sparse
 
-from quasidiff import cli, geometry, mfcq, optimality
+from quasidiff import cli, geometry, mfcq, optimality, regularity
 from quasidiff.calculus import Quasidifferential, dd, steepest_rate
 from quasidiff.cli import main
 from quasidiff.expressions import parse_expression, qd_at
@@ -158,8 +158,9 @@ class TestProgramData(TestCase):
     def test_optcheck_walks_each_function_once(self):
         # penalty_demo with an inactive g1 and an active g2: f1, g2, u and
         # phi, each once, against 18 walks when each c built its own
-        # Psi_c; the pathway reads program_data's pairs of f1 and g2, and
-        # no check reads the inactive g1's
+        # Psi_c; regularity.point_pairs walks f1 and g2, the pathway
+        # reads program_data's pairs of them, and no check reads the
+        # inactive g1's
         walked = []
 
         def counting(e, b):
@@ -173,7 +174,7 @@ class TestProgramData(TestCase):
                 pytest.MonkeyPatch.context() as mp:
             path = Path(tmp) / "walks.prob"
             path.write_text(text)
-            for module in (mfcq, optimality):
+            for module in (regularity, optimality):
                 mp.setattr(module, "qd_at", counting)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert_equal(main(["optcheck", str(path)]), 0)
@@ -182,7 +183,9 @@ class TestProgramData(TestCase):
                               l1_penalty(p.equalities, p.inequalities)])
 
     def test_optcheck_takes_feasibility_and_the_active_set_once(self):
-        # both are program_data's, and qualification_pathway reads them
+        # both are regularity.feasible_active's, called by program_data,
+        # and qualification_pathway reads them; each module that binds a
+        # name gets the counted one
         calls = []
 
         def counted(name, fn):
@@ -193,9 +196,10 @@ class TestProgramData(TestCase):
 
         with pytest.MonkeyPatch.context() as mp:
             for name in ("feasibility_violations", "active_inequalities"):
-                wrapped = counted(name, getattr(mfcq, name))
-                for module in (mfcq, optimality):
-                    mp.setattr(module, name, wrapped)
+                wrapped = counted(name, getattr(regularity, name))
+                for module in (regularity, mfcq, optimality):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, wrapped)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert_equal(main(["optcheck", str(PENALTY_DEMO)]), 0)
         assert_equal(calls, ["feasibility_violations",

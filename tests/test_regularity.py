@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -10,9 +11,9 @@ from numpy.testing import TestCase, assert_allclose, assert_equal
 
 from quasidiff import regularity
 from quasidiff.calculus import Quasidifferential, steepest_rate
-from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Sub,
-                                   UnboundParameterError, parse_expression,
-                                   qd_at)
+from quasidiff.expressions import (Abs, Add, Binding, Const, Max, Mul, Sub,
+                                   UnboundParameterError, Var,
+                                   parse_expression, qd_at)
 from quasidiff.geometry import Polytope, contains, minkowski_sum, scale
 from quasidiff.mfcq import qd_mfcq
 from quasidiff.problemfile import load, loads
@@ -345,6 +346,36 @@ class TestCenterLineSlope:
         # the fixtures and 48 benchmark systems; sin_system and 12 of the
         # benchmark's hold
         assert_equal((len(files), held), (51, 13))
+
+    def test_the_slope_ignores_the_representative(self, load_perfbench):
+        # each constraint h becomes (h + k) - k, k = |a.x| for a seeded a:
+        # the same function, whose walked pair the kink of k shifts
+        load_perfbench("oracle")
+        gen = load_perfbench("gen")
+        files = [load(PROBLEMS / f"{name}.prob")
+                 for name in ("cubic", "penalty_demo", "sin_system")]
+        for seed in (41, 42, 43):
+            workload = gen.verdicts(seed)
+            files += [loads(op.text) for op in workload.ops + workload.warmup
+                      if op.command in ("mfcq", "optcheck", "regcheck")]
+        rng = np.random.default_rng(9)
+        compared = 0
+        for pf in files:
+            s = pf.system()
+            want = center_line_slope(s, pf.point, GRID_BUDGET)
+            for _ in range(3):
+                a = rng.integers(-3, 4, size=s.n) * 0.5
+                k = Abs(functools.reduce(Add, [
+                    Mul(Const(v), Var(i + 1)) for i, v in enumerate(a)]))
+                shifted = SystemSpec(
+                    s.n, [Sub(Add(h, k), k) for h in s.equalities],
+                    [Sub(Add(h, k), k) for h in s.inequalities], s.params)
+                got = center_line_slope(shifted, pf.point, GRID_BUDGET)
+                assert_equal((got[0] == 0.0, got[1]),
+                             (want[0] == 0.0, want[1]))
+                assert_allclose(got[0], want[0], rtol=1e-9)
+                compared += 1
+        assert_equal((len(files), compared), (63, 189))
 
 
 class TestMarginInfima(TestCase):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +26,66 @@ def test_traced_names_resolve():
     assert_equal(missing, [])
 
 
+# imports quasidiff.cli alone and prints the traced modules it left
+# unloaded; runs `COMMAND FILE` for each pair of arguments after the
+# tracer's path in process, then again under perfbench's Tracer, and prints whether the exit codes and stdout
+# are the untraced ones, the exit codes, and the layer metrics' count of
+# cli.main spans after a JSON round trip of the dump
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+import quasidiff.cli as cli
+loaded = set(sys.modules)
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+print(sorted(m for m in tracer.PUBLIC if f"quasidiff.{m}" not in loaded))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+args = sys.argv[2:]
+runs = [list(pair) for pair in zip(args[::2], args[1::2])]
+plain = [run(argv) for argv in runs]
+t = tracer.Tracer()
+t.install()
+t.op = "op"
+try:
+    traced = [run(argv) for argv in runs]
+finally:
+    t.uninstall()
+print(traced == plain, [code for code, _ in plain])
+spans = json.loads(json.dumps(t.dump()))
+print(tracer.layer_metrics(spans, 1.0)["cli.main.calls"])
+"""
+
+
+def test_traced_commands_match_the_untraced(tmp_path):
+    # a traced benchmark run (perfbench/run.py --trace 1) installs the
+    # tracer after importing quasidiff.cli alone; a module that import
+    # leaves unloaded, a span attribute that JSON cannot hold or a
+    # signature the tracer's wrappers assume would fail it, where a
+    # getattr of each name would not
+    problems = ROOT / "problems"
+    runs = [("qd", "penalty_demo"), ("slope", "cubic"),
+            ("mfcq", "sin_system"), ("regcheck", "cubic"),
+            ("optcheck", "penalty_demo")]
+    out = run_python(TRACED_RUN, str(ROOT / "perfbench" / "tracer.py"),
+                     *[a for command, name in runs
+                       for a in (command, str(problems / f"{name}.prob"))])
+    assert_equal(out.splitlines(), ["[]", "True [0, 0, 0, 0, 0]", "5"])
+    # the child that a traced cli-fixtures run starts for each op
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" /
+                                               "tracer.py"), str(spans),
+                           "qd", str(problems / "cubic.prob")],
+                          capture_output=True, text=True, env=checkout_env())
+    assert_equal(proc.returncode, 0)
+    names = [row[0] for row in json.loads(spans.read_text())["spans"]]
+    assert_equal(names.count("cli.main"), 1)
+
+
 def test_version_has_one_source():
     # pyproject reads the version from the package, so the two cannot
     # drift apart
@@ -36,13 +97,18 @@ def test_version_has_one_source():
                  {"version": {"attr": "quasidiff.__version__"}})
 
 
+def checkout_env():
+    """The environment of a fresh interpreter that imports quasidiff from
+    this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code, *args):
     """stdout of a fresh interpreter that imports quasidiff from this
     checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=checkout_env(),
                           check=True).stdout
 
 
