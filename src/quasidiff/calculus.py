@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (FEAS_TOL, Polytope, _lift_exponent,
-                       convex_hull_union, minkowski_sum, nearest_point, scale,
-                       support, zero_polytope)
+from .geometry import (Polytope, _lift_exponent, convex_hull_union,
+                       minkowski_sum, nearest_point, negligible, scale,
+                       support, ties, zero_polytope)
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,7 @@ def qd_max(items: Sequence[tuple[float, Quasidifferential]]) -> Quasidifferentia
     """
     if len(items) == 0:
         raise ValueError("qd_max of an empty collection")
-    vals = [v for v, _ in items]
-    top = max(vals)
-    active = [i for i, v in enumerate(vals) if v >= top - FEAS_TOL]
+    active = ties([v for v, _ in items])
     qs = [q for _, q in items]
     dim = qs[0].dim
     sup = None
@@ -158,8 +156,8 @@ def steepest_rate(q: Quasidifferential) -> tuple[float, np.ndarray]:
 
 def strong_slope(q: Quasidifferential) -> tuple[float, np.ndarray]:
     """The strong slope of the function that q represents, with
-    steepest_rate's witness: its vertex margin, read as 0 within
-    FEAS_TOL, the cut that contains uses.
+    steepest_rate's witness: its vertex margin, read as 0 when
+    geometry.negligible, the cut that contains uses.
 
     Grammar functions are locally Lipschitz and directionally
     differentiable, so f(x + t d) = f(x) + t f'(x; d) + o(t) uniformly in
@@ -170,7 +168,7 @@ def strong_slope(q: Quasidifferential) -> tuple[float, np.ndarray]:
     it does not depend on the representative.
     """
     margin, witness = steepest_rate(q)
-    return (float(margin) if margin > FEAS_TOL else 0.0), witness
+    return (0.0 if negligible(margin) else float(margin)), witness
 
 
 def absorb_singleton_sup(q: Quasidifferential) -> Quasidifferential:

@@ -146,9 +146,10 @@ def cmd_qd(args, pf: ProblemFile, x, out: _Report) -> None:
 
 def cmd_slope(args, pf: ProblemFile, x, out: _Report) -> None:
     """Exact strong slope of psi = psi_{y,z} at the point: the vertex
-    margin of psi's pair, read as 0 within FEAS_TOL (calculus.strong_slope
-    has the proof).  At psi(x) = 0 the point minimises psi >= 0, so the
-    slope is 0 and no quasidifferential is taken.
+    margin of psi's pair, read as 0 by geometry's zero cut
+    (calculus.strong_slope has the proof).  At psi(x) = 0 the point
+    minimises psi >= 0, so the slope is 0 and no quasidifferential is
+    taken.
     """
     s = pf.system()
     l, m = len(s.equalities), len(s.inequalities)

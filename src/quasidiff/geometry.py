@@ -57,8 +57,9 @@ membership/feasibility tolerance used everywhere else.  DEDUP_TOL, the
 so one lift rule makes them relative there: a set whose largest |entry|
 is below 1/2 is multiplied by the power of two 2^k that puts it in
 [1/2, 1), which is exact, at the entry of _canonical (before the dedup)
-and of _min_norm_combination, and the result is scaled back; nearest_point
-takes the norm of the lifted offset, so its distance does not underflow.
+and of _min_norm_combination, and the result is scaled back.
+_min_norm_combination also returns |x|, taken lifted and scaled back, so
+that no distance it gives underflows; norm takes any vector's norm so.
 Sets of size 1/2 or more keep their arithmetic and their absolute cuts.
 So for k <= 0, and P's largest |entry| in [1/2, 1), Polytope(2^k P) is
 2^k Polytope(P) byte for byte; for k > 0 it need not be.  The span of a
@@ -66,9 +67,24 @@ point set and its orthogonal complement come from one SVD, whose cut is
 relative to the largest singular value, so 2^k P has the rank of P for
 every k.
 
-FEAS_TOL is also the one tie cut: qd_max takes a branch within FEAS_TOL
-of the top as active, so phi's max(g_i, 0) ties where
-regularity.active_inequalities takes |g_i| <= FEAS_TOL.
+Every verdict of the package decides its ties and zeros by FEAS_TOL,
+through one function here per question, and no other module reads it:
+  1. ties(values), "is this value tied with the top?", keeps the indices
+     with v >= top - FEAS_TOL.  qd_max keeps those branches active.
+     regularity reads an inequality as active when ties([g_i, 0]) keeps
+     both, and as violated when it keeps g_i alone; an equality is
+     violated unless it keeps both.  fl(g - FEAS_TOL) has the sign of
+     g - FEAS_TOL, so these are |g_i| <= FEAS_TOL, g_i > FEAS_TOL and
+     |f_j| > FEAS_TOL, and phi's max(g_i, 0) node ties exactly on the
+     active set.
+  2. negligible(d), "is this distance zero?", is the absolute cut
+     d <= FEAS_TOL.  contains, _certificates, _drop_redundant and
+     calculus.strong_slope read it; through strong_slope, so do
+     optimality.check_stationarity, the slope command and the
+     center-line slope.
+  3. nearest_to_zero(points), "is 0 in this hull?", cuts Wolfe's least
+     norm at FEAS_TOL times the largest point's norm, relative to the
+     set.  mfcq's sign-pattern hull test and find_hbar read it.
 """
 
 from __future__ import annotations
@@ -143,11 +159,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     raise GeometryError(f"linear program solver failed: {res.message}")
 
 
-def _min_norm_point(points: np.ndarray) -> np.ndarray:
-    """Minimum-norm point of the convex hull of the given points."""
-    return _min_norm_combination(points)[0]
-
-
 def _lift_exponent(top):
     """The k that lifts a set whose largest |entry| is top into [1/2, 1)
     by the exact factor 2^k when top < 1/2; 0 for top >= 1/2 or top = 0."""
@@ -165,18 +176,27 @@ def _lifted(points: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _min_norm_combination(points):
     """Minimum-norm point x of the convex hull of the given points, with
-    the weights that give it: (x, corral, lam), x = lam @ points[corral].
+    the weights that give it and its norm: (x, corral, lam, dist),
+    x = lam @ points[corral] and dist = |x|.
 
-    Wolfe's algorithm.  Terminates finitely on exact data; the stopping
-    test, relative to the largest squared norm of the points, tolerates
-    double-precision roundoff.  A set smaller than 1/2 is solved lifted
-    by the exact 2^k of _lifted and x scaled back.
+    A set smaller than 1/2 is solved lifted by the exact 2^k of _lifted;
+    x is scaled back, and dist is the norm of the lifted x scaled back,
+    so that no square underflows.
     """
-    pts = np.asarray(points, dtype=float)
+    pts, lift = _lifted(np.asarray(points, dtype=float))
+    x, corral, lam = (_wolfe(pts) if pts.shape[0] > 1
+                      else (pts[0], [0], np.ones(1)))
+    # ldexp by 0 copies, so x is never a view of the points
+    return (np.ldexp(x, -lift), corral, lam,
+            math.ldexp(np.linalg.norm(x), -lift))
+
+
+def _wolfe(pts: np.ndarray):
+    """Wolfe's algorithm on two or more points: (x, corral, lam).
+    Terminates finitely on exact data; the stopping test, relative to the
+    largest squared norm of the points, tolerates double-precision
+    roundoff."""
     m = pts.shape[0]
-    if m == 1:
-        return pts[0].copy(), [0], np.ones(1)
-    pts, lift = _lifted(pts)
     norms2 = np.einsum("ij,ij->i", pts, pts)
     corral = [int(np.argmin(norms2))]
     lam = np.array([1.0])
@@ -227,7 +247,7 @@ def _min_norm_combination(points):
             corral = [c for c, k_ in zip(corral, keep) if k_]
             lam = lam[keep]
             lam = lam / lam.sum()
-    return (np.ldexp(x, -lift) if lift else x), corral, lam
+    return x, corral, lam
 
 
 def _hull_2d(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -470,7 +490,7 @@ def _certificates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # certified vertices are never dropped, so a point within FEAS_TOL
         # of their hull is within FEAS_TOL of the points kept at its turn
         x = _batched_min_norm(pts[undecided], pts[kept])[0]
-        near = np.linalg.norm(x, axis=1) <= FEAS_TOL
+        near = negligible(np.linalg.norm(x, axis=1))
         inside[undecided[near]] = True
         far = undecided[~near]
         vertex[far] = _separated(pts, far, -x[~near])
@@ -496,8 +516,8 @@ def _drop_redundant(pts: np.ndarray) -> np.ndarray:
         if vertex[i]:
             continue
         alive[i] = False
-        if inside[i] or float(np.linalg.norm(
-                _min_norm_point(pts[alive] - pts[i]))) <= FEAS_TOL:
+        if inside[i] or negligible(
+                _min_norm_combination(pts[alive] - pts[i])[3]):
             n_alive -= 1
         else:
             alive[i] = True
@@ -644,16 +664,53 @@ def nearest_point(a: Polytope, q) -> tuple[np.ndarray, float]:
     q = np.asarray(q, dtype=float)
     if q.shape != (a.dim,):
         raise GeometryError("query point has wrong dimension")
-    # the norm is taken lifted, where no square underflows
-    lifted, k = _lifted(a.vertices - q)
-    x = _min_norm_point(lifted)
-    return q + np.ldexp(x, -k), float(np.ldexp(np.linalg.norm(x), -k))
+    x, _, _, d = _min_norm_combination(a.vertices - q)
+    return q + x, d
+
+
+def ties(values) -> list[int]:
+    """Indices of the values within FEAS_TOL of the largest: the tie cut
+    (see Tolerances)."""
+    top = max(values)
+    return [i for i, v in enumerate(values) if v >= top - FEAS_TOL]
+
+
+def negligible(d):
+    """Whether a distance, or each of an array of them, reads as 0: the
+    absolute zero cut d <= FEAS_TOL (see Tolerances)."""
+    return d <= FEAS_TOL
 
 
 def contains(a: Polytope, q) -> bool:
     """Membership test within FEAS_TOL, consistent with nearest_point by
     construction."""
-    return nearest_point(a, q)[1] <= FEAS_TOL
+    return negligible(nearest_point(a, q)[1])
+
+
+def nearest_to_zero(points: np.ndarray):
+    """(x, corral, weights, dist, inside): Wolfe's least-norm point x of
+    conv(points) in lifted units, the weights on points[corral] that give
+    it, dist = |x| in the points' units, and inside by the relative cut
+    |x| <= FEAS_TOL * max|point| (see Tolerances).
+
+    x and the cut are in the units of _lifted, where no norm underflows.
+    The cut is relative to the largest point, as the SVD cut of
+    complement_basis is, so that scaling every point by one factor keeps
+    the verdict; all-zero points are inside.
+    """
+    lifted, k = _lifted(points)
+    x, corral, weights, dist = _min_norm_combination(lifted)
+    inside = dist <= FEAS_TOL * np.linalg.norm(lifted, axis=1).max()
+    return x, corral, weights, math.ldexp(dist, -k), inside
+
+
+def norm(v: np.ndarray) -> float:
+    """|v|, taken lifted by the exact power of two of _lifted, as
+    nearest_point takes its distance, so that no square underflows; the
+    bytes of np.linalg.norm(v), sqrt(v . v), wherever its squares are
+    normal."""
+    lifted, k = _lifted(v)
+    return math.ldexp(math.sqrt(lifted.dot(lifted)), -k)
 
 
 def _svd_split(points, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ direction whose worst slack min_v -<v, hbar> is largest, and that
 largest slack, the margin, is |x*|.  "Is x* zero?" is the hull test's
 cut, so both conditions decide "is 0 in this hull?" by one rule.
 
-geometry.FEAS_TOL is the one tolerance: of feasibility, of the active
-set and, relative to the largest point, of the hull test's cut.
+The cuts are geometry's (its Tolerances): feasibility and the active
+set by geometry.ties, and the hull test by geometry.nearest_to_zero.
 regularity.feasible_active checks the point and takes its active set,
 and regularity.point_pairs walks the constraints into one PointPairs
 record, the one that the center-line slope reads and that optcheck's
@@ -46,8 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import qd_plus_set
-from .geometry import (FEAS_TOL, Polytope, _lifted, _min_norm_combination,
-                       complement_basis)
+from .geometry import Polytope, complement_basis, nearest_to_zero
 # InfeasiblePointError and active_inequalities are also imported from
 # here: by the command line, the tests and perfbench/tracer.PUBLIC
 from .regularity import (BudgetExceededError, InfeasiblePointError,
@@ -103,37 +102,17 @@ def full_rank_det_range(rows: Sequence[Polytope],
                           tuple(int(v) for v in combos[i_max]), total)
 
 
-def _nearest_to_zero(points: np.ndarray):
-    """(x, corral, weights, dist, inside): Wolfe's least-norm point x of
-    conv(points) in lifted units, the weights on points[corral] that give
-    it, dist = |x| in the points' units, and inside when |x| <= FEAS_TOL
-    * max|point|.
-
-    The points are lifted by geometry's rule (a set whose largest |entry|
-    is below 1/2 goes into [1/2, 1) by an exact power of two, larger ones
-    stay as they are), and x and the cut are in lifted units, where no
-    norm underflows.  The cut is relative to the largest point, as the
-    SVD cut of geometry.complement_basis is, so that scaling every point
-    by one factor keeps the verdict; all-zero points are inside.
-    """
-    lifted, k = _lifted(points)
-    x, corral, weights = _min_norm_combination(lifted)
-    dist = float(np.linalg.norm(x))
-    inside = dist <= FEAS_TOL * np.linalg.norm(lifted, axis=1).max()
-    return x, corral, weights, float(np.ldexp(dist, -k)), inside
-
-
 def _sign_pattern_dependence(rows: Sequence[Polytope]):
     """(lam, dist) for the first sign pattern whose hull is inside the
-    cut of _nearest_to_zero, lam = s mu at unit l2 norm with mu_j the
-    Wolfe weight on A_j's rows; (None, least distance) when every hull is
-    outside.  All-zero sets are dependent."""
+    cut of geometry.nearest_to_zero, lam = s mu at unit l2 norm with mu_j
+    the Wolfe weight on A_j's rows; (None, least distance) when every
+    hull is outside.  All-zero sets are dependent."""
     owner = np.repeat(np.arange(len(rows)), [r.nvertices for r in rows])
     points = np.vstack([r.vertices for r in rows])
     least = np.inf
     for tail in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
         signs = np.array((1.0,) + tail)
-        _, corral, weights, dist, inside = _nearest_to_zero(
+        _, corral, weights, dist, inside = nearest_to_zero(
             signs[owner, None] * points)
         if inside:
             lam = signs * np.bincount(owner[corral], weights=weights,
@@ -216,7 +195,7 @@ def find_hbar(eq_sums: Sequence[Polytope], ineq_sums: Sequence[Polytope],
         return HbarResult(hbar, np.inf, rank, d)
     if d == 0:
         return HbarResult(None, -np.inf, rank, 0)
-    x, _, _, margin, inside = _nearest_to_zero(
+    x, _, _, margin, inside = nearest_to_zero(
         np.vstack([p.vertices for p in ineq_sums]) @ q)
     if inside:
         return HbarResult(None, 0.0, rank, d)

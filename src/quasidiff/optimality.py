@@ -9,8 +9,8 @@ penalty in parentheses, its pair at a point follows from those of u and
 phi by the sum rule: [sub u + c sub phi, sup u + c sup phi] for c >= 0.
 So program_data takes regularity's record of the constraints at a
 feasible point (regularity.feasible_active checks feasibility and takes
-the active set, both at geometry.FEAS_TOL, the tie cut of qd_max, so
-that phi's max{g_i, 0} ties on the active set; point_pairs walks each
+the active set by geometry.ties, the tie rule of qd_max, so that
+phi's max{g_i, 0} ties on the active set; point_pairs walks each
 f_j and the active g_i), walks u and phi once, and extends the record
 into a ProgramData.  Every check below reads that record,
 qualification_pathway included, so the q.d.-MFCQ and the penalty
@@ -32,8 +32,8 @@ are checked at a feasible candidate point:
 
 check_stationarity decides stationarity by calculus.strong_slope of
 Psi_c, the vertex margin max over the vertices w of sup(Psi_c) of
-d(-w, sub(Psi_c)) read as 0 within FEAS_TOL, as contains cuts; it does
-not depend on the representative.  The multiplier form is
+d(-w, sub(Psi_c)) read as 0 by geometry.negligible, as contains is; it
+does not depend on the representative.  The multiplier form is
 the paper's statement of the same condition, kept as the tests'
 reference; no command runs it.  For a bound c, an equality's two terms
 mu_lo_j L_j + mu_hi_j H_j with mu_lo_j + mu_hi_j <= c,
@@ -202,7 +202,7 @@ def check_stationarity(data: ProgramData, c: float) -> StationarityResult:
 
     It holds exactly when calculus.strong_slope of Psi_c reads 0: the
     vertex margin, max over the vertices w of sup(Psi_c) of
-    d(-w, sub(Psi_c)), is within FEAS_TOL, the cut of contains; the
+    d(-w, sub(Psi_c)), is geometry.negligible, the cut of contains; the
     distance is convex in w, so the worst w is extreme.  When it fails,
     the farthest vertex is the witness and the margin its distance, the
     strong slope of Psi_c, which no choice of quasidifferentials

@@ -54,8 +54,8 @@ system at a feasible center x0 is 1/m, with m the liminf of the strong
 slope of psi_{y,z} in x as (x, y, z) -> (x0, 0, 0) with psi > 0.  Fix
 x = x0 and move the targets off (f(x0), g(x0)) into one orthant: a sign
 s_j of f_j(x0) - y_j for each equality, and a subset I of the active
-inequalities (those within FEAS_TOL of 0) with z_i < g_i(x0) exactly
-for i in I.  Near x0, since each sign persists and every other
+inequalities (those that geometry.ties ties with 0) with z_i < g_i(x0)
+exactly for i in I.  Near x0, since each sign persists and every other
 inequality term is 0, psi is then
 
     sum_j s_j (f_j - y_j) + sum_{i in I} (g_i - z_i),
@@ -69,7 +69,7 @@ is at most the least of these 2^(l+|A|) rates, s: every modulus K has
 K >= 1/s, and s = 0 proves that the system is not metrically regular at
 x0.  The pattern with no term (no equality, I empty) has psi = 0 near
 x0 and no slope to bound: its rate reads inf.  Each rate is
-calculus.strong_slope's, read as 0 within FEAS_TOL, as the slope
+calculus.strong_slope's, read as 0 by geometry's zero cut, as the slope
 command prints it.  The pairs are point_pairs' qd f_j and qd g_i, never
 psi's tree at a target near f(x0), whose abs and max nodes would tie
 there.  The pattern count is checked against the budget between
@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -100,7 +99,7 @@ from .calculus import (Quasidifferential, qd_add, qd_scale, steepest_rate,
                        strong_slope)
 from .expressions import (Abs, Add, Binding, Const, Expr, Max, Param, Sub,
                           qd_at)
-from .geometry import FEAS_TOL, _lifted
+from .geometry import norm, ties
 
 SLOPE_DIRECTIONS = 256
 # verify_regularity_grid's defaults: points per axis, targets per axis,
@@ -195,23 +194,24 @@ class SystemSpec:
 
 
 def active_inequalities(s: SystemSpec, b: Binding) -> list[int]:
-    """Indices i with |g_i(x,p)| <= FEAS_TOL; s is a system or a
-    program."""
+    """Indices i whose g_i(x,p) geometry.ties ties with 0, the rule of
+    phi's max(g_i, 0) node; s is a system or a program."""
     return [i for i, g in enumerate(s.inequalities)
-            if abs(float(g.evaluate(b.point, b.params))) <= FEAS_TOL]
+            if len(ties([float(g.evaluate(b.point, b.params)), 0.0])) == 2]
 
 
 def feasibility_violations(s: SystemSpec, b: Binding) -> dict:
-    """Constraint residuals exceeding FEAS_TOL, keyed like 'f2' / 'g1';
-    s is a system or a program."""
+    """Constraint residuals that geometry.ties does not tie with 0, an
+    inequality's only when it is the top, keyed like 'f2' / 'g1'; s is a
+    system or a program."""
     out = {}
     for j, f in enumerate(s.equalities):
         r = float(f.evaluate(b.point, b.params))
-        if abs(r) > FEAS_TOL:
+        if len(ties([r, 0.0])) < 2:
             out[f"f{j + 1}"] = r
     for i, g in enumerate(s.inequalities):
         r = float(g.evaluate(b.point, b.params))
-        if r > FEAS_TOL:
+        if ties([r, 0.0]) == [0]:
             out[f"g{i + 1}"] = r
     return out
 
@@ -516,15 +516,6 @@ def _on_set(s: SystemSpec, start: np.ndarray, y: np.ndarray, z: np.ndarray,
     return None if res(on_set) > _REFINE_RES_TOL else on_set
 
 
-def _norm(v: np.ndarray) -> float:
-    """|v|, taken lifted by geometry's exact power of two, as
-    nearest_point takes its distance, so that no square underflows; the
-    bytes of np.linalg.norm(v), sqrt(v . v), wherever its squares are
-    normal."""
-    lifted, k = _lifted(v)
-    return math.ldexp(math.sqrt(lifted.dot(lifted)), -k)
-
-
 def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
                      on_set: np.ndarray | None, y: np.ndarray, z: np.ndarray,
                      step: float) -> float:
@@ -533,15 +524,15 @@ def _refine_distance(s: SystemSpec, x: np.ndarray, start: np.ndarray,
     z, step); the distance from x to where it ends."""
     if on_set is None:
         # could not certify a true solution nearby; keep the raw figure
-        return _norm(x - start)
+        return norm(x - start)
     res = _residual_fn(s, y, z)
 
     def constrained(c: np.ndarray) -> float:
-        return _norm(x - c) if res(c) <= _REFINE_RES_TOL else np.inf
+        return norm(x - c) if res(c) <= _REFINE_RES_TOL else np.inf
 
     final = _pattern_search(constrained, on_set, max(step, 1e-7), 1e-11,
                             _compass(s.n))
-    return _norm(x - final)
+    return norm(x - final)
 
 
 def solution_distance(s: SystemSpec, x, y=None, z=None, *, center=None,

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -5,18 +6,21 @@ import pytest
 from numpy.testing import (TestCase, assert_allclose,
                            assert_array_almost_equal, assert_equal)
 
-from quasidiff import cli, geometry, mfcq
+from quasidiff import cli, geometry
 from quasidiff.calculus import Quasidifferential, qd_plus_set, steepest_rate
-from quasidiff.expressions import Binding, qd_at
+from quasidiff.expressions import Binding, parse_expression, qd_at
 from quasidiff.geometry import (CERT_GAP, DEDUP_TOL, FEAS_TOL, GeometryError,
                                 LpStatus, Polytope, _batched_min_norm,
                                 _canonical, _certificates,
-                                _certified_extreme, _dedup, _min_norm_point,
+                                _certified_extreme, _dedup,
+                                _min_norm_combination,
                                 complement_basis,
                                 contains, convex_hull_union, minkowski_sum,
                                 nearest_point, scale, singleton, solve_lp,
-                                span_basis, support, zero_polytope)
+                                span_basis, support, ties, zero_polytope)
+from quasidiff.optimality import ProgramSpec, program_data
 from quasidiff.problemfile import load
+from quasidiff.regularity import InfeasiblePointError
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -91,7 +95,7 @@ def reference_canonical(points):
         while i < len(kept) and len(kept) > 1:
             others = np.array(kept[:i] + kept[i + 1:])
             # through the module, so that a test can count the solves
-            x = geometry._min_norm_point(others - kept[i])
+            x = geometry._min_norm_combination(others - kept[i])[0]
             if float(np.linalg.norm(x)) <= FEAS_TOL:
                 kept.pop(i)
             else:
@@ -272,14 +276,14 @@ class TestCanonicalMatchesReference(TestCase):
         reference loop makes."""
         points = np.asarray(points, dtype=float)
         solves = []
-        scalar = geometry._min_norm_point
+        scalar = geometry._min_norm_combination
 
         def counted(p):
             solves.append(1)
             return scalar(p)
 
         with self.monkeypatch.context() as mp:
-            mp.setattr(geometry, "_min_norm_point", counted)
+            mp.setattr(geometry, "_min_norm_combination", counted)
             want = reference_canonical(points)
             n_reference = len(solves)
             built = got is None
@@ -299,10 +303,11 @@ class TestCanonicalMatchesReference(TestCase):
             assert not any(r.tobytes() in rows for r in pts[inside])
             gap = CERT_GAP * max(1.0, float(np.abs(pts).max()))
             for j in np.flatnonzero(vertex):
-                x = _min_norm_point(np.delete(pts, j, axis=0) - pts[j])
+                x = _min_norm_combination(
+                    np.delete(pts, j, axis=0) - pts[j])[0]
                 assert np.linalg.norm(x) > gap
             for j in np.flatnonzero(inside):
-                x = _min_norm_point(pts[filtered] - pts[j])
+                x = _min_norm_combination(pts[filtered] - pts[j])[0]
                 assert np.linalg.norm(x) <= FEAS_TOL
             self.certified += int(vertex.sum())
             if (~filtered).sum() >= geometry._CERT_BATCH_MIN:
@@ -438,7 +443,7 @@ class TestBatchedMinNorm:
         for r in range(q.shape[0]):
             others = v if skip is None else np.delete(v, skip[r], axis=0)
             scale = np.abs(others - q[r]).max()
-            d = np.linalg.norm(_min_norm_point(others - q[r]))
+            d = np.linalg.norm(_min_norm_combination(others - q[r])[0])
             assert np.linalg.norm(x[r]) >= d - 1e-12 * scale
 
 
@@ -532,7 +537,8 @@ def reference_min_norm_combination(points):
 
 class TestMinNormOfSums:
     """Wolfe's nearest point on one point array keeps the bytes of
-    reference_min_norm_combination."""
+    reference_min_norm_combination, and its distance those of the norm of
+    x, taken lifted."""
 
     def test_one_set_keeps_its_bytes_on_the_fixtures(self, monkeypatch,
                                                      capsys):
@@ -544,8 +550,7 @@ class TestMinNormOfSums:
                 seen.append(np.array(points, dtype=float))
             return solver(points)
 
-        for module in (geometry, mfcq):
-            monkeypatch.setattr(module, "_min_norm_combination", recorded)
+        monkeypatch.setattr(geometry, "_min_norm_combination", recorded)
         for path in sorted(PROBLEMS.glob("*.prob")):
             for command in ("qd", "slope", "mfcq", "regcheck", "optcheck"):
                 cli.main([command, str(path)])
@@ -561,13 +566,25 @@ class TestMinNormOfSums:
             if rng.random() < 0.5:
                 pts = np.round(pts * 4 / size) * size / 4
             seen.append(pts - pts.mean(axis=0) * rng.random())
+        scaled = 0
         for pts in seen:
-            x, corral, lam = solver(pts)
+            x, corral, lam, dist = solver(pts)
             want = reference_min_norm_combination(pts)
             assert x.tobytes() == want[0].tobytes()
             assert corral == want[1]
             assert all(type(c) is int for c in corral)
             assert lam.tobytes() == want[2].tobytes()
+            assert type(dist) is float
+            assert (np.float64(dist).tobytes()
+                    == np.linalg.norm(x).tobytes())
+            if np.abs(pts).max() < 1.0:
+                # below unit size both sets lift to one array, so the
+                # distance scales exactly, where the squares of the
+                # scaled x would underflow
+                assert_equal(solver(np.ldexp(pts, -540))[3],
+                             np.ldexp(dist, -540))
+                scaled += 1
+        assert scaled > 100
 
 
 class TestMinkowskiSum(TestCase):
@@ -736,6 +753,43 @@ class TestContains(TestCase):
             q = rng.uniform(-1.5, 1.5, 2)
             _, dist = nearest_point(a, q)
             assert contains(a, q) == (dist <= FEAS_TOL)
+
+
+def steps_around(c, k):
+    """c and the k floats on each side of it."""
+    out = [c]
+    for toward in (np.inf, -np.inf):
+        v = c
+        for _ in range(k):
+            v = math.nextafter(v, toward)
+            out.append(v)
+    return out
+
+
+def test_tie_rule_float_forms():
+    # the tie rule's float form v >= top - FEAS_TOL against 0 is the
+    # active set's |g| <= FEAS_TOL and the violation's g > FEAS_TOL on
+    # every float: fl(g - FEAS_TOL) has the sign of g - FEAS_TOL
+    rng = np.random.default_rng(44)
+    values = [v for c in (FEAS_TOL, 0.0, 5e-324) for s in (1.0, -1.0)
+              for v in steps_around(s * c, 5)]
+    values += list(FEAS_TOL * rng.uniform(-3.0, 3.0, 100))
+    values += list(rng.standard_normal(100)
+                   * 10.0 ** rng.integers(-320, 5, 100))
+    objective = parse_expression("x1", 1)
+    constraint = (parse_expression("x1 + g", 1),)
+    for g in values:
+        assert (len(ties([g, 0.0])) == 2) == (abs(g) <= FEAS_TOL), g
+        assert (ties([g, 0.0]) == [0]) == (g > FEAS_TOL), g
+        # phi's max(x1 + g, 0) keeps both branches, its sub co{0, 1},
+        # exactly on the active set; a point outside the cut is infeasible
+        p = ProgramSpec(1, objective, (), constraint, {"g": g})
+        if g > FEAS_TOL:
+            with pytest.raises(InfeasiblePointError):
+                program_data(p, p.binding([0.0]))
+            continue
+        data = program_data(p, p.binding([0.0]))
+        assert (data.active == (0,)) == (data.phi.sub.nvertices == 2), g
 
 
 class TestSpanBasis(TestCase):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -24,6 +25,30 @@ def test_traced_names_resolve():
                if not hasattr(importlib.import_module(f"quasidiff.{short}"),
                               name)]
     assert_equal(missing, [])
+
+
+def referring_modules(name):
+    """The modules of src/quasidiff whose code refers to name: as a
+    variable, an attribute or an imported name; docstrings and comments
+    do not count."""
+    out = []
+    for path in sorted((ROOT / "src" / "quasidiff").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None)):
+                out.append(path.stem)
+                break
+    return out
+
+
+def test_geometry_owns_the_cuts():
+    # the tie, zero and hull-test cuts, the Wolfe solve that gives their
+    # distances and the lift that guards its norms are geometry's; cli
+    # echoes the tolerance, and optimality lifts LP blocks past HiGHS's
+    # small-entry cut
+    assert_equal(referring_modules("FEAS_TOL"), ["cli", "geometry"])
+    assert_equal(referring_modules("_min_norm_combination"), ["geometry"])
+    assert_equal(referring_modules("_lifted"), ["geometry", "optimality"])
 
 
 # imports quasidiff.cli alone and prints the traced modules it left
